@@ -10,10 +10,10 @@ Measures the tentpole property of PR 7 on the full 25-benchmark suite:
   (``BENCH_incremental.json``).
 * *pfail axis* — a 5-column pfail sweep axis of one geometry: PR 6
   recomputed every column's 75 cells against the warm solve store,
-  paying the full cell stage per column; the batched kernel computes
-  the whole axis inside the first column's cell stages and prefills
-  the cell store, so the remaining columns are served whole by the
-  plan pass.  Acceptance: the amortised per-column cost drops >= 3x
+  paying the full cell stage per column; a sweep over the axis runs
+  one cells task per (benchmark, geometry), which computes each
+  mechanism's whole axis in one batched pass.  Acceptance: the
+  amortised per-column cost drops >= 3x
   versus the PR 6 recording of the per-column cell stage.  The
   scalar-engine unbatched axis is also measured and reported — it is
   context, not the baseline, because the scalar engine shares this
@@ -33,8 +33,8 @@ import time
 from dataclasses import replace
 
 from repro.experiments.runner import fresh_results, run_suite
+from repro.sweep import run_sweep
 from repro.pipeline import PipelineStats
-from repro.pipeline.stages import SUITE_MECHANISMS
 from repro.pwcet import EstimatorConfig
 from repro.pwcet.batch import ENGINE_ENV
 from repro.solve.backend import selected_backend_name
@@ -50,11 +50,11 @@ AXIS_PFAILS = (1e-6, 1e-5, 1e-4, 1e-3, 1e-2)
 CELLS_PER_COLUMN = 3 * len(EVALUATED_BENCHMARKS)
 
 
-def _run_suite(config, *, batch_pfails=None) -> tuple[PipelineStats, float]:
+def _run_suite(config) -> tuple[PipelineStats, float]:
     with fresh_results():
         stats = PipelineStats()
         start = time.perf_counter()
-        run_suite(config, pipeline_stats=stats, batch_pfails=batch_pfails)
+        run_suite(config, pipeline_stats=stats)
         return stats, time.perf_counter() - start
 
 
@@ -94,33 +94,34 @@ def _cold_cell_seconds(cache: pathlib.Path, engine: str | None,
 def _axis_seconds(cache: pathlib.Path, *, batched: bool) -> float:
     """Wall-clock of the whole 5-column pfail axis, cold store.
 
-    Unbatched runs the scalar engine with no prefill — each column
-    recomputes its 75 cells against the warm solve store, the PR 6
-    sweep's work profile.  Batched runs the default engine with the
-    axis as its batch: the first column computes and persists every
-    row, the rest are answered by the plan pass.
+    Unbatched runs the scalar engine one suite per column — each
+    column recomputes its 75 cells against the warm solve store.
+    Batched runs the default engine as one
+    sweep over the axis: every cells task computes its mechanisms'
+    whole axis in one pass.
     """
     shutil.rmtree(cache, ignore_errors=True)
     previous = os.environ.get(ENGINE_ENV)
     try:
         if batched:
             os.environ.pop(ENGINE_ENV, None)
-            batch = {name: AXIS_PFAILS for name in SUITE_MECHANISMS}
         else:
             os.environ[ENGINE_ENV] = "scalar"
-            batch = None
         totals = []
         for round_ in range(2):  # best-of rounds damps machine noise
-            total = 0.0
-            for pfail in AXIS_PFAILS:
-                config = replace(
-                    EstimatorConfig(cache=str(cache / f"round-{round_}")),
-                    pfail=pfail)
-                stats, seconds = _run_suite(config, batch_pfails=batch)
-                total += seconds
-                if batched and pfail != AXIS_PFAILS[0]:
-                    assert stats.cells_from_store == CELLS_PER_COLUMN
-            totals.append(total)
+            config = EstimatorConfig(cache=str(cache / f"round-{round_}"))
+            if batched:
+                stats = PipelineStats()
+                start = time.perf_counter()
+                run_sweep((config.geometry,), pfails=AXIS_PFAILS,
+                          config=config, pipeline_stats=stats)
+                totals.append(time.perf_counter() - start)
+                assert stats.cells_recomputed == \
+                    CELLS_PER_COLUMN * len(AXIS_PFAILS)
+            else:
+                totals.append(sum(
+                    _run_suite(replace(config, pfail=pfail))[1]
+                    for pfail in AXIS_PFAILS))
         return min(totals)
     finally:
         if previous is None:

@@ -23,11 +23,11 @@ import time
 from repro.analysis import CacheAnalysis
 from repro.analysis.classify import ENGINE_ENV
 from repro.analysis.geometry_batch import grouped_analysis
-from repro.pipeline.stages import SUITE_MECHANISMS, required_classifications
+from repro.pipeline.stages import (SUITE_MECHANISMS, line_groups,
+                                   required_classifications)
 from repro.pwcet import EstimatorConfig
 from repro.suite import load
 from repro.sweep import format_sweep_report, geometry_grid, run_sweep
-from repro.sweep.service import _geometry_groups
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 CACHE_ROOT = pathlib.Path(__file__).parent / ".solvecache" / "bench_geometry"
@@ -80,7 +80,7 @@ def _cold_sweep(geometries, engine):
 
 def test_geometry_batched_classification(benchmark, emit):
     geometries = geometry_grid()
-    groups = _geometry_groups(geometries)
+    groups = line_groups(geometries)
     assert len(geometries) == 16 and len(groups) == 2
 
     # --- classify-stage wall clock, isolated from solver/convolution.

@@ -38,12 +38,12 @@ stacked engine (under the default ``batch`` engine) and one group-wide
 SRB hit set — computes every geometry's required tables, and writes
 them through the persistent
 :class:`~repro.analysis.store.ClassificationStore` under each
-geometry's own content address.  Sibling geometries' classify stages
-then decode their tables as warm store hits instead of running
-fixpoints.  Under ``REPRO_ANALYSIS_ENGINE=vector`` (or ``dict``) the
-*same* orchestration runs with per-geometry engines — the knob selects
-only the kernel, so store traffic, tables and reports stay
-byte-identical across engines (property-tested).
+geometry's own content address.  The pipeline's fused solve task then
+consumes all of them in the same process.  Under
+``REPRO_ANALYSIS_ENGINE=vector`` (or ``dict``) the *same*
+orchestration runs with per-geometry engines — the knob selects only
+the kernel, so store traffic, tables and reports stay byte-identical
+across engines (property-tested).
 """
 
 from __future__ import annotations
@@ -65,16 +65,15 @@ class BatchedAnalysisStats(AnalysisStats):
     Adds the batching counters to the flat dict the drivers
     aggregate.  Only batched groups ever instantiate this class, so
     the keys are presence-gated exactly like ``dist_batched_rows``:
-    an unbatched benchmark's counter dict stays key-identical to the
-    reference schedule's.
+    an unbatched benchmark's counter dict carries neither key.
     """
 
     def __init__(self) -> None:
         super().__init__()
-        #: Sibling geometries served alongside the lead (tables + SRB
-        #: hit sets prefilled into the classification store).
+        #: Sibling geometries classified alongside the lead by the
+        #: same stacked fixpoint pair.
         self.classify_batched_rows = 0
-        #: Line-size groups this stage batched (always 1 per stage;
+        #: Line-size groups this task batched (always 1 per task;
         #: sums to the sweep-wide group count).
         self.geometry_groups = 0
 
@@ -373,17 +372,16 @@ class GroupSrbHits:
 
 def grouped_analysis(cfg: CFG, geometries, mechanisms, *,
                      cache: str | None = None,
-                     engine: str | None = None) -> CacheAnalysis:
-    """Classify a whole line-size group; return the lead analysis.
+                     engine: str | None = None
+                     ) -> tuple[CacheAnalysis, ...]:
+    """Classify a whole line-size group; return its analyses in order.
 
-    ``geometries`` is the group in batch order, lead (the requesting
-    stage's own geometry) first.  Every geometry's required tables
-    (each mechanism's degraded associativities at that geometry's own
-    way count) plus the SRB hit set are computed and written through
-    the persistent store under the geometry's own content addresses —
-    so sibling stages decode them as warm hits.  All analyses share
+    Every geometry's required tables (each mechanism's degraded
+    associativities at that geometry's own way count) plus the SRB hit
+    set are computed up front and written through the persistent store
+    under the geometry's own content addresses.  All analyses share
     one :class:`~repro.analysis.classify.AnalysisStats` (the work is
-    attributed to the producing stage) and one loop forest.
+    attributed to the classify task) and one loop forest.
 
     The engine knob selects only the fixpoint kernel: ``batch`` (the
     default) runs one stacked pair plus one SRB fixpoint for the whole
@@ -427,4 +425,4 @@ def grouped_analysis(cfg: CFG, geometries, mechanisms, *,
             analysis.classification(assoc)
         if needs_srb:
             analysis.srb_always_hits()
-    return analyses[geometries[0]]
+    return tuple(analyses[geometry] for geometry in geometries)

@@ -29,6 +29,9 @@ class CFG:
         self._entry_id: int | None = None
         self._exit_id: int | None = None
         self._next_id = 0
+        #: ``(name, digest)`` memo of :meth:`digest`; structural edits
+        #: drop it (the name is checked on read, being a plain field).
+        self._digest: tuple[str, str] | None = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -51,6 +54,7 @@ class CFG:
         self._successors[block.block_id] = []
         self._predecessors[block.block_id] = []
         self._next_id = max(self._next_id, block.block_id + 1)
+        self._digest = None
 
     def add_edge(self, src: int, dst: int) -> None:
         if src not in self._blocks or dst not in self._blocks:
@@ -60,16 +64,19 @@ class CFG:
             raise CFGStructureError(f"duplicate edge ({src}, {dst})")
         self._successors[src].append(dst)
         self._predecessors[dst].append(src)
+        self._digest = None
 
     def set_entry(self, block_id: int) -> None:
         if block_id not in self._blocks:
             raise CFGStructureError(f"unknown entry block {block_id}")
         self._entry_id = block_id
+        self._digest = None
 
     def set_exit(self, block_id: int) -> None:
         if block_id not in self._blocks:
             raise CFGStructureError(f"unknown exit block {block_id}")
         self._exit_id = block_id
+        self._digest = None
 
     # ------------------------------------------------------------------
     # Read access
@@ -136,8 +143,12 @@ class CFG:
         geometry) and an identical polytope, which is what lets the
         persistent solve cache (:mod:`repro.solve.store`) key solved
         objectives across runs.  Labels are excluded: they are
-        diagnostics only.
+        diagnostics only.  Memoised until the next structural edit
+        through the builders above (registered blocks are never edited
+        in place).
         """
+        if self._digest is not None and self._digest[0] == self.name:
+            return self._digest[1]
         import hashlib
 
         hasher = hashlib.sha256()
@@ -154,7 +165,8 @@ class CFG:
                      instruction.target)
         for edge in self.edges():
             feed("edge", edge)
-        return hasher.hexdigest()
+        self._digest = (self.name, hasher.hexdigest())
+        return self._digest[1]
 
     # ------------------------------------------------------------------
     # Traversals

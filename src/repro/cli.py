@@ -8,8 +8,9 @@ Commands
 ``fmm``        print a benchmark's fault miss map (Figure 1.a style).
 ``tradeoff``   pWCET gain vs hardware cost (the §I trade-off).
 ``sweep``      (geometry x pfail) design-space sweep, Pareto fronts;
-               ``--workers N`` fans whole grid cells over a process
-               pool and streams per-cell progress as cells complete.
+               ``--workers N`` runs the grid's one task DAG on an
+               N-wide process pool and streams per-cell progress as
+               cells complete.
 ``cache gc``   fold the persistent stores' append-only shards into
                one sorted, checksummed file each (``--dry-run`` for
                a statistics report only).
@@ -97,12 +98,11 @@ def _add_resilience_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 #: Stage names a ``--stage-timeout STAGE=SECONDS`` budget may target —
-#: the stages the DAG builders actually schedule.  A typo'd stage name
-#: must fail loudly: a silently ignored budget would green-light an
+#: the stages the flat DAG builder schedules on the pool (its inline
+#: sinks cannot be supervised).  A typo'd or retired stage name must
+#: fail loudly: a silently ignored budget would green-light an
 #: unsupervised run.
-_TIMEOUT_STAGES = frozenset({"classify", "solve", "cell", "distribution",
-                             "estimate", "result", "sweep-cell",
-                             "sweep-cells"})
+_TIMEOUT_STAGES = frozenset({"classify", "solve", "cell"})
 
 
 def _retry_from(arguments: argparse.Namespace):
@@ -311,13 +311,11 @@ def _command_sweep(arguments: argparse.Namespace) -> int:
         print(f"[{completed:>3d}/{total}] {cell.label}: {summary}",
               file=sys.stderr, flush=True)
 
-    # --workers fans *whole grid cells* (grouped by geometry) over a
-    # process pool; inside a cell the suite then runs single-worker.
+    # --workers sizes the one pool every task of the grid shares.
     result = run_sweep(geometries,
                        pfails=pfails,
                        benchmarks=benchmarks,
                        config=_config_from(arguments),
-                       cell_workers=arguments.workers,
                        on_cell=stream_cell,
                        only_cells=_parse_only_cells(arguments.only_cells),
                        probability=arguments.probability,

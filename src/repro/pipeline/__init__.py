@@ -10,9 +10,8 @@ graph instead of a call stack:
 ``artifacts``
     Frozen stage outputs (:class:`CfgArtifact`,
     :class:`ClassificationArtifact`, :class:`SolveArtifact`,
-    :class:`FmmArtifact`, :class:`DistributionArtifact`,
-    :class:`CellArtifact`), each keyed by the digest its stage's
-    persistent store already uses.
+    :class:`FmmArtifact`, :class:`DistributionArtifact`), each keyed by
+    the digest its stage's persistent store already uses.
 
 ``scheduler``
     :class:`PipelineScheduler` — the dependency-DAG executor with one
@@ -25,9 +24,11 @@ graph instead of a call stack:
     counters plus cell/from-store accounting and per-stage timings.
 
 ``stages``
-    Pool-safe stage task bodies and the suite DAG builders
-    (:func:`~repro.pipeline.stages.suite_pipeline`,
-    :func:`~repro.pipeline.stages.benchmark_dag`).
+    Pool-safe stage task bodies and the one DAG builder
+    (:class:`~repro.pipeline.stages.EstimationDag`) that lays a whole
+    (benchmarks × geometries × pfails) grid out on one scheduler; the
+    suite (:func:`~repro.pipeline.stages.suite_pipeline`) is its
+    1-geometry × 1-pfail case.
 
 ``resilience``
     :class:`~repro.pipeline.resilience.RetryPolicy` (attempt budget,
@@ -46,25 +47,23 @@ graph instead of a call stack:
 The estimator (:mod:`repro.pwcet.estimator`), the suite runner
 (:mod:`repro.experiments.runner`) and the sweep service
 (:mod:`repro.sweep.service`) all execute through this scheduler;
-outputs are bit-identical to the historical phase-barriered paths.
+outputs are bit-identical at any worker count.
 """
 
-from repro.pipeline.artifacts import (CELL_SCHEMA_VERSION, CellArtifact,
-                                      CfgArtifact, ClassificationArtifact,
+from repro.pipeline.artifacts import (CELL_SCHEMA_VERSION, CfgArtifact,
+                                      ClassificationArtifact,
                                       DistributionArtifact, FmmArtifact,
                                       SolveArtifact, StageArtifact)
 from repro.pipeline.resilience import (DEFAULT_RETRY_POLICY, FailureReport,
                                        RetryPolicy, StageTimeout,
                                        TaskFailure, classify_failure)
 from repro.pipeline.scheduler import PipelineScheduler, PipelineStats
-from repro.pipeline.stages import (SUITE_MECHANISMS, benchmark_dag,
+from repro.pipeline.stages import (SUITE_MECHANISMS, EstimationDag,
                                    cell_stage, classify_stage,
-                                   estimate_stage, result_stage,
                                    solve_stage, suite_pipeline)
 
 __all__ = [
     "CELL_SCHEMA_VERSION",
-    "CellArtifact",
     "CfgArtifact",
     "ClassificationArtifact",
     "DistributionArtifact",
@@ -80,11 +79,9 @@ __all__ = [
     "TaskFailure",
     "classify_failure",
     "SUITE_MECHANISMS",
-    "benchmark_dag",
+    "EstimationDag",
     "cell_stage",
     "classify_stage",
-    "estimate_stage",
-    "result_stage",
     "solve_stage",
     "suite_pipeline",
 ]

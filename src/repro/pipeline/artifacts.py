@@ -35,8 +35,8 @@ def _digest(*parts: object) -> str:
 
 
 #: Schema of persisted pWCET cells (:mod:`repro.pipeline.cellstore`).
-#: Folded into every :meth:`DistributionArtifact.derive_key` /
-#: :meth:`CellArtifact.derive_key`, so bumping it invalidates every
+#: Folded into every :meth:`DistributionArtifact.derive_key`, so
+#: bumping it invalidates every
 #: stored cell without touching the solve or classification stores.
 #: v2: sparse (width, support, values) pmf encoding — wide suite
 #: distributions are mostly zero, and the dense float list dominated
@@ -134,8 +134,9 @@ class DistributionArtifact(StageArtifact):
 
     ``key`` extends the FMM key with the fault probability and the
     cell schema version — the digest over CFG digest × geometry ×
-    mechanism × pfail × schema that also addresses the persisted cell
-    (:class:`CellArtifact` shares the derivation).
+    mechanism × pfail × schema that also addresses the persisted
+    (mechanism, pfail) cell in the
+    :class:`~repro.pipeline.cellstore.CellStore`.
     """
 
     mechanism: str
@@ -147,34 +148,3 @@ class DistributionArtifact(StageArtifact):
                    pfail: float) -> str:
         return _digest("distribution", store_context, mechanism, pfail,
                        CELL_SCHEMA_VERSION)
-
-
-@dataclass(frozen=True)
-class CellArtifact(StageArtifact):
-    """Stage 4': one finished (mechanism, pfail) estimation cell.
-
-    The cell-granular pipeline's unit of fan-out *and* of persistence:
-    ``key`` is the :meth:`DistributionArtifact.derive_key` digest (CFG
-    digest × geometry × timing × mechanism × pfail × schema), which is
-    exactly the key the :class:`~repro.pipeline.cellstore.CellStore`
-    persists the finished estimate under — `plan()` probes the store by
-    this address to satisfy up-stream-clean cells without running them.
-    """
-
-    mechanism: str
-    pfail: float
-    #: The finished :class:`~repro.pwcet.estimator.PWCETEstimate`.
-    estimate: object = field(repr=False)
-    #: Merged solver+analysis counters of the benchmark's solve stage,
-    #: carried by exactly one cell per benchmark (the others ``None``)
-    #: so downstream merges count each solve once.  ``None`` on every
-    #: store-served cell: a served cell ran nothing.
-    counters: dict | None = field(repr=False)
-    #: True when ``plan()`` answered this cell from the cell store.
-    from_store: bool = False
-    #: Sibling pfail rows this cell's stage computed alongside its own
-    #: (the batched distribution kernel's pfail-axis fan-in) and wrote
-    #: through to the cell store; 0 when the cell ran unbatched.
-    batched_rows: int = 0
-
-    derive_key = staticmethod(DistributionArtifact.derive_key)

@@ -3,14 +3,13 @@
 The third disk-backed store of the pipeline, completing the stage
 coverage: the solve store persists ILP optima, the classification
 store persists CHMC tables, and this one persists whole *(mechanism,
-pfail)* cells — the cell-granular pipeline's unit of fan-out
-(:class:`~repro.pipeline.artifacts.CellArtifact`).  Keys are the
+pfail)* cells — the rows of the pipeline's cells tasks.  Keys are the
 :meth:`~repro.pipeline.artifacts.DistributionArtifact.derive_key`
 digest over CFG digest × geometry × timing × mechanism × pfail ×
 :data:`~repro.pipeline.artifacts.CELL_SCHEMA_VERSION`, so a persisted
-cell is addressed exactly like the running stage that would recompute
-it — ``PipelineScheduler.plan()`` probes this store by content address
-and marks up-stream-clean cells satisfied before any worker starts.
+cell is addressed exactly like the row that would recompute it — the
+cells tasks' plan-pass probes look every row up by content address
+before any worker starts.
 
 Entries hold everything a :class:`~repro.pwcet.estimator.PWCETEstimate`
 needs (fault-free WCET, exact penalty pmf, exceedance correction, FMM

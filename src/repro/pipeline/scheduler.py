@@ -1,11 +1,11 @@
 """The dependency-DAG scheduler shared by estimator, runner and sweep.
 
 One :class:`PipelineScheduler` owns one worker pool and executes a DAG
-of stage tasks: fixpoint/classification stages, ILP solve stages, and
-whole sweep-cell groups all land on the *same* pool, so solve workers
-start on one benchmark's ILPs while another benchmark's cache analysis
-is still running — there is no phase barrier between stages, only the
-declared artifact dependencies.
+of stage tasks: fixpoint/classification stages, ILP solve stages and
+distribution cells of every benchmark and geometry all land on the
+*same* pool, so solve workers start on one benchmark's ILPs while
+another benchmark's cache analysis is still running — there is no
+phase barrier between stages, only the declared artifact dependencies.
 
 Execution model
 ---------------
@@ -38,6 +38,10 @@ Execution model
   occupies the pool.
 * Inline tasks (closures over in-process state — the estimator's own
   stages) run in the parent while pool futures are outstanding.
+* A task added with ``fuse=True`` runs in the same process as its
+  single dependency, right after it: the pair is dispatched (or
+  stolen) as one chain, and the dependency's value never crosses a
+  process boundary — classification tables stay where they were built.
 
 Besides DAG tasks the scheduler doubles as the *solve executor* of
 :class:`~repro.solve.planner.SolvePlanner`:
@@ -124,9 +128,8 @@ class PipelineStats:
 
         ``fault_pmf_*`` keys are process-scope memo snapshots, not
         per-run work — summing them would double-count across stages,
-        so they are dropped (mirrors ``_merged_counters``); likewise
-        the ``*_corrupt_skipped`` store-repair snapshots surfaced by
-        ``stats_summary()``.
+        so they are dropped; likewise the ``*_corrupt_skipped``
+        store-repair snapshots surfaced by ``stats_summary()``.
         """
         for key, value in (counters or {}).items():
             if not key.endswith("_rate") \
@@ -146,16 +149,16 @@ class PipelineStats:
     def tasks_run(self) -> int:
         return sum(self.tasks.values())
 
-    # -- cell accounting (the "cell" stage of the cell-granular DAG) ---
+    # -- (mechanism, pfail) row accounting of the cells tasks ----------
     @property
     def cells_recomputed(self) -> int:
-        """(mechanism, pfail) cells that actually ran this run."""
-        return self.tasks.get("cell", 0)
+        """(mechanism, pfail) rows the cells tasks computed this run."""
+        return int(self.counters.get("cells_computed", 0))
 
     @property
     def cells_from_store(self) -> int:
-        """Cells the plan pass answered from the persistent cell store."""
-        return self.from_store.get("cell", 0)
+        """Rows answered from the persistent cell store before the run."""
+        return int(self.counters.get("cells_from_store", 0))
 
     @property
     def cells_total(self) -> int:
@@ -164,19 +167,18 @@ class PipelineStats:
     @property
     def cells_batched(self) -> int:
         """Sibling pfail rows the batched distribution kernel computed
-        alongside running cells and prefilled into the cell store."""
+        in the same pass as their mechanism's first row."""
         return int(self.counters.get("dist_batched_rows", 0))
 
     @property
     def classify_batched_rows(self) -> int:
-        """Sibling geometries the stacked classification kernel served
-        alongside running classify stages (tables + SRB hit sets
-        prefilled into the classification store)."""
+        """Sibling geometries the stacked classification kernel
+        classified in the same fixpoint pair as their group's lead."""
         return int(self.counters.get("classify_batched_rows", 0))
 
     @property
     def geometry_groups(self) -> int:
-        """Line-size groups whose classify stages ran batched."""
+        """Line-size groups whose classify tasks ran batched."""
         return int(self.counters.get("geometry_groups", 0))
 
 
@@ -211,18 +213,36 @@ class _Task:
     #: Store probe of the plan pass: returns the finished result when
     #: the stage's persistent store already holds it, else ``None``.
     probe: Callable[[], object] | None = None
+    #: Run in the same process as the (single) dependency, right
+    #: after it — see :meth:`PipelineScheduler.add`.
+    fuse: bool = False
 
 
-def _run_pool_task(fn: Callable, args: tuple) -> tuple[object, float]:
-    """Pool entry point for stage tasks (keeps ``fn`` a plain pickle).
+def _run_pool_chain(steps: Sequence[tuple[Callable, tuple]]
+                    ) -> tuple[list[tuple[object, float]],
+                               BaseException | None]:
+    """Pool entry point: one stage task, or a fused chain of them.
 
-    Returns ``(value, seconds)`` so the parent can attribute in-worker
-    wall-clock to the task's stage.
+    Every step after the first receives its predecessor's value as its
+    last argument; only the last step's value is shipped back (a fused
+    dependency's value never leaves this process).  Returns one
+    ``(value, seconds)`` per completed step — so the parent can
+    attribute in-worker wall-clock per stage — plus the exception of
+    the step that raised, if any.
     """
-    faultinject.worker_hook(getattr(fn, "__name__", str(fn)))
-    started = time.perf_counter()
-    value = fn(*args)
-    return value, time.perf_counter() - started
+    outcomes: list[tuple[object, float]] = []
+    value = None
+    for position, (fn, args) in enumerate(steps):
+        started = time.perf_counter()
+        try:
+            faultinject.worker_hook(getattr(fn, "__name__", str(fn)))
+            value = fn(*args, *((value,) if position else ()))
+        except Exception as error:
+            return outcomes, error
+        last = position == len(steps) - 1
+        outcomes.append((value if last else None,
+                         time.perf_counter() - started))
+    return outcomes, None
 
 
 #: Worker-side backends rebuilt from program snapshots, memoised per
@@ -282,7 +302,8 @@ class PipelineScheduler:
     def add(self, key: str, fn: Callable, *, args: tuple = (),
             deps: Sequence[str] = (), stage: str = "task",
             pool: bool = False, order_key: str | None = None,
-            probe: Callable[[], object] | None = None) -> str:
+            probe: Callable[[], object] | None = None,
+            fuse: bool = False) -> str:
         """Register one stage task; returns ``key`` for chaining.
 
         ``fn`` is called as ``fn(*args, *dep_results)`` with dependency
@@ -294,15 +315,22 @@ class PipelineScheduler:
         index, making dispatch hash-seed independent; ``probe`` lets
         the plan pass satisfy the task from its persistent store
         (it returns the finished result, or ``None`` to run normally).
+        ``fuse=True`` (exactly one dependency, whose only dependent
+        this task is) runs the task right after its dependency in the
+        same process; the dependency's result is recorded as ``None``
+        in the parent whenever the pair ran on the pool.
         """
         if key in self._tasks:
             raise PipelineError(f"duplicate pipeline task key {key!r}")
+        if fuse and len(deps) != 1:
+            raise PipelineError(
+                f"fused task {key!r} needs exactly one dependency")
         self._tasks[key] = _Task(
             key=key, stage=stage, fn=fn, args=tuple(args),
             deps=tuple(deps), pool=bool(pool) and self.workers > 1,
             index=len(self._tasks),
             order=order_key if order_key is not None else "",
-            probe=probe)
+            probe=probe, fuse=bool(fuse))
         return key
 
     # -- planning -------------------------------------------------------
@@ -442,6 +470,15 @@ class PipelineScheduler:
                 attempt,
                 deadline=min(deadlines.values()) if deadlines else None)
 
+        def chain_of(key: str) -> list[str]:
+            """``key`` plus the fused tasks that run right after it."""
+            chain = [key]
+            while (len(dependents[chain[-1]]) == 1
+                   and tasks[dependents[chain[-1]][0]].fuse
+                   and dependents[chain[-1]][0] not in satisfied):
+                chain.append(dependents[chain[-1]][0])
+            return chain
+
         def unblock(key: str) -> None:
             for dependent in dependents[key]:
                 missing[dependent] -= 1
@@ -453,7 +490,9 @@ class PipelineScheduler:
                         None)
                     if dep_failure is not None:
                         cascade(dependent, dep_failure)
-                    else:
+                    elif not tasks[dependent].fuse or key in satisfied:
+                        # A fused task runs inside its dependency's
+                        # chain, never on its own.
                         push_ready(tasks[dependent])
 
         def cascade(key: str, dep_failure: TaskFailure) -> None:
@@ -521,6 +560,11 @@ class PipelineScheduler:
                 complete(key, value)
                 return
 
+        def run_chain_inline(head: str) -> None:
+            for key in chain_of(head):
+                if key not in results:  # not cascaded by a failed step
+                    run_inline(key)
+
         def pool_break(first_key: str, error: BaseException) -> None:
             """A worker died and broke the pool: every in-flight
             future is lost and the victim is unknowable, so each one
@@ -539,16 +583,29 @@ class PipelineScheduler:
                 else:
                     quarantine(key, error, TRANSIENT)
 
-        def worker_error(key: str, error: BaseException) -> None:
-            """The stage body raised inside a live worker."""
-            attempts[key] = attempts.get(key, 0) + 1
-            if (classify_failure(error) == TRANSIENT
-                    and attempts[key] < policy.max_attempts):
-                report.retries += 1
-                retry_sleep(attempts[key])
-                push_ready(tasks[key])
-            else:
-                quarantine(key, error, classify_failure(error))
+        def finish_chain(head: str, outcomes, error) -> None:
+            """Record a pool chain's outcome (``error``: the raised
+            exception of its failing step, ``None`` on success)."""
+            chain = chain_of(head)
+            if error is not None:
+                if policy is None:
+                    raise error
+                # A retry reruns the whole chain: a later step's input
+                # only ever existed inside the worker.
+                attempts[head] = attempts.get(head, 0) + 1
+                if (classify_failure(error) == TRANSIENT
+                        and attempts[head] < policy.max_attempts):
+                    report.retries += 1
+                    retry_sleep(attempts[head])
+                    push_ready(tasks[head])
+                    return
+            for key, (value, seconds) in zip(chain, outcomes):
+                stats.add_stage_seconds(tasks[key].stage, seconds)
+                complete(key, value)
+            if error is not None:
+                failed = chain[len(outcomes)]
+                attempts[failed] = attempts[head]
+                quarantine(failed, error, classify_failure(error))
 
         def expire_timeouts() -> None:
             now = time.monotonic()
@@ -561,7 +618,7 @@ class PipelineScheduler:
             # charged an attempt: finished ones are harvested, the
             # rest resubmitted.
             report.pool_rebuilds += 1
-            harvested: list[tuple[str, object, float]] = []
+            harvested: list[tuple[str, tuple]] = []
             resubmit: list[str] = []
             expired_keys: list[str] = []
             for future, key in in_flight.items():
@@ -569,22 +626,20 @@ class PipelineScheduler:
                     expired_keys.append(key)
                 elif (future.done() and not future.cancelled()
                         and future.exception() is None):
-                    value, seconds = future.result()
-                    harvested.append((key, value, seconds))
+                    harvested.append((key, future.result()))
                 else:
                     resubmit.append(key)
             in_flight.clear()
             deadlines.clear()
             self._kill_pool()
-            for key, value, seconds in harvested:
-                stats.add_stage_seconds(tasks[key].stage, seconds)
-                complete(key, value)
+            for key, (outcomes, error) in harvested:
+                finish_chain(key, outcomes, error)
             for key in resubmit:
                 push_ready(tasks[key])
             for key in sorted(expired_keys):
                 report.timeouts += 1
                 attempts[key] = attempts.get(key, 0) + 1
-                budget = policy.timeout_for(tasks[key].stage)
+                budget = chain_budget(key)
                 error = StageTimeout(
                     f"stage task {key!r} exceeded its {budget:g}s "
                     f"timeout budget")
@@ -593,6 +648,12 @@ class PipelineScheduler:
                     push_ready(tasks[key])
                 else:
                     quarantine(key, error, TRANSIENT)
+
+        def chain_budget(head: str) -> float | None:
+            """A chain's timeout: the sum of its steps' budgets."""
+            budgets = [policy.timeout_for(tasks[key].stage)
+                       for key in chain_of(head)]
+            return None if None in budgets else sum(budgets)
 
         def drain(block: bool) -> None:
             if not in_flight:
@@ -611,17 +672,17 @@ class PipelineScheduler:
                     continue  # reaped by a pool break in this batch
                 deadlines.pop(future, None)
                 try:
-                    value, seconds = future.result()
-                except Exception as error:
+                    outcomes, error = future.result()
+                except Exception as lost:
                     if policy is None:
                         raise
-                    if isinstance(error, BrokenExecutor):
-                        pool_break(key, error)
+                    if isinstance(lost, BrokenExecutor):
+                        pool_break(key, lost)
                         continue
-                    worker_error(key, error)
-                    continue
-                stats.add_stage_seconds(tasks[key].stage, seconds)
-                complete(key, value)
+                    # The chain ran but its value could not come back
+                    # (e.g. an unpicklable result): charge the chain.
+                    outcomes, error = [], lost
+                finish_chain(key, outcomes, error)
             if policy is not None and deadlines:
                 expire_timeouts()
 
@@ -648,11 +709,13 @@ class PipelineScheduler:
                 while ready_pool and len(in_flight) < self.workers:
                     _, _, key = heapq.heappop(ready_pool)
                     task = tasks[key]
-                    payload = task.args + tuple(results[dep]
-                                                for dep in task.deps)
+                    steps = [(task.fn, task.args + tuple(
+                        results[dep] for dep in task.deps))]
+                    steps += [(tasks[fused].fn, tasks[fused].args)
+                              for fused in chain_of(key)[1:]]
                     try:
                         future = self._ensure_pool().submit(
-                            _run_pool_task, task.fn, payload)
+                            _run_pool_chain, steps)
                     except BrokenExecutor as error:
                         # A worker died between drain() and this
                         # submit: the executor refuses new work before
@@ -663,19 +726,19 @@ class PipelineScheduler:
                         pool_break(key, error)
                         continue
                     in_flight[future] = key
-                    budget = (policy.timeout_for(task.stage)
+                    budget = (chain_budget(key)
                               if policy is not None else None)
                     if budget is not None:
                         deadlines[future] = time.monotonic() + budget
                 if ready_inline:
                     _, _, key = heapq.heappop(ready_inline)
-                    run_inline(key)
+                    run_chain_inline(key)
                 elif ready_pool:
                     # Every worker is busy and more pool tasks are
                     # queued: steal the next one and run it here
                     # instead of idling until a future resolves.
                     _, _, key = heapq.heappop(ready_pool)
-                    run_inline(key)
+                    run_chain_inline(key)
                 elif in_flight:
                     drain(block=True)
                 elif len(results) < len(tasks):

@@ -1,60 +1,53 @@
-"""Stage functions of the estimation pipeline (pool-safe, picklable).
+"""Stage functions and the one DAG builder of the estimation pipeline.
 
-These are the module-level task bodies the
-:class:`~repro.pipeline.scheduler.PipelineScheduler` executes:
+:class:`EstimationDag` lays a whole (benchmarks × geometries × pfails ×
+mechanisms) grid out as one flat DAG on one
+:class:`~repro.pipeline.scheduler.PipelineScheduler`; the suite is its
+1-geometry × 1-pfail case.  Per benchmark:
 
-``classify_stage``
-    program → :class:`~repro.pipeline.artifacts.ClassificationArtifact`.
-    Runs the abstract-interpretation fixpoints (or decodes warm tables
-    from the :class:`~repro.analysis.store.ClassificationStore` — the
-    store is the stage's read/write-through layer) for exactly the
-    associativities the requested mechanisms will degrade to, plus the
-    SRB hit set when a mechanism consults the buffer.
+``classify:{bench}:{line}`` — :func:`classify_stage`
+    Every classification table (and SRB hit set) the requested
+    mechanisms need, for every geometry of one line-size group.  A
+    group of several geometries runs ONE stacked Must/May fixpoint
+    pair (:func:`~repro.analysis.geometry_batch.grouped_analysis`).
+    Tables read and write through the
+    :class:`~repro.analysis.store.ClassificationStore`.
 
-``solve_stage``
-    (program, classification artifact) → :class:`SolveOutput`: the
-    fault-free WCET plus every requested mechanism's Fault Miss Map,
-    with the benchmark's merged solver+analysis counters.  Every ILP
-    goes through the :class:`~repro.solve.store.SolveStore`
-    read/write-through planner.
+``solve:{bench}:{line}`` — :func:`solve_stage`
+    Fused to its classify task (same process, right after it, so the
+    tables never cross a process boundary).  Builds ONE flow polytope
+    (:class:`~repro.ipet.FlowModel`) and one
+    :class:`~repro.solve.planner.SolvePlanner` for the benchmark: the
+    polytope is geometry-independent, so the fault-free WCET and every
+    mechanism's Fault Miss Map at every geometry of the group are
+    objectives over it, and duplicate objectives dedup in-process.
+    Solves read and write through the
+    :class:`~repro.solve.store.SolveStore`.
 
-``cell_stage``
-    (solve output) → :class:`~repro.pipeline.artifacts.CellArtifact`:
-    one *(mechanism, pfail)* estimation cell — penalty convolution and
-    the finished :class:`~repro.pwcet.estimator.PWCETEstimate` —
-    written through the :class:`~repro.pipeline.cellstore.CellStore`
-    under its content address, so the scheduler's plan pass can
-    satisfy the cell from the store on the next run.  Given a
-    pfail-axis batch, one cell computes its mechanism's whole axis in
-    a single :func:`~repro.pwcet.batch.penalty_distributions` pass and
-    prefills the sibling rows' addresses.
+``cells:{bench}:{geometry}`` — :func:`cell_stage`
+    The mechanism and pfail axes of one geometry: one batched
+    penalty-convolution pass per mechanism
+    (:func:`~repro.pwcet.batch.penalty_distributions`) over the rows
+    the :class:`~repro.pipeline.cellstore.CellStore` does not hold yet;
+    every row is written through under its own content address.
 
-``result_stage``
-    (cells) → :class:`~repro.experiments.runner.BenchmarkResult`:
-    reassembles one benchmark's cells into the paper-facing result.
+Each cells task's plan-pass probe looks up every (mechanism, pfail)
+row's content address before any task runs: stored rows are decoded
+in the parent, a task whose rows are all stored is satisfied (and its
+now-undemanded classify and solve tasks are skipped), and a partially
+stored task computes only its missing rows.  Sinks — the suite's
+per-benchmark results, the sweep's design points — are added by the
+drivers and read each task's rows through
+:meth:`EstimationDag.rows`.
 
-``estimate_stage``
-    The pre-cell monolithic stage (WCET + FMM + distributions of one
-    benchmark in one task), kept as the per-benchmark reference
-    schedule (``schedule="benchmark"``) that the cell-granular DAG is
-    property-tested bit-identical against.
-
-``suite_pipeline``
-    Builds and runs the benchmark-suite DAG: per benchmark a classify,
-    a solve, one cell per (mechanism, pfail) and a result task,
-    dependency-chained, all on one shared pool — so solve stages of
-    early benchmarks overlap the classification of later ones, and
-    small cells backfill workers (or the parent, by work stealing)
-    idling on another benchmark's long ILP batch.  A
-    ``phase_barrier=True`` mode (every estimate waits for *every*
-    classification) exists solely as the benchmarking baseline.
-
-The stage split is counter-transparent: an artifact-seeded estimator
-performs no classification work and no classification-store traffic,
-and the distribution/estimate work of the cell stages touches no
-counters at all, so the merged per-benchmark counters are identical
-to the historical fused run — which keeps suite and sweep reports
-bit-identical across schedules and worker modes.
+Counters travel on one channel: every classify/solve/cell task's work
+counters are merged into the run's
+:class:`~repro.pipeline.scheduler.PipelineStats` as the task completes
+(:meth:`EstimationDag.record`), and mean the same thing for a suite
+and a sweep.  Each node only ever reads store keys it owns (keys embed
+the CFG digest and the line size or geometry), so a run never reads
+its own writes: counters and reports are identical at any worker
+count, with or without the stores.
 """
 
 from __future__ import annotations
@@ -63,14 +56,10 @@ from dataclasses import dataclass, field, replace
 
 from repro.analysis import CacheAnalysis
 from repro.analysis.store import classification_key
-from repro.faults import FaultProbabilityModel
-from repro.pipeline.artifacts import (CellArtifact, CfgArtifact,
-                                      ClassificationArtifact,
+from repro.pipeline.artifacts import (CfgArtifact, ClassificationArtifact,
                                       DistributionArtifact)
-from repro.pipeline.resilience import DEFAULT_RETRY_POLICY, RetryPolicy
 from repro.pipeline.scheduler import PipelineScheduler, PipelineStats
 from repro.reliability import ReliabilityMechanism, mechanism_by_name
-from repro.solve.store import store_context
 from repro.suite import load
 
 #: The paper's three configurations, in presentation order — the
@@ -82,12 +71,10 @@ def required_classifications(mechanisms, ways: int
                              ) -> tuple[tuple[int, ...], bool]:
     """Associativities (in first-demand order) a mechanism set needs.
 
-    Mirrors the lazy demand order of the fused estimator exactly —
-    nominal first, then each mechanism's degraded tables ``W-1, W-2,
-    …`` — so a classify stage issues the same store traffic the
-    estimator historically did.  The flag reports whether any
-    mechanism consults the SRB (its all-faulty column replaces the
-    associativity-0 table with the buffer's hit set).
+    Nominal first, then each mechanism's degraded tables ``W-1, W-2,
+    …``.  The flag reports whether any mechanism consults the SRB (its
+    all-faulty column replaces the associativity-0 table with the
+    buffer's hit set).
     """
     assocs: list[int] = [ways]
     seen = {ways}
@@ -115,9 +102,9 @@ def classification_artifact(analysis: CacheAnalysis, name: str,
     The analysis object is the read/write-through boundary: warm
     tables decode from the persistent store, cold ones run the
     fixpoint engine and are written through.  ``carry_tables`` embeds
-    the store-encoded tables in the artifact (required whenever the
-    artifact crosses a process boundary); without it the artifact
-    hands the analysis object itself to same-process consumers.
+    the store-encoded tables in the artifact (for a consumer in
+    another process); without it the artifact hands the analysis
+    object itself to same-process consumers.
     """
     ways = analysis.geometry.ways
     assocs, needs_srb = required_classifications(mechanisms, ways)
@@ -142,244 +129,150 @@ def classification_artifact(analysis: CacheAnalysis, name: str,
         analysis=None if carry_tables else analysis)
 
 
-def classify_stage(name: str, config, mechanisms=SUITE_MECHANISMS,
-                   carry_tables: bool = True,
-                   batch_geometries=()) -> ClassificationArtifact:
-    """Stage task: full classification stage of one suite benchmark.
+def classify_stage(name: str, geometries, mechanisms, cache
+                   ) -> tuple[CacheAnalysis, ...]:
+    """Stage task: classify one benchmark at every geometry of a group.
 
-    As a pool task (``carry_tables=True``) the artifact embeds the
-    store-encoded tables; inline it hands the analysis object over
-    directly, so the estimation stage reuses it with zero re-decoding.
-
-    ``batch_geometries`` (lead geometry first; empty = unbatched) is
-    the geometry-batched kernel's fan-in, the classification analogue
-    of the cell stage's ``batch_rows``: every listed geometry shares
-    this benchmark's line size, so ONE stacked Must/May fixpoint pair
-    classifies all of them at once
-    (:func:`~repro.analysis.geometry_batch.grouped_analysis`) and the
-    sibling geometries' tables + SRB hit sets are written through the
-    classification store under their own content addresses — the
-    siblings' classify stages then decode them as warm hits.  Each
-    table is byte-identical to an unbatched computation, so batching
-    never changes a result.
+    ``geometries`` share one line size.  Several geometries run the
+    stacked kernel (one Must/May fixpoint pair plus one SRB fixpoint
+    for the whole group); a single geometry runs the plain analysis.
+    Returns the analyses in group order; they share one stats object
+    when stacked.  The value never leaves its process: the fused
+    solve task consumes it in place.
     """
-    program = load(name)
-    if len(batch_geometries) > 1:
+    cfg = load(name).cfg
+    if len(geometries) > 1:
         from repro.analysis.geometry_batch import grouped_analysis
 
-        analysis = grouped_analysis(program.cfg, batch_geometries,
-                                    mechanisms, cache=config.cache)
-        # The batching counters (classify_batched_rows /
-        # geometry_groups, presence-gated like dist_batched_rows)
-        # travel on the group's shared stats object, so both the
-        # inline analysis hand-off and the pooled artifact surface
-        # them.
-        return classification_artifact(analysis, name, mechanisms,
-                                       carry_tables=carry_tables)
-    analysis = CacheAnalysis(program.cfg, config.geometry,
-                             cache=config.cache)
-    return classification_artifact(analysis, name, mechanisms,
-                                   carry_tables=carry_tables)
-
-
-def estimate_stage(name: str, config, target_probability: float,
-                   estimator_workers: int,
-                   artifact: ClassificationArtifact,
-                   *_barrier_artifacts) -> "object":
-    """Stage task: WCET + FMM + distribution stages of one benchmark.
-
-    ``estimator_workers`` is the per-ILP pool width of the inner
-    estimator: 1 when this stage itself runs on the task pool
-    (task-level parallelism owns the workers — nesting would only add
-    overhead), the configuration's own width when the stage runs
-    inline.  Extra positional artifacts (the ``phase_barrier``
-    benchmarking mode depends on every classification) are ignored;
-    only this benchmark's artifact seeds the estimator.
-    """
-    from repro.experiments.runner import BenchmarkResult
-    from repro.pwcet import PWCETEstimator
-
-    stage_config = replace(config, workers=estimator_workers)
-    if artifact.analysis is not None:
-        # Same-process hand-off: the classify stage's analysis serves
-        # the estimator directly (its stats already include the
-        # classification work, so nothing is merged twice).
-        estimator = PWCETEstimator(artifact.analysis.cfg, stage_config,
-                                   name=name, analysis=artifact.analysis)
-        stage_stats: dict[str, float] = {}
-    else:
-        estimator = PWCETEstimator(load(name), stage_config, name=name)
-        estimator.analysis.preload(artifact.tables, artifact.srb_hits)
-        stage_stats = artifact.stats
-    result = BenchmarkResult(
-        name=name,
-        wcet_fault_free=estimator.fault_free_wcet(),
-        estimates=estimator.estimate_all(),
-        target_probability=target_probability,
-        solver_stats=_merged_counters(estimator.stats_summary(),
-                                      stage_stats))
-    return result
-
-
-def _merged_counters(summary: dict[str, float],
-                     stage_stats: dict[str, float]) -> dict[str, float]:
-    """Fold a prior stage's counters into an estimator summary.
-
-    Count-style keys sum; rate-style keys keep the estimator's value
-    (rates never sum — drivers recompute them from totals).
-    ``fault_pmf_*`` keys are process-scope memo diagnostics, not
-    per-run work counters — including them would make ``solver_stats``
-    depend on what ran earlier in the process, breaking its immutable
-    per-run snapshot semantics, so they are dropped here; the
-    ``*_corrupt_skipped`` store-repair snapshots are handle-cumulative
-    for the same reason and get the same treatment.
-    """
-    merged = {key: value for key, value in summary.items()
-              if not key.startswith("fault_pmf_")
-              and not key.endswith("_corrupt_skipped")}
-    for key, value in stage_stats.items():
-        if not key.endswith("_rate") and not key.startswith("fault_pmf_") \
-                and not key.endswith("_corrupt_skipped"):
-            merged[key] = merged.get(key, 0) + value
-    return merged
-
-
-def _refresh_stores(cache) -> None:
-    """Fold fresh shard writes into this process' store handles.
-
-    Called at pooled/stolen stage entry so entries written by sibling
-    workers since the handle's last load are visible before the stage
-    reads or writes — the cross-process analogue of PR 5's
-    handle-per-run discipline.  Keys are benchmark-scoped (every store
-    key embeds the CFG digest), so the visibility set can never change
-    a stage's own hit counters — only spare it duplicate writes.
-    """
-    from repro.analysis.store import ClassificationStore
-    from repro.pipeline.cellstore import CellStore
-    from repro.solve.store import SolveStore
-
-    for store in (SolveStore.resolve(cache),
-                  ClassificationStore.resolve(cache),
-                  CellStore.resolve(cache)):
-        if store is not None:
-            store.refresh()
+        return grouped_analysis(cfg, geometries, mechanisms, cache=cache)
+    analysis = CacheAnalysis(cfg, geometries[0], cache=cache)
+    classification_artifact(analysis, name, mechanisms, carry_tables=False)
+    return (analysis,)
 
 
 @dataclass(frozen=True)
 class SolveOutput:
-    """Pool-safe output of one benchmark's solve stage.
+    """Pool-safe output of one (benchmark, line size) solve task.
 
-    Everything the benchmark's cells fan out over: the fault-free
-    WCET, one Fault Miss Map per requested mechanism, and the merged
-    solver+analysis counters of the classify+solve work (each cell
-    carries a reference to the same dict; the result stage counts it
-    once).
+    ``geometries`` maps each geometry of the group to its fault-free
+    WCET and its Fault Miss Map per mechanism; ``counters`` holds the
+    solver and analysis work of the classify + solve pair.
     """
 
-    name: str
-    wcet_cycles: int
-    fmms: dict[str, object] = field(repr=False)
+    geometries: dict = field(repr=False)
     counters: dict[str, float] = field(repr=False)
 
 
-def solve_stage(name: str, config, mechanisms, estimator_workers: int,
-                refresh: bool, artifact: ClassificationArtifact
-                ) -> SolveOutput:
-    """Stage task: WCET + FMM solves of one benchmark.
+def solve_stage(mechanisms, config, analyses) -> SolveOutput:
+    """Stage task: WCET + FMMs of one benchmark at a group's geometries.
 
-    The solver-facing prefix of the historical ``estimate_stage``:
-    identical store traffic in identical order (WCET first, then each
-    mechanism's FMM), stopping before the distribution work — which
-    the per-(mechanism, pfail) cell stages own in the cell-granular
-    schedule.  ``refresh`` folds sibling workers' shard writes in
-    first (pool mode only).
+    One flow polytope and one planner serve every objective of the
+    group, in a fixed order (per geometry: WCET, then each mechanism's
+    FMM), so in-process dedup — and with it every counter — is
+    deterministic.  ``config`` supplies the timing model, the solver
+    mode and the cache selector.
     """
-    from repro.pwcet import PWCETEstimator
+    from repro.fmm import compute_fault_miss_map
+    from repro.ipet import FlowModel, compute_wcet
+    from repro.solve.store import SolveStore, solve_context
 
-    if refresh:
-        _refresh_stores(config.cache)
-    stage_config = replace(config, workers=estimator_workers)
-    if artifact.analysis is not None:
-        estimator = PWCETEstimator(artifact.analysis.cfg, stage_config,
-                                   name=name, analysis=artifact.analysis)
-        stage_stats: dict[str, float] = {}
-    else:
-        estimator = PWCETEstimator(load(name), stage_config, name=name)
-        estimator.analysis.preload(artifact.tables, artifact.srb_hits)
-        stage_stats = artifact.stats
-    wcet = estimator.fault_free_wcet()
-    fmms = {mechanism: estimator.fault_miss_map(mechanism)
-            for mechanism in mechanisms}
-    return SolveOutput(
-        name=name, wcet_cycles=wcet, fmms=fmms,
-        counters=_merged_counters(estimator.stats_summary(), stage_stats))
+    lead = analyses[0]
+    cfg = lead.cfg
+    flow_model = FlowModel(cfg, lead.forest)
+    planner = flow_model.planner
+    store = SolveStore.resolve(config.cache)
+    if store is not None:
+        planner.attach_store(store, solve_context(
+            cfg.digest(), lead.geometry.block_bytes))
+    geometries = {}
+    for analysis in analyses:
+        wcet = compute_wcet(cfg, analysis.classification(), config.timing,
+                            flow_model=flow_model, relaxed=config.relaxed,
+                            planner=planner)
+        fmms = {name: compute_fault_miss_map(
+                    analysis, mechanism_by_name(name),
+                    flow_model=flow_model, relaxed=config.relaxed,
+                    planner=planner)
+                for name in mechanisms}
+        geometries[analysis.geometry] = (wcet.cycles, fmms)
+    return SolveOutput(geometries=geometries,
+                       counters={**planner.stats.as_dict(),
+                                 **lead.stats.as_dict()})
 
 
-def cell_stage(name: str, mechanism_name: str, pfail: float, config,
-               cell_key: str, refresh: bool, batch_rows,
-               solve_output: SolveOutput) -> CellArtifact:
-    """Stage task: one (mechanism, pfail) estimation cell.
+@dataclass(frozen=True)
+class CellsOutput:
+    """The (mechanism, pfail) rows one cells task computed.
 
-    Pure derivation from the solve output — penalty convolution via
-    the same :func:`~repro.pwcet.estimator.penalty_distribution` the
-    estimator uses, so the estimate is bit-identical to the fused
-    path's — written through the cell store under ``cell_key`` for the
-    next run's plan pass to find.
-
-    ``batch_rows`` (``((pfail, cell_key), ...)``; empty = unbatched)
-    is the batched distribution kernel's pfail-axis fan-in: the FMM's
-    penalty points are pfail-independent, so every listed row shares
-    this cell's penalty structure and all of them come out of *one*
-    :func:`~repro.pwcet.batch.penalty_distributions` pass.  The
-    sibling rows are written through to the cell store under their own
-    content addresses — a later run (the sweep's next pfail column)
-    finds them in its plan pass — while this cell's own row (always in
-    the batch) is the artifact returned.  Each row is bit-identical to
-    an unbatched computation, so batching never changes a result.
+    ``rows`` maps ``(mechanism, pfail)`` to the finished
+    :class:`~repro.pwcet.estimator.PWCETEstimate` — or, when the
+    consumer only needs it, to the pWCET at the target probability.
     """
+
+    rows: dict = field(repr=False)
+    counters: dict[str, float] = field(default_factory=dict, repr=False)
+
+
+def cell_stage(name: str, geometry, config, rows, probability,
+               solve_output: SolveOutput) -> CellsOutput:
+    """Stage task: the missing (mechanism, pfail) rows of one geometry.
+
+    ``rows`` is ``((mechanism, ((pfail, cell key), ...)), ...)``.  The
+    FMM's penalty points are pfail-independent, so each mechanism's
+    whole pfail axis comes out of one
+    :func:`~repro.pwcet.batch.penalty_distributions` pass, each row
+    bit-identical to an unbatched computation.  Every row is written
+    through the cell store under its content address.  ``probability``
+    reduces the returned rows to pWCET values (``None`` keeps the
+    estimates).
+    """
+    from repro.faults import FaultProbabilityModel
     from repro.pipeline.cellstore import CellStore, encode_cell
     from repro.pwcet.batch import penalty_distributions
     from repro.pwcet.estimator import PWCETEstimate
 
-    if refresh:
-        _refresh_stores(config.cache)
-    mechanism = mechanism_by_name(mechanism_name)
-    rows = tuple(batch_rows) or ((pfail, cell_key),)
-    fmm = solve_output.fmms[mechanism_name]
-    sets = config.geometry.sets
-    models = [FaultProbabilityModel(geometry=config.geometry,
-                                    pfail=row_pfail)
-              for row_pfail, _ in rows]
-    distributions = penalty_distributions(fmm, mechanism, models, sets)
+    wcet, fmms = solve_output.geometries[geometry]
     store = CellStore.resolve(config.cache)
-    own = None
-    for (row_pfail, row_key), model, distribution in zip(rows, models,
-                                                         distributions):
-        estimate = PWCETEstimate(
-            program_name=name,
-            mechanism_name=mechanism_name,
-            wcet_fault_free=solve_output.wcet_cycles,
-            penalty_misses=distribution,
-            timing=config.timing,
-            fmm=fmm,
-            exceedance_correction=mechanism.exceedance_correction(model,
-                                                                  sets))
-        if store is not None:
-            store.put(row_key, encode_cell(estimate))
-        if row_key == cell_key:
-            own = estimate
-    return CellArtifact(key=cell_key, mechanism=mechanism_name,
-                        pfail=pfail, estimate=own,
-                        counters=solve_output.counters, from_store=False,
-                        batched_rows=len(rows) - 1)
+    computed = {}
+    batched = 0
+    for mechanism_name, axis in rows:
+        mechanism = mechanism_by_name(mechanism_name)
+        fmm = fmms[mechanism_name]
+        models = [FaultProbabilityModel(geometry=geometry, pfail=pfail)
+                  for pfail, _ in axis]
+        distributions = penalty_distributions(fmm, mechanism, models,
+                                              geometry.sets)
+        batched += len(axis) - 1
+        for (pfail, key), model, distribution in zip(axis, models,
+                                                     distributions):
+            estimate = PWCETEstimate(
+                program_name=name,
+                mechanism_name=mechanism_name,
+                wcet_fault_free=wcet,
+                penalty_misses=distribution,
+                timing=config.timing,
+                fmm=fmm,
+                exceedance_correction=mechanism.exceedance_correction(
+                    model, geometry.sets))
+            if store is not None:
+                store.put(key, encode_cell(estimate))
+            computed[(mechanism_name, pfail)] = (
+                estimate if probability is None
+                else estimate.pwcet(probability))
+    counters = {"cells_computed": len(computed)}
+    if batched:
+        # Presence-gated: only when a mechanism's pfail axis ran as
+        # one batch.
+        counters["dist_batched_rows"] = batched
+    return CellsOutput(rows=computed, counters=counters)
 
 
-def _zero_counters() -> dict[str, float]:
+def zero_counters() -> dict[str, float]:
     """The all-zero solver+analysis counter template.
 
-    The ``solver_stats`` of a benchmark whose every cell was satisfied
-    from the store: no solve stage ran, so nothing was counted — but
-    downstream aggregation still finds every familiar key.
+    The counters of a benchmark whose every row was served from the
+    cell store: no classify or solve task ran, so nothing was counted
+    — but downstream aggregation still finds every familiar key.
     """
     from repro.analysis.classify import AnalysisStats
     from repro.solve.planner import SolveStats
@@ -387,256 +280,241 @@ def _zero_counters() -> dict[str, float]:
     return {**SolveStats().as_dict(), **AnalysisStats().as_dict()}
 
 
-def result_stage(name: str, target_probability: float, mechanisms,
-                 *cells: CellArtifact) -> "object":
-    """Stage task: reassemble one benchmark's cells into its result.
+def line_groups(geometries) -> tuple[tuple, ...]:
+    """The geometries' line-size groups, in first-appearance order.
 
-    Always runs inline (it is every benchmark DAG's sink).  The solve
-    counters travel on the computed cells — all of one benchmark's
-    computed cells reference the same dict, counted once here; a
-    benchmark served entirely from the store reports the zero
-    template.  ``cells_from_store`` is added only when > 0, so a cold
-    result's counter dict is key-identical to the per-benchmark
-    schedule's.
+    Geometries of one group share the memory-block stream of every
+    CFG (``block_of`` depends only on the line size): the stacked
+    classification kernel's batching unit.
     """
-    from repro.experiments.runner import BenchmarkResult
-
-    counters = next((cell.counters for cell in cells
-                     if cell.counters is not None), None)
-    counters = dict(counters) if counters is not None else _zero_counters()
-    served = sum(1 for cell in cells if cell.from_store)
-    if served:
-        counters["cells_from_store"] = \
-            counters.get("cells_from_store", 0) + served
-    # Sibling pfail rows the batched distribution kernel prefilled;
-    # added only when batching happened, so an unbatched result's
-    # counter dict stays key-identical to the reference schedule's.
-    batched = sum(cell.batched_rows for cell in cells)
-    if batched:
-        counters["dist_batched_rows"] = \
-            counters.get("dist_batched_rows", 0) + batched
-    return BenchmarkResult(
-        name=name,
-        wcet_fault_free=cells[0].estimate.wcet_fault_free,
-        estimates={mechanism: cell.estimate
-                   for mechanism, cell in zip(mechanisms, cells)},
-        target_probability=target_probability,
-        solver_stats=counters)
+    groups: dict[int, list] = {}
+    for geometry in geometries:
+        groups.setdefault(geometry.block_bytes, []).append(geometry)
+    return tuple(tuple(group) for group in groups.values())
 
 
-def benchmark_dag(scheduler: PipelineScheduler, name: str, config,
-                  target_probability: float, *,
-                  mechanisms=SUITE_MECHANISMS, pool: bool = False,
-                  estimator_workers: int = 1, cell_store=None,
-                  batch_pfails=None, batch_geometries=None,
-                  classify_store=None, prefix: str = "") -> str:
-    """Add one benchmark's cell-granular DAG; returns the result key.
+def _geometry_label(geometry) -> str:
+    return (f"{geometry.total_bytes}B/{geometry.ways}w/"
+            f"{geometry.block_bytes}B")
 
-    classify → solve → one cell per (mechanism, ``config.pfail``) →
-    result.  Cells carry their artifact key as the dispatch order key
-    and, when ``cell_store`` is given, a plan-pass probe that decodes
-    the persisted cell — an up-stream-clean cell is satisfied from the
-    store, and a benchmark whose every cell is satisfied skips its
-    classify and solve stages outright.
 
-    ``batch_pfails`` (mechanism → pfail axis, e.g. the sweep's grid
-    columns) opts each cell into the batched distribution kernel: the
-    cell's stage computes every *store-missing* row of its mechanism's
-    axis in one batched pass and prefills the cell store with the
-    siblings.  Per-cell content addresses are untouched — the batch is
-    assembled from exactly the per-row :meth:`DistributionArtifact
-    .derive_key` digests the plan pass probes — so ``--only-cells``
-    filtering and incremental invalidation behave as without batching.
-    Requires ``cell_store`` (prefilled rows must land somewhere).
+class EstimationDag:
+    """One estimation grid laid out on a scheduler (see module doc).
 
-    ``batch_geometries`` (the benchmark's line-size group, e.g. the
-    sweep's geometry axis at this line size) does the same for the
-    classify stage: its cold work fans in over every *store-missing*
-    geometry of the group — one stacked fixpoint pair classifies them
-    all and the siblings' tables are prefilled into the classification
-    store under their own content addresses.  Requires
-    ``classify_store`` (the same read/write-through handle the stage
-    resolves); like the pfail batch, it is assembled from exactly the
-    per-geometry :func:`~repro.analysis.store.classification_key`
-    digests a sibling's stage would probe.
+    ``selection`` maps each pfail to the mechanisms estimated at it
+    (the unprotected baseline included), in presentation order.
+    ``pool`` lets classify/solve/cell tasks run on the process pool;
+    ``probability`` reduces rows to pWCET values (see
+    :func:`cell_stage`).  The plan-pass probes count served rows into
+    ``stats``; :meth:`record` merges the counters of every completed
+    task.
     """
-    from repro.pipeline.cellstore import decode_cell
 
-    digest = load(name).cfg.digest()
-    context = store_context(digest, config.geometry, config.timing)
-    batch_group = ()
-    if batch_geometries and classify_store is not None:
-        group = [config.geometry]
-        for geometry in batch_geometries:
-            # Only store-missing siblings enter the batch — a geometry
-            # another run (or an earlier group lead) already persisted
-            # costs nothing to keep.  The probe is raw store access,
-            # not an analysis lookup, so it counts no stage traffic.
-            if geometry == config.geometry:
-                continue
-            key = classification_key(digest, geometry, geometry.ways)
-            if classify_store.get(key) is None:
-                group.append(geometry)
-        if len(group) > 1:
-            batch_group = tuple(group)
-    classify_key = scheduler.add(
-        f"{prefix}classify:{name}", classify_stage,
-        args=(name, config, tuple(mechanisms), pool, batch_group),
-        stage="classify", pool=pool)
-    solve_key = scheduler.add(
-        f"{prefix}solve:{name}", solve_stage,
-        args=(name, config, tuple(mechanisms), estimator_workers, pool),
-        deps=(classify_key,), stage="solve", pool=pool)
-    cell_keys = []
-    for mechanism in mechanisms:
-        cell_key = DistributionArtifact.derive_key(context, mechanism,
-                                                   config.pfail)
-        batch_rows = ()
-        if batch_pfails and cell_store is not None:
-            axis = []
-            for row_pfail in batch_pfails.get(mechanism, ()):
-                row_key = DistributionArtifact.derive_key(
-                    context, mechanism, row_pfail)
-                # Only store-missing siblings enter the batch — a row
-                # another run already persisted costs nothing to keep.
-                if row_key != cell_key and cell_store.get(row_key) \
-                        is not None:
-                    continue
-                axis.append((row_pfail, row_key))
-            if not any(key == cell_key for _, key in axis):
-                axis.insert(0, (config.pfail, cell_key))
-            if len(axis) > 1:
-                batch_rows = tuple(axis)
-        probe = None
-        if cell_store is not None:
-            def probe(key=cell_key, mechanism=mechanism):
-                value = cell_store.get(key)
-                if value is None:
-                    return None
-                estimate = decode_cell(value, name=name,
-                                       mechanism=mechanism,
-                                       config=config, pfail=config.pfail)
-                if estimate is None:
-                    return None
-                return CellArtifact(key=key, mechanism=mechanism,
-                                    pfail=config.pfail,
-                                    estimate=estimate, counters=None,
-                                    from_store=True)
-        cell_keys.append(scheduler.add(
-            f"{prefix}cell:{name}:{mechanism}", cell_stage,
-            args=(name, mechanism, config.pfail, config, cell_key, pool,
-                  batch_rows),
+    def __init__(self, scheduler: PipelineScheduler, benchmarks,
+                 geometries, selection, config, *, pool: bool = False,
+                 probability: float | None = None,
+                 stats: PipelineStats | None = None) -> None:
+        from repro.analysis.store import ClassificationStore
+        from repro.pipeline.cellstore import CellStore
+        from repro.solve.store import SolveStore
+
+        self.stats = stats if stats is not None else PipelineStats()
+        # Every familiar key is present even when the plan pass serves
+        # every row (no classify or solve task runs).
+        self.stats.merge_counters(zero_counters())
+        #: solve key -> the counters its task reported
+        self._solve_counters: dict[str, dict] = {}
+        #: cells key -> the solve key feeding it
+        self._solve_of: dict[str, str] = {}
+        #: cells key -> rows the plan pass decoded from the cell store
+        self._served: dict[str, dict] = {}
+        #: (benchmark, geometry) -> cells key
+        self._cells: dict[tuple, str] = {}
+        cell_store = CellStore.resolve(config.cache)
+        for store in (SolveStore.resolve(config.cache),
+                      ClassificationStore.resolve(config.cache),
+                      cell_store):
+            if store is not None:
+                # Fold in shards written since the handle last loaded
+                # (pool workers of an earlier run in this process).
+                store.refresh()
+        mechanisms = tuple(name for name in SUITE_MECHANISMS
+                           if any(name in chosen
+                                  for chosen in selection.values()))
+        programs = {name: load(name) for name in benchmarks}
+        # Heaviest programs dispatch first: their classify + solve
+        # chains are the longest tasks of the run.
+        heaviness = sorted(benchmarks,
+                           key=lambda name: (
+                               -programs[name].cfg.instruction_count(),
+                               benchmarks.index(name)))
+        for name in benchmarks:
+            digest = programs[name].cfg.digest()
+            rank = heaviness.index(name)
+            for group in line_groups(geometries):
+                line = group[0].block_bytes
+                classify_key = scheduler.add(
+                    f"classify:{name}:{line}", classify_stage,
+                    args=(name, group, mechanisms, config.cache),
+                    stage="classify", pool=pool,
+                    order_key=f"0:{rank:04d}:{line:04d}")
+                solve_key = scheduler.add(
+                    f"solve:{name}:{line}", solve_stage,
+                    args=(mechanisms, config), deps=(classify_key,),
+                    stage="solve", pool=pool, fuse=True)
+                for geometry in group:
+                    self._add_cells(scheduler, name, digest, geometry,
+                                    geometries.index(geometry),
+                                    selection, config, solve_key,
+                                    cell_store, pool, probability,
+                                    benchmarks.index(name))
+
+    def _add_cells(self, scheduler, name, digest, geometry, position,
+                   selection, config, solve_key, cell_store, pool,
+                   probability, bench_index) -> None:
+        from repro.solve.store import store_context
+
+        context = store_context(digest, geometry, config.timing)
+        keys = {(mechanism, pfail): DistributionArtifact.derive_key(
+                    context, mechanism, pfail)
+                for pfail, chosen in selection.items()
+                for mechanism in chosen}
+        task_key = f"cells:{name}:{_geometry_label(geometry)}"
+        #: The task's rows; the plan-pass probe fills it before any
+        #: task runs (so a pool task pickles it filled).
+        rows: list = []
+
+        def probe():
+            served, axes = self._probe_rows(
+                cell_store, keys, name, replace(config, geometry=geometry),
+                probability)
+            if served and task_key not in self._served:
+                self.stats.merge_counters(
+                    {"cells_from_store": len(served)})
+            self._served[task_key] = served
+            rows[:] = [(mechanism, tuple(axes[mechanism]))
+                       for mechanism in SUITE_MECHANISMS
+                       if mechanism in axes]
+            return None if rows else CellsOutput(rows={})
+
+        self._cells[(name, geometry)] = task_key
+        self._solve_of[task_key] = solve_key
+        scheduler.add(
+            task_key, cell_stage,
+            args=(name, geometry, config, rows, probability),
             deps=(solve_key,), stage="cell", pool=pool,
-            order_key=cell_key, probe=probe))
-    return scheduler.add(
-        f"{prefix}result:{name}", result_stage,
-        args=(name, target_probability, tuple(mechanisms)),
-        deps=tuple(cell_keys), stage="result")
+            order_key=f"1:{position:04d}:{bench_index:04d}", probe=probe)
+
+    @staticmethod
+    def _probe_rows(cell_store, keys, name, config, probability):
+        """Split one task's rows into stored (decoded) and missing.
+
+        Returns ``(served, axes)``: ``served`` maps ``(mechanism,
+        pfail)`` to the decoded row, ``axes`` maps each mechanism to
+        its missing ``(pfail, cell key)`` pairs in selection order.
+        """
+        from repro.pipeline.cellstore import decode_cell
+
+        served = {}
+        axes: dict[str, list] = {}
+        for (mechanism, pfail), key in keys.items():
+            value = cell_store.get(key) if cell_store is not None \
+                else None
+            estimate = None
+            if value is not None:
+                estimate = decode_cell(value, name=name,
+                                       mechanism=mechanism, config=config,
+                                       pfail=pfail)
+            if estimate is None:
+                axes.setdefault(mechanism, []).append((pfail, key))
+            else:
+                served[(mechanism, pfail)] = (
+                    estimate if probability is None
+                    else estimate.pwcet(probability))
+        return served, axes
+
+    def cells_key(self, name: str, geometry) -> str:
+        return self._cells[(name, geometry)]
+
+    def rows(self, key: str, output: CellsOutput) -> dict:
+        """Every (mechanism, pfail) row of one cells task: the rows
+        served from the store plus the ones the task computed."""
+        return {**self._served[key], **output.rows}
+
+    def solve_counters(self, key: str) -> dict[str, float]:
+        """The counters of the solve task feeding one cells task (the
+        zero template when the plan pass skipped it)."""
+        return self._solve_counters.get(self._solve_of[key],
+                                        zero_counters())
+
+    def served_count(self, key: str) -> int:
+        """Rows of one cells task the plan pass served from the store
+        (each counted once into ``cells_from_store``)."""
+        return len(self._served[key])
+
+    def record(self, key: str, value) -> None:
+        """Task-completion hook: one counter channel for every run."""
+        if isinstance(value, SolveOutput):
+            self._solve_counters[key] = value.counters
+        if isinstance(value, (SolveOutput, CellsOutput)):
+            self.stats.merge_counters(value.counters)
 
 
 def suite_pipeline(benchmarks, config, target_probability: float, *,
                    workers: int = 1,
-                   scheduler: PipelineScheduler | None = None,
                    stats: PipelineStats | None = None,
-                   phase_barrier: bool = False,
-                   schedule: str = "cell",
-                   mechanisms=SUITE_MECHANISMS,
-                   batch_pfails=None,
-                   batch_geometries=None,
                    strict: bool = True,
-                   retry: "RetryPolicy | None" = None
-                   ) -> dict[str, object]:
+                   retry=None) -> dict[str, object]:
     """Run the suite DAG; returns BenchmarkResults keyed by name.
 
-    ``workers > 1`` executes every stage family on one shared process
-    pool with only artifact dependencies between them; ``workers=1``
-    runs the same DAG inline in deterministic dispatch order.
-    Results are bit-identical either way.
-
-    Resilience: the scheduler runs under ``retry`` (default
-    :data:`~repro.pipeline.resilience.DEFAULT_RETRY_POLICY` — killed
-    workers and broken pools are recovered transparently).  With
-    ``strict=False`` a permanently-failing benchmark yields a
-    :class:`~repro.pipeline.resilience.TaskFailure` in the returned
-    dict instead of aborting the suite; ``strict=True`` re-raises the
-    original error after retries are exhausted.
-
-    ``schedule`` selects the DAG shape: ``"cell"`` (default) fans the
-    distribution work out per (mechanism, pfail) cell with plan-pass
-    store probes — a warm rerun satisfies every cell from the store,
-    an edited benchmark recomputes only its own stages; ``"benchmark"``
-    is the monolithic per-benchmark reference schedule (also used by
-    ``phase_barrier``, which is meaningless at cell granularity).
-    ``mechanisms`` restricts the estimated set (cell schedule only —
-    the reference schedule always estimates the paper's three).
-    ``batch_pfails`` (mechanism → pfail axis) opts the cell stages
-    into the batched distribution kernel's pfail-axis fan-in, and
-    ``batch_geometries`` (the line-size group of ``config.geometry``)
-    opts the classify stages into the geometry-batched stacked kernel;
-    see :func:`benchmark_dag`.
+    The 1-geometry × 1-pfail case of :class:`EstimationDag`, plus one
+    inline ``result:{bench}`` sink per benchmark.  ``workers > 1``
+    runs classify/solve/cell tasks on one shared process pool;
+    ``workers=1`` runs the same DAG inline.  Results are bit-identical
+    either way.  With ``strict=False`` a permanently failing
+    benchmark maps to a :class:`~repro.pipeline.resilience.TaskFailure`
+    instead of aborting the suite.
     """
+    from repro.experiments.runner import BenchmarkResult
+    from repro.pipeline.resilience import DEFAULT_RETRY_POLICY
+
     # Dedupe while preserving order: a repeated benchmark name is one
     # task (and one result entry), exactly like the memoised runner.
     benchmarks = tuple(dict.fromkeys(benchmarks))
-    if scheduler is None:
-        scheduler = PipelineScheduler(
-            workers=workers,
-            retry=retry if retry is not None else DEFAULT_RETRY_POLICY,
-            strict=strict)
-    # A single benchmark still fans out over its cells, but runs them
-    # inline and lets the configuration's own worker width drive the
-    # per-ILP batches instead (the historical behaviour).
-    pool = workers > 1 and len(benchmarks) > 1
-    estimator_workers = 1 if pool else config.workers
-    if phase_barrier or schedule == "benchmark":
-        classify_keys = tuple(f"classify:{name}" for name in benchmarks)
-        for name in benchmarks:
-            scheduler.add(f"classify:{name}", classify_stage,
-                          args=(name, config, SUITE_MECHANISMS, pool),
-                          stage="classify", pool=pool)
-            deps = ((f"classify:{name}",) if not phase_barrier
-                    else (f"classify:{name}",) + tuple(
-                        key for key in classify_keys
-                        if key != f"classify:{name}"))
-            scheduler.add(f"estimate:{name}", estimate_stage,
-                          args=(name, config, target_probability,
-                                estimator_workers),
-                          deps=deps, stage="estimate", pool=pool)
-        result_keys = {name: f"estimate:{name}" for name in benchmarks}
-        results = scheduler.run(stats=stats)
-    else:
-        from repro.pipeline.cellstore import CellStore
+    if stats is None:
+        stats = PipelineStats()
+    scheduler = PipelineScheduler(
+        workers=workers,
+        retry=retry if retry is not None else DEFAULT_RETRY_POLICY,
+        strict=strict)
+    dag = EstimationDag(scheduler, benchmarks, (config.geometry,),
+                        {config.pfail: SUITE_MECHANISMS}, config,
+                        pool=workers > 1, stats=stats)
 
-        cell_store = CellStore.resolve(config.cache)
-        if cell_store is not None:
-            # Cells persisted by pool workers of an earlier run in
-            # this process live in shards the memoised handle has not
-            # seen; fold them in before the plan pass probes.
-            cell_store.refresh()
-        classify_store = None
-        if batch_geometries:
-            from repro.analysis.store import ClassificationStore
+    def result(name, key, cells: CellsOutput):
+        rows = dag.rows(key, cells)
+        counters = dict(dag.solve_counters(key))
+        extras = dict(cells.counters)
+        if dag.served_count(key):
+            extras["cells_from_store"] = dag.served_count(key)
+        for counter, value in extras.items():
+            counters[counter] = counters.get(counter, 0) + value
+        estimates = {mechanism: rows[(mechanism, config.pfail)]
+                     for mechanism in SUITE_MECHANISMS}
+        return BenchmarkResult(
+            name=name,
+            wcet_fault_free=estimates["none"].wcet_fault_free,
+            estimates=estimates,
+            target_probability=target_probability,
+            solver_stats=counters)
 
-            classify_store = ClassificationStore.resolve(config.cache)
-            if classify_store is not None:
-                classify_store.refresh()
-        result_keys = {
-            name: benchmark_dag(scheduler, name, config,
-                                target_probability,
-                                mechanisms=mechanisms, pool=pool,
-                                estimator_workers=estimator_workers,
-                                cell_store=cell_store,
-                                batch_pfails=batch_pfails,
-                                batch_geometries=batch_geometries,
-                                classify_store=classify_store)
-            for name in benchmarks}
-        results = scheduler.run(stats=stats)
-    suite = {}
+    result_keys = {}
     for name in benchmarks:
-        result = results[result_keys[name]]
-        suite[name] = result
-        if stats is not None:
-            # A strict=False run maps a failed benchmark's key to a
-            # TaskFailure sentinel, which carries no counters.
-            stats.merge_counters(getattr(result, "solver_stats", None))
-    return suite
+        key = dag.cells_key(name, config.geometry)
+        result_keys[name] = scheduler.add(
+            f"result:{name}",
+            lambda cells, name=name, key=key: result(name, key, cells),
+            deps=(key,), stage="result")
+    results = scheduler.run(
+        stats=stats, on_task=lambda key, value, *_: dag.record(key, value))
+    return {name: results[result_keys[name]] for name in benchmarks}

@@ -48,7 +48,7 @@ from repro.pwcet.batch import penalty_distributions
 from repro.pwcet.distribution import DiscreteDistribution
 from repro.pwcet.exceedance import ExceedanceCurve
 from repro.reliability import ReliabilityMechanism, mechanism_by_name
-from repro.solve.store import SolveStore, store_context
+from repro.solve.store import SolveStore, solve_context
 from repro.util import check_probability
 
 #: Exceedance probability used throughout the paper's evaluation
@@ -96,11 +96,10 @@ def penalty_distribution(fmm: FaultMissMap,
 
     Pure function of (FMM, mechanism, fault model): per-set penalty
     points weighted by the mechanism's fault pmf (eq. 2 / eq. 3),
-    convolved across sets (Figure 1.b).  Module-level so the cell
-    stage of the pipeline (:func:`repro.pipeline.stages.cell_stage`)
-    and :meth:`PWCETEstimator.penalty_distribution` share one
-    definition — bit-identity between the two schedules is by
-    construction, not by parallel maintenance.
+    convolved across sets (Figure 1.b).  The pipeline's cells task
+    (:func:`repro.pipeline.stages.cell_stage`) calls the same batched
+    kernel over a whole pfail axis; each row is bit-identical to this
+    one-row batch by construction.
 
     Dispatches through the distribution engine selected by
     ``REPRO_DISTRIBUTION_ENGINE`` (:mod:`repro.pwcet.batch`): the
@@ -203,14 +202,14 @@ class PWCETEstimator:
         self._planner = self._flow_model.planner
         self._planner.workers = config.workers
         self._planner.executor = self._scheduler
-        #: Cross-run persistence: already-solved objectives of this
-        #: (program, geometry, timing) context are answered from the
-        #: disk store instead of the ILP backend.
+        #: Cross-run persistence: already-solved objectives over this
+        #: program's polytope are answered from the disk store instead
+        #: of the ILP backend.
         self._store = SolveStore.resolve(config.cache)
         if self._store is not None:
             self._planner.attach_store(
                 self._store,
-                store_context(cfg.digest(), config.geometry, config.timing))
+                solve_context(cfg.digest(), config.geometry.block_bytes))
         self._fault_model = config.fault_model()
         self._wcet_fault_free: int | None = None
         self._fmm_cache: dict[str, FaultMissMap] = {}
@@ -245,14 +244,13 @@ class PWCETEstimator:
     def stats_summary(self) -> dict[str, float]:
         """Solver and analysis counters merged into one flat dict.
 
-        This is what suite/sweep drivers aggregate: together the two
-        families prove the warm-run property end to end (zero backend
-        ILPs *and* zero abstract-interpretation fixpoints).  The
-        ``fault_pmf_*`` pair snapshots the process-wide fault-pmf memo
+        Together the two families prove the warm-run property end to
+        end (zero backend ILPs *and* zero abstract-interpretation
+        fixpoints).  The ``fault_pmf_*`` pair snapshots the
+        process-wide fault-pmf memo
         (:func:`repro.reliability.mechanism.fault_pmf_cache_stats`) —
         cumulative cache diagnostics, not per-run work, so counter
-        merges skip them (:func:`repro.pipeline.stages
-        ._merged_counters`, :meth:`~repro.pipeline.scheduler
+        merges skip them (:meth:`~repro.pipeline.scheduler
         .PipelineStats.merge_counters`).  The ``*_corrupt_skipped``
         triple snapshots each persistent store's silent-repair count
         (shard lines dropped as torn/corrupt and recomputed) — same

@@ -50,8 +50,8 @@ from repro.solve.backend import (ProgramSnapshot, SolverBackend,
 from repro.solve.gc import CompactionReport, gc_cache
 from repro.solve.planner import SolvePlanner, SolveStats
 from repro.solve.request import SolveRequest, canonical_objective
-from repro.solve.store import (SolveStore, default_cache_dir, solve_key,
-                               store_context)
+from repro.solve.store import (SolveStore, default_cache_dir,
+                               solve_context, solve_key, store_context)
 
 __all__ = [
     "CompactionReport",
@@ -67,5 +67,6 @@ __all__ = [
     "SolveStore",
     "default_cache_dir",
     "solve_key",
+    "solve_context",
     "store_context",
 ]

@@ -21,10 +21,15 @@ snapshot:
 Both backends produce the same optima (HiGHS solves the model either
 way); the equivalence is pinned by tests.  Set
 ``REPRO_SOLVE_BACKEND=scipy`` to force the fallback.
+
+scipy is imported on first snapshot or backend build, not with this
+module: commands that never solve (``repro list``, warm runs served
+from the stores) skip its ~0.6 s import entirely.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from abc import ABC, abstractmethod
@@ -32,15 +37,9 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize, sparse
 
 from repro.errors import SolverError
 from repro.testing import faultinject
-
-try:  # scipy's vendored HiGHS bindings are a private, but stable, API.
-    from scipy.optimize._highspy import _core as _highs_core
-except ImportError:  # pragma: no cover - depends on scipy build
-    _highs_core = None
 
 #: Map of scipy.milp status codes to human-readable causes.
 _MILP_STATUS = {
@@ -52,9 +51,20 @@ _MILP_STATUS = {
 }
 
 
+@functools.cache
+def _highs_core():
+    """scipy's vendored HiGHS bindings (a private, but stable, API), or
+    ``None`` when this scipy build lacks them."""
+    try:
+        from scipy.optimize._highspy import _core
+    except ImportError:  # pragma: no cover - depends on scipy build
+        return None
+    return _core
+
+
 def available_backends() -> tuple[str, ...]:
     """Backend names usable in this environment, preferred first."""
-    if _highs_core is not None:
+    if _highs_core() is not None:
         return ("highs", "scipy")
     return ("scipy",)
 
@@ -63,7 +73,7 @@ def selected_backend_name(prefer: str | None = None) -> str:
     """The backend :func:`make_backend` would pick right now."""
     if prefer is None:
         prefer = os.environ.get("REPRO_SOLVE_BACKEND", "highs")
-    if prefer == "highs" and _highs_core is not None:
+    if prefer == "highs" and _highs_core() is not None:
         return "highs"
     return "scipy"
 
@@ -99,6 +109,8 @@ class ProgramSnapshot:
                   rows: list[dict[int, float]], row_lb: list[float],
                   row_ub: list[float]) -> "ProgramSnapshot":
         """Freeze the incremental row/bound lists of a program."""
+        from scipy import sparse
+
         data: list[float] = []
         row_idx: list[int] = []
         col_idx: list[int] = []
@@ -118,7 +130,9 @@ class ProgramSnapshot:
                    matrix_indices=matrix.indices.astype(np.int64),
                    matrix_data=matrix.data.astype(np.float64))
 
-    def csc_matrix(self) -> sparse.csc_matrix:
+    def csc_matrix(self):
+        from scipy import sparse
+
         return sparse.csc_matrix(
             (self.matrix_data, self.matrix_indices, self.matrix_indptr),
             shape=(self.num_constraints, self.num_variables))
@@ -164,8 +178,11 @@ class ScipyBackend(SolverBackend):
     """Frozen-input path through ``scipy.optimize.milp``."""
 
     def __init__(self, snapshot: ProgramSnapshot) -> None:
+        from scipy import optimize
+
         super().__init__(snapshot)
         n = snapshot.num_variables
+        self._milp = optimize.milp
         self._bounds = optimize.Bounds(snapshot.col_lower,
                                        snapshot.col_upper)
         self._constraints = []
@@ -177,7 +194,7 @@ class ScipyBackend(SolverBackend):
 
     def _solve(self, objective: Mapping[int, float], sign: float,
                relaxed: bool) -> tuple[float, np.ndarray]:
-        result = optimize.milp(c=self._cost_vector(objective, sign),
+        result = self._milp(c=self._cost_vector(objective, sign),
                                constraints=self._constraints,
                                bounds=self._bounds,
                                integrality=self._integrality[relaxed])
@@ -193,14 +210,14 @@ class HighsBackend(SolverBackend):
     """Persistent HiGHS models; only the cost vector changes per solve."""
 
     def __init__(self, snapshot: ProgramSnapshot) -> None:
-        if _highs_core is None:  # pragma: no cover - guarded by factory
+        if _highs_core() is None:  # pragma: no cover - guarded by factory
             raise SolverError("scipy's highspy bindings are unavailable")
         super().__init__(snapshot)
         self._solvers: dict[bool, object] = {}
         self._indices = np.arange(snapshot.num_variables, dtype=np.int64)
 
     def _build(self, relaxed: bool):
-        core = _highs_core
+        core = _highs_core()
         snapshot = self.snapshot
         n = snapshot.num_variables
         lp = core.HighsLp()
@@ -236,7 +253,7 @@ class HighsBackend(SolverBackend):
 
     def _solve(self, objective: Mapping[int, float], sign: float,
                relaxed: bool) -> tuple[float, np.ndarray]:
-        core = _highs_core
+        core = _highs_core()
         solver = self._solver(relaxed)
         solver.changeColsCost(self.snapshot.num_variables, self._indices,
                               self._cost_vector(objective, sign))
@@ -252,7 +269,7 @@ class HighsBackend(SolverBackend):
 
     @staticmethod
     def _cause(model_status) -> str:
-        core = _highs_core
+        core = _highs_core()
         if model_status == core.HighsModelStatus.kInfeasible:
             return "infeasible"
         if model_status in (core.HighsModelStatus.kUnbounded,

@@ -135,6 +135,7 @@ class SolvePlanner:
         self._token = uuid.uuid4().hex
         self.stats = SolveStats()
         self._results: dict[object, int] = {}
+        self._solutions: dict[object, "Solution"] = {}
         self._relaxed_bounds: dict[object, int] = {}
         self._screen_budget = self.PRESCREEN_MISS_BUDGET
         #: Keys solved ahead of time by :meth:`prime` (or served by the
@@ -148,9 +149,8 @@ class SolvePlanner:
     def attach_store(self, store: SolveStore, context: str) -> None:
         """Wire the cross-run store; ``context`` keys this polytope.
 
-        ``context`` must determine the polytope's semantics (CFG
-        digest, geometry, timing model — see
-        :func:`repro.solve.store.store_context`); the per-request key
+        ``context`` must determine the polytope (see
+        :func:`repro.solve.store.solve_context`); the per-request key
         adds the canonical *named* objective and the solver mode, so
         keys are independent of variable creation order.
         """
@@ -249,28 +249,37 @@ class SolvePlanner:
         """Solve returning the full solution vector, store-backed.
 
         Used by the WCET computation, which reads edge counts off the
-        critical path.  With a store attached, the whole solution
+        critical path.  Deduplicated in-process like every other
+        objective (geometries of one line size can share a WCET
+        objective).  With a store attached, the whole solution
         (objective value plus the non-zero variables, recorded by
         *name*) round-trips through an artefact entry, so a warm rerun
         of the pipeline performs zero backend solves even for the
         fault-free WCET.
         """
+        request = SolveRequest.from_objective(objective, relaxed=relaxed)
+        if self.dedup and request.key in self._solutions:
+            self.stats.dedup_hits += 1
+            return self._solutions[request.key]
         key = None
+        solution = None
         if self._store is not None:
-            request = SolveRequest.from_objective(objective,
-                                                  relaxed=relaxed)
             key = self._store_key(request, kind="solution")
             artefact = self._store.get_artefact(key)
             if artefact is not None:
                 self.stats.store_hits += 1
-                return self._solution_from_artefact(artefact, relaxed)
-        solution = self.program.maximize(objective, relaxed=relaxed)
-        if relaxed:
-            self.stats.lp_solved += 1
-        else:
-            self.stats.ilp_solved += 1
-        if key is not None:
-            self._store.put_artefact(key, self._solution_artefact(solution))
+                solution = self._solution_from_artefact(artefact, relaxed)
+        if solution is None:
+            solution = self.program.maximize(objective, relaxed=relaxed)
+            if relaxed:
+                self.stats.lp_solved += 1
+            else:
+                self.stats.ilp_solved += 1
+            if key is not None:
+                self._store.put_artefact(key,
+                                         self._solution_artefact(solution))
+        if self.dedup:
+            self._solutions[request.key] = solution
         return solution
 
     def _solution_artefact(self, solution: "Solution") -> dict:

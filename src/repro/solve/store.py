@@ -7,11 +7,13 @@ keyed by a SHA-256 digest of everything that determines a solve's
 outcome:
 
 * the store schema version (bumped on any format or semantics change);
-* the CFG digest (blocks, instruction addresses, edges, loop bounds —
-  see :meth:`repro.cfg.graph.CFG.digest`);
-* the cache geometry and timing model of the estimation run;
+* the flow polytope: the CFG digest (blocks, instruction addresses,
+  edges, loop bounds — see :meth:`repro.cfg.graph.CFG.digest`) plus
+  the cache line size (see :func:`solve_context`);
 * the canonical objective, expressed over *variable names* (not
-  indices), so the key is independent of variable creation order;
+  indices), so the key is independent of variable creation order —
+  the geometry and timing model of a solve already live in its
+  objective's coefficients;
 * the solver mode (exact ILP vs LP relaxation).
 
 Storage is a directory of append-only JSONL shard files, one shard per
@@ -57,7 +59,9 @@ from repro.testing import faultinject
 #: Bump on ANY change to the entry format, the key derivation, or the
 #: meaning of stored values.  Old entries live under another ``v<N>``
 #: subdirectory and are never even loaded.
-SCHEMA_VERSION = 1
+#: v2: keyed by the polytope (:func:`solve_context`) instead of the
+#: (CFG digest, geometry, timing) estimation context.
+SCHEMA_VERSION = 2
 
 #: Environment variable controlling the default store location.
 CACHE_ENV = "REPRO_CACHE"
@@ -138,12 +142,27 @@ def solve_key(context: str, named_objective, relaxed: bool,
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-def store_context(cfg_digest: str, geometry, timing) -> str:
-    """The per-estimator key prefix of the ISSUE/ROADMAP design.
+def solve_context(cfg_digest: str, block_bytes: int) -> str:
+    """The key prefix of every solve against one CFG's flow polytope.
 
-    Keys a solve by (CFG digest, geometry, timing model); the schema
-    version, canonical objective and solver mode are folded in by
-    :func:`solve_key`.
+    The polytope (edge counts, loop bounds, first-miss group
+    variables) depends on the CFG alone, so one context serves WCET
+    and FMM objectives of every geometry and timing model.  The line
+    size partitions the keys the way a sweep partitions its solve
+    work — one solve node per (benchmark, line size) — so no run ever
+    reads a key another node of the same run wrote: cold counters are
+    identical with and without the store, at any worker count.
+    """
+    return json.dumps({"cfg": cfg_digest, "line": block_bytes},
+                      sort_keys=True, separators=(",", ":"))
+
+
+def store_context(cfg_digest: str, geometry, timing) -> str:
+    """The (CFG digest, geometry, timing) estimation context.
+
+    The prefix of the pipeline's artifact keys (finished cells,
+    :mod:`repro.pipeline.artifacts`): unlike a single solve, a cell
+    depends on the whole geometry and timing model.
     """
     return json.dumps({
         "cfg": cfg_digest,
@@ -306,8 +325,9 @@ class ShardedStore:
         """Fold shard lines appended since the last load into the index.
 
         Cheap (tail reads from per-shard offsets) and idempotent: the
-        pipeline calls it at stage entry so writes from pool workers or
-        work-stealing peers become visible deterministically.  A shard
+        pipeline calls it when it builds a run's DAG, so writes pool
+        workers made in an earlier run of this process become visible
+        before the plan pass probes.  A shard
         that *shrank* (``repro cache gc`` rewrote it in place) forces a
         full rescan.  A handle that never loaded stays lazy.
         """

@@ -98,16 +98,16 @@ def format_sweep_report(result: SweepResult) -> str:
                     f"cell store")
     if totals.get("dist_batched_rows", 0) > 0:
         # Same presence rule: the line only appears when the batched
-        # distribution kernel actually prefilled sibling pfail rows.
+        # distribution kernel actually computed sibling pfail rows.
         summary += (f"\ndistribution: {totals['dist_batched_rows']:.0f} "
-                    f"pfail rows prefilled by the batched kernel")
+                    f"sibling pfail rows computed by the batched kernel")
     if totals.get("classify_batched_rows", 0) > 0:
         # Presence-gated like the distribution line: only when the
-        # stacked classification kernel actually prefilled sibling
-        # geometries' tables.
+        # stacked classification kernel actually classified sibling
+        # geometries.
         summary += (f"\nclassification: "
                     f"{totals['classify_batched_rows']:.0f} sibling "
-                    f"geometries prefilled by the stacked kernel in "
+                    f"geometries classified by the stacked kernel in "
                     f"{totals.get('geometry_groups', 0):.0f} batched "
                     f"line-size group runs")
     sections = [format_sweep_table(result),

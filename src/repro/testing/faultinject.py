@@ -5,7 +5,7 @@ pipeline survives killed workers, torn shard writes and hung solves.
 This module makes those faults *reproducible*: a declarative plan in
 the ``REPRO_FAULT_PLAN`` environment variable arms injection hooks
 threaded through the pool entry point
-(:func:`~repro.pipeline.scheduler._run_pool_task`), the sharded
+(:func:`~repro.pipeline.scheduler._run_pool_chain`), the sharded
 stores (:meth:`~repro.solve.store.ShardedStore._append` /
 ``_read_shard``) and the solve backend
 (:meth:`~repro.solve.backend.SolverBackend.solve`), so CI can diff a
@@ -31,7 +31,7 @@ Sites and their actions:
 
 ``store``
     Fires inside :class:`~repro.solve.store.ShardedStore`; ``target``
-    is the schema directory name (``v1``, ``classify-v1``,
+    is the schema directory name (``v2``, ``classify-v1``,
     ``cells-v2``) or ``*``.  Actions: ``truncate_tail`` (the append
     becomes a torn half-line write and the shard handle is dropped,
     as a killed writer would leave it), ``read_error`` (the shard
@@ -46,7 +46,7 @@ Sites and their actions:
 
 ``net``
     Fires on the remote-store wire (:mod:`repro.remote`); ``target``
-    is the store schema directory (``v1``, ``classify-v1``,
+    is the store schema directory (``v2``, ``classify-v1``,
     ``cells-v2``) or ``*``.  Each action fires on exactly one side so
     a clause's ordinals count one invocation stream: ``drop`` (the
     client's request fails with a :class:`ConnectionError` before it

@@ -8,10 +8,12 @@ from repro.analysis.store import ClassificationStore, classification_key
 from repro.cache import CacheGeometry
 from repro.pwcet import EstimatorConfig, PWCETEstimator
 from repro.solve.gc import GC_SHARD_NAME, compact_shard_dir, gc_cache
-from repro.solve.store import SolveStore, solve_key
+from repro.solve.store import SCHEMA_VERSION, SolveStore, solve_key
 from repro.suite import load
 
 GEOMETRY = CacheGeometry.from_size(1024, 4, 16)
+#: The solve store's schema directory under a cache root.
+SOLVE_DIR = f"v{SCHEMA_VERSION}"
 
 
 def _populate_both_stores(root) -> None:
@@ -29,7 +31,7 @@ class TestCompaction:
         for index in range(5):
             store.put(solve_key("ctx", [("x", float(index))], False), index)
         store.close()
-        shard_dir = tmp_path / "v1"
+        shard_dir = tmp_path / SOLVE_DIR
         # A second writer process that re-derived the same entries:
         # identical lines in a second shard, as concurrent cold runs do.
         first = next(shard_dir.glob("shard-*.jsonl"))
@@ -51,7 +53,7 @@ class TestCompaction:
         key = solve_key("ctx", [("x", 1.0)], False)
         store.put(key, 5)
         store.close()
-        shard_dir = tmp_path / "v1"
+        shard_dir = tmp_path / SOLVE_DIR
         shard = next(shard_dir.glob("shard-*.jsonl"))
         with open(shard, "a") as handle:
             handle.write('{"t":"solve","k":"abc","v":12\n')  # truncated
@@ -67,7 +69,7 @@ class TestCompaction:
         store = SolveStore(tmp_path)
         store.put(solve_key("ctx", [("x", 1.0)], False), 5)
         store.close()
-        shard_dir = tmp_path / "v1"
+        shard_dir = tmp_path / SOLVE_DIR
         before = sorted(path.name for path in shard_dir.iterdir())
         report = compact_shard_dir(shard_dir, dry_run=True)
         assert report.dry_run
@@ -75,7 +77,7 @@ class TestCompaction:
         assert sorted(path.name for path in shard_dir.iterdir()) == before
 
     def test_empty_directory_reports_none(self, tmp_path):
-        assert compact_shard_dir(tmp_path / "v1") is None
+        assert compact_shard_dir(tmp_path / SOLVE_DIR) is None
 
 
 class TestGcCache:
@@ -149,7 +151,7 @@ class TestCli:
         store = SolveStore(tmp_path)
         store.put(solve_key("ctx", [("x", 1)], False), 7)
         store.close()
-        shard = next((tmp_path / "v1").glob("shard-*.jsonl"))
+        shard = next((tmp_path / SOLVE_DIR).glob("shard-*.jsonl"))
         with shard.open("a") as handle:
             handle.write('{"c":1,"k":"tampered","t":"solve","v":1}\n')
             handle.write('{"torn half-li')  # a killed writer's tail
@@ -173,7 +175,7 @@ class TestCli:
         store = SolveStore(tmp_path)
         store.put(solve_key("ctx", [("x", 1)], False), 7)
         store.close()
-        shard = next((tmp_path / "v1").glob("shard-*.jsonl"))
+        shard = next((tmp_path / SOLVE_DIR).glob("shard-*.jsonl"))
         with shard.open("a") as handle:
             handle.write('{"torn half-li')
         estimator = PWCETEstimator(load("fibcall"),
@@ -198,7 +200,7 @@ class TestExportImport:
 
         exported = export_cache(tarball, str(source))
         assert {report.directory for report in exported} == \
-            {"v1", "classify-v1"}
+            {SOLVE_DIR, "classify-v1"}
         assert all(report.entries > 0 for report in exported)
         # The live source store is packed, never modified.
         assert not list(source.glob(f"*/{GC_SHARD_NAME}"))
@@ -233,7 +235,7 @@ class TestExportImport:
             sum(report.imported for report in first)
         # Exactly one import shard per schema directory: the rerun
         # appended nothing.
-        for directory in ("v1", "classify-v1"):
+        for directory in (SOLVE_DIR, "classify-v1"):
             shards = list((target / directory).glob("shard-*.jsonl"))
             assert len(shards) == 1
 
@@ -271,13 +273,13 @@ class TestExportImport:
                 member = tarfile.TarInfo(name=name)
                 member.size = len(payload)
                 archive.addfile(member, io.BytesIO(payload))
-            add("v1/shard-0-ok.jsonl", good + "garbage line\n")
+            add(f"{SOLVE_DIR}/shard-0-ok.jsonl", good + "garbage line\n")
             add("../escape/shard-0-evil.jsonl", good)
             add("notastore/shard-0-alien.jsonl", good)
         target = tmp_path / "dst"
         reports = import_cache(tarball, str(target))
-        (report,) = reports  # only the valid v1 member was considered
-        assert report.directory == "v1"
+        (report,) = reports  # only the valid solve-store member was considered
+        assert report.directory == SOLVE_DIR
         assert report.imported == 1
         assert report.corrupt_dropped == 1
         assert not (tmp_path / "escape").exists()

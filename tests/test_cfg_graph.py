@@ -106,3 +106,35 @@ class TestValidation:
         cfg.set_exit(a.block_id)
         with pytest.raises(CFGStructureError):
             cfg.validate()
+
+
+class TestDigestMemo:
+    """``CFG.digest`` is memoised; every structural edit drops it."""
+
+    def test_repeated_digest_is_served_from_the_memo(self, monkeypatch):
+        import hashlib
+
+        cfg = diamond()
+        first = cfg.digest()
+        # A second call must not hash again.
+        monkeypatch.setattr(hashlib, "sha256", None)
+        assert cfg.digest() == first
+
+    @pytest.mark.parametrize("edit", [
+        lambda cfg: cfg.add_edge(1, 2),
+        lambda cfg: cfg.new_block("extra"),
+        lambda cfg: cfg.set_entry(1),
+        lambda cfg: cfg.set_exit(2),
+        lambda cfg: setattr(cfg, "name", "renamed"),
+    ], ids=["edge", "block", "entry", "exit", "name"])
+    def test_an_edit_changes_the_digest(self, edit):
+        cfg = diamond()
+        before = cfg.digest()
+        edit(cfg)
+        after = cfg.digest()
+        assert after != before
+        # The memo now holds the edited CFG's digest.
+        assert cfg.digest() == after
+        fresh = diamond()
+        edit(fresh)
+        assert fresh.digest() == after

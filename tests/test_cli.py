@@ -121,8 +121,16 @@ class TestStageTimeoutParsing:
             self.retry(spec)
 
     def test_unknown_stage_message_lists_the_real_stages(self):
-        with pytest.raises(SystemExit, match="sweep-cell"):
+        with pytest.raises(SystemExit, match="one of cell, classify, solve"):
             self.retry("bogus=2")
+
+    @pytest.mark.parametrize("stage", ["sweep-cell", "sweep-cells",
+                                       "estimate", "distribution",
+                                       "result"])
+    def test_stages_the_flat_dag_never_schedules_are_rejected(self,
+                                                               stage):
+        with pytest.raises(SystemExit, match="unknown stage"):
+            self.retry(f"{stage}=2")
 
     def test_repeated_flags_accumulate_per_stage(self):
         policy = self.retry("solve=2.5", "classify=1.5", "10")
@@ -174,3 +182,26 @@ class TestCacheEnvAlias:
             warnings.simplefilter("error")
             assert store_module.cache_env_value() == \
                 str(tmp_path / "canonical")
+
+
+class TestStartup:
+    """Commands that solve nothing never import scipy's optimizer."""
+
+    def test_import_and_list_leave_scipy_optimize_unloaded(self):
+        import os
+        import pathlib
+        import subprocess
+        import sys
+
+        script = (
+            "import sys\n"
+            "import repro.cli\n"
+            "assert 'scipy.optimize' not in sys.modules, 'import'\n"
+            "assert repro.cli.main(['list']) == 0\n"
+            "assert 'scipy.optimize' not in sys.modules, 'list'\n")
+        root = pathlib.Path(__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        run = subprocess.run([sys.executable, "-c", script], env=env,
+                             capture_output=True, text=True, cwd=root)
+        assert run.returncode == 0, run.stderr
+        assert "crc" in run.stdout

@@ -5,7 +5,7 @@ oracle over random FMMs × pfail grids × mechanisms, the power-grouping
 strategy within tolerance, the degenerate shapes (all-zero penalty
 sets, single-pfail batch, one-set cache, empty batch), engine
 selection, the fault-pmf memo, the sparse cell-store encoding, and
-the pipeline's pfail-axis prefill.
+the pipeline's batched pfail axis.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from repro.pwcet.batch import (ENGINE_ENV, penalty_distribution_scalar,
                                penalty_distributions, selected_engine)
 from repro.reliability import (fault_pmf_cache_stats, mechanism_by_name,
                                reset_fault_pmf_cache)
+from repro.sweep import run_sweep
 
 SUBSET = ("bs", "fibcall")
 MECHANISM_NAMES = ("none", "srb", "rw")
@@ -261,20 +262,23 @@ class TestSparseCellEncoding:
 
 
 class TestPfailAxisPrefill:
-    """Tentpole wiring: one cell stage computes its mechanism's whole
-    pfail axis and prefills the cell store's content addresses."""
+    """One cells task computes its mechanisms' whole pfail axis and
+    writes every row under its own content address."""
+
+    @staticmethod
+    def _sweep(config, pfails, stats=None):
+        """The pipeline's multi-pfail path at ``config``'s geometry."""
+        return run_sweep((config.geometry,), pfails=pfails,
+                         benchmarks=SUBSET, config=config,
+                         pipeline_stats=stats)
 
     def test_prefilled_rows_are_bitwise_unbatched_cells(self, tmp_path):
         config = EstimatorConfig(cache=str(tmp_path / "store"))
         sibling_pfail = 5e-4
-        axis = (config.pfail, sibling_pfail)
-        batch = {name: axis for name in MECHANISM_NAMES}
-        with fresh_results():
-            stats = PipelineStats()
-            run_suite(config, benchmarks=SUBSET, pipeline_stats=stats,
-                      batch_pfails=batch)
+        stats = PipelineStats()
+        self._sweep(config, (config.pfail, sibling_pfail), stats)
         assert stats.cells_batched == 3 * len(SUBSET)
-        assert stats.cells_recomputed == 3 * len(SUBSET)
+        assert stats.cells_recomputed == 2 * 3 * len(SUBSET)
         # The sibling pfail is served whole from the store...
         sibling = replace(config, pfail=sibling_pfail)
         with fresh_results():
@@ -300,22 +304,16 @@ class TestPfailAxisPrefill:
                     cold_result.pwcet(mechanism)
 
     def test_rows_already_stored_leave_the_batch(self, tmp_path):
-        """Only store-missing siblings are recomputed on a rerun."""
+        """Only store-missing rows are recomputed on a rerun."""
         config = EstimatorConfig(cache=str(tmp_path / "store"))
-        batch = {name: (config.pfail, 5e-4) for name in MECHANISM_NAMES}
-        with fresh_results():
-            run_suite(config, benchmarks=SUBSET, batch_pfails=batch)
-        edited = replace(config, pfail=2e-3)
-        batch = {name: (2e-3, config.pfail, 5e-4)
-                 for name in MECHANISM_NAMES}
-        with fresh_results():
-            stats = PipelineStats()
-            run_suite(edited, benchmarks=SUBSET, pipeline_stats=stats,
-                      batch_pfails=batch)
+        self._sweep(config, (config.pfail, 5e-4))
+        stats = PipelineStats()
+        self._sweep(config, (2e-3, config.pfail, 5e-4), stats)
         # The 5e-4 and default-pfail rows are already persisted: each
-        # cell batches nothing beyond its own new row.
+        # cells task batches nothing beyond its one new row.
         assert stats.cells_batched == 0
         assert stats.cells_recomputed == 3 * len(SUBSET)
+        assert stats.cells_from_store == 2 * 3 * len(SUBSET)
 
     def test_scalar_engine_suite_is_identical(self, tmp_path,
                                               monkeypatch):

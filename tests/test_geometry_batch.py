@@ -152,7 +152,7 @@ class TestGroupedAnalysis:
     def test_one_fixpoint_pair_plus_srb_per_group(self):
         cfg = load("crc").cfg
         analysis = grouped_analysis(cfg, SMALL_GROUP, SUITE_MECHANISMS,
-                                    cache="off")
+                                    cache="off")[0]
         # 2 stacked (Must+May) + 1 shared SRB for the whole group.
         assert analysis.stats.fixpoints_run == 3
         assert analysis.stats.classify_batched_rows == len(SMALL_GROUP) - 1
@@ -163,9 +163,9 @@ class TestGroupedAnalysis:
         fixpoints identical (the engine knob selects only the kernel)."""
         cfg = load("bs").cfg
         batched = grouped_analysis(cfg, SMALL_GROUP, SUITE_MECHANISMS,
-                                   cache="off")
+                                   cache="off")[0]
         vector = grouped_analysis(cfg, SMALL_GROUP, SUITE_MECHANISMS,
-                                  cache="off", engine="vector")
+                                  cache="off", engine="vector")[0]
         batch_dict = batched.stats.as_dict()
         vector_dict = vector.stats.as_dict()
         assert batch_dict.pop("fixpoints_run") \

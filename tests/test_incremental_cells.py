@@ -2,9 +2,9 @@
 
 Covers the plan pass (content-address probes, satisfied-from-store
 completion, undemanded-task skipping), deterministic artifact-key
-dispatch order, bit-identity of the cell-granular schedule against the
-per-benchmark reference schedule, one-program-edit invalidation, and
-the ``--only-cells`` sweep filter.
+dispatch order, bit-identity of the flat DAG against the
+per-benchmark estimator, one-program-edit invalidation, and the
+``--only-cells`` sweep filter.
 """
 
 from __future__ import annotations
@@ -132,12 +132,13 @@ class TestDeterministicOrder:
         """The same DAG dispatches in the same order under any
         PYTHONHASHSEED — the regression satellite of ISSUE 6."""
         script = (
-            "from repro.pipeline import PipelineScheduler, benchmark_dag\n"
+            "from repro.pipeline import (SUITE_MECHANISMS, EstimationDag,\n"
+            "                            PipelineScheduler)\n"
             "from repro.pwcet import EstimatorConfig\n"
             "config = EstimatorConfig(cache='off')\n"
             "scheduler = PipelineScheduler(workers=1)\n"
-            "for name in ('fibcall', 'bs'):\n"
-            "    benchmark_dag(scheduler, name, config, 1e-9)\n"
+            "EstimationDag(scheduler, ('fibcall', 'bs'), (config.geometry,),\n"
+            "              {config.pfail: SUITE_MECHANISMS}, config)\n"
             "scheduler.run(on_task=lambda key, *rest: print(key))\n")
         root = pathlib.Path(__file__).resolve().parent.parent
         env = dict(os.environ)
@@ -147,7 +148,7 @@ class TestDeterministicOrder:
                              capture_output=True, text=True, cwd=root,
                              check=True)
         order = run.stdout.splitlines()
-        assert len(order) == 12  # 2 x (classify + solve + 3 cells + result)
+        assert len(order) == 6  # 2 x (classify + solve + cells)
         expected = (tmp_path.parent / "dispatch-order.txt")
         # First seed records the order, the second must reproduce it
         # byte for byte (parametrised runs share tmp_path's parent).
@@ -158,65 +159,67 @@ class TestDeterministicOrder:
 
 
 class TestScheduleIdentity:
-    """Satellite 3: the cell-granular schedule is bit-identical to the
-    per-benchmark reference schedule, in every worker mode."""
+    """The flat DAG is bit-identical to the per-benchmark estimator —
+    the independent reference path — in every worker mode."""
 
-    def _run(self, schedule, cache, workers):
-        with fresh_results():
-            stats = PipelineStats()
-            results = run_suite(EstimatorConfig(cache=cache),
-                                benchmarks=SUBSET, workers=workers,
-                                pipeline_stats=stats, schedule=schedule)
-        return results, stats
+    @staticmethod
+    def _reference(name, config):
+        from repro.pwcet import PWCETEstimator
+        from repro.suite import load
+
+        estimator = PWCETEstimator(load(name), config, name=name)
+        return estimator, estimator.estimate_all()
 
     @pytest.mark.parametrize("workers", [1, 4])
     def test_suite_matches_reference_schedule(self, tmp_path, workers):
-        reference, ref_stats = self._run("benchmark",
-                                         str(tmp_path / "ref"), workers)
-        cellrun, cell_stats = self._run("cell",
-                                        str(tmp_path / "cell"), workers)
-        for before, after in zip(reference, cellrun):
-            assert before.name == after.name
-            assert before.wcet_fault_free == after.wcet_fault_free
-            assert before.solver_stats == after.solver_stats
+        with fresh_results():
+            cellrun = run_suite(EstimatorConfig(cache=str(tmp_path)),
+                                benchmarks=SUBSET, workers=workers)
+        for result in cellrun:
+            estimator, estimates = self._reference(
+                result.name, EstimatorConfig(cache="off"))
+            assert result.wcet_fault_free == estimator.fault_free_wcet()
+            # One polytope, the same objectives: the same solver work.
+            assert result.solver_stats["ilp_solved"] == \
+                estimator.solver_stats.ilp_solved
             for mechanism in MECHANISMS:
-                assert before.pwcet(mechanism) == after.pwcet(mechanism)
-                assert before.estimates[mechanism].fmm.rows == \
-                    after.estimates[mechanism].fmm.rows
-        assert ref_stats.totals() == cell_stats.totals()
+                assert result.pwcet(mechanism) == \
+                    estimates[mechanism].pwcet()
+                assert result.estimates[mechanism].fmm.rows == \
+                    estimates[mechanism].fmm.rows
 
-    @pytest.mark.parametrize("kwargs", [{}, {"cell_workers": 4}],
+    @pytest.mark.parametrize("kwargs", [{}, {"workers": 4}],
                              ids=["sequential", "parallel"])
     def test_sweep_report_matches_reference_schedule(self, tmp_path,
                                                      kwargs):
-        """The paper-facing numbers are bit-identical across schedules.
+        """Every design point equals one assembled from per-cell
+        estimator runs; the pfail axis ran batched."""
+        from repro.sweep import SweepCell
+        from repro.sweep.service import _cell_points
 
-        The work-profile summary legitimately differs since the
-        batched distribution kernel: the cell schedule's first pfail
-        column prefills the axis, so the second column is served whole
-        from the cell store instead of re-estimating against the solve
-        store — asserted explicitly below.
-        """
         geometries = geometry_grid(sizes=(512, 1024), ways=(2,),
                                    lines=(16,))
-
-        def sweep(schedule, cache):
-            return run_sweep(geometries, pfails=(1e-4, 1e-3),
-                             benchmarks=("bs", "fibcall"),
-                             config=EstimatorConfig(cache=cache),
-                             schedule=schedule, **kwargs)
-
-        reference = sweep("benchmark", str(tmp_path / "ref"))
-        cellrun = sweep("cell", str(tmp_path / "cell"))
-        assert cellrun.points == reference.points
-        assert format_sweep_table(reference) == \
-            format_sweep_table(cellrun)
-        assert format_pareto_fronts(reference) == \
-            format_pareto_fronts(cellrun)
+        pfails = (1e-4, 1e-3)
+        benchmarks = ("bs", "fibcall")
+        cellrun = run_sweep(geometries, pfails=pfails,
+                            benchmarks=benchmarks,
+                            config=EstimatorConfig(cache=str(tmp_path)),
+                            **kwargs)
+        reference = []
+        for geometry in geometries:
+            for pfail in pfails:
+                config = EstimatorConfig(geometry=geometry, pfail=pfail,
+                                         cache="off")
+                pwcets = [{mechanism: estimate.pwcet()
+                           for mechanism, estimate in self._reference(
+                               name, config)[1].items()}
+                          for name in benchmarks]
+                reference.extend(_cell_points(
+                    SweepCell(geometry=geometry, pfail=pfail), pwcets))
+        assert cellrun.points == tuple(reference)
         # 2 geometries x 2 benchmarks x 3 mechanisms x 1 sibling pfail.
         assert cellrun.solver_totals["dist_batched_rows"] == 12
-        assert cellrun.solver_totals["cells_from_store"] == 12
-        assert "dist_batched_rows" not in reference.solver_totals
+        assert "cells_from_store" not in cellrun.solver_totals
 
 
 class TestIncrementalInvalidation:
@@ -260,7 +263,7 @@ class TestIncrementalInvalidation:
         assert stats.cells_from_store == 3 * (len(SUBSET) - 1)
         # The edited benchmark re-ran its classify and solve stages;
         # nobody else did.
-        assert stats.tasks == {"classify": 1, "solve": 1, "cell": 3,
+        assert stats.tasks == {"classify": 1, "solve": 1, "cell": 1,
                                "result": len(SUBSET)}
         assert [result.name for result in results] == list(SUBSET)
 

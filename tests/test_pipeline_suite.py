@@ -32,8 +32,8 @@ class TestStatsScoping:
             first_stats = PipelineStats()
             first = run_suite(config, benchmarks=SUBSET,
                               pipeline_stats=first_stats)
-            # classify + solve + 3 cells + result per benchmark.
-            assert first_stats.tasks_run == 6 * len(SUBSET)
+            # classify + solve + cells + result per benchmark.
+            assert first_stats.tasks_run == 4 * len(SUBSET)
             assert first_stats.counters["ilp_solved"] > 0
 
             second_stats = PipelineStats()
@@ -85,8 +85,8 @@ class TestPipelinedSuiteIdentity:
 
 
 class TestSweepDeterminism:
-    """ISSUE acceptance: ``run_sweep(cell_workers=N)`` byte-identical
-    to sequential for N in {1, 4}."""
+    """``run_sweep(workers=N)`` is byte-identical to sequential for N
+    in {1, 4}."""
 
     def test_sweep_reports_byte_identical_for_1_and_4_workers(
             self, tmp_path):
@@ -100,6 +100,6 @@ class TestSweepDeterminism:
                 geometries,
                 config=EstimatorConfig(
                     cache=str(tmp_path / f"w{workers}")),
-                cell_workers=workers, **kwargs)
+                workers=workers, **kwargs)
             reports[workers] = format_sweep_report(result)
         assert reports[1] == reports[4]

@@ -24,12 +24,14 @@ from repro.pwcet import EstimatorConfig
 from repro.remote import RemoteStoreClient, ShardServer
 from repro.remote import client as client_module
 from repro.remote.client import _Breaker
-from repro.solve.store import (REMOTE_ENV, SolveStore, encode_shard_line,
-                               parse_shard_line)
+from repro.solve.store import (REMOTE_ENV, SCHEMA_VERSION, SolveStore,
+                               encode_shard_line, parse_shard_line)
 from repro.testing import faultinject
 from repro.testing.faultinject import PLAN_ENV, STATE_ENV
 
 KEY = "ab" * 32  # a well-formed (64-hex-char) content address
+#: The solve store's schema directory (the served path segment).
+SOLVE_DIR = f"v{SCHEMA_VERSION}"
 FAST = RetryPolicy(max_attempts=3, backoff_base=0.01, backoff_cap=0.02,
                    sleep=lambda seconds: None)
 
@@ -65,7 +67,7 @@ class TestServerProtocol:
     def test_put_get_head_round_trip_with_integrity_headers(
             self, server):
         line = encode_shard_line("solve", KEY, 42).encode("utf-8")
-        url = f"{server.url}/stores/v1/solve/{KEY}"
+        url = f"{server.url}/stores/{SOLVE_DIR}/solve/{KEY}"
         with http("PUT", url, line) as response:
             assert response.status == 204
         with http("GET", url) as response:
@@ -87,10 +89,10 @@ class TestServerProtocol:
         assert SolveStore(server.root).get(KEY) == 42
 
     def test_unknown_address_and_malformed_paths_404(self, server):
-        for path in (f"/stores/v1/solve/{KEY}",      # unknown address
+        for path in (f"/stores/{SOLVE_DIR}/solve/{KEY}",      # unknown address
                      f"/stores/espionage/solve/{KEY}",  # bad schema dir
-                     f"/stores/v1/solve/not-hex",    # bad key
-                     f"/stores/v1/solve/{KEY}/extra",
+                     f"/stores/{SOLVE_DIR}/solve/not-hex",    # bad key
+                     f"/stores/{SOLVE_DIR}/solve/{KEY}/extra",
                      "/anything/else"):
             with pytest.raises(urllib.error.HTTPError) as excinfo:
                 http("GET", server.url + path)
@@ -98,7 +100,7 @@ class TestServerProtocol:
             excinfo.value.close()
 
     def test_put_rejects_bodies_that_fail_the_shard_check(self, server):
-        url = f"{server.url}/stores/v1/solve/{KEY}"
+        url = f"{server.url}/stores/{SOLVE_DIR}/solve/{KEY}"
         mismatched = encode_shard_line("solve", KEY[::-1], 7)
         corrupt = encode_shard_line("solve", KEY, 7).replace('"v":7',
                                                              '"v":8')
@@ -156,7 +158,7 @@ class TestPushOnWrite:
         store = SolveStore.resolve(str(tmp_path / "localroot"))
         store.put(KEY, 77)
         assert store.remote.stats.pushes == 1
-        with http("GET", f"{server.url}/stores/v1/solve/{KEY}") \
+        with http("GET", f"{server.url}/stores/{SOLVE_DIR}/solve/{KEY}") \
                 as response:
             assert parse_shard_line(response.read().decode()) \
                 == ("solve", KEY, 77)
@@ -176,24 +178,24 @@ class TestChaosResilience:
         monkeypatch.setenv(PLAN_ENV, plan)
         faultinject._PLAN_MEMO = None
         client = RemoteStoreClient(server.url, retry=FAST)
-        assert client.fetch("v1", "solve", KEY) == 5
+        assert client.fetch(SOLVE_DIR, "solve", KEY) == 5
         return client.stats
 
     def test_corrupt_body_is_rejected_and_refetched(
             self, server, monkeypatch):
-        stats = self.fetch_with(server, "net:corrupt@v1#1", monkeypatch)
+        stats = self.fetch_with(server, f"net:corrupt@{SOLVE_DIR}#1", monkeypatch)
         assert stats.verify_rejects == 1
         assert stats.retries == 1
         assert stats.fetch_hits == 1
 
     def test_short_read_is_a_transient_failure(self, server, monkeypatch):
-        stats = self.fetch_with(server, "net:short_read@v1#1",
+        stats = self.fetch_with(server, f"net:short_read@{SOLVE_DIR}#1",
                                 monkeypatch)
         assert stats.retries == 1
         assert stats.fetch_hits == 1
 
     def test_dropped_request_is_retried(self, server, monkeypatch):
-        stats = self.fetch_with(server, "net:drop@v1#1", monkeypatch)
+        stats = self.fetch_with(server, f"net:drop@{SOLVE_DIR}#1", monkeypatch)
         assert stats.retries == 1
         assert stats.fetch_hits == 1
 
@@ -230,11 +232,11 @@ class TestCircuitBreaker:
     def test_open_breaker_skips_the_wire_entirely(self, tmp_path):
         client = RemoteStoreClient("http://127.0.0.1:9", retry=FAST,
                                    timeout=0.2, breaker_threshold=2)
-        assert client.fetch("v1", "solve", KEY) is None
+        assert client.fetch(SOLVE_DIR, "solve", KEY) is None
         assert client.stats.breaker_trips == 1
         assert client.degraded
         # Subsequent operations degrade instantly (no timeout burned).
-        assert client.fetch("v1", "solve", "cd" * 32) is None
+        assert client.fetch(SOLVE_DIR, "solve", "cd" * 32) is None
         assert client.stats.degraded_skips >= 1
 
     def test_half_open_probe_recovers_a_restarted_server(self, tmp_path):
@@ -250,13 +252,13 @@ class TestCircuitBreaker:
                                    retry=RetryPolicy(
                                        max_attempts=1,
                                        sleep=lambda seconds: None))
-        assert client.fetch("v1", "solve", KEY) is None
+        assert client.fetch(SOLVE_DIR, "solve", KEY) is None
         assert client.stats.breaker_trips == 1
         # The server comes back on the same port; the zero-cooldown
         # breaker admits one half-open probe, which succeeds and
         # closes the circuit.
         with ShardServer(str(root), host=host, port=port).start():
-            assert client.fetch("v1", "solve", KEY) == 11
+            assert client.fetch(SOLVE_DIR, "solve", KEY) == 11
         assert client.stats.fetch_hits == 1
         assert client.breaker.state == "closed"
         assert not client.stats.degraded_skips
@@ -281,7 +283,7 @@ class TestByteIdentity:
         golden_text = self.golden(tmp_path)
         monkeypatch.setenv(REMOTE_ENV, server.url)
         monkeypatch.setenv(PLAN_ENV,
-                           "net:drop@*#1;net:corrupt@v1#2;"
+                           f"net:drop@*#1;net:corrupt@{SOLVE_DIR}#2;"
                            "net:short_read@classify-v1#1")
         faultinject._PLAN_MEMO = None
         with fresh_results():
@@ -295,7 +297,7 @@ class TestByteIdentity:
         assert chaos_text == golden_text
         # The wire was really used: the server's root gained entries
         # pushed by the run's writers.
-        shards = list((server.root / "v1").glob("shard-*.jsonl"))
+        shards = list((server.root / SOLVE_DIR).glob("shard-*.jsonl"))
         assert shards and any(s.stat().st_size > 0 for s in shards)
 
     def test_dead_remote_degrades_to_local_only_byte_identically(

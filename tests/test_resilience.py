@@ -24,12 +24,14 @@ from repro.pipeline.resilience import (CASCADED, PERMANENT, TRANSIENT,
                                        StageTimeout, TaskFailure,
                                        classify_failure)
 from repro.pwcet import EstimatorConfig
-from repro.solve.store import SolveStore
+from repro.solve.store import SCHEMA_VERSION, SolveStore
 from repro.sweep import format_sweep_report, geometry_grid, run_sweep
 from repro.testing import faultinject
 from repro.testing.faultinject import PLAN_ENV, STATE_ENV
 
 SUBSET = ("fibcall", "bs", "prime")
+#: The solve store's schema directory under a cache root.
+SOLVE_DIR = f"v{SCHEMA_VERSION}"
 
 #: Instant retries for tests — no real backoff sleeping.
 FAST = RetryPolicy(sleep=lambda seconds: None)
@@ -392,10 +394,10 @@ class TestChaosByteIdentity:
 class TestStoreCrashRecovery:
     def test_torn_tail_of_a_killed_writer_is_dropped_and_repaired(
             self, monkeypatch, tmp_path):
-        monkeypatch.setenv(PLAN_ENV, "store:truncate_tail@v1#1")
+        monkeypatch.setenv(PLAN_ENV, f"store:truncate_tail@{SOLVE_DIR}#1")
         writer = SolveStore(tmp_path)
         writer.put("k1", 41)  # injected torn write: half a line lands
-        shards = list((tmp_path / "v1").glob("shard-*.jsonl"))
+        shards = list((tmp_path / SOLVE_DIR).glob("shard-*.jsonl"))
         assert len(shards) == 1
         text = shards[0].read_text()
         assert "\n" not in text  # genuinely torn, no complete line

@@ -94,19 +94,18 @@ class TestRunSweep:
 
     def test_pfail_axis_is_prefilled_by_the_batched_kernel(self, result):
         """Grid cells that share penalty structure never recompute it:
-        the first cell of each geometry batches the whole pfail axis
-        through the distribution kernel and prefills the cell store,
-        so the second column runs no solver, analysis or convolution
-        work at all — it is answered whole from the cell store."""
+        each (benchmark, geometry) cells task computes a mechanism's
+        whole pfail axis in one batched distribution pass, so the
+        second column costs no solver or analysis work at all."""
         totals = result.solver_totals
         # 2 geometries x len(SUBSET) benchmarks x 3 mechanisms x 1
-        # sibling pfail — one prefilled row per second-column cell.
+        # sibling pfail — one batched row per second-column cell.
         expected = 2 * len(SUBSET) * 3
         assert totals["dist_batched_rows"] == expected
-        assert totals["cells_from_store"] == expected
-        # The prefill replaces the PR 6 behaviour (second column
-        # re-solving against the persistent solve store): each ILP of
-        # the sweep is now solved exactly once.
+        assert totals["cells_computed"] == 2 * expected
+        assert "cells_from_store" not in totals
+        # One polytope per (benchmark, line size): every objective of
+        # the sweep is solved exactly once, never re-read from disk.
         assert totals["store_hits"] == 0
 
     def test_report_contains_fronts_and_solver_summary(self, result):
@@ -168,7 +167,7 @@ class TestParallelSweep:
         parallel = run_sweep(
             geometries,
             config=EstimatorConfig(cache=str(tmp_path / "par")),
-            cell_workers=2, **kwargs)
+            workers=2, **kwargs)
         assert parallel.points == sequential.points
         assert format_sweep_report(parallel) == \
             format_sweep_report(sequential)
@@ -181,30 +180,30 @@ class TestParallelSweep:
                            benchmarks=("fibcall",),
                            config=EstimatorConfig(
                                cache=str(tmp_path / "store")),
-                           cell_workers=2,
+                           workers=2,
                            on_cell=lambda cell, points, completed, total:
                            seen.append((cell, completed, total)))
         # Completion order is nondeterministic; coverage is not.
         assert {cell for cell, *_ in seen} == set(result.cells())
         assert sorted(completed for _, completed, _ in seen) == [1, 2]
 
-    @pytest.mark.parametrize("cell_workers", (1, 4))
+    @pytest.mark.parametrize("workers", (1, 4))
     def test_batched_engine_report_matches_vector(self, tmp_path,
-                                                  monkeypatch,
-                                                  cell_workers):
+                                                  monkeypatch, workers):
         """The geometry-batched kernel changes no output byte.
 
-        Two line-size groups, so ``cell_workers=4`` exercises the
-        parallel group fan-out.  Only the physical fixpoint count may
-        differ between the engines — the batching orchestration (store
-        traffic, prefilled siblings, tables) is engine-independent.
+        Two line-size groups, so ``workers=4`` runs both groups'
+        classify tasks on the pool at once.  Only the physical fixpoint
+        count may differ between the engines — the batching
+        orchestration (store traffic, batched siblings, tables) is
+        engine-independent.
         """
         from repro.analysis.classify import ENGINE_ENV
 
         geometries = geometry_grid(sizes=(512, 1024), ways=(2,),
                                    lines=(16, 32))
         kwargs = dict(pfails=(1e-4,), benchmarks=("fibcall", "bs"),
-                      cell_workers=cell_workers)
+                      workers=workers)
         monkeypatch.delenv(ENGINE_ENV, raising=False)
         batched = run_sweep(
             geometries,
@@ -229,28 +228,32 @@ class TestParallelSweep:
         assert batched.solver_totals["classify_batched_rows"] == 2 * 2
         assert batched.solver_totals["geometry_groups"] == 2 * 2
 
-    def test_parallel_cap_never_oversubscribes(self):
-        """Product of group fan-out x inner workers <= cell_workers.
+    def test_parallel_cap_never_oversubscribes(self, tmp_path,
+                                               monkeypatch):
+        """A sweep opens exactly one pool of the requested width.
 
-        The pre-cap formula divided the width by the *geometry* count
-        and honoured an explicit ``workers`` request unconditionally —
-        so e.g. 4 groups x workers=4 under cell_workers=4 spawned 16
-        concurrent benchmark tasks."""
-        from repro.sweep.service import _inner_width
+        The grid is one flat DAG: however many line-size groups,
+        geometries or benchmarks it holds, no nested pool multiplies
+        the ``workers`` budget."""
+        import concurrent.futures
 
-        for group_count in (1, 2, 3, 4, 8):
-            for cell_workers in (1, 2, 3, 4, 8):
-                for workers in (None, 1, 2, 4, 8):
-                    inner = _inner_width(group_count, cell_workers,
-                                         workers)
-                    assert inner >= 1
-                    assert min(group_count, cell_workers) * inner \
-                        <= cell_workers
-        # The oversubscription case from the issue: the explicit
-        # workers request no longer multiplies across groups.
-        assert _inner_width(4, 4, 4) == 1
-        # Leftover width still flows inward when groups are few.
-        assert _inner_width(2, 8, None) == 4
+        import repro.pipeline.scheduler as scheduler_module
+
+        widths = []
+
+        class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, max_workers=None, **kwargs):
+                widths.append(max_workers)
+                super().__init__(max_workers=max_workers, **kwargs)
+
+        monkeypatch.setattr(scheduler_module, "ProcessPoolExecutor",
+                            RecordingPool)
+        run_sweep(geometry_grid(sizes=(512, 1024), ways=(2,),
+                                lines=(16, 32)),
+                  pfails=(1e-4,), benchmarks=("fibcall", "bs"),
+                  config=EstimatorConfig(cache=str(tmp_path / "store")),
+                  workers=2)
+        assert widths == [2]
 
     def test_cli_sweep_workers_streams_progress(self, tmp_path, capsys):
         from repro.cli import main
