@@ -307,7 +307,7 @@ class CacheAnalysis:
         (:meth:`ClassificationTable.encoded`); ``srb_hits`` is an
         iterable of reference keys.  Entries that fail to decode or
         mismatch this analysis' reference map are skipped — they
-        degrade to recomputation exactly like a corrupt store shard —
+        degrade to recomputation exactly like a corrupt store row —
         and already-memoised associativities are never overwritten.
         Preloaded tables touch neither the stats counters nor the
         persistent store: the producing stage already accounted and

@@ -15,12 +15,12 @@ a classification:
 * the associativity the table was computed at;
 * the entry kind (``"chmc"`` tables vs ``"srb"`` hit sets).
 
-Storage shares the solve store's shard conventions — append-only JSONL
-shards, one per writer process, each line CRC-32 checksummed, corrupt
-or truncated lines skipped and recomputed — and lives under the *same*
+Storage is the solve store's substrate
+(:class:`~repro.solve.store.SqliteStore`: one checksummed SQLite
+database, corrupt rows read as misses and recomputed) under the *same*
 root directory (subdirectory ``classify-v<N>`` next to the solve
 store's ``v<N>``), so ``REPRO_CACHE`` / ``--cache`` control both
-stores with one knob and ``repro cache gc`` compacts both at once.
+stores with one knob and ``repro cache gc`` maintains both at once.
 """
 
 from __future__ import annotations
@@ -30,10 +30,11 @@ import os
 
 from repro.analysis.chmc import (ALWAYS_HIT, ALWAYS_MISS, NOT_CLASSIFIED,
                                  Chmc, Classification)
-from repro.solve.store import ShardedStore, SolveStore, attach_remote
+from repro.solve.store import SqliteStore, json_bytes, json_value
 
 #: Bump on ANY change to the table encoding or the key derivation.
-CLASSIFY_SCHEMA_VERSION = 1
+#: v2: SQLite database instead of JSONL shards.
+CLASSIFY_SCHEMA_VERSION = 2
 
 #: Integer codes of the scope-less classifications (FIRST_MISS is
 #: encoded as the pair ``[1, scope]`` instead).
@@ -71,7 +72,7 @@ def decode_table(value: object) -> dict[int, tuple[Classification, ...]] | None:
     """Inverse of :func:`encode_table`; ``None`` on any malformation.
 
     A ``None`` degrades to recomputation — exactly like a corrupt
-    shard line — so accidental corruption (truncation, bit rot, a
+    store row — so accidental corruption (truncation, bit rot, a
     foreign schema) can never produce a wrong classification.  Like
     the solve store, this is *integrity* checking, not tamper
     proofing: the CRC is not cryptographic, so a hostile writer with
@@ -96,79 +97,19 @@ def decode_table(value: object) -> dict[int, tuple[Classification, ...]] | None:
         return None
 
 
-#: Handles memoised per resolved root, like the solve store's.
-_RESOLVED: dict[str, "ClassificationStore"] = {}
-
-
-class ClassificationStore(ShardedStore):
+class ClassificationStore(SqliteStore):
     """Disk-backed map of classification keys to JSON documents.
 
-    The shard lifecycle (checksummed append-only JSONL, one shard per
-    writer, corruption-tolerant load) is the shared
-    :class:`~repro.solve.store.ShardedStore`; this class only supplies
-    the single-kind (``"classify"``) index, so concurrent writers —
-    sweep cell workers, suite pool workers — behave exactly like the
-    solve store's.
+    A recomputed value overwrites an occupant that failed decoding
+    (checksum-valid but shape-invalid — e.g. written by a buggy run),
+    so the store repairs itself instead of recomputing forever.
     """
 
     def __init__(self, root: str | os.PathLike) -> None:
         super().__init__(root, f"classify-v{CLASSIFY_SCHEMA_VERSION}")
-        self._entries: dict[str, object] = {}
-        self.corrupt_skipped = 0
 
-    @classmethod
-    def resolve(cls, override: str | None = None
-                ) -> "ClassificationStore | None":
-        """The store selected by ``override`` or ``REPRO_CACHE``.
-
-        Same convention as :meth:`SolveStore.resolve` — and the same
-        *root*: both stores live side by side under one cache
-        directory.
-        """
-        solve_store = SolveStore.resolve(override)
-        if solve_store is None:
-            return None
-        key = os.path.abspath(solve_store.root)
-        store = _RESOLVED.get(key)
-        if store is None:
-            store = _RESOLVED[key] = cls(solve_store.root)
-        attach_remote(store)
-        return store
-
-    # -- index hooks ---------------------------------------------------
-    def _reset_index(self) -> None:
-        self._entries = {}
-
-    def _index_entry(self, parsed: tuple[str, str, object] | None) -> None:
-        if parsed is None or parsed[0] != "classify":
-            self.corrupt_skipped += 1
-            return
-        _kind, key, value = parsed
-        self._entries[key] = value
-
-    # -- reads / writes ------------------------------------------------
     def get(self, key: str) -> object | None:
-        self._ensure_loaded()
-        value = self._entries.get(key)
-        if value is None and self.remote is not None:
-            value = self._remote_fetch("classify", key)
-            if value is not None:
-                self._entries[key] = value
-        return value
+        return json_value(self._get("classify", key))
 
     def put(self, key: str, value: object) -> None:
-        self._ensure_loaded()
-        # Skip only *identical* entries: if the key is occupied by a
-        # value that failed decoding (checksum-valid but shape-invalid
-        # — e.g. written by a buggy run), the recomputed value must
-        # still be appended so load-time last-wins repairs the store;
-        # otherwise every future run would recompute forever.
-        if self._entries.get(key) == value:
-            return
-        self._entries[key] = value
-        self._append("classify", key, value)
-        self._remote_push("classify", key, value)
-
-    def __len__(self) -> int:
-        self._ensure_loaded()
-        return len(self._entries)
+        self._put("classify", key, json_bytes(value))

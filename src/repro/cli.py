@@ -11,25 +11,21 @@ Commands
                ``--workers N`` runs the grid's one task DAG on an
                N-wide process pool and streams per-cell progress as
                cells complete.
-``cache gc``   fold the persistent stores' append-only shards into
-               one sorted, checksummed file each (``--dry-run`` for
-               a statistics report only).
-``cache export``  pack the gc'd canonical shards of every store into
+``cache gc``   remove foreign-schema store directories, drop corrupt
+               rows and VACUUM every store database (``--dry-run``
+               for a statistics report only).
+``cache export``  pack a consistent copy of every store database into
                a tarball for another machine (the live cache is left
                untouched).
 ``cache import``  merge a cache tarball content-addressed: novel
-               entries are appended, existing ones never clobbered.
-``serve``      HTTP shard server over one cache root: remote clients
-               (``--remote`` / ``REPRO_REMOTE_STORE``) fetch store
-               misses from it and push writes back, with retries,
-               circuit breaking and graceful local-only degradation.
+               entries are added, existing ones never clobbered.
 ``list``       list the available benchmarks with size metadata.
 
 All estimation commands consult the persistent caches — the three
 stores (solve, classification, cell) share one directory
-(``REPRO_CACHE=off|<path>``, ``--cache``; ``REPRO_SOLVE_CACHE`` is a
-deprecated alias): a warm re-run of any command performs zero backend
-ILP solves and zero abstract-interpretation fixpoints.
+(``REPRO_CACHE=off|<path>``, ``--cache``): a warm re-run of any
+command performs zero backend ILP solves and zero
+abstract-interpretation fixpoints.
 
 ``suite`` and ``sweep`` take resilience knobs: transient worker
 crashes and broken pools are always retried; ``--partial`` completes
@@ -69,11 +65,6 @@ def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
                         help="persistent store directory; 'off' "
                              "disables it (default: REPRO_CACHE, "
                              "else the user cache dir)")
-    parser.add_argument("--remote", default=None, metavar="off|URL",
-                        help="remote shard server (`repro serve`) to "
-                             "fetch store misses from and push writes "
-                             "to; 'off' disables (default: "
-                             "REPRO_REMOTE_STORE, else local-only)")
 
 
 def _add_resilience_arguments(parser: argparse.ArgumentParser) -> None:
@@ -151,14 +142,6 @@ def _retry_from(arguments: argparse.Namespace):
 def _config_from(arguments: argparse.Namespace) -> EstimatorConfig:
     if arguments.workers < 1:
         raise SystemExit(f"--workers must be >= 1, got {arguments.workers}")
-    if getattr(arguments, "remote", None) is not None:
-        # The stores resolve the remote client from the environment on
-        # every resolve(), so the flag simply overrides the variable —
-        # including `--remote off` silencing an inherited one.
-        import os
-
-        from repro.solve.store import REMOTE_ENV
-        os.environ[REMOTE_ENV] = arguments.remote
     return EstimatorConfig(pfail=arguments.pfail,
                            relaxed=arguments.relaxed,
                            workers=arguments.workers,
@@ -338,10 +321,9 @@ def _command_sweep(arguments: argparse.Namespace) -> int:
 
 def _command_cache_gc(arguments: argparse.Namespace) -> int:
     from repro.solve.gc import gc_cache
-    reports = gc_cache(arguments.cache, dry_run=arguments.dry_run,
-                       fsync=arguments.fsync)
+    reports = gc_cache(arguments.cache, dry_run=arguments.dry_run)
     if not reports:
-        print("cache gc: nothing to compact (no shards found, or the "
+        print("cache gc: nothing to compact (no stores found, or the "
               "cache is disabled)")
         return 0
     for report in reports:
@@ -353,21 +335,20 @@ def _command_cache_gc(arguments: argparse.Namespace) -> int:
           f"{len(reports)} store {noun}")
     total_corrupt = sum(report.corrupt_dropped for report in reports)
     if total_corrupt:
-        # Silent store repair made visible: these lines were torn or
-        # corrupt, were skipped by every reader, and are (or would be)
-        # dropped for good here.
+        # Silent store repair made visible: every reader already
+        # served these rows as misses; they are (or would be) dropped
+        # for good here.
         verb = "would drop" if arguments.dry_run else "dropped"
-        print(f"cache gc: {verb} {total_corrupt} corrupt/torn "
-              f"line(s) recovered by re-computation")
+        print(f"cache gc: {verb} {total_corrupt} corrupt "
+              f"row(s) recovered by re-computation")
     return 0
 
 
 def _command_cache_export(arguments: argparse.Namespace) -> int:
     from repro.solve.gc import export_cache
-    reports = export_cache(arguments.tarball, arguments.cache,
-                           fsync=arguments.fsync)
+    reports = export_cache(arguments.tarball, arguments.cache)
     if not reports:
-        print("cache export: nothing to pack (no shards found)")
+        print("cache export: nothing to pack (no stores found)")
         return 0
     for report in reports:
         print(report.format_row())
@@ -379,54 +360,15 @@ def _command_cache_export(arguments: argparse.Namespace) -> int:
 
 def _command_cache_import(arguments: argparse.Namespace) -> int:
     from repro.solve.gc import import_cache
-    reports = import_cache(arguments.tarball, arguments.cache,
-                           fsync=arguments.fsync)
+    reports = import_cache(arguments.tarball, arguments.cache)
     if not reports:
-        print("cache import: no store shards found in "
-              f"{arguments.tarball}")
+        print(f"cache import: no stores found in {arguments.tarball}")
         return 0
     for report in reports:
         print(report.format_row())
     total = sum(report.imported for report in reports)
     print(f"cache import: merged {total} new entr(ies)")
     return 0
-
-
-def _command_serve(arguments: argparse.Namespace) -> int:
-    from repro.remote.server import ShardServer
-    server = ShardServer(arguments.cache, host=arguments.host,
-                         port=arguments.port)
-    print(f"serving shard store {server.root} at {server.url} "
-          "(Ctrl-C to stop)", flush=True)
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        server.close()
-    return 0
-
-
-def _remote_degradation_note() -> None:
-    """One stderr note per degraded remote client, after any command.
-
-    Stderr only: stdout must stay byte-identical to a local-only run —
-    that is the headline guarantee ("remote dies mid-sweep → run
-    completes from local stores, byte-identical, exit 0").
-    """
-    import sys as _sys
-    if "repro.remote.client" not in _sys.modules:
-        return  # no remote was ever resolved: nothing to report
-    from repro.remote.client import resolved_clients
-    for client in resolved_clients():
-        if not client.degraded:
-            continue
-        stats = client.stats
-        print(f"note: remote store {client.base_url} degraded to "
-              f"local-only mode ({stats.breaker_trips} circuit-breaker "
-              f"trip(s), {stats.degraded_skips} request(s) skipped, "
-              f"{stats.retries} retr(ies)); the run completed from "
-              "local stores", file=sys.stderr, flush=True)
 
 
 def _command_list(_arguments: argparse.Namespace) -> int:
@@ -519,38 +461,29 @@ def build_parser() -> argparse.ArgumentParser:
     cache_commands = cache.add_subparsers(dest="cache_command",
                                           required=True)
     cache_gc = cache_commands.add_parser(
-        "gc", help="fold append-only solve/classification shards into "
-                   "one sorted, checksummed file each")
+        "gc", help="remove foreign-schema store directories, drop "
+                   "corrupt rows and VACUUM every store")
     cache_gc.add_argument("--cache", default=None, metavar="off|PATH",
                           help="cache directory to compact (default: "
                                "REPRO_CACHE, else the user cache "
                                "dir)")
     cache_gc.add_argument("--dry-run", action="store_true",
-                          help="report what compaction would do without "
-                               "touching any shard")
-    cache_gc.add_argument("--fsync", action="store_true",
-                          help="flush each published shard (and its "
-                               "directory entry) to stable storage — "
-                               "durable against power loss, not just "
-                               "torn writes")
+                          help="report what gc would do without "
+                               "touching any store")
     cache_gc.set_defaults(handler=_command_cache_gc)
     cache_export = cache_commands.add_parser(
-        "export", help="pack the gc'd canonical shards of every store "
-                       "into a tarball (the live cache is not modified)")
+        "export", help="pack a consistent copy of every store into a "
+                       "tarball (the live cache is not modified)")
     cache_export.add_argument("tarball",
                               help="output tarball path (gzip-compressed)")
     cache_export.add_argument("--cache", default=None, metavar="off|PATH",
                               help="cache directory to export (default: "
                                    "REPRO_CACHE, else the user "
                                    "cache dir)")
-    cache_export.add_argument("--fsync", action="store_true",
-                              help="flush the finished tarball to "
-                                   "stable storage before the atomic "
-                                   "rename publishes it")
     cache_export.set_defaults(handler=_command_cache_export)
     cache_import = cache_commands.add_parser(
         "import", help="merge a cache tarball content-addressed: novel "
-                       "entries are appended, existing ones never "
+                       "entries are added, existing ones never "
                        "clobbered")
     cache_import.add_argument("tarball", help="tarball produced by "
                                               "`repro cache export`")
@@ -558,27 +491,7 @@ def build_parser() -> argparse.ArgumentParser:
                               help="cache directory to merge into "
                                    "(default: REPRO_CACHE, else "
                                    "the user cache dir)")
-    cache_import.add_argument("--fsync", action="store_true",
-                              help="flush the merged shard to stable "
-                                   "storage before the atomic rename "
-                                   "publishes it")
     cache_import.set_defaults(handler=_command_cache_import)
-
-    serve = commands.add_parser(
-        "serve", help="HTTP shard server over one cache root "
-                      "(fetch-on-miss / push-on-write remote for "
-                      "--remote / REPRO_REMOTE_STORE clients)")
-    serve.add_argument("--cache", default=None, metavar="PATH",
-                       help="cache directory to serve (default: "
-                            "REPRO_CACHE, else the user cache dir)")
-    serve.add_argument("--host", default="127.0.0.1",
-                       help="bind address (default 127.0.0.1; bind "
-                            "0.0.0.0 only on a trusted network — the "
-                            "protocol is unauthenticated)")
-    serve.add_argument("--port", type=int, default=8737,
-                       help="TCP port (default 8737; 0 picks a free "
-                            "port)")
-    serve.set_defaults(handler=_command_serve)
 
     listing = commands.add_parser("list", help="available benchmarks")
     listing.set_defaults(handler=_command_list)
@@ -606,9 +519,7 @@ def _command_report(arguments: argparse.Namespace) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     arguments = build_parser().parse_args(argv)
-    code = arguments.handler(arguments)
-    _remote_degradation_note()
-    return code
+    return arguments.handler(arguments)
 
 
 if __name__ == "__main__":

@@ -41,7 +41,8 @@ def _digest(*parts: object) -> str:
 #: v2: sparse (width, support, values) pmf encoding — wide suite
 #: distributions are mostly zero, and the dense float list dominated
 #: warm-decode and write-through time.
-CELL_SCHEMA_VERSION = 2
+#: v3: compact binary cell encoding in the SQLite store.
+CELL_SCHEMA_VERSION = 3
 
 
 @dataclass(frozen=True)

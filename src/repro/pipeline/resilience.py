@@ -65,7 +65,7 @@ class RetryPolicy:
     *ceiling* is ``min(backoff_cap, backoff_base * 2**(n-1))`` seconds.
     The actual sleep (:meth:`sleep_backoff`) subtracts a random
     ``jitter`` fraction of that ceiling, so a fleet of tasks felled by
-    one shared cause (a pool rebuild, a remote store outage) does not
+    one shared cause (a pool rebuild) does not
     retry in lockstep — and it is *interruptible*: given a deadline it
     sleeps at most until then instead of sleeping through it.
     ``timeout`` bounds every pool stage's wall-clock;

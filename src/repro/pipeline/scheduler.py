@@ -101,12 +101,6 @@ class PipelineStats:
     #: Resilience ledger: terminal task failures plus retry / timeout /
     #: pool-rebuild counters (empty on a clean run).
     failure_report: FailureReport = field(default_factory=FailureReport)
-    #: Remote-store wire outcomes of this run (``remote_fetch_hits``,
-    #: ``remote_retries``, ``remote_breaker_trips``, ...): the delta of
-    #: :func:`repro.remote.client.remote_stats_totals` across
-    #: :meth:`PipelineScheduler.run`.  Empty when no remote store is
-    #: configured.
-    remote: dict[str, int] = field(default_factory=dict)
 
     @property
     def partial(self) -> bool:
@@ -180,20 +174,6 @@ class PipelineStats:
     def geometry_groups(self) -> int:
         """Line-size groups whose classify tasks ran batched."""
         return int(self.counters.get("geometry_groups", 0))
-
-
-def _remote_totals() -> dict[str, int]:
-    """Process-wide remote-store counters (empty without a remote).
-
-    Imported lazily: the remote client pulls this package in through
-    ``repro.pipeline.resilience``, and purely local runs should not
-    pay for the HTTP stack at all.
-    """
-    try:
-        from repro.remote.client import remote_stats_totals
-    except ImportError:  # pragma: no cover - stdlib http always present
-        return {}
-    return remote_stats_totals()
 
 
 @dataclass
@@ -432,7 +412,6 @@ class PipelineScheduler:
         self._report = report
         self._running = True
         started = time.perf_counter()
-        remote_before = _remote_totals()
         satisfied, demanded, _will_run = self._plan(tasks)
         # Tasks nobody demands any more (every transitive dependent is
         # satisfied from a store) are skipped outright.
@@ -749,10 +728,6 @@ class PipelineScheduler:
                         f"{stuck}")
         finally:
             stats.wall_seconds += time.perf_counter() - started
-            for name, total in _remote_totals().items():
-                delta = total - remote_before.get(name, 0)
-                if delta:
-                    stats.remote[name] = stats.remote.get(name, 0) + delta
             self._running = False
             self._report = None
             self._close_pool()

@@ -52,6 +52,7 @@ count, with or without the stores.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 
 from repro.analysis import CacheAnalysis
@@ -129,6 +130,11 @@ def classification_artifact(analysis: CacheAnalysis, name: str,
         analysis=None if carry_tables else analysis)
 
 
+def _batched(store):
+    """One write transaction for a stage's store writes (if any)."""
+    return store.batch() if store is not None else nullcontext()
+
+
 def classify_stage(name: str, geometries, mechanisms, cache
                    ) -> tuple[CacheAnalysis, ...]:
     """Stage task: classify one benchmark at every geometry of a group.
@@ -140,13 +146,18 @@ def classify_stage(name: str, geometries, mechanisms, cache
     when stacked.  The value never leaves its process: the fused
     solve task consumes it in place.
     """
-    cfg = load(name).cfg
-    if len(geometries) > 1:
-        from repro.analysis.geometry_batch import grouped_analysis
+    from repro.analysis.store import ClassificationStore
 
-        return grouped_analysis(cfg, geometries, mechanisms, cache=cache)
-    analysis = CacheAnalysis(cfg, geometries[0], cache=cache)
-    classification_artifact(analysis, name, mechanisms, carry_tables=False)
+    cfg = load(name).cfg
+    with _batched(ClassificationStore.resolve(cache)):
+        if len(geometries) > 1:
+            from repro.analysis.geometry_batch import grouped_analysis
+
+            return grouped_analysis(cfg, geometries, mechanisms,
+                                    cache=cache)
+        analysis = CacheAnalysis(cfg, geometries[0], cache=cache)
+        classification_artifact(analysis, name, mechanisms,
+                                carry_tables=False)
     return (analysis,)
 
 
@@ -185,16 +196,17 @@ def solve_stage(mechanisms, config, analyses) -> SolveOutput:
         planner.attach_store(store, solve_context(
             cfg.digest(), lead.geometry.block_bytes))
     geometries = {}
-    for analysis in analyses:
-        wcet = compute_wcet(cfg, analysis.classification(), config.timing,
-                            flow_model=flow_model, relaxed=config.relaxed,
-                            planner=planner)
-        fmms = {name: compute_fault_miss_map(
-                    analysis, mechanism_by_name(name),
-                    flow_model=flow_model, relaxed=config.relaxed,
-                    planner=planner)
-                for name in mechanisms}
-        geometries[analysis.geometry] = (wcet.cycles, fmms)
+    with _batched(store):
+        for analysis in analyses:
+            wcet = compute_wcet(cfg, analysis.classification(),
+                                config.timing, flow_model=flow_model,
+                                relaxed=config.relaxed, planner=planner)
+            fmms = {name: compute_fault_miss_map(
+                        analysis, mechanism_by_name(name),
+                        flow_model=flow_model, relaxed=config.relaxed,
+                        planner=planner)
+                    for name in mechanisms}
+            geometries[analysis.geometry] = (wcet.cycles, fmms)
     return SolveOutput(geometries=geometries,
                        counters={**planner.stats.as_dict(),
                                  **lead.stats.as_dict()})
@@ -335,8 +347,8 @@ class EstimationDag:
                       ClassificationStore.resolve(config.cache),
                       cell_store):
             if store is not None:
-                # Fold in shards written since the handle last loaded
-                # (pool workers of an earlier run in this process).
+                # Reconnect if the database file was replaced since
+                # the handle last opened it.
                 store.refresh()
         mechanisms = tuple(name for name in SUITE_MECHANISMS
                            if any(name in chosen

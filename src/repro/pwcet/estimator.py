@@ -253,7 +253,7 @@ class PWCETEstimator:
         merges skip them (:meth:`~repro.pipeline.scheduler
         .PipelineStats.merge_counters`).  The ``*_corrupt_skipped``
         triple snapshots each persistent store's silent-repair count
-        (shard lines dropped as torn/corrupt and recomputed) — same
+        (rows whose checksum failed, read as misses and recomputed) — same
         handle-cumulative scope, same merge-skip treatment — so store
         repair is observable instead of silent.
         """

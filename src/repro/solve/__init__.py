@@ -29,15 +29,15 @@ solves from eager calls into *planned* work:
 ``store``
     :class:`SolveStore` — the disk-backed, content-addressed cache
     that extends the dedup across runs: solved objectives are keyed by
-    (schema version, CFG digest, geometry, timing model, canonical
-    named objective, solver mode) and persisted as append-only,
-    checksummed JSONL shards (``REPRO_CACHE=off|<path>``), so a
-    warm rerun of a whole suite performs zero backend ILP solves.
+    (schema version, CFG digest, line size, canonical named objective,
+    solver mode) and persisted as checksummed rows of one SQLite
+    database (``REPRO_CACHE=off|<path>``), so a warm rerun of a whole
+    suite performs zero backend ILP solves.
 
 ``gc``
-    Offline shard compaction (``repro cache gc``): folds the
-    append-only shards of both persistent stores (solve +
-    classification) into one sorted, checksummed file each.
+    Offline store maintenance (``repro cache gc|export|import``):
+    removes foreign-schema directories and VACUUMs every store, and
+    moves store databases between machines.
 
 Lifecycle: callers build requests (cheap, no solver involved), hand
 them to a planner bound to the shared program, and read integer bounds

@@ -1,197 +1,177 @@
-"""Offline maintenance of the persistent store shards.
+"""Offline maintenance of the persistent stores.
 
-``repro cache gc`` compacts a cache directory in place;
-``repro cache export`` / ``repro cache import`` move the gc'd
-canonical shards between machines as one tarball, so CI farms and
-developer boxes can seed each other's caches — entries are
-content-addressed, so an import *merges* (new keys are appended as a
-fresh shard, existing keys are never clobbered).
+Each store is one SQLite database, ``<root>/<schema dir>/store.db``,
+for the solve store (``v<N>/``), the classification store
+(``classify-v<N>/``) and the cell store (``cells-v<N>/``):
 
-The persistent stores — the solve store (``v<N>/``), the
-classification store (``classify-v<N>/``) and the estimation cell
-store (``cells-v<N>/``) — are append-only: every
-writer process opens its own JSONL shard and entries are never
-rewritten, so a long-lived cache directory accumulates shards and
-duplicate lines (two concurrent cold runs may both append the same
-deterministic entry).  This module folds each schema directory's
-shards into **one** sorted, checksummed shard:
+* ``repro cache gc`` deletes the directories of other schema versions
+  (their entries can never be read again), drops rows whose checksum
+  fails, and ``VACUUM``s each live database;
+* ``repro cache export`` packs a consistent copy of every live
+  database (``Connection.backup``) into one tarball, published by an
+  atomic rename;
+* ``repro cache import`` merges such a tarball content-addressed:
+  every incoming row's checksum is validated, and ``INSERT OR IGNORE``
+  adds novel keys while existing keys are never clobbered.
 
-* every line is validated exactly like the stores do on load (JSON
-  shape + CRC-32) — corrupt or truncated lines are dropped for good;
-* duplicates collapse to the *last* occurrence, matching the stores'
-  load semantics (later lines overwrite earlier ones);
-* surviving entries are rewritten sorted by (kind, key) into
-  ``shard-00000000-gc.jsonl`` — the name sorts first in the stores'
-  shard glob — via a temporary file and an atomic rename, after which
-  the old shards are unlinked.
-
-Compaction is *offline* maintenance: run it while no writer is
-appending (a writer racing the unlink loses only re-derivable,
-deterministic entries, never correctness, but its work is wasted).
+SQLite commits are atomic, so none of this needs an fsync knob, and a
+concurrent run only waits on the maintenance transaction.
 """
 
 from __future__ import annotations
 
-import io
 import os
 import pathlib
+import shutil
+import sqlite3
 import tarfile
-import time
-import uuid
+import tempfile
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
-from repro.solve.store import (SolveStore, encode_shard_line,
-                               parse_shard_line)
-
-#: The compacted shard; sorts before ``shard-<pid>-…`` writer shards.
-GC_SHARD_NAME = "shard-00000000-gc.jsonl"
+from repro.solve.store import (DB_NAME, SCHEMA_VERSION, cache_root,
+                               checksum, open_db)
 
 
-def _replace_atomic(tmp: pathlib.Path, target: pathlib.Path, *,
-                    fsync: bool = False) -> None:
-    """Publish ``tmp`` as ``target`` via ``os.replace``.
+def store_dirs() -> tuple[str, ...]:
+    """The schema directory names of the current stores."""
+    from repro.analysis.store import CLASSIFY_SCHEMA_VERSION
+    from repro.pipeline.artifacts import CELL_SCHEMA_VERSION
 
-    With ``fsync`` the file's bytes are flushed to stable storage
-    before the rename and the directory entry after it, so a crash
-    leaves either the old state or the complete new one — never a
-    rename pointing at unwritten data.  Without it the rename is still
-    atomic against concurrent readers, just not against power loss.
-    """
-    if fsync:
-        fd = os.open(tmp, os.O_RDONLY)
-        try:
-            os.fsync(fd)
-        finally:
-            os.close(fd)
-    os.replace(tmp, target)
-    if fsync:
-        dir_fd = os.open(target.parent, os.O_RDONLY)
-        try:
-            os.fsync(dir_fd)
-        finally:
-            os.close(dir_fd)
+    return (f"v{SCHEMA_VERSION}", f"classify-v{CLASSIFY_SCHEMA_VERSION}",
+            f"cells-v{CELL_SCHEMA_VERSION}")
+
+
+def _is_schema_dir_name(name: str) -> bool:
+    """A ``v<N>`` / ``classify-v<N>`` / ``cells-v<N>`` directory name
+    of any version (gc only ever deletes directories named like this)."""
+    for prefix in ("classify-v", "cells-v", "v"):
+        if name.startswith(prefix):
+            return name[len(prefix):].isdigit()
+    return False
+
+
+def _dir_bytes(path: pathlib.Path) -> int:
+    return sum(child.stat().st_size for child in path.rglob("*")
+               if child.is_file())
+
+
+def _root(cache: str | None, verb: str) -> pathlib.Path:
+    root = cache_root(cache)
+    if root is None:
+        raise ConfigurationError(
+            f"cannot {verb}: the persistent cache is disabled "
+            "(REPRO_CACHE=off)")
+    return root
 
 
 @dataclass(frozen=True)
 class CompactionReport:
-    """What compaction did (or would do) to one schema directory."""
+    """What gc did (or would do) to one schema directory."""
 
     directory: str
-    shards_before: int
-    lines_before: int
-    bytes_before: int
+    #: Rows kept (0 for a removed foreign-schema directory).
     entries: int
-    duplicates_dropped: int
     corrupt_dropped: int
+    bytes_before: int
     bytes_after: int
     dry_run: bool
+    #: A directory of another schema version, deleted whole.
+    removed: bool = False
 
     @property
     def bytes_saved(self) -> int:
         return self.bytes_before - self.bytes_after
 
     def format_row(self) -> str:
-        action = "would fold" if self.dry_run else "folded"
-        return (f"{self.directory}: {action} {self.shards_before} shard(s), "
-                f"{self.lines_before} line(s) -> {self.entries} entr(ies); "
-                f"dropped {self.duplicates_dropped} duplicate(s), "
-                f"{self.corrupt_dropped} corrupt; "
+        if self.removed:
+            action = "would remove" if self.dry_run else "removed"
+            return (f"{self.directory}: {action} foreign schema directory "
+                    f"({self.bytes_before} bytes)")
+        action = "would vacuum" if self.dry_run else "vacuumed"
+        return (f"{self.directory}: {action} {self.entries} entr(ies); "
+                f"dropped {self.corrupt_dropped} corrupt; "
                 f"{self.bytes_before} -> {self.bytes_after} bytes "
                 f"({self.bytes_saved:+d} saved)")
 
 
-@dataclass(frozen=True)
-class _FoldedShards:
-    """Validated, deduplicated content of one schema directory."""
-
-    shards: tuple[pathlib.Path, ...]
-    entries: dict[tuple[str, str], object]
-    lines: int
-    bytes: int
-    duplicates: int
-    corrupt: int
-
-    def canonical_text(self) -> str:
-        """The entries re-encoded sorted by (kind, key) — the gc'd
-        canonical shard both compaction and export write."""
-        return "".join(
-            encode_shard_line(kind, key, self.entries[(kind, key)])
-            for kind, key in sorted(self.entries))
+def _corrupt_rows(connection: sqlite3.Connection) -> tuple[int, list]:
+    """Row count and the (kind, key) of every row failing its checksum."""
+    rows = 0
+    corrupt = []
+    for kind, key, crc, value in connection.execute(
+            "SELECT kind, key, crc, value FROM entries"):
+        rows += 1
+        if not isinstance(value, bytes) or checksum(kind, key, value) != crc:
+            corrupt.append((kind, key))
+    return rows, corrupt
 
 
-def _fold_shards(shard_dir: pathlib.Path) -> _FoldedShards | None:
-    """Read and validate every shard of one schema directory."""
-    shards = sorted(shard_dir.glob("shard-*.jsonl"))
-    if not shards:
+def compact_store(store_dir: str | os.PathLike, *,
+                  dry_run: bool = False) -> CompactionReport | None:
+    """Drop corrupt rows and ``VACUUM`` one store; ``None`` when the
+    directory holds no database."""
+    store_dir = pathlib.Path(store_dir)
+    path = store_dir / DB_NAME
+    if not path.is_file():
         return None
-    entries: dict[tuple[str, str], object] = {}
-    lines = size = corrupt = duplicates = 0
-    for shard in shards:
-        try:
-            text = shard.read_text(encoding="utf-8", errors="replace")
-        except OSError:
-            continue
-        size += len(text.encode("utf-8"))
-        for line in text.splitlines():
-            if not line.strip():
-                continue
-            lines += 1
-            parsed = parse_shard_line(line)
-            if parsed is None:
-                corrupt += 1
-                continue
-            kind, key, value = parsed
-            if (kind, key) in entries:
-                duplicates += 1
-            entries[(kind, key)] = value  # last occurrence wins, as on load
-    return _FoldedShards(shards=tuple(shards), entries=entries,
-                         lines=lines, bytes=size, duplicates=duplicates,
-                         corrupt=corrupt)
-
-
-def compact_shard_dir(shard_dir: str | os.PathLike, *,
-                      dry_run: bool = False,
-                      fsync: bool = False) -> CompactionReport | None:
-    """Fold one schema directory's shards; ``None`` if none exist."""
-    shard_dir = pathlib.Path(shard_dir)
-    folded = _fold_shards(shard_dir)
-    if folded is None:
-        return None
-    shards = folded.shards
-    compacted = folded.canonical_text()
-    bytes_after = len(compacted.encode("utf-8"))
-
+    before = _dir_bytes(store_dir)
+    connection = open_db(path)
+    try:
+        rows, corrupt = _corrupt_rows(connection)
+        if dry_run:
+            (free,) = connection.execute("PRAGMA freelist_count").fetchone()
+            (page,) = connection.execute("PRAGMA page_size").fetchone()
+            after = before - free * page
+        else:
+            connection.executemany(
+                "DELETE FROM entries WHERE kind = ? AND key = ?", corrupt)
+            connection.execute("VACUUM")
+            connection.execute("PRAGMA wal_checkpoint(TRUNCATE)")
+    finally:
+        connection.close()
     if not dry_run:
-        tmp = shard_dir / f".gc-tmp-{os.getpid()}"
-        tmp.write_text(compacted, encoding="utf-8")
-        _replace_atomic(tmp, shard_dir / GC_SHARD_NAME, fsync=fsync)
-        for shard in shards:
-            if shard.name != GC_SHARD_NAME:
-                try:
-                    shard.unlink()
-                except OSError:
-                    pass
+        after = _dir_bytes(store_dir)
     return CompactionReport(
-        directory=str(shard_dir), shards_before=len(shards),
-        lines_before=folded.lines, bytes_before=folded.bytes,
-        entries=len(folded.entries), duplicates_dropped=folded.duplicates,
-        corrupt_dropped=folded.corrupt, bytes_after=bytes_after,
-        dry_run=dry_run)
+        directory=str(store_dir), entries=rows - len(corrupt),
+        corrupt_dropped=len(corrupt), bytes_before=before,
+        bytes_after=after, dry_run=dry_run)
 
 
-def collect_shard_dirs(root: str | os.PathLike) -> list[pathlib.Path]:
-    """Every schema directory under one cache root, all three stores."""
-    root = pathlib.Path(root)
-    if not root.is_dir():
+def gc_cache(cache: str | None = None, *,
+             dry_run: bool = False) -> list[CompactionReport]:
+    """Maintain the cache root selected like the stores select it.
+
+    ``cache`` follows the ``REPRO_CACHE`` convention (``None`` defers
+    to the environment / default directory; ``"off"`` means there is
+    nothing to maintain).  Foreign-schema directories are removed
+    first, then every live store is compacted.
+    """
+    root = cache_root(cache)
+    if root is None or not root.is_dir():
         return []
-    return sorted(path for path in root.iterdir()
-                  if path.is_dir() and _is_schema_dir_name(path.name))
+    live = store_dirs()
+    reports = []
+    for path in sorted(root.iterdir()):
+        if path.is_dir() and _is_schema_dir_name(path.name) \
+                and path.name not in live:
+            size = _dir_bytes(path)
+            if not dry_run:
+                shutil.rmtree(path, ignore_errors=True)
+            reports.append(CompactionReport(
+                directory=str(path), entries=0, corrupt_dropped=0,
+                bytes_before=size, bytes_after=0, dry_run=dry_run,
+                removed=True))
+    for name in live:
+        report = compact_store(root / name, dry_run=dry_run)
+        if report is not None:
+            reports.append(report)
+    return reports
 
 
 @dataclass(frozen=True)
 class ExportReport:
-    """One schema directory packed into a cache tarball."""
+    """One store packed into a cache tarball."""
 
     directory: str
     entries: int
@@ -204,7 +184,7 @@ class ExportReport:
 
 @dataclass(frozen=True)
 class ImportReport:
-    """One schema directory merged from a cache tarball."""
+    """One store merged from a cache tarball."""
 
     directory: str
     entries_seen: int
@@ -222,173 +202,115 @@ class ImportReport:
 
 
 def export_cache(tarball: str | os.PathLike,
-                 cache: str | None = None, *,
-                 fsync: bool = False) -> list[ExportReport]:
-    """Pack the gc'd canonical shards of every store into a tarball.
+                 cache: str | None = None) -> list[ExportReport]:
+    """Pack a consistent copy of every store into a tarball.
 
-    The live cache directory is read, validated and folded exactly
-    like ``repro cache gc`` would (corrupt lines dropped, duplicates
-    collapsed last-wins) but left untouched; the tarball holds one
-    canonical sorted shard per schema directory, so importing peers
-    get the same bytes however fragmented the exporter's store was.
-
-    The tarball is built in a same-directory temporary file and
-    published by an atomic rename: a crashed or killed export never
-    leaves a truncated archive at the target path (a reader sees the
-    previous archive or the complete new one, nothing in between).
+    Each live database is copied with SQLite's online backup (a
+    concurrent writer is never blocked for long and never torn), the
+    copies are packed as ``<schema dir>/store.db``, and the tarball is
+    published by an atomic rename: a killed export never leaves a
+    truncated archive at the target path.
     """
-    store = SolveStore.resolve(cache)
-    if store is None:
-        raise ConfigurationError(
-            "cannot export: the persistent cache is disabled "
-            "(REPRO_CACHE=off)")
-    reports = []
+    root = _root(cache, "export")
     target = pathlib.Path(tarball)
     tmp = target.parent / f".{target.name}.tmp-{os.getpid()}"
+    reports = []
     try:
-        with tarfile.open(tmp, "w:gz") as archive:
-            for shard_dir in collect_shard_dirs(store.root):
-                folded = _fold_shards(shard_dir)
-                if folded is None:
+        with tempfile.TemporaryDirectory() as scratch, \
+                tarfile.open(tmp, "w:gz") as archive:
+            for name in store_dirs():
+                path = root / name / DB_NAME
+                if not path.is_file():
                     continue
-                payload = folded.canonical_text().encode("utf-8")
-                member = tarfile.TarInfo(
-                    name=f"{shard_dir.name}/{GC_SHARD_NAME}")
-                member.size = len(payload)
-                member.mtime = int(time.time())
-                archive.addfile(member, io.BytesIO(payload))
-                reports.append(ExportReport(directory=shard_dir.name,
-                                            entries=len(folded.entries),
-                                            bytes=len(payload)))
-        _replace_atomic(tmp, target, fsync=fsync)
+                copy = pathlib.Path(scratch) / name
+                source = sqlite3.connect(path)
+                destination = sqlite3.connect(copy)
+                try:
+                    source.backup(destination)
+                    (entries,) = destination.execute(
+                        "SELECT COUNT(*) FROM entries").fetchone()
+                finally:
+                    destination.close()
+                    source.close()
+                archive.add(copy, arcname=f"{name}/{DB_NAME}")
+                reports.append(ExportReport(directory=name, entries=entries,
+                                            bytes=copy.stat().st_size))
+        os.replace(tmp, target)
     finally:
         tmp.unlink(missing_ok=True)
     return reports
 
 
+def _merge(incoming: pathlib.Path, store_dir: pathlib.Path
+           ) -> ImportReport:
+    """``INSERT OR IGNORE`` every valid row of one exported database."""
+    seen = imported = already = conflicts = corrupt = 0
+    source = sqlite3.connect(incoming)
+    store_dir.mkdir(parents=True, exist_ok=True)
+    local = open_db(store_dir / DB_NAME)
+    try:
+        rows = source.execute("SELECT kind, key, crc, value FROM entries")
+        local.execute("BEGIN IMMEDIATE")
+        for kind, key, crc, value in rows:
+            if not isinstance(value, bytes) \
+                    or checksum(kind, key, value) != crc:
+                corrupt += 1
+                continue
+            seen += 1
+            if local.execute("INSERT OR IGNORE INTO entries "
+                             "(kind, key, crc, value) VALUES (?, ?, ?, ?)",
+                             (kind, key, crc, value)).rowcount:
+                imported += 1
+                continue
+            (existing,) = local.execute(
+                "SELECT value FROM entries WHERE kind = ? AND key = ?",
+                (kind, key)).fetchone()
+            if existing == value:
+                already += 1
+            else:
+                conflicts += 1
+        local.execute("COMMIT")
+    except sqlite3.DatabaseError:
+        # Not a store database (or a torn one): nothing is merged.
+        if local.in_transaction:
+            local.execute("ROLLBACK")
+        seen = imported = already = conflicts = 0
+        corrupt = 1
+    finally:
+        local.close()
+        source.close()
+    return ImportReport(directory=store_dir.name, entries_seen=seen,
+                        imported=imported, already_present=already,
+                        conflicts_kept_local=conflicts,
+                        corrupt_dropped=corrupt)
+
+
 def import_cache(tarball: str | os.PathLike,
-                 cache: str | None = None, *,
-                 fsync: bool = False) -> list[ImportReport]:
-    """Merge a cache tarball into the local store, content-addressed.
+                 cache: str | None = None) -> list[ImportReport]:
+    """Merge a cache tarball into the local stores, content-addressed.
 
-    Every shard line of the archive is validated like the stores do on
-    load (JSON shape + CRC-32); entries whose (kind, key) the local
-    store already holds are skipped — an import can add knowledge but
-    never clobber it (conflicting values for the same key keep the
-    local entry; content-addressed keys make that a corruption signal,
-    not a merge policy).  Novel entries are appended as one fresh
-    writer shard per schema directory, so a concurrent reader sees
-    either none or all of them and ``repro cache gc`` folds them in
-    later.
+    Only ``<schema dir>/store.db`` members of the current stores are
+    read (anything else — paths escaping the root included — is
+    ignored, never extracted).  Rows whose checksum fails are dropped;
+    keys the local store already holds are skipped, so an import adds
+    knowledge but never clobbers it (a conflicting value keeps the
+    local row — with content-addressed keys that is a corruption
+    signal, not a merge policy).  Other processes see the merge as
+    soon as its one transaction commits.
     """
-    store = SolveStore.resolve(cache)
-    if store is None:
-        raise ConfigurationError(
-            "cannot import: the persistent cache is disabled "
-            "(REPRO_CACHE=off)")
-    root = pathlib.Path(store.root)
-    incoming: dict[str, dict[tuple[str, str], object]] = {}
-    corrupt: dict[str, int] = {}
-    with tarfile.open(tarball, "r:*") as archive:
+    root = _root(cache, "import")
+    live = store_dirs()
+    reports = []
+    with tarfile.open(tarball, "r:*") as archive, \
+            tempfile.TemporaryDirectory() as scratch:
         for member in archive.getmembers():
-            if not member.isfile():
-                continue
             parts = pathlib.PurePosixPath(member.name).parts
-            # Only <schema-dir>/<shard>.jsonl members are meaningful;
-            # anything else (paths escaping the root included) is
-            # ignored rather than extracted.
-            if len(parts) != 2 or not _is_schema_dir_name(parts[0]) \
-                    or not parts[1].endswith(".jsonl"):
+            if not member.isfile() or len(parts) != 2 \
+                    or parts[0] not in live or parts[1] != DB_NAME:
                 continue
-            handle = archive.extractfile(member)
-            if handle is None:
-                continue
-            text = handle.read().decode("utf-8", errors="replace")
-            entries = incoming.setdefault(parts[0], {})
-            for line in text.splitlines():
-                if not line.strip():
-                    continue
-                parsed = parse_shard_line(line)
-                if parsed is None:
-                    corrupt[parts[0]] = corrupt.get(parts[0], 0) + 1
-                    continue
-                kind, key, value = parsed
-                entries[(kind, key)] = value
-    reports = []
-    for directory in sorted(incoming):
-        entries = incoming[directory]
-        shard_dir = root / directory
-        local = _fold_shards(shard_dir) if shard_dir.is_dir() else None
-        existing = local.entries if local is not None else {}
-        novel: list[str] = []
-        already = conflicts = 0
-        for (kind, key), value in sorted(entries.items()):
-            if (kind, key) in existing:
-                if existing[(kind, key)] == value:
-                    already += 1
-                else:
-                    conflicts += 1
-                continue
-            novel.append(encode_shard_line(kind, key, value))
-        if novel:
-            shard_dir.mkdir(parents=True, exist_ok=True)
-            name = (f"shard-{time.time_ns():020d}-{os.getpid()}-"
-                    f"{uuid.uuid4().hex[:8]}-import.jsonl")
-            tmp = shard_dir / f".import-tmp-{os.getpid()}"
-            tmp.write_text("".join(novel), encoding="utf-8")
-            _replace_atomic(tmp, shard_dir / name, fsync=fsync)
-        reports.append(ImportReport(
-            directory=directory, entries_seen=len(entries),
-            imported=len(novel), already_present=already,
-            conflicts_kept_local=conflicts,
-            corrupt_dropped=corrupt.get(directory, 0)))
-    _invalidate_handles(root)
-    return reports
-
-
-def _invalidate_handles(root: pathlib.Path) -> None:
-    """Force memoised store handles on ``root`` to rescan their shards,
-    so an import is visible to the importing process, not only to the
-    next one."""
-    from repro.analysis.store import ClassificationStore
-    from repro.pipeline.cellstore import CellStore
-
-    for handle in (SolveStore.resolve(str(root)),
-                   ClassificationStore.resolve(str(root)),
-                   CellStore.resolve(str(root))):
-        if handle is not None:
-            handle.invalidate()
-
-
-def _is_schema_dir_name(name: str) -> bool:
-    """A plain ``v<N>`` / ``classify-v<N>`` / ``cells-v<N>`` directory
-    name (no path tricks — this gates what an archive may write into
-    the cache)."""
-    if "/" in name or "\\" in name or name in (".", ".."):
-        return False
-    for prefix in ("classify-v", "cells-v", "v"):
-        if name.startswith(prefix):
-            return name[len(prefix):].isdigit()
-    return False
-
-
-def gc_cache(cache: str | None = None, *,
-             dry_run: bool = False,
-             fsync: bool = False) -> list[CompactionReport]:
-    """Compact the cache directory selected like the stores select it.
-
-    ``cache`` follows the ``REPRO_CACHE`` convention (``None``
-    defers to the environment / default directory; ``"off"`` means
-    there is nothing to compact).  ``fsync`` makes each published
-    shard durable against power loss, not just torn writes.
-    """
-    store = SolveStore.resolve(cache)
-    if store is None:
-        return []
-    reports = []
-    for shard_dir in collect_shard_dirs(store.root):
-        report = compact_shard_dir(shard_dir, dry_run=dry_run,
-                                   fsync=fsync)
-        if report is not None:
-            reports.append(report)
+            incoming = pathlib.Path(scratch) / parts[0]
+            with archive.extractfile(member) as source, \
+                    open(incoming, "wb") as copy:
+                shutil.copyfileobj(source, copy)
+            reports.append(_merge(incoming, root / parts[0]))
     return reports

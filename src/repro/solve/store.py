@@ -16,18 +16,17 @@ outcome:
   objective's coefficients;
 * the solver mode (exact ILP vs LP relaxation).
 
-Storage is a directory of append-only JSONL shard files, one shard per
-writer process, under a schema-versioned subdirectory.  Appends are
-single ``write`` calls of one line each, so concurrent writers — e.g.
-:meth:`SolvePlanner.prime` pool workers or parallel ``run_suite``
-benchmark tasks — never corrupt each other; at worst the same entry is
-recorded twice, which is harmless because values are deterministic.
-Every line carries a CRC-32 of its payload: truncated tails (a killed
-writer), garbage bytes and checksum mismatches are skipped on load and
-simply re-solved, never propagated.
+Storage is :class:`SqliteStore`, shared with the classification and
+cell stores: one SQLite database (``store.db``) per store, under a
+schema-versioned subdirectory of the cache root.  A read is one
+indexed ``SELECT`` — a warm run pays for the rows it reads, not for
+the size of the cache — and a write is one atomic upsert, so a killed
+writer never leaves a partial row and concurrent pool workers only
+ever wait on each other's (short) write transactions.  Every row
+carries a CRC-32 of its address and value: a mismatch is a miss, and
+the recomputation's write repairs the row.
 
-Control knob: ``REPRO_CACHE`` (canonical; ``REPRO_SOLVE_CACHE`` is a
-deprecated alias, honoured with a one-time warning) —
+Control knob: ``REPRO_CACHE`` —
 
 * unset: the default user cache directory
   (``$XDG_CACHE_HOME``/``~/.cache`` ``/repro/solve``);
@@ -35,88 +34,79 @@ deprecated alias, honoured with a one-time warning) —
 * any other value: used as the store directory.
 
 ``EstimatorConfig(cache=...)`` / ``--cache`` override the environment
-per run.  ``REPRO_REMOTE_STORE=<url>`` / ``--remote`` additionally
-layers a :class:`~repro.remote.client.RemoteStoreClient` under every
-resolved store: local misses fetch from a shard server, local writes
-push back, and a dead or flaky server degrades to local-only
-(:mod:`repro.remote`).
+per run.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
+import multiprocessing
+import multiprocessing.util
 import os
 import pathlib
-import time
-import uuid
-import warnings
+import signal
+import sqlite3
+import weakref
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.testing import faultinject
 
 #: Bump on ANY change to the entry format, the key derivation, or the
 #: meaning of stored values.  Old entries live under another ``v<N>``
-#: subdirectory and are never even loaded.
+#: subdirectory and are never even opened.
 #: v2: keyed by the polytope (:func:`solve_context`) instead of the
 #: (CFG digest, geometry, timing) estimation context.
-SCHEMA_VERSION = 2
+#: v3: one SQLite database instead of JSONL shards.
+SCHEMA_VERSION = 3
 
 #: Environment variable controlling the default store location.
 CACHE_ENV = "REPRO_CACHE"
 
-#: Pre-unification name of :data:`CACHE_ENV`; honoured as a
-#: deprecated alias because the knob has governed all three stores
-#: (not just the solve store) since the classification store landed.
-LEGACY_CACHE_ENV = "REPRO_SOLVE_CACHE"
-
-#: Environment variable selecting a remote shard server (the client
-#: lives in :mod:`repro.remote.client`; the name is defined here so
-#: resolution can check it without importing that module).
-REMOTE_ENV = "REPRO_REMOTE_STORE"
-
 #: Values of :data:`CACHE_ENV` that disable persistence entirely.
 _OFF_VALUES = frozenset({"off", "0", "none", "disabled"})
 
-_WARNED_LEGACY = False
+#: The database file inside every store's schema directory.
+DB_NAME = "store.db"
+
+#: Seconds a writer waits for another process's write transaction.
+_BUSY_TIMEOUT_S = 60.0
+
+#: Bytes a checkpointed write-ahead log is truncated back to, so a
+#: lingering ``-wal`` file never holds a whole run's writes.
+_JOURNAL_SIZE_LIMIT = 4 << 20
+
+_TABLE = ("CREATE TABLE IF NOT EXISTS entries ("
+          "kind TEXT NOT NULL, key TEXT NOT NULL, crc INTEGER NOT NULL, "
+          "value BLOB NOT NULL, PRIMARY KEY (kind, key)) WITHOUT ROWID")
+
+#: Insert, or overwrite a row whose bytes differ (a corrupt row is
+#: repaired); an identical row is left alone, so ``rowcount`` counts
+#: real writes only.
+_UPSERT = ("INSERT INTO entries (kind, key, crc, value) VALUES (?, ?, ?, ?) "
+           "ON CONFLICT (kind, key) DO UPDATE SET crc = excluded.crc, "
+           "value = excluded.value "
+           "WHERE crc IS NOT excluded.crc OR value IS NOT excluded.value")
+
+_SELECT = "SELECT crc, value FROM entries WHERE kind = ? AND key = ?"
 
 
-def cache_env_value() -> str | None:
-    """The cache root configured in the environment, if any.
+def cache_root(override: str | None = None) -> pathlib.Path | None:
+    """The cache root selected by ``override`` or ``REPRO_CACHE``.
 
-    ``REPRO_CACHE`` is canonical and wins; ``REPRO_SOLVE_CACHE`` is
-    consulted as a deprecated fallback, warning once per process.
+    ``override`` follows the environment variable's convention
+    (``"off"`` disables, anything else is a directory); ``None`` defers
+    to the environment, and an unset environment selects the default
+    user cache directory.  Returns ``None`` when persistence is off.
     """
-    global _WARNED_LEGACY
-    value = os.environ.get(CACHE_ENV)
-    if value is not None:
-        return value
-    value = os.environ.get(LEGACY_CACHE_ENV)
-    if value is not None and not _WARNED_LEGACY:
-        _WARNED_LEGACY = True
-        warnings.warn(
-            f"{LEGACY_CACHE_ENV} is deprecated; set {CACHE_ENV} instead",
-            DeprecationWarning, stacklevel=3)
-    return value
-
-
-def attach_remote(store: "ShardedStore") -> "ShardedStore":
-    """(Re-)attach the remote client selected by the environment.
-
-    Runs on every ``resolve()`` so long-lived processes and tests can
-    flip ``REPRO_REMOTE_STORE`` between runs; client handles are
-    memoised per URL on their side.  The import is lazy both to avoid
-    the ``repro.pipeline`` import cycle and to keep purely local runs
-    from paying for the remote stack.
-    """
-    url = os.environ.get(REMOTE_ENV, "")
-    if not url.strip() or url.strip().lower() in _OFF_VALUES:
-        store.remote = None
-        return store
-    from repro.remote.client import RemoteStoreClient
-    store.remote = RemoteStoreClient.resolve()
-    return store
+    value = override if override is not None else os.environ.get(CACHE_ENV)
+    if value is None or not value.strip():
+        return default_cache_dir()
+    if value.strip().lower() in _OFF_VALUES:
+        return None
+    return pathlib.Path(value)
 
 
 def default_cache_dir() -> pathlib.Path:
@@ -173,407 +163,353 @@ def store_context(cfg_digest: str, geometry, timing) -> str:
 
 @dataclass
 class StoreStats:
-    """Load/serve counters of one store handle."""
+    """Read/write counters of one store handle."""
 
     hits: int = 0
     misses: int = 0
+    #: Rows inserted or repaired (identical rewrites do not count).
     writes: int = 0
-    #: Entries loaded from shards (after dedup across shards).
-    loaded: int = 0
-    #: Lines dropped on load: bad JSON, bad checksum, missing fields.
+    #: Rows read whose checksum did not match (served as misses).
     corrupt_skipped: int = 0
 
-    def as_dict(self) -> dict[str, int]:
-        return {"hits": self.hits, "misses": self.misses,
-                "writes": self.writes, "loaded": self.loaded,
-                "corrupt_skipped": self.corrupt_skipped}
+
+def checksum(kind: str, key: str, value: bytes) -> int:
+    """CRC-32 of one row: binds the value to its (kind, key) address."""
+    return zlib.crc32(value, zlib.crc32(f"{kind}|{key}|".encode("utf-8")))
 
 
-def _checksum(kind: str, key: str, value_text: str) -> int:
-    return zlib.crc32(f"{kind}|{key}|{value_text}".encode("utf-8"))
+def open_db(path: str | os.PathLike) -> sqlite3.Connection:
+    """A connection to one store database, created if absent.
 
-
-def encode_shard_line(kind: str, key: str, value: object) -> str:
-    """One checksummed shard line (shared by both stores and gc).
-
-    The canonical value text feeds both the checksum and the line
-    itself — dumping the value once, not twice — so the line is
-    assembled around it.  The splice is byte-identical to
-    ``json.dumps({"c": ..., "k": ..., "t": ..., "v": value},
-    sort_keys=True, separators=(",", ":"))``: the keys are already in
-    sorted order and the value occupies one canonical-form slot.
+    Autocommit (every statement is its own transaction), write-ahead
+    logging so readers never block the writer, ``synchronous=NORMAL``
+    (a commit survives a killed process; a power loss may drop the
+    last commits, which are recomputable), and a busy timeout so
+    concurrent pool writers queue instead of failing.
     """
-    value_text = json.dumps(value, sort_keys=True, separators=(",", ":"))
-    checksum = _checksum(kind, key, value_text)
-    return (f'{{"c":{checksum},"k":{json.dumps(key)},'
-            f'"t":{json.dumps(kind)},"v":{value_text}}}\n')
-
-
-def parse_shard_line(line: str) -> tuple[str, str, object] | None:
-    """Validate one shard line; ``None`` when unreadable.
-
-    The single definition of what counts as a valid line — JSON shape
-    plus CRC-32 over (kind, key, canonical value) — used by the solve
-    store, the classification store and ``repro cache gc``, so the
-    three readers can never drift apart in what they accept.
-    """
-    line = line.strip()
-    if not line:
-        return None
+    path = pathlib.Path(path)
+    if not path.exists():
+        _create_db(path)
+    connection = sqlite3.connect(path, timeout=_BUSY_TIMEOUT_S,
+                                 isolation_level=None,
+                                 check_same_thread=False)
     try:
-        entry = json.loads(line)
-        kind, key, value, checksum = (entry["t"], entry["k"], entry["v"],
-                                      entry["c"])
-    except (ValueError, TypeError, KeyError):
+        (mode,) = connection.execute("PRAGMA journal_mode").fetchone()
+        if mode != "wal":
+            connection.execute("PRAGMA journal_mode=WAL")
+        connection.execute("PRAGMA synchronous=NORMAL")
+        connection.execute(f"PRAGMA journal_size_limit={_JOURNAL_SIZE_LIMIT}")
+        connection.execute(_TABLE)
+    except sqlite3.Error:
+        connection.close()
+        raise
+    return connection
+
+
+def _create_db(path: pathlib.Path) -> None:
+    """Create an empty WAL-mode store database at ``path``.
+
+    Built under a private name and published by a hard link, so
+    concurrent creators race on the link (the loser simply uses the
+    winner's file), never on the journal-mode switch — which fails at
+    once, without waiting, while another connection uses the file.
+    """
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    connection = sqlite3.connect(tmp)
+    try:
+        connection.execute("PRAGMA journal_mode=WAL")
+        connection.execute(_TABLE)
+    finally:
+        connection.close()
+    try:
+        os.link(tmp, path)
+    except FileExistsError:
+        pass
+    finally:
+        os.unlink(tmp)
+
+
+def _file_identity(path: pathlib.Path) -> tuple[int, int] | None:
+    try:
+        status = path.stat()
+    except OSError:
         return None
-    if not isinstance(kind, str) or not isinstance(key, str):
-        return None
-    value_text = json.dumps(value, sort_keys=True, separators=(",", ":"))
-    if checksum != _checksum(kind, key, value_text):
-        return None
-    return kind, key, value
+    return status.st_dev, status.st_ino
 
 
-#: Handles memoised by :meth:`SolveStore.resolve`, keyed by absolute
-#: store directory.  Forked pool workers inherit the open shard file
-#: descriptors, which stays safe because appends are single O_APPEND
-#: writes of whole lines.
-_RESOLVED: dict[str, "SolveStore"] = {}
+#: Handles memoised by :meth:`SqliteStore.resolve`, keyed by store
+#: class and absolute cache root.
+_RESOLVED: dict[tuple[type, str], "SqliteStore"] = {}
+
+#: Stores holding an open connection in this process.  All of them are
+#: closed before the process forks — a child must never inherit a live
+#: SQLite connection — and when it exits, so the last connection
+#: checkpoints and removes the write-ahead log.
+_OPEN: weakref.WeakSet = weakref.WeakSet()
+#: The pid whose exit hooks are installed.
+_HOOKED_PID: int | None = None
 
 
-class ShardedStore:
-    """Shared shard lifecycle of the persistent stores.
+def _close_all() -> None:
+    """Close every store connection this process opened."""
+    for store in list(_OPEN):
+        store.close()
 
-    One schema-versioned directory of append-only JSONL shards, one
-    shard per writer process, every line checksummed
-    (:func:`encode_shard_line` / :func:`parse_shard_line`).  Appends
-    are single ``O_APPEND`` writes of whole lines, so concurrent
-    writers interleave safely; an unwritable directory degrades to
-    in-memory memoisation.  Subclasses supply the in-memory index via
-    :meth:`_reset_index` / :meth:`_index_entry`.
+
+def _hook_exit() -> None:
+    """Close connections at exit, once per process.  A
+    :mod:`multiprocessing` finalizer runs both at interpreter exit and
+    when a pool worker leaves (workers skip :mod:`atexit`)."""
+    global _HOOKED_PID
+    if _HOOKED_PID == os.getpid():
+        return
+    _HOOKED_PID = os.getpid()
+    multiprocessing.util.Finalize(None, _close_all, exitpriority=0)
+
+
+os.register_at_fork(before=_close_all)
+
+
+class SqliteStore:
+    """One schema-versioned SQLite database of checksummed entries.
+
+    The shared substrate of the three persistent stores: rows map
+    ``(kind, key)`` to ``(crc, value bytes)``.  :meth:`_get` is one
+    indexed lookup plus a checksum check (a mismatch is a miss);
+    :meth:`_put` is one atomic upsert, or joins the open
+    :meth:`batch` transaction.  The connection opens lazily, once per
+    process; an unwritable or unreadable cache degrades to an
+    in-process memo of this handle's own writes, never to a failure.
     """
 
     def __init__(self, root: str | os.PathLike, subdir: str) -> None:
         self.root = pathlib.Path(root)
+        #: The store's directory under the cache root (perfbench's
+        #: tracer reads its name to attribute bytes to each store).
         self._shard_dir = self.root / subdir
-        self._shard = None  # lazily opened append handle
-        self._shard_name: str | None = None
-        self._loaded = False
-        #: Bytes of each shard already indexed, for :meth:`refresh`.
-        self._offsets: dict[str, int] = {}
-        #: Optional :class:`~repro.remote.client.RemoteStoreClient`
-        #: layered under this store (:func:`attach_remote`).
-        self.remote = None
+        self._db_path = self._shard_dir / DB_NAME
+        self._connection: sqlite3.Connection | None = None
+        self._pid: int | None = None
+        self._identity: tuple[int, int] | None = None
+        #: Writes deferred by :meth:`batch`, ``None`` outside one.
+        self._pending: dict[tuple[str, str], bytes] | None = None
+        #: Writes that could not be persisted, still served in-process.
+        self._unsaved: dict[tuple[str, str], bytes] = {}
+        self.stats = StoreStats()
 
-    # -- index hooks (subclass responsibility) -------------------------
-    def _reset_index(self) -> None:
-        raise NotImplementedError
+    @classmethod
+    def resolve(cls, override: str | None = None):
+        """The store of this class under the cache root selected by
+        ``override`` or the environment (:func:`cache_root`); ``None``
+        when persistence is off.
 
-    def _index_entry(self, parsed: tuple[str, str, object] | None) -> None:
-        """One validated line (``None`` = corrupt/unreadable)."""
-        raise NotImplementedError
-
-    # -- lifecycle -----------------------------------------------------
-    def _ensure_loaded(self) -> bool:
-        """Scan every shard once per handle; True on the first call."""
-        if self._loaded:
-            return False
-        self._loaded = True
-        self._reset_index()
-        self._offsets = {}
-        if not self._shard_dir.is_dir():
-            return True
-        for shard in sorted(self._shard_dir.glob("shard-*.jsonl")):
-            self._read_shard(shard, final=True)
-        return True
-
-    def _read_shard(self, shard: pathlib.Path, *,
-                    final: bool = False) -> None:
-        """Index the unread tail of one shard, complete lines only.
-
-        Reads from the last recorded byte offset.  A trailing partial
-        line is a writer mid-append during a :meth:`refresh` — left
-        unconsumed for the next refresh rather than counted corrupt —
-        but on the initial full load (``final=True``) it is a killed
-        writer's truncated tail and counts as corrupt (the offset
-        still stops before it, so a later completion is not lost).
+        Handles are memoised per root: the hundreds of estimators of a
+        suite or sweep share one connection per store, and the three
+        stores live side by side under one root.
         """
-        offset = self._offsets.get(shard.name, 0)
-        if faultinject.fire("store", self._shard_dir.name,
-                            actions=("read_error",)) is not None:
-            # Injected unreadable shard: same degradation as the
-            # OSError path below — skip this pass, recompute later.
-            return
+        root = cache_root(override)
+        if root is None:
+            return None
+        key = (cls, os.path.abspath(root))
+        store = _RESOLVED.get(key)
+        if store is None:
+            store = _RESOLVED[key] = cls(root)
+        return store
+
+    @property
+    def corrupt_skipped(self) -> int:
+        return self.stats.corrupt_skipped
+
+    # -- connection lifecycle ------------------------------------------
+    def _connect(self, *, create: bool) -> sqlite3.Connection | None:
+        if self._connection is not None and self._pid == os.getpid():
+            return self._connection
+        if not create and not self._db_path.is_file():
+            return None
         try:
-            with open(shard, "rb") as handle:
-                handle.seek(offset)
-                data = handle.read()
-        except OSError:
-            return
-        cut = data.rfind(b"\n") + 1
-        self._offsets[shard.name] = offset + cut
-        text = data[:cut].decode("utf-8", errors="replace")
-        for line in text.splitlines():
-            if line.strip():
-                self._index_entry(parse_shard_line(line))
-        if final and data[cut:].strip():
-            self._index_entry(
-                parse_shard_line(data[cut:].decode("utf-8",
-                                                   errors="replace")))
+            self._shard_dir.mkdir(parents=True, exist_ok=True)
+            self._connection = open_db(self._db_path)
+        except (OSError, sqlite3.Error):
+            return None
+        self._pid = os.getpid()
+        self._identity = _file_identity(self._db_path)
+        _OPEN.add(self)
+        _hook_exit()
+        return self._connection
 
     def refresh(self) -> None:
-        """Fold shard lines appended since the last load into the index.
+        """Drop the connection if the database file was replaced.
 
-        Cheap (tail reads from per-shard offsets) and idempotent: the
-        pipeline calls it when it builds a run's DAG, so writes pool
-        workers made in an earlier run of this process become visible
-        before the plan pass probes.  A shard
-        that *shrank* (``repro cache gc`` rewrote it in place) forces a
-        full rescan.  A handle that never loaded stays lazy.
+        Called whenever the pipeline builds a run's DAG.  Another
+        process's write is visible to the next ``SELECT`` anyway; only
+        a file swapped underneath the handle (the cache directory
+        deleted and recreated) needs a reconnect, which happens lazily.
         """
-        if not self._loaded:
-            return
-        if self._shard_dir.is_dir():
-            shards = sorted(self._shard_dir.glob("shard-*.jsonl"))
-        else:
-            shards = []
-        for shard in shards:
-            try:
-                size = shard.stat().st_size
-            except OSError:
-                continue
-            if size < self._offsets.get(shard.name, 0):
-                self._loaded = False  # rewritten in place: rescan all
-                self._ensure_loaded()
-                return
-        for shard in shards:
-            self._read_shard(shard)
-
-    def _append(self, kind: str, key: str, value: object) -> bool:
-        line = encode_shard_line(kind, key, value)
-        try:
-            if self._shard is None:
-                self._shard_dir.mkdir(parents=True, exist_ok=True)
-                # Zero-padded creation time first: shards sort (and
-                # load) oldest-first, so "last occurrence wins" means
-                # *newest* wins deterministically — a repair entry
-                # appended after a corrupt one reliably overrides it.
-                # (The gc shard's all-zero prefix keeps sorting first.)
-                name = (f"shard-{time.time_ns():020d}-{os.getpid()}-"
-                        f"{uuid.uuid4().hex[:8]}.jsonl")
-                # O_APPEND + one os.write per line: concurrent writers
-                # interleave whole lines, never bytes.
-                self._shard = os.open(self._shard_dir / name,
-                                      os.O_WRONLY | os.O_CREAT | os.O_APPEND,
-                                      0o644)
-                self._shard_name = name
-            data = line.encode("utf-8")
-            if faultinject.fire("store", self._shard_dir.name,
-                                actions=("truncate_tail",)) is not None:
-                # Injected torn write: persist only half the line and
-                # drop the shard handle, exactly what a writer killed
-                # mid-append leaves behind.  A fresh load discards the
-                # truncated tail as corrupt and recomputes the entry.
-                os.write(self._shard, data[:max(1, len(data) // 2)])
-                self.close()
-                return False
-            os.write(self._shard, data)
-            # Our own appends are already in the index, so advance the
-            # read offset past them — otherwise every refresh()
-            # re-parses everything this handle ever wrote.  Advance
-            # only when the shard grew by exactly this write: forked
-            # pool workers share the fd, and an interleaved foreign
-            # line must stay ahead of the offset so refresh() still
-            # reads it (re-reading our own lines too — correct, merely
-            # the old behaviour).
-            if self._loaded and self._shard_name is not None:
-                expected = self._offsets.get(self._shard_name, 0)
-                try:
-                    size = os.fstat(self._shard).st_size
-                except OSError:
-                    size = -1
-                if size == expected + len(data):
-                    self._offsets[self._shard_name] = size
-            return True
-        except OSError:
-            # A read-only or full cache directory degrades to in-memory
-            # caching; never fail the estimation over persistence.
-            return False
-
-    # -- remote layer --------------------------------------------------
-    def _remote_fetch(self, kind: str, key: str) -> object | None:
-        """Fetch-on-miss through the attached remote client, if any.
-
-        A fetched entry is appended to the local shard too: the local
-        store stays the store of record, so a later remote outage (or
-        a tripped breaker) still serves the entry and a degraded run
-        remains byte-identical to an undisturbed one.  The caller
-        indexes the returned value (kind-specific validation lives
-        there).
-        """
-        client = self.remote
-        if client is None:
-            return None
-        value = client.fetch(self._shard_dir.name, kind, key)
-        if value is not None:
-            self._append(kind, key, value)
-        return value
-
-    def _remote_push(self, kind: str, key: str, value: object) -> None:
-        """Push-on-write through the attached client; best-effort —
-        remote unavailability never fails a local write."""
-        client = self.remote
-        if client is not None:
-            client.push(self._shard_dir.name, kind, key, value)
-
-    def invalidate(self) -> None:
-        """Drop the in-memory index; the next read rescans every shard.
-
-        The hook external shard writers (``repro cache import``) use
-        to make new entries visible to already-memoised handles.
-        """
-        self._loaded = False
+        if self._connection is not None \
+                and self._identity != _file_identity(self._db_path):
+            self.close()
 
     def close(self) -> None:
-        """Close the append handle; idempotent and safe on instances
-        whose ``__init__`` never completed (``getattr``: ``__del__``
-        may run with no ``_shard`` attribute at all)."""
-        shard = getattr(self, "_shard", None)
-        self._shard = None
-        self._shard_name = getattr(self, "_shard_name", None)
-        if shard is not None:
+        """Close the connection; idempotent and safe on instances
+        whose ``__init__`` never completed (``__del__`` may run on
+        one)."""
+        connection = getattr(self, "_connection", None)
+        self._connection = None
+        _OPEN.discard(self)
+        if connection is not None and self._pid == os.getpid():
             try:
-                os.close(shard)
-            except OSError:
+                connection.close()
+            except sqlite3.Error:
                 pass
 
     def __del__(self):  # pragma: no cover - interpreter shutdown order
-        # Interpreter shutdown may collect a partially-initialised
-        # instance or run after module globals are gone; never let a
-        # destructor raise.
         try:
             self.close()
         except Exception:
             pass
 
+    # -- rows ----------------------------------------------------------
+    def _get(self, kind: str, key: str) -> bytes | None:
+        address = (kind, key)
+        value = self._pending.get(address) if self._pending else None
+        if value is None:
+            value = self._select(kind, key)
+        if value is None:
+            value = self._unsaved.get(address)
+        if value is None:
+            self.stats.misses += 1
+        else:
+            self.stats.hits += 1
+        return value
 
-class SolveStore(ShardedStore):
+    def _select(self, kind: str, key: str) -> bytes | None:
+        connection = self._connect(create=False)
+        if connection is None:
+            return None
+        try:
+            if faultinject.fire("store", self._shard_dir.name,
+                                actions=("read_error",)) is not None:
+                raise sqlite3.OperationalError("injected read error")
+            row = connection.execute(_SELECT, (kind, key)).fetchone()
+        except sqlite3.Error:
+            return None
+        if row is None:
+            return None
+        crc, value = row
+        if not isinstance(value, bytes) or checksum(kind, key, value) != crc:
+            self.stats.corrupt_skipped += 1
+            return None
+        return value
+
+    def _put(self, kind: str, key: str, value: bytes) -> None:
+        if self._pending is not None:
+            self._pending[(kind, key)] = value
+        else:
+            self._write({(kind, key): value})
+
+    @contextlib.contextmanager
+    def batch(self):
+        """Defer this handle's writes to one transaction at exit.
+
+        A stage's writes then take the database's write lock once
+        instead of once per row, so concurrent pool workers rarely wait
+        on each other.  Reads see the pending rows; a nested batch
+        joins the outer one.
+        """
+        if self._pending is not None:
+            yield self
+            return
+        self._pending = {}
+        try:
+            yield self
+        finally:
+            pending, self._pending = self._pending, None
+            if pending:
+                self._write(pending)
+
+    def _write(self, values: dict[tuple[str, str], bytes]) -> None:
+        """Upsert ``values`` in one transaction."""
+        rows = [(kind, key, checksum(kind, key, value), value)
+                for (kind, key), value in values.items()]
+        connection = self._connect(create=True)
+        # A read-only, full or broken cache directory degrades to
+        # in-process memoisation; never fail the estimation over
+        # persistence.
+        if connection is None:
+            self._unsaved.update(values)
+            return
+        # Like ``worker:kill``, only pool workers are ever killed: the
+        # driving process dying is a crash, not a recovery.
+        kill = multiprocessing.parent_process() is not None \
+            and faultinject.fire("store", self._shard_dir.name,
+                                 actions=("kill",)) is not None
+        try:
+            if kill or len(rows) > 1:
+                connection.execute("BEGIN IMMEDIATE")
+            written = connection.executemany(_UPSERT, rows).rowcount
+            if kill:
+                # Injected crash inside the open write transaction,
+                # exactly what a worker killed mid-write leaves behind.
+                os.kill(os.getpid(), signal.SIGKILL)
+            if connection.in_transaction:
+                connection.execute("COMMIT")
+        except sqlite3.Error:
+            if connection.in_transaction:
+                try:
+                    connection.execute("ROLLBACK")
+                except sqlite3.Error:
+                    pass
+            self._unsaved.update(values)
+            return
+        self.stats.writes += written
+
+    def __len__(self) -> int:
+        connection = self._connect(create=False)
+        if connection is None:
+            return len(self._unsaved)
+        (count,) = connection.execute(
+            "SELECT COUNT(*) FROM entries").fetchone()
+        return count
+
+
+def json_bytes(value: object) -> bytes:
+    """The canonical JSON encoding of one stored document."""
+    return json.dumps(value, sort_keys=True,
+                      separators=(",", ":")).encode("utf-8")
+
+
+def json_value(data: bytes | None) -> object | None:
+    """Inverse of :func:`json_bytes`; ``None`` for a miss or bad JSON."""
+    if data is None:
+        return None
+    try:
+        return json.loads(data)
+    except ValueError:
+        return None
+
+
+class SolveStore(SqliteStore):
     """Disk-backed map of solve keys to optima / solution artefacts.
 
     ``get``/``put`` handle integer optima (the FMM cells and primed
     batches); ``get_artefact``/``put_artefact`` handle JSON documents
-    (the WCET's full solution vector).  All reads go through one lazy
-    in-memory index built by scanning every shard once per handle.
+    (the WCET's full solution vector).
     """
 
     def __init__(self, root: str | os.PathLike) -> None:
         super().__init__(root, f"v{SCHEMA_VERSION}")
-        self._values: dict[str, int] = {}
-        self._artefacts: dict[str, object] = {}
-        self.stats = StoreStats()
 
-    # -- resolution ----------------------------------------------------
-    @classmethod
-    def resolve(cls, override: str | None = None) -> "SolveStore | None":
-        """The store selected by ``override`` or the environment.
-
-        ``override`` follows the same convention as the environment
-        variable (``"off"`` disables, anything else is a directory);
-        ``None`` defers to ``REPRO_CACHE`` (or its deprecated alias
-        ``REPRO_SOLVE_CACHE``), and an unset environment selects the
-        default user cache directory.
-
-        Handles are memoised per resolved directory: the hundreds of
-        estimators of a suite or sweep share one in-memory index (one
-        shard scan) and one append shard, instead of re-reading the
-        store and opening a fresh shard file each.
-        """
-        value = override if override is not None \
-            else cache_env_value()
-        if value is None or not value.strip():
-            root = default_cache_dir()
-        elif value.strip().lower() in _OFF_VALUES:
-            return None
-        else:
-            root = pathlib.Path(value)
-        key = os.path.abspath(root)
-        store = _RESOLVED.get(key)
-        if store is None:
-            store = _RESOLVED[key] = cls(root)
-        attach_remote(store)
-        return store
-
-    # -- loading -------------------------------------------------------
-    def _ensure_loaded(self) -> bool:
-        if super()._ensure_loaded():
-            self.stats.loaded = len(self._values) + len(self._artefacts)
-            return True
-        return False
-
-    def _reset_index(self) -> None:
-        self._values = {}
-        self._artefacts = {}
-
-    def _index_entry(self, parsed: tuple[str, str, object] | None) -> None:
-        if parsed is None:
-            self.stats.corrupt_skipped += 1
-            return
-        kind, key, value = parsed
-        if kind == "solve" and isinstance(value, int):
-            self._values[key] = value
-        elif kind == "artefact":
-            self._artefacts[key] = value
-        else:
-            self.stats.corrupt_skipped += 1
-
-    # -- reads ---------------------------------------------------------
     def get(self, key: str) -> int | None:
-        self._ensure_loaded()
-        value = self._values.get(key)
-        if value is None and self.remote is not None:
-            fetched = self._remote_fetch("solve", key)
-            if isinstance(fetched, int) and not isinstance(fetched, bool):
-                self._values[key] = fetched
-                value = fetched
-        if value is None:
-            self.stats.misses += 1
-        else:
-            self.stats.hits += 1
-        return value
+        value = json_value(self._get("solve", key))
+        if isinstance(value, int) and not isinstance(value, bool):
+            return value
+        return None
 
     def get_artefact(self, key: str) -> object | None:
-        self._ensure_loaded()
-        value = self._artefacts.get(key)
-        if value is None and self.remote is not None:
-            value = self._remote_fetch("artefact", key)
-            if value is not None:
-                self._artefacts[key] = value
-        if value is None:
-            self.stats.misses += 1
-        else:
-            self.stats.hits += 1
-        return value
+        return json_value(self._get("artefact", key))
 
-    # -- writes --------------------------------------------------------
     def put(self, key: str, value: int) -> None:
-        self._ensure_loaded()
-        if self._values.get(key) == value:
-            return  # already persisted by this or another run
-        self._values[key] = value
-        if self._append("solve", key, value):
-            self.stats.writes += 1
-        self._remote_push("solve", key, value)
+        self._put("solve", key, json_bytes(value))
 
     def put_artefact(self, key: str, value: object) -> None:
-        self._ensure_loaded()
-        if key in self._artefacts:
-            return
-        self._artefacts[key] = value
-        if self._append("artefact", key, value):
-            self.stats.writes += 1
-        self._remote_push("artefact", key, value)
-
-    # -- maintenance ---------------------------------------------------
-    def __len__(self) -> int:
-        self._ensure_loaded()
-        return len(self._values) + len(self._artefacts)
+        self._put("artefact", key, json_bytes(value))

@@ -3,9 +3,9 @@
 ``faultinject``
     The chaos-injection harness: a declarative fault plan
     (``REPRO_FAULT_PLAN``) with hooks threaded through the pool entry
-    point, the sharded stores and the solve backend, so worker
-    crashes, torn shard writes and solver hangs are reproducible in
-    unit tests and CI instead of theorized.
+    point, the persistent stores and the solve backend, so worker
+    crashes, writers killed mid-transaction and solver hangs are
+    reproducible in unit tests and CI instead of theorized.
 """
 
 from repro.testing.faultinject import (FaultClause, PLAN_ENV, STATE_ENV,

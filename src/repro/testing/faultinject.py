@@ -1,13 +1,13 @@
 """Deterministic fault-injection: the ``REPRO_FAULT_PLAN`` harness.
 
 The resilience layer (:mod:`repro.pipeline.resilience`) claims the
-pipeline survives killed workers, torn shard writes and hung solves.
-This module makes those faults *reproducible*: a declarative plan in
-the ``REPRO_FAULT_PLAN`` environment variable arms injection hooks
-threaded through the pool entry point
-(:func:`~repro.pipeline.scheduler._run_pool_chain`), the sharded
-stores (:meth:`~repro.solve.store.ShardedStore._append` /
-``_read_shard``) and the solve backend
+pipeline survives killed workers, writers killed mid-transaction and
+hung solves.  This module makes those faults *reproducible*: a
+declarative plan in the ``REPRO_FAULT_PLAN`` environment variable arms
+injection hooks threaded through the pool entry point
+(:func:`~repro.pipeline.scheduler._run_pool_chain`), the persistent
+stores (:meth:`~repro.solve.store.SqliteStore._put` / ``_get``) and
+the solve backend
 (:meth:`~repro.solve.backend.SolverBackend.solve`), so CI can diff a
 chaos run byte-for-byte against an undisturbed golden.
 
@@ -30,12 +30,13 @@ Sites and their actions:
     :class:`ConnectionError` — the pool survives, the task retries).
 
 ``store``
-    Fires inside :class:`~repro.solve.store.ShardedStore`; ``target``
-    is the schema directory name (``v2``, ``classify-v1``,
-    ``cells-v2``) or ``*``.  Actions: ``truncate_tail`` (the append
-    becomes a torn half-line write and the shard handle is dropped,
-    as a killed writer would leave it), ``read_error`` (the shard
-    read pass is skipped, as if the file were unreadable).
+    Fires inside :class:`~repro.solve.store.SqliteStore`; ``target``
+    is the schema directory name (``v3``, ``classify-v2``,
+    ``cells-v3``) or ``*``.  Actions: ``kill`` (a writing pool worker
+    is SIGKILL'd inside its open write transaction, after the insert
+    but before the commit — the rows must never appear; writes of the
+    driving process never match), ``read_error`` (the lookup's
+    ``SELECT`` raises, so the read is a miss).
 
 ``solve``
     Fires inside :meth:`SolverBackend.solve`; ``target`` is the
@@ -43,19 +44,6 @@ Sites and their actions:
     Actions: ``delay=<seconds>`` (a slow solver), ``fail`` (raise
     :class:`~repro.errors.SolverError` — a *permanent* failure that
     quarantines the dependent subtree).
-
-``net``
-    Fires on the remote-store wire (:mod:`repro.remote`); ``target``
-    is the store schema directory (``v2``, ``classify-v1``,
-    ``cells-v2``) or ``*``.  Each action fires on exactly one side so
-    a clause's ordinals count one invocation stream: ``drop`` (the
-    client's request fails with a :class:`ConnectionError` before it
-    leaves — a dead or unreachable server) and ``delay=<seconds>``
-    (client-side latency before the request) arm the *client* hook;
-    ``short_read`` (the server advertises the full Content-Length but
-    sends only half the body) and ``corrupt`` (the server flips a
-    payload byte, exercising the client's checksum verification) arm
-    the *server* hook.
 
 ``#ordinal`` arms the clause for exactly the n-th (1-based) matching
 invocation; without it the clause fires every time.  Ordinals are
@@ -69,7 +57,7 @@ tests want (inject once, observe the retry succeed).
 
 Example::
 
-    worker:kill@cell_stage#2;store:truncate_tail@cells-v2;solve:delay=0.5@prime
+    worker:kill@cell_stage#2;store:kill@cells-v3#1;solve:delay=0.5@prime
 """
 
 from __future__ import annotations
@@ -92,17 +80,9 @@ STATE_ENV = "REPRO_FAULT_STATE"
 #: Legal actions per site; ``delay`` requires a ``=<seconds>`` value.
 _ACTIONS = {
     "worker": ("kill", "delay", "raise"),
-    "store": ("truncate_tail", "read_error"),
+    "store": ("kill", "read_error"),
     "solve": ("delay", "fail"),
-    "net": ("drop", "delay", "short_read", "corrupt"),
 }
-
-#: ``net`` actions consumed by the client-side hook; the remaining
-#: ``net`` actions (``short_read``, ``corrupt``) are server-side.
-#: The split keeps each clause's ordinal counter on one invocation
-#: stream — a clause is never double-counted by both ends of the wire.
-_NET_CLIENT_ACTIONS = ("drop", "delay")
-_NET_SERVER_ACTIONS = ("short_read", "corrupt")
 
 _CLAUSE_RE = re.compile(
     r"^(?P<site>[a-z]+):(?P<action>[a-z_]+)"
@@ -262,26 +242,3 @@ def solve_hook(name: str) -> None:
         time.sleep(clause.value)
     elif clause.action == "fail":
         raise SolverError(f"injected solver fault ({name})")
-
-
-def net_client_hook(target: str) -> None:
-    """Injection point before each remote-store request leaves the
-    client; ``target`` is the store schema directory."""
-    clause = fire("net", target, actions=_NET_CLIENT_ACTIONS)
-    if clause is None:
-        return
-    if clause.action == "drop":
-        raise ConnectionError(
-            f"injected network fault: dropped request ({target})")
-    if clause.action == "delay":
-        time.sleep(clause.value)
-
-
-def net_server_hook(target: str) -> FaultClause | None:
-    """Injection point inside the shard server's response path.
-
-    Returns the armed clause (``short_read`` / ``corrupt``) so the
-    handler can mangle the response it was about to send; ``None``
-    sends it untouched.
-    """
-    return fire("net", target, actions=_NET_SERVER_ACTIONS)

@@ -1,23 +1,25 @@
-"""`repro cache gc`: offline compaction of the persistent stores."""
+"""`repro cache gc|export|import`: offline maintenance of the stores."""
 
 from __future__ import annotations
 
-import json
+import sqlite3
 
-from repro.analysis.store import ClassificationStore, classification_key
+from repro.analysis.store import (CLASSIFY_SCHEMA_VERSION,
+                                  ClassificationStore, classification_key)
 from repro.cache import CacheGeometry
 from repro.pwcet import EstimatorConfig, PWCETEstimator
-from repro.solve.gc import GC_SHARD_NAME, compact_shard_dir, gc_cache
-from repro.solve.store import SCHEMA_VERSION, SolveStore, solve_key
+from repro.solve.gc import compact_store, gc_cache
+from repro.solve.store import DB_NAME, SCHEMA_VERSION, SolveStore, solve_key
 from repro.suite import load
 
 GEOMETRY = CacheGeometry.from_size(1024, 4, 16)
-#: The solve store's schema directory under a cache root.
+#: The solve and classification stores' schema directories.
 SOLVE_DIR = f"v{SCHEMA_VERSION}"
+CLASSIFY_DIR = f"classify-v{CLASSIFY_SCHEMA_VERSION}"
 
 
 def _populate_both_stores(root) -> None:
-    """A real estimation writes both solve and classification shards."""
+    """A real estimation writes both solve and classification rows."""
     estimator = PWCETEstimator(load("fibcall"),
                                EstimatorConfig(cache=str(root)),
                                name="fibcall")
@@ -25,59 +27,75 @@ def _populate_both_stores(root) -> None:
         estimator.estimate(mechanism)
 
 
-class TestCompaction:
-    def test_folds_shards_into_one_sorted_file(self, tmp_path):
-        store = SolveStore(tmp_path)
-        for index in range(5):
-            store.put(solve_key("ctx", [("x", float(index))], False), index)
-        store.close()
-        shard_dir = tmp_path / SOLVE_DIR
-        # A second writer process that re-derived the same entries:
-        # identical lines in a second shard, as concurrent cold runs do.
-        first = next(shard_dir.glob("shard-*.jsonl"))
-        (shard_dir / "shard-99999-twin.jsonl").write_text(first.read_text())
-        assert len(list(shard_dir.glob("shard-*.jsonl"))) == 2
+def _db(root, directory=SOLVE_DIR) -> sqlite3.Connection:
+    """A raw autocommit connection to one store's database."""
+    return sqlite3.connect(root / directory / DB_NAME, isolation_level=None)
 
-        report = compact_shard_dir(shard_dir)
-        assert report.shards_before == 2
-        assert report.entries == 5
-        assert report.duplicates_dropped == 5
-        shards = list(shard_dir.glob("shard-*.jsonl"))
-        assert [shard.name for shard in shards] == [GC_SHARD_NAME]
-        keys = [json.loads(line)["k"]
-                for line in shards[0].read_text().splitlines()]
-        assert keys == sorted(keys)
+
+def _corrupt_rows(root, count: int) -> None:
+    """Flip one byte of the first ``count`` solve rows' values."""
+    db = _db(root)
+    for key, value in db.execute("SELECT key, value FROM entries "
+                                 "ORDER BY key LIMIT ?",
+                                 (count,)).fetchall():
+        db.execute("UPDATE entries SET value = ? WHERE key = ?",
+                   (bytes([value[0] ^ 1]) + value[1:], key))
+    db.close()
+
+
+class TestCompaction:
+    def test_vacuum_reclaims_deleted_pages(self, tmp_path):
+        store = SolveStore(tmp_path)
+        for index in range(400):
+            store.put(solve_key("ctx", [("x", float(index))], False),
+                      index)
+        store.close()
+        db = _db(tmp_path)
+        db.execute("DELETE FROM entries WHERE key IN (SELECT key FROM "
+                   "entries ORDER BY key LIMIT 300)")
+        db.close()
+        report = compact_store(tmp_path / SOLVE_DIR)
+        assert report.entries == 100
+        assert report.corrupt_dropped == 0
+        assert report.bytes_saved > 0
+        assert "vacuumed" in report.format_row()
 
     def test_corrupt_lines_are_dropped_for_good(self, tmp_path):
         store = SolveStore(tmp_path)
         key = solve_key("ctx", [("x", 1.0)], False)
         store.put(key, 5)
+        store.put(solve_key("ctx", [("y", 1.0)], False), 12)
+        store.put(solve_key("ctx", [("z", 1.0)], False), 13)
         store.close()
-        shard_dir = tmp_path / SOLVE_DIR
-        shard = next(shard_dir.glob("shard-*.jsonl"))
-        with open(shard, "a") as handle:
-            handle.write('{"t":"solve","k":"abc","v":12\n')  # truncated
-            handle.write("garbage\n")
-        report = compact_shard_dir(shard_dir)
+        db = _db(tmp_path)
+        db.execute("UPDATE entries SET crc = crc + 1 WHERE key != ?",
+                   (key,))
+        db.close()
+        report = compact_store(tmp_path / SOLVE_DIR)
         assert report.corrupt_dropped == 2
         assert report.entries == 1
         fresh = SolveStore(tmp_path)
         assert fresh.get(key) == 5
+        assert len(fresh) == 1
         assert fresh.stats.corrupt_skipped == 0
 
     def test_dry_run_touches_nothing(self, tmp_path):
         store = SolveStore(tmp_path)
         store.put(solve_key("ctx", [("x", 1.0)], False), 5)
         store.close()
-        shard_dir = tmp_path / SOLVE_DIR
-        before = sorted(path.name for path in shard_dir.iterdir())
-        report = compact_shard_dir(shard_dir, dry_run=True)
+        _corrupt_rows(tmp_path, 1)
+        store_dir = tmp_path / SOLVE_DIR
+        before = {path.name: path.read_bytes()
+                  for path in store_dir.iterdir()}
+        report = compact_store(store_dir, dry_run=True)
         assert report.dry_run
-        assert "would fold" in report.format_row()
-        assert sorted(path.name for path in shard_dir.iterdir()) == before
+        assert report.corrupt_dropped == 1
+        assert "would vacuum" in report.format_row()
+        assert {path.name: path.read_bytes()
+                for path in store_dir.iterdir()} == before
 
     def test_empty_directory_reports_none(self, tmp_path):
-        assert compact_shard_dir(tmp_path / SOLVE_DIR) is None
+        assert compact_store(tmp_path / SOLVE_DIR) is None
 
 
 class TestGcCache:
@@ -86,11 +104,28 @@ class TestGcCache:
         reports = gc_cache(str(tmp_path))
         directories = {report.directory.rsplit("/", 1)[-1]
                        for report in reports}
-        assert any(name.startswith("v") for name in directories)
-        assert any(name.startswith("classify-v") for name in directories)
+        assert {SOLVE_DIR, CLASSIFY_DIR} <= directories
         for report in reports:
             assert report.corrupt_dropped == 0
             assert report.entries > 0
+
+    def test_foreign_schema_directories_are_removed(self, tmp_path):
+        _populate_both_stores(tmp_path)
+        old = tmp_path / "v2"
+        old.mkdir()
+        (old / "shard-0-a.jsonl").write_text("{}\n")
+        unrelated = tmp_path / "notes"
+        unrelated.mkdir()
+        dry = gc_cache(str(tmp_path), dry_run=True)
+        assert [report.removed for report in dry].count(True) == 1
+        assert old.is_dir()
+        reports = gc_cache(str(tmp_path))
+        (removed,) = [report for report in reports if report.removed]
+        assert removed.directory == str(old)
+        assert "removed foreign schema directory" in removed.format_row()
+        assert not old.exists()
+        assert unrelated.is_dir()  # only schema-named directories go
+        assert (tmp_path / SOLVE_DIR / DB_NAME).is_file()
 
     def test_warm_run_after_gc_is_still_fully_cached(self, tmp_path):
         _populate_both_stores(tmp_path)
@@ -98,7 +133,7 @@ class TestGcCache:
         estimator = PWCETEstimator(load("fibcall"),
                                    EstimatorConfig(cache=str(tmp_path)),
                                    name="fibcall")
-        # Fresh handles, so the compacted shard is what gets read.
+        # Fresh handles, so the vacuumed databases are what gets read.
         estimator._analysis._store = ClassificationStore(tmp_path)
         fresh_store = SolveStore(tmp_path)
         estimator._planner.attach_store(
@@ -133,7 +168,7 @@ class TestCli:
         assert main(["cache", "gc", "--cache", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "saved" in out
-        # Idempotent: a second gc folds the already-folded shard.
+        # Idempotent: a second gc vacuums the already-vacuumed stores.
         assert main(["cache", "gc", "--cache", str(tmp_path)]) == 0
 
     def test_cache_gc_on_missing_directory(self, tmp_path, capsys):
@@ -144,40 +179,40 @@ class TestCli:
 
     def test_cache_gc_reports_corrupt_line_recovery(self, tmp_path,
                                                     capsys):
-        """Silent store repair made visible: torn/corrupt lines that
-        every reader skipped show up as an explicit recovery count, in
-        the dry run too."""
+        """Silent store repair made visible: corrupt rows that every
+        reader served as misses show up as an explicit recovery count,
+        in the dry run too."""
         from repro.cli import main
         store = SolveStore(tmp_path)
         store.put(solve_key("ctx", [("x", 1)], False), 7)
+        store.put(solve_key("ctx", [("y", 1)], False), 8)
+        store.put(solve_key("ctx", [("z", 1)], False), 9)
         store.close()
-        shard = next((tmp_path / SOLVE_DIR).glob("shard-*.jsonl"))
-        with shard.open("a") as handle:
-            handle.write('{"c":1,"k":"tampered","t":"solve","v":1}\n')
-            handle.write('{"torn half-li')  # a killed writer's tail
+        _corrupt_rows(tmp_path, 2)
         assert main(["cache", "gc", "--dry-run",
                      "--cache", str(tmp_path)]) == 0
         out = capsys.readouterr().out
-        assert "would drop 2 corrupt/torn line(s) " \
+        assert "would drop 2 corrupt row(s) " \
                "recovered by re-computation" in out
         assert main(["cache", "gc", "--cache", str(tmp_path)]) == 0
         out = capsys.readouterr().out
-        assert "dropped 2 corrupt/torn line(s)" in out
+        assert "dropped 2 corrupt row(s)" in out
         # The repaired cache is clean: no recovery line on a re-run.
         assert main(["cache", "gc", "--cache", str(tmp_path)]) == 0
-        assert "corrupt/torn" not in capsys.readouterr().out
+        assert "corrupt row" not in capsys.readouterr().out
 
     def test_corrupt_recovery_counts_surface_in_stats_summary(
             self, tmp_path):
         """The estimator's ``stats_summary()`` exposes each store's
-        skipped-line count, so degraded shards are observable without
+        corrupt-row count, so a degraded store is observable without
         running gc."""
-        store = SolveStore(tmp_path)
-        store.put(solve_key("ctx", [("x", 1)], False), 7)
-        store.close()
-        shard = next((tmp_path / SOLVE_DIR).glob("shard-*.jsonl"))
-        with shard.open("a") as handle:
-            handle.write('{"torn half-li')
+        _populate_both_stores(tmp_path)
+        db = _db(tmp_path)
+        (key,) = db.execute("SELECT key FROM entries "
+                            "WHERE kind = 'artefact'").fetchone()
+        db.execute("UPDATE entries SET crc = crc + 1 WHERE key = ?",
+                   (key,))
+        db.close()
         estimator = PWCETEstimator(load("fibcall"),
                                    EstimatorConfig(cache=str(tmp_path)),
                                    name="fibcall")
@@ -197,13 +232,16 @@ class TestExportImport:
         target = tmp_path / "machine-b"
         tarball = tmp_path / "seed.tar.gz"
         _populate_both_stores(source)
+        before = {path: path.read_bytes()
+                  for path in source.rglob(DB_NAME)}
 
         exported = export_cache(tarball, str(source))
         assert {report.directory for report in exported} == \
-            {SOLVE_DIR, "classify-v1"}
+            {SOLVE_DIR, CLASSIFY_DIR}
         assert all(report.entries > 0 for report in exported)
-        # The live source store is packed, never modified.
-        assert not list(source.glob(f"*/{GC_SHARD_NAME}"))
+        # The live source store is copied, never modified.
+        assert {path: path.read_bytes()
+                for path in source.rglob(DB_NAME)} == before
 
         imported = import_cache(tarball, str(target))
         assert sum(report.imported for report in imported) == \
@@ -233,11 +271,15 @@ class TestExportImport:
         assert sum(report.imported for report in again) == 0
         assert sum(report.already_present for report in again) == \
             sum(report.imported for report in first)
-        # Exactly one import shard per schema directory: the rerun
-        # appended nothing.
-        for directory in (SOLVE_DIR, "classify-v1"):
-            shards = list((target / directory).glob("shard-*.jsonl"))
-            assert len(shards) == 1
+        # One database per store directory, holding the merged rows.
+        for report in first:
+            files = {path.name for path in
+                     (target / report.directory).iterdir()}
+            assert files == {DB_NAME}
+            db = _db(target, report.directory)
+            assert db.execute("SELECT COUNT(*) FROM entries").fetchone() \
+                == (report.imported,)
+            db.close()
 
     def test_import_never_clobbers_local_entries(self, tmp_path):
         from repro.solve.gc import export_cache, import_cache
@@ -260,29 +302,39 @@ class TestExportImport:
         assert SolveStore(target).get(key) == 99  # local wins
 
     def test_import_validates_lines_and_member_paths(self, tmp_path):
-        import io
         import tarfile
 
         from repro.solve.gc import import_cache
-        from repro.solve.store import encode_shard_line
+        from repro.solve.store import checksum, open_db
+        seed = tmp_path / "seed"
+        seed.mkdir()
+        db = open_db(seed / DB_NAME)
+        db.execute("INSERT INTO entries VALUES (?, ?, ?, ?)",
+                   ("solve", "a" * 64, checksum("solve", "a" * 64, b"5"),
+                    b"5"))
+        db.execute("INSERT INTO entries VALUES ('solve', ?, 1, ?)",
+                   ("b" * 64, b"6"))  # checksum mismatch
+        db.close()
+        garbage = tmp_path / "garbage"
+        garbage.write_bytes(b"not a database at all")
         tarball = tmp_path / "seed.tar.gz"
-        good = encode_shard_line("solve", "a" * 64, 5)
         with tarfile.open(tarball, "w:gz") as archive:
-            def add(name, text):
-                payload = text.encode("utf-8")
-                member = tarfile.TarInfo(name=name)
-                member.size = len(payload)
-                archive.addfile(member, io.BytesIO(payload))
-            add(f"{SOLVE_DIR}/shard-0-ok.jsonl", good + "garbage line\n")
-            add("../escape/shard-0-evil.jsonl", good)
-            add("notastore/shard-0-alien.jsonl", good)
+            archive.add(seed / DB_NAME, arcname=f"{SOLVE_DIR}/{DB_NAME}")
+            archive.add(seed / DB_NAME, arcname=f"../escape/{DB_NAME}")
+            archive.add(seed / DB_NAME, arcname=f"notastore/{DB_NAME}")
+            archive.add(seed / DB_NAME, arcname=f"v1/{DB_NAME}")
+            archive.add(garbage, arcname=f"{CLASSIFY_DIR}/{DB_NAME}")
         target = tmp_path / "dst"
         reports = import_cache(tarball, str(target))
-        (report,) = reports  # only the valid solve-store member was considered
-        assert report.directory == SOLVE_DIR
-        assert report.imported == 1
-        assert report.corrupt_dropped == 1
+        # Only the current stores' members were considered.
+        by_directory = {report.directory: report for report in reports}
+        assert set(by_directory) == {SOLVE_DIR, CLASSIFY_DIR}
+        solve, classify = by_directory[SOLVE_DIR], by_directory[CLASSIFY_DIR]
+        assert solve.imported == 1
+        assert solve.corrupt_dropped == 1
+        assert classify.imported == 0 and classify.corrupt_dropped == 1
         assert not (tmp_path / "escape").exists()
+        assert not (target / "v1").exists()
         assert SolveStore(target).get("a" * 64) == 5
 
     def test_export_disabled_cache_raises(self, tmp_path):
@@ -311,4 +363,4 @@ class TestExportImport:
         assert "nothing to pack" in capsys.readouterr().out
         assert main(["cache", "import", str(tmp_path / "empty.tar.gz"),
                      "--cache", str(tmp_path / "dst")]) == 0
-        assert "no store shards" in capsys.readouterr().out
+        assert "no stores found" in capsys.readouterr().out

@@ -8,7 +8,7 @@ recomputation, never to a wrong classification.
 
 from __future__ import annotations
 
-import json
+import sqlite3
 
 import pytest
 
@@ -19,14 +19,18 @@ from repro.analysis.store import (CLASSIFY_SCHEMA_VERSION,
                                   decode_table, encode_table)
 from repro.cache import CacheGeometry
 from repro.pwcet import EstimatorConfig, PWCETEstimator
+from repro.solve.store import DB_NAME, checksum, json_bytes
 from repro.suite import load
 
 GEOMETRY = CacheGeometry.from_size(1024, 4, 16)
 MECHANISMS = ("none", "srb", "rw")
 
 
-def _shards(store: ClassificationStore):
-    return sorted(store._shard_dir.glob("shard-*.jsonl"))
+def _db(root) -> sqlite3.Connection:
+    """A raw autocommit connection to the classification store."""
+    return sqlite3.connect(
+        root / f"classify-v{CLASSIFY_SCHEMA_VERSION}" / DB_NAME,
+        isolation_level=None)
 
 
 class TestTableCodec:
@@ -69,9 +73,9 @@ class TestRoundTrip:
         key = classification_key("cfg", GEOMETRY, 2)
         store.put(key, {"blocks": []})
         store.put(key, {"blocks": []})
+        assert store.stats.writes == 1
         store.close()
-        shard = _shards(store)[0]
-        assert len(shard.read_text().splitlines()) == 1
+        assert len(ClassificationStore(tmp_path)) == 1
 
     def test_entries_live_under_versioned_directory(self, tmp_path):
         store = ClassificationStore(tmp_path)
@@ -101,75 +105,77 @@ class TestCorruptionRecovery:
 
     def test_truncated_tail_is_skipped(self, tmp_path):
         store, key = self._populated(tmp_path)
-        with open(_shards(store)[0], "a") as handle:
-            handle.write('{"t":"classify","k":"abc","v":{"blo')
+        other = classification_key("cfg", GEOMETRY, 3)
+        store.put(other, encode_table({0: (ALWAYS_HIT,)}))
+        store.close()
+        db = _db(tmp_path)  # a torn value: cut short, checksum kept
+        db.execute("UPDATE entries SET value = substr(value, 1, 9) "
+                   "WHERE key = ?", (other,))
+        db.close()
         fresh = ClassificationStore(tmp_path)
         assert fresh.get(key) == encode_table({0: (ALWAYS_MISS,)})
+        assert fresh.get(other) is None
         assert fresh.corrupt_skipped == 1
 
     def test_garbage_bytes_are_skipped(self, tmp_path):
         store, key = self._populated(tmp_path)
-        with open(_shards(store)[0], "ab") as handle:
-            handle.write(b"\x00\xffgarbage\n{]\n")
+        db = _db(tmp_path)
+        db.execute("INSERT INTO entries VALUES ('classify', ?, 7, ?)",
+                   ("0" * 64, b"\x00\xffgarbage\n{]"))
+        db.close()
         fresh = ClassificationStore(tmp_path)
         assert fresh.get(key) is not None
+        assert fresh.get("0" * 64) is None
         assert fresh.corrupt_skipped >= 1
 
     def test_checksum_mismatch_is_skipped(self, tmp_path):
         store, key = self._populated(tmp_path)
-        shard = _shards(store)[0]
-        entry = json.loads(shard.read_text().splitlines()[0])
-        entry["v"] = {"blocks": [[0, [0]]]}  # tamper, keep checksum
-        with open(shard, "a") as handle:
-            handle.write(json.dumps(entry) + "\n")
+        db = _db(tmp_path)  # tamper, keep the checksum
+        db.execute("UPDATE entries SET value = ? WHERE key = ?",
+                   (json_bytes({"blocks": [[0, [0]]]}), key))
+        db.close()
         fresh = ClassificationStore(tmp_path)
-        assert fresh.get(key) == encode_table({0: (ALWAYS_MISS,)})
+        assert fresh.get(key) is None
         assert fresh.corrupt_skipped == 1
 
     def test_foreign_kind_is_skipped(self, tmp_path):
-        """A solve entry in the classify directory is rejected."""
+        """A solve entry in the classify database is never served."""
         store, key = self._populated(tmp_path)
-        from repro.solve.store import _checksum
-        with open(_shards(store)[0], "a") as handle:
-            handle.write(json.dumps({"t": "solve", "k": "0" * 64, "v": 5,
-                                     "c": _checksum("solve", "0" * 64,
-                                                    "5")}) + "\n")
+        db = _db(tmp_path)
+        db.execute("INSERT INTO entries VALUES ('solve', ?, ?, ?)",
+                   ("0" * 64, checksum("solve", "0" * 64, b"5"), b"5"))
+        db.close()
         fresh = ClassificationStore(tmp_path)
         assert fresh.get("0" * 64) is None
-        assert fresh.corrupt_skipped == 1
+        assert fresh.get(key) is not None
+        assert fresh.corrupt_skipped == 0
 
     def test_malformed_entry_degrades_to_recomputation(self, tmp_path):
-        """A valid line whose *payload* no longer decodes must only
+        """A valid row whose *payload* no longer decodes must only
         cost a recomputation, never a wrong table."""
-        from repro.solve.store import _checksum
         cfg = load("fibcall").cfg
         cache = str(tmp_path)
         cold = CacheAnalysis(cfg, GEOMETRY, cache=cache)
         expected = cold.classification(4).count_by_chmc()
         cold.store.close()
         # Overwrite every entry with structurally valid garbage (the
-        # line parses and checksums, but the table payload is junk).
-        for shard in _shards(cold.store):
-            lines = []
-            for line in shard.read_text().splitlines():
-                entry = json.loads(line)
-                entry["v"] = {"blocks": [[0, [99]]]}
-                entry["c"] = _checksum("classify", entry["k"],
-                                       json.dumps(entry["v"],
-                                                  sort_keys=True,
-                                                  separators=(",", ":")))
-                lines.append(json.dumps(entry, sort_keys=True,
-                                        separators=(",", ":")))
-            shard.write_text("\n".join(lines) + "\n")
+        # row checksums, but the table payload is junk).
+        junk = json_bytes({"blocks": [[0, [99]]]})
+        db = _db(tmp_path)
+        for kind, key in db.execute(
+                "SELECT kind, key FROM entries").fetchall():
+            db.execute("UPDATE entries SET value = ?, crc = ? "
+                       "WHERE kind = ? AND key = ?",
+                       (junk, checksum(kind, key, junk), kind, key))
+        db.close()
         fresh = CacheAnalysis(cfg, GEOMETRY, cache=cache)
-        # Force a fresh handle so the tampered shard is actually read.
         fresh._store = ClassificationStore(tmp_path)
         assert fresh.classification(4).count_by_chmc() == expected
         assert fresh.stats.fixpoints_run > 0  # recomputed, not decoded
         fresh._store.close()
         # The recompute must also *repair* the store: its corrected
-        # entry is appended and wins on load (last occurrence), so the
-        # next run is warm again instead of recomputing forever.
+        # row overwrites the junk, so the next run is warm again
+        # instead of recomputing forever.
         repaired = CacheAnalysis(cfg, GEOMETRY, cache=cache)
         repaired._store = ClassificationStore(tmp_path)
         assert repaired.classification(4).count_by_chmc() == expected

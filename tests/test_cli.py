@@ -150,38 +150,23 @@ class TestStageTimeoutParsing:
 
 
 class TestCacheEnvAlias:
-    def test_legacy_env_is_honoured_with_one_warning(self, monkeypatch,
-                                                     tmp_path):
-        from repro.solve import store as store_module
-
-        monkeypatch.delenv(store_module.CACHE_ENV, raising=False)
-        monkeypatch.setenv(store_module.LEGACY_CACHE_ENV,
-                           str(tmp_path / "legacy"))
-        monkeypatch.setattr(store_module, "_WARNED_LEGACY", False)
-        with pytest.warns(DeprecationWarning, match="REPRO_SOLVE_CACHE"):
-            assert store_module.cache_env_value() == \
-                str(tmp_path / "legacy")
-        # Once per process, not once per resolve.
-        import warnings
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert store_module.cache_env_value() == \
-                str(tmp_path / "legacy")
-
     def test_canonical_env_wins_silently(self, monkeypatch, tmp_path):
+        """``REPRO_CACHE`` is the only cache variable: the retired
+        ``REPRO_SOLVE_CACHE`` name is ignored, without a warning."""
+        import pathlib
         import warnings
 
-        from repro.solve import store as store_module
+        from repro.solve.store import CACHE_ENV, cache_root
 
-        monkeypatch.setenv(store_module.CACHE_ENV,
-                           str(tmp_path / "canonical"))
-        monkeypatch.setenv(store_module.LEGACY_CACHE_ENV,
-                           str(tmp_path / "legacy"))
-        monkeypatch.setattr(store_module, "_WARNED_LEGACY", False)
+        monkeypatch.setenv(CACHE_ENV, str(tmp_path / "canonical"))
+        monkeypatch.setenv("REPRO_SOLVE_CACHE", str(tmp_path / "legacy"))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert store_module.cache_env_value() == \
-                str(tmp_path / "canonical")
+            assert cache_root() == tmp_path / "canonical"
+            monkeypatch.delenv(CACHE_ENV)
+            monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+            assert cache_root() == \
+                pathlib.Path(tmp_path / "xdg" / "repro" / "solve")
 
 
 class TestStartup:

@@ -216,8 +216,9 @@ class TestFaultPmfMemo:
 
 
 class TestSparseCellEncoding:
-    """Schema v2: the persisted pmf is (width, packed support, packed
-    values) — base64 of the raw little-endian bytes."""
+    """Schema v3: a JSON header line, the sparse support's raw
+    little-endian ``float64`` probabilities, then zlib of its
+    ``int64`` index gaps."""
 
     def _cell_value(self):
         from repro.pipeline.cellstore import encode_cell
@@ -228,32 +229,59 @@ class TestSparseCellEncoding:
         estimate = result.estimates["srb"]
         return config, estimate, encode_cell(estimate)
 
+    @staticmethod
+    def _blob(header, weights, gaps):
+        """A cell encoded from explicit parts (for corrupting them)."""
+        import json
+        import zlib
+
+        return b"".join((json.dumps(header).encode(), b"\n",
+                         np.asarray(weights, "<f8").tobytes(),
+                         zlib.compress(np.asarray(gaps, "<i8").tobytes())))
+
     def test_roundtrip_is_bitwise(self):
-        from repro.pipeline.cellstore import _packed, decode_cell
+        import json
+
+        from repro.pipeline.cellstore import decode_cell
 
         config, estimate, value = self._cell_value()
         pmf = estimate.penalty_misses.pmf
         support = np.flatnonzero(pmf)
-        assert value["width"] == len(pmf)
-        assert value["support"] == _packed(support, "<i8")
+        header = json.loads(value.partition(b"\n")[0])
+        assert header["width"] == len(pmf)
+        assert header["points"] == len(support)
         decoded = decode_cell(value, name="fibcall", mechanism="srb",
                               config=config, pfail=config.pfail)
         assert decoded is not None
         assert np.array_equal(decoded.penalty_misses.pmf, pmf)
+        assert decoded.penalty_misses.pmf.tobytes() == pmf.tobytes()
         assert decoded.pwcet(TARGET) == estimate.pwcet(TARGET)
 
     def test_malformed_entries_degrade_to_none(self):
-        from repro.pipeline.cellstore import _packed, decode_cell
+        import json
+
+        from repro.pipeline.cellstore import decode_cell
 
         config, estimate, value = self._cell_value()
-        support = np.flatnonzero(estimate.penalty_misses.pmf)
+        pmf = estimate.penalty_misses.pmf
+        support = np.flatnonzero(pmf)
+        weights = pmf[support]
+        gaps = np.diff(support, prepend=0)
+        header = json.loads(value.partition(b"\n")[0])
+        assert decode_cell(self._blob(header, weights, gaps),
+                           name="fibcall", mechanism="srb", config=config,
+                           pfail=config.pfail) is not None
         corruptions = [
-            {**value, "width": 1},                        # out of range
-            {**value, "support": _packed(support[::-1], "<i8")},
-            {**value, "pmf": value["pmf"][:-8]},          # ragged
-            {**value, "support": _packed(support - 1, "<i8")},
-            {**value, "support": "not base64!"},
-            {**value, "pmf": None},
+            self._blob({**header, "width": 1}, weights, gaps),
+            self._blob(header, weights, gaps[::-1]),       # index repeats
+            self._blob(header, weights[:-1], gaps),         # ragged
+            self._blob(header, weights, gaps[:-1]),
+            self._blob(header, weights, np.r_[-1, gaps[1:]]),
+            self._blob({**header, "mechanism": "rw"}, weights, gaps),
+            value[:-5],                                     # torn stream
+            value.replace(b"\n", b" ", 1),                  # no header
+            b"not a cell",
+            None,
         ]
         for corrupt in corruptions:
             assert decode_cell(corrupt, name="fibcall", mechanism="srb",

@@ -35,12 +35,12 @@ def _clean_harness(monkeypatch):
 class TestGrammar:
     def test_full_example_plan_parses(self):
         clauses = parse_plan("worker:kill@cell_stage#2;"
-                             "store:truncate_tail@cells-v2;"
+                             "store:kill@cells-v3;"
                              "solve:delay=0.5@ipet:prime")
         assert [(c.site, c.action, c.target, c.ordinal, c.value)
                 for c in clauses] == [
             ("worker", "kill", "cell_stage", 2, None),
-            ("store", "truncate_tail", "cells-v2", None, None),
+            ("store", "kill", "cells-v3", None, None),
             ("solve", "delay", "ipet:prime", None, 0.5)]
         # Clause indices key the ordinal counters.
         assert [c.index for c in clauses] == [0, 1, 2]
@@ -54,7 +54,8 @@ class TestGrammar:
         "worker@kill",               # no action
         "ghost:kill@stage",          # unknown site
         "worker:explode@stage",      # unknown action for the site
-        "store:kill@v1",             # action of another site
+        "store:fail@v1",             # action of another site
+        "store:truncate_tail@v1",    # retired action
         "worker:delay@stage",        # delay without =<seconds>
         "worker:delay=x@stage",      # unparsable value
         "worker:kill@stage#0",       # ordinals are 1-based
@@ -98,11 +99,11 @@ class TestOrdinals:
         assert fire("solve", "ipet:crc") is not None
 
     def test_actions_filter_guards_the_counter(self, monkeypatch):
-        """An append hook must not consume a read-side clause's
+        """A write hook must not consume a read-side clause's
         ordinal: the two store hooks share site/target but declare
         disjoint supported actions."""
         monkeypatch.setenv(PLAN_ENV, "store:read_error@v1#1")
-        assert fire("store", "v1", actions=("truncate_tail",)) is None
+        assert fire("store", "v1", actions=("kill",)) is None
         # The read hook still sees invocation #1.
         assert fire("store", "v1", actions=("read_error",)) is not None
 
@@ -145,45 +146,4 @@ class TestHooks:
     def test_unarmed_hooks_are_free_of_side_effects(self):
         worker_hook("cell_stage")
         solve_hook("ipet:crc")
-        faultinject.net_client_hook("v1")
-        assert faultinject.net_server_hook("v1") is None
-
-
-class TestNetSite:
-    def test_all_four_net_actions_parse(self):
-        clauses = parse_plan("net:drop@v1#1;net:delay=0.5@*;"
-                             "net:short_read@classify-v1;"
-                             "net:corrupt@cells-v2#3")
-        assert [(c.action, c.target, c.ordinal, c.value)
-                for c in clauses] == [
-            ("drop", "v1", 1, None), ("delay", "*", None, 0.5),
-            ("short_read", "classify-v1", None, None),
-            ("corrupt", "cells-v2", 3, None)]
-
-    def test_drop_raises_a_transient_connection_error(self, monkeypatch):
-        monkeypatch.setenv(PLAN_ENV, "net:drop@v1")
-        with pytest.raises(ConnectionError, match="injected network"):
-            faultinject.net_client_hook("v1")
-        faultinject.net_client_hook("classify-v1")  # other dirs fine
-
-    def test_delay_sleeps_client_side(self, monkeypatch):
-        naps = []
-        monkeypatch.setattr(faultinject.time, "sleep", naps.append)
-        monkeypatch.setenv(PLAN_ENV, "net:delay=0.125@v1")
-        faultinject.net_client_hook("v1")
-        assert naps == [0.125]
-
-    def test_server_actions_do_not_fire_client_side(self, monkeypatch):
-        """One clause, one invocation stream: a server-side action's
-        ordinal must never be consumed by the client hook (and vice
-        versa), or a chaos plan would fire on the wrong wire end."""
-        monkeypatch.setenv(PLAN_ENV, "net:corrupt@v1#1")
-        faultinject.net_client_hook("v1")  # no-op, counter untouched
-        clause = faultinject.net_server_hook("v1")
-        assert clause is not None and clause.action == "corrupt"
-
-    def test_client_actions_do_not_fire_server_side(self, monkeypatch):
-        monkeypatch.setenv(PLAN_ENV, "net:drop@v1#1")
-        assert faultinject.net_server_hook("v1") is None
-        with pytest.raises(ConnectionError):
-            faultinject.net_client_hook("v1")
+        assert fire("store", "v3", actions=("kill",)) is None

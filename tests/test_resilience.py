@@ -10,6 +10,9 @@ undisturbed sequential one.
 
 from __future__ import annotations
 
+import multiprocessing
+import signal
+import sqlite3
 import time
 
 import pytest
@@ -24,7 +27,7 @@ from repro.pipeline.resilience import (CASCADED, PERMANENT, TRANSIENT,
                                        StageTimeout, TaskFailure,
                                        classify_failure)
 from repro.pwcet import EstimatorConfig
-from repro.solve.store import SCHEMA_VERSION, SolveStore
+from repro.solve.store import DB_NAME, SCHEMA_VERSION, SolveStore
 from repro.sweep import format_sweep_report, geometry_grid, run_sweep
 from repro.testing import faultinject
 from repro.testing.faultinject import PLAN_ENV, STATE_ENV
@@ -364,8 +367,9 @@ class TestChaosByteIdentity:
     def test_chaos_suite_matches_undisturbed_sequential_run(
             self, monkeypatch, tmp_path):
         """The acceptance property: a 4-worker suite surviving worker
-        kills and a torn shard write renders byte-identically to a
-        sequential, undisturbed run."""
+        kills and a writer killed mid-transaction renders
+        byte-identically to a sequential, undisturbed run, and leaves
+        every store database intact."""
         with fresh_results():
             golden = run_suite(
                 EstimatorConfig(cache=str(tmp_path / "golden")),
@@ -374,39 +378,94 @@ class TestChaosByteIdentity:
         monkeypatch.setenv(PLAN_ENV,
                            "worker:kill@classify_stage#1;"
                            "worker:kill@cell_stage#2;"
-                           "store:truncate_tail@*#1")
+                           "store:kill@*#1")
         monkeypatch.setenv(STATE_ENV, str(tmp_path / "state"))
         with fresh_results():
             stats = PipelineStats()
+            # Three kills, and every in-flight task is charged an
+            # attempt per pool break: budget one attempt more.
             chaos = run_suite(
                 EstimatorConfig(cache=str(tmp_path / "chaos"),
                                 workers=4),
                 benchmarks=SUBSET, workers=4,
-                pipeline_stats=stats, retry=FAST)
+                pipeline_stats=stats,
+                retry=RetryPolicy(max_attempts=4, sleep=FAST.sleep))
             chaos_text = format_fig4([row_of(r) for r in chaos])
         assert chaos_text == golden_text
         # The faults actually fired: recovery did real work.
         assert stats.failure_report.retries > 0
         assert stats.failure_report.pool_rebuilds > 0
         assert stats.failure_report.ok  # and nothing was lost
+        # The store clause was reached (its ordinal #1 then fired).
+        assert (tmp_path / "state" / "clause-2.count").stat().st_size >= 1
+        for path in (tmp_path / "chaos").rglob(DB_NAME):
+            assert _integrity(path) == "ok"
+        # A warm rerun over the recovered stores is byte-identical too.
+        monkeypatch.delenv(PLAN_ENV)
+        with fresh_results():
+            warm = run_suite(EstimatorConfig(cache=str(tmp_path / "chaos")),
+                             benchmarks=SUBSET)
+        assert format_fig4([row_of(r) for r in warm]) == golden_text
+
+
+def _integrity(path) -> str:
+    db = sqlite3.connect(path)
+    try:
+        return db.execute("PRAGMA integrity_check").fetchone()[0]
+    finally:
+        db.close()
+
+
+def _killed_writer(root: str) -> None:
+    """A pool-worker-like child whose first write is SIGKILL'd."""
+    store = SolveStore(root)
+    with store.batch():
+        store.put("k1", 41)
+        store.put("k2", 42)
 
 
 class TestStoreCrashRecovery:
     def test_torn_tail_of_a_killed_writer_is_dropped_and_repaired(
             self, monkeypatch, tmp_path):
-        monkeypatch.setenv(PLAN_ENV, f"store:truncate_tail@{SOLVE_DIR}#1")
+        """A writer killed inside its open write transaction leaves no
+        row and an intact database; the recomputed rows land whole."""
         writer = SolveStore(tmp_path)
-        writer.put("k1", 41)  # injected torn write: half a line lands
-        shards = list((tmp_path / SOLVE_DIR).glob("shard-*.jsonl"))
-        assert len(shards) == 1
-        text = shards[0].read_text()
-        assert "\n" not in text  # genuinely torn, no complete line
-        # A fresh handle drops the torn tail as corrupt ...
+        writer.put("k0", 40)
+        writer.close()
+        monkeypatch.setenv(PLAN_ENV, f"store:kill@{SOLVE_DIR}#1")
+        child = multiprocessing.get_context("fork").Process(
+            target=_killed_writer, args=(str(tmp_path),))
+        child.start()
+        child.join(60)
+        assert child.exitcode == -signal.SIGKILL
+        monkeypatch.delenv(PLAN_ENV)
+        assert _integrity(tmp_path / SOLVE_DIR / DB_NAME) == "ok"
         reader = SolveStore(tmp_path)
-        assert reader.get("k1") is None
-        # ... and the recomputed entry is appended whole.
+        assert reader.get("k0") == 40
+        # Neither row of the killed transaction is visible ...
+        assert reader.get("k1") is None and reader.get("k2") is None
+        assert reader.stats.corrupt_skipped == 0
+        # ... and the recomputation writes them whole.
         reader.put("k1", 41)
-        assert SolveStore(tmp_path).get("k1") == 41
+        reader.put("k2", 42)
+        fresh = SolveStore(tmp_path)
+        assert (fresh.get("k1"), fresh.get("k2")) == (41, 42)
+
+    def test_read_error_is_a_miss(self, monkeypatch, tmp_path):
+        writer = SolveStore(tmp_path)
+        writer.put("k", 7)
+        monkeypatch.setenv(PLAN_ENV, f"store:read_error@{SOLVE_DIR}#1")
+        reader = SolveStore(tmp_path)
+        assert reader.get("k") is None  # the injected SELECT failure
+        assert reader.get("k") == 7
+        assert reader.stats.corrupt_skipped == 0
+
+    def test_the_driving_process_is_never_killed(self, monkeypatch,
+                                                 tmp_path):
+        monkeypatch.setenv(PLAN_ENV, "store:kill@*")
+        store = SolveStore(tmp_path)
+        store.put("k", 7)  # the test process survives its own write
+        assert SolveStore(tmp_path).get("k") == 7
 
     def test_close_is_idempotent(self, tmp_path):
         store = SolveStore(tmp_path)

@@ -2,28 +2,30 @@
 
 The store's contract mirrors the planner's: *bit-identical outputs* —
 a warm run must produce exactly the numbers a cold run computes, and
-anything unreadable on disk (truncated tails, corrupt bytes, foreign
+anything unreadable on disk (truncated values, corrupt bytes, foreign
 schema versions) must degrade to a re-solve, never to a wrong value.
 """
 
 from __future__ import annotations
 
-import json
 import multiprocessing
 import os
+import sqlite3
 
 import pytest
 
 from repro.pwcet import EstimatorConfig, PWCETEstimator
-from repro.solve.store import (CACHE_ENV, SCHEMA_VERSION, SolveStore,
-                               solve_key, store_context)
+from repro.solve.store import (CACHE_ENV, DB_NAME, SCHEMA_VERSION,
+                               SolveStore, solve_key, store_context)
 from repro.suite import EVALUATED_BENCHMARKS, load
 
 MECHANISMS = ("none", "srb", "rw")
 
 
-def _shards(store: SolveStore):
-    return sorted(store._shard_dir.glob("shard-*.jsonl"))
+def _db(root) -> sqlite3.Connection:
+    """A raw autocommit connection to the solve store under ``root``."""
+    return sqlite3.connect(root / f"v{SCHEMA_VERSION}" / DB_NAME,
+                           isolation_level=None)
 
 
 class TestRoundTrip:
@@ -90,8 +92,9 @@ class TestSchemaVersioning:
         monkeypatch.setattr("repro.solve.store.SCHEMA_VERSION",
                             SCHEMA_VERSION + 1)
         fresh = SolveStore(tmp_path)
-        # Old shards are not even loaded (different subdirectory), and
-        # freshly derived keys differ anyway (version in the preimage).
+        # The old database is not even opened (different subdirectory),
+        # and freshly derived keys differ anyway (version in the
+        # preimage).
         assert fresh.get(key) is None
         assert key != solve_key("ctx", [("x", 1.0)], False)
 
@@ -106,47 +109,63 @@ class TestCorruptionRecovery:
 
     def test_truncated_tail_is_skipped(self, tmp_path):
         store, key = self._populated(tmp_path)
-        shard = _shards(store)[0]
-        with open(shard, "a") as handle:
-            handle.write('{"t":"solve","k":"abc","v":12')  # killed writer
+        other = solve_key("ctx", [("y", 1.0)], False)
+        store.put(other, 123456)
+        store.close()
+        db = _db(tmp_path)  # a torn value: cut short, checksum kept
+        db.execute("UPDATE entries SET value = substr(value, 1, 3) "
+                   "WHERE key = ?", (other,))
+        db.close()
         fresh = SolveStore(tmp_path)
         assert fresh.get(key) == 5
+        assert fresh.get(other) is None
         assert fresh.stats.corrupt_skipped == 1
 
     def test_garbage_bytes_are_skipped(self, tmp_path):
         store, key = self._populated(tmp_path)
-        shard = _shards(store)[0]
-        with open(shard, "ab") as handle:
-            handle.write(b"\x00\xffgarbage\n[1, 2\n")
+        other = solve_key("ctx", [("y", 1.0)], False)
+        db = _db(tmp_path)
+        db.execute("INSERT INTO entries VALUES ('solve', ?, 7, ?)",
+                   (other, b"\x00\xffgarbage\n[1, 2"))
+        db.close()
         fresh = SolveStore(tmp_path)
         assert fresh.get(key) == 5
+        assert fresh.get(other) is None
         assert fresh.stats.corrupt_skipped >= 1
 
     def test_checksum_mismatch_is_skipped(self, tmp_path):
         store, key = self._populated(tmp_path)
-        shard = _shards(store)[0]
-        entry = json.loads(shard.read_text().splitlines()[0])
-        entry["v"] = entry["v"] + 1  # flip the value, keep the checksum
-        with open(shard, "a") as handle:
-            handle.write(json.dumps(entry) + "\n")
         other = solve_key("ctx", [("y", 1.0)], False)
-        with open(shard, "a") as handle:
-            handle.write(json.dumps({"t": "solve", "k": other, "v": 9,
-                                     "c": 123456}) + "\n")
+        db = _db(tmp_path)
+        # Flip the value, keep the checksum; add a row whose checksum
+        # was never right.
+        db.execute("UPDATE entries SET value = X'36' WHERE key = ?",
+                   (key,))
+        db.execute("INSERT INTO entries VALUES ('solve', ?, 123456, ?)",
+                   (other, b"9"))
+        db.close()
         fresh = SolveStore(tmp_path)
-        assert fresh.get(key) == 5  # the tampered duplicate is dropped
+        assert fresh.get(key) is None  # a tampered row is a miss
         assert fresh.get(other) is None
         assert fresh.stats.corrupt_skipped == 2
 
     def test_corrupt_entry_is_resolved_and_rewritten(self, tmp_path):
         store, key = self._populated(tmp_path)
-        for shard in _shards(store):
-            shard.write_text("not json at all\n")
+        db = _db(tmp_path)  # flip one byte of the stored blob
+        (value,) = db.execute("SELECT value FROM entries WHERE key = ?",
+                              (key,)).fetchone()
+        db.execute("UPDATE entries SET value = ? WHERE key = ?",
+                   (bytes([value[0] ^ 1]) + value[1:], key))
+        db.close()
         fresh = SolveStore(tmp_path)
         assert fresh.get(key) is None
-        fresh.put(key, 5)  # the re-solve writes a clean entry
+        assert fresh.stats.corrupt_skipped == 1
+        fresh.put(key, 5)  # the re-solve repairs the row in place
+        assert fresh.stats.writes == 1
         fresh.close()
-        assert SolveStore(tmp_path).get(key) == 5
+        repaired = SolveStore(tmp_path)
+        assert repaired.get(key) == 5
+        assert repaired.stats.corrupt_skipped == 0
 
     def test_unwritable_directory_degrades_gracefully(self, tmp_path):
         target = tmp_path / "readonly"
@@ -173,7 +192,7 @@ def _concurrent_writer(args) -> int:
 
 class TestConcurrentWriters:
     def test_parallel_processes_share_one_store(self, tmp_path):
-        """Pool workers appending concurrently, like ``prime()`` does."""
+        """Pool workers writing concurrently, like ``prime()`` does."""
         with multiprocessing.Pool(4) as pool:
             pool.map(_concurrent_writer,
                      [(str(tmp_path), writer) for writer in range(4)])
@@ -183,6 +202,41 @@ class TestConcurrentWriters:
                 key = solve_key(f"w{writer}", [("x", float(index))], False)
                 assert store.get(key) == writer * 1000 + index
         assert store.stats.corrupt_skipped == 0
+
+
+def _forked_put_get(args) -> tuple[int | None, int, bool]:
+    """Write and read through the handle the parent resolved."""
+    root, key = args
+    store = SolveStore.resolve(root)
+    before = store.stats.writes
+    store.put(key, 77)
+    return (store.get(key), store.stats.writes - before,
+            store._pid == os.getpid())
+
+
+class TestForkSafety:
+    def test_forked_worker_opens_its_own_connection(self, tmp_path):
+        """A handle resolved (and connected) in the parent is used by
+        forked pool workers: each opens its own connection, and the
+        database stays intact for everyone."""
+        parent = SolveStore.resolve(str(tmp_path))
+        parent.put("parent", 1)
+        assert parent.get("parent") == 1  # connected before the fork
+        context = multiprocessing.get_context("fork")
+        with context.Pool(2) as pool:
+            results = pool.map(_forked_put_get,
+                               [(str(tmp_path), f"child-{index}")
+                                for index in range(6)])
+        for value, writes, own in results:
+            assert value == 77
+            assert writes == 1  # persisted, not merely memoised
+            assert own
+        assert [parent.get(f"child-{index}") for index in range(6)] == \
+            [77] * 6
+        assert parent.get("parent") == 1
+        db = _db(tmp_path)
+        assert db.execute("PRAGMA integrity_check").fetchone() == ("ok",)
+        db.close()
 
 
 class TestResolution:
@@ -290,6 +344,36 @@ class TestWarmSuite:
             assert before.wcet_fault_free == after.wcet_fault_free
             for mechanism in MECHANISMS:
                 assert before.pwcet(mechanism) == after.pwcet(mechanism)
+
+    def test_warm_suite_reads_only_its_own_rows(self, tmp_path,
+                                                monkeypatch):
+        """Warm cost scales with the query, not with the cache: next to
+        thousands of foreign cells, the warm suite still makes exactly
+        its 75 cell-store lookups and serves exactly 75 rows."""
+        from repro.experiments import runner
+        from repro.pipeline import PipelineStats
+        from repro.pipeline.cellstore import CellStore
+
+        config = EstimatorConfig(cache=str(tmp_path / "store"))
+        monkeypatch.setattr(runner, "_CACHE", {})
+        runner.run_suite(config)
+        store = CellStore.resolve(config.cache)
+        with store.batch():
+            for index in range(2000):
+                store.put(f"foreign-{index:05d}", bytes(8192))
+        assert len(store) == 2000 + 75
+        looked_up = []
+        original = CellStore.get
+        monkeypatch.setattr(CellStore, "get", lambda self, key: (
+            looked_up.append(key), original(self, key))[1])
+        hits = store.stats.hits
+        monkeypatch.setattr(runner, "_CACHE", {})
+        stats = PipelineStats()
+        runner.run_suite(config, pipeline_stats=stats)
+        expected = 3 * len(EVALUATED_BENCHMARKS)
+        assert len(looked_up) == len(set(looked_up)) == expected
+        assert store.stats.hits - hits == expected
+        assert stats.cells_from_store == expected
 
 
 class TestEstimatorContext:
