@@ -5,26 +5,16 @@ requested associativity (the fault-aware pipeline needs every value
 from ``W`` down to ``0``), with the priority of the paper: always-hit
 beats first-miss beats always-miss beats not-classified.
 
-Three engines compute the underlying Must/May verdicts:
-
-* ``"batch"`` (default) — the geometry-batched kernel of
-  :mod:`repro.analysis.geometry_batch`: for a single geometry it
-  behaves exactly like ``vector``; when the sweep hands a classify
-  stage a whole line-size group, ONE stacked Must/May fixpoint pair
-  (plus one shared SRB fixpoint) serves every geometry of the group;
-* ``"vector"`` — the numpy age-vector engine of
-  :mod:`repro.analysis.vectorized`: one Must and one May fixpoint at
-  the nominal associativity answer *every* degraded associativity by
-  age thresholding; kept as the per-geometry oracle for the stacked
-  kernel;
-* ``"dict"`` — the classic per-set dict implementation
-  (:class:`~repro.analysis.must.MustAnalysis` /
-  :class:`~repro.analysis.may.MayAnalysis`), kept as the reference
-  oracle beneath both; it re-runs both fixpoints per associativity.
-
-Select with the ``engine`` argument or ``REPRO_ANALYSIS_ENGINE``.
-Results are identical by construction (property-tested in
-``tests/test_analysis_vectorized.py``).
+The Must/May verdicts come from the age-vector engine of
+:mod:`repro.analysis.vectorized`: one Must and one May fixpoint at the
+nominal associativity answer *every* degraded associativity by age
+thresholding, and a line-size group of geometries shares one stacked
+pair (:func:`~repro.analysis.geometry_batch.grouped_analysis`).  The
+dict analyses (:class:`~repro.analysis.must.MustAnalysis` /
+:class:`~repro.analysis.may.MayAnalysis`) are the independent oracle
+the engine is property-tested against
+(``tests/test_analysis_vectorized.py``); nothing selects them at run
+time.
 
 Classification tables also persist across runs through the
 content-addressed :class:`~repro.analysis.store.ClassificationStore`
@@ -34,13 +24,10 @@ fixpoints, mirroring the solve store's zero-backend-ILP property.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 from repro.analysis.chmc import (ALWAYS_HIT, ALWAYS_MISS, NOT_CLASSIFIED,
                                  Chmc, Classification)
-from repro.analysis.may import MayAnalysis
-from repro.analysis.must import MustAnalysis
 from repro.analysis.persistence import PersistenceAnalysis
 from repro.analysis.references import Reference, all_references
 from repro.analysis.store import (ClassificationStore, classification_key,
@@ -49,10 +36,6 @@ from repro.analysis.vectorized import AgeVectorEngine
 from repro.cache import CacheGeometry
 from repro.cfg import CFG, LoopForest, find_loops
 from repro.errors import AnalysisError
-
-#: Environment variable selecting the analysis engine.
-ENGINE_ENV = "REPRO_ANALYSIS_ENGINE"
-_ENGINES = ("batch", "vector", "dict")
 
 
 @dataclass
@@ -75,15 +58,61 @@ class AnalysisStats:
     classify_store_misses: int = 0
     #: Tables appended to the store after a cold computation.
     classify_store_writes: int = 0
+    #: Sibling geometries classified alongside the lead by one stacked
+    #: fixpoint pair (a line-size group of one has none).
+    classify_batched_rows: int = 0
+    #: Stacked line-size groups this analysis belongs to (1 for a
+    #: group of several geometries, else 0; sums to the run's count).
+    geometry_groups: int = 0
 
     def as_dict(self) -> dict[str, float]:
-        return {
+        counters = {
             "fixpoints_run": self.fixpoints_run,
             "tables_built": self.tables_built,
             "classify_store_hits": self.classify_store_hits,
             "classify_store_misses": self.classify_store_misses,
             "classify_store_writes": self.classify_store_writes,
         }
+        if self.geometry_groups:
+            # Presence-gated like ``dist_batched_rows``: an unstacked
+            # analysis' counter dict carries neither key.
+            counters["classify_batched_rows"] = self.classify_batched_rows
+            counters["geometry_groups"] = self.geometry_groups
+        return counters
+
+
+class SrbHits:
+    """Lazily computed Shared Reliable Buffer hit set of one line size.
+
+    The SRB is a 1-set/1-way cache observing the whole stream (paper
+    §III-B2): its Must analysis depends on the geometry only through
+    the line size, so one fixpoint serves every geometry of a
+    line-size group.  The fixpoint is counted into ``stats`` on first
+    demand.
+    """
+
+    def __init__(self, cfg: CFG, block_bytes: int,
+                 stats: AnalysisStats) -> None:
+        self._cfg = cfg
+        self._block_bytes = block_bytes
+        self._stats = stats
+        self._hits: tuple[tuple[int, int], ...] | None = None
+
+    def __call__(self) -> tuple[tuple[int, int], ...]:
+        if self._hits is None:
+            geometry = CacheGeometry(sets=1, ways=1,
+                                     block_bytes=self._block_bytes)
+            references = all_references(self._cfg, geometry)
+            engine = AgeVectorEngine(self._cfg, (geometry,),
+                                     references).geometry_slice(0)
+            self._hits = tuple(
+                reference.key
+                for block_id, refs in references.items()
+                for reference, hit in zip(
+                    refs, engine.guaranteed_hits(block_id, 1))
+                if hit)
+            self._stats.fixpoints_run += engine.fixpoints_run
+        return self._hits
 
 
 class ClassificationTable:
@@ -138,23 +167,20 @@ class CacheAnalysis:
     ``cache`` selects the persistent classification store (same
     convention as the solve cache: ``None`` defers to
     ``REPRO_CACHE``, ``"off"`` disables, anything else is a
-    directory).  ``engine`` picks the Must/May implementation
-    (``"batch"``/``"vector"``/``"dict"``; default:
-    ``REPRO_ANALYSIS_ENGINE``, else ``"batch"``).
+    directory).
 
     :func:`~repro.analysis.geometry_batch.grouped_analysis` injects
     the sharing plumbing of a line-size group through the keyword-only
     hooks: precomputed ``references``, a shared ``stats`` sink, a
-    ``vector_engine`` facade (one geometry's slice of the stacked
+    ``vector_engine`` facade (one geometry's slice of the group's
     engine) and an ``srb_supplier`` computing the group's single SRB
-    hit set.  Left at ``None``, every hook falls back to the
-    self-contained per-geometry behaviour.
+    hit set.  Left at ``None``, every hook falls back to a group of
+    one.
     """
 
     def __init__(self, cfg: CFG, geometry: CacheGeometry,
                  forest: LoopForest | None = None, *,
                  cache: str | None = None,
-                 engine: str | None = None,
                  references: dict[int, tuple[Reference, ...]] | None = None,
                  stats: AnalysisStats | None = None,
                  vector_engine=None,
@@ -169,28 +195,13 @@ class CacheAnalysis:
         #: and never needs the conflict-counting precomputation.
         self._persistence: PersistenceAnalysis | None = None
         self._tables: dict[int, ClassificationTable] = {}
-        if engine is None:
-            engine = self.selected_engine()
-        if engine not in _ENGINES:
-            raise AnalysisError(
-                f"unknown analysis engine {engine!r}; expected one of "
-                f"{_ENGINES}")
-        self._engine_name = engine
+        self.stats = stats if stats is not None else AnalysisStats()
         self._vector = vector_engine
-        self._srb_supplier = srb_supplier
+        self._srb_supplier = srb_supplier if srb_supplier is not None \
+            else SrbHits(cfg, geometry.block_bytes, self.stats)
         self._store = ClassificationStore.resolve(cache)
         self._digest: str | None = None
         self._srb_hits: frozenset[tuple[int, int]] | None = None
-        self.stats = stats if stats is not None else AnalysisStats()
-
-    @staticmethod
-    def selected_engine() -> str:
-        """The engine the environment selects (unset → ``"batch"``).
-
-        An empty/whitespace variable means unset, matching the
-        ``REPRO_CACHE`` convention.
-        """
-        return (os.environ.get(ENGINE_ENV) or "").strip().lower() or "batch"
 
     @property
     def cfg(self) -> CFG:
@@ -210,10 +221,6 @@ class CacheAnalysis:
             self._persistence = PersistenceAnalysis(
                 self._cfg, self._geometry, self._forest)
         return self._persistence
-
-    @property
-    def engine_name(self) -> str:
-        return self._engine_name
 
     @property
     def store(self) -> ClassificationStore | None:
@@ -247,13 +254,11 @@ class CacheAnalysis:
 
         The SRB behaves as a 1-set/1-way cache observing the whole
         stream (paper §III-B2); its Must analysis rides the same
-        engine selection and persistent store as the main tables, so
-        warm SRB estimations also run zero fixpoints.
+        engine and persistent store as the main tables, so warm SRB
+        estimations also run zero fixpoints.
         """
         if self._srb_hits is not None:
             return self._srb_hits
-        srb_geometry = CacheGeometry(
-            sets=1, ways=1, block_bytes=self._geometry.block_bytes)
         key = None
         if self._store is not None:
             # Keyed by the *full* L1 geometry even though the hit set
@@ -271,29 +276,10 @@ class CacheAnalysis:
                 self._srb_hits = hits
                 return hits
             self.stats.classify_store_misses += 1
-        if self._srb_supplier is not None:
-            # Group-shared SRB: the supplier runs (and accounts) its
-            # single fixpoint on first demand; this geometry still did
-            # its own store probe above and writes through below, so
-            # store traffic matches the per-geometry path exactly.
-            hit_keys = list(self._srb_supplier())
-        elif self._engine_name != "dict":
-            references = all_references(self._cfg, srb_geometry)
-            engine = AgeVectorEngine(self._cfg, srb_geometry, references)
-            hit_keys = [
-                reference.key
-                for block_id, refs in references.items()
-                for reference, hit in zip(
-                    refs, engine.guaranteed_hits(block_id, 1))
-                if hit]
-            self.stats.fixpoints_run += engine.fixpoints_run
-        else:
-            from repro.reliability.srb_analysis import \
-                srb_always_hit_references
-            hit_keys = list(srb_always_hit_references(self._cfg,
-                                                      self._geometry))
-            self.stats.fixpoints_run += 1
-        self._srb_hits = frozenset(hit_keys)
+        # The supplier runs (and accounts) the line size's single SRB
+        # fixpoint on first demand; each geometry of a group still does
+        # its own store probe above and write-through below.
+        self._srb_hits = frozenset(self._srb_supplier())
         if self._store is not None:
             self._store.put(key, {"hits": sorted(self._srb_hits)})
             self.stats.classify_store_writes += 1
@@ -367,20 +353,16 @@ class CacheAnalysis:
                 for block_id, references in self._references.items()
             }
             return ClassificationTable(assoc, table, self._references)
-        if self._engine_name != "dict":
-            verdicts = self._vector_verdicts(assoc)
-        else:
-            verdicts = self._dict_verdicts(assoc)
+        engine = self._age_engine()
         table: dict[int, tuple[Classification, ...]] = {}
         persistence = self.persistence
         #: scope -> the (immutable) first-miss classification carrying
         #: it — one object per scope instead of one per reference.
         first_miss: dict[int, Classification] = {}
         for block_id, references in self._references.items():
-            hits, cached = verdicts(block_id)
-            if not isinstance(hits, (tuple, list)):
-                # numpy verdict vectors: iterate plain Python bools.
-                hits, cached = hits.tolist(), cached.tolist()
+            # numpy verdict vectors: iterate plain Python bools.
+            hits = engine.guaranteed_hits(block_id, assoc).tolist()
+            cached = engine.possibly_cached(block_id, assoc).tolist()
             classifications = []
             #: set index -> persistence scope.  Within one CFG block
             #: the scope depends on the reference only through its set
@@ -410,38 +392,23 @@ class CacheAnalysis:
             table[block_id] = tuple(classifications)
         return ClassificationTable(assoc, table, self._references)
 
-    def _vector_verdicts(self, assoc: int):
-        """Always-hit / may-hit vectors from the shared age engine.
+    def _age_engine(self):
+        """This geometry's slice of the age engine, fixpoints run.
 
         The engine runs its two fixpoints on first use only; every
         associativity after that is pure array thresholding.
         """
         if self._vector is None:
-            self._vector = AgeVectorEngine(self._cfg, self._geometry,
-                                           self._references)
+            self._vector = AgeVectorEngine(
+                self._cfg, (self._geometry,),
+                self._references).geometry_slice(0)
         engine = self._vector
         before = engine.fixpoints_run
-
-        def verdicts(block_id: int):
-            return (engine.guaranteed_hits(block_id, assoc),
-                    engine.possibly_cached(block_id, assoc))
-
         # Force both fixpoints now so the counter reflects this table.
         engine.must_ages()
         engine.may_ages()
         self.stats.fixpoints_run += engine.fixpoints_run - before
-        return verdicts
-
-    def _dict_verdicts(self, assoc: int):
-        """Reference oracle: fresh Must/May fixpoints per associativity."""
-        must = MustAnalysis(self._cfg, self._geometry, assoc)
-        may = MayAnalysis(self._cfg, self._geometry, assoc)
-        self.stats.fixpoints_run += 2  # assoc 0 never reaches an engine
-
-        def verdicts(block_id: int):
-            return must.guaranteed_hits(block_id), may.possibly_cached(block_id)
-
-        return verdicts
+        return engine
 
 
 def _decode_srb(value: object) -> frozenset[tuple[int, int]] | None:

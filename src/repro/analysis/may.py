@@ -1,7 +1,7 @@
 """May analysis: which fetches are guaranteed cache misses.
 
 Dict-based *reference oracle*, like :mod:`repro.analysis.must`; the
-production path is the vectorised engine of
+production path is the age-vector engine of
 :mod:`repro.analysis.vectorized`.
 """
 

@@ -2,7 +2,7 @@
 
 This is the dict-based *reference oracle*: one fixpoint per requested
 associativity over per-set ``{block: age}`` states.  The production
-path is the vectorised engine (:mod:`repro.analysis.vectorized`),
+path is the age-vector engine (:mod:`repro.analysis.vectorized`),
 which answers every associativity from a single fixpoint; the two are
 asserted equivalent by ``tests/test_analysis_vectorized.py``.
 """

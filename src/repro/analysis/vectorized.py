@@ -1,16 +1,15 @@
-"""Vectorised abstract cache states: numpy age vectors per cache set.
+"""The age-vector engine: Must/May ages of a line-size group.
 
 The dict-based Must/May analyses (:mod:`repro.analysis.must`,
 :mod:`repro.analysis.may` — kept as the reference oracle) represent a
 whole-cache state as ``set index -> {memory block: age}`` and run one
 fixpoint per associativity.  This engine replaces both with a single
-dense age vector over the program's resident blocks and a single
-fixpoint pair, exploiting three structural facts of LRU abstract
-interpretation:
+dense age vector and a single fixpoint pair, exploiting three
+structural facts of LRU abstract interpretation:
 
 **Encoding.**  Lay the distinct ``(set, memory block)`` pairs of the
 program out set-major in one flat ``int8`` vector; entry ``i`` holds
-the abstract age of its block, with the sentinel ``W`` (the nominal
+the abstract age of its block, with the sentinel ``W`` (the
 associativity) meaning *absent*.  Under this encoding the Must and May
 transfer become the *same* array operation — access of block ``b`` in
 its set's segment ``seg``::
@@ -34,22 +33,26 @@ answers every degraded associativity ``W-1 .. 1`` by comparing the
 recorded access-time ages against ``a`` — no further fixpoints, where
 the dict oracle re-runs the full dataflow per associativity.
 
-**Per-set early exit.**  Elementwise transfers and joins never mix
-set segments, so the joint fixpoint is the product of independent
-per-set fixpoints.  The engine's worklist tracks which *segments* of a
-block's OUT state actually changed and re-propagates only those: a
-converged set is blanked out of the transfer and the join entirely
-(:attr:`AgeVectorEngine.segments_blanked` counts the skipped
-segment-visits), so one slow cache set no longer drags every other set
-through extra iterations.  The result is the same least fixpoint —
-per-set LFPs recombine into the joint LFP — and the equivalence
-property tests against the dict oracle pin that at every
-associativity.
+**One fixpoint for all geometries of a line size.**  ``block_of``
+depends on the geometry only through the line size, so every geometry
+of one line-size group observes the identical memory-block stream —
+only the set mapping (``sets``) and the sentinel (``ways``) differ.
+The engine lays *all* geometries of a group out as disjoint segment
+ranges of ONE concatenated vector — a block-diagonal product state::
+
+    [ g0.set0 | g0.set1 | ... | g1.set0 | ... | gN.setS ]
+
+— each geometry's segments carrying its own sentinel, and every
+reference applies one gather/scatter update covering all geometries at
+once.  No operation crosses a segment boundary, so the least fixpoint
+restricted to geometry ``g`` *is* ``g``'s own least fixpoint:
+per-geometry ages fall out by slicing
+(:meth:`AgeVectorEngine.geometry_slice`).  A single geometry is the
+group of one.  The property tests pin every slice against the dict
+oracle at every associativity.
 """
 
 from __future__ import annotations
-
-from collections import Counter, deque
 
 import numpy as np
 
@@ -59,267 +62,225 @@ from repro.cache import CacheGeometry
 from repro.cfg import CFG
 from repro.errors import AnalysisError
 
-#: Safety valve against non-monotone transfer bugs (mirrors the
-#: generic worklist solver's limit).
-_MAX_VISITS_PER_BLOCK = 10_000
-
 
 class AgeVectorEngine:
-    """Must/May access ages of one (CFG, geometry), fully vectorised.
+    """Must/May access ages of one or more same-line-size geometries.
 
-    ``references`` is the per-block reference map produced by
-    :func:`repro.analysis.references.all_references`.  The engine is
-    lazy: each of the two fixpoints runs at most once, on first use,
-    and :attr:`fixpoints_run` counts how many actually ran (the
-    classification store answers warm runs without any).
+    ``references`` is the per-block reference map
+    (:func:`~repro.analysis.references.all_references`) of any geometry
+    of the group: they share the line size, hence the memory-block
+    stream, and a geometry's set index is ``memory_block & (sets - 1)``.
+    The engine is lazy: each of the two fixpoints runs at most once,
+    on first use, and :attr:`fixpoints_run` counts how many actually
+    ran (the classification store answers warm runs without any).
     """
 
-    def __init__(self, cfg: CFG, geometry: CacheGeometry,
+    def __init__(self, cfg: CFG, geometries,
                  references: dict[int, tuple[Reference, ...]]) -> None:
+        geometries = tuple(geometries)
+        if not geometries:
+            raise AnalysisError("age-vector engine needs a geometry")
+        line_sizes = {geometry.block_bytes for geometry in geometries}
+        if len(line_sizes) != 1:
+            raise AnalysisError(
+                f"stacked geometries must share one line size, got "
+                f"{sorted(line_sizes)}")
+        if len(set(geometries)) != len(geometries):
+            raise AnalysisError("stacked geometries must be distinct")
         self._cfg = cfg
-        self._ways = geometry.ways
+        self._geometries = geometries
         self.fixpoints_run = 0
-
-        blocks_per_set: dict[int, set[int]] = {}
-        for refs in references.values():
-            for reference in refs:
-                blocks_per_set.setdefault(reference.set_index,
-                                          set()).add(reference.memory_block)
-        flat_index: dict[tuple[int, int], int] = {}
-        segments: dict[int, tuple[int, int]] = {}
-        offset = 0
-        for set_index in sorted(blocks_per_set):
-            resident = sorted(blocks_per_set[set_index])
-            segments[set_index] = (offset, offset + len(resident))
-            for memory_block in resident:
-                flat_index[(set_index, memory_block)] = offset
-                offset += 1
-        self._size = offset
-        #: Segment bounds in layout order, and their start offsets (for
-        #: ``np.add.reduceat``-based per-segment change detection).
-        self._segments: tuple[tuple[int, int], ...] = tuple(
-            segments[set_index] for set_index in sorted(segments))
-        self._seg_starts = np.fromiter(
-            (start for start, _stop in self._segments), dtype=np.intp,
-            count=len(self._segments))
-        seg_of_start = {start: position for position, (start, _stop)
-                        in enumerate(self._segments)}
+        count = len(geometries)
+        max_ways = max(geometry.ways for geometry in geometries)
         # int8 unless the sentinel W itself would overflow it.
-        self._dtype = np.int8 if self._ways < 127 else np.int32
-        #: Per CFG block, the fetch sequence as (segment start, segment
-        #: stop, flat index, is_repeat, segment position) tuples.
-        #: ``is_repeat`` marks a fetch whose set's previous fetch
-        #: *within the same CFG block* touched the same memory block:
-        #: the block is then at age 0 whatever the incoming state, so
-        #: the access is an identity transfer and its recorded age is
-        #: 0.  Sequential instruction fetches share cache lines, so
-        #: this drops most of the per-access array work.  The segment
-        #: position lets the worklist blank accesses of converged sets
-        #: out of the transfer.
-        self._accesses: dict[
-            int, tuple[tuple[int, int, int, bool, int], ...]] = {}
-        for block_id, refs in references.items():
+        self._dtype = np.int8 if max_ways < 127 else np.int32
+
+        # Block-diagonal layout: each geometry contributes its sets in
+        # ascending order, residents sorted within a set, shifted by
+        # the running global offset — built from the program's
+        # *distinct* blocks, not every fetch.
+        distinct = {reference.memory_block
+                    for block_refs in references.values()
+                    for reference in block_refs}
+        masks = [geometry.sets - 1 for geometry in geometries]
+        flat_of: list[dict[int, int]] = []
+        bounds: list[dict[int, tuple[int, int]]] = []
+        fills: list[tuple[int, int, int]] = []
+        offset = 0
+        for geometry, mask in zip(geometries, masks):
+            blocks_per_set: dict[int, list[int]] = {}
+            for memory_block in distinct:
+                blocks_per_set.setdefault(memory_block & mask,
+                                          []).append(memory_block)
+            flat: dict[int, int] = {}
+            bound: dict[int, tuple[int, int]] = {}
+            geometry_start = offset
+            for set_index in sorted(blocks_per_set):
+                resident = sorted(blocks_per_set[set_index])
+                bound[set_index] = (offset, offset + len(resident))
+                for memory_block in resident:
+                    flat[memory_block] = offset
+                    offset += 1
+            flat_of.append(flat)
+            bounds.append(bound)
+            fills.append((geometry_start, offset, geometry.ways))
+        self._initial = np.empty(offset, dtype=self._dtype)
+        for start, stop, ways in fills:
+            self._initial[start:stop] = ways
+
+        # Ages are reference-major: reference i of a CFG block owns
+        # slots i*count .. i*count+count-1, so a geometry's recorded
+        # ages are the strided slice [position::count].  A fetch whose
+        # set's previous fetch *within the same CFG block* touched the
+        # same memory block is a repeat: the block is at age 0 whatever
+        # the incoming state, so the access is an identity transfer
+        # and its recorded age is 0.  Repeat flags are per-geometry (a
+        # fetch can be a same-set repeat under one set mapping and a
+        # fresh access under another) EXCEPT that a fetch of the same
+        # memory block as the immediately preceding fetch is a repeat
+        # under *every* set mapping, so runs of sequential same-line
+        # fetches collapse before the per-geometry work even starts.
+        # The op of a reference fuses the non-repeat geometries'
+        # updates into one gather/scatter over precomputed index
+        # arrays (span/rep memo keyed by the participating (geometry,
+        # set) signature — the arrays only depend on which segments
+        # take part, not on the memory block).
+        self._ops: dict[int, tuple] = {}
+        self._slot_counts: dict[int, int] = {}
+        span_memo: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
+        for block_id, block_refs in references.items():
             ops = []
-            previous: dict[int, int] = {}  # set -> flat idx of last fetch
-            for reference in refs:
-                index = flat_index[(reference.set_index,
-                                    reference.memory_block)]
-                repeat = previous.get(reference.set_index) == index
-                previous[reference.set_index] = index
-                start, stop = segments[reference.set_index]
-                ops.append((start, stop, index, repeat,
-                            seg_of_start[start]))
-            self._accesses[block_id] = tuple(ops)
+            previous: list[dict[int, int]] = [{} for _ in geometries]
+            previous_block = None
+            for index_in_block, reference in enumerate(block_refs):
+                memory_block = reference.memory_block
+                if memory_block == previous_block:
+                    continue  # a repeat in every stacked geometry
+                previous_block = memory_block
+                heads: list[int] = []
+                slots: list[int] = []
+                signature: list[tuple[int, int]] = []
+                for position in range(count):
+                    set_index = memory_block & masks[position]
+                    if previous[position].get(set_index) == memory_block:
+                        continue  # repeat under this set mapping only
+                    previous[position][set_index] = memory_block
+                    heads.append(flat_of[position][memory_block])
+                    slots.append(index_in_block * count + position)
+                    signature.append((position, set_index))
+                if not heads:
+                    continue
+                key = tuple(signature)
+                memo = span_memo.get(key)
+                if memo is None:
+                    span = np.concatenate([
+                        np.arange(*bounds[position][set_index],
+                                  dtype=np.intp)
+                        for position, set_index in key])
+                    rep = np.concatenate([
+                        np.full(bounds[position][set_index][1]
+                                - bounds[position][set_index][0],
+                                slot, dtype=np.intp)
+                        for slot, (position, set_index)
+                        in enumerate(key)])
+                    memo = span_memo[key] = (span, rep)
+                ops.append((np.asarray(heads, dtype=np.intp),
+                            memo[0], memo[1],
+                            np.asarray(slots, dtype=np.intp)))
+            self._slot_counts[block_id] = len(block_refs) * count
+            self._ops[block_id] = tuple(ops)
         self._must_ages: dict[int, np.ndarray] | None = None
         self._may_ages: dict[int, np.ndarray] | None = None
-        #: Segment-visits skipped because the segment's set had already
-        #: converged at that block (the per-set early exit at work).
-        self.segments_blanked = 0
 
-    # -- the shared transfer ------------------------------------------
-    def _apply(self, state: np.ndarray, start: int, stop: int,
-               index: int) -> None:
-        """One access, in place: age younger blocks, load at age 0."""
-        old = state[index]
-        if old:  # at age 0 nothing is younger — nothing to age
-            segment = state[start:stop]
-            np.add(segment, segment < old, out=segment, casting="unsafe")
-            state[index] = 0
-
-    def _transfer_full(self, state: np.ndarray, block_id: int) -> None:
-        """Apply the whole access sequence of ``block_id`` in place."""
-        for start, stop, index, repeat, _seg in self._accesses[block_id]:
-            if not repeat:
-                self._apply(state, start, stop, index)
-
-    def _transfer_partial(self, state: np.ndarray, block_id: int,
-                          todo) -> None:
-        """Apply only the accesses touching the pending segments."""
-        for start, stop, index, repeat, seg in self._accesses[block_id]:
-            if not repeat and seg in todo:
-                self._apply(state, start, stop, index)
+    @property
+    def geometries(self) -> tuple[CacheGeometry, ...]:
+        return self._geometries
 
     def _transfer(self, block_id: int, state: np.ndarray) -> np.ndarray:
-        state = state.copy()
-        self._transfer_full(state, block_id)
-        return state
+        """One gather/scatter per reference covers every geometry.
 
-    def _initial_state(self) -> np.ndarray:
-        """The all-absent entry state (sentinel ``W`` everywhere).
-
-        Overridable: the stacked multi-geometry engine fills each
-        geometry's segments with that geometry's own sentinel.
+        Semantically identical to applying the per-geometry updates in
+        sequence: the geometries' segment ranges are disjoint, so the
+        fused elementwise ``seg += (seg < old)`` never mixes them, and
+        a geometry where the access is at age 0 contributes only
+        no-ops (``x < 0`` is everywhere false for ages).
         """
-        return np.full(self._size, self._ways, dtype=self._dtype)
+        state = state.copy()
+        for heads, span, rep, _slots in self._ops[block_id]:
+            old = state[heads]
+            values = state[span]
+            np.add(values, values < old[rep], out=values, casting="unsafe")
+            state[span] = values
+            state[heads] = 0
+        return state
 
     def _solve(self, join) -> dict[int, np.ndarray]:
+        """Whole-vector worklist fixpoint; the IN state of every block."""
         self.fixpoints_run += 1
-        initial = self._initial_state()
-        if not self._segments:
-            # No references at all: the generic solver handles the
-            # trivial graph without any per-set machinery.
-            return solve(self._cfg, initial=initial, join=join,
-                         transfer=self._transfer, equal=np.array_equal)
-        return self._solve_segmented(join, initial)
-
-    def _solve_segmented(self, join,
-                         initial: np.ndarray) -> dict[int, np.ndarray]:
-        """Worklist fixpoint with per-set convergence tracking.
-
-        Each worklist entry carries the set segments still *pending*
-        at that block; a visit recomputes the IN state, applies the
-        transfer, and propagates only the segments whose OUT slice
-        actually changed.  Segments of converged sets are blanked out
-        of both the join and the transfer (counted in
-        :attr:`segments_blanked`).  Because elementwise transfer and
-        joins never mix segments, this computes the per-set least
-        fixpoints — whose concatenation is exactly the joint least
-        fixpoint the generic solver finds.
-        """
-        cfg = self._cfg
-        order = cfg.reverse_postorder()
-        position = {block_id: rank for rank, block_id in enumerate(order)}
-        successors = {block_id: sorted(cfg.successors(block_id),
-                                       key=position.__getitem__)
-                      for block_id in order}
-        predecessors = {block_id: tuple(cfg.predecessors(block_id))
-                        for block_id in order}
-        segments = self._segments
-        num_segments = len(segments)
-        all_segments = range(num_segments)
-        pending: dict[int, set[int]] = {block_id: set(all_segments)
-                                        for block_id in order}
-        out_states: dict[int, np.ndarray] = {}
-        visits: Counter[int] = Counter()
-
-        worklist: deque[int] = deque(order)
-        queued = set(order)
-        while worklist:
-            block_id = worklist.popleft()
-            queued.discard(block_id)
-            todo = pending[block_id]
-            pending[block_id] = set()
-            if not todo:
-                continue
-            visits[block_id] += 1
-            if visits[block_id] > _MAX_VISITS_PER_BLOCK:
-                raise AnalysisError(
-                    f"fixpoint did not converge at block {block_id} "
-                    f"(>{_MAX_VISITS_PER_BLOCK} visits)")
-            old_out = out_states.get(block_id)
-            full = len(todo) == num_segments
-            if not full:
-                self.segments_blanked += num_segments - len(todo)
-            if full:
-                # Whole state pending: one vectorised join + transfer.
-                new_out = self._in_state_full(block_id, initial, join,
-                                              predecessors, out_states)
-                self._transfer_full(new_out, block_id)
-            else:
-                # Converged segments keep their previous OUT slices;
-                # only pending segments pay join + transfer work.
-                new_out = old_out.copy()
-                self._in_segments(block_id, todo, initial, join,
-                                  predecessors, out_states, new_out)
-                self._transfer_partial(new_out, block_id, todo)
-            if old_out is None:
-                changed = todo
-            else:
-                difference = np.not_equal(old_out, new_out)
-                if not difference.any():
-                    continue
-                mask = np.add.reduceat(difference, self._seg_starts) > 0
-                changed = set(np.nonzero(mask)[0].tolist())
-            out_states[block_id] = new_out
-            for successor in successors[block_id]:
-                pending[successor] |= changed
-                if successor not in queued:
-                    worklist.append(successor)
-                    queued.add(successor)
-
-        # One final pass so IN states reflect the converged OUT states
-        # of *all* predecessors (including back edges processed last).
-        return {block_id: self._in_state_full(block_id, initial, join,
-                                              predecessors, out_states)
-                for block_id in order}
-
-    def _in_state_full(self, block_id: int, initial: np.ndarray, join,
-                       predecessors, out_states) -> np.ndarray:
-        """Whole-vector IN state (join of computed predecessor OUTs)."""
-        if block_id == self._cfg.entry_id:
-            return initial.copy()
-        state: np.ndarray | None = None
-        for predecessor in predecessors[block_id]:
-            predecessor_out = out_states.get(predecessor)
-            if predecessor_out is None:
-                continue
-            state = (predecessor_out.copy() if state is None
-                     else join(state, predecessor_out))
-        if state is None:
-            raise AnalysisError(
-                f"block {block_id} has no computed predecessor "
-                "(unreachable?)")
-        return state
-
-    def _in_segments(self, block_id: int, todo, initial: np.ndarray,
-                     join, predecessors, out_states,
-                     target: np.ndarray) -> None:
-        """Write the IN state of the pending segments into ``target``."""
-        if block_id == self._cfg.entry_id:
-            for seg in todo:
-                start, stop = self._segments[seg]
-                target[start:stop] = initial[start:stop]
-            return
-        computed = [out_states[predecessor]
-                    for predecessor in predecessors[block_id]
-                    if predecessor in out_states]
-        if not computed:
-            raise AnalysisError(
-                f"block {block_id} has no computed predecessor "
-                "(unreachable?)")
-        for seg in todo:
-            start, stop = self._segments[seg]
-            slice_state = computed[0][start:stop]
-            for other in computed[1:]:
-                slice_state = join(slice_state, other[start:stop])
-            target[start:stop] = slice_state
+        return solve(self._cfg, initial=self._initial.copy(), join=join,
+                     transfer=self._transfer, equal=np.array_equal)
 
     def _replay(self, in_states: dict[int, np.ndarray]
                 ) -> dict[int, np.ndarray]:
-        """Access-time age of every reference, from converged IN states."""
+        """Access-time age of every reference, from converged IN states.
+
+        ``slots`` maps each participating geometry back to its
+        reference-major position; repeats keep the pre-filled age 0.
+        """
         ages: dict[int, np.ndarray] = {}
-        for block_id, accesses in self._accesses.items():
+        for block_id, ops in self._ops.items():
             state = in_states[block_id].copy()
-            block_ages = np.zeros(len(accesses), dtype=self._dtype)
-            for position, (start, stop, index, repeat,
-                           _seg) in enumerate(accesses):
-                if not repeat:  # repeats stay at the pre-filled age 0
-                    block_ages[position] = state[index]
-                    self._apply(state, start, stop, index)
+            block_ages = np.zeros(self._slot_counts[block_id],
+                                  dtype=self._dtype)
+            for heads, span, rep, slots in ops:
+                block_ages[slots] = state[heads]
+                values = state[span]
+                np.add(values, values < block_ages[slots][rep],
+                       out=values, casting="unsafe")
+                state[span] = values
+                state[heads] = 0
             ages[block_id] = block_ages
         return ages
 
     # -- results -------------------------------------------------------
+    def must_ages(self) -> dict[int, np.ndarray]:
+        """Upper-bound LRU ages at each fetch, reference-major."""
+        if self._must_ages is None:
+            self._must_ages = self._replay(self._solve(np.maximum))
+        return self._must_ages
+
+    def may_ages(self) -> dict[int, np.ndarray]:
+        """Lower-bound LRU ages at each fetch, reference-major."""
+        if self._may_ages is None:
+            self._may_ages = self._replay(self._solve(np.minimum))
+        return self._may_ages
+
+    def geometry_slice(self, position: int) -> "GeometrySlice":
+        """The per-geometry view of ``geometries[position]``."""
+        return GeometrySlice(self, position)
+
+
+class GeometrySlice:
+    """One geometry's view of an :class:`AgeVectorEngine`.
+
+    What :class:`~repro.analysis.classify.CacheAnalysis` consumes:
+    ages are the strided slice of the reference-major layout, and
+    ``fixpoints_run`` reports the *shared* pair — the first analysis
+    of a group to demand tables pays (and counts) the two fixpoints,
+    every sibling sees them already run.
+    """
+
+    def __init__(self, engine: AgeVectorEngine, position: int) -> None:
+        self._engine = engine
+        self._position = position
+        self._count = len(engine.geometries)
+        self._must: dict[int, np.ndarray] | None = None
+        self._may: dict[int, np.ndarray] | None = None
+
+    @property
+    def fixpoints_run(self) -> int:
+        return self._engine.fixpoints_run
+
     def must_ages(self) -> dict[int, np.ndarray]:
         """Upper-bound LRU age of each reference at its own fetch.
 
@@ -327,9 +288,11 @@ class AgeVectorEngine:
         hit at associativity ``a`` — for *every* ``a`` in ``[1, W]``,
         from the single nominal-associativity fixpoint.
         """
-        if self._must_ages is None:
-            self._must_ages = self._replay(self._solve(np.maximum))
-        return self._must_ages
+        if self._must is None:
+            self._must = {
+                block_id: ages[self._position::self._count]
+                for block_id, ages in self._engine.must_ages().items()}
+        return self._must
 
     def may_ages(self) -> dict[int, np.ndarray]:
         """Lower-bound LRU age of each reference at its own fetch.
@@ -337,9 +300,11 @@ class AgeVectorEngine:
         ``ages[block_id][i] >= a`` iff reference ``i`` misses on every
         path at associativity ``a`` (always-miss).
         """
-        if self._may_ages is None:
-            self._may_ages = self._replay(self._solve(np.minimum))
-        return self._may_ages
+        if self._may is None:
+            self._may = {
+                block_id: ages[self._position::self._count]
+                for block_id, ages in self._engine.may_ages().items()}
+        return self._may
 
     def guaranteed_hits(self, block_id: int, assoc: int) -> np.ndarray:
         """Vector of always-hit verdicts, any associativity, no fixpoint."""

@@ -7,9 +7,9 @@ mechanisms) grid out as one flat DAG on one
 
 ``classify:{bench}:{line}`` — :func:`classify_stage`
     Every classification table (and SRB hit set) the requested
-    mechanisms need, for every geometry of one line-size group.  A
-    group of several geometries runs ONE stacked Must/May fixpoint
-    pair (:func:`~repro.analysis.geometry_batch.grouped_analysis`).
+    mechanisms need, for every geometry of one line-size group, from
+    ONE stacked Must/May fixpoint pair plus one SRB fixpoint
+    (:func:`~repro.analysis.geometry_batch.grouped_analysis`).
     Tables read and write through the
     :class:`~repro.analysis.store.ClassificationStore`.
 
@@ -139,26 +139,18 @@ def classify_stage(name: str, geometries, mechanisms, cache
                    ) -> tuple[CacheAnalysis, ...]:
     """Stage task: classify one benchmark at every geometry of a group.
 
-    ``geometries`` share one line size.  Several geometries run the
-    stacked kernel (one Must/May fixpoint pair plus one SRB fixpoint
-    for the whole group); a single geometry runs the plain analysis.
-    Returns the analyses in group order; they share one stats object
-    when stacked.  The value never leaves its process: the fused
-    solve task consumes it in place.
+    ``geometries`` share one line size; the group (of one, for the
+    suite) runs one Must/May fixpoint pair plus one SRB fixpoint.
+    Returns the analyses in group order; they share one stats object.
+    The value never leaves its process: the fused solve task consumes
+    it in place.
     """
+    from repro.analysis.geometry_batch import grouped_analysis
     from repro.analysis.store import ClassificationStore
 
     cfg = load(name).cfg
     with _batched(ClassificationStore.resolve(cache)):
-        if len(geometries) > 1:
-            from repro.analysis.geometry_batch import grouped_analysis
-
-            return grouped_analysis(cfg, geometries, mechanisms,
-                                    cache=cache)
-        analysis = CacheAnalysis(cfg, geometries[0], cache=cache)
-        classification_artifact(analysis, name, mechanisms,
-                                carry_tables=False)
-    return (analysis,)
+        return grouped_analysis(cfg, geometries, mechanisms, cache=cache)
 
 
 @dataclass(frozen=True)

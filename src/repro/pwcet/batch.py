@@ -21,7 +21,7 @@ is a binary search, not a scan.
 Bit-identity discipline
 -----------------------
 
-The default engine is asserted byte-identical to the scalar oracle
+The kernel is asserted byte-identical to the scalar oracle
 (:func:`penalty_distribution_scalar`, the historical per-cell loop).
 That holds *by construction*, not by tolerance:
 
@@ -50,57 +50,29 @@ non-negative accumulators).  A block flips to the dense representation
 once its support crosses :data:`_DENSE_FRACTION` of its width, and
 every value is bitwise the same in either form, so the switch point
 affects speed only, never results.
-
-Engine selection mirrors the analysis engine
-(``REPRO_ANALYSIS_ENGINE``): ``REPRO_DISTRIBUTION_ENGINE`` picks
-``batched`` (default), ``scalar`` (the oracle) or ``power`` — an
-opt-in grouping strategy that detects identical per-set penalty rows
-(common: most sets of a benchmark share one FMM pattern) and folds
-each group by multiplicity-aware repeated squaring instead of ``k``
-linear folds.  Power grouping reorders float additions, so it is
-validated within tolerance, not bit-for-bit.
 """
 
 from __future__ import annotations
 
 import heapq
-import os
 
 import numpy as np
 
-from repro.errors import DistributionError
 from repro.pwcet.distribution import DiscreteDistribution
-
-#: Environment variable selecting the distribution engine.
-ENGINE_ENV = "REPRO_DISTRIBUTION_ENGINE"
-_ENGINES = ("batched", "scalar", "power")
 
 #: Shift-driver sparsity bound — mirrors the oracle's
 #: :meth:`DiscreteDistribution.convolve` exactly; the two constants
-#: must move together or the default engine loses bit-identity.
+#: must move together or the kernel loses bit-identity.
 _SHIFT_DRIVER_MAX_NNZ = 64
-
-
-def selected_engine(override: str | None = None) -> str:
-    """The active engine name (override > environment > default)."""
-    if override is None:
-        # Empty/whitespace means unset (REPRO_CACHE convention).
-        override = (os.environ.get(ENGINE_ENV) or "").strip().lower() \
-            or "batched"
-    if override not in _ENGINES:
-        raise DistributionError(
-            f"unknown distribution engine {override!r}; expected one "
-            f"of {_ENGINES}")
-    return override
 
 
 def penalty_distribution_scalar(fmm, mechanism, fault_model,
                                 sets: int) -> DiscreteDistribution:
     """The scalar oracle: one cell, one pfail, the historical loop.
 
-    Kept verbatim as the property-tested reference the batched engine
-    is asserted bit-identical against (``REPRO_DISTRIBUTION_ENGINE=
-    scalar`` routes every cell through here).
+    Kept verbatim as the property-tested reference the batched kernel
+    is asserted bit-identical against; the kernel also falls back to
+    it for mechanisms whose fault counts vary along the batch.
     """
     pmf = mechanism.fault_pmf(fault_model)
     per_set = []
@@ -115,24 +87,19 @@ def penalty_distribution_scalar(fmm, mechanism, fault_model,
     return DiscreteDistribution.convolve_all(per_set)
 
 
-def penalty_distributions(fmm, mechanism, fault_models, sets: int, *,
-                          engine: str | None = None
+def penalty_distributions(fmm, mechanism, fault_models, sets: int
                           ) -> list[DiscreteDistribution]:
     """Whole-cache penalty distributions for a batch of pfail rows.
 
     One :class:`DiscreteDistribution` per fault model, in order —
     bit-identical to calling :func:`penalty_distribution_scalar` per
-    row (default engine), at the cost of roughly one row.  The penalty
-    matrix is built once; only the stacked fault-pmf weights vary
-    along the batch axis.
+    row, at the cost of roughly one row.  The penalty matrix is built
+    once; only the stacked fault-pmf weights vary along the batch
+    axis.
     """
     models = tuple(fault_models)
     if not models:
         return []
-    engine = selected_engine(engine)
-    if engine == "scalar":
-        return [penalty_distribution_scalar(fmm, mechanism, model, sets)
-                for model in models]
     pmfs = [mechanism.fault_pmf(model) for model in models]
     fault_counts = tuple(pmfs[0])
     if any(tuple(pmf) != fault_counts for pmf in pmfs[1:]) \
@@ -151,8 +118,7 @@ def penalty_distributions(fmm, mechanism, fault_models, sets: int, *,
                         for pmf in pmfs], dtype=np.float64)
     penalties = np.asarray(fmm.rows,
                            dtype=np.int64)[:sets, list(fault_counts)]
-    block = (_fold_power(penalties, weights) if engine == "power"
-             else _fold_structure(penalties, weights))
+    block = _fold_structure(penalties, weights)
     if block is None:  # every set all-zero: identity of convolution
         return [DiscreteDistribution.point_mass(0) for _ in models]
     return _wrap_rows(block)
@@ -390,54 +356,6 @@ def _convolve_pair(left: np.ndarray, right: np.ndarray) -> np.ndarray:
             result[value:value + len(right)] += left[value] * right
         return result
     return np.convolve(left, right)
-
-
-# -- power grouping (opt-in, within-tolerance) -------------------------
-def _fold_power(penalties: np.ndarray, weights: np.ndarray
-                ) -> _Block | None:
-    """Fold identical per-set penalty rows by repeated squaring.
-
-    Most benchmarks map many cache sets onto a handful of distinct FMM
-    patterns; a group of ``k`` identical sets contributes the ``k``-th
-    convolution power of one block, computed in ``O(log k)`` folds
-    instead of ``k``.  Squaring reassociates the float sums, so this
-    engine is validated within tolerance against the oracle — opt in
-    via ``REPRO_DISTRIBUTION_ENGINE=power``.
-    """
-    groups: dict[bytes, tuple[_Block, int]] = {}
-    live = 0
-    for penalty_row in penalties:
-        if penalty_row.max() <= 0:
-            continue
-        live += 1
-        signature = penalty_row.tobytes()
-        if signature in groups:
-            block, multiplicity = groups[signature]
-            groups[signature] = (block, multiplicity + 1)
-        else:
-            groups[signature] = (_scatter(penalty_row, weights), 1)
-    if not live:
-        return None
-    powered = [_power(block, multiplicity)
-               for block, multiplicity in groups.values()]
-    order = _fold_order(block.width for block in powered)
-    result = powered[order[0]]
-    for position in order[1:]:
-        result = _fold_any(result, powered[position])
-    return result
-
-
-def _power(block: _Block, exponent: int) -> _Block:
-    """``exponent``-fold self-convolution by binary exponentiation."""
-    result: _Block | None = None
-    base = block
-    while exponent:
-        if exponent & 1:
-            result = base if result is None else _fold_any(result, base)
-        exponent >>= 1
-        if exponent:
-            base = _fold_any(base, base)
-    return result
 
 
 # -- batched tail reads ------------------------------------------------

@@ -99,14 +99,9 @@ def penalty_distribution(fmm: FaultMissMap,
     convolved across sets (Figure 1.b).  The pipeline's cells task
     (:func:`repro.pipeline.stages.cell_stage`) calls the same batched
     kernel over a whole pfail axis; each row is bit-identical to this
-    one-row batch by construction.
-
-    Dispatches through the distribution engine selected by
-    ``REPRO_DISTRIBUTION_ENGINE`` (:mod:`repro.pwcet.batch`): the
-    default batched kernel as a one-row batch, or the scalar oracle
-    :func:`~repro.pwcet.batch.penalty_distribution_scalar` — the two
-    are property-tested bit-identical, so the engine choice can never
-    change a result.
+    one-row batch by construction, and property-tested bit-identical
+    to the scalar oracle
+    :func:`~repro.pwcet.batch.penalty_distribution_scalar`.
     """
     return penalty_distributions(fmm, mechanism, (fault_model,), sets)[0]
 

@@ -205,8 +205,8 @@ class SharedReliableBuffer(ReliabilityMechanism):
     def all_faulty_filter(self, analysis: "CacheAnalysis"
                           ) -> AllFaultyFilter:
         # The analysis facade memoises and persists the SRB hit set
-        # (same engine selection and classification store as the CHMC
-        # tables), so warm SRB estimations run zero fixpoints.
+        # (same engine and classification store as the CHMC tables),
+        # so warm SRB estimations run zero fixpoints.
         protected = analysis.srb_always_hits()
 
         def classify(reference: "Reference") -> Classification:

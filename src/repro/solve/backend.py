@@ -19,8 +19,8 @@ snapshot:
   the frozen CSC matrix, ``Bounds`` and ``LinearConstraint`` objects.
 
 Both backends produce the same optima (HiGHS solves the model either
-way); the equivalence is pinned by tests.  Set
-``REPRO_SOLVE_BACKEND=scipy`` to force the fallback.
+way); the equivalence is pinned by tests.  :func:`make_backend` picks
+:class:`HighsBackend` whenever this scipy build ships the bindings.
 
 scipy is imported on first snapshot or backend build, not with this
 module: commands that never solve (``repro list``, warm runs served
@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import functools
 import math
-import os
 from abc import ABC, abstractmethod
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -67,15 +66,6 @@ def available_backends() -> tuple[str, ...]:
     if _highs_core() is not None:
         return ("highs", "scipy")
     return ("scipy",)
-
-
-def selected_backend_name(prefer: str | None = None) -> str:
-    """The backend :func:`make_backend` would pick right now."""
-    if prefer is None:
-        prefer = os.environ.get("REPRO_SOLVE_BACKEND", "highs")
-    if prefer == "highs" and _highs_core() is not None:
-        return "highs"
-    return "scipy"
 
 
 @dataclass(frozen=True)
@@ -285,14 +275,14 @@ class HighsBackend(SolverBackend):
 
 
 def make_backend(snapshot: ProgramSnapshot,
-                 prefer: str | None = None) -> SolverBackend:
+                 prefer: str = "highs") -> SolverBackend:
     """Build the best available backend for a frozen program.
 
-    ``prefer`` (or the ``REPRO_SOLVE_BACKEND`` environment variable)
-    may name ``"highs"`` or ``"scipy"``; unavailable or unknown names
-    fall back to the scipy path.
+    ``prefer`` may name ``"highs"`` or ``"scipy"`` (the backend
+    equivalence tests build both); unavailable or unknown names fall
+    back to the scipy path.
     """
-    if selected_backend_name(prefer) == "highs":
+    if prefer == "highs" and _highs_core() is not None:
         return HighsBackend(snapshot)
     return ScipyBackend(snapshot)
 

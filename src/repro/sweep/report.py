@@ -78,12 +78,9 @@ def format_sweep_report(result: SweepResult) -> str:
         f"{totals.get('pruned_empty', 0):.0f}+"
         f"{totals.get('pruned_structural', 0):.0f} cells pruned "
         f"(empty/structural)")
-    # The analysis line reports engine-invariant work (tables built,
-    # store hits) rather than physical fixpoints: the batching
-    # orchestration is identical under every REPRO_ANALYSIS_ENGINE, so
-    # the report stays byte-identical across engines while the stacked
-    # kernel's fixpoint savings show up in the per-run solver_totals
-    # (and the geometry-batch benchmark asserts them).
+    # The analysis line reports tables built and store hits rather
+    # than physical fixpoints; the stacked kernel's fixpoint count is
+    # in the per-run solver_totals.
     analysis = (
         f"analysis: {totals.get('tables_built', 0):.0f} classification "
         f"tables built, {totals.get('classify_store_hits', 0):.0f} "

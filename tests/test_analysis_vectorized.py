@@ -1,11 +1,12 @@
-"""Equivalence of the vectorised ACS engine with the dict oracle.
+"""Equivalence of the age-vector engine with the dict oracle.
 
-The vectorised engine (:mod:`repro.analysis.vectorized`) must produce
+The age-vector engine (:mod:`repro.analysis.vectorized`) must produce
 *identical* Must/May verdicts — and hence identical CHMC tables — to
 the reference dict implementation at **every** associativity, even
 though it runs a single fixpoint pair at the nominal associativity and
-derives the degraded levels by age thresholding.  These are the
-property tests that license making it the default engine.
+derives the degraded levels by age thresholding.  Multi-geometry
+stacks are pinned against the same oracle in
+``tests/test_geometry_batch.py``.
 """
 
 from __future__ import annotations
@@ -18,10 +19,10 @@ from repro.analysis import (AgeVectorEngine, CacheAnalysis, MayAnalysis,
                             MustAnalysis)
 from repro.analysis.references import all_references
 from repro.cache import CacheGeometry
-from repro.errors import AnalysisError
 from repro.minic import compile_program
 from repro.reliability.srb_analysis import srb_always_hit_references
 from repro.suite import load
+from tests.oracles import oracle_analysis
 from tests.strategies import multi_function_programs, programs
 
 #: Small geometries stress set contention; the paper geometry stresses
@@ -36,17 +37,17 @@ _suppress = [HealthCheck.too_slow]
 
 
 def assert_tables_identical(cfg, geometry):
-    """Vector and dict tables must match reference for reference."""
-    vector = CacheAnalysis(cfg, geometry, cache="off", engine="vector")
-    oracle = CacheAnalysis(cfg, geometry, cache="off", engine="dict")
+    """Engine and dict-oracle tables must match reference for reference."""
+    engine = CacheAnalysis(cfg, geometry, cache="off")
+    oracle = oracle_analysis(cfg, geometry)
     for assoc in range(geometry.ways + 1):
-        vector_table = vector.classification(assoc)
+        engine_table = engine.classification(assoc)
         oracle_table = oracle.classification(assoc)
-        for (ref_v, cls_v), (ref_o, cls_o) in zip(vector_table.items(),
+        for (ref_e, cls_e), (ref_o, cls_o) in zip(engine_table.items(),
                                                   oracle_table.items()):
-            assert ref_v == ref_o
-            assert cls_v == cls_o, (
-                f"assoc={assoc} {ref_v}: vector={cls_v} oracle={cls_o}")
+            assert ref_e == ref_o
+            assert cls_e == cls_o, (
+                f"assoc={assoc} {ref_e}: engine={cls_e} oracle={cls_o}")
 
 
 def assert_verdicts_identical(cfg, geometry):
@@ -56,7 +57,8 @@ def assert_verdicts_identical(cfg, geometry):
     disagreement inside a first-miss classification.
     """
     references = all_references(cfg, geometry)
-    engine = AgeVectorEngine(cfg, geometry, references)
+    engine = AgeVectorEngine(cfg, (geometry,),
+                             references).geometry_slice(0)
     for assoc in range(1, geometry.ways + 1):
         must = MustAnalysis(cfg, geometry, assoc)
         may = MayAnalysis(cfg, geometry, assoc)
@@ -103,8 +105,7 @@ class TestRandomProgramEquivalence:
     def test_srb_hits_match_oracle(self, program):
         compiled = compile_program(program)
         geometry = GEOMETRIES[0]
-        analysis = CacheAnalysis(compiled.cfg, geometry, cache="off",
-                                 engine="vector")
+        analysis = CacheAnalysis(compiled.cfg, geometry, cache="off")
         assert analysis.srb_always_hits() == \
             srb_always_hit_references(compiled.cfg, geometry)
 
@@ -121,8 +122,7 @@ class TestSuiteEquivalence:
     def test_suite_benchmark_srb(self):
         cfg = load("crc").cfg
         geometry = GEOMETRIES[2]
-        analysis = CacheAnalysis(cfg, geometry, cache="off",
-                                 engine="vector")
+        analysis = CacheAnalysis(cfg, geometry, cache="off")
         assert analysis.srb_always_hits() == \
             srb_always_hit_references(cfg, geometry)
 
@@ -130,73 +130,17 @@ class TestSuiteEquivalence:
 class TestEngineMechanics:
     def test_one_fixpoint_pair_serves_all_associativities(self):
         cfg = load("crc").cfg
-        analysis = CacheAnalysis(cfg, GEOMETRIES[2], cache="off",
-                                 engine="vector")
+        analysis = CacheAnalysis(cfg, GEOMETRIES[2], cache="off")
         for assoc in range(GEOMETRIES[2].ways, -1, -1):
             analysis.classification(assoc)
         # Must + May once; the dict oracle would need 2 per level.
         assert analysis.stats.fixpoints_run == 2
         assert analysis.stats.tables_built == GEOMETRIES[2].ways + 1
 
-    def test_dict_engine_runs_per_associativity_fixpoints(self):
-        cfg = load("fibcall").cfg
-        analysis = CacheAnalysis(cfg, GEOMETRIES[0], cache="off",
-                                 engine="dict")
-        for assoc in range(GEOMETRIES[0].ways, -1, -1):
-            analysis.classification(assoc)
-        assert analysis.stats.fixpoints_run == 2 * GEOMETRIES[0].ways
-
-    def test_engine_selection_via_environment(self, monkeypatch):
-        from repro.analysis.classify import ENGINE_ENV
-        cfg = load("fibcall").cfg
-        monkeypatch.setenv(ENGINE_ENV, "dict")
-        assert CacheAnalysis(cfg, GEOMETRIES[0],
-                             cache="off").engine_name == "dict"
-        monkeypatch.setenv(ENGINE_ENV, "vector")
-        assert CacheAnalysis(cfg, GEOMETRIES[0],
-                             cache="off").engine_name == "vector"
-        monkeypatch.delenv(ENGINE_ENV)
-        assert CacheAnalysis(cfg, GEOMETRIES[0],
-                             cache="off").engine_name == "batch"
-
-    def test_unknown_engine_rejected(self):
-        cfg = load("fibcall").cfg
-        with pytest.raises(AnalysisError):
-            CacheAnalysis(cfg, GEOMETRIES[0], cache="off",
-                          engine="quantum")
-
     def test_ages_use_compact_dtype(self):
         cfg = load("fibcall").cfg
         geometry = GEOMETRIES[0]
-        engine = AgeVectorEngine(cfg, geometry,
+        engine = AgeVectorEngine(cfg, (geometry,),
                                  all_references(cfg, geometry))
         ages = engine.must_ages()
         assert all(block.dtype == np.int8 for block in ages.values())
-
-
-class TestPerSetEarlyExit:
-    """The segmented worklist: converged sets leave the fixpoint early."""
-
-    def test_converged_segments_are_blanked(self):
-        """On a multi-set suite benchmark some sets converge before
-        others, so the engine must skip segment-visits — while the
-        resulting tables stay equal to the dict oracle's (covered by
-        the equivalence suites above)."""
-        cfg = load("crc").cfg
-        geometry = CacheGeometry.from_size(1024, 4, 16)
-        engine = AgeVectorEngine(cfg, geometry,
-                                 all_references(cfg, geometry))
-        engine.must_ages()
-        engine.may_ages()
-        assert engine.segments_blanked > 0
-
-    def test_single_set_geometry_has_nothing_to_blank(self):
-        """With one cache set there is a single segment: every visit
-        is a full visit and the early exit never fires."""
-        cfg = load("fibcall").cfg
-        geometry = CacheGeometry(sets=1, ways=4, block_bytes=16)
-        engine = AgeVectorEngine(cfg, geometry,
-                                 all_references(cfg, geometry))
-        engine.must_ages()
-        engine.may_ages()
-        assert engine.segments_blanked == 0

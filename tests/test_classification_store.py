@@ -235,18 +235,6 @@ class TestWarmAnalysis:
                 assert ref_c == ref_w
                 assert cls_c == cls_w
 
-    def test_engines_share_store_entries(self, tmp_path):
-        """Keys are engine-independent: results are identical by
-        contract, so a dict-engine run warms the vector engine too."""
-        cache = str(tmp_path / "store")
-        cfg = load("fibcall").cfg
-        oracle = CacheAnalysis(cfg, GEOMETRY, cache=cache, engine="dict")
-        oracle.classification(4)
-        vector = CacheAnalysis(cfg, GEOMETRY, cache=cache, engine="vector")
-        vector.classification(4)
-        assert vector.stats.fixpoints_run == 0
-        assert vector.stats.classify_store_hits == 1
-
     def test_cache_off_disables_persistence(self):
         cfg = load("fibcall").cfg
         first = CacheAnalysis(cfg, GEOMETRY, cache="off")

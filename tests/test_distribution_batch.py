@@ -1,11 +1,11 @@
 """The batched multi-pfail distribution kernel (PR 7).
 
-Property-tests the batched engine bit-for-bit against the scalar
-oracle over random FMMs × pfail grids × mechanisms, the power-grouping
-strategy within tolerance, the degenerate shapes (all-zero penalty
-sets, single-pfail batch, one-set cache, empty batch), engine
-selection, the fault-pmf memo, the sparse cell-store encoding, and
-the pipeline's batched pfail axis.
+Property-tests the batched kernel bit-for-bit against the scalar
+oracle over random FMMs × pfail grids × mechanisms and over every
+suite benchmark's real FMMs, the degenerate shapes (all-zero penalty
+sets, single-pfail batch, one-set cache, empty batch), the fault-pmf
+memo, the sparse cell-store encoding, and the pipeline's batched
+pfail axis.
 """
 
 from __future__ import annotations
@@ -13,22 +13,21 @@ from __future__ import annotations
 from dataclasses import replace
 
 import numpy as np
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.cache import CacheGeometry
-from repro.errors import DistributionError
 from repro.experiments.runner import (fresh_results, run_benchmark,
                                       run_suite)
 from repro.faults import FaultProbabilityModel
 from repro.fmm import FaultMissMap
 from repro.pipeline.scheduler import PipelineStats
 from repro.pwcet import EstimatorConfig
-from repro.pwcet.batch import (ENGINE_ENV, penalty_distribution_scalar,
-                               penalty_distributions, selected_engine)
+from repro.pwcet.batch import (penalty_distribution_scalar,
+                               penalty_distributions)
 from repro.reliability import (fault_pmf_cache_stats, mechanism_by_name,
                                reset_fault_pmf_cache)
+from repro.suite import EVALUATED_BENCHMARKS
 from repro.sweep import run_sweep
 
 SUBSET = ("bs", "fibcall")
@@ -78,8 +77,7 @@ class TestBatchedOracleIdentity:
         sets = fmm.geometry.sets
         models = [FaultProbabilityModel(geometry=fmm.geometry,
                                         pfail=pfail) for pfail in pfails]
-        batched = penalty_distributions(fmm, mechanism, models, sets,
-                                        engine="batched")
+        batched = penalty_distributions(fmm, mechanism, models, sets)
         scalar = _scalar_rows(fmm, mechanism, models, sets)
         assert len(batched) == len(scalar) == len(models)
         for batch_row, scalar_row in zip(batched, scalar):
@@ -87,26 +85,6 @@ class TestBatchedOracleIdentity:
             assert np.array_equal(batch_row.ccdf(), scalar_row.ccdf())
             assert batch_row.quantile_exceedance(TARGET) == \
                 scalar_row.quantile_exceedance(TARGET)
-
-    @settings(max_examples=40, deadline=None,
-              suppress_health_check=[HealthCheck.too_slow])
-    @given(case=fmm_cases())
-    def test_power_grouping_within_tolerance(self, case):
-        """Repeated squaring reorders float adds — tolerance, not bits."""
-        fmm, mechanism_name, pfails = case
-        mechanism = mechanism_by_name(mechanism_name)
-        sets = fmm.geometry.sets
-        models = [FaultProbabilityModel(geometry=fmm.geometry,
-                                        pfail=pfail) for pfail in pfails]
-        power = penalty_distributions(fmm, mechanism, models, sets,
-                                      engine="power")
-        scalar = _scalar_rows(fmm, mechanism, models, sets)
-        for power_row, scalar_row in zip(power, scalar):
-            assert len(power_row.pmf) == len(scalar_row.pmf)
-            assert np.allclose(power_row.pmf, scalar_row.pmf,
-                               rtol=1e-9, atol=0.0)
-            assert np.allclose(power_row.ccdf(), scalar_row.ccdf(),
-                               rtol=1e-9, atol=1e-300)
 
 
 class TestDegenerateShapes:
@@ -155,28 +133,6 @@ class TestDegenerateShapes:
                            rows=((0, 1, 2),) * 4, mechanism_name="none")
         assert penalty_distributions(fmm, mechanism_by_name("none"),
                                      (), 4) == []
-
-
-class TestEngineSelection:
-    def test_default_is_batched(self, monkeypatch):
-        monkeypatch.delenv(ENGINE_ENV, raising=False)
-        assert selected_engine() == "batched"
-
-    def test_empty_environment_means_unset(self, monkeypatch):
-        monkeypatch.setenv(ENGINE_ENV, "  ")
-        assert selected_engine() == "batched"
-
-    def test_environment_selects_scalar(self, monkeypatch):
-        monkeypatch.setenv(ENGINE_ENV, "scalar")
-        assert selected_engine() == "scalar"
-
-    def test_override_beats_environment(self, monkeypatch):
-        monkeypatch.setenv(ENGINE_ENV, "scalar")
-        assert selected_engine("power") == "power"
-
-    def test_unknown_engine_raises(self):
-        with pytest.raises(DistributionError):
-            selected_engine("fft")
 
 
 class TestFaultPmfMemo:
@@ -343,24 +299,26 @@ class TestPfailAxisPrefill:
         assert stats.cells_recomputed == 3 * len(SUBSET)
         assert stats.cells_from_store == 2 * 3 * len(SUBSET)
 
-    def test_scalar_engine_suite_is_identical(self, tmp_path,
-                                              monkeypatch):
-        """CI's byte-identity assertion, in miniature."""
-        with fresh_results():
-            default = run_suite(
-                EstimatorConfig(cache=str(tmp_path / "a")),
-                benchmarks=SUBSET)
-        monkeypatch.setenv(ENGINE_ENV, "scalar")
-        with fresh_results():
-            scalar = run_suite(
-                EstimatorConfig(cache=str(tmp_path / "b")),
-                benchmarks=SUBSET)
-        for default_result, scalar_result in zip(default, scalar):
-            for mechanism in MECHANISM_NAMES:
-                assert np.array_equal(
-                    default_result.estimates[mechanism]
-                    .penalty_misses.pmf,
-                    scalar_result.estimates[mechanism]
-                    .penalty_misses.pmf)
-                assert default_result.pwcet(mechanism) == \
-                    scalar_result.pwcet(mechanism)
+    def test_scalar_engine_suite_is_identical(self):
+        """Every suite benchmark's real FMMs, 3 mechanisms, a 3-pfail
+        axis: each batched row is bit-equal to the scalar oracle."""
+        pfails = (1e-5, 1e-4, 1e-3)
+        for name in EVALUATED_BENCHMARKS:
+            result = run_benchmark(name)
+            for mechanism_name in MECHANISM_NAMES:
+                fmm = result.estimates[mechanism_name].fmm
+                mechanism = mechanism_by_name(mechanism_name)
+                models = [FaultProbabilityModel(geometry=fmm.geometry,
+                                                pfail=pfail)
+                          for pfail in pfails]
+                sets = fmm.geometry.sets
+                batched = penalty_distributions(fmm, mechanism, models,
+                                                sets)
+                scalar = _scalar_rows(fmm, mechanism, models, sets)
+                for batch_row, scalar_row in zip(batched, scalar,
+                                                 strict=True):
+                    assert np.array_equal(batch_row.pmf, scalar_row.pmf), \
+                        (name, mechanism_name)
+                    assert np.array_equal(batch_row.ccdf(),
+                                          scalar_row.ccdf()), \
+                        (name, mechanism_name)

@@ -1,33 +1,44 @@
-"""The stacked geometry-batch kernel vs the per-geometry oracles.
+"""The stacked age-vector engine vs the dict oracle.
 
-The stacked engine (:mod:`repro.analysis.geometry_batch`) must be
-byte-identical to running one :class:`AgeVectorEngine` per geometry —
-recorded ages, verdicts at every associativity and CHMC tables — which
-in turn is property-tested against the dict oracle.  These are the
-tests that license making ``batch`` the default engine and wiring the
-sweep's geometry axis through it.
+One :class:`~repro.analysis.vectorized.AgeVectorEngine` classifies a
+whole line-size group with one Must/May fixpoint pair.  Every
+geometry's slice must give the dict Must/May analyses' verdicts at
+every associativity, and :func:`grouped_analysis` the oracle's CHMC
+tables — on random CFGs and on the sweep grid.
 """
 
 from __future__ import annotations
 
-import numpy as np
+import pathlib
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-from repro.analysis import AgeVectorEngine, CacheAnalysis
-from repro.analysis.geometry_batch import (GroupSrbHits,
-                                           StackedAgeVectorEngine,
-                                           grouped_analysis)
+from repro.analysis import (AgeVectorEngine, CacheAnalysis, MayAnalysis,
+                            MustAnalysis)
+from repro.analysis.classify import AnalysisStats, SrbHits
+from repro.analysis.geometry_batch import grouped_analysis
 from repro.analysis.references import all_references
 from repro.cache import CacheGeometry
 from repro.errors import AnalysisError
+from repro.experiments.fig4 import format_fig4, row_of
+from repro.experiments.runner import fresh_results, run_suite
 from repro.minic import compile_program
-from repro.pipeline.stages import SUITE_MECHANISMS, required_classifications
-from repro.suite import load
+from repro.pipeline import PipelineStats
+from repro.pipeline.stages import (SUITE_MECHANISMS, line_groups,
+                                   required_classifications)
+from repro.pwcet import EstimatorConfig
+from repro.reliability.srb_analysis import srb_always_hit_references
+from repro.suite import EVALUATED_BENCHMARKS, load
+from repro.sweep import format_sweep_report, run_sweep
 from repro.sweep.grid import geometry_grid
+from tests.oracles import oracle_analysis
 from tests.strategies import programs
 
 _suppress = [HealthCheck.too_slow]
+
+#: Reports of the per-geometry classify path these groups replaced.
+GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 #: A deliberately heterogeneous line-size group: different set counts
 #: AND different way counts stacked into one state.
@@ -38,112 +49,95 @@ SMALL_GROUP = (
 )
 
 
-def _groups(geometries):
-    groups: dict[int, list] = {}
-    for geometry in geometries:
-        groups.setdefault(geometry.block_bytes, []).append(geometry)
-    return [tuple(group) for group in groups.values()]
+def _engine(cfg, group):
+    return AgeVectorEngine(cfg, group, all_references(cfg, group[0]))
 
 
-def assert_stack_matches_solo(cfg, group):
-    """Stacked ages and verdicts == one AgeVectorEngine per geometry."""
-    references = {geometry: all_references(cfg, geometry)
-                  for geometry in group}
-    stack = StackedAgeVectorEngine(cfg, group, references)
+def assert_stack_matches_oracle(cfg, group):
+    """Every slice's verdicts == the dict Must/May at every assoc."""
+    engine = _engine(cfg, group)
     for position, geometry in enumerate(group):
-        view = stack.geometry_slice(position)
-        solo = AgeVectorEngine(cfg, geometry, references[geometry])
-        for block_id in references[geometry]:
-            assert np.array_equal(view.must_ages()[block_id],
-                                  solo.must_ages()[block_id])
-            assert np.array_equal(view.may_ages()[block_id],
-                                  solo.may_ages()[block_id])
-            for assoc in range(1, geometry.ways + 1):
-                assert np.array_equal(
-                    view.guaranteed_hits(block_id, assoc),
-                    solo.guaranteed_hits(block_id, assoc))
-                assert np.array_equal(
-                    view.possibly_cached(block_id, assoc),
-                    solo.possibly_cached(block_id, assoc))
-    assert stack.fixpoints_run == 2
+        view = engine.geometry_slice(position)
+        for assoc in range(1, geometry.ways + 1):
+            must = MustAnalysis(cfg, geometry, assoc)
+            may = MayAnalysis(cfg, geometry, assoc)
+            for block_id in cfg.block_ids():
+                assert tuple(view.guaranteed_hits(block_id, assoc)
+                             .tolist()) == must.guaranteed_hits(block_id), \
+                    f"Must mismatch: {geometry} block {block_id} a={assoc}"
+                assert tuple(view.possibly_cached(block_id, assoc)
+                             .tolist()) == may.possibly_cached(block_id), \
+                    f"May mismatch: {geometry} block {block_id} a={assoc}"
+    assert engine.fixpoints_run == 2
 
 
-def assert_tables_identical(cfg, group):
-    """grouped_analysis tables == per-geometry vector and dict tables."""
-    references = {geometry: all_references(cfg, geometry)
-                  for geometry in group}
-    stack = StackedAgeVectorEngine(cfg, group, references)
-    for position, geometry in enumerate(group):
-        batch = CacheAnalysis(cfg, geometry, cache="off", engine="batch",
-                              references=references[geometry],
-                              vector_engine=stack.geometry_slice(position))
-        vector = CacheAnalysis(cfg, geometry, cache="off", engine="vector")
-        oracle = CacheAnalysis(cfg, geometry, cache="off", engine="dict")
+def assert_tables_match_oracle(analyses):
+    """Each analysis' tables == the dict oracle's, at every assoc."""
+    for analysis in analyses:
+        geometry = analysis.geometry
+        oracle = oracle_analysis(analysis.cfg, geometry)
         for assoc in range(geometry.ways, -1, -1):
             expected = oracle.classification(assoc)
-            for via in (batch, vector):
-                table = via.classification(assoc)
-                for block_id in cfg.block_ids():
-                    assert table.of_block(block_id) \
-                        == expected.of_block(block_id)
+            table = analysis.classification(assoc)
+            for block_id in analysis.cfg.block_ids():
+                assert table.of_block(block_id) \
+                    == expected.of_block(block_id)
+        assert analysis.srb_always_hits() == oracle.srb_always_hits()
 
 
 class TestStackedEngineEquivalence:
-    """Property tests: stacked == per-geometry at every layer."""
+    """Property tests: every stacked slice == the dict oracle."""
 
     @settings(max_examples=20, deadline=None,
               suppress_health_check=_suppress)
     @given(program=programs())
     def test_random_cfgs_small_group(self, program):
         compiled = compile_program(program)
-        assert_stack_matches_solo(compiled.cfg, SMALL_GROUP)
+        assert_stack_matches_oracle(compiled.cfg, SMALL_GROUP)
 
     @settings(max_examples=10, deadline=None,
               suppress_health_check=_suppress)
     @given(program=programs())
     def test_random_cfgs_tables(self, program):
-        compiled = compile_program(program)
-        assert_tables_identical(compiled.cfg, SMALL_GROUP[:2])
+        cfg = compile_program(program).cfg
+        assert_tables_match_oracle(grouped_analysis(
+            cfg, SMALL_GROUP[:2], SUITE_MECHANISMS, cache="off"))
 
     @pytest.mark.parametrize("name", ("bs", "crc", "matmult"))
     def test_default_grid_geometries(self, name):
         """All 16 default grid geometries, stacked per line size."""
         cfg = load(name).cfg
-        for group in _groups(geometry_grid()):
-            assert_stack_matches_solo(cfg, group)
+        groups = line_groups(geometry_grid())
+        assert sum(len(group) for group in groups) == 16
+        for group in groups:
+            assert_stack_matches_oracle(cfg, group)
 
     def test_single_geometry_stack_matches_plain_engine(self):
+        """A standalone analysis (its own group of one) and a grouped
+        analysis of one geometry both give the oracle's tables."""
         cfg = load("fibcall").cfg
         geometry = SMALL_GROUP[0]
-        references = {geometry: all_references(cfg, geometry)}
-        stack = StackedAgeVectorEngine(cfg, (geometry,), references)
-        solo = AgeVectorEngine(cfg, geometry, references[geometry])
-        view = stack.geometry_slice(0)
-        for block_id in references[geometry]:
-            assert np.array_equal(view.must_ages()[block_id],
-                                  solo.must_ages()[block_id])
-            assert np.array_equal(view.may_ages()[block_id],
-                                  solo.may_ages()[block_id])
+        assert_stack_matches_oracle(cfg, (geometry,))
+        assert_tables_match_oracle(
+            (CacheAnalysis(cfg, geometry, cache="off"),)
+            + grouped_analysis(cfg, (geometry,), SUITE_MECHANISMS,
+                               cache="off"))
 
     def test_mixed_line_sizes_rejected(self):
         cfg = load("fibcall").cfg
         bad = (CacheGeometry(sets=4, ways=2, block_bytes=16),
                CacheGeometry(sets=4, ways=2, block_bytes=32))
         with pytest.raises(AnalysisError):
-            StackedAgeVectorEngine(
-                cfg, bad, {g: all_references(cfg, g) for g in bad})
+            _engine(cfg, bad)
 
     def test_duplicate_geometries_rejected(self):
         cfg = load("fibcall").cfg
-        geometry = SMALL_GROUP[0]
         with pytest.raises(AnalysisError):
-            StackedAgeVectorEngine(
-                cfg, (geometry, geometry),
-                {geometry: all_references(cfg, geometry)})
+            _engine(cfg, (SMALL_GROUP[0], SMALL_GROUP[0]))
 
     def test_empty_group_rejected(self):
         with pytest.raises(AnalysisError):
-            StackedAgeVectorEngine(load("fibcall").cfg, (), {})
+            AgeVectorEngine(load("fibcall").cfg, (), {})
 
 
 class TestGroupedAnalysis:
@@ -158,19 +152,16 @@ class TestGroupedAnalysis:
         assert analysis.stats.classify_batched_rows == len(SMALL_GROUP) - 1
         assert analysis.stats.geometry_groups == 1
 
-    def test_vector_engine_runs_per_geometry_orchestration(self):
-        """Same orchestration under the oracle: counters except
-        fixpoints identical (the engine knob selects only the kernel)."""
-        cfg = load("bs").cfg
-        batched = grouped_analysis(cfg, SMALL_GROUP, SUITE_MECHANISMS,
-                                   cache="off")[0]
-        vector = grouped_analysis(cfg, SMALL_GROUP, SUITE_MECHANISMS,
-                                  cache="off", engine="vector")[0]
-        batch_dict = batched.stats.as_dict()
-        vector_dict = vector.stats.as_dict()
-        assert batch_dict.pop("fixpoints_run") \
-            < vector_dict.pop("fixpoints_run")
-        assert batch_dict == vector_dict
+    def test_group_of_one_counts_no_batching(self):
+        """A single geometry runs the same pair + SRB fixpoint, and its
+        counter dict carries neither batching key."""
+        cfg = load("crc").cfg
+        (analysis,) = grouped_analysis(cfg, SMALL_GROUP[:1],
+                                       SUITE_MECHANISMS, cache="off")
+        counters = analysis.stats.as_dict()
+        assert counters["fixpoints_run"] == 3
+        assert "classify_batched_rows" not in counters
+        assert "geometry_groups" not in counters
 
     def test_group_prefills_sibling_store_entries(self, tmp_path):
         """Sibling geometries' tables land under their own keys: a
@@ -192,11 +183,41 @@ class TestGroupedAnalysis:
 
     def test_group_srb_hits_match_per_geometry(self):
         cfg = load("crc").cfg
-        from repro.analysis.classify import AnalysisStats
-
         stats = AnalysisStats()
-        shared = GroupSrbHits(cfg, 16, stats)()
-        solo = CacheAnalysis(cfg, SMALL_GROUP[0], cache="off",
-                             engine="vector")
-        assert frozenset(shared) == solo.srb_always_hits()
+        shared = SrbHits(cfg, 16, stats)()
+        for geometry in SMALL_GROUP:
+            assert frozenset(shared) == \
+                srb_always_hit_references(cfg, geometry)
         assert stats.fixpoints_run == 1
+
+
+class TestSingleGeometryGroups:
+    """Groups of one (the suite; a lone geometry of a line size) run
+    the same kernel and print the reports the per-geometry path did."""
+
+    def test_mixed_group_sizes_sweep_report_is_golden(self):
+        geometries = (CacheGeometry.from_size(512, 2, 16),
+                      CacheGeometry.from_size(1024, 2, 16),
+                      CacheGeometry.from_size(1024, 2, 32))
+        result = run_sweep(geometries, config=EstimatorConfig(cache="off"),
+                           pfails=(1e-4, 1e-3),
+                           benchmarks=("bs", "fibcall"))
+        assert format_sweep_report(result) + "\n" == \
+            (GOLDEN / "mixed_groups_sweep.txt").read_text()
+        totals = result.solver_totals
+        # Only the 16 B group of two is stacked, once per benchmark.
+        assert totals["geometry_groups"] == 2
+        assert totals["classify_batched_rows"] == 2
+        assert totals["fixpoints_run"] == 2 * 2 * 3
+
+    def test_suite_report_is_golden(self):
+        stats = PipelineStats()
+        with fresh_results():
+            results = run_suite(EstimatorConfig(cache="off"),
+                                pipeline_stats=stats)
+        assert format_fig4([row_of(result) for result in results]) \
+            + "\n" == (GOLDEN / "suite_fig4.txt").read_text()
+        totals = stats.totals()
+        assert totals["fixpoints_run"] == 3 * len(EVALUATED_BENCHMARKS)
+        assert "geometry_groups" not in totals
+        assert "classify_batched_rows" not in totals

@@ -127,11 +127,11 @@ def _bounded_program(upper: float = 5.0) -> LinearProgram:
     return program
 
 
-def _constraint_bounded_program(upper: float = 5.0) -> LinearProgram:
+def _constraint_bounded_program() -> LinearProgram:
     """x bounded only by a row — invisible to the structural screen."""
     program = LinearProgram(name="unit-row")
     program.add_variable("x")
-    program.add_le({0: 1.0}, upper)
+    program.add_le({0: 1.0}, 5.0)
     return program
 
 
@@ -186,41 +186,19 @@ class TestPlannerUnit:
         assert planner.structural_bound(
             SolveRequest.from_objective({0: -1.0})) == math.inf
 
-    def test_lp_prescreen_opt_in_fires_when_structural_cannot(self):
+    def test_row_bounded_columns_are_all_solved(self):
         # The variable is only bounded by a constraint row, so the
-        # structural screen knows nothing (inf); the opt-in LP screen
-        # proves ceil(0.9 * 5) = 5 <= 5 and prunes the second ILP.
-        planner = SolvePlanner(_constraint_bounded_program(),
-                               lp_prescreen=True)
+        # structural screen knows nothing (inf): both columns reach
+        # the backend, and no LP is paid for screening.
+        planner = SolvePlanner(_constraint_bounded_program())
         row = planner.fmm_row([
             SolveRequest.from_objective({0: 1.0}),
             SolveRequest.from_objective({0: 0.9}),
         ])
         assert row == (0, 5, 5)
         assert planner.stats.pruned_structural == 0
-        assert planner.stats.pruned_relaxation == 1
-        assert planner.stats.ilp_solved == 1
-
-    def test_lp_prescreen_off_by_default(self):
-        planner = SolvePlanner(_constraint_bounded_program())
-        planner.fmm_row([
-            SolveRequest.from_objective({0: 1.0}),
-            SolveRequest.from_objective({0: 0.9}),
-        ])
         assert planner.stats.lp_solved == 0
         assert planner.stats.ilp_solved == 2
-
-    def test_lp_prescreen_budget_disables_after_misses(self):
-        planner = SolvePlanner(_constraint_bounded_program(upper=100.0),
-                               lp_prescreen=True)
-        # Strictly increasing columns: every pre-screen misses.
-        columns = [SolveRequest.from_objective({0: float(i)})
-                   for i in range(1, SolvePlanner.PRESCREEN_MISS_BUDGET + 4)]
-        planner.fmm_row(columns)
-        assert planner.stats.pruned_relaxation == 0
-        # Only the first PRESCREEN_MISS_BUDGET columns paid for an LP
-        # (the first column skips the screen: previous value is 0).
-        assert planner.stats.lp_solved == SolvePlanner.PRESCREEN_MISS_BUDGET
 
     def test_prime_fills_cache(self):
         planner = SolvePlanner(_bounded_program())
@@ -245,8 +223,7 @@ class TestPlannerUnit:
         stats = SolvePlanner(_bounded_program()).stats.as_dict()
         assert {"requests", "ilp_solved", "lp_solved", "dedup_hits",
                 "store_hits", "pruned_empty", "pruned_structural",
-                "pruned_relaxation", "dedup_hit_rate",
-                "store_hit_rate"} == set(stats)
+                "dedup_hit_rate", "store_hit_rate"} == set(stats)
 
 
 class TestBackends:

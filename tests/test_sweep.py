@@ -188,45 +188,41 @@ class TestParallelSweep:
         assert sorted(completed for _, completed, _ in seen) == [1, 2]
 
     @pytest.mark.parametrize("workers", (1, 4))
-    def test_batched_engine_report_matches_vector(self, tmp_path,
-                                                  monkeypatch, workers):
-        """The geometry-batched kernel changes no output byte.
+    def test_stacked_groups_match_single_geometry_sweeps(self, tmp_path,
+                                                         workers):
+        """Stacking a line-size group changes no design point.
 
-        Two line-size groups, so ``workers=4`` runs both groups'
-        classify tasks on the pool at once.  Only the physical fixpoint
-        count may differ between the engines — the batching
-        orchestration (store traffic, batched siblings, tables) is
-        engine-independent.
+        Two line-size groups of two, so ``workers=4`` runs both
+        groups' classify tasks on the pool at once; each geometry swept
+        alone is a group of one.  Only the fixpoint count and the
+        batching counters differ.
         """
-        from repro.analysis.classify import ENGINE_ENV
-
         geometries = geometry_grid(sizes=(512, 1024), ways=(2,),
                                    lines=(16, 32))
         kwargs = dict(pfails=(1e-4,), benchmarks=("fibcall", "bs"),
                       workers=workers)
-        monkeypatch.delenv(ENGINE_ENV, raising=False)
-        batched = run_sweep(
+        stacked = run_sweep(
             geometries,
-            config=EstimatorConfig(cache=str(tmp_path / "batch")),
+            config=EstimatorConfig(cache=str(tmp_path / "stacked")),
             **kwargs)
-        monkeypatch.setenv(ENGINE_ENV, "vector")
-        vector = run_sweep(
-            geometries,
-            config=EstimatorConfig(cache=str(tmp_path / "vector")),
-            **kwargs)
-        assert format_sweep_report(batched) == \
-            format_sweep_report(vector)
-        assert batched.points == vector.points
-        batch_totals = dict(batched.solver_totals)
-        vector_totals = dict(vector.solver_totals)
-        # One stacked pair per (benchmark, group) vs one pair per
+        alone_fixpoints = 0
+        for geometry in geometries:
+            alone = run_sweep(
+                (geometry,),
+                config=EstimatorConfig(cache=str(tmp_path / "alone")),
+                **kwargs)
+            assert alone.points == tuple(
+                point for point in stacked.points
+                if point.geometry == geometry)
+            assert "geometry_groups" not in alone.solver_totals
+            alone_fixpoints += alone.solver_totals["fixpoints_run"]
+        # One stacked pair + SRB per (benchmark, group) vs one per
         # (benchmark, geometry): 2x fewer with groups of two.
-        assert batch_totals.pop("fixpoints_run") * 2 == \
-            vector_totals.pop("fixpoints_run")
-        assert batch_totals == vector_totals
+        assert stacked.solver_totals["fixpoints_run"] * 2 == \
+            alone_fixpoints == 2 * 4 * 3
         # Each benchmark batched one sibling geometry per group.
-        assert batched.solver_totals["classify_batched_rows"] == 2 * 2
-        assert batched.solver_totals["geometry_groups"] == 2 * 2
+        assert stacked.solver_totals["classify_batched_rows"] == 2 * 2
+        assert stacked.solver_totals["geometry_groups"] == 2 * 2
 
     def test_parallel_cap_never_oversubscribes(self, tmp_path,
                                                monkeypatch):
