@@ -149,17 +149,6 @@ class ClassificationTable:
             histogram[key] = histogram.get(key, 0) + 1
         return histogram
 
-    def encoded(self) -> dict:
-        """The table in the classification store's canonical encoding.
-
-        This is the transport format of the pipeline's
-        :class:`~repro.pipeline.artifacts.ClassificationArtifact`: the
-        exact JSON document the persistent store would hold, so an
-        artifact crossing a process boundary round-trips through the
-        same (property-tested) codec as a warm store read.
-        """
-        return encode_table(self._table)
-
 
 class CacheAnalysis:
     """Runs and memoises the cache analyses of one (CFG, geometry) pair.
@@ -284,36 +273,6 @@ class CacheAnalysis:
             self._store.put(key, {"hits": sorted(self._srb_hits)})
             self.stats.classify_store_writes += 1
         return self._srb_hits
-
-    def preload(self, tables: dict[int, object] | None,
-                srb_hits=None) -> None:
-        """Seed the memo from a pipeline artifact (no store traffic).
-
-        ``tables`` maps associativity to store-encoded tables
-        (:meth:`ClassificationTable.encoded`); ``srb_hits`` is an
-        iterable of reference keys.  Entries that fail to decode or
-        mismatch this analysis' reference map are skipped — they
-        degrade to recomputation exactly like a corrupt store row —
-        and already-memoised associativities are never overwritten.
-        Preloaded tables touch neither the stats counters nor the
-        persistent store: the producing stage already accounted and
-        persisted them.
-        """
-        for assoc, encoded in (tables or {}).items():
-            assoc = int(assoc)
-            if assoc in self._tables:
-                continue
-            table = decode_table(encoded)
-            if table is None or set(table) != set(self._references) \
-                    or any(len(table[block_id]) != len(refs)
-                           for block_id, refs in self._references.items()):
-                continue
-            self._tables[assoc] = ClassificationTable(assoc, table,
-                                                      self._references)
-        if srb_hits is not None and self._srb_hits is None:
-            self._srb_hits = frozenset(
-                (int(block_id), int(index))
-                for block_id, index in srb_hits)
 
     # -- persistence ---------------------------------------------------
     def _cfg_digest(self) -> str:

@@ -58,13 +58,17 @@ def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
                              "(default 1e-15)")
     parser.add_argument("--relaxed", action="store_true",
                         help="solve LP relaxations (sound, faster)")
-    parser.add_argument("--workers", type=int, default=1,
-                        help="process-pool width for batched solving "
-                             "(default 1: in-process)")
     parser.add_argument("--cache", default=None, metavar="off|PATH",
                         help="persistent store directory; 'off' "
                              "disables it (default: REPRO_CACHE, "
                              "else the user cache dir)")
+
+
+def _add_workers_argument(parser: argparse.ArgumentParser) -> None:
+    """``--workers`` for the commands that run the task DAG."""
+    parser.add_argument("--workers", type=int, default=1,
+                        help="process-pool width of the task DAG "
+                             "(default 1: in-process)")
 
 
 def _add_resilience_arguments(parser: argparse.ArgumentParser) -> None:
@@ -140,11 +144,13 @@ def _retry_from(arguments: argparse.Namespace):
 
 
 def _config_from(arguments: argparse.Namespace) -> EstimatorConfig:
-    if arguments.workers < 1:
-        raise SystemExit(f"--workers must be >= 1, got {arguments.workers}")
+    # Single-benchmark commands run in-process and take no --workers.
+    workers = getattr(arguments, "workers", 1)
+    if workers < 1:
+        raise SystemExit(f"--workers must be >= 1, got {workers}")
     return EstimatorConfig(pfail=arguments.pfail,
                            relaxed=arguments.relaxed,
-                           workers=arguments.workers,
+                           workers=workers,
                            cache=arguments.cache)
 
 
@@ -399,6 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     suite = commands.add_parser(
         "suite", help="the Figure 4 survey over all 25 benchmarks")
     _add_config_arguments(suite)
+    _add_workers_argument(suite)
     _add_resilience_arguments(suite)
     suite.set_defaults(handler=_command_suite)
 
@@ -453,6 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--output", default=None,
                        help="write the report to a file")
     _add_config_arguments(sweep)
+    _add_workers_argument(sweep)
     _add_resilience_arguments(sweep)
     sweep.set_defaults(handler=_command_sweep)
 
@@ -501,6 +509,7 @@ def build_parser() -> argparse.ArgumentParser:
     report.add_argument("--output", default=None,
                         help="write the markdown report to a file")
     _add_config_arguments(report)
+    _add_workers_argument(report)
     report.set_defaults(handler=_command_report)
     return parser
 

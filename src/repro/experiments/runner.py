@@ -108,7 +108,7 @@ def run_suite(config: EstimatorConfig | None = None, *,
     ``workers`` (default: the configuration's ``workers`` field) > 1
     executes the suite DAG on a shared process pool: classification
     and estimation stages of different benchmarks interleave freely
-    (only each benchmark's own artifact dependency is enforced), so
+    (only each benchmark's own stage dependencies are enforced), so
     outputs match the sequential path exactly while no worker idles on
     another benchmark's fixpoints.  ``pipeline_stats`` scopes the
     counters of exactly this invocation — benchmarks served from the

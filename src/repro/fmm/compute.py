@@ -30,9 +30,9 @@ The sweep is *planned* rather than solved eagerly: references are
 partitioned by cache set once, every (set, fault count) cell becomes a
 declarative :class:`~repro.solve.request.SolveRequest`, and the
 :class:`~repro.solve.planner.SolvePlanner` dedups identical
-objectives, prunes columns by monotonicity + LP-relaxation
-pre-screening, and optionally batch-solves across a process pool —
-with results bit-identical to the direct per-cell sweep.
+objectives, skips empty columns and prunes columns whose structural
+(loop-bound) upper bound cannot beat the previous one — with results
+bit-identical to the direct per-cell sweep.
 """
 
 from __future__ import annotations
@@ -77,7 +77,7 @@ def compute_fault_miss_map(analysis: CacheAnalysis,
     partition = _references_by_set(analysis, baseline)
 
     # Build every cell's request first (cheap, solver untouched); the
-    # planner then dedups/prunes/batches the actual solving.
+    # planner then dedups/prunes the actual solving.
     columns: list[list[SolveRequest | None]] = []
     for set_index in range(geometry.sets):
         per_set: list[SolveRequest | None] = []
@@ -95,9 +95,6 @@ def compute_fault_miss_map(analysis: CacheAnalysis,
                 if objective else None)
         columns.append(per_set)
 
-    if planner.workers > 1:
-        planner.prime(request for per_set in columns
-                      for request in per_set if request is not None)
     rows = tuple(planner.fmm_row(per_set) for per_set in columns)
     return FaultMissMap(geometry=geometry, rows=rows,
                         mechanism_name=mechanism.name)

@@ -1,25 +1,19 @@
-"""The unified estimation pipeline: typed artifacts + one DAG scheduler.
+"""The unified estimation pipeline: one DAG scheduler and its stages.
 
 The paper's estimation flow (program → CFG → cache classification →
 FMM → ILP solve → pWCET distribution) used to be orchestrated three
 different ways — inside the estimator, again in the experiment runner,
 and a third time in the sweep service, each with its own worker pool.
-This package makes the pipeline an explicit, schedulable artifact
-graph instead of a call stack:
-
-``artifacts``
-    Frozen stage outputs (:class:`CfgArtifact`,
-    :class:`ClassificationArtifact`, :class:`SolveArtifact`,
-    :class:`FmmArtifact`, :class:`DistributionArtifact`), each keyed by
-    the digest its stage's persistent store already uses.
+This package lays the suite and the sweep out as one flat, schedulable
+task graph instead:
 
 ``scheduler``
     :class:`PipelineScheduler` — the dependency-DAG executor with one
-    shared worker pool that interleaves classification fixpoints with
-    ILP solve batches across benchmarks, geometries and fault counts,
-    steals queued pool tasks into the parent when every worker is
-    busy, and runs an incremental-invalidation ``plan()`` pass that
-    satisfies content-addressed stages from their persistent stores;
+    shared worker pool that interleaves classification, solve and
+    cell tasks across benchmarks and geometries, steals queued pool
+    tasks into the parent when every worker is busy, and runs an
+    incremental-invalidation ``plan()`` pass that satisfies
+    content-addressed stages from their persistent stores;
     :class:`PipelineStats` — per-run merged solver + analysis
     counters plus cell/from-store accounting and per-stage timings.
 
@@ -42,18 +36,16 @@ graph instead of a call stack:
 ``cellstore``
     :class:`~repro.pipeline.cellstore.CellStore` — the persistent,
     content-addressed store of finished (mechanism, pfail) cells the
-    plan pass probes.
+    plan pass probes, keyed by
+    :func:`~repro.pipeline.cellstore.cell_key`.
 
-The estimator (:mod:`repro.pwcet.estimator`), the suite runner
-(:mod:`repro.experiments.runner`) and the sweep service
-(:mod:`repro.sweep.service`) all execute through this scheduler;
-outputs are bit-identical at any worker count.
+The suite runner (:mod:`repro.experiments.runner`) and the sweep
+service (:mod:`repro.sweep.service`) execute through this scheduler;
+outputs are bit-identical at any worker count.  The single-benchmark
+estimator (:mod:`repro.pwcet.estimator`) calls the same kernels
+directly, in-process, with no scheduler.
 """
 
-from repro.pipeline.artifacts import (CELL_SCHEMA_VERSION, CfgArtifact,
-                                      ClassificationArtifact,
-                                      DistributionArtifact, FmmArtifact,
-                                      SolveArtifact, StageArtifact)
 from repro.pipeline.resilience import (DEFAULT_RETRY_POLICY, FailureReport,
                                        RetryPolicy, StageTimeout,
                                        TaskFailure, classify_failure)
@@ -63,13 +55,6 @@ from repro.pipeline.stages import (SUITE_MECHANISMS, EstimationDag,
                                    solve_stage, suite_pipeline)
 
 __all__ = [
-    "CELL_SCHEMA_VERSION",
-    "CfgArtifact",
-    "ClassificationArtifact",
-    "DistributionArtifact",
-    "FmmArtifact",
-    "SolveArtifact",
-    "StageArtifact",
     "PipelineScheduler",
     "PipelineStats",
     "DEFAULT_RETRY_POLICY",

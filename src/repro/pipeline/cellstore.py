@@ -4,12 +4,11 @@ The third disk-backed store of the pipeline, completing the stage
 coverage: the solve store persists ILP optima, the classification
 store persists CHMC tables, and this one persists whole *(mechanism,
 pfail)* cells — the rows of the pipeline's cells tasks.  Keys are the
-:meth:`~repro.pipeline.artifacts.DistributionArtifact.derive_key`
-digest over CFG digest × geometry × timing × mechanism × pfail ×
-:data:`~repro.pipeline.artifacts.CELL_SCHEMA_VERSION`, so a persisted
-cell is addressed exactly like the row that would recompute it — the
-cells tasks' plan-pass probes look every row up by content address
-before any worker starts.
+:func:`cell_key` digest over CFG digest × geometry × timing ×
+mechanism × pfail × :data:`CELL_SCHEMA_VERSION`, so a persisted cell
+is addressed exactly like the row that would recompute it — the cells
+tasks' plan-pass probes look every row up by content address before
+any worker starts.
 
 Entries hold everything a :class:`~repro.pwcet.estimator.PWCETEstimate`
 needs (fault-free WCET, exact penalty pmf, exceedance correction, FMM
@@ -27,6 +26,7 @@ degrade to recomputation).
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import zlib
@@ -35,10 +35,32 @@ import numpy as np
 
 from repro.errors import ConfigurationError, DistributionError
 from repro.fmm import FaultMissMap
-from repro.pipeline.artifacts import CELL_SCHEMA_VERSION
 from repro.pwcet.distribution import DiscreteDistribution
 from repro.pwcet.estimator import PWCETEstimate
 from repro.solve.store import SqliteStore, json_bytes
+
+#: Schema of persisted pWCET cells.  Folded into every
+#: :func:`cell_key`, so bumping it invalidates every stored cell
+#: without touching the solve or classification stores.
+#: v2: sparse (width, support, values) pmf encoding — wide suite
+#: distributions are mostly zero, and the dense float list dominated
+#: warm-decode and write-through time.
+#: v3: compact binary cell encoding in the SQLite store.
+CELL_SCHEMA_VERSION = 3
+
+
+def cell_key(store_context: str, mechanism: str, pfail: float) -> str:
+    """Content address of one (mechanism, pfail) cell.
+
+    SHA-256 over the canonical JSON of the estimation context (see
+    :func:`~repro.solve.store.store_context`), the mechanism, the
+    fault probability and :data:`CELL_SCHEMA_VERSION`.  The encoding
+    is frozen: every cell ever written stays addressable.
+    """
+    payload = json.dumps(["distribution", store_context, mechanism, pfail,
+                          CELL_SCHEMA_VERSION],
+                         sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
 def encode_cell(estimate: PWCETEstimate) -> bytes:

@@ -1,11 +1,11 @@
-"""The dependency-DAG scheduler shared by estimator, runner and sweep.
+"""The dependency-DAG scheduler of the suite runner and the sweep.
 
 One :class:`PipelineScheduler` owns one worker pool and executes a DAG
-of stage tasks: fixpoint/classification stages, ILP solve stages and
-distribution cells of every benchmark and geometry all land on the
-*same* pool, so solve workers start on one benchmark's ILPs while
-another benchmark's cache analysis is still running — there is no
-phase barrier between stages, only the declared artifact dependencies.
+of stage tasks: classification, solve and cell tasks of every
+benchmark and geometry all land on the *same* pool, so one
+benchmark's solve task starts while another benchmark's cache
+analysis is still running — there is no phase barrier between stages,
+only the declared dependencies.
 
 Execution model
 ---------------
@@ -23,9 +23,10 @@ Execution model
   recomputes only that benchmark's stages; everything else is
   satisfied-from-store.
 * Ready tasks are dispatched in ``(order key, insertion index)``
-  order — stage tasks carry their *artifact key* as the order key, so
-  dispatch order (and with it the streamed progress and merged
-  counters) is reproducible across runs and Python hash seeds.  The
+  order — stage tasks carry a rank string (benchmark, line size,
+  geometry position) as the order key, so dispatch order (and with it
+  the streamed progress and merged counters) is reproducible across
+  runs and Python hash seeds.  The
   ``workers=1`` inline path is thereby a deterministic sequential
   program — the property the bit-identity guarantees lean on.
 * At most ``workers`` pool tasks are in flight; the scheduler keeps
@@ -36,18 +37,12 @@ Execution model
   runs it in-process — small cells of one benchmark backfill the
   otherwise-idle parent while another benchmark's long ILP batch
   occupies the pool.
-* Inline tasks (closures over in-process state — the estimator's own
-  stages) run in the parent while pool futures are outstanding.
+* Inline tasks (closures over in-process state — the drivers' result
+  sinks) run in the parent while pool futures are outstanding.
 * A task added with ``fuse=True`` runs in the same process as its
   single dependency, right after it: the pair is dispatched (or
   stolen) as one chain, and the dependency's value never crosses a
   process boundary — classification tables stay where they were built.
-
-Besides DAG tasks the scheduler doubles as the *solve executor* of
-:class:`~repro.solve.planner.SolvePlanner`:
-:meth:`map_solves` fans batched ILP objectives over the same pool
-(workers memoise the rebuilt backend per program token), so a single
-pool serves both the coarse stage tasks and the fine solve batches.
 
 Per-run work is accounted in a fresh :class:`PipelineStats` — the
 merge of the solver's and the analysis' counters, scoped to one
@@ -59,8 +54,7 @@ from __future__ import annotations
 
 import heapq
 import time
-import uuid
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Sequence
 from concurrent.futures import (FIRST_COMPLETED, BrokenExecutor, Future,
                                 ProcessPoolExecutor, wait)
 from dataclasses import dataclass, field
@@ -118,17 +112,9 @@ class PipelineStats:
                                      + seconds)
 
     def merge_counters(self, counters: dict[str, float] | None) -> None:
-        """Fold one stage's counter dict in (rates are skipped).
-
-        ``fault_pmf_*`` keys are process-scope memo snapshots, not
-        per-run work — summing them would double-count across stages,
-        so they are dropped; likewise the ``*_corrupt_skipped``
-        store-repair snapshots surfaced by ``stats_summary()``.
-        """
+        """Fold one stage's counter dict in (rates are skipped)."""
         for key, value in (counters or {}).items():
-            if not key.endswith("_rate") \
-                    and not key.endswith("_corrupt_skipped") \
-                    and not key.startswith("fault_pmf_"):
+            if not key.endswith("_rate"):
                 self.counters[key] = self.counters.get(key, 0) + value
 
     def totals(self) -> dict[str, float]:
@@ -164,17 +150,6 @@ class PipelineStats:
         in the same pass as their mechanism's first row."""
         return int(self.counters.get("dist_batched_rows", 0))
 
-    @property
-    def classify_batched_rows(self) -> int:
-        """Sibling geometries the stacked classification kernel
-        classified in the same fixpoint pair as their group's lead."""
-        return int(self.counters.get("classify_batched_rows", 0))
-
-    @property
-    def geometry_groups(self) -> int:
-        """Line-size groups whose classify tasks ran batched."""
-        return int(self.counters.get("geometry_groups", 0))
-
 
 @dataclass
 class _Task:
@@ -186,9 +161,9 @@ class _Task:
     pool: bool
     index: int
     #: Dispatch order within the ready set (before the insertion
-    #: index).  Stage tasks pass their artifact key so dispatch is
+    #: index).  Stage tasks pass a rank string so dispatch is
     #: reproducible across hash seeds; the default ``""`` preserves
-    #: pure insertion order (and sorts ahead of any hex digest).
+    #: pure insertion order (and sorts ahead of any rank).
     order: str = ""
     #: Store probe of the plan pass: returns the finished result when
     #: the stage's persistent store already holds it, else ``None``.
@@ -225,37 +200,8 @@ def _run_pool_chain(steps: Sequence[tuple[Callable, tuple]]
     return outcomes, None
 
 
-#: Worker-side backends rebuilt from program snapshots, memoised per
-#: planner token so one long-lived pool serves many programs without
-#: rebuilding on every chunk.  Bounded: oldest entry evicted beyond
-#: :data:`_MAX_WORKER_BACKENDS`.
-_WORKER_BACKENDS: dict[str, object] = {}
-_MAX_WORKER_BACKENDS = 4
-
-
-def _solve_chunk(token: str, snapshot: object,
-                 items: Sequence[tuple[tuple, bool]]) -> list[int]:
-    """Solve one chunk of (objective, relaxed) payloads in a worker."""
-    # Imported here, not at module level: repro.solve imports the
-    # planner, which imports this module — the lazy import keeps the
-    # package graph acyclic (and only workers ever pay it).
-    from repro.solve.backend import ceil_bound, make_backend
-
-    backend = _WORKER_BACKENDS.get(token)
-    if backend is None:
-        while len(_WORKER_BACKENDS) >= _MAX_WORKER_BACKENDS:
-            _WORKER_BACKENDS.pop(next(iter(_WORKER_BACKENDS)))
-        backend = _WORKER_BACKENDS[token] = make_backend(snapshot)
-    values = []
-    for objective, relaxed in items:
-        value, _ = backend.solve(dict(objective), sign=-1.0,
-                                 relaxed=relaxed)
-        values.append(ceil_bound(value) if relaxed else int(round(value)))
-    return values
-
-
 class PipelineScheduler:
-    """Executes typed-artifact DAGs over one shared worker pool."""
+    """Executes stage-task DAGs over one shared worker pool."""
 
     def __init__(self, workers: int = 1, *,
                  retry: RetryPolicy | None = None,
@@ -271,12 +217,6 @@ class PipelineScheduler:
         self.strict = bool(strict)
         self._tasks: dict[str, _Task] = {}
         self._pool: ProcessPoolExecutor | None = None
-        self._running = False
-        #: The running :class:`FailureReport` (``map_solves`` charges
-        #: its pool rebuilds here while a DAG run is active).
-        self._report: FailureReport | None = None
-        #: Distinguishes this scheduler's snapshots in worker memos.
-        self._token = uuid.uuid4().hex
 
     # -- DAG construction ----------------------------------------------
     def add(self, key: str, fn: Callable, *, args: tuple = (),
@@ -290,11 +230,11 @@ class PipelineScheduler:
         results in declared order.  ``pool=True`` allows execution on
         the process pool (``fn`` and every argument must pickle);
         forward references in ``deps`` are fine — the DAG is validated
-        at :meth:`run`.  ``order_key`` (conventionally the artifact
-        key) ranks the task within the ready set ahead of the insertion
-        index, making dispatch hash-seed independent; ``probe`` lets
-        the plan pass satisfy the task from its persistent store
-        (it returns the finished result, or ``None`` to run normally).
+        at :meth:`run`.  ``order_key`` ranks the task within the ready
+        set ahead of the insertion index, making dispatch hash-seed
+        independent; ``probe`` lets the plan pass satisfy the task
+        from its persistent store (it returns the finished result, or
+        ``None`` to run normally).
         ``fuse=True`` (exactly one dependency, whose only dependent
         this task is) runs the task right after its dependency in the
         same process; the dependency's result is recorded as ``None``
@@ -398,8 +338,7 @@ class PipelineScheduler:
         """Execute every added task; return results keyed by task key.
 
         The task set is consumed: the scheduler is immediately reusable
-        for the next DAG (the estimator adds a fresh stage graph per
-        estimation batch).  ``stats`` scopes the run's counters;
+        for the next DAG.  ``stats`` scopes the run's counters;
         ``on_task(key, result, completed, total)`` streams completions
         (deterministic submission order inline, completion order with
         a pool).
@@ -409,8 +348,6 @@ class PipelineScheduler:
             stats = PipelineStats()
         policy = self.retry
         report = stats.failure_report
-        self._report = report
-        self._running = True
         started = time.perf_counter()
         satisfied, demanded, _will_run = self._plan(tasks)
         # Tasks nobody demands any more (every transitive dependent is
@@ -728,96 +665,8 @@ class PipelineScheduler:
                         f"{stuck}")
         finally:
             stats.wall_seconds += time.perf_counter() - started
-            self._running = False
-            self._report = None
             self._close_pool()
         return results
-
-    # -- the shared solve executor (SolvePlanner integration) -----------
-    def map_solves(self, token: str, snapshot: object,
-                   payload: Sequence[tuple[tuple, bool]], *,
-                   chunksize: int = 1,
-                   workers: int | None = None) -> list[int]:
-        """Batch-solve ILP payloads on the shared pool, in order.
-
-        ``token`` keys the worker-side backend memo (one rebuild per
-        worker per program, however many chunks follow).  Called from
-        inside a running DAG — an inline estimator stage priming its
-        planner — this opens (or reuses) the run's shared pool, which
-        then serves every later batch of the run and is reaped when
-        :meth:`run` returns: one pool for all of an estimation's
-        mechanisms and stages (an explicit ``workers`` request cannot
-        resize an open shared pool).  Standalone calls (a planner
-        primed outside any DAG) use a transient pool sized by
-        ``workers`` (default: the scheduler's width) so nothing
-        lingers past the call.
-        """
-        chunks = [list(payload[i:i + max(1, chunksize)])
-                  for i in range(0, len(payload), max(1, chunksize))]
-        scoped_token = f"{self._token}:{token}"
-        if self._pool is not None or self._running:
-            return self._map_on_shared_pool(scoped_token, snapshot,
-                                            chunks)
-        with ProcessPoolExecutor(
-                max_workers=min(workers or self.workers,
-                                len(chunks))) as pool:
-            futures = [pool.submit(_solve_chunk, scoped_token, snapshot,
-                                   chunk) for chunk in chunks]
-            return [value for future in futures
-                    for value in future.result()]
-
-    def _map_on_shared_pool(self, scoped_token: str, snapshot: object,
-                            chunks: list[list]) -> list[int]:
-        """Run solve chunks on the shared pool, rebuilding on breaks.
-
-        A killed solve worker breaks the whole pool; with a retry
-        policy the pool is rebuilt and only the unfinished chunks are
-        resubmitted (order is preserved by chunk slot).  Without a
-        policy the break propagates raw, as before.
-        """
-        slots: list[list[int] | None] = [None] * len(chunks)
-        batch_attempts = 0
-        while any(slot is None for slot in slots):
-            pool = self._ensure_pool()
-            broken: BaseException | None = None
-            futures: dict[Future, int] = {}
-            for index, slot in enumerate(slots):
-                if slot is not None:
-                    continue
-                try:
-                    futures[pool.submit(_solve_chunk, scoped_token,
-                                        snapshot, chunks[index])] = index
-                except BrokenExecutor as error:
-                    # The shared pool broke (a DAG stage's worker was
-                    # killed) before this batch fully submitted; the
-                    # chunks already in are harvested below, the rest
-                    # resubmit on the rebuilt pool.
-                    broken = error
-                    break
-            for future, index in futures.items():
-                if broken is None:
-                    try:
-                        slots[index] = future.result()
-                        continue
-                    except BrokenExecutor as error:
-                        broken = error
-                # The pool already broke: harvest chunks that
-                # finished before the break, leave the rest unfilled.
-                if (future.done() and not future.cancelled()
-                        and future.exception() is None):
-                    slots[index] = future.result()
-            if broken is None:
-                break
-            batch_attempts += 1
-            allowed = (self.retry.max_attempts
-                       if self.retry is not None else 1)
-            if batch_attempts >= allowed:
-                raise broken
-            if self._report is not None:
-                self._report.pool_rebuilds += 1
-                self._report.retries += 1
-            self._discard_pool()
-        return [value for slot in slots for value in slot]
 
     # -- pool lifecycle -------------------------------------------------
     def _ensure_pool(self) -> ProcessPoolExecutor:

@@ -56,9 +56,6 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 
 from repro.analysis import CacheAnalysis
-from repro.analysis.store import classification_key
-from repro.pipeline.artifacts import (CfgArtifact, ClassificationArtifact,
-                                      DistributionArtifact)
 from repro.pipeline.scheduler import PipelineScheduler, PipelineStats
 from repro.reliability import ReliabilityMechanism, mechanism_by_name
 from repro.suite import load
@@ -93,41 +90,6 @@ def required_classifications(mechanisms, ways: int
                 seen.add(assoc)
                 assocs.append(assoc)
     return tuple(assocs), needs_srb
-
-
-def classification_artifact(analysis: CacheAnalysis, name: str,
-                            mechanisms, *, carry_tables: bool
-                            ) -> ClassificationArtifact:
-    """Run (or decode) the classification stage on ``analysis``.
-
-    The analysis object is the read/write-through boundary: warm
-    tables decode from the persistent store, cold ones run the
-    fixpoint engine and are written through.  ``carry_tables`` embeds
-    the store-encoded tables in the artifact (for a consumer in
-    another process); without it the artifact hands the analysis
-    object itself to same-process consumers.
-    """
-    ways = analysis.geometry.ways
-    assocs, needs_srb = required_classifications(mechanisms, ways)
-    tables = {} if carry_tables else None
-    for assoc in assocs:
-        table = analysis.classification(assoc)
-        if tables is not None:
-            tables[assoc] = table.encoded()
-    srb_hits = None
-    if needs_srb:
-        srb_hits = tuple(sorted(analysis.srb_always_hits()))
-    digest = analysis.cfg.digest()
-    return ClassificationArtifact(
-        key=classification_key(digest, analysis.geometry, ways),
-        cfg=CfgArtifact(key=digest, name=name),
-        table_keys={assoc: classification_key(digest, analysis.geometry,
-                                              assoc)
-                    for assoc in assocs},
-        tables=tables,
-        srb_hits=srb_hits,
-        stats=analysis.stats.as_dict(),
-        analysis=None if carry_tables else analysis)
 
 
 def _batched(store):
@@ -376,11 +338,11 @@ class EstimationDag:
     def _add_cells(self, scheduler, name, digest, geometry, position,
                    selection, config, solve_key, cell_store, pool,
                    probability, bench_index) -> None:
+        from repro.pipeline.cellstore import cell_key
         from repro.solve.store import store_context
 
         context = store_context(digest, geometry, config.timing)
-        keys = {(mechanism, pfail): DistributionArtifact.derive_key(
-                    context, mechanism, pfail)
+        keys = {(mechanism, pfail): cell_key(context, mechanism, pfail)
                 for pfail, chosen in selection.items()
                 for mechanism in chosen}
         task_key = f"cells:{name}:{_geometry_label(geometry)}"

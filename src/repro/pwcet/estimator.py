@@ -18,13 +18,12 @@ persist across runs through the content-addressed
 ``EstimatorConfig(cache=...)``): a warm rerun of the same estimation
 performs zero backend ILP solves.
 
-Execution goes through the unified pipeline
-(:mod:`repro.pipeline`): each estimation batch is a typed-artifact DAG
-(cfg → classification → {WCET, FMM per mechanism} → distribution →
-estimate) run by a :class:`~repro.pipeline.scheduler.PipelineScheduler`
-whose pool also serves the planner's batched ILP solves — with
-``workers > 1`` there is no private pool and no phase barrier between
-the classification fixpoints and the solve batches.
+The estimator runs in-process and calls its stages directly, in one
+fixed order per batch: classification, fault-free WCET, then per
+mechanism FMM → distribution → estimate.  Multi-benchmark runs (the
+suite, the sweep) go through the flat task DAG of
+:mod:`repro.pipeline.stages` instead, which computes the same values
+with the same kernels.
 """
 
 from __future__ import annotations
@@ -41,9 +40,7 @@ from repro.faults import FaultProbabilityModel
 from repro.fmm import FaultMissMap, compute_fault_miss_map
 from repro.ipet import FlowModel, TimingModel, compute_wcet
 from repro.minic import CompiledProgram
-from repro.pipeline.artifacts import (DistributionArtifact, FmmArtifact,
-                                      SolveArtifact)
-from repro.pipeline.scheduler import PipelineScheduler
+from repro.pipeline.stages import required_classifications
 from repro.pwcet.batch import penalty_distributions
 from repro.pwcet.distribution import DiscreteDistribution
 from repro.pwcet.exceedance import ExceedanceCurve
@@ -71,10 +68,11 @@ class EstimatorConfig:
     pfail: float = 1e-4
     #: Solve LP relaxations instead of ILPs (sound, looser, faster).
     relaxed: bool = False
-    #: Process-pool width for batched ILP solving (1 = in-process).
+    #: Process-pool width of the suite/sweep task DAG (1 = inline).
     #: Execution policy, not a hardware parameter: results are
     #: identical for any width, so it is excluded from equality (and
-    #: hence from the experiment runner's memoisation key).
+    #: hence from the experiment runner's memoisation key).  A lone
+    #: :class:`PWCETEstimator` always runs in-process.
     workers: int = field(default=1, compare=False)
     #: Persistent solve-cache selector: ``None`` defers to the
     #: ``REPRO_CACHE`` environment variable, ``"off"`` disables
@@ -160,43 +158,22 @@ class PWCETEstimator:
 
     def __init__(self, program: CompiledProgram | CFG,
                  config: EstimatorConfig | None = None,
-                 name: str | None = None, *,
-                 scheduler: PipelineScheduler | None = None,
-                 analysis: CacheAnalysis | None = None) -> None:
+                 name: str | None = None) -> None:
         if config is None:
             config = EstimatorConfig()
         cfg = program.cfg if isinstance(program, CompiledProgram) else program
         self._cfg = cfg
         self._config = config
         self._name = name if name is not None else cfg.name
-        if analysis is not None:
-            # An injected analysis (the pipeline's inline classify
-            # stage handing its work over) must describe exactly this
-            # estimation context.
-            if analysis.cfg is not cfg \
-                    or analysis.geometry != config.geometry:
-                raise EstimationError(
-                    "injected analysis belongs to a different "
-                    "(CFG, geometry) than this estimator's")
-            self._analysis = analysis
-        else:
-            #: The cache selector is shared with the solve store: one
-            #: knob (``cache=`` / ``REPRO_CACHE``) controls both
-            #: the classification store and the ILP store.
-            self._analysis = CacheAnalysis(cfg, config.geometry,
-                                           cache=config.cache)
+        #: The cache selector is shared with the solve store: one knob
+        #: (``cache=`` / ``REPRO_CACHE``) controls both the
+        #: classification store and the ILP store.
+        self._analysis = CacheAnalysis(cfg, config.geometry,
+                                       cache=config.cache)
         self._flow_model = FlowModel(cfg, self._analysis.forest)
-        #: One scheduler per estimator (or an injected shared one):
-        #: estimation batches run as artifact DAGs on it, and its pool
-        #: doubles as the planner's solve executor — classification
-        #: stages and ILP batches share one set of workers.
-        self._scheduler = (scheduler if scheduler is not None
-                           else PipelineScheduler(workers=config.workers))
         #: One planner per estimator: WCET and every mechanism's FMM
         #: dedup against the same canonical-objective cache.
         self._planner = self._flow_model.planner
-        self._planner.workers = config.workers
-        self._planner.executor = self._scheduler
         #: Cross-run persistence: already-solved objectives over this
         #: program's polytope are answered from the disk store instead
         #: of the ILP backend.
@@ -241,16 +218,16 @@ class PWCETEstimator:
 
         Together the two families prove the warm-run property end to
         end (zero backend ILPs *and* zero abstract-interpretation
-        fixpoints).  The ``fault_pmf_*`` pair snapshots the
+        fixpoints).  The ``fault_pmf_*`` triple snapshots the
         process-wide fault-pmf memo
-        (:func:`repro.reliability.mechanism.fault_pmf_cache_stats`) —
-        cumulative cache diagnostics, not per-run work, so counter
-        merges skip them (:meth:`~repro.pipeline.scheduler
-        .PipelineStats.merge_counters`).  The ``*_corrupt_skipped``
-        triple snapshots each persistent store's silent-repair count
-        (rows whose checksum failed, read as misses and recomputed) — same
-        handle-cumulative scope, same merge-skip treatment — so store
-        repair is observable instead of silent.
+        (:func:`repro.reliability.mechanism.fault_pmf_cache_stats`) and
+        the ``*_corrupt_skipped`` triple each persistent store's
+        silent-repair count (rows whose checksum failed, read as
+        misses and recomputed), so store repair is observable instead
+        of silent.  Both are cumulative diagnostics of a process or a
+        store handle, not per-run work: this dict is a report, never
+        an input to :meth:`~repro.pipeline.scheduler.PipelineStats
+        .merge_counters`.
         """
         from repro.pipeline.cellstore import CellStore
         from repro.reliability.mechanism import fault_pmf_cache_stats
@@ -311,7 +288,7 @@ class PWCETEstimator:
         """Full pWCET estimate for one mechanism (memoised)."""
         mechanism = self._resolve(mechanism)
         if mechanism.name not in self._estimates:
-            self._run_pipeline((mechanism,))
+            self._estimate((mechanism,))
         return self._estimates[mechanism.name]
 
     def estimate_all(self) -> dict[str, PWCETEstimate]:
@@ -319,76 +296,36 @@ class PWCETEstimator:
         pending = tuple(self._resolve(name) for name in ("none", "srb", "rw")
                         if name not in self._estimates)
         if pending:
-            self._run_pipeline(pending)
+            self._estimate(pending)
         return {name: self._estimates[name] for name in ("none", "srb", "rw")}
 
-    # -- the estimation DAG --------------------------------------------
-    def _run_pipeline(self, mechanisms: tuple[ReliabilityMechanism, ...]
-                      ) -> None:
-        """One estimation batch as a typed-artifact DAG.
+    def _estimate(self, mechanisms: tuple[ReliabilityMechanism, ...]
+                  ) -> None:
+        """One estimation batch, its stages called in a fixed order.
 
-        Stages (inline closures over this estimator's memoised state;
-        the planner's batched ILPs fan out over the scheduler's pool):
-        classification → WCET and, per mechanism, FMM → distribution →
-        estimate.  Inline execution follows submission order, which is
-        exactly the historical fused call order — the DAG changes
-        *where* work can run, never what is computed.
+        Every classification table (and the SRB hit set) the batch
+        needs, then the fault-free WCET, then per mechanism FMM →
+        distribution → estimate.  The order fixes the planner's
+        in-process dedup, and with it every counter.
         """
-        from repro.pipeline.stages import classification_artifact
-        from repro.solve.store import store_context
-
-        scheduler = self._scheduler
-        context = store_context(self._cfg.digest(), self._config.geometry,
-                                self._config.timing)
-        scheduler.add(
-            "classify",
-            lambda: classification_artifact(
-                self._analysis, self._name, mechanisms,
-                carry_tables=False),
-            stage="classify")
-        scheduler.add(
-            "wcet",
-            lambda _classify: SolveArtifact(
-                key=SolveArtifact.derive_key(context),
-                wcet_cycles=self.fault_free_wcet()),
-            deps=("classify",), stage="solve")
+        assocs, needs_srb = required_classifications(
+            mechanisms, self._config.geometry.ways)
+        for assoc in assocs:
+            self._analysis.classification(assoc)
+        if needs_srb:
+            self._analysis.srb_always_hits()
+        wcet = self.fault_free_wcet()
         for mechanism in mechanisms:
-            name = mechanism.name
-            scheduler.add(
-                f"fmm:{name}",
-                lambda _classify, mechanism=mechanism: FmmArtifact(
-                    key=FmmArtifact.derive_key(context, mechanism.name),
-                    mechanism=mechanism.name,
-                    fmm=self.fault_miss_map(mechanism)),
-                deps=("classify",), stage="solve")
-            scheduler.add(
-                f"distribution:{name}",
-                lambda _fmm, mechanism=mechanism: DistributionArtifact(
-                    key=DistributionArtifact.derive_key(
-                        context, mechanism.name, self._config.pfail),
-                    mechanism=mechanism.name,
-                    pfail=self._config.pfail,
-                    distribution=self.penalty_distribution(mechanism)),
-                deps=(f"fmm:{name}",), stage="distribution")
-            scheduler.add(
-                f"estimate:{name}",
-                lambda wcet, distribution, mechanism=mechanism:
-                    PWCETEstimate(
-                        program_name=self._name,
-                        mechanism_name=mechanism.name,
-                        wcet_fault_free=wcet.wcet_cycles,
-                        penalty_misses=distribution.distribution,
-                        timing=self._config.timing,
-                        fmm=self.fault_miss_map(mechanism),
-                        exceedance_correction=
-                            mechanism.exceedance_correction(
-                                self._fault_model,
-                                self._config.geometry.sets)),
-                deps=("wcet", f"distribution:{name}"), stage="estimate")
-        results = scheduler.run()
-        for mechanism in mechanisms:
-            self._estimates[mechanism.name] = \
-                results[f"estimate:{mechanism.name}"]
+            fmm = self.fault_miss_map(mechanism)
+            self._estimates[mechanism.name] = PWCETEstimate(
+                program_name=self._name,
+                mechanism_name=mechanism.name,
+                wcet_fault_free=wcet,
+                penalty_misses=self.penalty_distribution(mechanism),
+                timing=self._config.timing,
+                fmm=fmm,
+                exceedance_correction=mechanism.exceedance_correction(
+                    self._fault_model, self._config.geometry.sets))
 
     # ------------------------------------------------------------------
     @staticmethod

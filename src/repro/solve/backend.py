@@ -7,8 +7,7 @@ For the FMM sweep — hundreds of objectives over one unchanging
 polytope — that per-call overhead dominates the actual solve time.
 
 :class:`ProgramSnapshot` freezes a program's constraint system once
-into plain numpy arrays (picklable, so process-pool workers can
-rebuild a backend from it).  Two backends solve objectives against a
+into plain numpy arrays.  Two backends solve objectives against a
 snapshot:
 
 * :class:`HighsBackend` — keeps persistent HiGHS models (one ILP, one
@@ -72,8 +71,8 @@ def available_backends() -> tuple[str, ...]:
 class ProgramSnapshot:
     """A linear program's constraint system, frozen to numpy arrays.
 
-    Plain data only — picklable, hashable by identity, and cheap to
-    ship to process-pool workers exactly once per worker.
+    Plain data only, hashable by identity; rebuilt only when the
+    program changes.
     """
 
     name: str

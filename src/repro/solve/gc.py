@@ -36,7 +36,7 @@ from repro.solve.store import (DB_NAME, SCHEMA_VERSION, cache_root,
 def store_dirs() -> tuple[str, ...]:
     """The schema directory names of the current stores."""
     from repro.analysis.store import CLASSIFY_SCHEMA_VERSION
-    from repro.pipeline.artifacts import CELL_SCHEMA_VERSION
+    from repro.pipeline.cellstore import CELL_SCHEMA_VERSION
 
     return (f"v{SCHEMA_VERSION}", f"classify-v{CLASSIFY_SCHEMA_VERSION}",
             f"cells-v{CELL_SCHEMA_VERSION}")

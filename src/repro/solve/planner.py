@@ -8,9 +8,8 @@ polytope) and mediates every objective solved against it:
   mechanisms sharing degraded classifications are solved once;
 * **persistence** — with a :class:`~repro.solve.store.SolveStore`
   attached, solved objectives are looked up on disk before the backend
-  is touched and written through after every solve (including batched
-  :meth:`prime` results), so repeated CLI/suite/CI invocations skip
-  already-solved ILPs entirely;
+  is touched and written through after every solve, so repeated
+  CLI/suite/CI invocations skip already-solved ILPs entirely;
 * **structural pruning** — FMM rows are non-decreasing in fault count;
   a column whose *structural* upper bound (coefficients times loop
   bound products, no solver involved) cannot exceed the previous
@@ -18,13 +17,10 @@ polytope) and mediates every objective solved against it:
 * **empty short-circuit** — a column with no degradable reference is
   0-penalty and never touches the solver;
 * **batching** — :meth:`SolvePlanner.prime` solves the unique
-  uncached requests of a whole sweep up front; with ``workers > 1``
-  the batch fans out through the pipeline's shared
-  :class:`~repro.pipeline.scheduler.PipelineScheduler` pool (workers
-  re-freeze the program from a picklable
-  :class:`~repro.solve.backend.ProgramSnapshot`, memoised per planner
-  token), so solve batches and classification stage tasks share one
-  worker pool instead of each planner spinning its own.
+  uncached requests of a batch up front, in-process; the rows planned
+  afterwards are pure fan-out.  Parallelism lives one level up, in
+  the pipeline's task DAG (one solve task per benchmark and line
+  size), never inside a planner.
 
 All shortcuts are value-preserving: planned results are bit-identical
 to solving every (set, fault count) ILP directly.
@@ -33,14 +29,12 @@ to solving every (set, fault count) ILP directly.
 from __future__ import annotations
 
 import math
-import uuid
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.errors import SolverError
 from repro.solve.backend import ceil_bound
 from repro.solve.request import SolveRequest
 from repro.solve.store import SolveStore, solve_key
@@ -99,25 +93,15 @@ class SolvePlanner:
 
     def __init__(self, program: "LinearProgram", *,
                  prescreen: bool = True, dedup: bool = True,
-                 workers: int = 1,
                  variable_bound: Callable[[int], float] | None = None
                  ) -> None:
         self.program = program
         self.prescreen = prescreen
         self.dedup = dedup
-        self.workers = workers
         #: Structural upper bound of one variable (used by the
         #: pre-screen); ``None`` falls back to the program's declared
         #: variable upper bounds.
         self.variable_bound = variable_bound
-        #: Solve executor for batched priming: anything with the
-        #: :meth:`~repro.pipeline.scheduler.PipelineScheduler
-        #: .map_solves` shape.  The estimator wires its pipeline
-        #: scheduler here so solve batches land on the same pool as
-        #: the classification stages; ``None`` creates one on demand.
-        self.executor = None
-        #: Keys this planner's snapshot in pool workers' backend memo.
-        self._token = uuid.uuid4().hex
         self.stats = SolveStats()
         self._results: dict[object, int] = {}
         self._solutions: dict[object, "Solution"] = {}
@@ -336,71 +320,26 @@ class SolvePlanner:
         return tuple(row)
 
     # -- batching --------------------------------------------------------
-    def prime(self, requests: Iterable[SolveRequest], *,
-              workers: int | None = None) -> None:
+    def prime(self, requests: Iterable[SolveRequest]) -> None:
         """Batch-solve the unique uncached requests of a sweep.
 
-        With ``workers > 1`` the unique objectives are distributed over
-        a process pool; every worker rebuilds a backend from the
-        program snapshot once and streams results back.  Results land
-        in the dedup cache — and are written through to the persistent
-        store — so the subsequent row planning is pure fan-out.
-        Requests already persisted by an earlier run are answered from
-        the store and never reach the pool.
+        Results land in the dedup cache — and are written through to
+        the persistent store — so the subsequent row planning is pure
+        fan-out.  Requests already persisted by an earlier run are
+        answered from the store and never reach the backend.
         """
         if not self.dedup:
             # Primed results land in the dedup cache; without it the
             # row planning would just re-solve everything.
             return
-        if workers is None:
-            workers = self.workers
         unique: dict[object, SolveRequest] = {}
         for request in requests:
             if request.key not in self._results:
                 unique.setdefault(request.key, request)
-        pending = []
         for request in unique.values():
             value = self._store_get(request)
-            if value is not None:
-                self._results[request.key] = value
-                self._primed.add(request.key)
-            else:
-                pending.append(request)
-        if not pending:
-            return
-        if workers <= 1 or len(pending) == 1:
-            for request in pending:
+            if value is None:
                 value = self._solve_uncached(request)
                 self._store_put(request, value)
-                self._results[request.key] = value
-                self._primed.add(request.key)
-            return
-        num_variables = self.program.num_variables
-        for request in pending:
-            # Mirror the in-process index validation; the pooled
-            # backend would otherwise let bad indices wrap silently.
-            if (request.objective[0][0] < 0
-                    or request.objective[-1][0] >= num_variables):
-                raise SolverError(
-                    f"unknown variable index in request {request.tag}")
-        snapshot = self.program.snapshot()
-        payload = [(request.objective, request.relaxed)
-                   for request in pending]
-        chunk = max(1, len(payload) // (workers * 4))
-        executor = self.executor
-        if executor is None:
-            # Lazy import: repro.solve is imported by the pipeline's
-            # stage modules; creating the scheduler on first pooled
-            # prime keeps the package graph acyclic.
-            from repro.pipeline.scheduler import PipelineScheduler
-            executor = self.executor = PipelineScheduler(workers=workers)
-        values = executor.map_solves(self._token, snapshot, payload,
-                                     chunksize=chunk, workers=workers)
-        for request, value in zip(pending, values):
             self._results[request.key] = value
             self._primed.add(request.key)
-            self._store_put(request, value)
-            if request.relaxed:
-                self.stats.lp_solved += 1
-            else:
-                self.stats.ilp_solved += 1

@@ -150,9 +150,9 @@ def solve_context(cfg_digest: str, block_bytes: int) -> str:
 def store_context(cfg_digest: str, geometry, timing) -> str:
     """The (CFG digest, geometry, timing) estimation context.
 
-    The prefix of the pipeline's artifact keys (finished cells,
-    :mod:`repro.pipeline.artifacts`): unlike a single solve, a cell
-    depends on the whole geometry and timing model.
+    The prefix of every finished cell's key
+    (:func:`repro.pipeline.cellstore.cell_key`): unlike a single
+    solve, a cell depends on the whole geometry and timing model.
     """
     return json.dumps({
         "cfg": cfg_digest,

@@ -1,8 +1,28 @@
 """The command-line interface."""
 
+import pathlib
+
 import pytest
 
 from repro.cli import main
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+#: Recorded stdout of the single-benchmark commands (run with
+#: ``--cache off``), keyed by golden file name.
+GOLDEN_COMMANDS = {
+    "cli_estimate_ud.txt": ["estimate", "ud", "--mechanisms",
+                            "none", "srb", "rw", "srb+"],
+    "cli_curve_crc.txt": ["curve", "crc", "--max-points", "20"],
+    "cli_fmm_ud_srb.txt": ["fmm", "ud", "--mechanisms", "srb"],
+    "cli_tradeoff.txt": ["tradeoff"],
+}
+
+
+@pytest.mark.parametrize("golden", sorted(GOLDEN_COMMANDS))
+def test_single_benchmark_output_is_golden(golden, capsys):
+    assert main(GOLDEN_COMMANDS[golden] + ["--cache", "off"]) == 0
+    assert capsys.readouterr().out == (GOLDEN / golden).read_text()
 
 
 class TestEstimate:
@@ -34,6 +54,14 @@ class TestEstimate:
     def test_pfail_override(self, capsys):
         assert main(["estimate", "bs", "--pfail", "1e-6"]) == 0
         capsys.readouterr()
+
+    @pytest.mark.parametrize("command", ["estimate", "curve", "fmm",
+                                         "tradeoff"])
+    def test_single_benchmark_commands_take_no_workers(self, command):
+        # They run in-process; only the DAG commands size a pool.
+        with pytest.raises(SystemExit) as raised:
+            main([command, "crc", "--workers", "2"])
+        assert raised.value.code == 2
 
 
 class TestOtherCommands:

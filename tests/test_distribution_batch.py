@@ -4,8 +4,8 @@ Property-tests the batched kernel bit-for-bit against the scalar
 oracle over random FMMs × pfail grids × mechanisms and over every
 suite benchmark's real FMMs, the degenerate shapes (all-zero penalty
 sets, single-pfail batch, one-set cache, empty batch), the fault-pmf
-memo, the sparse cell-store encoding, and the pipeline's batched
-pfail axis.
+memo, the sparse cell-store encoding and its content address, and the
+pipeline's batched pfail axis.
 """
 
 from __future__ import annotations
@@ -243,6 +243,20 @@ class TestSparseCellEncoding:
             assert decode_cell(corrupt, name="fibcall", mechanism="srb",
                                config=config,
                                pfail=config.pfail) is None
+
+
+class TestCellKey:
+    def test_cell_address_is_pinned(self):
+        """Cells stored by earlier releases stay addressable: the
+        digest of one fixed (context, mechanism, pfail) never moves."""
+        from repro.pipeline.cellstore import cell_key
+        from repro.solve.store import store_context
+
+        config = EstimatorConfig()
+        context = store_context("0" * 64, config.geometry, config.timing)
+        assert cell_key(context, "srb", 1e-4) == (
+            "9653915c2cbbaba126e24d00fe4c2b60"
+            "fc69ea1860fd75fae4d9719bbac8bf89")
 
 
 class TestPfailAxisPrefill:

@@ -1,4 +1,4 @@
-"""The pipeline DAG scheduler: ordering, validation, stats, artifacts.
+"""The pipeline DAG scheduler: ordering, validation, stats.
 
 The tentpole property is topological soundness: whatever the DAG
 shape, a task only ever runs after every one of its dependencies —
@@ -14,8 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import PipelineError
-from repro.pipeline import (CfgArtifact, ClassificationArtifact,
-                            PipelineScheduler, PipelineStats)
+from repro.pipeline import PipelineScheduler, PipelineStats
 
 
 def record(log, key):
@@ -157,66 +156,3 @@ class TestPipelineStats:
         scheduler.run(stats=second)
         assert first.tasks == {"s": 1}
         assert second.tasks == {"s": 1}
-
-
-class TestArtifacts:
-    def test_artifacts_carry_store_digest_keys(self):
-        from repro.analysis import CacheAnalysis
-        from repro.analysis.store import classification_key
-        from repro.cache import CacheGeometry
-        from repro.pipeline.stages import classification_artifact
-        from repro.suite import load
-
-        cfg = load("fibcall").cfg
-        geometry = CacheGeometry.from_size(1024, 4, 16)
-        analysis = CacheAnalysis(cfg, geometry, cache="off")
-        artifact = classification_artifact(analysis, "fibcall",
-                                           ("none", "srb", "rw"),
-                                           carry_tables=True)
-        assert isinstance(artifact, ClassificationArtifact)
-        assert isinstance(artifact.cfg, CfgArtifact)
-        # The artifact's keys ARE the persistent store's keys.
-        assert artifact.cfg.key == cfg.digest()
-        assert artifact.key == classification_key(cfg.digest(), geometry,
-                                                  geometry.ways)
-        for assoc, key in artifact.table_keys.items():
-            assert key == classification_key(cfg.digest(), geometry,
-                                             assoc)
-        # Every degraded associativity travels, plus the SRB hit set.
-        assert set(artifact.tables) == set(range(geometry.ways + 1))
-        assert artifact.srb_hits is not None
-
-    def test_preloaded_artifact_runs_zero_fixpoints(self):
-        from repro.analysis import CacheAnalysis
-        from repro.cache import CacheGeometry
-        from repro.pipeline.stages import classification_artifact
-        from repro.suite import load
-
-        cfg = load("crc").cfg
-        geometry = CacheGeometry.from_size(1024, 4, 16)
-        producer = CacheAnalysis(cfg, geometry, cache="off")
-        artifact = classification_artifact(producer, "crc",
-                                           ("none", "srb", "rw"),
-                                           carry_tables=True)
-        consumer = CacheAnalysis(cfg, geometry, cache="off")
-        consumer.preload(artifact.tables, artifact.srb_hits)
-        for assoc in range(geometry.ways + 1):
-            assert consumer.classification(assoc).count_by_chmc() == \
-                producer.classification(assoc).count_by_chmc()
-        assert consumer.srb_always_hits() == producer.srb_always_hits()
-        assert consumer.stats.fixpoints_run == 0
-        assert consumer.stats.tables_built == 0
-
-    def test_preload_skips_malformed_tables(self):
-        from repro.analysis import CacheAnalysis
-        from repro.cache import CacheGeometry
-        from repro.suite import load
-
-        cfg = load("fibcall").cfg
-        geometry = CacheGeometry.from_size(1024, 4, 16)
-        analysis = CacheAnalysis(cfg, geometry, cache="off")
-        analysis.preload({4: {"blocks": [[0, [99]]]}}, None)
-        # The junk table is ignored; classification recomputes.
-        table = analysis.classification(4)
-        assert analysis.stats.tables_built == 1
-        assert table.count_by_chmc()

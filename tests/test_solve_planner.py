@@ -62,16 +62,6 @@ class TestPipelineEquivalence:
             assert (planned.estimate(mechanism).pwcet()
                     == direct.estimate(mechanism).pwcet()), (name, mechanism)
 
-    def test_parallel_workers_identical(self):
-        sequential = PWCETEstimator(load("crc"), name="crc")
-        parallel = PWCETEstimator(load("crc"),
-                                  EstimatorConfig(workers=2), name="crc")
-        for mechanism in MECHANISMS:
-            assert (parallel.fault_miss_map(mechanism).rows
-                    == sequential.fault_miss_map(mechanism).rows)
-            assert (parallel.estimate(mechanism).pwcet()
-                    == sequential.estimate(mechanism).pwcet())
-
     def test_relaxed_mode_identical_to_direct_path(self):
         planned = PWCETEstimator(load("ud"), EstimatorConfig(relaxed=True),
                                  name="ud")
@@ -205,7 +195,7 @@ class TestPlannerUnit:
         requests = [SolveRequest.from_objective({0: 1.0}),
                     SolveRequest.from_objective({0: 2.0}),
                     SolveRequest.from_objective({0: 1.0})]
-        planner.prime(requests, workers=1)
+        planner.prime(requests)
         assert planner.stats.ilp_solved == 2  # unique objectives only
         # First consumption of a primed key is the solve prime()
         # already counted, not a dedup hit; the second one is.
@@ -216,7 +206,7 @@ class TestPlannerUnit:
 
     def test_prime_requires_dedup(self):
         planner = SolvePlanner(_bounded_program(), dedup=False)
-        planner.prime([SolveRequest.from_objective({0: 1.0})], workers=1)
+        planner.prime([SolveRequest.from_objective({0: 1.0})])
         assert planner.stats.ilp_solved == 0  # no-op without a cache
 
     def test_stats_dict_keys(self):

@@ -192,7 +192,7 @@ def _concurrent_writer(args) -> int:
 
 class TestConcurrentWriters:
     def test_parallel_processes_share_one_store(self, tmp_path):
-        """Pool workers writing concurrently, like ``prime()`` does."""
+        """Pool workers writing concurrently, like DAG pool workers do."""
         with multiprocessing.Pool(4) as pool:
             pool.map(_concurrent_writer,
                      [(str(tmp_path), writer) for writer in range(4)])
@@ -290,19 +290,6 @@ class TestWarmPipeline:
         _, stats = self._estimate_all("crc", "off")
         assert stats.ilp_solved > 0
         assert stats.store_hits == 0
-
-    def test_primed_pool_results_are_persisted(self, tmp_path):
-        cache = str(tmp_path / "store")
-        config = EstimatorConfig(cache=cache, workers=2)
-        parallel = PWCETEstimator(load("crc"), config, name="crc")
-        for mechanism in MECHANISMS:
-            parallel.estimate(mechanism)
-        assert parallel.solver_stats.ilp_solved > 0
-        warm = PWCETEstimator(load("crc"), EstimatorConfig(cache=cache),
-                              name="crc")
-        for mechanism in MECHANISMS:
-            warm.estimate(mechanism)
-        assert warm.solver_stats.ilp_solved == 0
 
     def test_relaxed_mode_keys_apart(self, tmp_path):
         cache = str(tmp_path / "store")
