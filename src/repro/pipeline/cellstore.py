@@ -10,18 +10,21 @@ is addressed exactly like the row that would recompute it — the cells
 tasks' plan-pass probes look every row up by content address before
 any worker starts.
 
-Entries hold everything a :class:`~repro.pwcet.estimator.PWCETEstimate`
-needs (fault-free WCET, exact penalty pmf, exceedance correction, FMM
-rows), so a warm run reconstructs estimates without touching the
-solver, the analysis, or even the other two stores.  Values round-trip
-exactly: the pmf's sparse support is stored as raw IEEE-754 and int64
-bytes (see :func:`encode_cell`), so a decoded cell is bit-for-bit
-indistinguishable from a computed one.
+A row holds what its readers use: the fault-free WCET, the FMM rows,
+the exceedance correction and the pWCET at the probability the
+writing run asked for, as ~130 bytes of zlib'd JSON (small enough for
+SQLite to keep on the row's own page; a cold default sweep writes
+0.3 MB of cells).  No pmf is stored: it is a pure function of (FMM,
+mechanism, fault model), and a decoded
+:class:`~repro.pwcet.estimator.PWCETEstimate` recomputes it from the
+FMM on first use, bit-identically — as it does the pWCET of a read at
+a probability the row does not hold.
 
 Storage is the shared :class:`~repro.solve.store.SqliteStore` under
 ``cells-v<N>`` next to ``v<N>`` and ``classify-v<N>`` (same
-``REPRO_CACHE`` / ``--cache`` knob; corrupt or malformed entries
-degrade to recomputation).
+``REPRO_CACHE`` / ``--cache`` knob; corrupt, malformed or foreign
+entries degrade to recomputation, and ``repro cache gc`` deletes the
+directories of older schemas).
 """
 
 from __future__ import annotations
@@ -31,22 +34,19 @@ import json
 import os
 import zlib
 
-import numpy as np
-
-from repro.errors import ConfigurationError, DistributionError
+from repro.errors import ConfigurationError
+from repro.faults import FaultProbabilityModel
 from repro.fmm import FaultMissMap
-from repro.pwcet.distribution import DiscreteDistribution
 from repro.pwcet.estimator import PWCETEstimate
 from repro.solve.store import SqliteStore, json_bytes
 
 #: Schema of persisted pWCET cells.  Folded into every
 #: :func:`cell_key`, so bumping it invalidates every stored cell
 #: without touching the solve or classification stores.
-#: v2: sparse (width, support, values) pmf encoding — wide suite
-#: distributions are mostly zero, and the dense float list dominated
-#: warm-decode and write-through time.
+#: v2: sparse (width, support, values) pmf encoding.
 #: v3: compact binary cell encoding in the SQLite store.
-CELL_SCHEMA_VERSION = 3
+#: v4: no pmf — the FMM rows and the pWCET at the run's probability.
+CELL_SCHEMA_VERSION = 4
 
 
 def cell_key(store_context: str, mechanism: str, pfail: float) -> str:
@@ -66,31 +66,22 @@ def cell_key(store_context: str, mechanism: str, pfail: float) -> str:
 def encode_cell(estimate: PWCETEstimate) -> bytes:
     """The stored bytes of one finished estimation cell.
 
-    A JSON header line (names, WCET, pmf width and support size,
-    exceedance correction, FMM rows), then the pmf's sparse support:
-    its probabilities as raw little-endian ``float64``, then a zlib
-    stream of the gaps between consecutive non-zero indices as
-    little-endian ``int64``.  Suite distributions reach hundreds of
-    thousands of grid points; the gaps are nearly all 1 and compress
-    to almost nothing, while the probabilities barely compress at all
-    and are left raw.  No float ever goes through text, so the decoded
-    pmf is bit-identical by construction.
+    ``estimate`` must know its pWCET at the run's probability (see
+    :meth:`~repro.pwcet.estimator.PWCETEstimate.reduced`).  The row is
+    the canonical JSON of the mechanism, WCET, exceedance correction,
+    FMM rows and that (probability, pWCET) pair, zlib-compressed (FMM
+    columns repeat a handful of values); floats are written with
+    ``repr`` precision, so they round-trip exactly.
     """
-    pmf = estimate.penalty_misses.pmf
-    support = np.flatnonzero(pmf)
-    header = json_bytes({
-        "program": estimate.program_name,
+    probability, pwcet = estimate.known_pwcet
+    return zlib.compress(json_bytes({
         "mechanism": estimate.mechanism_name,
         "wcet": estimate.wcet_fault_free,
-        "width": len(pmf),
-        "points": int(support.size),
         "correction": float(estimate.exceedance_correction),
-        "fmm": [list(row) for row in estimate.fmm.rows],
-        "fmm_mechanism": estimate.fmm.mechanism_name,
-    })
-    gaps = np.diff(support, prepend=0).astype("<i8")
-    return b"".join((header, b"\n", pmf[support].astype("<f8").tobytes(),
-                     zlib.compress(gaps.tobytes(), 1)))
+        "fmm": estimate.fmm.rows,
+        "probability": float(probability),
+        "pwcet": pwcet,
+    }))
 
 
 def decode_cell(value: object, *, name: str, mechanism: str,
@@ -98,44 +89,43 @@ def decode_cell(value: object, *, name: str, mechanism: str,
     """Inverse of :func:`encode_cell`; ``None`` on any malformation.
 
     ``None`` degrades to recomputation, exactly like a corrupt store
-    row — a truncated, bit-rotted or foreign entry can never become a
-    wrong estimate.  The caller supplies the estimation context
-    (name, mechanism, geometry, timing) because the key already binds
-    it; the embedded names are cross-checked as one more guard.
+    row — a truncated, bit-rotted or foreign entry (an older schema's
+    binary row included) can never become a wrong estimate.  The
+    caller supplies the estimation context (name, mechanism, geometry,
+    timing, pfail) because the key already binds it; the embedded
+    mechanism is cross-checked as one more guard, and the FMM must fit
+    the geometry.
     """
     try:
-        head, separator, packed = value.partition(b"\n")
-        header = json.loads(head)
-        if not separator or header["mechanism"] != mechanism:
+        row = json.loads(zlib.decompress(value))
+        if row["mechanism"] != mechanism:
             return None
-        width = int(header["width"])
-        points = int(header["points"])
-        gaps = zlib.decompress(packed[8 * points:])
-        if width < 1 or points < 0 or len(gaps) != 8 * points:
-            return None
-        weights = np.frombuffer(packed, dtype="<f8", count=points)
-        support = np.cumsum(np.frombuffer(gaps, dtype="<i8"))
-        if points and (support[0] < 0 or support[-1] >= width
-                       or np.any(np.diff(support) <= 0)):
-            return None
-        pmf = np.zeros(width)
-        pmf[support] = weights
         fmm = FaultMissMap(
             geometry=config.geometry,
-            rows=tuple(tuple(int(cell) for cell in row)
-                       for row in header["fmm"]),
-            mechanism_name=str(header["fmm_mechanism"]))
+            rows=tuple(tuple(_integer(cell) for cell in cells)
+                       for cells in row["fmm"]),
+            mechanism_name=mechanism)
         return PWCETEstimate(
             program_name=name,
             mechanism_name=mechanism,
-            wcet_fault_free=int(header["wcet"]),
-            penalty_misses=DiscreteDistribution(pmf, normalized=False),
+            wcet_fault_free=_integer(row["wcet"]),
             timing=config.timing,
             fmm=fmm,
-            exceedance_correction=float(header["correction"]))
+            fault_model=FaultProbabilityModel(geometry=config.geometry,
+                                              pfail=pfail),
+            exceedance_correction=float(row["correction"]),
+            known_pwcet=(float(row["probability"]),
+                         _integer(row["pwcet"])))
     except (AttributeError, TypeError, ValueError, KeyError, IndexError,
-            zlib.error, ConfigurationError, DistributionError):
+            zlib.error, ConfigurationError):
         return None
+
+
+def _integer(value: object) -> int:
+    """A stored integer; anything else is a malformed row."""
+    if type(value) is not int:
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
 
 
 class CellStore(SqliteStore):

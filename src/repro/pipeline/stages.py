@@ -29,15 +29,16 @@ mechanisms) grid out as one flat DAG on one
     penalty-convolution pass per mechanism
     (:func:`~repro.pwcet.batch.penalty_distributions`) over the rows
     the :class:`~repro.pipeline.cellstore.CellStore` does not hold yet;
-    every row is written through under its own content address.
+    every row is written through under its own content address.  Rows
+    carry no distribution (see :func:`cell_stage`).
 
 Each cells task's plan-pass probe looks up every (mechanism, pfail)
 row's content address before any task runs: stored rows are decoded
-in the parent, a task whose rows are all stored is satisfied (and its
-now-undemanded classify and solve tasks are skipped), and a partially
-stored task computes only its missing rows.  Sinks — the suite's
-per-benchmark results, the sweep's design points — are added by the
-drivers and read each task's rows through
+in the parent, a task whose rows are all stored is satisfied
+(and its now-undemanded classify and solve tasks are skipped), and a
+partially stored task computes only its missing rows.  Sinks — the
+suite's per-benchmark results, the sweep's design points — are added
+by the drivers and read each task's rows through
 :meth:`EstimationDag.rows`.
 
 Counters travel on one channel: every classify/solve/cell task's work
@@ -70,9 +71,10 @@ def required_classifications(mechanisms, ways: int
     """Associativities (in first-demand order) a mechanism set needs.
 
     Nominal first, then each mechanism's degraded tables ``W-1, W-2,
-    …``.  The flag reports whether any mechanism consults the SRB (its
-    all-faulty column replaces the associativity-0 table with the
-    buffer's hit set).
+    …``.  An SRB mechanism's all-faulty column replaces the
+    associativity-0 table with its own filter; the flag reports
+    whether any such filter reads the analysis' SRB hit set (the
+    refined ``srb+`` filter runs its own per-set analysis instead).
     """
     assocs: list[int] = [ways]
     seen = {ways}
@@ -83,7 +85,7 @@ def required_classifications(mechanisms, ways: int
         counts = mechanism.fault_counts(ways)
         for fault_count in range(1, max(counts) + 1):
             if mechanism.uses_srb and fault_count == ways:
-                needs_srb = True
+                needs_srb = needs_srb or mechanism.reads_srb_hits
                 continue
             assoc = ways - fault_count
             if assoc not in seen:
@@ -171,8 +173,9 @@ class CellsOutput:
     """The (mechanism, pfail) rows one cells task computed.
 
     ``rows`` maps ``(mechanism, pfail)`` to the finished
-    :class:`~repro.pwcet.estimator.PWCETEstimate` — or, when the
-    consumer only needs it, to the pWCET at the target probability.
+    :class:`~repro.pwcet.estimator.PWCETEstimate`, reduced to its
+    pWCET at the run's probability (its distribution is recomputed
+    from the FMM only if a consumer asks for it).
     """
 
     rows: dict = field(repr=False)
@@ -187,10 +190,9 @@ def cell_stage(name: str, geometry, config, rows, probability,
     FMM's penalty points are pfail-independent, so each mechanism's
     whole pfail axis comes out of one
     :func:`~repro.pwcet.batch.penalty_distributions` pass, each row
-    bit-identical to an unbatched computation.  Every row is written
-    through the cell store under its content address.  ``probability``
-    reduces the returned rows to pWCET values (``None`` keeps the
-    estimates).
+    bit-identical to an unbatched computation.  Every row is reduced
+    to its pWCET at ``probability`` and written through the cell store
+    under its content address.
     """
     from repro.faults import FaultProbabilityModel
     from repro.pipeline.cellstore import CellStore, encode_cell
@@ -215,16 +217,15 @@ def cell_stage(name: str, geometry, config, rows, probability,
                 program_name=name,
                 mechanism_name=mechanism_name,
                 wcet_fault_free=wcet,
-                penalty_misses=distribution,
                 timing=config.timing,
                 fmm=fmm,
+                fault_model=model,
                 exceedance_correction=mechanism.exceedance_correction(
-                    model, geometry.sets))
+                    model, geometry.sets),
+                distribution=distribution).reduced(probability)
             if store is not None:
                 store.put(key, encode_cell(estimate))
-            computed[(mechanism_name, pfail)] = (
-                estimate if probability is None
-                else estimate.pwcet(probability))
+            computed[(mechanism_name, pfail)] = estimate
     counters = {"cells_computed": len(computed)}
     if batched:
         # Presence-gated: only when a mechanism's pfail axis ran as
@@ -270,10 +271,10 @@ class EstimationDag:
     ``selection`` maps each pfail to the mechanisms estimated at it
     (the unprotected baseline included), in presentation order.
     ``pool`` lets classify/solve/cell tasks run on the process pool;
-    ``probability`` reduces rows to pWCET values (see
-    :func:`cell_stage`).  The plan-pass probes count served rows into
-    ``stats``; :meth:`record` merges the counters of every completed
-    task.
+    ``probability`` is the exceedance probability every row is
+    reduced to (see :func:`cell_stage`; default: the paper's target).
+    The plan-pass probes count served rows into ``stats``;
+    :meth:`record` merges the counters of every completed task.
     """
 
     def __init__(self, scheduler: PipelineScheduler, benchmarks,
@@ -282,8 +283,11 @@ class EstimationDag:
                  stats: PipelineStats | None = None) -> None:
         from repro.analysis.store import ClassificationStore
         from repro.pipeline.cellstore import CellStore
+        from repro.pwcet.estimator import TARGET_EXCEEDANCE
         from repro.solve.store import SolveStore
 
+        if probability is None:
+            probability = TARGET_EXCEEDANCE
         self.stats = stats if stats is not None else PipelineStats()
         # Every familiar key is present even when the plan pass serves
         # every row (no classify or solve task runs).
@@ -376,8 +380,10 @@ class EstimationDag:
         """Split one task's rows into stored (decoded) and missing.
 
         Returns ``(served, axes)``: ``served`` maps ``(mechanism,
-        pfail)`` to the decoded row, ``axes`` maps each mechanism to
-        its missing ``(pfail, cell key)`` pairs in selection order.
+        pfail)`` to the decoded row reduced to ``probability`` (a row
+        stored at another probability recomputes its pWCET from the
+        FMM), ``axes`` maps each mechanism to its missing ``(pfail,
+        cell key)`` pairs in selection order.
         """
         from repro.pipeline.cellstore import decode_cell
 
@@ -394,9 +400,7 @@ class EstimationDag:
             if estimate is None:
                 axes.setdefault(mechanism, []).append((pfail, key))
             else:
-                served[(mechanism, pfail)] = (
-                    estimate if probability is None
-                    else estimate.pwcet(probability))
+                served[(mechanism, pfail)] = estimate.reduced(probability)
         return served, axes
 
     def cells_key(self, name: str, geometry) -> str:
@@ -455,7 +459,8 @@ def suite_pipeline(benchmarks, config, target_probability: float, *,
         strict=strict)
     dag = EstimationDag(scheduler, benchmarks, (config.geometry,),
                         {config.pfail: SUITE_MECHANISMS}, config,
-                        pool=workers > 1, stats=stats)
+                        pool=workers > 1, probability=target_probability,
+                        stats=stats)
 
     def result(name, key, cells: CellsOutput):
         rows = dag.rows(key, cells)

@@ -28,7 +28,7 @@ with the same kernels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -106,23 +106,52 @@ def penalty_distribution(fmm: FaultMissMap,
 
 @dataclass(frozen=True)
 class PWCETEstimate:
-    """Everything known about one (program, mechanism) estimation."""
+    """Everything known about one (program, mechanism) estimation.
+
+    The penalty distribution is a pure function of (FMM, mechanism,
+    fault model), so an estimate need not carry it: a computed one
+    does, while a stored cell row (see
+    :mod:`repro.pipeline.cellstore`) carries only the pWCET its run
+    asked for and recomputes the distribution from the FMM on first
+    use of :attr:`penalty_misses`, bit-identically.
+    """
 
     program_name: str
     mechanism_name: str
     wcet_fault_free: int
-    #: Fault-penalty distribution in *misses*.
-    penalty_misses: DiscreteDistribution
     timing: TimingModel
     fmm: FaultMissMap = field(repr=False)
+    #: The fault model weighting the FMM's penalties (eq. 2 / eq. 3).
+    fault_model: FaultProbabilityModel = field(repr=False)
     #: Probability mass excluded by the analysis' assumptions (0 for
     #: the paper's mechanisms; > 0 for refined analyses like ``srb+``).
     exceedance_correction: float = 0.0
+    #: The fault-penalty distribution, when the producer has it;
+    #: ``None`` defers it to :attr:`penalty_misses`.
+    distribution: DiscreteDistribution | None = field(
+        default=None, repr=False, compare=False)
+    #: A ``(probability, pWCET)`` pair already known without the
+    #: distribution (what a stored cell row holds).
+    known_pwcet: tuple[float, int] | None = field(
+        default=None, repr=False, compare=False)
+
+    @property
+    def penalty_misses(self) -> DiscreteDistribution:
+        """Fault-penalty distribution in *misses* (recomputed from the
+        FMM on first use when the estimate does not carry it)."""
+        if self.distribution is None:
+            object.__setattr__(self, "distribution", penalty_distribution(
+                self.fmm, mechanism_by_name(self.mechanism_name),
+                self.fault_model, self.fmm.geometry.sets))
+        return self.distribution
 
     def pwcet(self, probability: float = TARGET_EXCEEDANCE) -> int:
         """pWCET in cycles at the given exceedance probability."""
         check_probability(probability, "probability", allow_zero=False,
                           allow_one=False)
+        if self.known_pwcet is not None \
+                and self.known_pwcet[0] == probability:
+            return self.known_pwcet[1]
         effective = probability - self.exceedance_correction
         if effective <= 0.0:
             raise EstimationError(
@@ -133,6 +162,13 @@ class PWCETEstimate:
                 "level — use the baseline 'srb' mechanism instead")
         quantile = self.penalty_misses.quantile_exceedance(effective)
         return self.wcet_fault_free + quantile * self.timing.memory_cycles
+
+    def reduced(self, probability: float) -> "PWCETEstimate":
+        """This estimate without its distribution, holding its pWCET
+        at ``probability``: what a cell row stores and a pool worker
+        ships."""
+        return replace(self, distribution=None,
+                       known_pwcet=(probability, self.pwcet(probability)))
 
     def exceedance_curve(self) -> ExceedanceCurve:
         """The Figure 3 curve for this estimate."""
@@ -146,11 +182,6 @@ class PWCETEstimate:
             curve.probabilities + self.exceedance_correction, 1.0)
         return ExceedanceCurve(values=curve.values, probabilities=lifted,
                                label=curve.label)
-
-    def penalty_quantile_misses(self,
-                                probability: float = TARGET_EXCEEDANCE
-                                ) -> int:
-        return self.penalty_misses.quantile_exceedance(probability)
 
 
 class PWCETEstimator:
@@ -321,11 +352,12 @@ class PWCETEstimator:
                 program_name=self._name,
                 mechanism_name=mechanism.name,
                 wcet_fault_free=wcet,
-                penalty_misses=self.penalty_distribution(mechanism),
                 timing=self._config.timing,
                 fmm=fmm,
+                fault_model=self._fault_model,
                 exceedance_correction=mechanism.exceedance_correction(
-                    self._fault_model, self._config.geometry.sets))
+                    self._fault_model, self._config.geometry.sets),
+                distribution=self.penalty_distribution(mechanism))
 
     # ------------------------------------------------------------------
     @staticmethod

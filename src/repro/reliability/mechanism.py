@@ -80,6 +80,10 @@ class ReliabilityMechanism(ABC):
 
     #: Short identifier used in reports and registries.
     name: str = ""
+    #: Whether :meth:`all_faulty_filter` reads the analysis' SRB hit
+    #: set (:meth:`~repro.analysis.classify.CacheAnalysis
+    #: .srb_always_hits`), so the SRB fixpoint must run.
+    reads_srb_hits: bool = False
 
     @abstractmethod
     def fault_counts(self, ways: int) -> tuple[int, ...]:
@@ -189,6 +193,7 @@ class SharedReliableBuffer(ReliabilityMechanism):
     """
 
     name = "srb"
+    reads_srb_hits = True
 
     def fault_counts(self, ways: int) -> tuple[int, ...]:
         return tuple(range(ways + 1))

@@ -145,6 +145,9 @@ class RefinedSharedReliableBuffer(SharedReliableBuffer):
     """
 
     name = "srb+"
+    #: The per-set private-buffer analysis replaces the shared SRB
+    #: fixpoint.
+    reads_srb_hits = False
 
     def all_faulty_filter(self, analysis) -> AllFaultyFilter:
         from repro.analysis.chmc import (ALWAYS_HIT, ALWAYS_MISS, Chmc,

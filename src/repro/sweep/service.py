@@ -276,7 +276,8 @@ def run_sweep(geometries=None, *,
         pwcets = []
         for name, output in zip(benchmarks, outputs):
             rows = dag.rows(dag.cells_key(name, cell.geometry), output)
-            pwcets.append({mechanism: rows[(mechanism, cell.pfail)]
+            pwcets.append({mechanism:
+                           rows[(mechanism, cell.pfail)].pwcet(probability)
                            for mechanism in chosen})
         return _cell_points(cell, pwcets, selection[cell.pfail])
 

@@ -32,7 +32,7 @@ Sites and their actions:
 ``store``
     Fires inside :class:`~repro.solve.store.SqliteStore`; ``target``
     is the schema directory name (``v3``, ``classify-v2``,
-    ``cells-v3``) or ``*``.  Actions: ``kill`` (a writing pool worker
+    ``cells-v4``) or ``*``.  Actions: ``kill`` (a writing pool worker
     is SIGKILL'd inside its open write transaction, after the insert
     but before the commit — the rows must never appear; writes of the
     driving process never match), ``read_error`` (the lookup's
@@ -57,7 +57,7 @@ tests want (inject once, observe the retry succeed).
 
 Example::
 
-    worker:kill@cell_stage#2;store:kill@cells-v3#1;solve:delay=0.5@prime
+    worker:kill@cell_stage#2;store:kill@cells-v4#1;solve:delay=0.5@prime
 """
 
 from __future__ import annotations

@@ -4,8 +4,8 @@ Property-tests the batched kernel bit-for-bit against the scalar
 oracle over random FMMs × pfail grids × mechanisms and over every
 suite benchmark's real FMMs, the degenerate shapes (all-zero penalty
 sets, single-pfail batch, one-set cache, empty batch), the fault-pmf
-memo, the sparse cell-store encoding and its content address, and the
-pipeline's batched pfail axis.
+memo, the cell-store content address, and the pipeline's batched
+pfail axis.
 """
 
 from __future__ import annotations
@@ -171,80 +171,6 @@ class TestFaultPmfMemo:
         assert "fault_pmf_hits" in summary
 
 
-class TestSparseCellEncoding:
-    """Schema v3: a JSON header line, the sparse support's raw
-    little-endian ``float64`` probabilities, then zlib of its
-    ``int64`` index gaps."""
-
-    def _cell_value(self):
-        from repro.pipeline.cellstore import encode_cell
-
-        config = EstimatorConfig()
-        with fresh_results():
-            result = run_benchmark("fibcall", config)
-        estimate = result.estimates["srb"]
-        return config, estimate, encode_cell(estimate)
-
-    @staticmethod
-    def _blob(header, weights, gaps):
-        """A cell encoded from explicit parts (for corrupting them)."""
-        import json
-        import zlib
-
-        return b"".join((json.dumps(header).encode(), b"\n",
-                         np.asarray(weights, "<f8").tobytes(),
-                         zlib.compress(np.asarray(gaps, "<i8").tobytes())))
-
-    def test_roundtrip_is_bitwise(self):
-        import json
-
-        from repro.pipeline.cellstore import decode_cell
-
-        config, estimate, value = self._cell_value()
-        pmf = estimate.penalty_misses.pmf
-        support = np.flatnonzero(pmf)
-        header = json.loads(value.partition(b"\n")[0])
-        assert header["width"] == len(pmf)
-        assert header["points"] == len(support)
-        decoded = decode_cell(value, name="fibcall", mechanism="srb",
-                              config=config, pfail=config.pfail)
-        assert decoded is not None
-        assert np.array_equal(decoded.penalty_misses.pmf, pmf)
-        assert decoded.penalty_misses.pmf.tobytes() == pmf.tobytes()
-        assert decoded.pwcet(TARGET) == estimate.pwcet(TARGET)
-
-    def test_malformed_entries_degrade_to_none(self):
-        import json
-
-        from repro.pipeline.cellstore import decode_cell
-
-        config, estimate, value = self._cell_value()
-        pmf = estimate.penalty_misses.pmf
-        support = np.flatnonzero(pmf)
-        weights = pmf[support]
-        gaps = np.diff(support, prepend=0)
-        header = json.loads(value.partition(b"\n")[0])
-        assert decode_cell(self._blob(header, weights, gaps),
-                           name="fibcall", mechanism="srb", config=config,
-                           pfail=config.pfail) is not None
-        corruptions = [
-            self._blob({**header, "width": 1}, weights, gaps),
-            self._blob(header, weights, gaps[::-1]),       # index repeats
-            self._blob(header, weights[:-1], gaps),         # ragged
-            self._blob(header, weights, gaps[:-1]),
-            self._blob(header, weights, np.r_[-1, gaps[1:]]),
-            self._blob({**header, "mechanism": "rw"}, weights, gaps),
-            value[:-5],                                     # torn stream
-            value.replace(b"\n", b" ", 1),                  # no header
-            b"not a cell",
-            None,
-        ]
-        for corrupt in corruptions:
-            assert decode_cell(corrupt, name="fibcall", mechanism="srb",
-                               config=config,
-                               pfail=config.pfail) is None
-
-
 class TestCellKey:
     def test_cell_address_is_pinned(self):
         """Cells stored by earlier releases stay addressable: the
@@ -255,8 +181,8 @@ class TestCellKey:
         config = EstimatorConfig()
         context = store_context("0" * 64, config.geometry, config.timing)
         assert cell_key(context, "srb", 1e-4) == (
-            "9653915c2cbbaba126e24d00fe4c2b60"
-            "fc69ea1860fd75fae4d9719bbac8bf89")
+            "485741f8a94a99e4f6a88699551753a8"
+            "4799c2c4719052f992ba013d261539fd")
 
 
 class TestPfailAxisPrefill:

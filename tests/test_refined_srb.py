@@ -128,6 +128,23 @@ class TestEstimator:
         # The curve never reports an exceedance below the correction.
         assert float(refined_curve.probabilities[-1]) >= correction
 
+    def test_runs_no_shared_srb_fixpoint(self, tmp_path):
+        """The refined filter never reads the shared SRB hit set, so
+        srb+ runs only the Must/May pair and writes no SRB row."""
+        from repro.pipeline.stages import required_classifications
+        from repro.suite import load
+
+        assert required_classifications(("srb+",), 4) == ((4, 3, 2, 1),
+                                                          False)
+        assert required_classifications(("srb+", "srb"), 4)[1]
+        estimator = PWCETEstimator(
+            load("fibcall"), EstimatorConfig(cache=str(tmp_path)),
+            name="fibcall")
+        estimator.estimate("srb+")
+        stats = estimator.stats_summary()
+        assert stats["fixpoints_run"] == 2
+        assert stats["classify_store_writes"] == stats["tables_built"]
+
 
 class TestSoundnessUnderEventA:
     def test_bound_holds_with_at_most_one_faulty_set(self,
