@@ -19,65 +19,51 @@ Quickstart::
     print(estimate.pwcet(1e-15))
 """
 
-from repro.analysis import CacheAnalysis, Chmc, Classification
-from repro.cache import CacheGeometry, FaultMap, LRUCache
-from repro.cfg import CFG, PathWalker, find_loops
-from repro.faults import FaultProbabilityModel, sample_fault_maps
-from repro.fmm import FaultMissMap, compute_fault_miss_map
-from repro.ipet import TimingModel, compute_wcet
-from repro.minic import (Call, CompiledProgram, Compute, Function, If, Loop,
-                         Program, compile_program)
-from repro.pwcet import (DiscreteDistribution, EstimatorConfig,
-                         ExceedanceCurve, PWCETEstimate, PWCETEstimator)
-from repro.pwcet.estimator import TARGET_EXCEEDANCE
-from repro.reliability import (MECHANISMS, NoProtection, ReliableWay,
-                               SharedReliableBuffer, mechanism_by_name)
-from repro.solve import SolvePlanner, SolveRequest, SolveStats, SolveStore
-from repro.sweep import SweepResult, pareto_front, run_sweep
+from repro._lazy import lazy_exports
+
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "CacheAnalysis": ".analysis.classify",
+    "Chmc": ".analysis.chmc",
+    "Classification": ".analysis.chmc",
+    "CacheGeometry": ".cache.geometry",
+    "FaultMap": ".cache.faultmap",
+    "LRUCache": ".cache.lru",
+    "CFG": ".cfg.graph",
+    "PathWalker": ".cfg.walker",
+    "find_loops": ".cfg.loops",
+    "FaultProbabilityModel": ".faults.model",
+    "sample_fault_maps": ".faults.injection",
+    "FaultMissMap": ".fmm.fault_miss_map",
+    "compute_fault_miss_map": ".fmm.compute",
+    "TimingModel": ".ipet.wcet",
+    "compute_wcet": ".ipet.wcet",
+    "Call": ".minic.ast",
+    "CompiledProgram": ".minic.link",
+    "Compute": ".minic.ast",
+    "Function": ".minic.ast",
+    "If": ".minic.ast",
+    "Loop": ".minic.ast",
+    "Program": ".minic.ast",
+    "compile_program": ".minic.link",
+    "DiscreteDistribution": ".pwcet.distribution",
+    "EstimatorConfig": ".pwcet.estimator",
+    "ExceedanceCurve": ".pwcet.exceedance",
+    "PWCETEstimate": ".pwcet.estimator",
+    "PWCETEstimator": ".pwcet.estimator",
+    "TARGET_EXCEEDANCE": ".pwcet.estimator",
+    "MECHANISMS": ".reliability.mechanism",
+    "NoProtection": ".reliability.mechanism",
+    "ReliableWay": ".reliability.mechanism",
+    "SharedReliableBuffer": ".reliability.mechanism",
+    "mechanism_by_name": ".reliability.mechanism",
+    "SolvePlanner": ".solve.planner",
+    "SolveRequest": ".solve.request",
+    "SolveStats": ".solve.planner",
+    "SolveStore": ".solve.store",
+    "SweepResult": ".sweep.service",
+    "pareto_front": ".sweep.service",
+    "run_sweep": ".sweep.service",
+})
 
 __version__ = "1.0.0"
-
-__all__ = [
-    "CacheAnalysis",
-    "Chmc",
-    "Classification",
-    "CacheGeometry",
-    "FaultMap",
-    "LRUCache",
-    "CFG",
-    "PathWalker",
-    "find_loops",
-    "FaultProbabilityModel",
-    "sample_fault_maps",
-    "FaultMissMap",
-    "compute_fault_miss_map",
-    "TimingModel",
-    "compute_wcet",
-    "Call",
-    "CompiledProgram",
-    "Compute",
-    "Function",
-    "If",
-    "Loop",
-    "Program",
-    "compile_program",
-    "DiscreteDistribution",
-    "EstimatorConfig",
-    "ExceedanceCurve",
-    "PWCETEstimate",
-    "PWCETEstimator",
-    "TARGET_EXCEEDANCE",
-    "MECHANISMS",
-    "NoProtection",
-    "ReliableWay",
-    "SharedReliableBuffer",
-    "mechanism_by_name",
-    "SolvePlanner",
-    "SolveRequest",
-    "SolveStats",
-    "SolveStore",
-    "SweepResult",
-    "pareto_front",
-    "run_sweep",
-    "__version__",
-]
+__all__.append("__version__")

@@ -16,28 +16,20 @@ how faulty ways enter the picture: a set with ``f`` faulty blocks is a
 set analysed at associativity ``W - f``.
 """
 
-from repro.analysis.chmc import Chmc, Classification, GLOBAL_SCOPE
-from repro.analysis.references import Reference, block_references
-from repro.analysis.must import MustAnalysis
-from repro.analysis.may import MayAnalysis
-from repro.analysis.persistence import PersistenceAnalysis
-from repro.analysis.classify import (AnalysisStats, CacheAnalysis,
-                                     ClassificationTable)
-from repro.analysis.store import ClassificationStore
-from repro.analysis.vectorized import AgeVectorEngine
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Chmc",
-    "Classification",
-    "GLOBAL_SCOPE",
-    "Reference",
-    "block_references",
-    "MustAnalysis",
-    "MayAnalysis",
-    "PersistenceAnalysis",
-    "AnalysisStats",
-    "CacheAnalysis",
-    "ClassificationTable",
-    "ClassificationStore",
-    "AgeVectorEngine",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "Chmc": ".chmc",
+    "Classification": ".chmc",
+    "GLOBAL_SCOPE": ".chmc",
+    "Reference": ".references",
+    "block_references": ".references",
+    "MustAnalysis": ".must",
+    "MayAnalysis": ".may",
+    "PersistenceAnalysis": ".persistence",
+    "AnalysisStats": ".classify",
+    "CacheAnalysis": ".classify",
+    "ClassificationTable": ".classify",
+    "ClassificationStore": ".store",
+    "AgeVectorEngine": ".vectorized",
+})

@@ -32,7 +32,6 @@ from repro.analysis.persistence import PersistenceAnalysis
 from repro.analysis.references import Reference, all_references
 from repro.analysis.store import (ClassificationStore, classification_key,
                                   decode_table, encode_table)
-from repro.analysis.vectorized import AgeVectorEngine
 from repro.cache import CacheGeometry
 from repro.cfg import CFG, LoopForest, find_loops
 from repro.errors import AnalysisError
@@ -100,6 +99,7 @@ class SrbHits:
 
     def __call__(self) -> tuple[tuple[int, int], ...]:
         if self._hits is None:
+            from repro.analysis.vectorized import AgeVectorEngine
             geometry = CacheGeometry(sets=1, ways=1,
                                      block_bytes=self._block_bytes)
             references = all_references(self._cfg, geometry)
@@ -358,6 +358,7 @@ class CacheAnalysis:
         associativity after that is pure array thresholding.
         """
         if self._vector is None:
+            from repro.analysis.vectorized import AgeVectorEngine
             self._vector = AgeVectorEngine(
                 self._cfg, (self._geometry,),
                 self._references).geometry_slice(0)

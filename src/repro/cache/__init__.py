@@ -6,8 +6,11 @@ cache with LRU replacement, defined by a number of sets ``S``, ways
 bytes and convert where the fault model needs bits).
 """
 
-from repro.cache.geometry import CacheGeometry
-from repro.cache.lru import LRUCache, LRUSet
-from repro.cache.faultmap import FaultMap
+from repro._lazy import lazy_exports
 
-__all__ = ["CacheGeometry", "LRUCache", "LRUSet", "FaultMap"]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "CacheGeometry": ".geometry",
+    "LRUCache": ".lru",
+    "LRUSet": ".lru",
+    "FaultMap": ".faultmap",
+})

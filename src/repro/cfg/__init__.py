@@ -6,19 +6,16 @@ The static analyses operate on a program-level CFG obtained by
 shared (so the cache sees one copy of the code, as in the real binary).
 """
 
-from repro.cfg.basic_block import BasicBlock
-from repro.cfg.graph import CFG, Edge
-from repro.cfg.loops import Loop, LoopForest, compute_dominators, find_loops
-from repro.cfg.walker import PathWalker, WalkResult
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BasicBlock",
-    "CFG",
-    "Edge",
-    "Loop",
-    "LoopForest",
-    "compute_dominators",
-    "find_loops",
-    "PathWalker",
-    "WalkResult",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "BasicBlock": ".basic_block",
+    "CFG": ".graph",
+    "Edge": ".graph",
+    "Loop": ".loops",
+    "LoopForest": ".loops",
+    "compute_dominators": ".loops",
+    "find_loops": ".loops",
+    "PathWalker": ".walker",
+    "WalkResult": ".walker",
+})

@@ -10,29 +10,19 @@ One module per evaluation artefact (see DESIGN.md §3):
   ILP-vs-LP-relaxation comparison.
 """
 
-from repro.experiments.runner import BenchmarkResult, run_benchmark, run_suite
-from repro.experiments.fig3 import exceedance_curves, format_fig3
-from repro.experiments.fig4 import (
-    Category,
-    Fig4Row,
-    GainSummary,
-    classify_category,
-    fig4_rows,
-    format_fig4,
-    gain_summary,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BenchmarkResult",
-    "run_benchmark",
-    "run_suite",
-    "exceedance_curves",
-    "format_fig3",
-    "Category",
-    "Fig4Row",
-    "GainSummary",
-    "classify_category",
-    "fig4_rows",
-    "format_fig4",
-    "gain_summary",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "BenchmarkResult": ".runner",
+    "run_benchmark": ".runner",
+    "run_suite": ".runner",
+    "exceedance_curves": ".fig3",
+    "format_fig3": ".fig3",
+    "Category": ".fig4",
+    "Fig4Row": ".fig4",
+    "GainSummary": ".fig4",
+    "classify_category": ".fig4",
+    "fig4_rows": ".fig4",
+    "format_fig4": ".fig4",
+    "gain_summary": ".fig4",
+})

@@ -1,6 +1,8 @@
 """Permanent-fault probability model and fault injection."""
 
-from repro.faults.model import FaultProbabilityModel
-from repro.faults.injection import sample_fault_maps
+from repro._lazy import lazy_exports
 
-__all__ = ["FaultProbabilityModel", "sample_fault_maps"]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "FaultProbabilityModel": ".model",
+    "sample_fault_maps": ".injection",
+})

@@ -1,6 +1,8 @@
 """Fault Miss Map (FMM) computation — paper §II-C and Figure 1.a."""
 
-from repro.fmm.fault_miss_map import FaultMissMap
-from repro.fmm.compute import compute_fault_miss_map
+from repro._lazy import lazy_exports
 
-__all__ = ["FaultMissMap", "compute_fault_miss_map"]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "FaultMissMap": ".fault_miss_map",
+    "compute_fault_miss_map": ".compute",
+})

@@ -8,17 +8,12 @@ side: an analytical SRAM-array model (cell counts, hardened-cell
 overhead, leakage) and a combined cost/benefit report.
 """
 
-from repro.hwcost.model import (
-    CellTechnology,
-    HardwareCost,
-    MechanismCostModel,
-)
-from repro.hwcost.tradeoff import TradeoffPoint, tradeoff_points
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CellTechnology",
-    "HardwareCost",
-    "MechanismCostModel",
-    "TradeoffPoint",
-    "tradeoff_points",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "CellTechnology": ".model",
+    "HardwareCost": ".model",
+    "MechanismCostModel": ".model",
+    "TradeoffPoint": ".tradeoff",
+    "tradeoff_points": ".tradeoff",
+})

@@ -8,17 +8,14 @@ different objective, bounds the number of fault-induced misses for the
 Fault Miss Map (:mod:`repro.fmm`).
 """
 
-from repro.ipet.ilp import LinearProgram, Solution
-from repro.ipet.model import FlowModel
-from repro.ipet.paths import enumerate_paths
-from repro.ipet.wcet import TimingModel, WCETResult, compute_wcet
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "LinearProgram",
-    "Solution",
-    "FlowModel",
-    "enumerate_paths",
-    "TimingModel",
-    "WCETResult",
-    "compute_wcet",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "LinearProgram": ".ilp",
+    "Solution": ".ilp",
+    "FlowModel": ".model",
+    "enumerate_paths": ".paths",
+    "TimingModel": ".wcet",
+    "WCETResult": ".wcet",
+    "compute_wcet": ".wcet",
+})

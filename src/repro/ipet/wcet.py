@@ -3,13 +3,16 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.analysis.chmc import Chmc
-from repro.analysis.classify import ClassificationTable
-from repro.cfg import CFG, LoopForest
 from repro.errors import ConfigurationError
-from repro.ipet.model import FlowModel
 from repro.util import check_positive_int
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.analysis.classify import ClassificationTable
+    from repro.cfg import CFG, LoopForest
+    from repro.ipet.model import FlowModel
 
 
 @dataclass(frozen=True)
@@ -60,6 +63,7 @@ def compute_wcet(cfg: CFG, table: ClassificationTable, timing: TimingModel,
       ``memory_cycles`` for at most ``entries(L)`` executions.
     """
     if flow_model is None:
+        from repro.ipet.model import FlowModel
         flow_model = FlowModel(cfg, forest)
     elif flow_model.cfg is not cfg:
         raise ConfigurationError("flow model belongs to a different CFG")

@@ -7,17 +7,12 @@ RISC ISA in the style of the MIPS R2000/R3000 targeted by the paper,
 with 4-byte instructions and a conventional mnemonic set.
 """
 
-from repro.isa.instruction import (
-    INSTRUCTION_SIZE,
-    Instruction,
-    InstructionKind,
-)
-from repro.isa.layout import FunctionImage, MemoryLayout
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "INSTRUCTION_SIZE",
-    "Instruction",
-    "InstructionKind",
-    "FunctionImage",
-    "MemoryLayout",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "INSTRUCTION_SIZE": ".instruction",
+    "Instruction": ".instruction",
+    "InstructionKind": ".instruction",
+    "FunctionImage": ".layout",
+    "MemoryLayout": ".layout",
+})

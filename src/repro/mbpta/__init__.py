@@ -9,21 +9,14 @@ having seen the worst path — which is exactly the comparison point the
 ABL-MBPTA experiment of DESIGN.md makes.
 """
 
-from repro.mbpta.evt import (
-    BlockMaximaFit,
-    PeaksOverThresholdFit,
-    fit_block_maxima,
-    fit_peaks_over_threshold,
-)
-from repro.mbpta.sampler import ExecutionTimeSampler
-from repro.mbpta.mbpta import MBPTAEstimator, MBPTAResult
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BlockMaximaFit",
-    "PeaksOverThresholdFit",
-    "fit_block_maxima",
-    "fit_peaks_over_threshold",
-    "ExecutionTimeSampler",
-    "MBPTAEstimator",
-    "MBPTAResult",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "BlockMaximaFit": ".evt",
+    "PeaksOverThresholdFit": ".evt",
+    "fit_block_maxima": ".evt",
+    "fit_peaks_over_threshold": ".evt",
+    "ExecutionTimeSampler": ".sampler",
+    "MBPTAEstimator": ".mbpta",
+    "MBPTAResult": ".mbpta",
+})

@@ -13,20 +13,18 @@ programs written here exercise the same analysis code paths as the
 original binaries.
 """
 
-from repro.minic.ast import Call, Compute, Function, If, Loop, Program, Stmt
-from repro.minic.codegen import FunctionCode, compile_function
-from repro.minic.link import CompiledProgram, compile_program
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Call",
-    "Compute",
-    "Function",
-    "If",
-    "Loop",
-    "Program",
-    "Stmt",
-    "FunctionCode",
-    "compile_function",
-    "CompiledProgram",
-    "compile_program",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "Call": ".ast",
+    "Compute": ".ast",
+    "Function": ".ast",
+    "If": ".ast",
+    "Loop": ".ast",
+    "Program": ".ast",
+    "Stmt": ".ast",
+    "FunctionCode": ".codegen",
+    "compile_function": ".codegen",
+    "CompiledProgram": ".link",
+    "compile_program": ".link",
+})

@@ -46,27 +46,21 @@ estimator (:mod:`repro.pwcet.estimator`) calls the same kernels
 directly, in-process, with no scheduler.
 """
 
-from repro.pipeline.resilience import (DEFAULT_RETRY_POLICY, FailureReport,
-                                       RetryPolicy, StageTimeout,
-                                       TaskFailure, classify_failure)
-from repro.pipeline.scheduler import PipelineScheduler, PipelineStats
-from repro.pipeline.stages import (SUITE_MECHANISMS, EstimationDag,
-                                   cell_stage, classify_stage,
-                                   solve_stage, suite_pipeline)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "PipelineScheduler",
-    "PipelineStats",
-    "DEFAULT_RETRY_POLICY",
-    "FailureReport",
-    "RetryPolicy",
-    "StageTimeout",
-    "TaskFailure",
-    "classify_failure",
-    "SUITE_MECHANISMS",
-    "EstimationDag",
-    "cell_stage",
-    "classify_stage",
-    "solve_stage",
-    "suite_pipeline",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "PipelineScheduler": ".scheduler",
+    "PipelineStats": ".scheduler",
+    "DEFAULT_RETRY_POLICY": ".resilience",
+    "FailureReport": ".resilience",
+    "RetryPolicy": ".resilience",
+    "StageTimeout": ".resilience",
+    "TaskFailure": ".resilience",
+    "classify_failure": ".resilience",
+    "SUITE_MECHANISMS": ".stages",
+    "EstimationDag": ".stages",
+    "cell_stage": ".stages",
+    "classify_stage": ".stages",
+    "solve_stage": ".stages",
+    "suite_pipeline": ".stages",
+})

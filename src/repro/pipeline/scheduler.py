@@ -55,15 +55,18 @@ from __future__ import annotations
 import heapq
 import time
 from collections.abc import Callable, Sequence
-from concurrent.futures import (FIRST_COMPLETED, BrokenExecutor, Future,
-                                ProcessPoolExecutor, wait)
+from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, Future, wait
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.errors import PipelineError
 from repro.pipeline.resilience import (CASCADED, TRANSIENT, FailureReport,
                                        RetryPolicy, StageTimeout,
                                        TaskFailure, classify_failure)
 from repro.testing import faultinject
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from concurrent.futures import ProcessPoolExecutor
 
 
 @dataclass
@@ -237,8 +240,8 @@ class PipelineScheduler:
         ``None`` to run normally).
         ``fuse=True`` (exactly one dependency, whose only dependent
         this task is) runs the task right after its dependency in the
-        same process; the dependency's result is recorded as ``None``
-        in the parent whenever the pair ran on the pool.
+        same process; once the task has run, the dependency's result is
+        recorded as ``None``, on the pool and inline alike.
         """
         if key in self._tasks:
             raise PipelineError(f"duplicate pipeline task key {key!r}")
@@ -477,9 +480,15 @@ class PipelineScheduler:
                 return
 
         def run_chain_inline(head: str) -> None:
-            for key in chain_of(head):
-                if key not in results:  # not cascaded by a failed step
-                    run_inline(key)
+            chain = chain_of(head)
+            for dep, key in zip([None, *chain], chain):
+                if key in results:  # cascaded by a failed step
+                    continue
+                run_inline(key)
+                if dep is not None:
+                    # As on the pool: once its fused step has run, a
+                    # dependency's value is not kept for the run.
+                    results[dep] = None
 
         def pool_break(first_key: str, error: BaseException) -> None:
             """A worker died and broke the pool: every in-flight
@@ -671,6 +680,7 @@ class PipelineScheduler:
     # -- pool lifecycle -------------------------------------------------
     def _ensure_pool(self) -> ProcessPoolExecutor:
         if self._pool is None:
+            from concurrent.futures import ProcessPoolExecutor
             self._pool = ProcessPoolExecutor(max_workers=self.workers)
         return self._pool
 

@@ -55,11 +55,14 @@ from __future__ import annotations
 
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING
 
-from repro.analysis import CacheAnalysis
 from repro.pipeline.scheduler import PipelineScheduler, PipelineStats
 from repro.reliability import ReliabilityMechanism, mechanism_by_name
 from repro.suite import load
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.analysis import CacheAnalysis
 
 #: The paper's three configurations, in presentation order — the
 #: mechanism set of every suite/sweep estimation.

@@ -1,17 +1,11 @@
 """Probabilistic WCET machinery: distributions, exceedance, estimation."""
 
-from repro.pwcet.distribution import DiscreteDistribution
-from repro.pwcet.exceedance import ExceedanceCurve
-from repro.pwcet.estimator import (
-    EstimatorConfig,
-    PWCETEstimate,
-    PWCETEstimator,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "DiscreteDistribution",
-    "ExceedanceCurve",
-    "EstimatorConfig",
-    "PWCETEstimate",
-    "PWCETEstimator",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "DiscreteDistribution": ".distribution",
+    "ExceedanceCurve": ".exceedance",
+    "EstimatorConfig": ".estimator",
+    "PWCETEstimate": ".estimator",
+    "PWCETEstimator": ".estimator",
+})

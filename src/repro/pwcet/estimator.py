@@ -29,24 +29,22 @@ with the same kernels.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from repro.analysis import CacheAnalysis
 from repro.cache import CacheGeometry
-from repro.cfg import CFG
 from repro.errors import EstimationError
 from repro.faults import FaultProbabilityModel
-from repro.fmm import FaultMissMap, compute_fault_miss_map
-from repro.ipet import FlowModel, TimingModel, compute_wcet
-from repro.minic import CompiledProgram
-from repro.pipeline.stages import required_classifications
-from repro.pwcet.batch import penalty_distributions
-from repro.pwcet.distribution import DiscreteDistribution
-from repro.pwcet.exceedance import ExceedanceCurve
+from repro.ipet import TimingModel
 from repro.reliability import ReliabilityMechanism, mechanism_by_name
-from repro.solve.store import SolveStore, solve_context
 from repro.util import check_probability
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.analysis import CacheAnalysis
+    from repro.cfg import CFG
+    from repro.fmm import FaultMissMap
+    from repro.minic import CompiledProgram
+    from repro.pwcet.distribution import DiscreteDistribution
+    from repro.pwcet.exceedance import ExceedanceCurve
 
 #: Exceedance probability used throughout the paper's evaluation
 #: (1e-15 per task activation, aerospace commercial level).
@@ -101,6 +99,7 @@ def penalty_distribution(fmm: FaultMissMap,
     to the scalar oracle
     :func:`~repro.pwcet.batch.penalty_distribution_scalar`.
     """
+    from repro.pwcet.batch import penalty_distributions
     return penalty_distributions(fmm, mechanism, (fault_model,), sets)[0]
 
 
@@ -172,6 +171,9 @@ class PWCETEstimate:
 
     def exceedance_curve(self) -> ExceedanceCurve:
         """The Figure 3 curve for this estimate."""
+        import numpy as np
+
+        from repro.pwcet.exceedance import ExceedanceCurve
         curve = ExceedanceCurve.from_penalty_distribution(
             self.penalty_misses, self.wcet_fault_free,
             self.timing.memory_cycles,
@@ -190,6 +192,11 @@ class PWCETEstimator:
     def __init__(self, program: CompiledProgram | CFG,
                  config: EstimatorConfig | None = None,
                  name: str | None = None) -> None:
+        from repro.analysis import CacheAnalysis
+        from repro.ipet import FlowModel
+        from repro.minic import CompiledProgram
+        from repro.solve.store import SolveStore, solve_context
+
         if config is None:
             config = EstimatorConfig()
         cfg = program.cfg if isinstance(program, CompiledProgram) else program
@@ -290,6 +297,7 @@ class PWCETEstimator:
     def fault_free_wcet(self) -> int:
         """The deterministic WCET on a fault-free cache (§II-B)."""
         if self._wcet_fault_free is None:
+            from repro.ipet import compute_wcet
             result = compute_wcet(
                 self._cfg, self._analysis.classification(),
                 self._config.timing, flow_model=self._flow_model,
@@ -301,6 +309,7 @@ class PWCETEstimator:
                        mechanism: ReliabilityMechanism | str) -> FaultMissMap:
         mechanism = self._resolve(mechanism)
         if mechanism.name not in self._fmm_cache:
+            from repro.fmm import compute_fault_miss_map
             self._fmm_cache[mechanism.name] = compute_fault_miss_map(
                 self._analysis, mechanism, flow_model=self._flow_model,
                 relaxed=self._config.relaxed, planner=self._planner)
@@ -339,6 +348,7 @@ class PWCETEstimator:
         distribution → estimate.  The order fixes the planner's
         in-process dedup, and with it every counter.
         """
+        from repro.pipeline.stages import required_classifications
         assocs, needs_srb = required_classifications(
             mechanisms, self._config.geometry.ways)
         for assoc in assocs:

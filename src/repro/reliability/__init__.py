@@ -1,27 +1,16 @@
 """Cache reliability mechanisms (paper Section III)."""
 
-from repro.reliability.mechanism import (
-    MECHANISMS,
-    FaultPmfCacheStats,
-    NoProtection,
-    ReliabilityMechanism,
-    ReliableWay,
-    SharedReliableBuffer,
-    fault_pmf_cache_stats,
-    mechanism_by_name,
-    reset_fault_pmf_cache,
-)
-from repro.reliability.srb_analysis import srb_always_hit_references
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "MECHANISMS",
-    "FaultPmfCacheStats",
-    "NoProtection",
-    "ReliabilityMechanism",
-    "ReliableWay",
-    "SharedReliableBuffer",
-    "fault_pmf_cache_stats",
-    "mechanism_by_name",
-    "reset_fault_pmf_cache",
-    "srb_always_hit_references",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "MECHANISMS": ".mechanism",
+    "FaultPmfCacheStats": ".mechanism",
+    "NoProtection": ".mechanism",
+    "ReliabilityMechanism": ".mechanism",
+    "ReliableWay": ".mechanism",
+    "SharedReliableBuffer": ".mechanism",
+    "fault_pmf_cache_stats": ".mechanism",
+    "mechanism_by_name": ".mechanism",
+    "reset_fault_pmf_cache": ".mechanism",
+    "srb_always_hit_references": ".srb_analysis",
+})

@@ -1,5 +1,8 @@
 """Concrete fault-injected execution, for validating the analyses."""
 
-from repro.sim.executor import ExecutionOutcome, TraceExecutor
+from repro._lazy import lazy_exports
 
-__all__ = ["ExecutionOutcome", "TraceExecutor"]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "ExecutionOutcome": ".executor",
+    "TraceExecutor": ".executor",
+})

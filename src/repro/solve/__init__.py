@@ -45,28 +45,22 @@ back; identical objectives — within one mechanism's symmetric sets or
 across mechanisms sharing degraded classifications — are solved once.
 """
 
-from repro.solve.backend import (ProgramSnapshot, SolverBackend,
-                                 available_backends, make_backend)
-from repro.solve.gc import CompactionReport, gc_cache
-from repro.solve.planner import SolvePlanner, SolveStats
-from repro.solve.request import SolveRequest, canonical_objective
-from repro.solve.store import (SolveStore, default_cache_dir,
-                               solve_context, solve_key, store_context)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CompactionReport",
-    "gc_cache",
-    "ProgramSnapshot",
-    "SolverBackend",
-    "available_backends",
-    "make_backend",
-    "SolvePlanner",
-    "SolveStats",
-    "SolveRequest",
-    "canonical_objective",
-    "SolveStore",
-    "default_cache_dir",
-    "solve_key",
-    "solve_context",
-    "store_context",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "CompactionReport": ".gc",
+    "gc_cache": ".gc",
+    "ProgramSnapshot": ".backend",
+    "SolverBackend": ".backend",
+    "available_backends": ".backend",
+    "make_backend": ".backend",
+    "SolvePlanner": ".planner",
+    "SolveStats": ".planner",
+    "SolveRequest": ".request",
+    "canonical_objective": ".request",
+    "SolveStore": ".store",
+    "default_cache_dir": ".store",
+    "solve_key": ".store",
+    "solve_context": ".store",
+    "store_context": ".store",
+})

@@ -23,7 +23,7 @@ way); the equivalence is pinned by tests.  :func:`make_backend` picks
 
 scipy is imported on first snapshot or backend build, not with this
 module: commands that never solve (``repro list``, warm runs served
-from the stores) skip its ~0.6 s import entirely.
+from the stores) skip its ~0.5 s import entirely.
 """
 
 from __future__ import annotations

@@ -33,9 +33,6 @@ from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-import numpy as np
-
-from repro.solve.backend import ceil_bound
 from repro.solve.request import SolveRequest
 from repro.solve.store import SolveStore, solve_key
 
@@ -248,6 +245,8 @@ class SolvePlanner:
 
     def _solution_from_artefact(self, artefact: dict,
                                 relaxed: bool) -> "Solution":
+        import numpy as np
+
         from repro.ipet.ilp import Solution
 
         index_of = {self.program.variable_name(index): index
@@ -267,6 +266,7 @@ class SolvePlanner:
         solution = self.program.maximize(request.objective_dict(),
                                          relaxed=request.relaxed)
         if request.relaxed:
+            from repro.solve.backend import ceil_bound
             self.stats.lp_solved += 1
             # LP relaxation of a maximisation: round up to stay sound.
             return ceil_bound(solution.objective)

@@ -20,9 +20,12 @@ from __future__ import annotations
 
 import importlib
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.errors import ConfigurationError
-from repro.minic import CompiledProgram, Program, compile_program
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.minic import CompiledProgram, Program
 
 #: Benchmarks of the paper's Figure 4, in the suite's canonical order.
 EVALUATED_BENCHMARKS: tuple[str, ...] = (
@@ -61,6 +64,7 @@ def build(name: str) -> Program:
 def load(name: str) -> CompiledProgram:
     """Compiled and linked benchmark ``name`` (memoised)."""
     if name not in _COMPILED_CACHE:
+        from repro.minic import compile_program
         _COMPILED_CACHE[name] = compile_program(build(name))
     return _COMPILED_CACHE[name]
 

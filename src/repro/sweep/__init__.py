@@ -14,27 +14,21 @@ sweep) are answered from disk instead of the backend.
   benchmark artefacts.
 """
 
-from repro.sweep.grid import (DEFAULT_LINES, DEFAULT_PFAILS, DEFAULT_SIZES,
-                              DEFAULT_WAYS, SweepCell, geometry_grid,
-                              sweep_cells)
-from repro.sweep.report import (format_pareto_fronts, format_sweep_report,
-                                format_sweep_table)
-from repro.sweep.service import (DesignPoint, SweepResult, pareto_front,
-                                 run_sweep)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "DEFAULT_LINES",
-    "DEFAULT_PFAILS",
-    "DEFAULT_SIZES",
-    "DEFAULT_WAYS",
-    "SweepCell",
-    "geometry_grid",
-    "sweep_cells",
-    "DesignPoint",
-    "SweepResult",
-    "pareto_front",
-    "run_sweep",
-    "format_pareto_fronts",
-    "format_sweep_report",
-    "format_sweep_table",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "DEFAULT_LINES": ".grid",
+    "DEFAULT_PFAILS": ".grid",
+    "DEFAULT_SIZES": ".grid",
+    "DEFAULT_WAYS": ".grid",
+    "SweepCell": ".grid",
+    "geometry_grid": ".grid",
+    "sweep_cells": ".grid",
+    "DesignPoint": ".service",
+    "SweepResult": ".service",
+    "pareto_front": ".service",
+    "run_sweep": ".service",
+    "format_pareto_fronts": ".report",
+    "format_sweep_report": ".report",
+    "format_sweep_table": ".report",
+})

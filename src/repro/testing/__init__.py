@@ -8,17 +8,15 @@
     reproducible in unit tests and CI instead of theorized.
 """
 
-from repro.testing.faultinject import (FaultClause, PLAN_ENV, STATE_ENV,
-                                       active_plan, fire, parse_plan,
-                                       solve_hook, worker_hook)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "FaultClause",
-    "PLAN_ENV",
-    "STATE_ENV",
-    "active_plan",
-    "fire",
-    "parse_plan",
-    "solve_hook",
-    "worker_hook",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "FaultClause": ".faultinject",
+    "PLAN_ENV": ".faultinject",
+    "STATE_ENV": ".faultinject",
+    "active_plan": ".faultinject",
+    "fire": ".faultinject",
+    "parse_plan": ".faultinject",
+    "solve_hook": ".faultinject",
+    "worker_hook": ".faultinject",
+})

@@ -1,15 +1,10 @@
 """Small shared helpers used across the library."""
 
-from repro.util.validate import (
-    check_positive_int,
-    check_power_of_two,
-    check_probability,
-    ilog2,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "check_positive_int",
-    "check_power_of_two",
-    "check_probability",
-    "ilog2",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "check_positive_int": ".validate",
+    "check_power_of_two": ".validate",
+    "check_probability": ".validate",
+    "ilog2": ".validate",
+})

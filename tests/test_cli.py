@@ -198,23 +198,91 @@ class TestCacheEnvAlias:
 
 
 class TestStartup:
-    """Commands that solve nothing never import scipy's optimizer."""
+    """Commands import only the layers they run."""
 
-    def test_import_and_list_leave_scipy_optimize_unloaded(self):
+    @staticmethod
+    def _python(script):
         import os
-        import pathlib
         import subprocess
         import sys
 
+        root = pathlib.Path(__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        return subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, cwd=root)
+
+    def test_import_and_list_leave_scipy_optimize_unloaded(self):
         script = (
             "import sys\n"
             "import repro.cli\n"
             "assert 'scipy.optimize' not in sys.modules, 'import'\n"
             "assert repro.cli.main(['list']) == 0\n"
             "assert 'scipy.optimize' not in sys.modules, 'list'\n")
-        root = pathlib.Path(__file__).resolve().parent.parent
-        env = dict(os.environ, PYTHONPATH=str(root / "src"))
-        run = subprocess.run([sys.executable, "-c", script], env=env,
-                             capture_output=True, text=True, cwd=root)
+        run = self._python(script)
         assert run.returncode == 0, run.stderr
         assert "crc" in run.stdout
+
+    def test_import_and_list_load_no_compute_or_store_stack(self):
+        script = (
+            "import sys\n"
+            "import repro.cli\n"
+            "assert repro.cli.main(['list']) == 0\n"
+            "heavy = ('numpy', 'scipy', 'sqlite3', 'multiprocessing')\n"
+            "print(sorted(set(heavy) & set(sys.modules)), "
+            "file=sys.stderr)\n")
+        run = self._python(script)
+        assert run.returncode == 0, run.stderr
+        assert run.stderr.splitlines()[-1] == "[]"
+
+    def test_warm_sweep_loads_no_numpy_and_matches_the_cold_run(
+            self, tmp_path):
+        command = ["sweep", "--benchmarks", "crc", "--sizes", "512",
+                   "--ways", "2", "--lines", "16", "--cache", str(tmp_path)]
+        script = (
+            "import sys\n"
+            "import repro.cli\n"
+            f"code = repro.cli.main({command!r})\n"
+            "print(sorted({'numpy', 'scipy'} & set(sys.modules)), "
+            "file=sys.stderr)\n"
+            "sys.exit(code)\n")
+        cold = self._python(script)
+        warm = self._python(script)
+        assert cold.returncode == 0, cold.stderr
+        assert warm.returncode == 0, warm.stderr
+        assert cold.stderr.splitlines()[-1] == "['numpy', 'scipy']"
+        assert warm.stderr.splitlines()[-1] == "[]"
+        assert "served by the persistent cell store" in warm.stdout
+
+        def results(text):
+            # Counter lines tell cold work from store hits by design.
+            return [line for line in text.splitlines()
+                    if not line.startswith(("solver:", "analysis:",
+                                            "cells:", "distribution:",
+                                            "classification:"))]
+
+        assert results(warm.stdout) == results(cold.stdout)
+
+    def test_every_export_resolves(self):
+        import importlib
+        import pkgutil
+        import types
+
+        import repro
+
+        packages = [repro] + [
+            importlib.import_module(info.name)
+            for info in pkgutil.walk_packages(repro.__path__, "repro.")
+            if info.ispkg]
+        for package in packages:
+            for name in getattr(package, "__all__", ()):
+                value = getattr(package, name)
+                assert not isinstance(value, types.ModuleType), \
+                    f"{package.__name__}.{name}"
+                assert name in dir(package), f"{package.__name__}.{name}"
+        namespace = {}
+        exec("from repro import *", namespace)
+        assert set(repro.__all__) <= set(namespace)
+        from repro import PWCETEstimator
+        from repro.analysis import CacheAnalysis
+        assert PWCETEstimator.__module__ == "repro.pwcet.estimator"
+        assert CacheAnalysis.__module__ == "repro.analysis.classify"

@@ -10,6 +10,7 @@ them, and honest per-run task and work counters.
 from __future__ import annotations
 
 import threading
+import weakref
 
 import pytest
 
@@ -40,6 +41,28 @@ def fail_solver(_value):
     raise SolverError("fused step failed")
 
 
+class Analyses:
+    """Stands in for a classify task's analyses (weakly referenceable)."""
+
+
+#: Weak references to every :class:`Analyses` this process made.
+MADE: list[weakref.ref] = []
+
+
+def make_analyses():
+    analyses = Analyses()
+    MADE.append(weakref.ref(analyses))
+    return analyses
+
+
+def solve_analyses(_analyses):
+    return "solved"
+
+
+def live_analyses(*_solved):
+    return sum(ref() is not None for ref in MADE)
+
+
 class TestFusedChains:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_fused_value_never_crosses_a_process(self, workers):
@@ -51,6 +74,30 @@ class TestFusedChains:
         results = scheduler.run(stats=stats)
         assert results["use"] == "lock"
         assert stats.tasks == {"classify": 1, "solve": 1}
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_inline_chain_frees_the_fused_dependency(self, workers):
+        """A chain run in the parent (inline at one worker, stolen at
+        two) records its dependency's value as ``None``, as a pooled
+        chain does, and the analyses die before the run ends."""
+        MADE.clear()
+        scheduler = PipelineScheduler(workers=workers, retry=FAST)
+        chains = range(3)  # at 2 workers the third chain is stolen
+        for chain in chains:
+            scheduler.add(f"classify:{chain}", make_analyses,
+                          stage="classify", pool=True)
+            scheduler.add(f"solve:{chain}", solve_analyses,
+                          deps=(f"classify:{chain}",), stage="solve",
+                          pool=True, fuse=True)
+        scheduler.add("live", live_analyses,
+                      deps=tuple(f"solve:{chain}" for chain in chains))
+        results = scheduler.run()
+        assert MADE, "no chain ran in the parent"
+        assert all(results[f"classify:{chain}"] is None
+                   for chain in chains)
+        assert all(results[f"solve:{chain}"] == "solved"
+                   for chain in chains)
+        assert results["live"] == 0
 
     def test_failing_fused_step_is_the_quarantined_task(self):
         scheduler = PipelineScheduler(workers=2, retry=FAST, strict=False)

@@ -233,8 +233,6 @@ class TestParallelSweep:
         the ``workers`` budget."""
         import concurrent.futures
 
-        import repro.pipeline.scheduler as scheduler_module
-
         widths = []
 
         class RecordingPool(concurrent.futures.ProcessPoolExecutor):
@@ -242,7 +240,8 @@ class TestParallelSweep:
                 widths.append(max_workers)
                 super().__init__(max_workers=max_workers, **kwargs)
 
-        monkeypatch.setattr(scheduler_module, "ProcessPoolExecutor",
+        # The scheduler imports the pool class when it builds a pool.
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                             RecordingPool)
         run_sweep(geometry_grid(sizes=(512, 1024), ways=(2,),
                                 lines=(16, 32)),
