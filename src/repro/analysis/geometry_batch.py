@@ -26,6 +26,36 @@ from repro.analysis.references import all_references
 from repro.analysis.vectorized import AgeVectorEngine
 from repro.cache import CacheGeometry
 from repro.cfg import CFG, find_loops
+from repro.reliability.mechanism import (ReliabilityMechanism,
+                                         mechanism_by_name)
+
+
+def required_classifications(mechanisms, ways: int
+                             ) -> tuple[tuple[int, ...], bool]:
+    """Associativities (in first-demand order) a mechanism set needs.
+
+    Nominal first, then each mechanism's degraded tables ``W-1, W-2,
+    …``.  An SRB mechanism's all-faulty column replaces the
+    associativity-0 table with its own filter; the flag reports
+    whether any such filter reads the analysis' SRB hit set (the
+    refined ``srb+`` filter runs its own per-set analysis instead).
+    """
+    assocs: list[int] = [ways]
+    seen = {ways}
+    needs_srb = False
+    for mechanism in mechanisms:
+        if not isinstance(mechanism, ReliabilityMechanism):
+            mechanism = mechanism_by_name(mechanism)
+        counts = mechanism.fault_counts(ways)
+        for fault_count in range(1, max(counts) + 1):
+            if mechanism.uses_srb and fault_count == ways:
+                needs_srb = needs_srb or mechanism.reads_srb_hits
+                continue
+            assoc = ways - fault_count
+            if assoc not in seen:
+                seen.add(assoc)
+                assocs.append(assoc)
+    return tuple(assocs), needs_srb
 
 
 def grouped_analysis(cfg: CFG, geometries, mechanisms, *,
@@ -43,8 +73,6 @@ def grouped_analysis(cfg: CFG, geometries, mechanisms, *,
     as one stacked group (``geometry_groups``) with ``len - 1``
     batched siblings; a group of one counts as neither.
     """
-    from repro.pipeline.stages import required_classifications
-
     geometries = tuple(geometries)
     cfg.validate()
     forest = find_loops(cfg)

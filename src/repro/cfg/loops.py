@@ -120,10 +120,6 @@ class LoopForest:
                 for h in self._membership.get(block_id, ()))
         return chain
 
-    def enclosing_chain(self, block_id: int) -> tuple[Loop, ...]:
-        """Alias of :meth:`loops_containing` (innermost-first chain)."""
-        return self.loops_containing(block_id)
-
     def is_back_edge(self, edge: Edge) -> bool:
         src, dst = edge
         loop = self._loops.get(dst)

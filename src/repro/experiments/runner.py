@@ -30,7 +30,7 @@ from repro.pipeline.scheduler import PipelineStats
 from repro.pipeline.stages import suite_pipeline
 from repro.pwcet import EstimatorConfig, PWCETEstimate
 from repro.pwcet.estimator import TARGET_EXCEEDANCE
-from repro.suite import EVALUATED_BENCHMARKS
+from repro.suite import EVALUATED_BENCHMARKS, load
 
 
 @dataclass(frozen=True)
@@ -90,8 +90,8 @@ def run_benchmark(name: str, config: EstimatorConfig | None = None, *,
         config = EstimatorConfig()
     key = (name, config, target_probability)
     if key not in _CACHE:
-        _CACHE[key] = suite_pipeline((name,), config, target_probability,
-                                     workers=1)[name]
+        _CACHE[key] = suite_pipeline({name: load(name).cfg}, config,
+                                     target_probability, workers=1)[name]
     return _CACHE[key]
 
 
@@ -132,7 +132,8 @@ def run_suite(config: EstimatorConfig | None = None, *,
                if (name, config, target_probability) not in _CACHE]
     failed: dict[str, FailedBenchmark] = {}
     if pending:
-        computed = suite_pipeline(tuple(pending), config,
+        computed = suite_pipeline({name: load(name).cfg
+                                   for name in pending}, config,
                                   target_probability,
                                   workers=workers, stats=pipeline_stats,
                                   strict=strict, retry=retry)

@@ -3,18 +3,19 @@
 "The two mechanisms differ by their hardware cost and impact on
 estimated pWCETs, to allow the hardware designer to find the best
 pWCET/cost tradeoff" — this module quantifies both axes per benchmark
-and mechanism.
+and mechanism.  The pWCETs are the suite runner's (Figure 4's
+memoised results, when the configuration matches).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.experiments.runner import run_suite
 from repro.hwcost.model import MechanismCostModel
-from repro.pwcet import EstimatorConfig, PWCETEstimator
+from repro.pwcet import EstimatorConfig
 from repro.pwcet.estimator import TARGET_EXCEEDANCE
 from repro.reliability import MECHANISMS
-from repro.suite import load
 
 
 @dataclass(frozen=True)
@@ -51,14 +52,14 @@ def tradeoff_points(benchmarks: tuple[str, ...],
     baseline_leakage = cost_model.cost_of(MECHANISMS[0]).leakage_equivalents
 
     points = []
-    for name in benchmarks:
-        estimator = PWCETEstimator(load(name), config, name=name)
-        reference = estimator.estimate("none").pwcet(probability)
+    for result in run_suite(config, target_probability=probability,
+                            benchmarks=benchmarks):
+        reference = result.pwcet("none")
         for mechanism in MECHANISMS:
             cost = cost_model.cost_of(mechanism)
-            pwcet = estimator.estimate(mechanism).pwcet(probability)
+            pwcet = result.pwcet(mechanism.name)
             points.append(TradeoffPoint(
-                benchmark=name, mechanism=mechanism.name, pwcet=pwcet,
+                benchmark=result.name, mechanism=mechanism.name, pwcet=pwcet,
                 gain=1.0 - pwcet / reference,
                 area_overhead=cost.area_overhead_ratio,
                 leakage_overhead=(cost.leakage_equivalents

@@ -51,8 +51,7 @@ class WCETResult:
 def compute_wcet(cfg: CFG, table: ClassificationTable, timing: TimingModel,
                  *, forest: LoopForest | None = None,
                  flow_model: FlowModel | None = None,
-                 relaxed: bool = False,
-                 planner=None) -> WCETResult:
+                 relaxed: bool = False) -> WCETResult:
     """WCET of one task activation under a classification table.
 
     Cost model per reference:
@@ -67,8 +66,6 @@ def compute_wcet(cfg: CFG, table: ClassificationTable, timing: TimingModel,
         flow_model = FlowModel(cfg, forest)
     elif flow_model.cfg is not cfg:
         raise ConfigurationError("flow model belongs to a different CFG")
-    if planner is None:
-        planner = flow_model.planner
 
     objective: dict[int, float] = {}
 
@@ -99,7 +96,8 @@ def compute_wcet(cfg: CFG, table: ClassificationTable, timing: TimingModel,
         # A program with no instructions costs nothing.
         return WCETResult(cycles=0, block_counts={}, relaxed=relaxed)
 
-    solution = planner.solve_with_values(objective, relaxed=relaxed)
+    solution = flow_model.planner.solve_with_values(objective,
+                                                    relaxed=relaxed)
     block_counts = {
         block_id: int(round(sum(
             solution.value_of(variable)

@@ -20,7 +20,7 @@ task graph instead:
 ``stages``
     Pool-safe stage task bodies and the one DAG builder
     (:class:`~repro.pipeline.stages.EstimationDag`) that lays a whole
-    (benchmarks × geometries × pfails) grid out on one scheduler; the
+    (programs × geometries × pfails) grid out on one scheduler; the
     suite (:func:`~repro.pipeline.stages.suite_pipeline`) is its
     1-geometry × 1-pfail case.
 

@@ -1,15 +1,17 @@
 """Stage functions and the one DAG builder of the estimation pipeline.
 
-:class:`EstimationDag` lays a whole (benchmarks × geometries × pfails ×
+:class:`EstimationDag` lays a whole (programs × geometries × pfails ×
 mechanisms) grid out as one flat DAG on one
 :class:`~repro.pipeline.scheduler.PipelineScheduler`; the suite is its
-1-geometry × 1-pfail case.  Per benchmark:
+1-geometry × 1-pfail case.  Stages take the program's CFG, never a
+suite name: the drivers load the suite's CFGs and pass them in, and
+any other program runs through the same DAG.  Per program:
 
 ``classify:{bench}:{line}`` — :func:`classify_stage`
     Every classification table (and SRB hit set) the requested
-    mechanisms need, for every geometry of one line-size group, from
-    ONE stacked Must/May fixpoint pair plus one SRB fixpoint
-    (:func:`~repro.analysis.geometry_batch.grouped_analysis`).
+    mechanisms need for one CFG, at every geometry of one line-size
+    group, from ONE stacked Must/May fixpoint pair plus one SRB
+    fixpoint (:func:`~repro.analysis.geometry_batch.grouped_analysis`).
     Tables read and write through the
     :class:`~repro.analysis.store.ClassificationStore`.
 
@@ -17,8 +19,10 @@ mechanisms) grid out as one flat DAG on one
     Fused to its classify task (same process, right after it, so the
     tables never cross a process boundary).  Builds ONE flow polytope
     (:class:`~repro.ipet.FlowModel`) and one
-    :class:`~repro.solve.planner.SolvePlanner` for the benchmark: the
-    polytope is geometry-independent, so the fault-free WCET and every
+    :class:`~repro.solve.planner.SolvePlanner` for the program
+    (:func:`solve_polytope`, shared with the one-geometry
+    :class:`~repro.pwcet.PWCETEstimator`): the polytope is
+    geometry-independent, so the fault-free WCET and every
     mechanism's Fault Miss Map at every geometry of the group are
     objectives over it, and duplicate objectives dedup in-process.
     Solves read and write through the
@@ -58,43 +62,17 @@ from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
 from repro.pipeline.scheduler import PipelineScheduler, PipelineStats
-from repro.reliability import ReliabilityMechanism, mechanism_by_name
-from repro.suite import load
+from repro.reliability import mechanism_by_name
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.analysis import CacheAnalysis
+    from repro.cfg import CFG
+    from repro.ipet import FlowModel
+    from repro.solve.store import SolveStore
 
 #: The paper's three configurations, in presentation order — the
 #: mechanism set of every suite/sweep estimation.
 SUITE_MECHANISMS = ("none", "srb", "rw")
-
-
-def required_classifications(mechanisms, ways: int
-                             ) -> tuple[tuple[int, ...], bool]:
-    """Associativities (in first-demand order) a mechanism set needs.
-
-    Nominal first, then each mechanism's degraded tables ``W-1, W-2,
-    …``.  An SRB mechanism's all-faulty column replaces the
-    associativity-0 table with its own filter; the flag reports
-    whether any such filter reads the analysis' SRB hit set (the
-    refined ``srb+`` filter runs its own per-set analysis instead).
-    """
-    assocs: list[int] = [ways]
-    seen = {ways}
-    needs_srb = False
-    for mechanism in mechanisms:
-        if not isinstance(mechanism, ReliabilityMechanism):
-            mechanism = mechanism_by_name(mechanism)
-        counts = mechanism.fault_counts(ways)
-        for fault_count in range(1, max(counts) + 1):
-            if mechanism.uses_srb and fault_count == ways:
-                needs_srb = needs_srb or mechanism.reads_srb_hits
-                continue
-            assoc = ways - fault_count
-            if assoc not in seen:
-                seen.add(assoc)
-                assocs.append(assoc)
-    return tuple(assocs), needs_srb
 
 
 def _batched(store):
@@ -102,9 +80,9 @@ def _batched(store):
     return store.batch() if store is not None else nullcontext()
 
 
-def classify_stage(name: str, geometries, mechanisms, cache
+def classify_stage(cfg: CFG, geometries, mechanisms, cache
                    ) -> tuple[CacheAnalysis, ...]:
-    """Stage task: classify one benchmark at every geometry of a group.
+    """Stage task: classify one program at every geometry of a group.
 
     ``geometries`` share one line size; the group (of one, for the
     suite) runs one Must/May fixpoint pair plus one SRB fixpoint.
@@ -115,9 +93,31 @@ def classify_stage(name: str, geometries, mechanisms, cache
     from repro.analysis.geometry_batch import grouped_analysis
     from repro.analysis.store import ClassificationStore
 
-    cfg = load(name).cfg
     with _batched(ClassificationStore.resolve(cache)):
         return grouped_analysis(cfg, geometries, mechanisms, cache=cache)
+
+
+def solve_polytope(analysis: CacheAnalysis, cache
+                   ) -> tuple[FlowModel, SolveStore | None]:
+    """The flow polytope of an analysis' CFG, wired to the solve store.
+
+    One polytope serves every objective of the analysis' line size
+    (the fault-free WCET and each mechanism's FMM at every geometry
+    of the group), and its planner dedups them all.  The planner
+    reads and writes the :class:`~repro.solve.store.SolveStore`
+    selected by ``cache`` (returned too; ``None`` when persistence is
+    off) under the (CFG digest, line size) context.
+    """
+    from repro.ipet import FlowModel
+    from repro.solve.store import SolveStore, solve_context
+
+    cfg = analysis.cfg
+    flow_model = FlowModel(cfg, analysis.forest)
+    store = SolveStore.resolve(cache)
+    if store is not None:
+        flow_model.planner.attach_store(store, solve_context(
+            cfg.digest(), analysis.geometry.block_bytes))
+    return flow_model, store
 
 
 @dataclass(frozen=True)
@@ -143,31 +143,23 @@ def solve_stage(mechanisms, config, analyses) -> SolveOutput:
     mode and the cache selector.
     """
     from repro.fmm import compute_fault_miss_map
-    from repro.ipet import FlowModel, compute_wcet
-    from repro.solve.store import SolveStore, solve_context
+    from repro.ipet import compute_wcet
 
     lead = analyses[0]
-    cfg = lead.cfg
-    flow_model = FlowModel(cfg, lead.forest)
-    planner = flow_model.planner
-    store = SolveStore.resolve(config.cache)
-    if store is not None:
-        planner.attach_store(store, solve_context(
-            cfg.digest(), lead.geometry.block_bytes))
+    flow_model, store = solve_polytope(lead, config.cache)
     geometries = {}
     with _batched(store):
         for analysis in analyses:
-            wcet = compute_wcet(cfg, analysis.classification(),
+            wcet = compute_wcet(lead.cfg, analysis.classification(),
                                 config.timing, flow_model=flow_model,
-                                relaxed=config.relaxed, planner=planner)
+                                relaxed=config.relaxed)
             fmms = {name: compute_fault_miss_map(
                         analysis, mechanism_by_name(name),
-                        flow_model=flow_model, relaxed=config.relaxed,
-                        planner=planner)
+                        flow_model=flow_model, relaxed=config.relaxed)
                     for name in mechanisms}
             geometries[analysis.geometry] = (wcet.cycles, fmms)
     return SolveOutput(geometries=geometries,
-                       counters={**planner.stats.as_dict(),
+                       counters={**flow_model.planner.stats.as_dict(),
                                  **lead.stats.as_dict()})
 
 
@@ -216,16 +208,9 @@ def cell_stage(name: str, geometry, config, rows, probability,
         batched += len(axis) - 1
         for (pfail, key), model, distribution in zip(axis, models,
                                                      distributions):
-            estimate = PWCETEstimate(
-                program_name=name,
-                mechanism_name=mechanism_name,
-                wcet_fault_free=wcet,
-                timing=config.timing,
-                fmm=fmm,
-                fault_model=model,
-                exceedance_correction=mechanism.exceedance_correction(
-                    model, geometry.sets),
-                distribution=distribution).reduced(probability)
+            estimate = PWCETEstimate.of(
+                name, mechanism, wcet, fmm, model, config.timing,
+                distribution).reduced(probability)
             if store is not None:
                 store.put(key, encode_cell(estimate))
             computed[(mechanism_name, pfail)] = estimate
@@ -271,8 +256,10 @@ def _geometry_label(geometry) -> str:
 class EstimationDag:
     """One estimation grid laid out on a scheduler (see module doc).
 
-    ``selection`` maps each pfail to the mechanisms estimated at it
-    (the unprotected baseline included), in presentation order.
+    ``programs`` maps each program's name to its CFG, in presentation
+    order; any CFG will do, not only the suite's.  ``selection`` maps
+    each pfail to the mechanisms estimated at it (the unprotected
+    baseline included), in presentation order.
     ``pool`` lets classify/solve/cell tasks run on the process pool;
     ``probability`` is the exceedance probability every row is
     reduced to (see :func:`cell_stage`; default: the paper's target).
@@ -280,7 +267,7 @@ class EstimationDag:
     :meth:`record` merges the counters of every completed task.
     """
 
-    def __init__(self, scheduler: PipelineScheduler, benchmarks,
+    def __init__(self, scheduler: PipelineScheduler, programs,
                  geometries, selection, config, *, pool: bool = False,
                  probability: float | None = None,
                  stats: PipelineStats | None = None) -> None:
@@ -314,21 +301,21 @@ class EstimationDag:
         mechanisms = tuple(name for name in SUITE_MECHANISMS
                            if any(name in chosen
                                   for chosen in selection.values()))
-        programs = {name: load(name) for name in benchmarks}
+        names = tuple(programs)
         # Heaviest programs dispatch first: their classify + solve
         # chains are the longest tasks of the run.
-        heaviness = sorted(benchmarks,
+        heaviness = sorted(names,
                            key=lambda name: (
-                               -programs[name].cfg.instruction_count(),
-                               benchmarks.index(name)))
-        for name in benchmarks:
-            digest = programs[name].cfg.digest()
+                               -programs[name].instruction_count(),
+                               names.index(name)))
+        for name, cfg in programs.items():
+            digest = cfg.digest()
             rank = heaviness.index(name)
             for group in line_groups(geometries):
                 line = group[0].block_bytes
                 classify_key = scheduler.add(
                     f"classify:{name}:{line}", classify_stage,
-                    args=(name, group, mechanisms, config.cache),
+                    args=(cfg, group, mechanisms, config.cache),
                     stage="classify", pool=pool,
                     order_key=f"0:{rank:04d}:{line:04d}")
                 solve_key = scheduler.add(
@@ -340,7 +327,7 @@ class EstimationDag:
                                     geometries.index(geometry),
                                     selection, config, solve_key,
                                     cell_store, pool, probability,
-                                    benchmarks.index(name))
+                                    names.index(name))
 
     def _add_cells(self, scheduler, name, digest, geometry, position,
                    selection, config, solve_key, cell_store, pool,
@@ -433,15 +420,16 @@ class EstimationDag:
             self.stats.merge_counters(value.counters)
 
 
-def suite_pipeline(benchmarks, config, target_probability: float, *,
+def suite_pipeline(programs, config, target_probability: float, *,
                    workers: int = 1,
                    stats: PipelineStats | None = None,
                    strict: bool = True,
                    retry=None) -> dict[str, object]:
     """Run the suite DAG; returns BenchmarkResults keyed by name.
 
-    The 1-geometry × 1-pfail case of :class:`EstimationDag`, plus one
-    inline ``result:{bench}`` sink per benchmark.  ``workers > 1``
+    ``programs`` maps each name to its CFG, as for
+    :class:`EstimationDag`.  The 1-geometry × 1-pfail case of the DAG,
+    plus one inline ``result:{bench}`` sink per benchmark.  ``workers > 1``
     runs classify/solve/cell tasks on one shared process pool;
     ``workers=1`` runs the same DAG inline.  Results are bit-identical
     either way.  With ``strict=False`` a permanently failing
@@ -451,16 +439,13 @@ def suite_pipeline(benchmarks, config, target_probability: float, *,
     from repro.experiments.runner import BenchmarkResult
     from repro.pipeline.resilience import DEFAULT_RETRY_POLICY
 
-    # Dedupe while preserving order: a repeated benchmark name is one
-    # task (and one result entry), exactly like the memoised runner.
-    benchmarks = tuple(dict.fromkeys(benchmarks))
     if stats is None:
         stats = PipelineStats()
     scheduler = PipelineScheduler(
         workers=workers,
         retry=retry if retry is not None else DEFAULT_RETRY_POLICY,
         strict=strict)
-    dag = EstimationDag(scheduler, benchmarks, (config.geometry,),
+    dag = EstimationDag(scheduler, programs, (config.geometry,),
                         {config.pfail: SUITE_MECHANISMS}, config,
                         pool=workers > 1, probability=target_probability,
                         stats=stats)
@@ -483,7 +468,7 @@ def suite_pipeline(benchmarks, config, target_probability: float, *,
             solver_stats=counters)
 
     result_keys = {}
-    for name in benchmarks:
+    for name in programs:
         key = dag.cells_key(name, config.geometry)
         result_keys[name] = scheduler.add(
             f"result:{name}",
@@ -491,4 +476,4 @@ def suite_pipeline(benchmarks, config, target_probability: float, *,
             deps=(key,), stage="result")
     results = scheduler.run(
         stats=stats, on_task=lambda key, value, *_: dag.record(key, value))
-    return {name: results[result_keys[name]] for name in benchmarks}
+    return {name: results[result_keys[name]] for name in programs}

@@ -18,12 +18,15 @@ persist across runs through the content-addressed
 ``EstimatorConfig(cache=...)``): a warm rerun of the same estimation
 performs zero backend ILP solves.
 
-The estimator runs in-process and calls its stages directly, in one
-fixed order per batch: classification, fault-free WCET, then per
-mechanism FMM → distribution → estimate.  Multi-benchmark runs (the
-suite, the sweep) go through the flat task DAG of
-:mod:`repro.pipeline.stages` instead, which computes the same values
-with the same kernels.
+The estimator runs in-process, at one geometry, and sequences
+nothing itself: each accessor memoises one stage and demands its
+inputs, so the classification tables a WCET or FMM objective reads
+are computed on first use.  Its polytope wiring
+(:func:`~repro.pipeline.stages.solve_polytope`) and estimate
+constructor (:meth:`PWCETEstimate.of`) are the pipeline's own.
+Multi-program runs (the suite, the sweep) go through the flat task
+DAG of :mod:`repro.pipeline.stages` instead, which computes the same
+values with the same kernels.
 """
 
 from __future__ import annotations
@@ -134,6 +137,19 @@ class PWCETEstimate:
     known_pwcet: tuple[float, int] | None = field(
         default=None, repr=False, compare=False)
 
+    @classmethod
+    def of(cls, name: str, mechanism: ReliabilityMechanism, wcet: int,
+           fmm: FaultMissMap, fault_model: FaultProbabilityModel,
+           timing: TimingModel,
+           distribution: DiscreteDistribution) -> "PWCETEstimate":
+        """A computed estimate, with the mechanism's excluded mass."""
+        return cls(program_name=name, mechanism_name=mechanism.name,
+                   wcet_fault_free=wcet, timing=timing, fmm=fmm,
+                   fault_model=fault_model,
+                   exceedance_correction=mechanism.exceedance_correction(
+                       fault_model, fmm.geometry.sets),
+                   distribution=distribution)
+
     @property
     def penalty_misses(self) -> DiscreteDistribution:
         """Fault-penalty distribution in *misses* (recomputed from the
@@ -193,9 +209,8 @@ class PWCETEstimator:
                  config: EstimatorConfig | None = None,
                  name: str | None = None) -> None:
         from repro.analysis import CacheAnalysis
-        from repro.ipet import FlowModel
         from repro.minic import CompiledProgram
-        from repro.solve.store import SolveStore, solve_context
+        from repro.pipeline.stages import solve_polytope
 
         if config is None:
             config = EstimatorConfig()
@@ -208,18 +223,13 @@ class PWCETEstimator:
         #: classification store and the ILP store.
         self._analysis = CacheAnalysis(cfg, config.geometry,
                                        cache=config.cache)
-        self._flow_model = FlowModel(cfg, self._analysis.forest)
-        #: One planner per estimator: WCET and every mechanism's FMM
-        #: dedup against the same canonical-objective cache.
+        #: One polytope and planner per estimator: WCET and every
+        #: mechanism's FMM dedup against the same canonical-objective
+        #: cache, and already-solved objectives are answered from the
+        #: persistent store instead of the ILP backend.
+        self._flow_model, self._store = solve_polytope(self._analysis,
+                                                       config.cache)
         self._planner = self._flow_model.planner
-        #: Cross-run persistence: already-solved objectives over this
-        #: program's polytope are answered from the disk store instead
-        #: of the ILP backend.
-        self._store = SolveStore.resolve(config.cache)
-        if self._store is not None:
-            self._planner.attach_store(
-                self._store,
-                solve_context(cfg.digest(), config.geometry.block_bytes))
         self._fault_model = config.fault_model()
         self._wcet_fault_free: int | None = None
         self._fmm_cache: dict[str, FaultMissMap] = {}
@@ -245,11 +255,6 @@ class PWCETEstimator:
     def solver_stats(self):
         """Planner counters (solved/pruned/deduped) for this estimator."""
         return self._planner.stats
-
-    @property
-    def analysis_stats(self):
-        """Cache-analysis counters (fixpoints run, store traffic)."""
-        return self._analysis.stats
 
     def stats_summary(self) -> dict[str, float]:
         """Solver and analysis counters merged into one flat dict.
@@ -301,7 +306,7 @@ class PWCETEstimator:
             result = compute_wcet(
                 self._cfg, self._analysis.classification(),
                 self._config.timing, flow_model=self._flow_model,
-                relaxed=self._config.relaxed, planner=self._planner)
+                relaxed=self._config.relaxed)
             self._wcet_fault_free = result.cycles
         return self._wcet_fault_free
 
@@ -312,7 +317,7 @@ class PWCETEstimator:
             from repro.fmm import compute_fault_miss_map
             self._fmm_cache[mechanism.name] = compute_fault_miss_map(
                 self._analysis, mechanism, flow_model=self._flow_model,
-                relaxed=self._config.relaxed, planner=self._planner)
+                relaxed=self._config.relaxed)
         return self._fmm_cache[mechanism.name]
 
     def penalty_distribution(self, mechanism: ReliabilityMechanism | str
@@ -328,46 +333,15 @@ class PWCETEstimator:
         """Full pWCET estimate for one mechanism (memoised)."""
         mechanism = self._resolve(mechanism)
         if mechanism.name not in self._estimates:
-            self._estimate((mechanism,))
+            self._estimates[mechanism.name] = PWCETEstimate.of(
+                self._name, mechanism, self.fault_free_wcet(),
+                self.fault_miss_map(mechanism), self._fault_model,
+                self._config.timing, self.penalty_distribution(mechanism))
         return self._estimates[mechanism.name]
 
     def estimate_all(self) -> dict[str, PWCETEstimate]:
         """Estimates for the paper's three configurations."""
-        pending = tuple(self._resolve(name) for name in ("none", "srb", "rw")
-                        if name not in self._estimates)
-        if pending:
-            self._estimate(pending)
-        return {name: self._estimates[name] for name in ("none", "srb", "rw")}
-
-    def _estimate(self, mechanisms: tuple[ReliabilityMechanism, ...]
-                  ) -> None:
-        """One estimation batch, its stages called in a fixed order.
-
-        Every classification table (and the SRB hit set) the batch
-        needs, then the fault-free WCET, then per mechanism FMM →
-        distribution → estimate.  The order fixes the planner's
-        in-process dedup, and with it every counter.
-        """
-        from repro.pipeline.stages import required_classifications
-        assocs, needs_srb = required_classifications(
-            mechanisms, self._config.geometry.ways)
-        for assoc in assocs:
-            self._analysis.classification(assoc)
-        if needs_srb:
-            self._analysis.srb_always_hits()
-        wcet = self.fault_free_wcet()
-        for mechanism in mechanisms:
-            fmm = self.fault_miss_map(mechanism)
-            self._estimates[mechanism.name] = PWCETEstimate(
-                program_name=self._name,
-                mechanism_name=mechanism.name,
-                wcet_fault_free=wcet,
-                timing=self._config.timing,
-                fmm=fmm,
-                fault_model=self._fault_model,
-                exceedance_correction=mechanism.exceedance_correction(
-                    self._fault_model, self._config.geometry.sets),
-                distribution=self.penalty_distribution(mechanism))
+        return {name: self.estimate(name) for name in ("none", "srb", "rw")}
 
     # ------------------------------------------------------------------
     @staticmethod

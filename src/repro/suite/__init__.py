@@ -77,8 +77,3 @@ def info(name: str) -> BenchmarkInfo:
     return BenchmarkInfo(name=name, description=description,
                          code_bytes=compiled.code_size_bytes(),
                          instruction_count=compiled.cfg.instruction_count())
-
-
-def load_all() -> dict[str, CompiledProgram]:
-    """Compile the whole suite (memoised)."""
-    return {name: load(name) for name in EVALUATED_BENCHMARKS}

@@ -32,7 +32,7 @@ from repro.pipeline.stages import SUITE_MECHANISMS, EstimationDag
 from repro.pwcet import EstimatorConfig
 from repro.pwcet.estimator import TARGET_EXCEEDANCE
 from repro.reliability import MECHANISMS
-from repro.suite import EVALUATED_BENCHMARKS
+from repro.suite import EVALUATED_BENCHMARKS, load
 from repro.sweep.grid import (DEFAULT_PFAILS, SweepCell, geometry_grid,
                               sweep_cells)
 
@@ -265,7 +265,8 @@ def run_sweep(geometries=None, *,
         retry=retry if retry is not None else DEFAULT_RETRY_POLICY,
         strict=strict)
     dag = EstimationDag(
-        scheduler, benchmarks, geometries,
+        scheduler, {name: load(name).cfg for name in benchmarks},
+        geometries,
         {pfail: _estimation_mechanisms(chosen)
          for pfail, chosen in selection.items()},
         config, pool=workers > 1, probability=probability,

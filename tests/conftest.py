@@ -6,11 +6,17 @@ import os
 import random
 
 import pytest
+from hypothesis import settings
 
 from repro.cache import CacheGeometry
 from repro.ipet import TimingModel
 from repro.minic import (Call, Compute, Function, If, Loop, Program,
                          compile_program)
+
+#: ``pytest --hypothesis-profile=soundness`` runs the generated-program
+#: soundness property of ``test_dag_soundness.py`` at this budget
+#: instead of tier-1's handful of examples.
+settings.register_profile("soundness", max_examples=200, deadline=None)
 
 
 @pytest.fixture(scope="session", autouse=True)

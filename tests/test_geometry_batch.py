@@ -17,7 +17,8 @@ from hypothesis import HealthCheck, given, settings
 from repro.analysis import (AgeVectorEngine, CacheAnalysis, MayAnalysis,
                             MustAnalysis)
 from repro.analysis.classify import AnalysisStats, SrbHits
-from repro.analysis.geometry_batch import grouped_analysis
+from repro.analysis.geometry_batch import (grouped_analysis,
+                                           required_classifications)
 from repro.analysis.references import all_references
 from repro.cache import CacheGeometry
 from repro.errors import AnalysisError
@@ -25,8 +26,7 @@ from repro.experiments.fig4 import format_fig4, row_of
 from repro.experiments.runner import fresh_results, run_suite
 from repro.minic import compile_program
 from repro.pipeline import PipelineStats
-from repro.pipeline.stages import (SUITE_MECHANISMS, line_groups,
-                                   required_classifications)
+from repro.pipeline.stages import SUITE_MECHANISMS, line_groups
 from repro.pwcet import EstimatorConfig
 from repro.reliability.srb_analysis import srb_always_hit_references
 from repro.suite import EVALUATED_BENCHMARKS, load

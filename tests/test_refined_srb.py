@@ -131,7 +131,7 @@ class TestEstimator:
     def test_runs_no_shared_srb_fixpoint(self, tmp_path):
         """The refined filter never reads the shared SRB hit set, so
         srb+ runs only the Must/May pair and writes no SRB row."""
-        from repro.pipeline.stages import required_classifications
+        from repro.analysis.geometry_batch import required_classifications
         from repro.suite import load
 
         assert required_classifications(("srb+",), 4) == ((4, 3, 2, 1),
