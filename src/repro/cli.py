@@ -27,12 +27,10 @@ stores (solve, classification, cell) share one directory
 command performs zero backend ILP solves and zero
 abstract-interpretation fixpoints.
 
-``suite`` and ``sweep`` take resilience knobs: transient worker
-crashes and broken pools are always retried; ``--partial`` completes
-what it can around permanently failing benchmarks/cells and exits
-with code 3 (1 when nothing survived), ``--max-attempts`` and
-``--stage-timeout`` tune the retry policy.  See README "Resilience &
-chaos testing".
+A stage error (say, a solver failure) aborts ``suite`` and ``sweep``
+with a traceback and a non-zero exit; a pool worker that dies is
+replaced and its work resubmitted.  See README "Pool recovery & chaos
+testing".
 """
 
 from __future__ import annotations
@@ -71,76 +69,16 @@ def _add_workers_argument(parser: argparse.ArgumentParser) -> None:
                              "(default 1: in-process)")
 
 
-def _add_resilience_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--partial", action="store_true",
-                        help="tolerate permanently failing benchmarks/"
-                             "cells: the rest of the run completes, "
-                             "failures are annotated in the output, "
-                             "and the exit code is 3 (default strict "
-                             "mode aborts on the first permanent "
-                             "failure)")
-    parser.add_argument("--max-attempts", type=int, default=None,
-                        help="attempt budget per stage before a "
-                             "transient fault (killed worker, broken "
-                             "pool, timeout) is quarantined "
-                             "(default 3)")
-    parser.add_argument("--stage-timeout", action="append", default=None,
-                        metavar="[STAGE=]SECONDS",
-                        help="kill and retry a pool stage running "
-                             "longer than SECONDS; prefix with "
-                             "STAGE= to budget one stage kind only "
-                             "(repeatable)")
-
-
-#: Stage names a ``--stage-timeout STAGE=SECONDS`` budget may target —
-#: the stages the flat DAG builder schedules on the pool (its inline
-#: sinks cannot be supervised).  A typo'd or retired stage name must
-#: fail loudly: a silently ignored budget would green-light an
-#: unsupervised run.
-_TIMEOUT_STAGES = frozenset({"classify", "solve", "cell"})
-
-
-def _retry_from(arguments: argparse.Namespace):
-    """Build a ``RetryPolicy`` from the CLI knobs, or ``None``.
-
-    ``None`` means "the driver's default policy": transient faults are
-    still retried, but no timeout supervision runs and the attempt
-    budget is the library default.
-    """
-    import math
-
-    from repro.pipeline.resilience import DEFAULT_RETRY_POLICY, RetryPolicy
-    max_attempts = arguments.max_attempts
-    if max_attempts is not None and max_attempts < 1:
-        raise SystemExit(f"--max-attempts must be >= 1, "
-                         f"got {max_attempts}")
-    timeout = None
-    stage_timeouts: dict[str, float] = {}
-    for spec in arguments.stage_timeout or ():
-        stage, separator, value = spec.rpartition("=")
-        try:
-            seconds = float(value)
-        except ValueError:
-            raise SystemExit("--stage-timeout: expected "
-                             f"[STAGE=]SECONDS, got {spec!r}") from None
-        if not math.isfinite(seconds) or seconds <= 0:
-            raise SystemExit("--stage-timeout: SECONDS must be a "
-                             f"positive finite number, got {spec!r}")
-        if separator:
-            if stage not in _TIMEOUT_STAGES:
-                raise SystemExit(
-                    f"--stage-timeout: unknown stage {stage!r} in "
-                    f"{spec!r} (one of {', '.join(sorted(_TIMEOUT_STAGES))})")
-            stage_timeouts[stage] = seconds
-        else:
-            timeout = seconds
-    if max_attempts is None and timeout is None and not stage_timeouts:
-        return None
-    base = DEFAULT_RETRY_POLICY
-    return RetryPolicy(max_attempts=(max_attempts if max_attempts
-                                     is not None else base.max_attempts),
-                       timeout=timeout,
-                       stage_timeouts=stage_timeouts or None)
+def _positive_int(text: str) -> int:
+    """argparse ``type=`` for counts that must be at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _config_from(arguments: argparse.Namespace) -> EstimatorConfig:
@@ -180,36 +118,10 @@ def _command_estimate(arguments: argparse.Namespace) -> int:
 
 def _command_suite(arguments: argparse.Namespace) -> int:
     from repro.experiments import fig4_rows, format_fig4
-    retry = _retry_from(arguments)
-    if not arguments.partial:
-        rows = fig4_rows(_config_from(arguments),
-                         target_probability=arguments.probability,
-                         retry=retry)
-        print(format_fig4(rows))
-        return 0
-    from repro.experiments.fig4 import row_of
-    from repro.experiments.runner import FailedBenchmark, run_suite
-    results = run_suite(_config_from(arguments),
-                        target_probability=arguments.probability,
-                        strict=False, retry=retry)
-    failed = [item for item in results
-              if isinstance(item, FailedBenchmark)]
-    completed = [item for item in results
-                 if not isinstance(item, FailedBenchmark)]
-    if completed:
-        print(format_fig4([row_of(result) for result in completed]))
-    if not failed:
-        return 0
-    if completed:
-        print()
-    print(f"FAILED benchmarks ({len(failed)} of {len(results)} — "
-          "partial suite):")
-    for item in failed:
-        failure = item.failure
-        print(f"  {item.name}: {failure.stage} "
-              f"[{failure.classification}] after "
-              f"{failure.attempts} attempt(s) — {failure.error}")
-    return 3 if completed else 1
+    rows = fig4_rows(_config_from(arguments),
+                     target_probability=arguments.probability)
+    print(format_fig4(rows))
+    return 0
 
 
 def _command_curve(arguments: argparse.Namespace) -> int:
@@ -307,9 +219,7 @@ def _command_sweep(arguments: argparse.Namespace) -> int:
                        config=_config_from(arguments),
                        on_cell=stream_cell,
                        only_cells=_parse_only_cells(arguments.only_cells),
-                       probability=arguments.probability,
-                       strict=not arguments.partial,
-                       retry=_retry_from(arguments))
+                       probability=arguments.probability)
     text = format_sweep_report(result)
     if arguments.output:
         with open(arguments.output, "w") as handle:
@@ -317,11 +227,6 @@ def _command_sweep(arguments: argparse.Namespace) -> int:
         print(f"sweep report written to {arguments.output}")
     else:
         print(text)
-    if result.failed:
-        # Partial sweep: the report annotates the failed cells; the
-        # exit code tells scripts the grid is incomplete (3) or that
-        # nothing at all survived (1).
-        return 3 if result.points else 1
     return 0
 
 
@@ -406,7 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
         "suite", help="the Figure 4 survey over all 25 benchmarks")
     _add_config_arguments(suite)
     _add_workers_argument(suite)
-    _add_resilience_arguments(suite)
     suite.set_defaults(handler=_command_suite)
 
     curve = commands.add_parser(
@@ -415,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     curve.add_argument("--mechanisms", nargs="+",
                        choices=_MECHANISM_CHOICES,
                        default=["none", "srb", "rw"])
-    curve.add_argument("--max-points", type=int, default=50)
+    curve.add_argument("--max-points", type=_positive_int, default=50)
     _add_config_arguments(curve)
     curve.set_defaults(handler=_command_curve)
 
@@ -461,7 +365,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="write the report to a file")
     _add_config_arguments(sweep)
     _add_workers_argument(sweep)
-    _add_resilience_arguments(sweep)
     sweep.set_defaults(handler=_command_sweep)
 
     cache = commands.add_parser(

@@ -117,26 +117,18 @@ class GainSummary:
 
 def fig4_rows(config: EstimatorConfig | None = None, *,
               target_probability: float = TARGET_EXCEEDANCE,
-              benchmarks: tuple[str, ...] = EVALUATED_BENCHMARKS,
-              retry=None) -> list[Fig4Row]:
-    """Compute Figure 4's bars for the whole suite.
-
-    ``retry`` overrides the suite's default
-    :class:`~repro.pipeline.resilience.RetryPolicy`; this strict path
-    raises on permanent failures (the CLI's ``--partial`` mode calls
-    :func:`~repro.experiments.runner.run_suite` directly instead).
-    """
+              benchmarks: tuple[str, ...] = EVALUATED_BENCHMARKS
+              ) -> list[Fig4Row]:
+    """Compute Figure 4's bars for the whole suite."""
     rows = []
     for result in run_suite(config, target_probability=target_probability,
-                            benchmarks=benchmarks, retry=retry):
+                            benchmarks=benchmarks):
         rows.append(row_of(result))
     return rows
 
 
 def row_of(result: BenchmarkResult) -> Fig4Row:
-    """One benchmark result → its Figure 4 bar (used directly by the
-    ``--partial`` suite path, which renders the completed benchmarks
-    and lists the failed ones separately)."""
+    """One benchmark result → its Figure 4 bar."""
     pwcet_none = result.pwcet("none")
     pwcet_srb = result.pwcet("srb")
     pwcet_rw = result.pwcet("rw")

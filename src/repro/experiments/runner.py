@@ -25,7 +25,6 @@ from __future__ import annotations
 from contextlib import contextmanager
 from dataclasses import dataclass
 
-from repro.pipeline.resilience import RetryPolicy, TaskFailure
 from repro.pipeline.scheduler import PipelineStats
 from repro.pipeline.stages import suite_pipeline
 from repro.pwcet import EstimatorConfig, PWCETEstimate
@@ -64,21 +63,6 @@ class BenchmarkResult:
         return 1.0 - self.normalized(mechanism)
 
 
-@dataclass(frozen=True)
-class FailedBenchmark:
-    """A benchmark a ``strict=False`` suite run could not complete.
-
-    Returned in place of a :class:`BenchmarkResult`: ``failure`` is
-    the terminal :class:`~repro.pipeline.resilience.TaskFailure` of
-    the benchmark's result task (for cascades, ``failure.root_key``
-    names the quarantined stage).  Failed benchmarks are never
-    memoised — the next run retries them from scratch.
-    """
-
-    name: str
-    failure: TaskFailure
-
-
 _CACHE: dict[tuple[str, EstimatorConfig, float], BenchmarkResult] = {}
 
 
@@ -99,10 +83,8 @@ def run_suite(config: EstimatorConfig | None = None, *,
               target_probability: float = TARGET_EXCEEDANCE,
               benchmarks: tuple[str, ...] = EVALUATED_BENCHMARKS,
               workers: int | None = None,
-              pipeline_stats: PipelineStats | None = None,
-              strict: bool = True,
-              retry: RetryPolicy | None = None
-              ) -> list[BenchmarkResult | FailedBenchmark]:
+              pipeline_stats: PipelineStats | None = None
+              ) -> list[BenchmarkResult]:
     """Run the whole 25-benchmark suite (Figure 4's input data).
 
     ``workers`` (default: the configuration's ``workers`` field) > 1
@@ -117,12 +99,10 @@ def run_suite(config: EstimatorConfig | None = None, *,
     upstream of them (see :class:`~repro.pipeline.stages
     .EstimationDag`).
 
-    Resilience: transient faults (killed workers, broken pools) are
-    retried under ``retry`` (default policy) in both modes.  With
-    ``strict=False`` a benchmark whose failure is permanent (or whose
-    retries are exhausted) comes back as a :class:`FailedBenchmark`
-    while the others complete normally; ``pipeline_stats
-    .failure_report`` carries the per-task ledger.
+    A stage error (say, a :class:`~repro.errors.SolverError`)
+    aborts the run and propagates; nothing of the failed run is
+    memoised.  A dead pool worker is recovered by the scheduler
+    (``pipeline_stats.failure_report`` counts the rebuilds).
     """
     if config is None:
         config = EstimatorConfig()
@@ -130,24 +110,15 @@ def run_suite(config: EstimatorConfig | None = None, *,
         workers = config.workers
     pending = [name for name in benchmarks
                if (name, config, target_probability) not in _CACHE]
-    failed: dict[str, FailedBenchmark] = {}
     if pending:
         computed = suite_pipeline({name: load(name).cfg
                                    for name in pending}, config,
                                   target_probability,
-                                  workers=workers, stats=pipeline_stats,
-                                  strict=strict, retry=retry)
+                                  workers=workers, stats=pipeline_stats)
         for name in pending:
-            value = computed[name]
-            if isinstance(value, TaskFailure):
-                # Never memoised: the next invocation retries from
-                # scratch instead of replaying the failure.
-                failed[name] = FailedBenchmark(name=name, failure=value)
-            else:
-                _CACHE[(name, config, target_probability)] = value
-    return [failed[name] if name in failed
-            else run_benchmark(name, config,
-                               target_probability=target_probability)
+            _CACHE[(name, config, target_probability)] = computed[name]
+    return [run_benchmark(name, config,
+                          target_probability=target_probability)
             for name in benchmarks]
 
 
@@ -191,6 +162,5 @@ def solver_totals(results: list[BenchmarkResult]) -> dict[str, float]:
     """
     stats = PipelineStats()
     for result in results:
-        # FailedBenchmark entries of a partial run carry no counters.
-        stats.merge_counters(getattr(result, "solver_stats", None))
+        stats.merge_counters(result.solver_stats)
     return stats.totals()

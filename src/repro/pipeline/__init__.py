@@ -16,6 +16,9 @@ task graph instead:
     content-addressed stages from their persistent stores;
     :class:`PipelineStats` — per-run merged solver + analysis
     counters plus cell/from-store accounting and per-stage timings.
+    A stage error aborts the run; a dead worker rebuilds the pool
+    and resubmits the in-flight chains, at most
+    ``MAX_POOL_REBUILDS`` times per run.
 
 ``stages``
     Pool-safe stage task bodies and the one DAG builder
@@ -23,15 +26,6 @@ task graph instead:
     (programs × geometries × pfails) grid out on one scheduler; the
     suite (:func:`~repro.pipeline.stages.suite_pipeline`) is its
     1-geometry × 1-pfail case.
-
-``resilience``
-    :class:`~repro.pipeline.resilience.RetryPolicy` (attempt budget,
-    deterministic exponential backoff, per-stage timeouts),
-    failure classification (transient worker crashes vs permanent
-    solver errors) and the structured
-    :class:`~repro.pipeline.resilience.FailureReport` that
-    ``strict=False`` partial runs attach to their
-    :class:`PipelineStats`.
 
 ``cellstore``
     :class:`~repro.pipeline.cellstore.CellStore` — the persistent,
@@ -51,12 +45,6 @@ from repro._lazy import lazy_exports
 __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "PipelineScheduler": ".scheduler",
     "PipelineStats": ".scheduler",
-    "DEFAULT_RETRY_POLICY": ".resilience",
-    "FailureReport": ".resilience",
-    "RetryPolicy": ".resilience",
-    "StageTimeout": ".resilience",
-    "TaskFailure": ".resilience",
-    "classify_failure": ".resilience",
     "SUITE_MECHANISMS": ".stages",
     "EstimationDag": ".stages",
     "cell_stage": ".stages",

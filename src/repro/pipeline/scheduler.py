@@ -43,6 +43,12 @@ Execution model
   single dependency, right after it: the pair is dispatched (or
   stolen) as one chain, and the dependency's value never crosses a
   process boundary — classification tables stay where they were built.
+* One failure rule.  Stages are pure functions of content-addressed
+  inputs, so a stage that raised would raise again: any exception a
+  stage raises, inline or on the pool, aborts the run at once.  The
+  one fault worth a retry is a dead worker (``BrokenExecutor``): the
+  pool is rebuilt and every in-flight chain resubmitted, up to
+  :data:`MAX_POOL_REBUILDS` times per run.
 
 Per-run work is accounted in a fresh :class:`PipelineStats` — the
 merge of the solver's and the analysis' counters, scoped to one
@@ -60,13 +66,25 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.errors import PipelineError
-from repro.pipeline.resilience import (CASCADED, TRANSIENT, FailureReport,
-                                       RetryPolicy, StageTimeout,
-                                       TaskFailure, classify_failure)
 from repro.testing import faultinject
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from concurrent.futures import ProcessPoolExecutor
+
+#: Pool rebuilds one run may spend on dead workers; the next
+#: ``BrokenExecutor`` propagates.  Per run, not per task: the victim
+#: of a pool break cannot be known.
+MAX_POOL_REBUILDS = 3
+
+
+@dataclass
+class FailureReport:
+    """Pool-recovery counters of one run (both zero on a clean run)."""
+
+    #: Chains resubmitted to a rebuilt pool.
+    retries: int = 0
+    #: Worker pools rebuilt after a worker died.
+    pool_rebuilds: int = 0
 
 
 @dataclass
@@ -95,14 +113,8 @@ class PipelineStats:
     counters: dict[str, float] = field(default_factory=dict)
     #: Wall-clock seconds spent inside :meth:`PipelineScheduler.run`.
     wall_seconds: float = 0.0
-    #: Resilience ledger: terminal task failures plus retry / timeout /
-    #: pool-rebuild counters (empty on a clean run).
+    #: Resubmitted chains and pool rebuilds after dead workers.
     failure_report: FailureReport = field(default_factory=FailureReport)
-
-    @property
-    def partial(self) -> bool:
-        """True when some task terminally failed (``strict=False``)."""
-        return bool(self.failure_report.failures)
 
     def count_task(self, stage: str) -> None:
         self.tasks[stage] = self.tasks.get(stage, 0) + 1
@@ -177,47 +189,32 @@ class _Task:
 
 
 def _run_pool_chain(steps: Sequence[tuple[Callable, tuple]]
-                    ) -> tuple[list[tuple[object, float]],
-                               BaseException | None]:
+                    ) -> list[tuple[object, float]]:
     """Pool entry point: one stage task, or a fused chain of them.
 
     Every step after the first receives its predecessor's value as its
     last argument; only the last step's value is shipped back (a fused
     dependency's value never leaves this process).  Returns one
-    ``(value, seconds)`` per completed step — so the parent can
-    attribute in-worker wall-clock per stage — plus the exception of
-    the step that raised, if any.
+    ``(value, seconds)`` per step, so the parent can attribute
+    in-worker wall-clock per stage; a step's exception propagates.
     """
     outcomes: list[tuple[object, float]] = []
     value = None
     for position, (fn, args) in enumerate(steps):
         started = time.perf_counter()
-        try:
-            faultinject.worker_hook(getattr(fn, "__name__", str(fn)))
-            value = fn(*args, *((value,) if position else ()))
-        except Exception as error:
-            return outcomes, error
+        faultinject.worker_hook(getattr(fn, "__name__", str(fn)))
+        value = fn(*args, *((value,) if position else ()))
         last = position == len(steps) - 1
         outcomes.append((value if last else None,
                          time.perf_counter() - started))
-    return outcomes, None
+    return outcomes
 
 
 class PipelineScheduler:
     """Executes stage-task DAGs over one shared worker pool."""
 
-    def __init__(self, workers: int = 1, *,
-                 retry: RetryPolicy | None = None,
-                 strict: bool = True) -> None:
+    def __init__(self, workers: int = 1) -> None:
         self.workers = max(1, int(workers))
-        #: Resilience policy; ``None`` disables retry/timeout handling
-        #: entirely — failures propagate raw, exactly the pre-policy
-        #: behaviour.
-        self.retry = retry
-        #: ``strict=True`` re-raises the original error on the first
-        #: quarantine; ``strict=False`` completes the run with
-        #: :class:`TaskFailure` sentinels in the result dict.
-        self.strict = bool(strict)
         self._tasks: dict[str, _Task] = {}
         self._pool: ProcessPoolExecutor | None = None
 
@@ -349,7 +346,6 @@ class PipelineScheduler:
         tasks, self._tasks = self._tasks, {}
         if stats is None:
             stats = PipelineStats()
-        policy = self.retry
         report = stats.failure_report
         started = time.perf_counter()
         satisfied, demanded, _will_run = self._plan(tasks)
@@ -375,19 +371,6 @@ class PipelineScheduler:
 
         results: dict[str, object] = {}
         in_flight: dict[Future, str] = {}
-        #: Failed execution attempts charged per task key.
-        attempts: dict[str, int] = {}
-        #: Monotonic wall-clock deadline per in-flight future (only
-        #: futures whose stage has a timeout budget appear here).
-        deadlines: dict[Future, float] = {}
-
-        def retry_sleep(attempt: int) -> None:
-            """Jittered backoff, clamped to the nearest in-flight
-            stage deadline so a retry pause never sleeps through a
-            timeout it is supposed to enforce."""
-            policy.sleep_backoff(
-                attempt,
-                deadline=min(deadlines.values()) if deadlines else None)
 
         def chain_of(key: str) -> list[str]:
             """``key`` plus the fused tasks that run right after it."""
@@ -401,215 +384,68 @@ class PipelineScheduler:
         def unblock(key: str) -> None:
             for dependent in dependents[key]:
                 missing[dependent] -= 1
+                # A fused task runs inside its dependency's chain,
+                # never on its own.
                 if missing[dependent] == 0 \
-                        and dependent not in satisfied:
-                    dep_failure = next(
-                        (results[dep] for dep in tasks[dependent].deps
-                         if isinstance(results.get(dep), TaskFailure)),
-                        None)
-                    if dep_failure is not None:
-                        cascade(dependent, dep_failure)
-                    elif not tasks[dependent].fuse or key in satisfied:
-                        # A fused task runs inside its dependency's
-                        # chain, never on its own.
-                        push_ready(tasks[dependent])
-
-        def cascade(key: str, dep_failure: TaskFailure) -> None:
-            """Fail a task whose dependency terminally failed."""
-            # A cascade's error already names the quarantined root
-            # (transitively); a fresh one records the root's cause so
-            # report annotations show *why*, not just *where*.
-            message = dep_failure.error if dep_failure.cascaded else (
-                f"dependency {dep_failure.key!r} failed "
-                f"({dep_failure.error})")
-            complete(key, TaskFailure(
-                key=key, stage=tasks[key].stage,
-                classification=CASCADED, attempts=0,
-                error=message,
-                root_key=dep_failure.root_key or dep_failure.key))
-
-        def quarantine(key: str, error: BaseException,
-                       classification: str,
-                       elapsed: float = 0.0) -> None:
-            """Terminally fail a task: raise (strict) or record."""
-            failure = TaskFailure(
-                key=key, stage=tasks[key].stage,
-                classification=classification,
-                attempts=attempts.get(key, 0),
-                error=f"{type(error).__name__}: {error}",
-                elapsed=elapsed)
-            if self.strict:
-                report.failures.append(failure)
-                raise error
-            complete(key, failure)
+                        and dependent not in satisfied \
+                        and (not tasks[dependent].fuse or key in satisfied):
+                    push_ready(tasks[dependent])
 
         def complete(key: str, value: object) -> None:
             results[key] = value
-            if isinstance(value, TaskFailure):
-                report.failures.append(value)
-            else:
-                stats.count_task(tasks[key].stage)
+            stats.count_task(tasks[key].stage)
             unblock(key)
             if on_task is not None:
                 on_task(key, value, len(results), len(tasks))
 
-        def run_inline(key: str) -> None:
-            task = tasks[key]
-            while True:
-                stage_started = time.perf_counter()
-                try:
-                    value = task.fn(*task.args,
-                                    *(results[dep] for dep in task.deps))
-                except Exception as error:
-                    elapsed = time.perf_counter() - stage_started
-                    stats.add_stage_seconds(task.stage, elapsed)
-                    if policy is None:
-                        raise
-                    attempts[key] = attempts.get(key, 0) + 1
-                    if (classify_failure(error) == TRANSIENT
-                            and attempts[key] < policy.max_attempts):
-                        report.retries += 1
-                        retry_sleep(attempts[key])
-                        continue
-                    quarantine(key, error, classify_failure(error),
-                               elapsed)
-                    return
-                stats.add_stage_seconds(
-                    task.stage, time.perf_counter() - stage_started)
-                complete(key, value)
-                return
-
         def run_chain_inline(head: str) -> None:
             chain = chain_of(head)
             for dep, key in zip([None, *chain], chain):
-                if key in results:  # cascaded by a failed step
-                    continue
-                run_inline(key)
+                task = tasks[key]
+                stage_started = time.perf_counter()
+                value = task.fn(*task.args,
+                                *(results[dep] for dep in task.deps))
+                stats.add_stage_seconds(
+                    task.stage, time.perf_counter() - stage_started)
+                complete(key, value)
                 if dep is not None:
                     # As on the pool: once its fused step has run, a
                     # dependency's value is not kept for the run.
                     results[dep] = None
 
-        def pool_break(first_key: str, error: BaseException) -> None:
-            """A worker died and broke the pool: every in-flight
-            future is lost and the victim is unknowable, so each one
-            is charged an attempt, the pool is rebuilt, and survivors
-            of the attempt budget are resubmitted."""
+        def pool_break(key: str, error: BrokenExecutor) -> None:
+            """A worker died and broke the pool: every in-flight chain
+            is lost and the victim is unknowable, so the pool is
+            rebuilt and all of them resubmitted, within the run's
+            rebuild budget."""
+            if report.pool_rebuilds >= MAX_POOL_REBUILDS:
+                raise error
             report.pool_rebuilds += 1
-            victims = [first_key] + list(in_flight.values())
+            victims = [key, *in_flight.values()]
             in_flight.clear()
-            deadlines.clear()
             self._discard_pool()
-            for key in victims:
-                attempts[key] = attempts.get(key, 0) + 1
-                if attempts[key] < policy.max_attempts:
-                    report.retries += 1
-                    push_ready(tasks[key])
-                else:
-                    quarantine(key, error, TRANSIENT)
-
-        def finish_chain(head: str, outcomes, error) -> None:
-            """Record a pool chain's outcome (``error``: the raised
-            exception of its failing step, ``None`` on success)."""
-            chain = chain_of(head)
-            if error is not None:
-                if policy is None:
-                    raise error
-                # A retry reruns the whole chain: a later step's input
-                # only ever existed inside the worker.
-                attempts[head] = attempts.get(head, 0) + 1
-                if (classify_failure(error) == TRANSIENT
-                        and attempts[head] < policy.max_attempts):
-                    report.retries += 1
-                    retry_sleep(attempts[head])
-                    push_ready(tasks[head])
-                    return
-            for key, (value, seconds) in zip(chain, outcomes):
-                stats.add_stage_seconds(tasks[key].stage, seconds)
-                complete(key, value)
-            if error is not None:
-                failed = chain[len(outcomes)]
-                attempts[failed] = attempts[head]
-                quarantine(failed, error, classify_failure(error))
-
-        def expire_timeouts() -> None:
-            now = time.monotonic()
-            expired = {future for future, deadline in deadlines.items()
-                       if deadline <= now and not future.done()}
-            if not expired:
-                return
-            # A running pool task cannot be cancelled — kill the
-            # workers and rebuild.  Innocent in-flight tasks are not
-            # charged an attempt: finished ones are harvested, the
-            # rest resubmitted.
-            report.pool_rebuilds += 1
-            harvested: list[tuple[str, tuple]] = []
-            resubmit: list[str] = []
-            expired_keys: list[str] = []
-            for future, key in in_flight.items():
-                if future in expired:
-                    expired_keys.append(key)
-                elif (future.done() and not future.cancelled()
-                        and future.exception() is None):
-                    harvested.append((key, future.result()))
-                else:
-                    resubmit.append(key)
-            in_flight.clear()
-            deadlines.clear()
-            self._kill_pool()
-            for key, (outcomes, error) in harvested:
-                finish_chain(key, outcomes, error)
-            for key in resubmit:
-                push_ready(tasks[key])
-            for key in sorted(expired_keys):
-                report.timeouts += 1
-                attempts[key] = attempts.get(key, 0) + 1
-                budget = chain_budget(key)
-                error = StageTimeout(
-                    f"stage task {key!r} exceeded its {budget:g}s "
-                    f"timeout budget")
-                if attempts[key] < policy.max_attempts:
-                    report.retries += 1
-                    push_ready(tasks[key])
-                else:
-                    quarantine(key, error, TRANSIENT)
-
-        def chain_budget(head: str) -> float | None:
-            """A chain's timeout: the sum of its steps' budgets."""
-            budgets = [policy.timeout_for(tasks[key].stage)
-                       for key in chain_of(head)]
-            return None if None in budgets else sum(budgets)
+            report.retries += len(victims)
+            for victim in victims:
+                push_ready(tasks[victim])
 
         def drain(block: bool) -> None:
             if not in_flight:
                 return
-            timeout = None if block else 0.0
-            if deadlines:
-                budget = max(0.0, min(deadlines.values())
-                             - time.monotonic())
-                timeout = budget if timeout is None \
-                    else min(timeout, budget)
             done, _ = wait(in_flight, return_when=FIRST_COMPLETED,
-                           timeout=timeout)
+                           timeout=None if block else 0.0)
             for future in done:
                 key = in_flight.pop(future, None)
                 if key is None:
                     continue  # reaped by a pool break in this batch
-                deadlines.pop(future, None)
                 try:
-                    outcomes, error = future.result()
-                except Exception as lost:
-                    if policy is None:
-                        raise
-                    if isinstance(lost, BrokenExecutor):
-                        pool_break(key, lost)
-                        continue
-                    # The chain ran but its value could not come back
-                    # (e.g. an unpicklable result): charge the chain.
-                    outcomes, error = [], lost
-                finish_chain(key, outcomes, error)
-            if policy is not None and deadlines:
-                expire_timeouts()
+                    outcomes = future.result()
+                except BrokenExecutor as error:
+                    pool_break(key, error)
+                    continue
+                for chained, (value, seconds) in zip(chain_of(key),
+                                                     outcomes):
+                    stats.add_stage_seconds(tasks[chained].stage, seconds)
+                    complete(chained, value)
 
         # Initially-ready runnable tasks first (their missing count is
         # 0 from the start, so the unblock path below never re-pushes
@@ -646,15 +482,9 @@ class PipelineScheduler:
                         # submit: the executor refuses new work before
                         # the in-flight futures have surfaced the
                         # break.  Same recovery as a future-side break.
-                        if policy is None:
-                            raise
                         pool_break(key, error)
                         continue
                     in_flight[future] = key
-                    budget = (chain_budget(key)
-                              if policy is not None else None)
-                    if budget is not None:
-                        deadlines[future] = time.monotonic() + budget
                 if ready_inline:
                     _, _, key = heapq.heappop(ready_inline)
                     run_chain_inline(key)
@@ -695,17 +525,3 @@ class PipelineScheduler:
         pool, self._pool = self._pool, None
         if pool is not None:
             pool.shutdown(wait=False, cancel_futures=True)
-
-    def _kill_pool(self) -> None:
-        """Forcibly terminate the pool's workers — the escape hatch
-        for a hung stage (a running pool task cannot be cancelled)."""
-        pool, self._pool = self._pool, None
-        if pool is None:
-            return
-        for process in list((getattr(pool, "_processes", None)
-                             or {}).values()):
-            try:
-                process.kill()
-            except Exception:
-                pass
-        pool.shutdown(wait=False, cancel_futures=True)

@@ -422,9 +422,8 @@ class EstimationDag:
 
 def suite_pipeline(programs, config, target_probability: float, *,
                    workers: int = 1,
-                   stats: PipelineStats | None = None,
-                   strict: bool = True,
-                   retry=None) -> dict[str, object]:
+                   stats: PipelineStats | None = None
+                   ) -> dict[str, object]:
     """Run the suite DAG; returns BenchmarkResults keyed by name.
 
     ``programs`` maps each name to its CFG, as for
@@ -432,19 +431,13 @@ def suite_pipeline(programs, config, target_probability: float, *,
     plus one inline ``result:{bench}`` sink per benchmark.  ``workers > 1``
     runs classify/solve/cell tasks on one shared process pool;
     ``workers=1`` runs the same DAG inline.  Results are bit-identical
-    either way.  With ``strict=False`` a permanently failing
-    benchmark maps to a :class:`~repro.pipeline.resilience.TaskFailure`
-    instead of aborting the suite.
+    either way.
     """
     from repro.experiments.runner import BenchmarkResult
-    from repro.pipeline.resilience import DEFAULT_RETRY_POLICY
 
     if stats is None:
         stats = PipelineStats()
-    scheduler = PipelineScheduler(
-        workers=workers,
-        retry=retry if retry is not None else DEFAULT_RETRY_POLICY,
-        strict=strict)
+    scheduler = PipelineScheduler(workers=workers)
     dag = EstimationDag(scheduler, programs, (config.geometry,),
                         {config.pfail: SUITE_MECHANISMS}, config,
                         pool=workers > 1, probability=target_probability,

@@ -140,7 +140,7 @@ class SolverBackend(ABC):
         ``sign=-1`` maximises, ``sign=1`` minimises, matching the
         historical :class:`~repro.ipet.ilp.LinearProgram` convention.
         Template method: the chaos harness's ``solve`` site fires
-        here (per-program delays and injected failures), then the
+        here (injected per-program failures), then the
         backend-specific ``_solve`` runs.
         """
         faultinject.solve_hook(self.snapshot.name)

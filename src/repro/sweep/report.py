@@ -107,18 +107,5 @@ def format_sweep_report(result: SweepResult) -> str:
                     f"geometries classified by the stacked kernel in "
                     f"{totals.get('geometry_groups', 0):.0f} batched "
                     f"line-size group runs")
-    sections = [format_sweep_table(result),
-                format_pareto_fronts(result)]
-    if result.failed:
-        # Presence-gated like the summary extras: a complete sweep's
-        # report is byte-identical to the pre-resilience format.
-        lines = [f"FAILED cells ({len(result.failed)} of "
-                 f"{len(result.failed) + len(result.cells())} — "
-                 f"partial sweep):"]
-        lines.extend(
-            f"  {failure.cell.label}: "
-            f"{', '.join(failure.benchmarks)} failed — {failure.reason}"
-            for failure in result.failed)
-        sections.append("\n".join(lines))
-    sections.append(summary)
-    return "\n\n".join(sections)
+    return "\n\n".join([format_sweep_table(result),
+                        format_pareto_fronts(result), summary])

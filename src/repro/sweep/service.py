@@ -22,12 +22,9 @@ from __future__ import annotations
 import statistics
 from dataclasses import dataclass
 
-from repro.pipeline.resilience import (DEFAULT_RETRY_POLICY, RetryPolicy,
-                                       TaskFailure)
-from repro.pipeline.scheduler import PipelineScheduler, PipelineStats
-
 from repro.errors import ConfigurationError
 from repro.hwcost.model import MechanismCostModel
+from repro.pipeline.scheduler import PipelineScheduler, PipelineStats
 from repro.pipeline.stages import SUITE_MECHANISMS, EstimationDag
 from repro.pwcet import EstimatorConfig
 from repro.pwcet.estimator import TARGET_EXCEEDANCE
@@ -70,20 +67,6 @@ class DesignPoint:
 
 
 @dataclass(frozen=True)
-class FailedCell:
-    """A grid cell a ``strict=False`` sweep could not complete.
-
-    The cell emits no design points; ``benchmarks`` names the suite
-    members that failed and ``reason`` carries the first failure's
-    ``TypeName: message``.
-    """
-
-    cell: SweepCell
-    benchmarks: tuple[str, ...]
-    reason: str
-
-
-@dataclass(frozen=True)
 class SweepResult:
     """Everything one sweep produced."""
 
@@ -92,9 +75,6 @@ class SweepResult:
     probability: float
     #: Planner counters summed over every estimation of the sweep.
     solver_totals: dict[str, float]
-    #: Cells dropped by a ``strict=False`` partial run (grid order);
-    #: empty on a complete sweep.
-    failed: tuple[FailedCell, ...] = ()
 
     def cells(self) -> tuple[SweepCell, ...]:
         seen: dict[SweepCell, None] = {}
@@ -219,8 +199,6 @@ def run_sweep(geometries=None, *,
               on_cell=None,
               only_cells=None,
               probability: float = TARGET_EXCEEDANCE,
-              strict: bool = True,
-              retry: RetryPolicy | None = None,
               pipeline_stats: PipelineStats | None = None) -> SweepResult:
     """Estimate the whole suite at every grid cell.
 
@@ -239,14 +217,11 @@ def run_sweep(geometries=None, *,
     estimated nor reported — but every selected point and Pareto front
     section is bit-identical to the full run's.
 
-    Resilience: transient faults (killed workers, broken pools) are
-    retried under ``retry`` (default policy).  ``strict=False`` keeps
-    the sweep alive past a permanently-failing benchmark: every cell
-    containing it emits no design points and is listed in
-    ``SweepResult.failed`` while every other cell completes normally.
-    ``pipeline_stats`` (a :class:`~repro.pipeline.scheduler
-    .PipelineStats`) receives the run's task counts, failure ledger
-    and work counters; ``SweepResult.solver_totals`` are its totals.
+    A stage error aborts the sweep and propagates; a dead pool worker
+    is recovered by the scheduler.  ``pipeline_stats`` (a
+    :class:`~repro.pipeline.scheduler.PipelineStats`) receives the
+    run's task counts, pool-recovery counters and work counters;
+    ``SweepResult.solver_totals`` are its totals.
     """
     if geometries is None:
         geometries = geometry_grid()
@@ -260,10 +235,7 @@ def run_sweep(geometries=None, *,
     benchmarks = tuple(dict.fromkeys(benchmarks))
     selection = _selection(only_cells, tuple(pfails))
     cells = sweep_cells(geometries, tuple(selection))
-    scheduler = PipelineScheduler(
-        workers=workers,
-        retry=retry if retry is not None else DEFAULT_RETRY_POLICY,
-        strict=strict)
+    scheduler = PipelineScheduler(workers=workers)
     dag = EstimationDag(
         scheduler, {name: load(name).cfg for name in benchmarks},
         geometries,
@@ -292,26 +264,12 @@ def run_sweep(geometries=None, *,
                        for name in benchmarks),
             stage="sweep-cell")] = cell
     points_by_cell: dict[SweepCell, tuple[DesignPoint, ...]] = {}
-    failed_by_cell: dict[SweepCell, FailedCell] = {}
-    failures: dict[str, TaskFailure] = {}
 
     def on_task(key, value, *_):
         dag.record(key, value)
-        if isinstance(value, TaskFailure):
-            failures[key] = value
         cell = cell_of.get(key)
         if cell is None:
             return
-        if isinstance(value, TaskFailure):
-            # The cell's points would silently average over a partial
-            # benchmark set — drop the cell and annotate instead.
-            broken = [(name, failures[dag.cells_key(name, cell.geometry)])
-                      for name in benchmarks
-                      if dag.cells_key(name, cell.geometry) in failures]
-            failed_by_cell[cell] = FailedCell(
-                cell=cell, benchmarks=tuple(name for name, _ in broken),
-                reason=(broken[0][1] if broken else value).error)
-            value = ()
         points_by_cell[cell] = value
         if on_cell is not None:
             on_cell(cell, value, len(points_by_cell), len(cells))
@@ -323,6 +281,4 @@ def run_sweep(geometries=None, *,
                      for point in points_by_cell[cell]),
         benchmarks=benchmarks,
         probability=probability,
-        solver_totals=pipeline_stats.totals(),
-        failed=tuple(failed_by_cell[cell] for cell in cells
-                     if cell in failed_by_cell))
+        solver_totals=pipeline_stats.totals())

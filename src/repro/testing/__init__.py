@@ -4,7 +4,7 @@
     The chaos-injection harness: a declarative fault plan
     (``REPRO_FAULT_PLAN``) with hooks threaded through the pool entry
     point, the persistent stores and the solve backend, so worker
-    crashes, writers killed mid-transaction and solver hangs are
+    crashes, writers killed mid-transaction and solver failures are
     reproducible in unit tests and CI instead of theorized.
 """
 

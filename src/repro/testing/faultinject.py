@@ -1,13 +1,13 @@
 """Deterministic fault-injection: the ``REPRO_FAULT_PLAN`` harness.
 
-The resilience layer (:mod:`repro.pipeline.resilience`) claims the
-pipeline survives killed workers, writers killed mid-transaction and
-hung solves.  This module makes those faults *reproducible*: a
-declarative plan in the ``REPRO_FAULT_PLAN`` environment variable arms
-injection hooks threaded through the pool entry point
-(:func:`~repro.pipeline.scheduler._run_pool_chain`), the persistent
-stores (:meth:`~repro.solve.store.SqliteStore._put` / ``_get``) and
-the solve backend
+The scheduler (:mod:`repro.pipeline.scheduler`) claims the pipeline
+survives killed workers and writers killed mid-transaction, and that a
+failing stage aborts the run.  This module makes those faults
+*reproducible*: a declarative plan in the ``REPRO_FAULT_PLAN``
+environment variable arms injection hooks threaded through the pool
+entry point (:func:`~repro.pipeline.scheduler._run_pool_chain`), the
+persistent stores (:meth:`~repro.solve.store.SqliteStore._put` /
+``_get``) and the solve backend
 (:meth:`~repro.solve.backend.SolverBackend.solve`), so CI can diff a
 chaos run byte-for-byte against an undisturbed golden.
 
@@ -17,17 +17,15 @@ Plan grammar
 ::
 
     plan   := clause (";" clause)*
-    clause := site ":" action ["=" value] "@" target ["#" ordinal]
+    clause := site ":" action "@" target ["#" ordinal]
 
 Sites and their actions:
 
 ``worker``
     Fires inside a pool worker before the stage body runs; ``target``
     is the stage function name (``cell_stage``, ``classify_stage``,
-    ...) or ``*``.  Actions: ``kill`` (SIGKILL the worker — the
-    parent sees ``BrokenProcessPool``), ``delay=<seconds>`` (sleep,
-    for exercising stage timeouts), ``raise`` (raise a transient
-    :class:`ConnectionError` — the pool survives, the task retries).
+    ...) or ``*``.  Action: ``kill`` (SIGKILL the worker — the parent
+    sees ``BrokenProcessPool``, rebuilds the pool and resubmits).
 
 ``store``
     Fires inside :class:`~repro.solve.store.SqliteStore`; ``target``
@@ -41,9 +39,8 @@ Sites and their actions:
 ``solve``
     Fires inside :meth:`SolverBackend.solve`; ``target`` is the
     program snapshot name (``crc``, ``prime``, ...) or ``*``.
-    Actions: ``delay=<seconds>`` (a slow solver), ``fail`` (raise
-    :class:`~repro.errors.SolverError` — a *permanent* failure that
-    quarantines the dependent subtree).
+    Action: ``fail`` (raise :class:`~repro.errors.SolverError`, which
+    aborts the run).
 
 ``#ordinal`` arms the clause for exactly the n-th (1-based) matching
 invocation; without it the clause fires every time.  Ordinals are
@@ -53,11 +50,11 @@ workers are forked with the parent's (zero) counts, so ``#2`` means
 ``REPRO_FAULT_STATE`` at a directory to count globally across
 processes (flock-serialised counter files): ``#2`` then means "the
 second matching call anywhere in the run", which is what recovery
-tests want (inject once, observe the retry succeed).
+tests want (inject once, observe the resubmitted task succeed).
 
 Example::
 
-    worker:kill@cell_stage#2;store:kill@cells-v4#1;solve:delay=0.5@prime
+    worker:kill@cell_stage#2;store:kill@cells-v4#1;solve:fail@ipet:crc
 """
 
 from __future__ import annotations
@@ -66,7 +63,6 @@ import fcntl
 import os
 import re
 import signal
-import time
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -77,16 +73,15 @@ PLAN_ENV = "REPRO_FAULT_PLAN"
 #: Optional directory for cross-process ordinal counters.
 STATE_ENV = "REPRO_FAULT_STATE"
 
-#: Legal actions per site; ``delay`` requires a ``=<seconds>`` value.
+#: Legal actions per site.
 _ACTIONS = {
-    "worker": ("kill", "delay", "raise"),
+    "worker": ("kill",),
     "store": ("kill", "read_error"),
-    "solve": ("delay", "fail"),
+    "solve": ("fail",),
 }
 
 _CLAUSE_RE = re.compile(
     r"^(?P<site>[a-z]+):(?P<action>[a-z_]+)"
-    r"(?:=(?P<value>[0-9.eE+-]+))?"
     r"@(?P<target>[^#;@\s]+)"
     r"(?:#(?P<ordinal>[0-9]+))?$")
 
@@ -99,7 +94,6 @@ class FaultClause:
     index: int
     site: str
     action: str
-    value: float | None
     target: str
     #: 1-based matching invocation to fire at; ``None`` fires always.
     ordinal: int | None
@@ -120,7 +114,7 @@ def parse_plan(text: str) -> tuple[FaultClause, ...]:
         if match is None:
             raise ConfigurationError(
                 f"malformed fault clause {raw!r} in {PLAN_ENV} "
-                f"(expected site:action[=value]@target[#ordinal])")
+                f"(expected site:action@target[#ordinal])")
         site, action = match["site"], match["action"]
         if site not in _ACTIONS:
             raise ConfigurationError(
@@ -130,22 +124,12 @@ def parse_plan(text: str) -> tuple[FaultClause, ...]:
             raise ConfigurationError(
                 f"unknown action {action!r} for site {site!r} in "
                 f"clause {raw!r} (one of {sorted(_ACTIONS[site])})")
-        value = None
-        if match["value"] is not None:
-            try:
-                value = float(match["value"])
-            except ValueError:
-                raise ConfigurationError(
-                    f"bad value in fault clause {raw!r}") from None
-        if action == "delay" and (value is None or value < 0):
-            raise ConfigurationError(
-                f"action 'delay' needs =<seconds> in clause {raw!r}")
         ordinal = int(match["ordinal"]) if match["ordinal"] else None
         if ordinal is not None and ordinal < 1:
             raise ConfigurationError(
                 f"ordinal must be >= 1 in clause {raw!r}")
         clauses.append(FaultClause(index=index, site=site, action=action,
-                                   value=value, target=match["target"],
+                                   target=match["target"],
                                    ordinal=ordinal))
     return tuple(clauses)
 
@@ -221,24 +205,11 @@ def fire(site: str, target: str, *,
 
 def worker_hook(stage: str) -> None:
     """Injection point at the top of the pool-task entry point."""
-    clause = fire("worker", stage)
-    if clause is None:
-        return
-    if clause.action == "kill":
+    if fire("worker", stage) is not None:
         os.kill(os.getpid(), signal.SIGKILL)
-    elif clause.action == "delay":
-        time.sleep(clause.value)
-    elif clause.action == "raise":
-        raise ConnectionError(
-            f"injected transient worker fault ({stage})")
 
 
 def solve_hook(name: str) -> None:
     """Injection point inside ``SolverBackend.solve``."""
-    clause = fire("solve", name)
-    if clause is None:
-        return
-    if clause.action == "delay":
-        time.sleep(clause.value)
-    elif clause.action == "fail":
+    if fire("solve", name) is not None:
         raise SolverError(f"injected solver fault ({name})")

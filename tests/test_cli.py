@@ -77,6 +77,15 @@ class TestOtherCommands:
         output = capsys.readouterr().out
         assert "# bs / rw" in output
 
+    @pytest.mark.parametrize("points", ["0", "-3"])
+    def test_curve_rejects_fewer_than_one_point(self, points, capsys):
+        # A negative slice would print more rows than the default
+        # and 0 only the header: argparse refuses both up front.
+        with pytest.raises(SystemExit) as raised:
+            main(["curve", "bs", "--max-points", points])
+        assert raised.value.code == 2
+        assert "--max-points" in capsys.readouterr().err
+
     def test_fmm(self, capsys):
         assert main(["fmm", "bs"]) == 0
         assert "faulty" in capsys.readouterr().out
@@ -124,57 +133,6 @@ class TestSweep:
     def test_cache_off_accepted(self, capsys):
         assert main(["estimate", "bs", "--cache", "off"]) == 0
         capsys.readouterr()
-
-
-class TestStageTimeoutParsing:
-    """``--stage-timeout`` specs must fail loudly: a silently dropped
-    budget would green-light an unsupervised overnight run."""
-
-    def retry(self, *specs, max_attempts=None):
-        import argparse
-
-        from repro.cli import _retry_from
-        return _retry_from(argparse.Namespace(
-            max_attempts=max_attempts, stage_timeout=list(specs)))
-
-    @pytest.mark.parametrize("spec", [
-        "bogus=2",          # unknown stage name
-        "Solve=2",          # names are case-sensitive, like the DAG's
-        "0", "-3", "solve=0", "solve=-1",  # non-positive seconds
-        "nan", "inf", "solve=nan",         # non-finite seconds
-        "solve=abc", "solve=", "",         # unparsable seconds
-    ])
-    def test_bad_specs_exit_with_a_message(self, spec):
-        with pytest.raises(SystemExit, match="--stage-timeout"):
-            self.retry(spec)
-
-    def test_unknown_stage_message_lists_the_real_stages(self):
-        with pytest.raises(SystemExit, match="one of cell, classify, solve"):
-            self.retry("bogus=2")
-
-    @pytest.mark.parametrize("stage", ["sweep-cell", "sweep-cells",
-                                       "estimate", "distribution",
-                                       "result"])
-    def test_stages_the_flat_dag_never_schedules_are_rejected(self,
-                                                               stage):
-        with pytest.raises(SystemExit, match="unknown stage"):
-            self.retry(f"{stage}=2")
-
-    def test_repeated_flags_accumulate_per_stage(self):
-        policy = self.retry("solve=2.5", "classify=1.5", "10")
-        assert policy.timeout == 10.0
-        assert policy.stage_timeouts == {"solve": 2.5, "classify": 1.5}
-
-    def test_last_repeat_of_one_stage_wins(self):
-        policy = self.retry("solve=2.5", "solve=7")
-        assert policy.stage_timeouts == {"solve": 7.0}
-
-    def test_no_flags_mean_no_policy_override(self):
-        assert self.retry() is None
-
-    def test_bad_max_attempts_rejected(self):
-        with pytest.raises(SystemExit, match="--max-attempts"):
-            self.retry(max_attempts=0)
 
 
 class TestCacheEnvAlias:

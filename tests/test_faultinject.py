@@ -3,8 +3,9 @@
 A malformed ``REPRO_FAULT_PLAN`` must fail loudly (a typo'd chaos CI
 job would otherwise green-light an untested recovery path), ordinal
 counters must be exact — ``#1`` fires once, locally or globally via
-``REPRO_FAULT_STATE`` — and each hook must raise the documented fault
-class so the resilience layer classifies it correctly.
+``REPRO_FAULT_STATE`` — and the ``solve`` hook must raise the
+documented :class:`~repro.errors.SolverError`.  The ``worker`` and
+``store`` kills are exercised end to end in ``tests/test_resilience.py``.
 """
 
 from __future__ import annotations
@@ -36,12 +37,12 @@ class TestGrammar:
     def test_full_example_plan_parses(self):
         clauses = parse_plan("worker:kill@cell_stage#2;"
                              "store:kill@cells-v3;"
-                             "solve:delay=0.5@ipet:prime")
-        assert [(c.site, c.action, c.target, c.ordinal, c.value)
+                             "solve:fail@ipet:prime")
+        assert [(c.site, c.action, c.target, c.ordinal)
                 for c in clauses] == [
-            ("worker", "kill", "cell_stage", 2, None),
-            ("store", "kill", "cells-v3", None, None),
-            ("solve", "delay", "ipet:prime", None, 0.5)]
+            ("worker", "kill", "cell_stage", 2),
+            ("store", "kill", "cells-v3", None),
+            ("solve", "fail", "ipet:prime", None)]
         # Clause indices key the ordinal counters.
         assert [c.index for c in clauses] == [0, 1, 2]
 
@@ -56,8 +57,8 @@ class TestGrammar:
         "worker:explode@stage",      # unknown action for the site
         "store:fail@v1",             # action of another site
         "store:truncate_tail@v1",    # retired action
-        "worker:delay@stage",        # delay without =<seconds>
-        "worker:delay=x@stage",      # unparsable value
+        "worker:delay@stage",        # retired action
+        "worker:delay=x@stage",      # no =value grammar
         "worker:kill@stage#0",       # ordinals are 1-based
         "worker:kill",               # no target
     ])
@@ -70,7 +71,7 @@ class TestGrammar:
         monkeypatch.setenv(PLAN_ENV, "solve:fail@ipet:crc")
         (clause,) = faultinject.active_plan()
         assert (clause.site, clause.action) == ("solve", "fail")
-        monkeypatch.setenv(PLAN_ENV, "worker:raise@stage")
+        monkeypatch.setenv(PLAN_ENV, "worker:kill@stage")
         (clause,) = faultinject.active_plan()
         assert clause.site == "worker"
 
@@ -124,24 +125,11 @@ class TestOrdinals:
 
 
 class TestHooks:
-    def test_worker_raise_is_a_transient_error(self, monkeypatch):
-        monkeypatch.setenv(PLAN_ENV, "worker:raise@cell_stage")
-        with pytest.raises(ConnectionError, match="injected"):
-            worker_hook("cell_stage")
-        worker_hook("classify_stage")  # other stages untouched
-
     def test_solve_fail_is_a_permanent_error(self, monkeypatch):
         monkeypatch.setenv(PLAN_ENV, "solve:fail@ipet:crc")
         with pytest.raises(SolverError, match="injected"):
             solve_hook("ipet:crc")
         solve_hook("ipet:prime")
-
-    def test_delay_sleeps_for_the_value(self, monkeypatch):
-        naps = []
-        monkeypatch.setattr(faultinject.time, "sleep", naps.append)
-        monkeypatch.setenv(PLAN_ENV, "solve:delay=0.25@ipet:crc")
-        solve_hook("ipet:crc")
-        assert naps == [0.25]
 
     def test_unarmed_hooks_are_free_of_side_effects(self):
         worker_hook("cell_stage")

@@ -16,7 +16,7 @@ import pytest
 
 from repro.errors import PipelineError, SolverError
 from repro.pipeline import PipelineScheduler, PipelineStats
-from repro.pipeline.resilience import CASCADED, RetryPolicy, TaskFailure
+from repro.pipeline.scheduler import FailureReport
 from repro.pwcet import EstimatorConfig, PWCETEstimator
 from repro.suite import load
 from repro.sweep import format_sweep_report, geometry_grid, run_sweep
@@ -25,7 +25,6 @@ from repro.sweep import format_sweep_report, geometry_grid, run_sweep
 GRID = geometry_grid(sizes=(512, 1024), ways=(2,), lines=(16, 32))
 BENCHMARKS = ("fibcall", "bs")
 PFAILS = (1e-4, 1e-3)
-FAST = RetryPolicy(sleep=lambda seconds: None)
 
 
 def make_lock():
@@ -66,7 +65,7 @@ def live_analyses(*_solved):
 class TestFusedChains:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_fused_value_never_crosses_a_process(self, workers):
-        scheduler = PipelineScheduler(workers=workers, retry=FAST)
+        scheduler = PipelineScheduler(workers=workers)
         scheduler.add("make", make_lock, stage="classify", pool=True)
         scheduler.add("use", use_lock, deps=("make",), stage="solve",
                       pool=True, fuse=True)
@@ -81,7 +80,7 @@ class TestFusedChains:
         two) records its dependency's value as ``None``, as a pooled
         chain does, and the analyses die before the run ends."""
         MADE.clear()
-        scheduler = PipelineScheduler(workers=workers, retry=FAST)
+        scheduler = PipelineScheduler(workers=workers)
         chains = range(3)  # at 2 workers the third chain is stolen
         for chain in chains:
             scheduler.add(f"classify:{chain}", make_analyses,
@@ -99,20 +98,19 @@ class TestFusedChains:
                    for chain in chains)
         assert results["live"] == 0
 
-    def test_failing_fused_step_is_the_quarantined_task(self):
-        scheduler = PipelineScheduler(workers=2, retry=FAST, strict=False)
+    def test_failing_fused_step_raises_its_own_error(self):
+        """The fused step's error comes back from the worker as
+        itself, and nothing downstream of it runs."""
+        scheduler = PipelineScheduler(workers=2)
         scheduler.add("make", make_lock, stage="classify", pool=True)
         scheduler.add("solve", fail_solver, deps=("make",),
                       stage="solve", pool=True, fuse=True)
         scheduler.add("after", lambda value: value, deps=("solve",))
         stats = PipelineStats()
-        results = scheduler.run(stats=stats)
-        assert results["make"] is None  # completed inside the worker
-        assert isinstance(results["solve"], TaskFailure)
-        assert results["solve"].stage == "solve"
-        assert results["after"].classification == CASCADED
-        assert [f.key for f in stats.failure_report.quarantined] == \
-            ["solve"]
+        with pytest.raises(SolverError, match="fused step failed"):
+            scheduler.run(stats=stats)
+        assert stats.tasks == {}
+        assert stats.failure_report == FailureReport()
 
     def test_fusing_needs_exactly_one_dependency(self):
         scheduler = PipelineScheduler()
@@ -163,7 +161,7 @@ class TestFlatSweep:
         assert stats.counters["fixpoints_run"] > 0
         assert stats.cells_recomputed == \
             len(BENCHMARKS) * len(GRID) * len(PFAILS) * 3
-        assert stats.failure_report.ok
+        assert stats.failure_report == FailureReport()
 
     def test_warm_rerun_is_served_whole_from_the_store(self, sweeps):
         cold, _, cache = sweeps[(1, True)]
@@ -195,15 +193,13 @@ class TestFlatSweep:
 
 
 class TestUnreturnableValue:
-    def test_unpicklable_pool_result_is_a_task_failure(self):
-        """A value that cannot travel back from a worker fails its task
-        (charged like any stage error) instead of crashing the run."""
-        scheduler = PipelineScheduler(workers=2, strict=False,
-                                      retry=RetryPolicy(
-                                          max_attempts=1,
-                                          sleep=lambda seconds: None))
+    def test_unpicklable_pool_result_raises_its_own_error(self):
+        """A value that cannot travel back from a worker is a stage
+        error like any other: its pickling error aborts the run, and
+        the pool is not rebuilt for it."""
+        scheduler = PipelineScheduler(workers=2)
         scheduler.add("lock", make_lock, pool=True)
-        scheduler.add("fine", use_lock, args=(None,), pool=True)
-        results = scheduler.run()
-        assert isinstance(results["lock"], TaskFailure)
-        assert results["fine"] == "NoneType"
+        stats = PipelineStats()
+        with pytest.raises(TypeError, match="pickle"):
+            scheduler.run(stats=stats)
+        assert stats.failure_report == FailureReport()

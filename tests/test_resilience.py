@@ -1,11 +1,13 @@
-"""The fault-tolerant pipeline: retries, quarantine, partial results.
+"""The scheduler's one failure rule, end to end.
 
-Covers the resilience tentpole end to end: policy arithmetic, inline
-and pool recovery from transient faults (including a worker SIGKILL'd
-under the chaos harness), stage-timeout supervision, quarantine with
-subtree-only cascades in ``strict=False`` runs — and the acceptance
-property that a recovered chaos run stays byte-identical to an
-undisturbed sequential one.
+A stage error — inline or from the pool — aborts the run at once and
+is never retried: stages are pure functions of content-addressed
+inputs, so a stage that raised would raise again.  A dead worker
+(``BrokenExecutor``) is the one fault worth a retry: the pool is
+rebuilt and every in-flight chain resubmitted, up to
+``MAX_POOL_REBUILDS`` times per run.  A recovered chaos run stays
+byte-identical to an undisturbed sequential one, and a writer killed
+mid-transaction leaves every store intact.
 """
 
 from __future__ import annotations
@@ -13,31 +15,23 @@ from __future__ import annotations
 import multiprocessing
 import signal
 import sqlite3
-import time
+from concurrent.futures import BrokenExecutor
 
 import pytest
 
 from repro.errors import SolverError
 from repro.experiments.fig4 import format_fig4, row_of
-from repro.experiments.runner import (FailedBenchmark, fresh_results,
-                                      run_suite)
+from repro.experiments.runner import fresh_results, run_suite
 from repro.pipeline import PipelineScheduler, PipelineStats
-from repro.pipeline.resilience import (CASCADED, PERMANENT, TRANSIENT,
-                                       DEFAULT_RETRY_POLICY, RetryPolicy,
-                                       StageTimeout, TaskFailure,
-                                       classify_failure)
+from repro.pipeline.scheduler import MAX_POOL_REBUILDS, FailureReport
 from repro.pwcet import EstimatorConfig
 from repro.solve.store import DB_NAME, SCHEMA_VERSION, SolveStore
-from repro.sweep import format_sweep_report, geometry_grid, run_sweep
 from repro.testing import faultinject
 from repro.testing.faultinject import PLAN_ENV, STATE_ENV
 
 SUBSET = ("fibcall", "bs", "prime")
 #: The solve store's schema directory under a cache root.
 SOLVE_DIR = f"v{SCHEMA_VERSION}"
-
-#: Instant retries for tests — no real backoff sleeping.
-FAST = RetryPolicy(sleep=lambda seconds: None)
 
 
 @pytest.fixture(autouse=True)
@@ -51,267 +45,58 @@ def _clean_harness(monkeypatch):
     faultinject._LOCAL_COUNTS.clear()
 
 
-class TestPolicy:
-    def test_backoff_is_deterministic_and_capped(self):
-        policy = RetryPolicy(backoff_base=0.05, backoff_cap=0.12)
-        assert policy.backoff(1) == 0.05
-        assert policy.backoff(2) == 0.10
-        assert policy.backoff(3) == 0.12  # capped
-        assert policy.backoff(10) == 0.12
-
-    def test_stage_timeouts_override_the_global_budget(self):
-        policy = RetryPolicy(timeout=5.0,
-                             stage_timeouts={"solve": 30.0})
-        assert policy.timeout_for("solve") == 30.0
-        assert policy.timeout_for("classify") == 5.0
-        assert RetryPolicy().timeout_for("solve") is None
-
-    def test_classification_follows_the_taxonomy(self):
-        from concurrent.futures.process import BrokenProcessPool
-        assert classify_failure(BrokenProcessPool()) == TRANSIENT
-        assert classify_failure(StageTimeout("late")) == TRANSIENT
-        assert classify_failure(ConnectionError()) == TRANSIENT
-        assert classify_failure(EOFError()) == TRANSIENT
-        assert classify_failure(SolverError("infeasible")) == PERMANENT
-        assert classify_failure(ValueError("bad input")) == PERMANENT
-
-    def test_jittered_sleep_stays_within_the_backoff_envelope(self):
-        """``sleep_backoff`` samples uniformly *downward* from the
-        deterministic ceiling: never longer (no pile-up past the cap),
-        never below ``backoff * (1 - jitter)`` (still a real wait)."""
-        naps = []
-        rolls = iter((0.0, 1.0, 0.5))
-        policy = RetryPolicy(backoff_base=0.1, backoff_cap=10.0,
-                             jitter=0.5, rng=lambda: next(rolls),
-                             sleep=naps.append)
-        policy.sleep_backoff(1)  # roll 0.0: the full ceiling
-        policy.sleep_backoff(1)  # roll 1.0: the floor of the envelope
-        policy.sleep_backoff(2)  # roll 0.5: mid-envelope
-        assert naps == pytest.approx([0.1, 0.05, 0.15])
-        for nap, attempt in zip(naps, (1, 1, 2)):
-            ceiling = policy.backoff(attempt)
-            assert ceiling * (1 - policy.jitter) <= nap <= ceiling
-
-    def test_sleep_backoff_clamps_to_the_deadline(self):
-        """A retry sleep never overshoots the run's global deadline —
-        and sleeps not at all once the deadline has passed."""
-        naps = []
-        policy = RetryPolicy(backoff_base=10.0, backoff_cap=10.0,
-                             jitter=0.0, sleep=naps.append)
-        slept = policy.sleep_backoff(1, deadline=time.monotonic() + 0.2)
-        assert 0.0 < slept <= 0.2
-        assert naps == [slept]
-        # An expired deadline skips the sleep entirely.
-        assert policy.sleep_backoff(1,
-                                    deadline=time.monotonic() - 1.0) == 0.0
-        assert len(naps) == 1
-
-    def test_failure_report_round_trips_through_dicts(self):
-        from repro.pipeline.resilience import FailureReport
-        failure = TaskFailure(key="cell:crc:0", stage="cell",
-                              classification=TRANSIENT, attempts=3,
-                              error="injected network fault",
-                              elapsed=1.25, root_key="cell:crc:0")
-        cascaded = TaskFailure(key="estimate:crc", stage="estimate",
-                               classification=CASCADED, attempts=0,
-                               error="upstream quarantined",
-                               elapsed=0.0, root_key="cell:crc:0")
-        report = FailureReport(failures=[failure, cascaded], retries=4,
-                               timeouts=1, pool_rebuilds=2)
-        restored = FailureReport.from_dict(report.as_dict())
-        assert restored.as_dict() == report.as_dict()
-        assert restored.retries == 4
-        assert restored.timeouts == 1
-        assert restored.pool_rebuilds == 2
-        assert [f.key for f in restored.failures] == \
-            [f.key for f in report.failures]
-        restored_failure = restored.failures[0]
-        assert restored_failure == failure
-        assert restored_failure.classification == TRANSIENT
-        assert restored.failures[1].root_key == "cell:crc:0"
-        # A clean report survives the trip too, and stays ok.
-        clean = FailureReport.from_dict(FailureReport().as_dict())
-        assert clean.ok
-        assert clean.summary()["failed_tasks"] == 0
-
-
-def flaky(failures: int, error=ConnectionError):
-    """A task body failing ``failures`` times before succeeding."""
-    state = {"left": failures}
+def counting_failure(error):
+    """A task body that always raises ``error``, counting its calls."""
+    calls = []
 
     def fn(*deps):
-        if state["left"] > 0:
-            state["left"] -= 1
-            raise error(f"flake ({state['left']} left)")
-        return "done"
-    return fn
+        calls.append(deps)
+        raise error
+    return fn, calls
 
 
-class TestInlineRecovery:
-    def test_transient_failures_retry_until_success(self):
-        naps = []
-        policy = RetryPolicy(backoff_base=0.1, backoff_cap=0.15,
-                             jitter=0.0, sleep=naps.append)
-        scheduler = PipelineScheduler(workers=1, retry=policy)
-        scheduler.add("a", flaky(2))
-        stats = PipelineStats()
-        assert scheduler.run(stats=stats)["a"] == "done"
-        assert stats.failure_report.ok
-        assert stats.failure_report.retries == 2
-        # The deterministic exponential schedule, not wall-clock luck.
-        assert naps == [0.1, 0.15]
-
-    def test_exhausted_transient_budget_quarantines(self):
-        policy = RetryPolicy(max_attempts=2, sleep=lambda s: None)
-        scheduler = PipelineScheduler(workers=1, retry=policy,
-                                      strict=False)
-        scheduler.add("a", flaky(99))
-        stats = PipelineStats()
-        failure = scheduler.run(stats=stats)["a"]
-        assert isinstance(failure, TaskFailure)
-        assert failure.classification == TRANSIENT
-        assert failure.attempts == 2
-        assert stats.failure_report.retries == 1
-
+class TestStageErrorsAbort:
     def test_permanent_failures_never_retry(self):
-        naps = []
-        policy = RetryPolicy(sleep=naps.append)
-        scheduler = PipelineScheduler(workers=1, retry=policy,
-                                      strict=False)
-        scheduler.add("a", flaky(99, error=SolverError))
-        failure = scheduler.run()["a"]
-        assert failure.classification == PERMANENT
-        assert failure.attempts == 1
-        assert naps == []
-
-    def test_strict_mode_reraises_the_original_error(self):
-        scheduler = PipelineScheduler(workers=1, retry=FAST)
-        scheduler.add("a", flaky(99, error=SolverError))
-        stats = PipelineStats()
-        with pytest.raises(SolverError, match="flake"):
-            scheduler.run(stats=stats)
-        # The ledger still records what happened before the raise.
-        assert not stats.failure_report.ok
-
-    def test_no_policy_is_the_legacy_raw_path(self):
-        scheduler = PipelineScheduler(workers=1, retry=None)
-        scheduler.add("a", flaky(1))  # transient, would recover
-        with pytest.raises(ConnectionError):
-            scheduler.run()
-
-
-class TestPartialResults:
-    def test_only_the_dependent_subtree_cascades(self):
-        scheduler = PipelineScheduler(workers=1, retry=FAST,
-                                      strict=False)
-        scheduler.add("bad", flaky(99, error=SolverError))
+        """An inline stage error is raised once: the task is not
+        rerun, its dependents never run, and nothing is counted."""
+        fn, calls = counting_failure(SolverError("infeasible"))
+        scheduler = PipelineScheduler(workers=1)
+        scheduler.add("bad", fn)
         scheduler.add("child", lambda dep: dep, deps=("bad",))
-        scheduler.add("grandchild", lambda dep: dep, deps=("child",))
-        scheduler.add("ok", lambda: 41)
-        scheduler.add("ok2", lambda dep: dep + 1, deps=("ok",))
         stats = PipelineStats()
-        results = scheduler.run(stats=stats)
-        # The independent subtree completed normally ...
-        assert results["ok"] == 41
-        assert results["ok2"] == 42
-        # ... while the quarantined root's descendants cascaded.
-        assert results["bad"].classification == PERMANENT
-        assert results["child"].classification == CASCADED
-        assert results["child"].root_key == "bad"
-        assert results["grandchild"].root_key == "bad"
-        assert stats.partial
-        report = stats.failure_report
-        assert [f.key for f in report.quarantined] == ["bad"]
-        assert report.summary()["failed_tasks"] == 3
+        with pytest.raises(SolverError, match="infeasible"):
+            scheduler.run(stats=stats)
+        assert len(calls) == 1
+        assert stats.tasks == {}
+        assert stats.failure_report == FailureReport()
 
-    def test_run_suite_partial_returns_failed_benchmark(
-            self, monkeypatch):
-        monkeypatch.setenv(PLAN_ENV, "solve:fail@ipet:crc")
-        with fresh_results():
-            stats = PipelineStats()
-            results = run_suite(EstimatorConfig(cache="off"),
-                                benchmarks=("crc", "fibcall"),
-                                pipeline_stats=stats,
-                                strict=False, retry=FAST)
-            crc, fibcall = results
-            assert isinstance(crc, FailedBenchmark)
-            assert crc.name == "crc"
-            assert "injected solver fault" in crc.failure.error \
-                or crc.failure.cascaded
-            # The undisturbed benchmark is a complete, usable result.
-            assert fibcall.name == "fibcall"
-            assert fibcall.pwcet("rw") > 0
-            assert row_of(fibcall).name == "fibcall"
-            assert stats.partial
-            assert stats.failure_report.quarantined
+    def test_pool_connection_error_is_not_retried(self):
+        """A stage raising on the pool propagates as itself, whatever
+        its type: only a dead worker is worth a retry."""
+        scheduler = PipelineScheduler(workers=2)
+        scheduler.add("refuse", refuse_stage, pool=True)
+        stats = PipelineStats()
+        with pytest.raises(ConnectionError, match="refused"):
+            scheduler.run(stats=stats)
+        assert stats.failure_report.retries == 0
+        assert stats.failure_report.pool_rebuilds == 0
 
-    def test_run_suite_strict_raises_the_solver_error(
-            self, monkeypatch):
+    def test_run_suite_raises_the_solver_error(self, monkeypatch):
         monkeypatch.setenv(PLAN_ENV, "solve:fail@ipet:crc")
         with fresh_results():
             with pytest.raises(SolverError, match="injected"):
                 run_suite(EstimatorConfig(cache="off"),
-                          benchmarks=("crc",), retry=FAST)
-
-    def test_failed_benchmarks_are_never_memoised(self, monkeypatch):
-        monkeypatch.setenv(PLAN_ENV, "solve:fail@ipet:crc#1")
-        with fresh_results():
-            first = run_suite(EstimatorConfig(cache="off"),
-                              benchmarks=("crc",),
-                              strict=False,
-                              retry=RetryPolicy(max_attempts=1,
-                                                sleep=lambda s: None))
-            assert isinstance(first[0], FailedBenchmark)
-            # Ordinal #1 is spent: the rerun recomputes and succeeds.
-            second = run_suite(EstimatorConfig(cache="off"),
-                               benchmarks=("crc",),
-                               strict=False, retry=FAST)
-            assert not isinstance(second[0], FailedBenchmark)
-            assert second[0].pwcet("none") > 0
-
-    def test_sweep_partial_annotates_the_failed_cell(self, monkeypatch):
-        monkeypatch.setenv(PLAN_ENV, "solve:fail@ipet:crc")
-        with fresh_results():
-            geometries = geometry_grid(sizes=(1024,), ways=(4,),
-                                       lines=(16,))
-            result = run_sweep(geometries, pfails=(1e-4, 1e-3),
-                               benchmarks=("crc", "fibcall"),
-                               config=EstimatorConfig(cache="off"),
-                               strict=False, retry=FAST)
-            # Both (geometry, pfail) cells contain crc: both fail.
-            assert len(result.failed) == 2
-            assert all(failure.benchmarks == ("crc",)
-                       for failure in result.failed)
-            assert "injected solver fault" in result.failed[0].reason
-            assert result.points == ()
-            text = format_sweep_report(result)
-            assert "FAILED cells (2 of 2" in text
-            assert "crc" in text
+                          benchmarks=("crc", "fibcall"))
 
 
 class TestCleanRunsUnchanged:
     def test_clean_report_is_structurally_empty(self):
-        scheduler = PipelineScheduler(workers=1,
-                                      retry=DEFAULT_RETRY_POLICY,
-                                      strict=False)
+        scheduler = PipelineScheduler(workers=1)
         scheduler.add("a", lambda: 1)
         stats = PipelineStats()
         scheduler.run(stats=stats)
-        assert stats.failure_report.ok
-        assert not stats.partial
-        assert stats.failure_report.summary() == {
-            "failed_tasks": 0, "quarantined": 0, "retries": 0,
-            "timeouts": 0, "pool_rebuilds": 0}
-
-    def test_clean_sweep_report_has_no_failed_section(self):
-        with fresh_results():
-            geometries = geometry_grid(sizes=(1024,), ways=(4,),
-                                       lines=(16,))
-            result = run_sweep(geometries, pfails=(1e-4,),
-                               benchmarks=("fibcall",),
-                               config=EstimatorConfig(cache="off"))
-            assert result.failed == ()
-            assert "FAILED" not in format_sweep_report(result)
+        assert stats.failure_report == FailureReport(retries=0,
+                                                     pool_rebuilds=0)
 
 
 def double_stage(value):
@@ -319,9 +104,8 @@ def double_stage(value):
     return value * 2
 
 
-def sleepy_stage():
-    time.sleep(30)
-    return "too late"  # pragma: no cover - always killed first
+def refuse_stage():
+    raise ConnectionError("refused")
 
 
 class TestPoolRecovery:
@@ -332,35 +116,24 @@ class TestPoolRecovery:
         task succeeds with the identical result."""
         monkeypatch.setenv(PLAN_ENV, "worker:kill@double_stage#1")
         monkeypatch.setenv(STATE_ENV, str(tmp_path / "state"))
-        scheduler = PipelineScheduler(workers=2, retry=FAST)
+        scheduler = PipelineScheduler(workers=2)
         scheduler.add("a", double_stage, args=(21,), pool=True)
         stats = PipelineStats()
         results = scheduler.run(stats=stats)
         assert results["a"] == 42
-        report = stats.failure_report
-        assert report.ok
-        assert report.pool_rebuilds == 1
-        assert report.retries == 1
+        assert stats.failure_report == FailureReport(retries=1,
+                                                     pool_rebuilds=1)
 
-    def test_timed_out_stage_is_killed_and_quarantined(self):
-        policy = RetryPolicy(max_attempts=1, timeout=0.5,
-                             sleep=lambda s: None)
-        scheduler = PipelineScheduler(workers=2, retry=policy,
-                                      strict=False)
-        scheduler.add("slow", sleepy_stage, pool=True)
-        scheduler.add("ok", lambda: "fine")
+    def test_a_worker_that_always_dies_exhausts_the_rebuild_budget(
+            self, monkeypatch):
+        monkeypatch.setenv(PLAN_ENV, "worker:kill@double_stage")
+        scheduler = PipelineScheduler(workers=2)
+        scheduler.add("a", double_stage, args=(21,), pool=True)
         stats = PipelineStats()
-        started = time.perf_counter()
-        results = scheduler.run(stats=stats)
-        # The 30s stage was killed at its 0.5s budget, not awaited.
-        assert time.perf_counter() - started < 15.0
-        assert results["ok"] == "fine"
-        failure = results["slow"]
-        assert isinstance(failure, TaskFailure)
-        assert failure.classification == TRANSIENT
-        assert "timeout budget" in failure.error
-        assert stats.failure_report.timeouts == 1
-        assert stats.failure_report.pool_rebuilds == 1
+        with pytest.raises(BrokenExecutor):
+            scheduler.run(stats=stats)
+        assert stats.failure_report.pool_rebuilds == MAX_POOL_REBUILDS
+        assert stats.failure_report.retries == MAX_POOL_REBUILDS
 
 
 class TestChaosByteIdentity:
@@ -382,20 +155,16 @@ class TestChaosByteIdentity:
         monkeypatch.setenv(STATE_ENV, str(tmp_path / "state"))
         with fresh_results():
             stats = PipelineStats()
-            # Three kills, and every in-flight task is charged an
-            # attempt per pool break: budget one attempt more.
             chaos = run_suite(
                 EstimatorConfig(cache=str(tmp_path / "chaos"),
                                 workers=4),
                 benchmarks=SUBSET, workers=4,
-                pipeline_stats=stats,
-                retry=RetryPolicy(max_attempts=4, sleep=FAST.sleep))
+                pipeline_stats=stats)
             chaos_text = format_fig4([row_of(r) for r in chaos])
         assert chaos_text == golden_text
         # The faults actually fired: recovery did real work.
         assert stats.failure_report.retries > 0
         assert stats.failure_report.pool_rebuilds > 0
-        assert stats.failure_report.ok  # and nothing was lost
         # The store clause was reached (its ordinal #1 then fired).
         assert (tmp_path / "state" / "clause-2.count").stat().st_size >= 1
         for path in (tmp_path / "chaos").rglob(DB_NAME):
