@@ -32,7 +32,6 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "PathWalker": ".cfg.walker",
     "find_loops": ".cfg.loops",
     "FaultProbabilityModel": ".faults.model",
-    "sample_fault_maps": ".faults.injection",
     "FaultMissMap": ".fmm.fault_miss_map",
     "compute_fault_miss_map": ".fmm.compute",
     "TimingModel": ".ipet.wcet",

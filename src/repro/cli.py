@@ -14,11 +14,6 @@ Commands
 ``cache gc``   remove foreign-schema store directories, drop corrupt
                rows and VACUUM every store database (``--dry-run``
                for a statistics report only).
-``cache export``  pack a consistent copy of every store database into
-               a tarball for another machine (the live cache is left
-               untouched).
-``cache import``  merge a cache tarball content-addressed: novel
-               entries are added, existing ones never clobbered.
 ``list``       list the available benchmarks with size metadata.
 
 All estimation commands consult the persistent caches — the three
@@ -27,30 +22,39 @@ stores (solve, classification, cell) share one directory
 command performs zero backend ILP solves and zero
 abstract-interpretation fixpoints.
 
-A stage error (say, a solver failure) aborts ``suite`` and ``sweep``
-with a traceback and a non-zero exit; a pool worker that dies is
-replaced and its work resubmitted.  See README "Pool recovery & chaos
-testing".
+Bad input — an out-of-range probability, an unknown benchmark, a
+geometry grid with no feasible cache — is reported as one ``error:``
+line with exit code 2; argparse checks probabilities and counts before
+any work runs.  A stage error (say, a solver failure)
+aborts ``suite`` and ``sweep`` with a traceback and a non-zero exit; a
+pool worker that dies is replaced and its work resubmitted.  See
+README "Pool recovery & chaos testing".
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from collections.abc import Callable
 
+from repro.errors import ConfigurationError
 from repro.pwcet import EstimatorConfig, PWCETEstimator
 from repro.pwcet.estimator import TARGET_EXCEEDANCE
 from repro.suite import EVALUATED_BENCHMARKS, info, load
 from repro.sweep.grid import DEFAULT_LINES, DEFAULT_SIZES, DEFAULT_WAYS
+from repro.util.validate import check_probability
 
 _MECHANISM_CHOICES = ("none", "srb", "rw", "srb+")
 
 
 def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--pfail", type=float, default=1e-4,
+    parser.add_argument("--pfail", type=_probability("pfail"),
+                        default=1e-4,
                         help="SRAM cell failure probability "
                              "(default 1e-4, the paper's value)")
-    parser.add_argument("--probability", type=float,
+    parser.add_argument("--probability",
+                        type=_probability("probability", allow_zero=False,
+                                          allow_one=False),
                         default=TARGET_EXCEEDANCE,
                         help="target exceedance probability "
                              "(default 1e-15)")
@@ -64,7 +68,7 @@ def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
 
 def _add_workers_argument(parser: argparse.ArgumentParser) -> None:
     """``--workers`` for the commands that run the task DAG."""
-    parser.add_argument("--workers", type=int, default=1,
+    parser.add_argument("--workers", type=_positive_int, default=1,
                         help="process-pool width of the task DAG "
                              "(default 1: in-process)")
 
@@ -81,22 +85,35 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _probability(name: str, **interval: bool) -> Callable[[str], float]:
+    """argparse ``type=`` for a probability; ``interval`` takes
+    :func:`~repro.util.validate.check_probability`'s switches."""
+    def parse(text: str) -> float:
+        try:
+            return check_probability(text, name, **interval)
+        except ConfigurationError as error:
+            raise argparse.ArgumentTypeError(str(error)) from None
+    return parse
+
+
+def _check_benchmarks(names) -> None:
+    for name in names:
+        if name not in EVALUATED_BENCHMARKS:
+            raise ConfigurationError(f"unknown benchmark {name!r}; "
+                                     "see `python -m repro list`")
+
+
 def _config_from(arguments: argparse.Namespace) -> EstimatorConfig:
     # Single-benchmark commands run in-process and take no --workers.
-    workers = getattr(arguments, "workers", 1)
-    if workers < 1:
-        raise SystemExit(f"--workers must be >= 1, got {workers}")
     return EstimatorConfig(pfail=arguments.pfail,
                            relaxed=arguments.relaxed,
-                           workers=workers,
+                           workers=getattr(arguments, "workers", 1),
                            cache=arguments.cache)
 
 
 def _estimator_for(name: str,
                    arguments: argparse.Namespace) -> PWCETEstimator:
-    if name not in EVALUATED_BENCHMARKS:
-        raise SystemExit(f"unknown benchmark {name!r}; "
-                         "see `python -m repro list`")
+    _check_benchmarks((name,))
     return PWCETEstimator(load(name), _config_from(arguments), name=name)
 
 
@@ -144,6 +161,7 @@ def _command_fmm(arguments: argparse.Namespace) -> int:
 def _command_tradeoff(arguments: argparse.Namespace) -> int:
     from repro.hwcost.tradeoff import format_tradeoff, tradeoff_points
     benchmarks = tuple(arguments.benchmark or ("fibcall", "ud", "adpcm"))
+    _check_benchmarks(benchmarks)
     points = tradeoff_points(benchmarks, _config_from(arguments),
                              probability=arguments.probability)
     print(format_tradeoff(points))
@@ -189,10 +207,7 @@ def _parse_only_cells(specs):
 def _command_sweep(arguments: argparse.Namespace) -> int:
     from repro.sweep import format_sweep_report, geometry_grid, run_sweep
     benchmarks = tuple(arguments.benchmarks or EVALUATED_BENCHMARKS)
-    for name in benchmarks:
-        if name not in EVALUATED_BENCHMARKS:
-            raise SystemExit(f"unknown benchmark {name!r}; "
-                             "see `python -m repro list`")
+    _check_benchmarks(benchmarks)
     geometries = geometry_grid(sizes=tuple(arguments.sizes),
                                ways=tuple(arguments.ways),
                                lines=tuple(arguments.lines))
@@ -252,33 +267,6 @@ def _command_cache_gc(arguments: argparse.Namespace) -> int:
         verb = "would drop" if arguments.dry_run else "dropped"
         print(f"cache gc: {verb} {total_corrupt} corrupt "
               f"row(s) recovered by re-computation")
-    return 0
-
-
-def _command_cache_export(arguments: argparse.Namespace) -> int:
-    from repro.solve.gc import export_cache
-    reports = export_cache(arguments.tarball, arguments.cache)
-    if not reports:
-        print("cache export: nothing to pack (no stores found)")
-        return 0
-    for report in reports:
-        print(report.format_row())
-    total = sum(report.entries for report in reports)
-    print(f"cache export: packed {total} entr(ies) into "
-          f"{arguments.tarball}")
-    return 0
-
-
-def _command_cache_import(arguments: argparse.Namespace) -> int:
-    from repro.solve.gc import import_cache
-    reports = import_cache(arguments.tarball, arguments.cache)
-    if not reports:
-        print(f"cache import: no stores found in {arguments.tarball}")
-        return 0
-    for report in reports:
-        print(report.format_row())
-    total = sum(report.imported for report in reports)
-    print(f"cache import: merged {total} new entr(ies)")
     return 0
 
 
@@ -349,7 +337,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--lines", type=int, nargs="+",
                        default=list(DEFAULT_LINES),
                        help="line sizes in bytes")
-    sweep.add_argument("--pfails", type=float, nargs="+", default=None,
+    sweep.add_argument("--pfails", type=_probability("pfail"), nargs="+",
+                       default=None,
                        help="cell failure probability axis (cells "
                             "along it reuse every cached solve; "
                             "default: the --pfail value)")
@@ -382,27 +371,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="report what gc would do without "
                                "touching any store")
     cache_gc.set_defaults(handler=_command_cache_gc)
-    cache_export = cache_commands.add_parser(
-        "export", help="pack a consistent copy of every store into a "
-                       "tarball (the live cache is not modified)")
-    cache_export.add_argument("tarball",
-                              help="output tarball path (gzip-compressed)")
-    cache_export.add_argument("--cache", default=None, metavar="off|PATH",
-                              help="cache directory to export (default: "
-                                   "REPRO_CACHE, else the user "
-                                   "cache dir)")
-    cache_export.set_defaults(handler=_command_cache_export)
-    cache_import = cache_commands.add_parser(
-        "import", help="merge a cache tarball content-addressed: novel "
-                       "entries are added, existing ones never "
-                       "clobbered")
-    cache_import.add_argument("tarball", help="tarball produced by "
-                                              "`repro cache export`")
-    cache_import.add_argument("--cache", default=None, metavar="off|PATH",
-                              help="cache directory to merge into "
-                                   "(default: REPRO_CACHE, else "
-                                   "the user cache dir)")
-    cache_import.set_defaults(handler=_command_cache_import)
 
     listing = commands.add_parser("list", help="available benchmarks")
     listing.set_defaults(handler=_command_list)
@@ -430,8 +398,14 @@ def _command_report(arguments: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    arguments = build_parser().parse_args(argv)
-    return arguments.handler(arguments)
+    parser = build_parser()
+    arguments = parser.parse_args(argv)
+    try:
+        return arguments.handler(arguments)
+    except ConfigurationError as error:
+        # Bad input argparse could not see: report it the way argparse
+        # reports its own (one line, exit 2), not as a traceback.
+        parser.exit(2, f"{parser.prog}: error: {error}\n")
 
 
 if __name__ == "__main__":

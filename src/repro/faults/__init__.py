@@ -1,8 +1,7 @@
-"""Permanent-fault probability model and fault injection."""
+"""Permanent-fault probability model."""
 
 from repro._lazy import lazy_exports
 
 __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "FaultProbabilityModel": ".model",
-    "sample_fault_maps": ".injection",
 })

@@ -30,9 +30,8 @@ The sweep is *planned* rather than solved eagerly: references are
 partitioned by cache set once, every (set, fault count) cell becomes a
 declarative :class:`~repro.solve.request.SolveRequest`, and the
 :class:`~repro.solve.planner.SolvePlanner` dedups identical
-objectives, skips empty columns and prunes columns whose structural
-(loop-bound) upper bound cannot beat the previous one — with results
-bit-identical to the direct per-cell sweep.
+objectives and skips empty columns — with results bit-identical to the
+direct per-cell sweep.
 """
 
 from __future__ import annotations
@@ -77,7 +76,7 @@ def compute_fault_miss_map(analysis: CacheAnalysis,
     partition = _references_by_set(analysis, baseline)
 
     # Build every cell's request first (cheap, solver untouched); the
-    # planner then dedups/prunes the actual solving.
+    # planner then dedups the actual solving.
     columns: list[list[SolveRequest | None]] = []
     for set_index in range(geometry.sets):
         per_set: list[SolveRequest | None] = []

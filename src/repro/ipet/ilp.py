@@ -95,10 +95,6 @@ class LinearProgram:
     def variable_name(self, index: int) -> str:
         return self._names[index]
 
-    def variable_upper(self, index: int) -> float:
-        """Declared upper bound of a variable (``inf`` if unbounded)."""
-        return self._upper[index]
-
     def add_le(self, coefficients: dict[int, float], rhs: float) -> None:
         """Add ``sum(c_i * x_i) <= rhs``."""
         self._add_row(coefficients, -math.inf, rhs)

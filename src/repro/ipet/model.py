@@ -40,11 +40,6 @@ class FlowModel:
         for edge in cfg.edges():
             self._edge_vars[edge] = self.program.add_variable(
                 f"e_{edge[0]}_{edge[1]}")
-        #: Reverse maps and memo for the structural variable bounds.
-        self._edge_var_keys = {index: edge
-                               for edge, index in self._edge_vars.items()}
-        self._fm_var_keys: dict[int, tuple[int, int]] = {}
-        self._structural_bounds: dict[int, float] = {}
         #: Virtual edges: one activation enters and leaves the program.
         self.entry_var = self.program.add_variable("e_entry", lower=1.0,
                                                    upper=1.0)
@@ -61,68 +56,10 @@ class FlowModel:
 
         Lazy and unique per flow model, so every consumer (WCET, all
         FMM mechanisms) dedups against one canonical-objective cache.
-        The planner's structural pre-screen draws its per-variable
-        bounds from the loop forest via :meth:`variable_bound`.
         """
         if self._planner is None:
-            self._planner = SolvePlanner(self.program,
-                                         variable_bound=self.variable_bound)
+            self._planner = SolvePlanner(self.program)
         return self._planner
-
-    # -- structural execution-count bounds ------------------------------
-    def block_execution_bound(self, block_id: int) -> int:
-        """Loop-bound product: max executions of a block per activation.
-
-        Outside every loop a block executes at most once (single
-        activation, acyclic residual graph); each enclosing loop
-        multiplies by its per-entry iteration bound.  This is the
-        classic IPET structural bound — a sound over-approximation of
-        any feasible flow, computed without the solver.
-        """
-        bound = 1
-        for loop in self.forest.loops_containing(block_id):
-            bound *= loop.bound
-        return bound
-
-    def _scope_entry_bound(self, scope: int) -> int:
-        """Max entries into a persistence scope per activation."""
-        if scope == GLOBAL_SCOPE:
-            return 1
-        loop = self.forest.loop(scope)
-        return sum(self.block_execution_bound(pred)
-                   for pred, _header in loop.entry_edges(self.cfg))
-
-    def variable_bound(self, index: int) -> float:
-        """Structural upper bound of one polytope variable.
-
-        * virtual entry/exit edges: 1 (a single activation);
-        * CFG edge ``(u, v)``: bounded by both endpoint blocks;
-        * first-miss group variable ``(block, scope)``: bounded by the
-          block count and by the scope entry count — mirroring its
-          defining constraints, with loop-bound products in place of
-          flow variables.
-
-        Used by the planner's solver-free pre-screen; results are
-        memoised because the FMM sweep probes the same variables for
-        every column.
-        """
-        bound = self._structural_bounds.get(index)
-        if bound is not None:
-            return bound
-        if index in (self.entry_var, self.exit_var):
-            bound = 1.0
-        elif index in self._edge_var_keys:
-            src, dst = self._edge_var_keys[index]
-            bound = float(min(self.block_execution_bound(src),
-                              self.block_execution_bound(dst)))
-        elif index in self._fm_var_keys:
-            block_id, scope = self._fm_var_keys[index]
-            bound = float(min(self.block_execution_bound(block_id),
-                              self._scope_entry_bound(scope)))
-        else:  # unknown variable: no structural information
-            bound = float("inf")
-        self._structural_bounds[index] = bound
-        return bound
 
     # ------------------------------------------------------------------
     def edge_var(self, src: int, dst: int) -> int:
@@ -181,7 +118,6 @@ class FlowModel:
                 coefficients.get(entry_variable, 0.0) - 1.0)
         self.program.add_le(coefficients, 0.0)
         self._fm_vars[key] = variable
-        self._fm_var_keys[variable] = key
         return variable
 
     # ------------------------------------------------------------------

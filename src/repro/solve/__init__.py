@@ -20,10 +20,8 @@ solves from eager calls into *planned* work:
 
 ``planner``
     :class:`SolvePlanner` — dedupes requests by canonical key,
-    prunes FMM columns with monotonicity + a solver-free structural
-    pre-screen (loop-bound products; the LP-relaxation screen remains
-    opt-in), short-circuits empty objectives, batch-solves unique
-    requests across a ``concurrent.futures`` process pool, and keeps
+    short-circuits empty objectives, keeps FMM rows monotone in the
+    fault count, batch-solves unique requests in-process, and keeps
     :class:`SolveStats` counters for benchmarking.
 
 ``store``
@@ -35,9 +33,9 @@ solves from eager calls into *planned* work:
     suite performs zero backend ILP solves.
 
 ``gc``
-    Offline store maintenance (``repro cache gc|export|import``):
-    removes foreign-schema directories and VACUUMs every store, and
-    moves store databases between machines.
+    Offline store maintenance (``repro cache gc``): removes
+    foreign-schema directories, drops corrupt rows and VACUUMs every
+    store.
 
 Lifecycle: callers build requests (cheap, no solver involved), hand
 them to a planner bound to the shared program, and read integer bounds

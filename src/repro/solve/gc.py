@@ -4,15 +4,9 @@ Each store is one SQLite database, ``<root>/<schema dir>/store.db``,
 for the solve store (``v<N>/``), the classification store
 (``classify-v<N>/``) and the cell store (``cells-v<N>/``):
 
-* ``repro cache gc`` deletes the directories of other schema versions
-  (their entries can never be read again), drops rows whose checksum
-  fails, and ``VACUUM``s each live database;
-* ``repro cache export`` packs a consistent copy of every live
-  database (``Connection.backup``) into one tarball, published by an
-  atomic rename;
-* ``repro cache import`` merges such a tarball content-addressed:
-  every incoming row's checksum is validated, and ``INSERT OR IGNORE``
-  adds novel keys while existing keys are never clobbered.
+``repro cache gc`` deletes the directories of other schema versions
+(their entries can never be read again), drops rows whose checksum
+fails, and ``VACUUM``s each live database.
 
 SQLite commits are atomic, so none of this needs an fsync knob, and a
 concurrent run only waits on the maintenance transaction.
@@ -24,11 +18,8 @@ import os
 import pathlib
 import shutil
 import sqlite3
-import tarfile
-import tempfile
 from dataclasses import dataclass
 
-from repro.errors import ConfigurationError
 from repro.solve.store import (DB_NAME, SCHEMA_VERSION, cache_root,
                                checksum, open_db)
 
@@ -54,15 +45,6 @@ def _is_schema_dir_name(name: str) -> bool:
 def _dir_bytes(path: pathlib.Path) -> int:
     return sum(child.stat().st_size for child in path.rglob("*")
                if child.is_file())
-
-
-def _root(cache: str | None, verb: str) -> pathlib.Path:
-    root = cache_root(cache)
-    if root is None:
-        raise ConfigurationError(
-            f"cannot {verb}: the persistent cache is disabled "
-            "(REPRO_CACHE=off)")
-    return root
 
 
 @dataclass(frozen=True)
@@ -166,151 +148,4 @@ def gc_cache(cache: str | None = None, *,
         report = compact_store(root / name, dry_run=dry_run)
         if report is not None:
             reports.append(report)
-    return reports
-
-
-@dataclass(frozen=True)
-class ExportReport:
-    """One store packed into a cache tarball."""
-
-    directory: str
-    entries: int
-    bytes: int
-
-    def format_row(self) -> str:
-        return (f"{self.directory}: packed {self.entries} entr(ies), "
-                f"{self.bytes} bytes")
-
-
-@dataclass(frozen=True)
-class ImportReport:
-    """One store merged from a cache tarball."""
-
-    directory: str
-    entries_seen: int
-    imported: int
-    already_present: int
-    conflicts_kept_local: int
-    corrupt_dropped: int
-
-    def format_row(self) -> str:
-        return (f"{self.directory}: imported {self.imported} of "
-                f"{self.entries_seen} entr(ies) "
-                f"({self.already_present} already present, "
-                f"{self.conflicts_kept_local} conflicting kept local, "
-                f"{self.corrupt_dropped} corrupt dropped)")
-
-
-def export_cache(tarball: str | os.PathLike,
-                 cache: str | None = None) -> list[ExportReport]:
-    """Pack a consistent copy of every store into a tarball.
-
-    Each live database is copied with SQLite's online backup (a
-    concurrent writer is never blocked for long and never torn), the
-    copies are packed as ``<schema dir>/store.db``, and the tarball is
-    published by an atomic rename: a killed export never leaves a
-    truncated archive at the target path.
-    """
-    root = _root(cache, "export")
-    target = pathlib.Path(tarball)
-    tmp = target.parent / f".{target.name}.tmp-{os.getpid()}"
-    reports = []
-    try:
-        with tempfile.TemporaryDirectory() as scratch, \
-                tarfile.open(tmp, "w:gz") as archive:
-            for name in store_dirs():
-                path = root / name / DB_NAME
-                if not path.is_file():
-                    continue
-                copy = pathlib.Path(scratch) / name
-                source = sqlite3.connect(path)
-                destination = sqlite3.connect(copy)
-                try:
-                    source.backup(destination)
-                    (entries,) = destination.execute(
-                        "SELECT COUNT(*) FROM entries").fetchone()
-                finally:
-                    destination.close()
-                    source.close()
-                archive.add(copy, arcname=f"{name}/{DB_NAME}")
-                reports.append(ExportReport(directory=name, entries=entries,
-                                            bytes=copy.stat().st_size))
-        os.replace(tmp, target)
-    finally:
-        tmp.unlink(missing_ok=True)
-    return reports
-
-
-def _merge(incoming: pathlib.Path, store_dir: pathlib.Path
-           ) -> ImportReport:
-    """``INSERT OR IGNORE`` every valid row of one exported database."""
-    seen = imported = already = conflicts = corrupt = 0
-    source = sqlite3.connect(incoming)
-    store_dir.mkdir(parents=True, exist_ok=True)
-    local = open_db(store_dir / DB_NAME)
-    try:
-        rows = source.execute("SELECT kind, key, crc, value FROM entries")
-        local.execute("BEGIN IMMEDIATE")
-        for kind, key, crc, value in rows:
-            if not isinstance(value, bytes) \
-                    or checksum(kind, key, value) != crc:
-                corrupt += 1
-                continue
-            seen += 1
-            if local.execute("INSERT OR IGNORE INTO entries "
-                             "(kind, key, crc, value) VALUES (?, ?, ?, ?)",
-                             (kind, key, crc, value)).rowcount:
-                imported += 1
-                continue
-            (existing,) = local.execute(
-                "SELECT value FROM entries WHERE kind = ? AND key = ?",
-                (kind, key)).fetchone()
-            if existing == value:
-                already += 1
-            else:
-                conflicts += 1
-        local.execute("COMMIT")
-    except sqlite3.DatabaseError:
-        # Not a store database (or a torn one): nothing is merged.
-        if local.in_transaction:
-            local.execute("ROLLBACK")
-        seen = imported = already = conflicts = 0
-        corrupt = 1
-    finally:
-        local.close()
-        source.close()
-    return ImportReport(directory=store_dir.name, entries_seen=seen,
-                        imported=imported, already_present=already,
-                        conflicts_kept_local=conflicts,
-                        corrupt_dropped=corrupt)
-
-
-def import_cache(tarball: str | os.PathLike,
-                 cache: str | None = None) -> list[ImportReport]:
-    """Merge a cache tarball into the local stores, content-addressed.
-
-    Only ``<schema dir>/store.db`` members of the current stores are
-    read (anything else — paths escaping the root included — is
-    ignored, never extracted).  Rows whose checksum fails are dropped;
-    keys the local store already holds are skipped, so an import adds
-    knowledge but never clobbers it (a conflicting value keeps the
-    local row — with content-addressed keys that is a corruption
-    signal, not a merge policy).  Other processes see the merge as
-    soon as its one transaction commits.
-    """
-    root = _root(cache, "import")
-    live = store_dirs()
-    reports = []
-    with tarfile.open(tarball, "r:*") as archive, \
-            tempfile.TemporaryDirectory() as scratch:
-        for member in archive.getmembers():
-            parts = pathlib.PurePosixPath(member.name).parts
-            if not member.isfile() or len(parts) != 2 \
-                    or parts[0] not in live or parts[1] != DB_NAME:
-                continue
-            incoming = pathlib.Path(scratch) / parts[0]
-            with archive.extractfile(member) as source, \
-                    open(incoming, "wb") as copy:
-                shutil.copyfileobj(source, copy)
-            reports.append(_merge(incoming, root / parts[0]))
     return reports

@@ -10,10 +10,6 @@ polytope) and mediates every objective solved against it:
   attached, solved objectives are looked up on disk before the backend
   is touched and written through after every solve, so repeated
   CLI/suite/CI invocations skip already-solved ILPs entirely;
-* **structural pruning** — FMM rows are non-decreasing in fault count;
-  a column whose *structural* upper bound (coefficients times loop
-  bound products, no solver involved) cannot exceed the previous
-  column's value is provably equal to it and the ILP is skipped;
 * **empty short-circuit** — a column with no degradable reference is
   0-penalty and never touches the solver;
 * **batching** — :meth:`SolvePlanner.prime` solves the unique
@@ -28,8 +24,7 @@ to solving every (set, fault count) ILP directly.
 
 from __future__ import annotations
 
-import math
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -56,9 +51,6 @@ class SolveStats:
     store_hits: int = 0
     #: Cells skipped because their objective was empty.
     pruned_empty: int = 0
-    #: Cells skipped because the structural (loop-bound) upper bound
-    #: could not beat the previous column (monotonicity, solver-free).
-    pruned_structural: int = 0
 
     @property
     def dedup_hit_rate(self) -> float:
@@ -79,7 +71,6 @@ class SolveStats:
             "dedup_hits": self.dedup_hits,
             "store_hits": self.store_hits,
             "pruned_empty": self.pruned_empty,
-            "pruned_structural": self.pruned_structural,
             "dedup_hit_rate": self.dedup_hit_rate,
             "store_hit_rate": self.store_hit_rate,
         }
@@ -88,17 +79,8 @@ class SolveStats:
 class SolvePlanner:
     """Plans every solve against one shared flow polytope."""
 
-    def __init__(self, program: "LinearProgram", *,
-                 prescreen: bool = True, dedup: bool = True,
-                 variable_bound: Callable[[int], float] | None = None
-                 ) -> None:
+    def __init__(self, program: "LinearProgram") -> None:
         self.program = program
-        self.prescreen = prescreen
-        self.dedup = dedup
-        #: Structural upper bound of one variable (used by the
-        #: pre-screen); ``None`` falls back to the program's declared
-        #: variable upper bounds.
-        self.variable_bound = variable_bound
         self.stats = SolveStats()
         self._results: dict[object, int] = {}
         self._solutions: dict[object, "Solution"] = {}
@@ -153,9 +135,14 @@ class SolvePlanner:
     # -- single requests -----------------------------------------------
     def solve(self, request: SolveRequest) -> int:
         """Integer bound of one request, through the dedup cache."""
+        return self._bound(request)
+
+    def _bound(self, request: SolveRequest) -> int:
         key = request.key
-        if self.dedup and key in self._results:
+        if key in self._results:
             if key in self._primed:
+                # First consumption of a batch-solved request: the
+                # solve was already counted by prime().
                 self._primed.discard(key)
             else:
                 self.stats.dedup_hits += 1
@@ -164,39 +151,8 @@ class SolvePlanner:
         if value is None:
             value = self._solve_uncached(request)
             self._store_put(request, value)
-        if self.dedup:
-            self._results[key] = value
+        self._results[key] = value
         return value
-
-    def structural_bound(self, request: SolveRequest) -> float:
-        """Solver-free upper bound: coefficients times variable bounds.
-
-        Sound whenever all coefficients are non-negative (FMM and WCET
-        objectives are counts); a negative coefficient or an unbounded
-        variable yields ``inf``, i.e. "no structural information".
-        The bound must dominate what :meth:`_solve_uncached` *reports*:
-        with integral coefficients the ILP optimum is integral, so the
-        floor is sound; with fractional coefficients the reported
-        value is the half-up rounding of the optimum, which can exceed
-        the floor — so only half a unit may be absorbed.
-        """
-        bound_of = self.variable_bound
-        if bound_of is None:
-            bound_of = self.program.variable_upper
-        total = 0.0
-        integral = True
-        for index, weight in request.objective:
-            if weight < 0.0:
-                return math.inf
-            limit = bound_of(index)
-            if limit == math.inf:
-                return math.inf
-            total += weight * limit
-            integral = integral and float(weight).is_integer()
-        if integral:
-            return math.floor(total)
-        # round(optimum) <= floor(optimum + 0.5) <= floor(total + 0.5).
-        return math.floor(total + 0.5)
 
     def solve_with_values(self, objective: dict[int, float], *,
                           relaxed: bool = False) -> "Solution":
@@ -212,7 +168,7 @@ class SolvePlanner:
         fault-free WCET.
         """
         request = SolveRequest.from_objective(objective, relaxed=relaxed)
-        if self.dedup and request.key in self._solutions:
+        if request.key in self._solutions:
             self.stats.dedup_hits += 1
             return self._solutions[request.key]
         key = None
@@ -232,8 +188,7 @@ class SolvePlanner:
             if key is not None:
                 self._store.put_artefact(key,
                                          self._solution_artefact(solution))
-        if self.dedup:
-            self._solutions[request.key] = solution
+        self._solutions[request.key] = solution
         return solution
 
     def _solution_artefact(self, solution: "Solution") -> dict:
@@ -279,10 +234,8 @@ class SolvePlanner:
 
         Columns are fault counts 1..max in order; the returned row is
         prefixed with the mandatory 0-fault column.  The row value is
-        ``max(column bound, previous value)`` exactly as the direct
-        path computes it, which is what makes the structural pre-screen
-        lossless: when an upper bound of the cell cannot exceed the
-        previous value, the max is the previous value.
+        ``max(column bound, previous value)``: FMM rows are
+        non-decreasing in fault count.
         """
         row = [0]
         for request in columns:
@@ -291,32 +244,8 @@ class SolvePlanner:
             if request is None:
                 self.stats.pruned_empty += 1
                 row.append(previous)
-                continue
-            if self.dedup and request.key in self._results:
-                if request.key in self._primed:
-                    # First fan-out of a batch-solved request: the
-                    # solve was already counted by prime().
-                    self._primed.discard(request.key)
-                else:
-                    self.stats.dedup_hits += 1
-                row.append(max(self._results[request.key], previous))
-                continue
-            value = self._store_get(request)
-            if value is not None:
-                if self.dedup:
-                    self._results[request.key] = value
-                row.append(max(value, previous))
-                continue
-            if self.prescreen and not request.relaxed and previous > 0:
-                if self.structural_bound(request) <= previous:
-                    self.stats.pruned_structural += 1
-                    row.append(previous)
-                    continue
-            value = self._solve_uncached(request)
-            self._store_put(request, value)
-            if self.dedup:
-                self._results[request.key] = value
-            row.append(max(value, previous))
+            else:
+                row.append(max(self._bound(request), previous))
         return tuple(row)
 
     # -- batching --------------------------------------------------------
@@ -328,10 +257,6 @@ class SolvePlanner:
         fan-out.  Requests already persisted by an earlier run are
         answered from the store and never reach the backend.
         """
-        if not self.dedup:
-            # Primed results land in the dedup cache; without it the
-            # row planning would just re-solve everything.
-            return
         unique: dict[object, SolveRequest] = {}
         for request in requests:
             if request.key not in self._results:

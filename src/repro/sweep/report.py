@@ -75,9 +75,7 @@ def format_sweep_report(result: SweepResult) -> str:
         f"{totals.get('store_hits', 0):.0f} served by the persistent "
         f"cache (hit rate {totals.get('store_hit_rate', 0.0):.1%}), "
         f"{totals.get('dedup_hits', 0):.0f} in-process dedup hits, "
-        f"{totals.get('pruned_empty', 0):.0f}+"
-        f"{totals.get('pruned_structural', 0):.0f} cells pruned "
-        f"(empty/structural)")
+        f"{totals.get('pruned_empty', 0):.0f} cells pruned (empty)")
     # The analysis line reports tables built and store hits rather
     # than physical fixpoints; the stacked kernel's fixpoint count is
     # in the per-run solver_totals.

@@ -49,7 +49,10 @@ def check_probability(value: float, name: str, *, allow_zero: bool = True,
     low_ok = value > 0.0 or (allow_zero and value == 0.0)
     high_ok = value < 1.0 or (allow_one and value == 1.0)
     if not (low_ok and high_ok):
-        raise ConfigurationError(f"{name} must lie in [0, 1], got {value}")
+        interval = ("[" if allow_zero else "(") + "0, 1" + (
+            "]" if allow_one else ")")
+        raise ConfigurationError(
+            f"{name} must lie in {interval}, got {value}")
     return value
 
 

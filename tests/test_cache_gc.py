@@ -1,4 +1,4 @@
-"""`repro cache gc|export|import`: offline maintenance of the stores."""
+"""`repro cache gc`: offline maintenance of the stores."""
 
 from __future__ import annotations
 
@@ -221,146 +221,3 @@ class TestCli:
         assert summary["store_corrupt_skipped"] == 1
         assert summary["classify_store_corrupt_skipped"] == 0
         assert summary["cell_store_corrupt_skipped"] == 0
-
-
-class TestExportImport:
-    """`repro cache export/import`: store sharing across machines."""
-
-    def test_round_trip_seeds_a_fresh_machine(self, tmp_path):
-        from repro.solve.gc import export_cache, import_cache
-        source = tmp_path / "machine-a"
-        target = tmp_path / "machine-b"
-        tarball = tmp_path / "seed.tar.gz"
-        _populate_both_stores(source)
-        before = {path: path.read_bytes()
-                  for path in source.rglob(DB_NAME)}
-
-        exported = export_cache(tarball, str(source))
-        assert {report.directory for report in exported} == \
-            {SOLVE_DIR, CLASSIFY_DIR}
-        assert all(report.entries > 0 for report in exported)
-        # The live source store is copied, never modified.
-        assert {path: path.read_bytes()
-                for path in source.rglob(DB_NAME)} == before
-
-        imported = import_cache(tarball, str(target))
-        assert sum(report.imported for report in imported) == \
-            sum(report.entries for report in exported)
-
-        # Machine B is now fully warm: zero fixpoints, zero ILPs.
-        estimator = PWCETEstimator(load("fibcall"),
-                                   EstimatorConfig(cache=str(target)),
-                                   name="fibcall")
-        for mechanism in ("none", "srb", "rw"):
-            estimator.estimate(mechanism)
-        summary = estimator.stats_summary()
-        assert summary["fixpoints_run"] == 0
-        assert summary["ilp_solved"] == 0
-        assert summary["lp_solved"] == 0
-
-    def test_import_is_idempotent_and_merges(self, tmp_path):
-        from repro.solve.gc import export_cache, import_cache
-        source = tmp_path / "src"
-        target = tmp_path / "dst"
-        tarball = tmp_path / "seed.tar.gz"
-        _populate_both_stores(source)
-        export_cache(tarball, str(source))
-        first = import_cache(tarball, str(target))
-        again = import_cache(tarball, str(target))
-        assert sum(report.imported for report in first) > 0
-        assert sum(report.imported for report in again) == 0
-        assert sum(report.already_present for report in again) == \
-            sum(report.imported for report in first)
-        # One database per store directory, holding the merged rows.
-        for report in first:
-            files = {path.name for path in
-                     (target / report.directory).iterdir()}
-            assert files == {DB_NAME}
-            db = _db(target, report.directory)
-            assert db.execute("SELECT COUNT(*) FROM entries").fetchone() \
-                == (report.imported,)
-            db.close()
-
-    def test_import_never_clobbers_local_entries(self, tmp_path):
-        from repro.solve.gc import export_cache, import_cache
-        source = tmp_path / "src"
-        target = tmp_path / "dst"
-        tarball = tmp_path / "seed.tar.gz"
-        key = solve_key("ctx", [("x", 1.0)], False)
-        remote = SolveStore(source)
-        remote.put(key, 41)
-        remote.close()
-        local = SolveStore(target)
-        local.put(key, 99)  # disagreeing local value
-        local.put(solve_key("ctx", [("y", 1.0)], False), 7)
-        local.close()
-        export_cache(tarball, str(source))
-        reports = import_cache(tarball, str(target))
-        (report,) = reports
-        assert report.conflicts_kept_local == 1
-        assert report.imported == 0
-        assert SolveStore(target).get(key) == 99  # local wins
-
-    def test_import_validates_lines_and_member_paths(self, tmp_path):
-        import tarfile
-
-        from repro.solve.gc import import_cache
-        from repro.solve.store import checksum, open_db
-        seed = tmp_path / "seed"
-        seed.mkdir()
-        db = open_db(seed / DB_NAME)
-        db.execute("INSERT INTO entries VALUES (?, ?, ?, ?)",
-                   ("solve", "a" * 64, checksum("solve", "a" * 64, b"5"),
-                    b"5"))
-        db.execute("INSERT INTO entries VALUES ('solve', ?, 1, ?)",
-                   ("b" * 64, b"6"))  # checksum mismatch
-        db.close()
-        garbage = tmp_path / "garbage"
-        garbage.write_bytes(b"not a database at all")
-        tarball = tmp_path / "seed.tar.gz"
-        with tarfile.open(tarball, "w:gz") as archive:
-            archive.add(seed / DB_NAME, arcname=f"{SOLVE_DIR}/{DB_NAME}")
-            archive.add(seed / DB_NAME, arcname=f"../escape/{DB_NAME}")
-            archive.add(seed / DB_NAME, arcname=f"notastore/{DB_NAME}")
-            archive.add(seed / DB_NAME, arcname=f"v1/{DB_NAME}")
-            archive.add(garbage, arcname=f"{CLASSIFY_DIR}/{DB_NAME}")
-        target = tmp_path / "dst"
-        reports = import_cache(tarball, str(target))
-        # Only the current stores' members were considered.
-        by_directory = {report.directory: report for report in reports}
-        assert set(by_directory) == {SOLVE_DIR, CLASSIFY_DIR}
-        solve, classify = by_directory[SOLVE_DIR], by_directory[CLASSIFY_DIR]
-        assert solve.imported == 1
-        assert solve.corrupt_dropped == 1
-        assert classify.imported == 0 and classify.corrupt_dropped == 1
-        assert not (tmp_path / "escape").exists()
-        assert not (target / "v1").exists()
-        assert SolveStore(target).get("a" * 64) == 5
-
-    def test_export_disabled_cache_raises(self, tmp_path):
-        import pytest
-
-        from repro.errors import ConfigurationError
-        from repro.solve.gc import export_cache, import_cache
-        with pytest.raises(ConfigurationError):
-            export_cache(tmp_path / "x.tar.gz", "off")
-        with pytest.raises(ConfigurationError):
-            import_cache(tmp_path / "x.tar.gz", "off")
-
-    def test_cli_export_import_round_trip(self, tmp_path, capsys):
-        from repro.cli import main
-        _populate_both_stores(tmp_path / "src")
-        tarball = str(tmp_path / "seed.tar.gz")
-        assert main(["cache", "export", tarball,
-                     "--cache", str(tmp_path / "src")]) == 0
-        assert "packed" in capsys.readouterr().out
-        assert main(["cache", "import", tarball,
-                     "--cache", str(tmp_path / "dst")]) == 0
-        assert "merged" in capsys.readouterr().out
-        # Empty archive edge: exporting an empty store packs nothing.
-        assert main(["cache", "export", str(tmp_path / "empty.tar.gz"),
-                     "--cache", str(tmp_path / "nothing")]) == 0
-        assert "nothing to pack" in capsys.readouterr().out
-        assert main(["cache", "import", str(tmp_path / "empty.tar.gz"),
-                     "--cache", str(tmp_path / "dst")]) == 0
-        assert "no stores found" in capsys.readouterr().out

@@ -100,6 +100,54 @@ class TestOtherCommands:
             main([])
 
 
+class TestBadInput:
+    """Bad input exits 2 with one error line, before any work runs."""
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["suite", "--pfail", "2"], "--pfail"),
+        (["suite", "--pfail", "-0.5"], "--pfail"),
+        (["suite", "--probability", "0"], "--probability"),
+        (["suite", "--probability", "1"], "--probability"),
+        (["estimate", "crc", "--probability", "0"], "--probability"),
+        (["sweep", "--pfails", "1e-4", "2"], "--pfails"),
+        (["suite", "--workers", "0"], "--workers"),
+    ])
+    def test_argparse_rejects_out_of_range_values(self, argv, flag, capsys):
+        with pytest.raises(SystemExit) as raised:
+            main(argv + ["--cache", "off"])
+        assert raised.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}:" in err
+        assert "Traceback" not in err
+
+    def test_probability_error_names_the_open_interval(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["suite", "--probability", "0"])
+        assert "must lie in (0, 1), got 0.0" in capsys.readouterr().err
+
+    def test_boundary_pfails_are_accepted(self):
+        from repro.cli import build_parser
+        arguments = build_parser().parse_args(
+            ["sweep", "--pfail", "0", "--pfails", "0", "1"])
+        assert arguments.pfail == 0.0 and arguments.pfails == [0.0, 1.0]
+
+    @pytest.mark.parametrize("argv, message", [
+        (["sweep", "--sizes", "1000", "--ways", "2", "--lines", "16",
+          "--benchmarks", "bs"], "no feasible geometry"),
+        (["tradeoff", "nosuch"], "unknown benchmark 'nosuch'"),
+        (["estimate", "nosuch"], "unknown benchmark 'nosuch'"),
+        (["sweep", "--benchmarks", "nosuch"], "unknown benchmark 'nosuch'"),
+    ])
+    def test_configuration_errors_print_one_line(self, argv, message,
+                                                 capsys):
+        with pytest.raises(SystemExit) as raised:
+            main(argv + ["--cache", "off"])
+        assert raised.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"repro: error: {message}")
+        assert err.count("\n") == 1
+
+
 class TestSweep:
     def test_small_grid(self, capsys, tmp_path):
         assert main(["sweep", "--sizes", "512", "1024", "--ways", "2",

@@ -55,8 +55,8 @@ def _named(program, objective) -> dict[str, float]:
 class _RecordingPlanner(SolvePlanner):
     """Keeps every FMM request the production path plans."""
 
-    def __init__(self, program, **kwargs) -> None:
-        super().__init__(program, **kwargs)
+    def __init__(self, program) -> None:
+        super().__init__(program)
         self.requests: dict[tuple, SolveRequest] = {}
 
     def fmm_row(self, columns):
@@ -72,8 +72,7 @@ def test_production_fmm_plans_this_request(line, set_index):
     geometry = CacheGeometry.from_size(512, 2, line)
     analysis = CacheAnalysis(cfg, geometry, cache="off")
     flow_model = FlowModel(cfg, analysis.forest)
-    planner = _RecordingPlanner(flow_model.program,
-                                variable_bound=flow_model.variable_bound)
+    planner = _RecordingPlanner(flow_model.program)
     compute_fault_miss_map(analysis, mechanism_by_name("none"),
                            flow_model=flow_model, planner=planner)
     request = planner.requests[(set_index, 1)]

@@ -1,12 +1,12 @@
 """The solve planner: dedup/prune/batch must not change any result.
 
 The planner's whole contract is *bit-identical outputs*: every
-shortcut (canonical-objective dedup, empty short-circuit, LP
-relaxation pre-screen, process-pool batching, persistent backends) is
-value-preserving with respect to solving every (set, fault count) ILP
-directly.  These tests pin that equivalence on real suite benchmarks
-across all three reliability mechanisms, plus unit-level behaviour of
-the planner and backends.
+shortcut (canonical-objective dedup, empty short-circuit, batching,
+persistent backends) is value-preserving with respect to solving every
+(set, fault count) ILP directly.  These tests pin that equivalence on
+real suite benchmarks across all three reliability mechanisms, against
+an oracle that calls :meth:`LinearProgram.maximize` once per cell,
+plus unit-level behaviour of the planner and backends.
 """
 
 import pytest
@@ -18,7 +18,7 @@ from repro.pwcet import EstimatorConfig, PWCETEstimator
 from repro.reliability import mechanism_by_name
 from repro.solve import (SolvePlanner, SolveRequest, available_backends,
                         make_backend)
-from repro.solve.backend import ScipyBackend
+from repro.solve.backend import ScipyBackend, ceil_bound
 from repro.suite import load
 
 MECHANISMS = ("none", "srb", "rw")
@@ -27,15 +27,45 @@ MECHANISMS = ("none", "srb", "rw")
 EQUIVALENCE_BENCHMARKS = ("ud", "crc", "adpcm")
 
 
+def _maximize(program: LinearProgram, request: SolveRequest) -> int:
+    """One cell's bound straight from the program, no planner."""
+    solution = program.maximize(request.objective_dict(),
+                                relaxed=request.relaxed)
+    if request.relaxed:
+        return ceil_bound(solution.objective)
+    return solution.rounded_objective()
+
+
+class _DirectPlanner(SolvePlanner):
+    """The unplanned reference path: one ``maximize`` per non-empty cell,
+    no dedup, no store, rows made monotone by a running max."""
+
+    def fmm_row(self, columns):
+        row = [0]
+        for request in columns:
+            value = 0 if request is None else _maximize(self.program,
+                                                        request)
+            row.append(max(value, row[-1]))
+        return tuple(row)
+
+
 def _direct_fmm(name: str, mechanism: str):
-    """The unplanned reference path: every non-empty cell solved."""
+    """Every non-empty cell of one FMM solved directly."""
     compiled = load(name)
     analysis = CacheAnalysis(compiled.cfg, EstimatorConfig().geometry)
     flow_model = FlowModel(compiled.cfg, analysis.forest)
-    planner = SolvePlanner(flow_model.program, dedup=False,
-                           prescreen=False)
-    return compute_fault_miss_map(analysis, mechanism_by_name(mechanism),
-                                  flow_model=flow_model, planner=planner)
+    return compute_fault_miss_map(
+        analysis, mechanism_by_name(mechanism), flow_model=flow_model,
+        planner=_DirectPlanner(flow_model.program))
+
+
+def _direct_estimator(name: str, config: EstimatorConfig | None = None
+                      ) -> PWCETEstimator:
+    """An estimator whose FMM cells bypass the planner's shortcuts."""
+    estimator = PWCETEstimator(load(name), config, name=name)
+    flow_model = estimator._flow_model
+    flow_model._planner = _DirectPlanner(flow_model.program)
+    return estimator
 
 
 class TestPipelineEquivalence:
@@ -55,9 +85,7 @@ class TestPipelineEquivalence:
     @pytest.mark.parametrize("name", EQUIVALENCE_BENCHMARKS)
     def test_pwcet_identical_to_direct_path(self, name):
         planned = PWCETEstimator(load(name), name=name)
-        direct = PWCETEstimator(load(name), name=name)
-        direct._planner.dedup = False
-        direct._planner.prescreen = False
+        direct = _direct_estimator(name)
         for mechanism in MECHANISMS:
             assert (planned.estimate(mechanism).pwcet()
                     == direct.estimate(mechanism).pwcet()), (name, mechanism)
@@ -65,10 +93,7 @@ class TestPipelineEquivalence:
     def test_relaxed_mode_identical_to_direct_path(self):
         planned = PWCETEstimator(load("ud"), EstimatorConfig(relaxed=True),
                                  name="ud")
-        direct = PWCETEstimator(load("ud"), EstimatorConfig(relaxed=True),
-                                name="ud")
-        direct._planner.dedup = False
-        direct._planner.prescreen = False
+        direct = _direct_estimator("ud", EstimatorConfig(relaxed=True))
         for mechanism in MECHANISMS:
             assert (planned.estimate(mechanism).pwcet()
                     == direct.estimate(mechanism).pwcet())
@@ -117,14 +142,6 @@ def _bounded_program(upper: float = 5.0) -> LinearProgram:
     return program
 
 
-def _constraint_bounded_program() -> LinearProgram:
-    """x bounded only by a row — invisible to the structural screen."""
-    program = LinearProgram(name="unit-row")
-    program.add_variable("x")
-    program.add_le({0: 1.0}, 5.0)
-    return program
-
-
 class TestPlannerUnit:
     def test_dedup_solves_once(self):
         planner = SolvePlanner(_bounded_program())
@@ -141,54 +158,26 @@ class TestPlannerUnit:
         assert planner.stats.pruned_empty == 2
         assert planner.stats.ilp_solved == 0
 
-    def test_fmm_row_monotone_and_structural_prescreen(self):
-        # x integer in [0, 5]: column 1 maximises x (=5); column 2 has
-        # a *different* objective whose structural bound
-        # floor(0.9 * 5) = 4 cannot beat the previous value, so the
-        # ILP is pruned without touching the solver at all.
+    def test_fmm_row_is_monotone(self):
+        # x integer in [0, 5]: column 1 maximises x (=5); column 2's
+        # own optimum round(0.9 * 5) = 4 is lifted to the previous 5.
         planner = SolvePlanner(_bounded_program())
         row = planner.fmm_row([
             SolveRequest.from_objective({0: 1.0}),
             SolveRequest.from_objective({0: 0.9}),
         ])
         assert row == (0, 5, 5)
-        assert planner.stats.pruned_structural == 1
-        assert planner.stats.ilp_solved == 1
-        assert planner.stats.lp_solved == 0  # structural screen is free
+        assert planner.stats.ilp_solved == 2
+        assert planner.stats.lp_solved == 0
 
-    def test_structural_prescreen_sound_for_fractional_weights(self):
-        # Regression: the reported value of a fractional-weight ILP is
-        # round(optimum), which may exceed floor(bound) — the screen
-        # must not prune column 2 here (true row is (0, 4, 5)).
-        planned = SolvePlanner(_bounded_program())
-        direct = SolvePlanner(_bounded_program(), prescreen=False,
-                              dedup=False)
+    def test_fmm_row_fractional_weights_match_direct_path(self):
+        # The reported value of a fractional-weight ILP is
+        # round(optimum): the true row here is (0, 4, 5).
         columns = [SolveRequest.from_objective({0: 0.8}),
                    SolveRequest.from_objective({0: 0.92})]
-        assert planned.fmm_row(columns) == direct.fmm_row(columns)
-
-    def test_structural_bound_unbounded_or_negative_is_inf(self):
-        import math
-        planner = SolvePlanner(_constraint_bounded_program())
-        assert planner.structural_bound(
-            SolveRequest.from_objective({0: 1.0})) == math.inf
-        planner = SolvePlanner(_bounded_program())
-        assert planner.structural_bound(
-            SolveRequest.from_objective({0: -1.0})) == math.inf
-
-    def test_row_bounded_columns_are_all_solved(self):
-        # The variable is only bounded by a constraint row, so the
-        # structural screen knows nothing (inf): both columns reach
-        # the backend, and no LP is paid for screening.
-        planner = SolvePlanner(_constraint_bounded_program())
-        row = planner.fmm_row([
-            SolveRequest.from_objective({0: 1.0}),
-            SolveRequest.from_objective({0: 0.9}),
-        ])
-        assert row == (0, 5, 5)
-        assert planner.stats.pruned_structural == 0
-        assert planner.stats.lp_solved == 0
-        assert planner.stats.ilp_solved == 2
+        planned = SolvePlanner(_bounded_program()).fmm_row(columns)
+        direct = _DirectPlanner(_bounded_program()).fmm_row(columns)
+        assert planned == direct == (0, 4, 5)
 
     def test_prime_fills_cache(self):
         planner = SolvePlanner(_bounded_program())
@@ -204,16 +193,11 @@ class TestPlannerUnit:
         assert planner.solve(requests[0]) == 5
         assert planner.stats.dedup_hits == 1
 
-    def test_prime_requires_dedup(self):
-        planner = SolvePlanner(_bounded_program(), dedup=False)
-        planner.prime([SolveRequest.from_objective({0: 1.0})])
-        assert planner.stats.ilp_solved == 0  # no-op without a cache
-
     def test_stats_dict_keys(self):
         stats = SolvePlanner(_bounded_program()).stats.as_dict()
         assert {"requests", "ilp_solved", "lp_solved", "dedup_hits",
-                "store_hits", "pruned_empty", "pruned_structural",
-                "dedup_hit_rate", "store_hit_rate"} == set(stats)
+                "store_hits", "pruned_empty", "dedup_hit_rate",
+                "store_hit_rate"} == set(stats)
 
 
 class TestBackends:

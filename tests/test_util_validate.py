@@ -1,5 +1,7 @@
 """Unit tests for the validation helpers."""
 
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -59,6 +61,18 @@ class TestCheckProbability:
     def test_strict_one(self):
         with pytest.raises(ConfigurationError):
             check_probability(1.0, "p", allow_one=False)
+
+    @pytest.mark.parametrize("value, switches, interval", [
+        (2.0, {}, "[0, 1]"),
+        (0.0, {"allow_zero": False}, "(0, 1]"),
+        (1.0, {"allow_one": False}, "[0, 1)"),
+        (0.0, {"allow_zero": False, "allow_one": False}, "(0, 1)"),
+    ])
+    def test_error_names_the_checked_interval(self, value, switches,
+                                              interval):
+        expected = f"p must lie in {interval}, got {value}"
+        with pytest.raises(ConfigurationError, match=re.escape(expected)):
+            check_probability(value, "p", **switches)
 
     def test_rejects_non_numeric(self):
         with pytest.raises(ConfigurationError):
