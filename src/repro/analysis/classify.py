@@ -24,7 +24,7 @@ fixpoints, mirroring the solve store's zero-backend-ILP property.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from repro.analysis.chmc import (ALWAYS_HIT, ALWAYS_MISS, NOT_CLASSIFIED,
                                  Chmc, Classification)
@@ -41,9 +41,10 @@ from repro.errors import AnalysisError
 class AnalysisStats:
     """Work counters of one :class:`CacheAnalysis` instance.
 
-    Flow into :class:`~repro.experiments.runner.BenchmarkResult`
-    alongside the solver counters, so suite/sweep drivers can prove
-    properties like "the warm rerun ran zero fixpoints".
+    Summed into the run's
+    :class:`~repro.pipeline.scheduler.PipelineStats` counters alongside
+    the solver counters, so suite/sweep drivers can prove properties
+    like "the warm rerun ran zero fixpoints".
     """
 
     #: Abstract-interpretation fixpoints actually run (Must and May
@@ -64,20 +65,8 @@ class AnalysisStats:
     #: group of several geometries, else 0; sums to the run's count).
     geometry_groups: int = 0
 
-    def as_dict(self) -> dict[str, float]:
-        counters = {
-            "fixpoints_run": self.fixpoints_run,
-            "tables_built": self.tables_built,
-            "classify_store_hits": self.classify_store_hits,
-            "classify_store_misses": self.classify_store_misses,
-            "classify_store_writes": self.classify_store_writes,
-        }
-        if self.geometry_groups:
-            # Presence-gated like ``dist_batched_rows``: an unstacked
-            # analysis' counter dict carries neither key.
-            counters["classify_batched_rows"] = self.classify_batched_rows
-            counters["geometry_groups"] = self.geometry_groups
-        return counters
+    def as_dict(self) -> dict[str, int]:
+        return asdict(self)
 
 
 class SrbHits:

@@ -168,40 +168,35 @@ def _command_tradeoff(arguments: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_only_cells(specs):
-    """``--only-cells mech=<name>,pfail=<p>`` → (mechanism, pfail) pairs.
-
-    Either key may be omitted (wildcard on that axis); the flag
-    repeats, and a cell is selected when any filter matches it.
-    """
-    filters = []
-    for spec in specs or ():
-        mechanism = None
-        pfail = None
-        for part in spec.split(","):
-            part = part.strip()
-            if not part:
-                continue
-            key, separator, value = part.partition("=")
-            if not separator:
-                raise SystemExit(
-                    f"--only-cells: expected key=value, got {part!r} "
-                    "(use mech=<name>,pfail=<p>)")
-            if key == "mech":
-                mechanism = value
-            elif key == "pfail":
-                try:
-                    pfail = float(value)
-                except ValueError:
-                    raise SystemExit(f"--only-cells: pfail must be a "
-                                     f"number, got {value!r}") from None
-            else:
-                raise SystemExit(f"--only-cells: unknown key {key!r} "
-                                 "(use mech=<name>,pfail=<p>)")
-        if mechanism is None and pfail is None:
-            raise SystemExit(f"--only-cells: empty filter {spec!r}")
-        filters.append((mechanism, pfail))
-    return tuple(filters) or None
+def _cell_filter(spec: str) -> tuple[str | None, float | None]:
+    """argparse ``type=`` for ``--only-cells mech=<name>,pfail=<p>``:
+    one ``(mechanism, pfail)`` filter, ``None`` wildcarding an omitted
+    key."""
+    mechanism = None
+    pfail = None
+    for part in spec.split(","):
+        part = part.strip()
+        if not part:
+            continue
+        key, separator, value = part.partition("=")
+        if not separator:
+            raise argparse.ArgumentTypeError(
+                f"expected key=value, got {part!r} "
+                "(use mech=<name>,pfail=<p>)")
+        if key == "mech":
+            mechanism = value
+        elif key == "pfail":
+            try:
+                pfail = float(value)
+            except ValueError:
+                raise argparse.ArgumentTypeError(
+                    f"pfail must be a number, got {value!r}") from None
+        else:
+            raise argparse.ArgumentTypeError(
+                f"unknown key {key!r} (use mech=<name>,pfail=<p>)")
+    if mechanism is None and pfail is None:
+        raise argparse.ArgumentTypeError(f"empty filter {spec!r}")
+    return mechanism, pfail
 
 
 def _command_sweep(arguments: argparse.Namespace) -> int:
@@ -233,7 +228,7 @@ def _command_sweep(arguments: argparse.Namespace) -> int:
                        benchmarks=benchmarks,
                        config=_config_from(arguments),
                        on_cell=stream_cell,
-                       only_cells=_parse_only_cells(arguments.only_cells),
+                       only_cells=arguments.only_cells,
                        probability=arguments.probability)
     text = format_sweep_report(result)
     if arguments.output:
@@ -344,8 +339,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "default: the --pfail value)")
     sweep.add_argument("--benchmarks", nargs="+", default=None,
                        help="suite subset (default: all 25)")
-    sweep.add_argument("--only-cells", action="append", default=None,
-                       metavar="mech=<name>,pfail=<p>",
+    sweep.add_argument("--only-cells", type=_cell_filter, action="append",
+                       default=None, metavar="mech=<name>,pfail=<p>",
                        help="restrict the sweep to matching (mechanism, "
                             "pfail) cells; either key may be omitted, "
                             "the flag repeats, and selected sections "

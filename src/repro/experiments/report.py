@@ -52,8 +52,8 @@ def sweep_section(config: EstimatorConfig,
     result = run_sweep(geometry_grid(lines=(16,)), benchmarks=benchmarks,
                        config=config)
     totals = result.solver_totals
-    reuse = (f"(solver: {totals.get('ilp_solved', 0):.0f} ILPs solved, "
-             f"{totals.get('store_hits', 0):.0f} from the persistent "
+    reuse = (f"(solver: {totals['ilp_solved']:.0f} ILPs solved, "
+             f"{totals['store_hits']:.0f} from the persistent "
              f"cache)")
     return format_pareto_fronts(result) + "\n" + reuse
 

@@ -11,13 +11,12 @@ benchmarks overlap the classification fixpoints of later ones, with
 no phase barrier and no private pool.  Results are bit-identical to
 the sequential path and land in the same cache.
 
-Stats are scoped per pipeline run: each
-:class:`~repro.experiments.runner.BenchmarkResult` snapshots the
-counters of the run that computed it, and callers that need the
-aggregate of exactly one invocation pass their own
-:class:`~repro.pipeline.scheduler.PipelineStats` — re-entering
-``run_suite`` can neither zero nor double-count a previous run's
-numbers (see ``tests/test_pipeline_suite.py``).
+Work counts live only in the run's
+:class:`~repro.pipeline.scheduler.PipelineStats`: a caller that wants
+the counters of one invocation passes its own to ``run_suite`` —
+re-entering ``run_suite`` can neither zero nor double-count a previous
+run's numbers (see ``tests/test_pipeline_suite.py``).  Results carry
+no counters.
 """
 
 from __future__ import annotations
@@ -40,12 +39,6 @@ class BenchmarkResult:
     wcet_fault_free: int
     estimates: dict[str, PWCETEstimate]  # keyed by mechanism name
     target_probability: float
-    #: Planner + cache-analysis counters of the pipeline run that
-    #: produced this result (``None`` for results materialised before
-    #: stats plumbing existed).  A snapshot, never live state: the
-    #: numbers describe the run that computed the result and stay
-    #: valid however often drivers re-enter ``run_suite``.
-    solver_stats: dict[str, float] | None = None
 
     def pwcet(self, mechanism: str) -> int:
         return self.estimates[mechanism].pwcet(self.target_probability)
@@ -124,12 +117,8 @@ def run_suite(config: EstimatorConfig | None = None, *,
 
 def reset_cache() -> None:
     """Forget memoised results (fresh-invocation semantics for tests,
-    benchmarks and warm/cold comparisons).
-
-    Only the result memo is dropped: per-result ``solver_stats`` are
-    immutable snapshots of their own pipeline run, so results already
-    handed out keep accurate numbers.
-    """
+    benchmarks and warm/cold comparisons); the next ``run_suite``
+    recomputes or reads the persistent stores."""
     _CACHE.clear()
 
 
@@ -139,9 +128,10 @@ def fresh_results():
 
     Inside the scope every ``run_benchmark`` computes (or reads the
     persistent store) instead of reusing results memoised by earlier
-    drivers — so the scope's ``solver_stats`` describe exactly the
-    work it performed.  On exit the outer memo returns, updated with
-    the scope's results, so surrounding drivers keep their reuse.
+    drivers — so a ``PipelineStats`` passed to ``run_suite`` inside
+    it counts every benchmark's work.  On exit the outer memo returns,
+    updated with the scope's results, so surrounding drivers keep their
+    reuse.
     """
     saved = dict(_CACHE)
     _CACHE.clear()
@@ -152,15 +142,3 @@ def fresh_results():
         _CACHE.clear()
         _CACHE.update(saved)
         _CACHE.update(produced)
-
-
-def solver_totals(results: list[BenchmarkResult]) -> dict[str, float]:
-    """Sum the planner counters over a list of results.
-
-    Rate-style entries (``*_rate``) do not sum and are recomputed from
-    the totals where meaningful.
-    """
-    stats = PipelineStats()
-    for result in results:
-        stats.merge_counters(result.solver_stats)
-    return stats.totals()

@@ -51,7 +51,7 @@ Execution model
   :data:`MAX_POOL_REBUILDS` times per run.
 
 Per-run work is accounted in a fresh :class:`PipelineStats` — the
-merge of the solver's and the analysis' counters, scoped to one
+sum of every stage's work counters, scoped to one
 :meth:`run` invocation so re-entrant drivers can never double-count or
 silently zero a previous run's numbers.
 """
@@ -60,6 +60,7 @@ from __future__ import annotations
 
 import heapq
 import time
+from collections import Counter
 from collections.abc import Callable, Sequence
 from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, Future, wait
 from dataclasses import dataclass, field
@@ -89,13 +90,13 @@ class FailureReport:
 
 @dataclass
 class PipelineStats:
-    """Counters of one pipeline run: stage tasks + merged work counters.
+    """Counters of one pipeline run: stage tasks + summed work counters.
 
-    ``counters`` is the union of the solver family
-    (:class:`~repro.solve.planner.SolveStats`) and the analysis family
-    (:class:`~repro.analysis.classify.AnalysisStats`), summed over
-    every stage of the run; rate-style entries (``*_rate``) are never
-    summed and are recomputed from the totals in :meth:`totals`.
+    ``counters`` is the run's one home for work counts: the solver
+    family (:class:`~repro.solve.planner.SolveStats`), the analysis
+    family (:class:`~repro.analysis.classify.AnalysisStats`) and the
+    cells tasks' row counts, summed over every stage of the run as
+    plain counts (a key nothing counted reads 0).
     Scope is one run: a fresh instance per :meth:`PipelineScheduler
     .run` (or one passed in by the driver), never shared module state.
     """
@@ -109,8 +110,8 @@ class PipelineStats:
     #: tasks report their in-worker time; concurrent stages therefore
     #: sum to more than ``wall_seconds``).
     stage_seconds: dict[str, float] = field(default_factory=dict)
-    #: Summed work counters of every stage (solver + analysis).
-    counters: dict[str, float] = field(default_factory=dict)
+    #: Summed work counters of every stage (solver, analysis, cells).
+    counters: Counter[str] = field(default_factory=Counter)
     #: Wall-clock seconds spent inside :meth:`PipelineScheduler.run`.
     wall_seconds: float = 0.0
     #: Resubmitted chains and pool rebuilds after dead workers.
@@ -126,44 +127,9 @@ class PipelineStats:
         self.stage_seconds[stage] = (self.stage_seconds.get(stage, 0.0)
                                      + seconds)
 
-    def merge_counters(self, counters: dict[str, float] | None) -> None:
-        """Fold one stage's counter dict in (rates are skipped)."""
-        for key, value in (counters or {}).items():
-            if not key.endswith("_rate"):
-                self.counters[key] = self.counters.get(key, 0) + value
-
-    def totals(self) -> dict[str, float]:
-        """The summed counters with ``store_hit_rate`` recomputed."""
-        totals = dict(self.counters)
-        solves = totals.get("ilp_solved", 0) + totals.get("store_hits", 0)
-        totals["store_hit_rate"] = (
-            totals.get("store_hits", 0) / solves if solves else 0.0)
-        return totals
-
     @property
     def tasks_run(self) -> int:
         return sum(self.tasks.values())
-
-    # -- (mechanism, pfail) row accounting of the cells tasks ----------
-    @property
-    def cells_recomputed(self) -> int:
-        """(mechanism, pfail) rows the cells tasks computed this run."""
-        return int(self.counters.get("cells_computed", 0))
-
-    @property
-    def cells_from_store(self) -> int:
-        """Rows answered from the persistent cell store before the run."""
-        return int(self.counters.get("cells_from_store", 0))
-
-    @property
-    def cells_total(self) -> int:
-        return self.cells_recomputed + self.cells_from_store
-
-    @property
-    def cells_batched(self) -> int:
-        """Sibling pfail rows the batched distribution kernel computed
-        in the same pass as their mechanism's first row."""
-        return int(self.counters.get("dist_batched_rows", 0))
 
 
 @dataclass

@@ -46,7 +46,7 @@ by the drivers and read each task's rows through
 :meth:`EstimationDag.rows`.
 
 Counters travel on one channel: every classify/solve/cell task's work
-counters are merged into the run's
+counters are added to the run's
 :class:`~repro.pipeline.scheduler.PipelineStats` as the task completes
 (:meth:`EstimationDag.record`), and mean the same thing for a suite
 and a sweep.  Each node only ever reads store keys it owns (keys embed
@@ -214,25 +214,9 @@ def cell_stage(name: str, geometry, config, rows, probability,
             if store is not None:
                 store.put(key, encode_cell(estimate))
             computed[(mechanism_name, pfail)] = estimate
-    counters = {"cells_computed": len(computed)}
-    if batched:
-        # Presence-gated: only when a mechanism's pfail axis ran as
-        # one batch.
-        counters["dist_batched_rows"] = batched
-    return CellsOutput(rows=computed, counters=counters)
-
-
-def zero_counters() -> dict[str, float]:
-    """The all-zero solver+analysis counter template.
-
-    The counters of a benchmark whose every row was served from the
-    cell store: no classify or solve task ran, so nothing was counted
-    — but downstream aggregation still finds every familiar key.
-    """
-    from repro.analysis.classify import AnalysisStats
-    from repro.solve.planner import SolveStats
-
-    return {**SolveStats().as_dict(), **AnalysisStats().as_dict()}
+    return CellsOutput(rows=computed,
+                       counters={"cells_computed": len(computed),
+                                 "dist_batched_rows": batched})
 
 
 def line_groups(geometries) -> tuple[tuple, ...]:
@@ -264,7 +248,7 @@ class EstimationDag:
     ``probability`` is the exceedance probability every row is
     reduced to (see :func:`cell_stage`; default: the paper's target).
     The plan-pass probes count served rows into ``stats``;
-    :meth:`record` merges the counters of every completed task.
+    :meth:`record` adds the counters of every completed task.
     """
 
     def __init__(self, scheduler: PipelineScheduler, programs,
@@ -279,13 +263,6 @@ class EstimationDag:
         if probability is None:
             probability = TARGET_EXCEEDANCE
         self.stats = stats if stats is not None else PipelineStats()
-        # Every familiar key is present even when the plan pass serves
-        # every row (no classify or solve task runs).
-        self.stats.merge_counters(zero_counters())
-        #: solve key -> the counters its task reported
-        self._solve_counters: dict[str, dict] = {}
-        #: cells key -> the solve key feeding it
-        self._solve_of: dict[str, str] = {}
         #: cells key -> rows the plan pass decoded from the cell store
         self._served: dict[str, dict] = {}
         #: (benchmark, geometry) -> cells key
@@ -348,9 +325,8 @@ class EstimationDag:
             served, axes = self._probe_rows(
                 cell_store, keys, name, replace(config, geometry=geometry),
                 probability)
-            if served and task_key not in self._served:
-                self.stats.merge_counters(
-                    {"cells_from_store": len(served)})
+            if task_key not in self._served:
+                self.stats.counters["cells_from_store"] += len(served)
             self._served[task_key] = served
             rows[:] = [(mechanism, tuple(axes[mechanism]))
                        for mechanism in SUITE_MECHANISMS
@@ -358,7 +334,6 @@ class EstimationDag:
             return None if rows else CellsOutput(rows={})
 
         self._cells[(name, geometry)] = task_key
-        self._solve_of[task_key] = solve_key
         scheduler.add(
             task_key, cell_stage,
             args=(name, geometry, config, rows, probability),
@@ -401,23 +376,10 @@ class EstimationDag:
         served from the store plus the ones the task computed."""
         return {**self._served[key], **output.rows}
 
-    def solve_counters(self, key: str) -> dict[str, float]:
-        """The counters of the solve task feeding one cells task (the
-        zero template when the plan pass skipped it)."""
-        return self._solve_counters.get(self._solve_of[key],
-                                        zero_counters())
-
-    def served_count(self, key: str) -> int:
-        """Rows of one cells task the plan pass served from the store
-        (each counted once into ``cells_from_store``)."""
-        return len(self._served[key])
-
     def record(self, key: str, value) -> None:
         """Task-completion hook: one counter channel for every run."""
-        if isinstance(value, SolveOutput):
-            self._solve_counters[key] = value.counters
         if isinstance(value, (SolveOutput, CellsOutput)):
-            self.stats.merge_counters(value.counters)
+            self.stats.counters.update(value.counters)
 
 
 def suite_pipeline(programs, config, target_probability: float, *,
@@ -445,20 +407,13 @@ def suite_pipeline(programs, config, target_probability: float, *,
 
     def result(name, key, cells: CellsOutput):
         rows = dag.rows(key, cells)
-        counters = dict(dag.solve_counters(key))
-        extras = dict(cells.counters)
-        if dag.served_count(key):
-            extras["cells_from_store"] = dag.served_count(key)
-        for counter, value in extras.items():
-            counters[counter] = counters.get(counter, 0) + value
         estimates = {mechanism: rows[(mechanism, config.pfail)]
                      for mechanism in SUITE_MECHANISMS}
         return BenchmarkResult(
             name=name,
             wcet_fault_free=estimates["none"].wcet_fault_free,
             estimates=estimates,
-            target_probability=target_probability,
-            solver_stats=counters)
+            target_probability=target_probability)
 
     result_keys = {}
     for name in programs:

@@ -256,43 +256,6 @@ class PWCETEstimator:
         """Planner counters (solved/pruned/deduped) for this estimator."""
         return self._planner.stats
 
-    def stats_summary(self) -> dict[str, float]:
-        """Solver and analysis counters merged into one flat dict.
-
-        Together the two families prove the warm-run property end to
-        end (zero backend ILPs *and* zero abstract-interpretation
-        fixpoints).  The ``fault_pmf_*`` triple snapshots the
-        process-wide fault-pmf memo
-        (:func:`repro.reliability.mechanism.fault_pmf_cache_stats`) and
-        the ``*_corrupt_skipped`` triple each persistent store's
-        silent-repair count (rows whose checksum failed, read as
-        misses and recomputed), so store repair is observable instead
-        of silent.  Both are cumulative diagnostics of a process or a
-        store handle, not per-run work: this dict is a report, never
-        an input to :meth:`~repro.pipeline.scheduler.PipelineStats
-        .merge_counters`.
-        """
-        from repro.pipeline.cellstore import CellStore
-        from repro.reliability.mechanism import fault_pmf_cache_stats
-
-        pmf_stats = fault_pmf_cache_stats()
-        classify_store = self._analysis.store
-        cell_store = CellStore.resolve(self._config.cache)
-        return {**self._planner.stats.as_dict(),
-                **self._analysis.stats.as_dict(),
-                "fault_pmf_hits": pmf_stats.hits,
-                "fault_pmf_misses": pmf_stats.misses,
-                "fault_pmf_evicted": pmf_stats.evicted,
-                "store_corrupt_skipped":
-                    self._store.stats.corrupt_skipped
-                    if self._store is not None else 0,
-                "classify_store_corrupt_skipped":
-                    classify_store.corrupt_skipped
-                    if classify_store is not None else 0,
-                "cell_store_corrupt_skipped":
-                    cell_store.corrupt_skipped
-                    if cell_store is not None else 0}
-
     @property
     def store(self):
         """The persistent solve store in use (``None`` when disabled)."""

@@ -25,7 +25,7 @@ to solving every (set, fault count) ILP directly.
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING
 
 from repro.solve.request import SolveRequest
@@ -52,28 +52,8 @@ class SolveStats:
     #: Cells skipped because their objective was empty.
     pruned_empty: int = 0
 
-    @property
-    def dedup_hit_rate(self) -> float:
-        solvable = self.requests - self.pruned_empty
-        return self.dedup_hits / solvable if solvable else 0.0
-
-    @property
-    def store_hit_rate(self) -> float:
-        """Share of backend-bound solves answered by the store."""
-        candidates = self.ilp_solved + self.store_hits
-        return self.store_hits / candidates if candidates else 0.0
-
-    def as_dict(self) -> dict[str, float]:
-        return {
-            "requests": self.requests,
-            "ilp_solved": self.ilp_solved,
-            "lp_solved": self.lp_solved,
-            "dedup_hits": self.dedup_hits,
-            "store_hits": self.store_hits,
-            "pruned_empty": self.pruned_empty,
-            "dedup_hit_rate": self.dedup_hit_rate,
-            "store_hit_rate": self.store_hit_rate,
-        }
+    def as_dict(self) -> dict[str, int]:
+        return asdict(self)
 
 
 class SolvePlanner:

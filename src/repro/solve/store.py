@@ -316,10 +316,6 @@ class SqliteStore:
             store = _RESOLVED[key] = cls(root)
         return store
 
-    @property
-    def corrupt_skipped(self) -> int:
-        return self.stats.corrupt_skipped
-
     # -- connection lifecycle ------------------------------------------
     def _connect(self, *, create: bool) -> sqlite3.Connection | None:
         if self._connection is not None and self._pid == os.getpid():

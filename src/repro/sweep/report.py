@@ -70,40 +70,44 @@ def format_pareto_fronts(result: SweepResult) -> str:
 def format_sweep_report(result: SweepResult) -> str:
     """Grid table + Pareto fronts + solver/analysis-reuse summary."""
     totals = result.solver_totals
+    # Every backend-bound solve: ILPs, LP relaxations (--relaxed) and
+    # the ones the persistent store answered.
+    solves = totals["ilp_solved"] + totals["lp_solved"] + totals["store_hits"]
+    hit_rate = totals["store_hits"] / solves if solves else 0.0
     solver = (
-        f"solver: {totals.get('ilp_solved', 0):.0f} ILPs solved, "
-        f"{totals.get('store_hits', 0):.0f} served by the persistent "
-        f"cache (hit rate {totals.get('store_hit_rate', 0.0):.1%}), "
-        f"{totals.get('dedup_hits', 0):.0f} in-process dedup hits, "
-        f"{totals.get('pruned_empty', 0):.0f} cells pruned (empty)")
+        f"solver: {totals['ilp_solved']:.0f} ILPs solved, "
+        f"{totals['store_hits']:.0f} served by the persistent "
+        f"cache (hit rate {hit_rate:.1%}), "
+        f"{totals['dedup_hits']:.0f} in-process dedup hits, "
+        f"{totals['pruned_empty']:.0f} cells pruned (empty)")
     # The analysis line reports tables built and store hits rather
     # than physical fixpoints; the stacked kernel's fixpoint count is
-    # in the per-run solver_totals.
+    # ``fixpoints_run`` in the run's counters.
     analysis = (
-        f"analysis: {totals.get('tables_built', 0):.0f} classification "
-        f"tables built, {totals.get('classify_store_hits', 0):.0f} "
+        f"analysis: {totals['tables_built']:.0f} classification "
+        f"tables built, {totals['classify_store_hits']:.0f} "
         f"served by the persistent cache")
     summary = solver + "\n" + analysis
-    if totals.get("cells_from_store", 0) > 0:
+    if totals["cells_from_store"] > 0:
         # Only present when the incremental plan pass actually served
         # finished cells, so cold-run reports stay byte-identical to
         # the pre-cell-store format.
         summary += (f"\ncells: {totals['cells_from_store']:.0f} "
                     f"(mechanism, pfail) cells served by the persistent "
                     f"cell store")
-    if totals.get("dist_batched_rows", 0) > 0:
+    if totals["dist_batched_rows"] > 0:
         # Same presence rule: the line only appears when the batched
         # distribution kernel actually computed sibling pfail rows.
         summary += (f"\ndistribution: {totals['dist_batched_rows']:.0f} "
                     f"sibling pfail rows computed by the batched kernel")
-    if totals.get("classify_batched_rows", 0) > 0:
+    if totals["classify_batched_rows"] > 0:
         # Presence-gated like the distribution line: only when the
         # stacked classification kernel actually classified sibling
         # geometries.
         summary += (f"\nclassification: "
                     f"{totals['classify_batched_rows']:.0f} sibling "
                     f"geometries classified by the stacked kernel in "
-                    f"{totals.get('geometry_groups', 0):.0f} batched "
+                    f"{totals['geometry_groups']:.0f} batched "
                     f"line-size group runs")
     return "\n\n".join([format_sweep_table(result),
                         format_pareto_fronts(result), summary])

@@ -20,6 +20,7 @@ order, so it is byte-identical at any worker count.
 from __future__ import annotations
 
 import statistics
+from collections import Counter
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
@@ -73,8 +74,8 @@ class SweepResult:
     points: tuple[DesignPoint, ...]
     benchmarks: tuple[str, ...]
     probability: float
-    #: Planner counters summed over every estimation of the sweep.
-    solver_totals: dict[str, float]
+    #: The run's work counters (its ``PipelineStats.counters``).
+    solver_totals: Counter[str]
 
     def cells(self) -> tuple[SweepCell, ...]:
         seen: dict[SweepCell, None] = {}
@@ -221,7 +222,7 @@ def run_sweep(geometries=None, *,
     is recovered by the scheduler.  ``pipeline_stats`` (a
     :class:`~repro.pipeline.scheduler.PipelineStats`) receives the
     run's task counts, pool-recovery counters and work counters;
-    ``SweepResult.solver_totals`` are its totals.
+    ``SweepResult.solver_totals`` are its work counters.
     """
     if geometries is None:
         geometries = geometry_grid()
@@ -281,4 +282,4 @@ def run_sweep(geometries=None, *,
                      for point in points_by_cell[cell]),
         benchmarks=benchmarks,
         probability=probability,
-        solver_totals=pipeline_stats.totals())
+        solver_totals=pipeline_stats.counters)

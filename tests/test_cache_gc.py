@@ -140,9 +140,8 @@ class TestGcCache:
             fresh_store, estimator._planner._store_context)
         for mechanism in ("none", "srb", "rw"):
             estimator.estimate(mechanism)
-        stats = estimator.stats_summary()
-        assert stats["ilp_solved"] == 0
-        assert stats["fixpoints_run"] == 0
+        assert estimator.solver_stats.ilp_solved == 0
+        assert estimator.analysis.stats.fixpoints_run == 0
 
     def test_off_means_nothing_to_compact(self):
         assert gc_cache("off") == []
@@ -201,11 +200,11 @@ class TestCli:
         assert main(["cache", "gc", "--cache", str(tmp_path)]) == 0
         assert "corrupt row" not in capsys.readouterr().out
 
-    def test_corrupt_recovery_counts_surface_in_stats_summary(
+    def test_corrupt_recovery_counts_surface_in_store_stats(
             self, tmp_path):
-        """The estimator's ``stats_summary()`` exposes each store's
-        corrupt-row count, so a degraded store is observable without
-        running gc."""
+        """Each store handle's ``stats`` counts the corrupt rows it
+        skipped, so a degraded store is observable without running
+        gc."""
         _populate_both_stores(tmp_path)
         db = _db(tmp_path)
         (key,) = db.execute("SELECT key FROM entries "
@@ -217,7 +216,5 @@ class TestCli:
                                    EstimatorConfig(cache=str(tmp_path)),
                                    name="fibcall")
         estimator.estimate("none")
-        summary = estimator.stats_summary()
-        assert summary["store_corrupt_skipped"] == 1
-        assert summary["classify_store_corrupt_skipped"] == 0
-        assert summary["cell_store_corrupt_skipped"] == 0
+        assert estimator.store.stats.corrupt_skipped == 1
+        assert estimator.analysis.store.stats.corrupt_skipped == 0

@@ -129,8 +129,8 @@ class TestWarmRows:
             stats = PipelineStats()
             (warm,) = run_suite(config, benchmarks=("adpcm",),
                                 pipeline_stats=stats)
-            assert stats.cells_from_store == 3
-            assert stats.cells_recomputed == 0
+            assert stats.counters["cells_from_store"] == 3
+            assert stats.counters["cells_computed"] == 0
             # Serving the pWCETs built no distribution.
             assert all(warm.estimates[mechanism].distribution is None
                        for mechanism in MECHANISMS)
@@ -169,8 +169,8 @@ class TestWarmRows:
                              pipeline_stats=stats)
             cold = run_suite(cold_config, benchmarks=SUBSET,
                              target_probability=probability)
-        assert stats.cells_from_store == 3 * len(SUBSET)
-        assert stats.cells_recomputed == 0
+        assert stats.counters["cells_from_store"] == 3 * len(SUBSET)
+        assert stats.counters["cells_computed"] == 0
         pairs = [(warm_result.estimates[mechanism],
                   cold_result.estimates[mechanism])
                  for warm_result, cold_result in zip(warm, cold)
@@ -186,7 +186,7 @@ class TestWarmRows:
                                pipeline_stats=sweep_stats)
         cold_sweep = run_sweep((config.geometry,), benchmarks=SUBSET,
                                config=cold_config, probability=probability)
-        assert sweep_stats.cells_from_store == 3 * len(SUBSET)
+        assert sweep_stats.counters["cells_from_store"] == 3 * len(SUBSET)
         assert warm_sweep.points == cold_sweep.points
 
     def test_gc_deletes_leftover_v3_cells_never_served(self, tmp_path):
@@ -212,7 +212,7 @@ class TestWarmRows:
             stats = PipelineStats()
             (warm,) = run_suite(config, benchmarks=("fibcall",),
                                 pipeline_stats=stats)
-        assert stats.cells_from_store == 0
+        assert stats.counters["cells_from_store"] == 0
         assert all(warm.pwcet(mechanism) == cold.pwcet(mechanism)
                    for mechanism in MECHANISMS)
         reports = gc_cache(str(tmp_path))

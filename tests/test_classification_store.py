@@ -115,7 +115,7 @@ class TestCorruptionRecovery:
         fresh = ClassificationStore(tmp_path)
         assert fresh.get(key) == encode_table({0: (ALWAYS_MISS,)})
         assert fresh.get(other) is None
-        assert fresh.corrupt_skipped == 1
+        assert fresh.stats.corrupt_skipped == 1
 
     def test_garbage_bytes_are_skipped(self, tmp_path):
         store, key = self._populated(tmp_path)
@@ -126,7 +126,7 @@ class TestCorruptionRecovery:
         fresh = ClassificationStore(tmp_path)
         assert fresh.get(key) is not None
         assert fresh.get("0" * 64) is None
-        assert fresh.corrupt_skipped >= 1
+        assert fresh.stats.corrupt_skipped >= 1
 
     def test_checksum_mismatch_is_skipped(self, tmp_path):
         store, key = self._populated(tmp_path)
@@ -136,7 +136,7 @@ class TestCorruptionRecovery:
         db.close()
         fresh = ClassificationStore(tmp_path)
         assert fresh.get(key) is None
-        assert fresh.corrupt_skipped == 1
+        assert fresh.stats.corrupt_skipped == 1
 
     def test_foreign_kind_is_skipped(self, tmp_path):
         """A solve entry in the classify database is never served."""
@@ -148,7 +148,7 @@ class TestCorruptionRecovery:
         fresh = ClassificationStore(tmp_path)
         assert fresh.get("0" * 64) is None
         assert fresh.get(key) is not None
-        assert fresh.corrupt_skipped == 0
+        assert fresh.stats.corrupt_skipped == 0
 
     def test_malformed_entry_degrades_to_recomputation(self, tmp_path):
         """A valid row whose *payload* no longer decodes must only
@@ -258,7 +258,8 @@ class TestWarmEstimator:
                                        name="crc")
             values = {mechanism: estimator.estimate(mechanism).pwcet()
                       for mechanism in MECHANISMS}
-            return values, estimator.stats_summary()
+            return values, {**estimator.solver_stats.as_dict(),
+                            **estimator.analysis.stats.as_dict()}
 
         cold_values, cold_stats = estimate_all()
         assert cold_stats["fixpoints_run"] > 0

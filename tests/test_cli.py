@@ -120,6 +120,21 @@ class TestBadInput:
         assert f"argument {flag}:" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("spec", ["bogus", "pfail=abc", "kind=x", ""])
+    def test_malformed_only_cells_filter_is_an_argparse_error(self, spec,
+                                                              capsys):
+        with pytest.raises(SystemExit) as raised:
+            main(["sweep", "--only-cells", spec, "--sizes", "512",
+                  "--ways", "2", "--lines", "16", "--benchmarks", "bs",
+                  "--cache", "off"])
+        assert raised.value.code == 2
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1
+        assert errors[0].startswith("repro sweep: error: argument "
+                                    "--only-cells: ")
+        assert "Traceback" not in err
+
     def test_probability_error_names_the_open_interval(self, capsys):
         with pytest.raises(SystemExit):
             main(["suite", "--probability", "0"])

@@ -158,7 +158,7 @@ class TestFaultPmfMemo:
         zeroed = fault_pmf_cache_stats()
         assert (zeroed.hits, zeroed.misses) == (0, 0)
 
-    def test_stats_summary_exposes_memo_counters(self):
+    def test_estimator_counts_into_the_memo(self):
         from repro.pwcet import PWCETEstimator
         from repro.suite import load
 
@@ -166,9 +166,7 @@ class TestFaultPmfMemo:
         estimator = PWCETEstimator(load("fibcall"), EstimatorConfig(),
                                    name="fibcall")
         estimator.estimate_all()
-        summary = estimator.stats_summary()
-        assert summary["fault_pmf_misses"] > 0
-        assert "fault_pmf_hits" in summary
+        assert fault_pmf_cache_stats().misses > 0
 
 
 class TestCellKey:
@@ -201,17 +199,17 @@ class TestPfailAxisPrefill:
         sibling_pfail = 5e-4
         stats = PipelineStats()
         self._sweep(config, (config.pfail, sibling_pfail), stats)
-        assert stats.cells_batched == 3 * len(SUBSET)
-        assert stats.cells_recomputed == 2 * 3 * len(SUBSET)
+        assert stats.counters["dist_batched_rows"] == 3 * len(SUBSET)
+        assert stats.counters["cells_computed"] == 2 * 3 * len(SUBSET)
         # The sibling pfail is served whole from the store...
         sibling = replace(config, pfail=sibling_pfail)
         with fresh_results():
             warm_stats = PipelineStats()
             warm = run_suite(sibling, benchmarks=SUBSET,
                              pipeline_stats=warm_stats)
-        assert warm_stats.cells_from_store == 3 * len(SUBSET)
-        assert warm_stats.cells_recomputed == 0
-        assert warm_stats.cells_batched == 0
+        assert warm_stats.counters["cells_from_store"] == 3 * len(SUBSET)
+        assert warm_stats.counters["cells_computed"] == 0
+        assert warm_stats.counters["dist_batched_rows"] == 0
         # ...and every served estimate is bitwise what an unbatched
         # cold run computes.
         cold_config = EstimatorConfig(cache=str(tmp_path / "cold"),
@@ -235,9 +233,9 @@ class TestPfailAxisPrefill:
         self._sweep(config, (2e-3, config.pfail, 5e-4), stats)
         # The 5e-4 and default-pfail rows are already persisted: each
         # cells task batches nothing beyond its one new row.
-        assert stats.cells_batched == 0
-        assert stats.cells_recomputed == 3 * len(SUBSET)
-        assert stats.cells_from_store == 2 * 3 * len(SUBSET)
+        assert stats.counters["dist_batched_rows"] == 0
+        assert stats.counters["cells_computed"] == 3 * len(SUBSET)
+        assert stats.counters["cells_from_store"] == 2 * 3 * len(SUBSET)
 
     def test_scalar_engine_suite_is_identical(self):
         """Every suite benchmark's real FMMs, 3 mechanisms, a 3-pfail

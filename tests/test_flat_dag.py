@@ -159,7 +159,7 @@ class TestFlatSweep:
                                "sweep-cell": len(GRID) * len(PFAILS)}
         assert stats.counters["ilp_solved"] > 0
         assert stats.counters["fixpoints_run"] > 0
-        assert stats.cells_recomputed == \
+        assert stats.counters["cells_computed"] == \
             len(BENCHMARKS) * len(GRID) * len(PFAILS) * 3
         assert stats.failure_report == FailureReport()
 
@@ -172,7 +172,7 @@ class TestFlatSweep:
         assert warm.points == cold.points
         assert stats.tasks == {"sweep-cell": len(GRID) * len(PFAILS)}
         assert stats.from_store == {"cell": len(BENCHMARKS) * len(GRID)}
-        assert stats.cells_from_store == \
+        assert stats.counters["cells_from_store"] == \
             len(BENCHMARKS) * len(GRID) * len(PFAILS) * 3
         assert stats.counters.get("ilp_solved", 0) == 0
         assert stats.counters.get("fixpoints_run", 0) == 0

@@ -153,15 +153,15 @@ class TestGroupedAnalysis:
         assert analysis.stats.geometry_groups == 1
 
     def test_group_of_one_counts_no_batching(self):
-        """A single geometry runs the same pair + SRB fixpoint, and its
-        counter dict carries neither batching key."""
+        """A single geometry runs the same pair + SRB fixpoint, and
+        both batching counters read 0."""
         cfg = load("crc").cfg
         (analysis,) = grouped_analysis(cfg, SMALL_GROUP[:1],
                                        SUITE_MECHANISMS, cache="off")
         counters = analysis.stats.as_dict()
         assert counters["fixpoints_run"] == 3
-        assert "classify_batched_rows" not in counters
-        assert "geometry_groups" not in counters
+        assert counters["classify_batched_rows"] == 0
+        assert counters["geometry_groups"] == 0
 
     def test_group_prefills_sibling_store_entries(self, tmp_path):
         """Sibling geometries' tables land under their own keys: a
@@ -217,7 +217,7 @@ class TestSingleGeometryGroups:
                                 pipeline_stats=stats)
         assert format_fig4([row_of(result) for result in results]) \
             + "\n" == (GOLDEN / "suite_fig4.txt").read_text()
-        totals = stats.totals()
+        totals = stats.counters
         assert totals["fixpoints_run"] == 3 * len(EVALUATED_BENCHMARKS)
-        assert "geometry_groups" not in totals
-        assert "classify_batched_rows" not in totals
+        assert totals["geometry_groups"] == 0
+        assert totals["classify_batched_rows"] == 0

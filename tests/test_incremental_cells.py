@@ -14,6 +14,7 @@ import pathlib
 import subprocess
 import sys
 import time
+from collections import Counter
 
 import pytest
 
@@ -172,14 +173,6 @@ class TestScheduleIdentity:
     """
 
     @staticmethod
-    def _work_counters(summary):
-        """``stats_summary()`` without its process- and store-scope
-        gauges, which are not per-run work."""
-        return {key: value for key, value in summary.items()
-                if not key.startswith("fault_pmf_")
-                and not key.endswith("_corrupt_skipped")}
-
-    @staticmethod
     def _reference(name, config):
         from repro.pwcet import PWCETEstimator
         from repro.suite import load
@@ -189,9 +182,12 @@ class TestScheduleIdentity:
 
     @pytest.mark.parametrize("workers", [1, 4])
     def test_suite_matches_reference_schedule(self, tmp_path, workers):
+        stats = PipelineStats()
         with fresh_results():
             cellrun = run_suite(EstimatorConfig(cache=str(tmp_path)),
-                                benchmarks=SUBSET, workers=workers)
+                                benchmarks=SUBSET, workers=workers,
+                                pipeline_stats=stats)
+        work = Counter()
         for result in cellrun:
             # A cold store of its own: classification-store traffic
             # counts the same as the DAG's cold run.
@@ -199,16 +195,17 @@ class TestScheduleIdentity:
                 result.name,
                 EstimatorConfig(cache=str(tmp_path / "ref" / result.name)))
             assert result.wcet_fault_free == estimator.fault_free_wcet()
-            # One polytope, the same objectives: the same solver and
-            # analysis work, counter for counter.
-            counters = self._work_counters(estimator.stats_summary())
-            assert counters == {key: result.solver_stats[key]
-                                for key in counters}
+            work.update(estimator.solver_stats.as_dict())
+            work.update(estimator.analysis.stats.as_dict())
             for mechanism in MECHANISMS:
                 assert result.pwcet(mechanism) == \
                     estimates[mechanism].pwcet()
                 assert result.estimates[mechanism].fmm.rows == \
                     estimates[mechanism].fmm.rows
+        # One polytope, the same objectives: the same solver and
+        # analysis work, counter for counter, plus the cells rows.
+        assert stats.counters == \
+            work + Counter(cells_computed=3 * len(SUBSET))
 
     @pytest.mark.parametrize("kwargs", [{}, {"workers": 4}],
                              ids=["sequential", "parallel"])
@@ -241,7 +238,7 @@ class TestScheduleIdentity:
         assert cellrun.points == tuple(reference)
         # 2 geometries x 2 benchmarks x 3 mechanisms x 1 sibling pfail.
         assert cellrun.solver_totals["dist_batched_rows"] == 12
-        assert "cells_from_store" not in cellrun.solver_totals
+        assert cellrun.solver_totals["cells_from_store"] == 0
 
 
 class TestIncrementalInvalidation:
@@ -250,14 +247,13 @@ class TestIncrementalInvalidation:
         with fresh_results():
             cold = PipelineStats()
             run_suite(config, benchmarks=SUBSET, pipeline_stats=cold)
-        assert cold.cells_recomputed == 3 * len(SUBSET)
-        assert cold.cells_from_store == 0
+        assert cold.counters["cells_computed"] == 3 * len(SUBSET)
+        assert cold.counters["cells_from_store"] == 0
         with fresh_results():
             warm = PipelineStats()
             run_suite(config, benchmarks=SUBSET, pipeline_stats=warm)
-        assert warm.cells_from_store == 3 * len(SUBSET)
-        assert warm.cells_recomputed == 0
-        assert warm.cells_total == cold.cells_total
+        assert warm.counters["cells_from_store"] == 3 * len(SUBSET)
+        assert warm.counters["cells_computed"] == 0
         # Only the inline result sinks ran.
         assert warm.tasks == {"result": len(SUBSET)}
 
@@ -281,25 +277,13 @@ class TestIncrementalInvalidation:
             stats = PipelineStats()
             results = run_suite(config, benchmarks=SUBSET,
                                 pipeline_stats=stats)
-        assert stats.cells_recomputed == 3
-        assert stats.cells_from_store == 3 * (len(SUBSET) - 1)
+        assert stats.counters["cells_computed"] == 3
+        assert stats.counters["cells_from_store"] == 3 * (len(SUBSET) - 1)
         # The edited benchmark re-ran its classify and solve stages;
         # nobody else did.
         assert stats.tasks == {"classify": 1, "solve": 1, "cell": 1,
                                "result": len(SUBSET)}
         assert [result.name for result in results] == list(SUBSET)
-
-    def test_cold_results_carry_no_cell_counter(self, tmp_path):
-        """`cells_from_store` appears in solver_stats only when cells
-        were actually served, keeping cold runs schedule-identical."""
-        config = EstimatorConfig(cache=str(tmp_path / "store"))
-        with fresh_results():
-            cold = run_benchmark("fibcall", config)
-        assert "cells_from_store" not in cold.solver_stats
-        with fresh_results():
-            warm = run_benchmark("fibcall", config)
-        assert warm.solver_stats["cells_from_store"] == 3
-        assert warm.solver_stats["ilp_solved"] == 0
 
 
 class TestOnlyCells:
@@ -365,12 +349,18 @@ class TestOnlyCells:
         assert "Pareto front — rw" not in out
 
     def test_cli_only_cells_parsing(self):
-        from repro.cli import _parse_only_cells
-        assert _parse_only_cells(None) is None
-        assert _parse_only_cells(["mech=srb,pfail=1e-4"]) == \
-            (("srb", 0.0001),)
-        assert _parse_only_cells(["pfail=1e-3", "mech=rw"]) == \
-            ((None, 0.001), ("rw", None))
-        for bad in (["bogus"], ["pfail=abc"], ["kind=x"], [""]):
-            with pytest.raises(SystemExit):
-                _parse_only_cells(bad)
+        import argparse
+
+        from repro.cli import _cell_filter, build_parser
+
+        def parse(*specs):
+            argv = ["sweep"] + [f"--only-cells={spec}" for spec in specs]
+            return build_parser().parse_args(argv).only_cells
+
+        assert parse() is None
+        assert parse("mech=srb,pfail=1e-4") == [("srb", 0.0001)]
+        assert parse("pfail=1e-3", "mech=rw") == \
+            [(None, 0.001), ("rw", None)]
+        for bad in ("bogus", "pfail=abc", "kind=x", ""):
+            with pytest.raises(argparse.ArgumentTypeError):
+                _cell_filter(bad)

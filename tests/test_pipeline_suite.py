@@ -1,15 +1,14 @@
 """Suite and sweep execution through the unified pipeline.
 
 Covers the re-routed drivers: per-run stats scoping (the historical
-double-reset footgun), bit-identity of the pooled DAG against the
+double-reset footgun), one counter channel that means the same for a
+suite and a sweep, bit-identity of the pooled DAG against the
 sequential path, and the sweep's N-worker determinism.
 """
 
 from __future__ import annotations
 
-from repro.experiments.runner import (fresh_results, reset_cache,
-                                      run_benchmark, run_suite,
-                                      solver_totals)
+from repro.experiments.runner import fresh_results, reset_cache, run_suite
 from repro.pipeline import PipelineStats
 from repro.pwcet import EstimatorConfig
 from repro.sweep import format_sweep_report, geometry_grid, run_sweep
@@ -46,42 +45,58 @@ class TestStatsScoping:
             assert first_stats.counters["ilp_solved"] > 0
             assert [r.name for r in second] == [r.name for r in first]
 
-    def test_result_stats_survive_reset_cache(self):
+    def test_rerun_after_reset_cache_counts_the_same_cold_work(self):
         with fresh_results():
             config = _config()
-            result = run_benchmark("fibcall", config)
-            snapshot = dict(result.solver_stats)
-            assert snapshot["ilp_solved"] > 0
+            first_stats = PipelineStats()
+            first = run_suite(config, benchmarks=("fibcall",),
+                              pipeline_stats=first_stats)
             reset_cache()
-            rerun = run_benchmark("fibcall", config)
-            # The old result's stats are an immutable snapshot of its
-            # own pipeline run — a later reset/rerun cannot zero them.
-            assert result.solver_stats == snapshot
-            assert rerun.solver_stats == snapshot  # same cold work
-            assert rerun.pwcet("srb") == result.pwcet("srb")
+            rerun_stats = PipelineStats()
+            rerun = run_suite(config, benchmarks=("fibcall",),
+                              pipeline_stats=rerun_stats)
+            assert first_stats.counters["ilp_solved"] > 0
+            assert rerun_stats.counters == first_stats.counters
+            assert rerun[0].pwcet("srb") == first[0].pwcet("srb")
 
-    def test_totals_of_one_run_match_per_result_stats(self):
+
+class TestOneCounterChannel:
+    """A suite and the sweep at the suite's geometry and pfail count
+    the same work into their ``PipelineStats``."""
+
+    BENCHMARKS = ("crc", "expint", "bs")
+
+    def test_suite_and_sweep_counters_are_equal(self):
+        config = _config()
+        suite_stats = PipelineStats()
         with fresh_results():
-            config = _config()
-            stats = PipelineStats()
-            results = run_suite(config, benchmarks=SUBSET,
-                                pipeline_stats=stats)
-            assert stats.totals() == solver_totals(results)
-
+            run_suite(config, benchmarks=self.BENCHMARKS,
+                      pipeline_stats=suite_stats)
+        sweep_stats = PipelineStats()
+        run_sweep((config.geometry,), pfails=(config.pfail,),
+                  benchmarks=self.BENCHMARKS, config=config,
+                  pipeline_stats=sweep_stats)
+        assert suite_stats.counters == sweep_stats.counters
+        counters = suite_stats.counters
+        assert (counters["requests"], counters["ilp_solved"],
+                counters["fixpoints_run"], counters["cells_computed"]) \
+            == (528, 96, 9, 9)
 
 class TestPipelinedSuiteIdentity:
     def test_pooled_dag_matches_sequential(self):
+        sequential_stats, pooled_stats = PipelineStats(), PipelineStats()
         with fresh_results():
-            sequential = run_suite(_config(), benchmarks=SUBSET)
+            sequential = run_suite(_config(), benchmarks=SUBSET,
+                                   pipeline_stats=sequential_stats)
         with fresh_results():
             pooled = run_suite(_config(workers=2), benchmarks=SUBSET,
-                               workers=2)
+                               workers=2, pipeline_stats=pooled_stats)
         for a, b in zip(sequential, pooled):
             assert a.name == b.name
             assert a.wcet_fault_free == b.wcet_fault_free
             for mechanism in ("none", "srb", "rw"):
                 assert a.pwcet(mechanism) == b.pwcet(mechanism)
-            assert a.solver_stats == b.solver_stats
+        assert sequential_stats.counters == pooled_stats.counters
 
 
 class TestSweepDeterminism:

@@ -141,9 +141,9 @@ class TestEstimator:
             load("fibcall"), EstimatorConfig(cache=str(tmp_path)),
             name="fibcall")
         estimator.estimate("srb+")
-        stats = estimator.stats_summary()
-        assert stats["fixpoints_run"] == 2
-        assert stats["classify_store_writes"] == stats["tables_built"]
+        stats = estimator.analysis.stats
+        assert stats.fixpoints_run == 2
+        assert stats.classify_store_writes == stats.tables_built
 
 
 class TestSoundnessUnderEventA:

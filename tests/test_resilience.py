@@ -286,12 +286,3 @@ class TestFaultPmfMemoBound:
             assert fault_pmf_cache_stats().evicted == 7
         finally:
             reset_fault_pmf_cache()
-
-    def test_stats_summary_reports_evictions(self):
-        from repro.pwcet import PWCETEstimator
-        from repro.suite import load
-
-        estimator = PWCETEstimator(load("fibcall"),
-                                   EstimatorConfig(cache="off"),
-                                   name="fibcall")
-        assert "fault_pmf_evicted" in estimator.stats_summary()

@@ -196,8 +196,7 @@ class TestPlannerUnit:
     def test_stats_dict_keys(self):
         stats = SolvePlanner(_bounded_program()).stats.as_dict()
         assert {"requests", "ilp_solved", "lp_solved", "dedup_hits",
-                "store_hits", "pruned_empty", "dedup_hit_rate",
-                "store_hit_rate"} == set(stats)
+                "store_hits", "pruned_empty"} == set(stats)
 
 
 class TestBackends:

@@ -14,6 +14,7 @@ import sqlite3
 
 import pytest
 
+from repro.pipeline import PipelineStats
 from repro.pwcet import EstimatorConfig, PWCETEstimator
 from repro.solve.store import (CACHE_ENV, DB_NAME, SCHEMA_VERSION,
                                SolveStore, solve_key, store_context)
@@ -312,12 +313,13 @@ class TestWarmSuite:
 
         config = EstimatorConfig(cache=str(tmp_path / "store"))
         monkeypatch.setattr(runner, "_CACHE", {})
-        cold = runner.run_suite(config)
-        cold_totals = runner.solver_totals(cold)
-        assert cold_totals["ilp_solved"] > 0
+        cold_stats = PipelineStats()
+        cold = runner.run_suite(config, pipeline_stats=cold_stats)
+        assert cold_stats.counters["ilp_solved"] > 0
         monkeypatch.setattr(runner, "_CACHE", {})
-        warm = runner.run_suite(config)
-        warm_totals = runner.solver_totals(warm)
+        warm_stats = PipelineStats()
+        warm = runner.run_suite(config, pipeline_stats=warm_stats)
+        warm_totals = warm_stats.counters
         assert warm_totals["ilp_solved"] == 0
         assert warm_totals["lp_solved"] == 0
         assert warm_totals["fixpoints_run"] == 0
@@ -338,7 +340,6 @@ class TestWarmSuite:
         thousands of foreign cells, the warm suite still makes exactly
         its 75 cell-store lookups and serves exactly 75 rows."""
         from repro.experiments import runner
-        from repro.pipeline import PipelineStats
         from repro.pipeline.cellstore import CellStore
 
         config = EstimatorConfig(cache=str(tmp_path / "store"))
@@ -360,7 +361,7 @@ class TestWarmSuite:
         expected = 3 * len(EVALUATED_BENCHMARKS)
         assert len(looked_up) == len(set(looked_up)) == expected
         assert store.stats.hits - hits == expected
-        assert stats.cells_from_store == expected
+        assert stats.counters["cells_from_store"] == expected
 
 
 class TestEstimatorContext:

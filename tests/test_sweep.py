@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from repro.cache import CacheGeometry
@@ -103,7 +105,7 @@ class TestRunSweep:
         expected = 2 * len(SUBSET) * 3
         assert totals["dist_batched_rows"] == expected
         assert totals["cells_computed"] == 2 * expected
-        assert "cells_from_store" not in totals
+        assert totals["cells_from_store"] == 0
         # One polytope per (benchmark, line size): every objective of
         # the sweep is solved exactly once, never re-read from disk.
         assert totals["store_hits"] == 0
@@ -113,6 +115,26 @@ class TestRunSweep:
         assert "Pareto front — srb at pfail=0.0001" in text
         assert "Pareto front — rw at pfail=0.001" in text
         assert "persistent cache" in text
+
+    def test_relaxed_store_hit_rate_counts_lp_solves(self, tmp_path):
+        """A --relaxed sweep solves LPs, not ILPs: the hit rate divides
+        the store hits by every backend-bound solve, LPs included."""
+        config = EstimatorConfig(cache=str(tmp_path / "store"),
+                                 relaxed=True)
+        run_sweep(geometry_grid(sizes=(512,), ways=(2,), lines=(16,)),
+                  pfails=(1e-4,), benchmarks=("crc",), config=config)
+        result = run_sweep(
+            geometry_grid(sizes=(512, 1024), ways=(2, 4), lines=(16,)),
+            pfails=(1e-4,), benchmarks=("crc",), config=config)
+        totals = result.solver_totals
+        assert totals["ilp_solved"] == 0
+        assert totals["lp_solved"] > 0 and totals["store_hits"] > 0
+        rate = totals["store_hits"] / (totals["lp_solved"]
+                                       + totals["store_hits"])
+        (printed,) = re.findall(r"hit rate ([0-9.]+)%",
+                                format_sweep_report(result))
+        assert printed == f"{rate * 100:.1f}"
+        assert printed != "100.0"
 
     def test_run_sweep_preserves_outer_memo(self, tmp_path):
         """The sweep scopes the runner memo instead of clearing it."""
@@ -214,7 +236,7 @@ class TestParallelSweep:
             assert alone.points == tuple(
                 point for point in stacked.points
                 if point.geometry == geometry)
-            assert "geometry_groups" not in alone.solver_totals
+            assert alone.solver_totals["geometry_groups"] == 0
             alone_fixpoints += alone.solver_totals["fixpoints_run"]
         # One stacked pair + SRB per (benchmark, group) vs one per
         # (benchmark, geometry): 2x fewer with groups of two.
