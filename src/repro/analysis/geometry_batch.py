@@ -8,14 +8,14 @@ group out as one block-diagonal age vector and a single Must/May
 fixpoint pair serves every geometry (per-geometry ages fall out by
 slicing).  The suite's single geometry is the group of one.
 
-:func:`grouped_analysis` is the classify stage's entry point: it
+:func:`grouped_analysis` is the solve stage's classification step: it
 builds one :class:`~repro.analysis.classify.CacheAnalysis` per
 geometry of the group — all sharing one
 :class:`~repro.analysis.classify.AnalysisStats`, one loop forest, one
 engine and one SRB hit set — computes every geometry's required
 tables, and writes them through the persistent
 :class:`~repro.analysis.store.ClassificationStore` under each
-geometry's own content address.  The pipeline's fused solve task then
+geometry's own content address.  The pipeline's solve task then
 consumes all of them in the same process.
 """
 
@@ -68,7 +68,7 @@ def grouped_analysis(cfg: CFG, geometries, mechanisms, *,
     set are computed up front and written through the persistent store
     under the geometry's own content addresses.  All analyses share
     one :class:`~repro.analysis.classify.AnalysisStats` (the work is
-    attributed to the classify task), one loop forest, one fixpoint
+    attributed to the solve task), one loop forest, one fixpoint
     pair and one SRB fixpoint.  A group of several geometries counts
     as one stacked group (``geometry_groups``) with ``len - 1``
     batched siblings; a group of one counts as neither.

@@ -4,11 +4,11 @@ All figure generators need the same per-benchmark artefacts (fault-free
 WCET, the three pWCET estimates); this module computes them once per
 (benchmark, configuration) and caches in process.  Execution goes
 through the unified pipeline (:mod:`repro.pipeline`): every benchmark
-expands into a classify task, a fused solve task, a cells task and an
-inline result sink, and ``run_suite(workers=N)`` runs the whole
-suite's DAG on one shared process pool — solve tasks of early
-benchmarks overlap the classification fixpoints of later ones, with
-no phase barrier and no private pool.  Results are bit-identical to
+expands into a solve task (classification, then the ILPs), a cells
+task and an inline result sink, and ``run_suite(workers=N)`` runs the
+whole suite's DAG on one shared process pool — cells tasks of early
+benchmarks overlap the solve tasks of later ones, with no phase
+barrier and no private pool.  Results are bit-identical to
 the sequential path and land in the same cache.
 
 Work counts live only in the run's
@@ -81,8 +81,8 @@ def run_suite(config: EstimatorConfig | None = None, *,
     """Run the whole 25-benchmark suite (Figure 4's input data).
 
     ``workers`` (default: the configuration's ``workers`` field) > 1
-    executes the suite DAG on a shared process pool: classification
-    and estimation stages of different benchmarks interleave freely
+    executes the suite DAG on a shared process pool: solve and cells
+    stages of different benchmarks interleave freely
     (only each benchmark's own stage dependencies are enforced), so
     outputs match the sequential path exactly while no worker idles on
     another benchmark's fixpoints.  ``pipeline_stats`` scopes the

@@ -9,15 +9,15 @@ task graph instead:
 
 ``scheduler``
     :class:`PipelineScheduler` — the dependency-DAG executor with one
-    shared worker pool that interleaves classification, solve and
-    cell tasks across benchmarks and geometries, steals queued pool
-    tasks into the parent when every worker is busy, and runs an
+    shared worker pool that interleaves solve and cells tasks across
+    benchmarks and geometries, steals queued pool tasks into the
+    parent when every worker is busy, and runs an
     incremental-invalidation ``plan()`` pass that satisfies
     content-addressed stages from their persistent stores;
     :class:`PipelineStats` — per-run merged solver + analysis
     counters plus cell/from-store accounting and per-stage timings.
     A stage error aborts the run; a dead worker rebuilds the pool
-    and resubmits the in-flight chains, at most
+    and resubmits the in-flight tasks, at most
     ``MAX_POOL_REBUILDS`` times per run.
 
 ``stages``
@@ -48,7 +48,6 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "SUITE_MECHANISMS": ".stages",
     "EstimationDag": ".stages",
     "cell_stage": ".stages",
-    "classify_stage": ".stages",
     "solve_stage": ".stages",
     "suite_pipeline": ".stages",
 })

@@ -5,10 +5,10 @@ coverage: the solve store persists ILP optima, the classification
 store persists CHMC tables, and this one persists whole *(mechanism,
 pfail)* cells — the rows of the pipeline's cells tasks.  Keys are the
 :func:`cell_key` digest over CFG digest × geometry × timing ×
-mechanism × pfail × :data:`CELL_SCHEMA_VERSION`, so a persisted cell
-is addressed exactly like the row that would recompute it — the cells
-tasks' plan-pass probes look every row up by content address before
-any worker starts.
+mechanism × pfail × solver mode × :data:`CELL_SCHEMA_VERSION`, so a
+persisted cell is addressed exactly like the row that would recompute
+it — the cells tasks' plan-pass probes look every row up by content
+address before any worker starts.
 
 A row holds what its readers use: the fault-free WCET, the FMM rows,
 the exceedance correction and the pWCET at the probability the
@@ -46,19 +46,23 @@ from repro.solve.store import SqliteStore, json_bytes
 #: v2: sparse (width, support, values) pmf encoding.
 #: v3: compact binary cell encoding in the SQLite store.
 #: v4: no pmf — the FMM rows and the pWCET at the run's probability.
-CELL_SCHEMA_VERSION = 4
+#: v5: the solver mode (exact or ``--relaxed``) is part of the key.
+CELL_SCHEMA_VERSION = 5
 
 
-def cell_key(store_context: str, mechanism: str, pfail: float) -> str:
+def cell_key(store_context: str, mechanism: str, pfail: float,
+             relaxed: bool) -> str:
     """Content address of one (mechanism, pfail) cell.
 
     SHA-256 over the canonical JSON of the estimation context (see
     :func:`~repro.solve.store.store_context`), the mechanism, the
-    fault probability and :data:`CELL_SCHEMA_VERSION`.  The encoding
-    is frozen: every cell ever written stays addressable.
+    fault probability, the solver mode (a relaxed run's looser FMM
+    rows must never serve an exact run) and
+    :data:`CELL_SCHEMA_VERSION`.  The encoding is frozen: every cell
+    ever written stays addressable.
     """
     payload = json.dumps(["distribution", store_context, mechanism, pfail,
-                          CELL_SCHEMA_VERSION],
+                          bool(relaxed), CELL_SCHEMA_VERSION],
                          sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 

@@ -1,11 +1,10 @@
 """The dependency-DAG scheduler of the suite runner and the sweep.
 
 One :class:`PipelineScheduler` owns one worker pool and executes a DAG
-of stage tasks: classification, solve and cell tasks of every
-benchmark and geometry all land on the *same* pool, so one
-benchmark's solve task starts while another benchmark's cache
-analysis is still running — there is no phase barrier between stages,
-only the declared dependencies.
+of stage tasks: the solve and cells tasks of every benchmark and
+geometry all land on the *same* pool, so one benchmark's cells task
+starts while another benchmark's solve task is still running — there
+is no phase barrier between stages, only the declared dependencies.
 
 Execution model
 ---------------
@@ -39,15 +38,11 @@ Execution model
   occupies the pool.
 * Inline tasks (closures over in-process state — the drivers' result
   sinks) run in the parent while pool futures are outstanding.
-* A task added with ``fuse=True`` runs in the same process as its
-  single dependency, right after it: the pair is dispatched (or
-  stolen) as one chain, and the dependency's value never crosses a
-  process boundary — classification tables stay where they were built.
 * One failure rule.  Stages are pure functions of content-addressed
   inputs, so a stage that raised would raise again: any exception a
   stage raises, inline or on the pool, aborts the run at once.  The
   one fault worth a retry is a dead worker (``BrokenExecutor``): the
-  pool is rebuilt and every in-flight chain resubmitted, up to
+  pool is rebuilt and every in-flight task resubmitted, up to
   :data:`MAX_POOL_REBUILDS` times per run.
 
 Per-run work is accounted in a fresh :class:`PipelineStats` — the
@@ -82,7 +77,7 @@ MAX_POOL_REBUILDS = 3
 class FailureReport:
     """Pool-recovery counters of one run (both zero on a clean run)."""
 
-    #: Chains resubmitted to a rebuilt pool.
+    #: Tasks resubmitted to a rebuilt pool.
     retries: int = 0
     #: Worker pools rebuilt after a worker died.
     pool_rebuilds: int = 0
@@ -92,44 +87,31 @@ class FailureReport:
 class PipelineStats:
     """Counters of one pipeline run: stage tasks + summed work counters.
 
-    ``counters`` is the run's one home for work counts: the solver
-    family (:class:`~repro.solve.planner.SolveStats`), the analysis
-    family (:class:`~repro.analysis.classify.AnalysisStats`) and the
-    cells tasks' row counts, summed over every stage of the run as
-    plain counts (a key nothing counted reads 0).
+    Every field but the wall clock is a :class:`~collections.Counter`
+    (a key nothing counted reads 0).  ``counters`` is the run's one
+    home for work counts: the solver family
+    (:class:`~repro.solve.planner.SolveStats`), the analysis family
+    (:class:`~repro.analysis.classify.AnalysisStats`) and the cells
+    tasks' row counts, summed over every stage of the run.
     Scope is one run: a fresh instance per :meth:`PipelineScheduler
     .run` (or one passed in by the driver), never shared module state.
     """
 
     #: Completed tasks per stage name.
-    tasks: dict[str, int] = field(default_factory=dict)
+    tasks: Counter[str] = field(default_factory=Counter)
     #: Tasks satisfied from a persistent store by the plan pass,
     #: per stage name — these never ran.
-    from_store: dict[str, int] = field(default_factory=dict)
+    from_store: Counter[str] = field(default_factory=Counter)
     #: Wall-clock seconds spent *executing* each stage's tasks (pool
     #: tasks report their in-worker time; concurrent stages therefore
     #: sum to more than ``wall_seconds``).
-    stage_seconds: dict[str, float] = field(default_factory=dict)
+    stage_seconds: Counter[str] = field(default_factory=Counter)
     #: Summed work counters of every stage (solver, analysis, cells).
     counters: Counter[str] = field(default_factory=Counter)
     #: Wall-clock seconds spent inside :meth:`PipelineScheduler.run`.
     wall_seconds: float = 0.0
-    #: Resubmitted chains and pool rebuilds after dead workers.
+    #: Resubmitted tasks and pool rebuilds after dead workers.
     failure_report: FailureReport = field(default_factory=FailureReport)
-
-    def count_task(self, stage: str) -> None:
-        self.tasks[stage] = self.tasks.get(stage, 0) + 1
-
-    def count_from_store(self, stage: str) -> None:
-        self.from_store[stage] = self.from_store.get(stage, 0) + 1
-
-    def add_stage_seconds(self, stage: str, seconds: float) -> None:
-        self.stage_seconds[stage] = (self.stage_seconds.get(stage, 0.0)
-                                     + seconds)
-
-    @property
-    def tasks_run(self) -> int:
-        return sum(self.tasks.values())
 
 
 @dataclass
@@ -149,31 +131,18 @@ class _Task:
     #: Store probe of the plan pass: returns the finished result when
     #: the stage's persistent store already holds it, else ``None``.
     probe: Callable[[], object] | None = None
-    #: Run in the same process as the (single) dependency, right
-    #: after it — see :meth:`PipelineScheduler.add`.
-    fuse: bool = False
 
 
-def _run_pool_chain(steps: Sequence[tuple[Callable, tuple]]
-                    ) -> list[tuple[object, float]]:
-    """Pool entry point: one stage task, or a fused chain of them.
+def _run_pool_task(fn: Callable, args: tuple) -> tuple[object, float]:
+    """Pool entry point: one stage task.
 
-    Every step after the first receives its predecessor's value as its
-    last argument; only the last step's value is shipped back (a fused
-    dependency's value never leaves this process).  Returns one
-    ``(value, seconds)`` per step, so the parent can attribute
-    in-worker wall-clock per stage; a step's exception propagates.
+    Returns ``(value, seconds)``, so the parent can attribute
+    in-worker wall-clock to the task's stage; an exception propagates.
     """
-    outcomes: list[tuple[object, float]] = []
-    value = None
-    for position, (fn, args) in enumerate(steps):
-        started = time.perf_counter()
-        faultinject.worker_hook(getattr(fn, "__name__", str(fn)))
-        value = fn(*args, *((value,) if position else ()))
-        last = position == len(steps) - 1
-        outcomes.append((value if last else None,
-                         time.perf_counter() - started))
-    return outcomes
+    started = time.perf_counter()
+    faultinject.worker_hook(getattr(fn, "__name__", str(fn)))
+    value = fn(*args)
+    return value, time.perf_counter() - started
 
 
 class PipelineScheduler:
@@ -188,9 +157,8 @@ class PipelineScheduler:
     def add(self, key: str, fn: Callable, *, args: tuple = (),
             deps: Sequence[str] = (), stage: str = "task",
             pool: bool = False, order_key: str | None = None,
-            probe: Callable[[], object] | None = None,
-            fuse: bool = False) -> str:
-        """Register one stage task; returns ``key`` for chaining.
+            probe: Callable[[], object] | None = None) -> str:
+        """Register one stage task; returns ``key`` (to name in ``deps``).
 
         ``fn`` is called as ``fn(*args, *dep_results)`` with dependency
         results in declared order.  ``pool=True`` allows execution on
@@ -201,22 +169,15 @@ class PipelineScheduler:
         independent; ``probe`` lets the plan pass satisfy the task
         from its persistent store (it returns the finished result, or
         ``None`` to run normally).
-        ``fuse=True`` (exactly one dependency, whose only dependent
-        this task is) runs the task right after its dependency in the
-        same process; once the task has run, the dependency's result is
-        recorded as ``None``, on the pool and inline alike.
         """
         if key in self._tasks:
             raise PipelineError(f"duplicate pipeline task key {key!r}")
-        if fuse and len(deps) != 1:
-            raise PipelineError(
-                f"fused task {key!r} needs exactly one dependency")
         self._tasks[key] = _Task(
             key=key, stage=stage, fn=fn, args=tuple(args),
             deps=tuple(deps), pool=bool(pool) and self.workers > 1,
             index=len(self._tasks),
             order=order_key if order_key is not None else "",
-            probe=probe, fuse=bool(fuse))
+            probe=probe)
         return key
 
     # -- planning -------------------------------------------------------
@@ -338,49 +299,28 @@ class PipelineScheduler:
         results: dict[str, object] = {}
         in_flight: dict[Future, str] = {}
 
-        def chain_of(key: str) -> list[str]:
-            """``key`` plus the fused tasks that run right after it."""
-            chain = [key]
-            while (len(dependents[chain[-1]]) == 1
-                   and tasks[dependents[chain[-1]][0]].fuse
-                   and dependents[chain[-1]][0] not in satisfied):
-                chain.append(dependents[chain[-1]][0])
-            return chain
-
         def unblock(key: str) -> None:
             for dependent in dependents[key]:
                 missing[dependent] -= 1
-                # A fused task runs inside its dependency's chain,
-                # never on its own.
-                if missing[dependent] == 0 \
-                        and dependent not in satisfied \
-                        and (not tasks[dependent].fuse or key in satisfied):
+                if missing[dependent] == 0 and dependent not in satisfied:
                     push_ready(tasks[dependent])
 
-        def complete(key: str, value: object) -> None:
+        def complete(key: str, value: object, seconds: float) -> None:
             results[key] = value
-            stats.count_task(tasks[key].stage)
+            stats.tasks[tasks[key].stage] += 1
+            stats.stage_seconds[tasks[key].stage] += seconds
             unblock(key)
             if on_task is not None:
                 on_task(key, value, len(results), len(tasks))
 
-        def run_chain_inline(head: str) -> None:
-            chain = chain_of(head)
-            for dep, key in zip([None, *chain], chain):
-                task = tasks[key]
-                stage_started = time.perf_counter()
-                value = task.fn(*task.args,
-                                *(results[dep] for dep in task.deps))
-                stats.add_stage_seconds(
-                    task.stage, time.perf_counter() - stage_started)
-                complete(key, value)
-                if dep is not None:
-                    # As on the pool: once its fused step has run, a
-                    # dependency's value is not kept for the run.
-                    results[dep] = None
+        def run_inline(key: str) -> None:
+            task = tasks[key]
+            task_started = time.perf_counter()
+            value = task.fn(*task.args, *(results[dep] for dep in task.deps))
+            complete(key, value, time.perf_counter() - task_started)
 
         def pool_break(key: str, error: BrokenExecutor) -> None:
-            """A worker died and broke the pool: every in-flight chain
+            """A worker died and broke the pool: every in-flight task
             is lost and the victim is unknowable, so the pool is
             rebuilt and all of them resubmitted, within the run's
             rebuild budget."""
@@ -404,14 +344,11 @@ class PipelineScheduler:
                 if key is None:
                     continue  # reaped by a pool break in this batch
                 try:
-                    outcomes = future.result()
+                    value, seconds = future.result()
                 except BrokenExecutor as error:
                     pool_break(key, error)
                     continue
-                for chained, (value, seconds) in zip(chain_of(key),
-                                                     outcomes):
-                    stats.add_stage_seconds(tasks[chained].stage, seconds)
-                    complete(chained, value)
+                complete(key, value, seconds)
 
         # Initially-ready runnable tasks first (their missing count is
         # 0 from the start, so the unblock path below never re-pushes
@@ -427,7 +364,7 @@ class PipelineScheduler:
             if key not in tasks:
                 continue  # satisfied but undemanded: skipped entirely
             results[key] = satisfied[key]
-            stats.count_from_store(tasks[key].stage)
+            stats.from_store[tasks[key].stage] += 1
             unblock(key)
 
         try:
@@ -436,13 +373,11 @@ class PipelineScheduler:
                 while ready_pool and len(in_flight) < self.workers:
                     _, _, key = heapq.heappop(ready_pool)
                     task = tasks[key]
-                    steps = [(task.fn, task.args + tuple(
-                        results[dep] for dep in task.deps))]
-                    steps += [(tasks[fused].fn, tasks[fused].args)
-                              for fused in chain_of(key)[1:]]
+                    args = task.args + tuple(results[dep]
+                                             for dep in task.deps)
                     try:
                         future = self._ensure_pool().submit(
-                            _run_pool_chain, steps)
+                            _run_pool_task, task.fn, args)
                     except BrokenExecutor as error:
                         # A worker died between drain() and this
                         # submit: the executor refuses new work before
@@ -453,13 +388,13 @@ class PipelineScheduler:
                     in_flight[future] = key
                 if ready_inline:
                     _, _, key = heapq.heappop(ready_inline)
-                    run_chain_inline(key)
+                    run_inline(key)
                 elif ready_pool:
                     # Every worker is busy and more pool tasks are
                     # queued: steal the next one and run it here
                     # instead of idling until a future resolves.
                     _, _, key = heapq.heappop(ready_pool)
-                    run_chain_inline(key)
+                    run_inline(key)
                 elif in_flight:
                     drain(block=True)
                 elif len(results) < len(tasks):

@@ -7,17 +7,14 @@ mechanisms) grid out as one flat DAG on one
 suite name: the drivers load the suite's CFGs and pass them in, and
 any other program runs through the same DAG.  Per program:
 
-``classify:{bench}:{line}`` — :func:`classify_stage`
-    Every classification table (and SRB hit set) the requested
+``solve:{bench}:{line}`` — :func:`solve_stage`
+    First every classification table (and SRB hit set) the requested
     mechanisms need for one CFG, at every geometry of one line-size
     group, from ONE stacked Must/May fixpoint pair plus one SRB
-    fixpoint (:func:`~repro.analysis.geometry_batch.grouped_analysis`).
-    Tables read and write through the
-    :class:`~repro.analysis.store.ClassificationStore`.
-
-``solve:{bench}:{line}`` — :func:`solve_stage`
-    Fused to its classify task (same process, right after it, so the
-    tables never cross a process boundary).  Builds ONE flow polytope
+    fixpoint (:func:`~repro.analysis.geometry_batch.grouped_analysis`),
+    read and written through the
+    :class:`~repro.analysis.store.ClassificationStore`; the tables
+    never leave the task's process.  Then ONE flow polytope
     (:class:`~repro.ipet.FlowModel`) and one
     :class:`~repro.solve.planner.SolvePlanner` for the program
     (:func:`solve_polytope`, shared with the one-geometry
@@ -38,14 +35,14 @@ any other program runs through the same DAG.  Per program:
 
 Each cells task's plan-pass probe looks up every (mechanism, pfail)
 row's content address before any task runs: stored rows are decoded
-in the parent, a task whose rows are all stored is satisfied
-(and its now-undemanded classify and solve tasks are skipped), and a
-partially stored task computes only its missing rows.  Sinks — the
+in the parent, a task whose rows are all stored is satisfied (and its
+now-undemanded solve task is skipped), and a partially stored task
+computes only its missing rows.  Sinks — the
 suite's per-benchmark results, the sweep's design points — are added
 by the drivers and read each task's rows through
 :meth:`EstimationDag.rows`.
 
-Counters travel on one channel: every classify/solve/cell task's work
+Counters travel on one channel: every solve and cells task's work
 counters are added to the run's
 :class:`~repro.pipeline.scheduler.PipelineStats` as the task completes
 (:meth:`EstimationDag.record`), and mean the same thing for a suite
@@ -80,23 +77,6 @@ def _batched(store):
     return store.batch() if store is not None else nullcontext()
 
 
-def classify_stage(cfg: CFG, geometries, mechanisms, cache
-                   ) -> tuple[CacheAnalysis, ...]:
-    """Stage task: classify one program at every geometry of a group.
-
-    ``geometries`` share one line size; the group (of one, for the
-    suite) runs one Must/May fixpoint pair plus one SRB fixpoint.
-    Returns the analyses in group order; they share one stats object.
-    The value never leaves its process: the fused solve task consumes
-    it in place.
-    """
-    from repro.analysis.geometry_batch import grouped_analysis
-    from repro.analysis.store import ClassificationStore
-
-    with _batched(ClassificationStore.resolve(cache)):
-        return grouped_analysis(cfg, geometries, mechanisms, cache=cache)
-
-
 def solve_polytope(analysis: CacheAnalysis, cache
                    ) -> tuple[FlowModel, SolveStore | None]:
     """The flow polytope of an analysis' CFG, wired to the solve store.
@@ -126,39 +106,46 @@ class SolveOutput:
 
     ``geometries`` maps each geometry of the group to its fault-free
     WCET and its Fault Miss Map per mechanism; ``counters`` holds the
-    solver and analysis work of the classify + solve pair.
+    task's analysis and solver work.
     """
 
     geometries: dict = field(repr=False)
     counters: dict[str, float] = field(repr=False)
 
 
-def solve_stage(mechanisms, config, analyses) -> SolveOutput:
-    """Stage task: WCET + FMMs of one benchmark at a group's geometries.
+def solve_stage(cfg: CFG, geometries, mechanisms, config) -> SolveOutput:
+    """Stage task: WCET + FMMs of one program at a group's geometries.
 
-    One flow polytope and one planner serve every objective of the
-    group, in a fixed order (per geometry: WCET, then each mechanism's
-    FMM), so in-process dedup — and with it every counter — is
-    deterministic.  ``config`` supplies the timing model, the solver
-    mode and the cache selector.
+    ``geometries`` share one line size; the group (of one, for the
+    suite) is classified by one Must/May fixpoint pair plus one SRB
+    fixpoint, then one flow polytope and one planner serve every
+    objective of the group, in a fixed order (per geometry: WCET, then
+    each mechanism's FMM), so in-process dedup — and with it every
+    counter — is deterministic.  ``config`` supplies the timing model,
+    the solver mode and the cache selector.
     """
+    from repro.analysis.geometry_batch import grouped_analysis
+    from repro.analysis.store import ClassificationStore
     from repro.fmm import compute_fault_miss_map
     from repro.ipet import compute_wcet
 
+    with _batched(ClassificationStore.resolve(config.cache)):
+        analyses = grouped_analysis(cfg, geometries, mechanisms,
+                                    cache=config.cache)
     lead = analyses[0]
     flow_model, store = solve_polytope(lead, config.cache)
-    geometries = {}
+    outputs = {}
     with _batched(store):
         for analysis in analyses:
-            wcet = compute_wcet(lead.cfg, analysis.classification(),
+            wcet = compute_wcet(cfg, analysis.classification(),
                                 config.timing, flow_model=flow_model,
                                 relaxed=config.relaxed)
             fmms = {name: compute_fault_miss_map(
                         analysis, mechanism_by_name(name),
                         flow_model=flow_model, relaxed=config.relaxed)
                     for name in mechanisms}
-            geometries[analysis.geometry] = (wcet.cycles, fmms)
-    return SolveOutput(geometries=geometries,
+            outputs[analysis.geometry] = (wcet.cycles, fmms)
+    return SolveOutput(geometries=outputs,
                        counters={**flow_model.planner.stats.as_dict(),
                                  **lead.stats.as_dict()})
 
@@ -244,7 +231,7 @@ class EstimationDag:
     order; any CFG will do, not only the suite's.  ``selection`` maps
     each pfail to the mechanisms estimated at it (the unprotected
     baseline included), in presentation order.
-    ``pool`` lets classify/solve/cell tasks run on the process pool;
+    ``pool`` lets solve and cells tasks run on the process pool;
     ``probability`` is the exceedance probability every row is
     reduced to (see :func:`cell_stage`; default: the paper's target).
     The plan-pass probes count served rows into ``stats``;
@@ -279,8 +266,8 @@ class EstimationDag:
                            if any(name in chosen
                                   for chosen in selection.values()))
         names = tuple(programs)
-        # Heaviest programs dispatch first: their classify + solve
-        # chains are the longest tasks of the run.
+        # Heaviest programs dispatch first: their solve tasks are the
+        # longest of the run.
         heaviness = sorted(names,
                            key=lambda name: (
                                -programs[name].instruction_count(),
@@ -290,15 +277,11 @@ class EstimationDag:
             rank = heaviness.index(name)
             for group in line_groups(geometries):
                 line = group[0].block_bytes
-                classify_key = scheduler.add(
-                    f"classify:{name}:{line}", classify_stage,
-                    args=(cfg, group, mechanisms, config.cache),
-                    stage="classify", pool=pool,
-                    order_key=f"0:{rank:04d}:{line:04d}")
                 solve_key = scheduler.add(
                     f"solve:{name}:{line}", solve_stage,
-                    args=(mechanisms, config), deps=(classify_key,),
-                    stage="solve", pool=pool, fuse=True)
+                    args=(cfg, group, mechanisms, config),
+                    stage="solve", pool=pool,
+                    order_key=f"0:{rank:04d}:{line:04d}")
                 for geometry in group:
                     self._add_cells(scheduler, name, digest, geometry,
                                     geometries.index(geometry),
@@ -313,7 +296,8 @@ class EstimationDag:
         from repro.solve.store import store_context
 
         context = store_context(digest, geometry, config.timing)
-        keys = {(mechanism, pfail): cell_key(context, mechanism, pfail)
+        keys = {(mechanism, pfail): cell_key(context, mechanism, pfail,
+                                             config.relaxed)
                 for pfail, chosen in selection.items()
                 for mechanism in chosen}
         task_key = f"cells:{name}:{_geometry_label(geometry)}"
@@ -391,7 +375,7 @@ def suite_pipeline(programs, config, target_probability: float, *,
     ``programs`` maps each name to its CFG, as for
     :class:`EstimationDag`.  The 1-geometry × 1-pfail case of the DAG,
     plus one inline ``result:{bench}`` sink per benchmark.  ``workers > 1``
-    runs classify/solve/cell tasks on one shared process pool;
+    runs solve and cells tasks on one shared process pool;
     ``workers=1`` runs the same DAG inline.  Results are bit-identical
     either way.
     """

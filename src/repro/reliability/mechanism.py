@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from collections.abc import Callable
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.analysis.chmc import (ALWAYS_HIT, ALWAYS_MISS, Classification)
@@ -38,43 +37,6 @@ AllFaultyClassifier = Callable[["Reference"], Classification]
 AllFaultyFilter = Callable[[int], AllFaultyClassifier]
 
 
-@dataclass
-class FaultPmfCacheStats:
-    """Hit/miss/eviction counters of the process-wide fault-pmf memo."""
-
-    hits: int = 0
-    misses: int = 0
-    evicted: int = 0
-
-
-#: Process-wide fault-pmf memo, keyed (mechanism name, geometry,
-#: pfail): every (benchmark, mechanism, pfail) cell of a suite or
-#: sweep shares the identical binomial weights, so the eq. 2 / eq. 3
-#: evaluation runs once per distinct key instead of once per cell.
-#: Bounded: long-lived processes sweeping many (geometry, pfail)
-#: points evict least-recently-used entries past ``_FAULT_PMF_LIMIT``
-#: instead of growing without bound (dict order is the LRU order —
-#: hits reinsert their key at the end).
-_FAULT_PMF_CACHE: dict[tuple, dict[int, float]] = {}
-_FAULT_PMF_STATS = FaultPmfCacheStats()
-_FAULT_PMF_LIMIT = 128
-
-
-def fault_pmf_cache_stats() -> FaultPmfCacheStats:
-    """The live hit/miss/eviction counters of the fault-pmf memo
-    (process scope — cumulative across every estimation of this
-    process)."""
-    return _FAULT_PMF_STATS
-
-
-def reset_fault_pmf_cache() -> None:
-    """Drop the memo and zero its counters (tests, benchmarks)."""
-    _FAULT_PMF_CACHE.clear()
-    _FAULT_PMF_STATS.hits = 0
-    _FAULT_PMF_STATS.misses = 0
-    _FAULT_PMF_STATS.evicted = 0
-
-
 class ReliabilityMechanism(ABC):
     """Interface the pWCET estimator programs against."""
 
@@ -89,32 +51,10 @@ class ReliabilityMechanism(ABC):
     def fault_counts(self, ways: int) -> tuple[int, ...]:
         """Per-set fault counts ``f`` with non-zero probability."""
 
-    def fault_pmf(self, model: FaultProbabilityModel) -> dict[int, float]:
-        """Probability of each fault count in :meth:`fault_counts`.
-
-        Memoised per (mechanism name, geometry, pfail) — the pmf is a
-        pure function of those three, and every cell of a sweep row
-        re-reads the same weights.  Treat the returned dict as
-        immutable; subclasses implement :meth:`_compute_fault_pmf`.
-        """
-        key = (self.name, model.geometry, model.pfail)
-        cached = _FAULT_PMF_CACHE.pop(key, None)
-        if cached is not None:
-            _FAULT_PMF_STATS.hits += 1
-            _FAULT_PMF_CACHE[key] = cached  # refresh LRU position
-            return cached
-        _FAULT_PMF_STATS.misses += 1
-        value = _FAULT_PMF_CACHE[key] = self._compute_fault_pmf(model)
-        while len(_FAULT_PMF_CACHE) > _FAULT_PMF_LIMIT:
-            _FAULT_PMF_CACHE.pop(next(iter(_FAULT_PMF_CACHE)))
-            _FAULT_PMF_STATS.evicted += 1
-        return value
-
     @abstractmethod
-    def _compute_fault_pmf(self, model: FaultProbabilityModel
-                           ) -> dict[int, float]:
-        """Uncached eq. 2 / eq. 3 evaluation (memoised by
-        :meth:`fault_pmf`)."""
+    def fault_pmf(self, model: FaultProbabilityModel) -> dict[int, float]:
+        """Probability of each fault count in :meth:`fault_counts`
+        (eq. 2 / eq. 3)."""
 
     @property
     def uses_srb(self) -> bool:
@@ -156,8 +96,7 @@ class NoProtection(ReliabilityMechanism):
     def fault_counts(self, ways: int) -> tuple[int, ...]:
         return tuple(range(ways + 1))
 
-    def _compute_fault_pmf(self, model: FaultProbabilityModel
-                           ) -> dict[int, float]:
+    def fault_pmf(self, model: FaultProbabilityModel) -> dict[int, float]:
         ways = model.geometry.ways
         return {w: model.pwf(w) for w in range(ways + 1)}
 
@@ -177,8 +116,7 @@ class ReliableWay(ReliabilityMechanism):
             raise ConfigurationError("RW needs at least one way")
         return tuple(range(ways))  # 0 .. W-1
 
-    def _compute_fault_pmf(self, model: FaultProbabilityModel
-                           ) -> dict[int, float]:
+    def fault_pmf(self, model: FaultProbabilityModel) -> dict[int, float]:
         ways = model.geometry.ways
         return {w: model.pwf_reliable_way(w) for w in range(ways)}
 
@@ -198,8 +136,7 @@ class SharedReliableBuffer(ReliabilityMechanism):
     def fault_counts(self, ways: int) -> tuple[int, ...]:
         return tuple(range(ways + 1))
 
-    def _compute_fault_pmf(self, model: FaultProbabilityModel
-                           ) -> dict[int, float]:
+    def fault_pmf(self, model: FaultProbabilityModel) -> dict[int, float]:
         ways = model.geometry.ways
         return {w: model.pwf(w) for w in range(ways + 1)}
 

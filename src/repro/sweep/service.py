@@ -6,10 +6,10 @@ extracts the Pareto-optimal design points.
 
 The whole grid is ONE flat DAG
 (:class:`~repro.pipeline.stages.EstimationDag`) on one work-stealing
-pool: per benchmark and line size, one classify task runs the stacked
-Must/May kernel for every geometry of the line-size group and one
-fused solve task solves every geometry's WCET and Fault Miss Maps
-against one shared flow polytope; per benchmark and geometry, one
+pool: per benchmark and line size, one solve task runs the stacked
+Must/May kernel for every geometry of the line-size group, then
+solves every geometry's WCET and Fault Miss Maps against one shared
+flow polytope; per benchmark and geometry, one
 cells task computes the whole (mechanism, pfail) axis in batched
 penalty-convolution passes.  Per grid cell, an inline ``sweep-cell``
 sink turns the benchmarks' pWCETs into design points and streams them

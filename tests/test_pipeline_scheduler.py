@@ -127,13 +127,13 @@ class TestPipelineStats:
 
     def test_task_counts_per_stage(self):
         scheduler = PipelineScheduler(workers=1)
-        scheduler.add("a", lambda: 1, stage="classify")
-        scheduler.add("b", lambda: 2, stage="classify")
-        scheduler.add("c", lambda: 3, stage="estimate")
+        scheduler.add("a", lambda: 1, stage="solve")
+        scheduler.add("b", lambda: 2, stage="solve")
+        scheduler.add("c", lambda: 3, stage="cell")
         stats = PipelineStats()
         scheduler.run(stats=stats)
-        assert stats.tasks == {"classify": 2, "estimate": 1}
-        assert stats.tasks_run == 3
+        assert stats.tasks == {"solve": 2, "cell": 1}
+        assert stats.tasks.total() == 3
         assert stats.wall_seconds > 0.0
 
     def test_stats_scope_is_per_run(self):
