@@ -37,7 +37,7 @@ import argparse
 import sys
 from collections.abc import Callable
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, EstimationError
 from repro.pwcet import EstimatorConfig, PWCETEstimator
 from repro.pwcet.estimator import TARGET_EXCEEDANCE
 from repro.suite import EVALUATED_BENCHMARKS, info, load
@@ -125,7 +125,8 @@ def _command_estimate(arguments: argparse.Namespace) -> int:
         estimate = estimator.estimate(mechanism)
         try:
             value = estimate.pwcet(arguments.probability)
-        except Exception as error:  # refined analyses may refuse deep tails
+        except EstimationError as error:
+            # A refined analysis may refuse a tail below its excluded mass.
             print(f"  {mechanism:>5s}: unavailable ({error})")
             continue
         print(f"  {mechanism:>5s}: pWCET@{arguments.probability:.0e} "

@@ -1,4 +1,4 @@
-"""A small (I)LP layer over HiGHS (persistent model or scipy fallback).
+"""A small (I)LP layer over a persistent HiGHS model.
 
 The paper uses CPLEX 12.5; HiGHS is the offline substitute.  Models
 are built once (variables + constraints) and solved for many
@@ -6,8 +6,10 @@ objectives — the FMM computation reuses one flow polytope for every
 (set, fault count) pair.  Solver inputs are frozen on first solve
 (:class:`~repro.solve.backend.ProgramSnapshot`): the CSC matrix,
 variable bounds and row bounds are materialised once per model
-version instead of per call, and the backend keeps a persistent HiGHS
-instance whose cost vector is swapped in place between solves.
+version instead of per call, and the one backend
+(:class:`~repro.solve.backend.HighsBackend`) keeps a persistent HiGHS
+instance whose cost vector is swapped in place between solves.  Every
+solve is a maximisation (IPET WCET and FMM entries are maxima).
 
 Solving the LP relaxation instead of the ILP is supported: for a
 *maximisation* the relaxation can only over-estimate, so a relaxed
@@ -23,8 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import SolverError
-from repro.solve.backend import (ProgramSnapshot, SolverBackend,
-                                 make_backend)
+from repro.solve.backend import HighsBackend, ProgramSnapshot
 
 
 @dataclass(frozen=True)
@@ -63,8 +64,7 @@ class LinearProgram:
         self._version = 0
         self._snapshot: ProgramSnapshot | None = None
         self._snapshot_version = -1
-        self._backend: SolverBackend | None = None
-        self._backend_version = -1
+        self._backend: HighsBackend | None = None
 
     # -- model building ------------------------------------------------
     def add_variable(self, name: str, *, lower: float = 0.0,
@@ -125,36 +125,26 @@ class LinearProgram:
             self._snapshot_version = self._version
         return self._snapshot
 
-    def backend(self) -> SolverBackend:
+    def backend(self) -> HighsBackend:
         """The persistent solve backend for the current version."""
-        if self._backend is None or self._backend_version != self._version:
-            self._backend = make_backend(self.snapshot())
-            self._backend_version = self._version
+        snapshot = self.snapshot()
+        if self._backend is None or self._backend.snapshot is not snapshot:
+            self._backend = HighsBackend(snapshot)
         return self._backend
 
     # -- solving ---------------------------------------------------------
     def maximize(self, objective: dict[int, float], *,
                  relaxed: bool = False) -> Solution:
         """Maximise a linear objective over the model."""
-        return self._solve(objective, sign=-1.0, relaxed=relaxed)
-
-    def minimize(self, objective: dict[int, float], *,
-                 relaxed: bool = False) -> Solution:
-        """Minimise a linear objective over the model."""
-        return self._solve(objective, sign=1.0, relaxed=relaxed)
-
-    def _solve(self, objective: dict[int, float], sign: float,
-               relaxed: bool) -> Solution:
         n = len(self._names)
         for index in objective:
             if not 0 <= index < n:
                 raise SolverError(f"unknown variable index {index}")
-        value, values = self.backend().solve(objective, sign, relaxed)
+        value, values = self.backend().solve(objective, relaxed)
         return Solution(objective=value, values=values, relaxed=relaxed)
 
     # -- pickling --------------------------------------------------------
     def __getstate__(self):
         state = self.__dict__.copy()
-        state["_backend"] = None  # backends hold process-local handles
-        state["_backend_version"] = -1
+        state["_backend"] = None  # the backend holds process-local handles
         return state

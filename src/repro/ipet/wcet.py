@@ -104,7 +104,10 @@ def compute_wcet(cfg: CFG, table: ClassificationTable, timing: TimingModel,
             for variable in flow_model.in_edge_vars(block_id))))
         for block_id in cfg.block_ids()
     }
-    cycles = (solution.rounded_objective() if not relaxed
-              else int(-(-solution.objective // 1)))  # ceil for safety
+    if relaxed:
+        from repro.solve.backend import ceil_bound
+        cycles = ceil_bound(solution.objective)
+    else:
+        cycles = solution.rounded_objective()
     return WCETResult(cycles=cycles, block_counts=block_counts,
                       relaxed=relaxed)

@@ -231,15 +231,16 @@ class EstimationDag:
     order; any CFG will do, not only the suite's.  ``selection`` maps
     each pfail to the mechanisms estimated at it (the unprotected
     baseline included), in presentation order.
-    ``pool`` lets solve and cells tasks run on the process pool;
-    ``probability`` is the exceedance probability every row is
-    reduced to (see :func:`cell_stage`; default: the paper's target).
+    Solve and cells tasks may run on the scheduler's process pool
+    (inline at one worker); ``probability`` is the exceedance
+    probability every row is reduced to (see :func:`cell_stage`;
+    default: the paper's target).
     The plan-pass probes count served rows into ``stats``;
     :meth:`record` adds the counters of every completed task.
     """
 
     def __init__(self, scheduler: PipelineScheduler, programs,
-                 geometries, selection, config, *, pool: bool = False,
+                 geometries, selection, config, *,
                  probability: float | None = None,
                  stats: PipelineStats | None = None) -> None:
         from repro.analysis.store import ClassificationStore
@@ -280,17 +281,17 @@ class EstimationDag:
                 solve_key = scheduler.add(
                     f"solve:{name}:{line}", solve_stage,
                     args=(cfg, group, mechanisms, config),
-                    stage="solve", pool=pool,
+                    stage="solve", pool=True,
                     order_key=f"0:{rank:04d}:{line:04d}")
                 for geometry in group:
                     self._add_cells(scheduler, name, digest, geometry,
                                     geometries.index(geometry),
                                     selection, config, solve_key,
-                                    cell_store, pool, probability,
+                                    cell_store, probability,
                                     names.index(name))
 
     def _add_cells(self, scheduler, name, digest, geometry, position,
-                   selection, config, solve_key, cell_store, pool,
+                   selection, config, solve_key, cell_store,
                    probability, bench_index) -> None:
         from repro.pipeline.cellstore import cell_key
         from repro.solve.store import store_context
@@ -321,7 +322,7 @@ class EstimationDag:
         scheduler.add(
             task_key, cell_stage,
             args=(name, geometry, config, rows, probability),
-            deps=(solve_key,), stage="cell", pool=pool,
+            deps=(solve_key,), stage="cell", pool=True,
             order_key=f"1:{position:04d}:{bench_index:04d}", probe=probe)
 
     @staticmethod
@@ -386,7 +387,7 @@ def suite_pipeline(programs, config, target_probability: float, *,
     scheduler = PipelineScheduler(workers=workers)
     dag = EstimationDag(scheduler, programs, (config.geometry,),
                         {config.pfail: SUITE_MECHANISMS}, config,
-                        pool=workers > 1, probability=target_probability,
+                        probability=target_probability,
                         stats=stats)
 
     def result(name, key, cells: CellsOutput):

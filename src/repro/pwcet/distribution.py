@@ -197,7 +197,7 @@ class DiscreteDistribution:
         where the paper's 1e-15 exceedance threshold lives.  Computed
         once and cached (do not mutate the returned array); the
         batched distribution kernel seeds the cache for a whole pfail
-        batch from one 2-D suffix-sum via :meth:`seed_ccdf`.
+        batch from one 2-D suffix-sum via :meth:`_trusted`.
         """
         if self._ccdf is None:
             suffix = np.cumsum(self._pmf[::-1])[::-1]  # P(X >= v)
@@ -206,20 +206,6 @@ class DiscreteDistribution:
             ccdf[-1] = 0.0
             self._ccdf = ccdf
         return self._ccdf
-
-    def seed_ccdf(self, ccdf: np.ndarray) -> None:
-        """Pre-seed the tail cache (batched-kernel fast path).
-
-        The caller guarantees ``ccdf`` is bitwise what :meth:`ccdf`
-        would compute — for the batched kernel that holds because
-        ``np.cumsum`` accumulates a 2-D axis row-sequentially, exactly
-        like the 1-D computation.
-        """
-        if ccdf.shape != self._pmf.shape:
-            raise DistributionError(
-                f"ccdf length {ccdf.shape} does not match the pmf's "
-                f"{self._pmf.shape}")
-        self._ccdf = ccdf
 
     def quantile_exceedance(self, probability: float) -> int:
         """Smallest ``v`` with ``P(X > v) <= probability``.

@@ -13,10 +13,11 @@ solves from eager calls into *planned* work:
 ``backend``
     Frozen solver inputs.  :class:`ProgramSnapshot` captures a
     :class:`~repro.ipet.ilp.LinearProgram`'s constraint system once
-    (CSC matrix, bounds, row bounds) and the backends solve many
-    objectives against it without rebuilding anything: a persistent
-    HiGHS model (cost vector swapped in place) when scipy's vendored
-    ``highspy`` is usable, else a frozen ``scipy.optimize.milp`` path.
+    (CSC matrix, bounds, row bounds), and
+    :class:`~repro.solve.backend.HighsBackend`, the one backend, solves
+    many objectives against it without rebuilding anything: a
+    persistent HiGHS model loaded through scipy's vendored ``highspy``
+    bindings, its cost vector swapped in place.
 
 ``planner``
     :class:`SolvePlanner` — dedupes requests by canonical key,
@@ -49,9 +50,6 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "CompactionReport": ".gc",
     "gc_cache": ".gc",
     "ProgramSnapshot": ".backend",
-    "SolverBackend": ".backend",
-    "available_backends": ".backend",
-    "make_backend": ".backend",
     "SolvePlanner": ".planner",
     "SolveStats": ".planner",
     "SolveRequest": ".request",

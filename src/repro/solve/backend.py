@@ -1,4 +1,4 @@
-"""Frozen solver inputs and persistent solve backends.
+"""Frozen solver inputs and the persistent HiGHS solve backend.
 
 ``scipy.optimize.milp`` rebuilds its whole model on every call: the
 constraint matrix is re-validated, ``Bounds``/``LinearConstraint``
@@ -7,19 +7,16 @@ For the FMM sweep — hundreds of objectives over one unchanging
 polytope — that per-call overhead dominates the actual solve time.
 
 :class:`ProgramSnapshot` freezes a program's constraint system once
-into plain numpy arrays.  Two backends solve objectives against a
-snapshot:
-
-* :class:`HighsBackend` — keeps persistent HiGHS models (one ILP, one
-  LP relaxation) loaded via scipy's vendored ``highspy`` bindings and
-  swaps only the cost vector between solves.  ~5x less per-solve
-  overhead than ``scipy.optimize.milp``.
-* :class:`ScipyBackend` — the portable fallback; still benefits from
-  the frozen CSC matrix, ``Bounds`` and ``LinearConstraint`` objects.
-
-Both backends produce the same optima (HiGHS solves the model either
-way); the equivalence is pinned by tests.  :func:`make_backend` picks
-:class:`HighsBackend` whenever this scipy build ships the bindings.
+into plain numpy arrays.  :class:`HighsBackend` solves objectives
+against a snapshot: it keeps persistent HiGHS models (one ILP, one LP
+relaxation) loaded via scipy's vendored ``highspy`` bindings
+(``scipy.optimize._highspy``, a private but stable API) and swaps only
+the cost vector between solves — ~5x less per-solve overhead than
+``scipy.optimize.milp``.  It is the only backend: a scipy without the
+bindings fails at the first solve with the import error.  Its
+independent checks are the path enumerator
+(:func:`repro.ipet.paths.max_path_cost`) and the exact-arithmetic
+witness test, not a second solver.
 
 scipy is imported on first snapshot or backend build, not with this
 module: commands that never solve (``repro list``, warm runs served
@@ -28,9 +25,7 @@ from the stores) skip its ~0.5 s import entirely.
 
 from __future__ import annotations
 
-import functools
 import math
-from abc import ABC, abstractmethod
 from collections.abc import Mapping
 from dataclasses import dataclass
 
@@ -39,40 +34,14 @@ import numpy as np
 from repro.errors import SolverError
 from repro.testing import faultinject
 
-#: Map of scipy.milp status codes to human-readable causes.
-_MILP_STATUS = {
-    0: "optimal",
-    1: "iteration or time limit",
-    2: "infeasible",
-    3: "unbounded",
-    4: "numerical difficulties",
-}
 
-
-@functools.cache
-def _highs_core():
-    """scipy's vendored HiGHS bindings (a private, but stable, API), or
-    ``None`` when this scipy build lacks them."""
-    try:
-        from scipy.optimize._highspy import _core
-    except ImportError:  # pragma: no cover - depends on scipy build
-        return None
-    return _core
-
-
-def available_backends() -> tuple[str, ...]:
-    """Backend names usable in this environment, preferred first."""
-    if _highs_core() is not None:
-        return ("highs", "scipy")
-    return ("scipy",)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProgramSnapshot:
     """A linear program's constraint system, frozen to numpy arrays.
 
-    Plain data only, hashable by identity; rebuilt only when the
-    program changes.
+    Plain data only, compared and hashed by identity (a backend is
+    valid for exactly the snapshot it was built from); rebuilt only
+    when the program changes.
     """
 
     name: str
@@ -127,86 +96,18 @@ class ProgramSnapshot:
             shape=(self.num_constraints, self.num_variables))
 
 
-class SolverBackend(ABC):
-    """Solves many objectives against one frozen constraint system."""
+class HighsBackend:
+    """Persistent HiGHS models over one snapshot; only the cost vector
+    changes per solve."""
 
     def __init__(self, snapshot: ProgramSnapshot) -> None:
         self.snapshot = snapshot
-
-    def solve(self, objective: Mapping[int, float], sign: float,
-              relaxed: bool) -> tuple[float, np.ndarray]:
-        """Optimise ``sign``-adjusted objective; returns (value, x).
-
-        ``sign=-1`` maximises, ``sign=1`` minimises, matching the
-        historical :class:`~repro.ipet.ilp.LinearProgram` convention.
-        Template method: the chaos harness's ``solve`` site fires
-        here (injected per-program failures), then the
-        backend-specific ``_solve`` runs.
-        """
-        faultinject.solve_hook(self.snapshot.name)
-        return self._solve(objective, sign, relaxed)
-
-    @abstractmethod
-    def _solve(self, objective: Mapping[int, float], sign: float,
-               relaxed: bool) -> tuple[float, np.ndarray]:
-        """Backend-specific solve (see :meth:`solve`)."""
-
-    def _cost_vector(self, objective: Mapping[int, float],
-                     sign: float) -> np.ndarray:
-        c = np.zeros(self.snapshot.num_variables)
-        for index, coefficient in objective.items():
-            c[index] = sign * coefficient
-        return c
-
-    def _fail(self, cause: str, message: str) -> SolverError:
-        return SolverError(f"{self.snapshot.name}: solver failed "
-                           f"({cause}): {message}")
-
-
-class ScipyBackend(SolverBackend):
-    """Frozen-input path through ``scipy.optimize.milp``."""
-
-    def __init__(self, snapshot: ProgramSnapshot) -> None:
-        from scipy import optimize
-
-        super().__init__(snapshot)
-        n = snapshot.num_variables
-        self._milp = optimize.milp
-        self._bounds = optimize.Bounds(snapshot.col_lower,
-                                       snapshot.col_upper)
-        self._constraints = []
-        if snapshot.num_constraints:
-            self._constraints.append(optimize.LinearConstraint(
-                snapshot.csc_matrix(), snapshot.row_lower,
-                snapshot.row_upper))
-        self._integrality = {False: np.ones(n), True: np.zeros(n)}
-
-    def _solve(self, objective: Mapping[int, float], sign: float,
-               relaxed: bool) -> tuple[float, np.ndarray]:
-        result = self._milp(c=self._cost_vector(objective, sign),
-                               constraints=self._constraints,
-                               bounds=self._bounds,
-                               integrality=self._integrality[relaxed])
-        if not result.success:
-            cause = _MILP_STATUS.get(result.status,
-                                     f"status {result.status}")
-            raise self._fail(cause, result.message)
-        # milp always minimises; undo the sign flip used for maximise.
-        return float(result.fun) / sign, result.x
-
-
-class HighsBackend(SolverBackend):
-    """Persistent HiGHS models; only the cost vector changes per solve."""
-
-    def __init__(self, snapshot: ProgramSnapshot) -> None:
-        if _highs_core() is None:  # pragma: no cover - guarded by factory
-            raise SolverError("scipy's highspy bindings are unavailable")
-        super().__init__(snapshot)
         self._solvers: dict[bool, object] = {}
         self._indices = np.arange(snapshot.num_variables, dtype=np.int64)
 
     def _build(self, relaxed: bool):
-        core = _highs_core()
+        from scipy.optimize._highspy import _core as core
+
         snapshot = self.snapshot
         n = snapshot.num_variables
         lp = core.HighsLp()
@@ -240,12 +141,23 @@ class HighsBackend(SolverBackend):
             self._solvers[relaxed] = self._build(relaxed)
         return self._solvers[relaxed]
 
-    def _solve(self, objective: Mapping[int, float], sign: float,
-               relaxed: bool) -> tuple[float, np.ndarray]:
-        core = _highs_core()
+    def solve(self, objective: Mapping[int, float],
+              relaxed: bool) -> tuple[float, np.ndarray]:
+        """Maximise ``objective``; returns (value, x).
+
+        The chaos harness's ``solve`` site fires first (injected
+        per-program failures).
+        """
+        faultinject.solve_hook(self.snapshot.name)
+        from scipy.optimize._highspy import _core as core
+
         solver = self._solver(relaxed)
+        # HiGHS minimises: solve for the negated costs, negate back.
+        cost = np.zeros(self.snapshot.num_variables)
+        for index, coefficient in objective.items():
+            cost[index] = -coefficient
         solver.changeColsCost(self.snapshot.num_variables, self._indices,
-                              self._cost_vector(objective, sign))
+                              cost)
         run_status = solver.run()
         model_status = solver.getModelStatus()
         if (run_status == core.HighsStatus.kError
@@ -254,11 +166,12 @@ class HighsBackend(SolverBackend):
                              solver.modelStatusToString(model_status))
         value = float(solver.getInfo().objective_function_value)
         values = np.array(solver.getSolution().col_value)
-        return value / sign, values
+        return -value, values
 
     @staticmethod
     def _cause(model_status) -> str:
-        core = _highs_core()
+        from scipy.optimize._highspy import _core as core
+
         if model_status == core.HighsModelStatus.kInfeasible:
             return "infeasible"
         if model_status in (core.HighsModelStatus.kUnbounded,
@@ -266,24 +179,9 @@ class HighsBackend(SolverBackend):
             return "unbounded"
         return f"status {model_status}"
 
-    def __getstate__(self):  # the HiGHS handles never cross processes
-        return {"snapshot": self.snapshot}
-
-    def __setstate__(self, state):
-        self.__init__(state["snapshot"])
-
-
-def make_backend(snapshot: ProgramSnapshot,
-                 prefer: str = "highs") -> SolverBackend:
-    """Build the best available backend for a frozen program.
-
-    ``prefer`` may name ``"highs"`` or ``"scipy"`` (the backend
-    equivalence tests build both); unavailable or unknown names fall
-    back to the scipy path.
-    """
-    if prefer == "highs" and _highs_core() is not None:
-        return HighsBackend(snapshot)
-    return ScipyBackend(snapshot)
+    def _fail(self, cause: str, message: str) -> SolverError:
+        return SolverError(f"{self.snapshot.name}: solver failed "
+                           f"({cause}): {message}")
 
 
 def ceil_bound(value: float) -> int:

@@ -242,7 +242,7 @@ def run_sweep(geometries=None, *,
         geometries,
         {pfail: _estimation_mechanisms(chosen)
          for pfail, chosen in selection.items()},
-        config, pool=workers > 1, probability=probability,
+        config, probability=probability,
         stats=pipeline_stats)
 
     def cell_points(cell, *outputs):

@@ -8,7 +8,7 @@ environment variable arms injection hooks threaded through the pool
 entry point (:func:`~repro.pipeline.scheduler._run_pool_task`), the
 persistent stores (:meth:`~repro.solve.store.SqliteStore._put` /
 ``_get``) and the solve backend
-(:meth:`~repro.solve.backend.SolverBackend.solve`), so CI can diff a
+(:meth:`~repro.solve.backend.HighsBackend.solve`), so CI can diff a
 chaos run byte-for-byte against an undisturbed golden.
 
 Plan grammar
@@ -37,7 +37,7 @@ Sites and their actions:
     ``SELECT`` raises, so the read is a miss).
 
 ``solve``
-    Fires inside :meth:`SolverBackend.solve`; ``target`` is the
+    Fires inside :meth:`HighsBackend.solve`; ``target`` is the
     program snapshot name (``crc``, ``prime``, ...) or ``*``.
     Action: ``fail`` (raise :class:`~repro.errors.SolverError`, which
     aborts the run).
@@ -210,6 +210,6 @@ def worker_hook(stage: str) -> None:
 
 
 def solve_hook(name: str) -> None:
-    """Injection point inside ``SolverBackend.solve``."""
+    """Injection point inside ``HighsBackend.solve``."""
     if fire("solve", name) is not None:
         raise SolverError(f"injected solver fault ({name})")

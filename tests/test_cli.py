@@ -47,6 +47,19 @@ class TestEstimate:
         assert main(["estimate", "bs", "--mechanisms", "srb+"]) == 0
         assert "unavailable" in capsys.readouterr().out
 
+    def test_a_bug_in_pwcet_is_not_reported_as_unavailable(
+            self, monkeypatch):
+        # Only an analysis' refusal (EstimationError) prints
+        # "unavailable"; any other error is a bug and must propagate.
+        from repro.pwcet.estimator import PWCETEstimate
+
+        def broken(self, probability):
+            raise RuntimeError("bug in pwcet")
+
+        monkeypatch.setattr(PWCETEstimate, "pwcet", broken)
+        with pytest.raises(RuntimeError, match="bug in pwcet"):
+            main(["estimate", "bs", "--mechanisms", "rw"])
+
     def test_unknown_benchmark(self):
         with pytest.raises(SystemExit):
             main(["estimate", "dhrystone"])

@@ -2,11 +2,11 @@
 
 The planner's whole contract is *bit-identical outputs*: every
 shortcut (canonical-objective dedup, empty short-circuit, batching,
-persistent backends) is value-preserving with respect to solving every
+the persistent backend) is value-preserving with respect to solving every
 (set, fault count) ILP directly.  These tests pin that equivalence on
 real suite benchmarks across all three reliability mechanisms, against
 an oracle that calls :meth:`LinearProgram.maximize` once per cell,
-plus unit-level behaviour of the planner and backends.
+plus unit-level behaviour of the planner and the backend.
 """
 
 import pytest
@@ -16,9 +16,8 @@ from repro.fmm import compute_fault_miss_map
 from repro.ipet import FlowModel, LinearProgram
 from repro.pwcet import EstimatorConfig, PWCETEstimator
 from repro.reliability import mechanism_by_name
-from repro.solve import (SolvePlanner, SolveRequest, available_backends,
-                        make_backend)
-from repro.solve.backend import ScipyBackend, ceil_bound
+from repro.solve import SolvePlanner, SolveRequest
+from repro.solve.backend import HighsBackend, ceil_bound
 from repro.suite import load
 
 MECHANISMS = ("none", "srb", "rw")
@@ -97,20 +96,6 @@ class TestPipelineEquivalence:
         for mechanism in MECHANISMS:
             assert (planned.estimate(mechanism).pwcet()
                     == direct.estimate(mechanism).pwcet())
-
-
-class TestParallelSuite:
-    def test_run_suite_workers_identical(self):
-        from repro.experiments.runner import run_suite
-        subset = ("fibcall", "bs", "prime")
-        sequential = run_suite(benchmarks=subset)
-        parallel = run_suite(EstimatorConfig(workers=2), benchmarks=subset,
-                             workers=2)
-        for left, right in zip(sequential, parallel):
-            assert left.name == right.name
-            assert left.wcet_fault_free == right.wcet_fault_free
-            for mechanism in MECHANISMS:
-                assert left.pwcet(mechanism) == right.pwcet(mechanism)
 
 
 class TestSolveRequest:
@@ -200,24 +185,35 @@ class TestPlannerUnit:
 
 
 class TestBackends:
-    def test_backends_agree_on_flow_polytope(self, loop_program):
-        """Persistent HiGHS and frozen scipy give the same optima."""
+    def test_persistent_backend_matches_fresh_ones(self, loop_program):
+        """Swapping the cost vector of one persistent model gives, for
+        every objective and mode, what a freshly built model gives."""
         flow_model = FlowModel(loop_program.cfg)
         snapshot = flow_model.program.snapshot()
-        objective = {flow_model.entry_var: 1.0}
-        for block_id in loop_program.cfg.block_ids():
-            for variable, weight in flow_model.block_count_coefficients(
-                    block_id, 3.0).items():
-                objective[variable] = objective.get(variable, 0.0) + weight
-        reference = ScipyBackend(snapshot)
-        for name in available_backends():
-            backend = make_backend(snapshot, prefer=name)
+        blocks = list(loop_program.cfg.block_ids())
+        objectives = []
+        for step, block_id in enumerate(blocks):
+            # Different supports and fractional weights, so a stale
+            # cost entry or a stale incumbent would change the optimum.
+            objective = {flow_model.entry_var: 1.0}
+            for other in blocks[step:] + blocks[:step // 2]:
+                weight = 1.0 + 0.37 * ((other + step) % 4)
+                for variable, coefficient in \
+                        flow_model.block_count_coefficients(
+                            other, weight).items():
+                    objective[variable] = (objective.get(variable, 0.0)
+                                           + coefficient)
+            objectives.append(objective)
+        persistent = HighsBackend(snapshot)
+        seen = set()
+        for objective in objectives + objectives[::-1]:
             for relaxed in (False, True):
-                value, _ = backend.solve(objective, sign=-1.0,
-                                         relaxed=relaxed)
-                expected, _ = reference.solve(objective, sign=-1.0,
-                                              relaxed=relaxed)
+                value, _ = persistent.solve(objective, relaxed)
+                expected, _ = HighsBackend(snapshot).solve(objective,
+                                                           relaxed)
                 assert round(value, 6) == round(expected, 6)
+                seen.add(round(value, 6))
+        assert len(seen) > 1  # the objectives really differ
 
     def test_snapshot_invalidated_by_model_edits(self):
         program = _bounded_program()
