@@ -34,6 +34,7 @@ README "Pool recovery & chaos testing".
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from collections.abc import Callable
 
@@ -397,11 +398,22 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     arguments = parser.parse_args(argv)
     try:
-        return arguments.handler(arguments)
+        code = arguments.handler(arguments)
+        # Flush inside the try, so a closed pipe is caught below and
+        # not at interpreter exit.
+        sys.stdout.flush()
+        return code
     except ConfigurationError as error:
         # Bad input argparse could not see: report it the way argparse
         # reports its own (one line, exit 2), not as a traceback.
         parser.exit(2, f"{parser.prog}: error: {error}\n")
+    except BrokenPipeError:
+        # The reader went away (``repro list | head -1``).  Point stdout
+        # at devnull so the exit-time flush cannot fail again, and exit
+        # 1 with no traceback, as the ``signal`` module docs advise.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

@@ -1,13 +1,18 @@
 """Experiment drivers regenerating the paper's figures and statistics.
 
-One module per evaluation artefact (see DESIGN.md §3):
+One module per evaluation artefact, plus the report that gathers them:
 
 * :mod:`repro.experiments.fig1` — the FMM / convolution walkthrough;
 * :mod:`repro.experiments.fig3` — adpcm exceedance curves;
 * :mod:`repro.experiments.fig4` — the 25-benchmark survey, category
   classification and gain statistics;
-* :mod:`repro.experiments.ablations` — pfail sweep, geometry sweep,
-  ILP-vs-LP-relaxation comparison.
+* :mod:`repro.experiments.report` — all of them plus the extension
+  tables, as the one document ``repro report`` prints
+  (``tests/golden/report.txt``).
+
+The geometry and pfail sensitivity studies are what ``repro sweep``
+computes over its ``--sizes``, ``--ways``, ``--lines`` and ``--pfails``
+axes.
 """
 
 from repro._lazy import lazy_exports

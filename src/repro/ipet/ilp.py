@@ -13,8 +13,8 @@ solve is a maximisation (IPET WCET and FMM entries are maxima).
 
 Solving the LP relaxation instead of the ILP is supported: for a
 *maximisation* the relaxation can only over-estimate, so a relaxed
-WCET/FMM bound remains sound (just possibly less tight) — this is the
-ABL-SOLVER ablation of DESIGN.md.
+WCET/FMM bound remains sound (just possibly less tight) — this is
+``EstimatorConfig(relaxed=True)``, the CLI's ``--relaxed``.
 """
 
 from __future__ import annotations

@@ -5,8 +5,8 @@ measurement-based family of Slijepcevic et al. [7].  This package
 implements that comparator: collect execution-time samples over random
 fault maps and paths, fit an extreme-value model with scipy, and read
 the pWCET off the fitted tail.  Unlike SPTA it carries no guarantee of
-having seen the worst path — which is exactly the comparison point the
-ABL-MBPTA experiment of DESIGN.md makes.
+having seen the worst path — which is exactly the comparison point
+``examples/mbpta_comparison.py`` prints.
 """
 
 from repro._lazy import lazy_exports

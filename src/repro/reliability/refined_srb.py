@@ -31,7 +31,7 @@ so the estimator adds ``P(not A)`` to every exceedance value (the
 for targets above ``P(not A)`` — at the paper's parameters
 (pfail = 1e-4, 16 sets) that is ~8.1e-14, so the refined bound helps
 at e.g. 1e-9 but *cannot* reach the 1e-15 aerospace target; the
-trade-off is quantified in ``benchmarks/bench_refined_srb.py``.
+trade-off is quantified by the refined-SRB table of ``repro report``.
 """
 
 from __future__ import annotations

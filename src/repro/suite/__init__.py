@@ -6,8 +6,7 @@ so each entry here is a MiniC program *mimicking the documented control
 structure and code footprint of its namesake* — loop-nest shapes,
 bounds, call structure and straight-line body sizes are modelled on
 the originals.  The WCET analyses consume only addresses, structure
-and bounds, so these stand-ins exercise the same code paths (see
-DESIGN.md §4 for the substitution argument).
+and bounds, so these stand-ins exercise the same code paths.
 
 Public interface:
 

@@ -232,7 +232,7 @@ def run_sweep(geometries=None, *,
         workers = config.workers
     if pipeline_stats is None:
         pipeline_stats = PipelineStats()
-    geometries = tuple(geometries)
+    geometries = tuple(dict.fromkeys(geometries))
     benchmarks = tuple(dict.fromkeys(benchmarks))
     selection = _selection(only_cells, tuple(pfails))
     cells = sweep_cells(geometries, tuple(selection))

@@ -112,6 +112,26 @@ class TestOtherCommands:
         with pytest.raises(SystemExit):
             main([])
 
+    def test_closed_stdout_pipe_exits_without_traceback(self):
+        """``repro list | head -1``: the reader is gone before the
+        command writes; it exits 1 with nothing on stderr."""
+        import os
+        import subprocess
+        import sys
+
+        root = pathlib.Path(__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            run = subprocess.run([sys.executable, "-m", "repro", "list"],
+                                 stdout=write_end, stderr=subprocess.PIPE,
+                                 text=True, env=env, cwd=root)
+        finally:
+            os.close(write_end)
+        assert run.stderr == ""  # no traceback, no "Exception ignored"
+        assert run.returncode == 1
+
 
 class TestBadInput:
     """Bad input exits 2 with one error line, before any work runs."""

@@ -1,4 +1,4 @@
-"""Experiment drivers: categories, figure data, ablations."""
+"""Experiment drivers: categories and figure data."""
 
 import pytest
 
@@ -104,24 +104,3 @@ class TestFig1:
     def test_format(self):
         text = format_fig1(compute_fig1())
         assert "Figure 1.a" in text and "Figure 1.b" in text
-
-
-class TestAblations:
-    def test_pfail_sweep_monotone(self):
-        from repro.experiments.ablations import pfail_sweep
-        points = pfail_sweep(pfails=(1e-5, 1e-4), benchmarks=("bs",))
-        assert len(points) == 2
-        by_pfail = {point.value: point for point in points}
-        assert (by_pfail[1e-5].pwcet_none <= by_pfail[1e-4].pwcet_none)
-
-    def test_solver_comparison_sound(self):
-        from repro.experiments.ablations import solver_comparison
-        pairs = solver_comparison(benchmarks=("bs",))
-        for exact, relaxed in pairs:
-            assert relaxed.pwcet_none >= exact.pwcet_none
-
-    def test_format_sweep(self):
-        from repro.experiments.ablations import format_sweep, pfail_sweep
-        text = format_sweep(pfail_sweep(pfails=(1e-4,),
-                                        benchmarks=("bs",)))
-        assert "bs" in text and "pfail" in text

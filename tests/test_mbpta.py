@@ -7,7 +7,7 @@ from scipy import stats
 from repro.errors import EstimationError
 from repro.mbpta import (MBPTAEstimator, fit_block_maxima,
                          fit_peaks_over_threshold)
-from repro.pwcet import EstimatorConfig
+from repro.pwcet import EstimatorConfig, PWCETEstimator
 
 
 class TestBlockMaxima:
@@ -85,6 +85,13 @@ class TestMBPTAEstimator:
 
     def test_pwcet_at_least_observed_max(self, result):
         assert result.pwcet >= result.samples_max
+
+    def test_static_pwcet_dominates_every_sample(self, result,
+                                                 loop_program):
+        """Each sample is a feasible path on a sampled chip, so the
+        static bound at the same probability is at least their max."""
+        static = PWCETEstimator(loop_program, EstimatorConfig())
+        assert static.estimate("none").pwcet(1e-9) >= result.samples_max
 
     def test_summary_readable(self, result):
         text = result.summary()

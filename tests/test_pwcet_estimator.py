@@ -83,6 +83,7 @@ class TestEstimates:
 class TestSensitivity:
     def test_pwcet_monotone_in_pfail(self, loop_program):
         previous = None
+        fault_free = set()
         for pfail in (1e-6, 1e-5, 1e-4, 1e-3):
             config = EstimatorConfig(pfail=pfail)
             estimator = PWCETEstimator(loop_program, config)
@@ -90,6 +91,9 @@ class TestSensitivity:
             if previous is not None:
                 assert value >= previous
             previous = value
+            fault_free.add(estimator.fault_free_wcet())
+        # pfail moves the fault distribution, never the fault-free WCET.
+        assert len(fault_free) == 1
 
     def test_zero_pfail_degenerates_to_fault_free(self, loop_program):
         config = EstimatorConfig(pfail=0.0)
@@ -105,6 +109,14 @@ class TestSensitivity:
         for name in ("none", "srb", "rw"):
             assert (relaxed.estimate(name).pwcet()
                     >= exact.estimate(name).pwcet())
+
+    def test_direct_mapped_rw_is_fault_free(self, loop_program):
+        """With one way per set, the reliable way is the whole cache:
+        no fault can reach it, so RW's pWCET is the fault-free WCET."""
+        estimator = PWCETEstimator(loop_program, EstimatorConfig(
+            geometry=CacheGeometry.from_size(1024, 1, 16)))
+        assert (estimator.estimate("rw").pwcet()
+                == estimator.fault_free_wcet())
 
     def test_bigger_cache_never_hurts_fault_free(self, loop_program):
         small = PWCETEstimator(loop_program, EstimatorConfig(

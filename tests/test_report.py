@@ -1,18 +1,28 @@
 """The one-shot reproduction report and its CLI command."""
 
+import pathlib
+
 import pytest
 
 from repro.cli import main
 from repro.experiments.report import full_report, refined_srb_section
 from repro.pwcet import EstimatorConfig
 
+#: What ``repro report --cache off --output F`` writes to ``F``.
+GOLDEN = pathlib.Path(__file__).parent / "golden" / "report.txt"
+
 
 @pytest.fixture(scope="module")
 def report_text():
-    return full_report(EstimatorConfig())
+    # cache="off", not the session store: the sweep section's solver
+    # line counts store hits, which would depend on the tests run first.
+    return full_report(EstimatorConfig(cache="off"))
 
 
 class TestFullReport:
+    def test_matches_golden(self, report_text):
+        assert report_text + "\n" == GOLDEN.read_text()
+
     def test_contains_every_section(self, report_text):
         for heading in ("Figure 1", "Figure 3", "Figure 4",
                         "refined SRB", "cost trade-off"):
@@ -35,6 +45,7 @@ class TestFullReport:
 class TestReportCommand:
     def test_writes_file(self, tmp_path, capsys):
         target = tmp_path / "report.md"
-        assert main(["report", "--output", str(target)]) == 0
+        assert main(["report", "--cache", "off",
+                     "--output", str(target)]) == 0
         assert "report written" in capsys.readouterr().out
-        assert "Figure 4" in target.read_text()
+        assert target.read_text() == GOLDEN.read_text()

@@ -116,6 +116,18 @@ class TestRunSweep:
         assert "Pareto front — rw at pfail=0.001" in text
         assert "persistent cache" in text
 
+    def test_cli_sweep_repeated_axis_values_run_once(self, capsys):
+        """A repeated geometry axis value is one grid cell, as a
+        repeated benchmark or pfail is."""
+        from repro.cli import main
+        outputs = []
+        for sizes in (["512"], ["512", "512"]):
+            assert main(["sweep", "--sizes", *sizes, "--ways", "2",
+                         "--lines", "16", "--benchmarks", "bs",
+                         "--cache", "off"]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[1] == outputs[0]
+
     def test_relaxed_store_hit_rate_counts_lp_solves(self, tmp_path):
         """A --relaxed sweep solves LPs, not ILPs: the hit rate divides
         the store hits by every backend-bound solve, LPs included."""
