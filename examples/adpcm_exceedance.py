@@ -9,7 +9,9 @@ Run with:  python examples/adpcm_exceedance.py
 
 import math
 
-from repro.experiments.fig3 import exceedance_curves, format_fig3
+from repro.experiments import run_suite
+from repro.experiments.fig3 import (FIG3_BENCHMARK, exceedance_curves,
+                                    format_fig3)
 
 
 def ascii_plot(curves, width: int = 68, height: int = 16) -> str:
@@ -35,9 +37,10 @@ def ascii_plot(curves, width: int = 68, height: int = 16) -> str:
 
 
 def main() -> None:
-    print(format_fig3())
+    (result,) = run_suite(benchmarks=(FIG3_BENCHMARK,))
+    print(format_fig3(result))
     print()
-    print(ascii_plot(exceedance_curves()))
+    print(ascii_plot(exceedance_curves(result)))
 
 
 if __name__ == "__main__":

@@ -10,11 +10,11 @@ each involving dozens of integer linear programs).
 Run with:  python examples/mechanism_tradeoff.py
 """
 
-from repro.experiments import fig4_rows, format_fig4
+from repro.experiments import fig4_rows, format_fig4, run_suite
 
 
 def main() -> None:
-    rows = fig4_rows()
+    rows = fig4_rows(run_suite())
     print(format_fig4(rows))
 
     print("\nreading a stacked bar (matmult, like the paper's example):")

@@ -12,6 +12,7 @@ SRB analysis.  This example shows both extensions:
 Run with:  python examples/reliability_cost_tradeoff.py
 """
 
+from repro.experiments import run_suite
 from repro.hwcost.tradeoff import format_tradeoff, tradeoff_points
 from repro.pwcet import EstimatorConfig, PWCETEstimator
 from repro.reliability.refined_srb import excluded_probability
@@ -23,7 +24,7 @@ BENCHMARKS = ("fibcall", "bsort100", "ud", "adpcm")
 def main() -> None:
     print("pWCET gain vs hardware cost at 1e-15 "
           "(schmitt-trigger hardened cells):\n")
-    print(format_tradeoff(tradeoff_points(BENCHMARKS)))
+    print(format_tradeoff(tradeoff_points(run_suite(benchmarks=BENCHMARKS))))
 
     probability = 1e-9
     config = EstimatorConfig()

@@ -35,7 +35,15 @@ class CacheGeometry:
     def __post_init__(self) -> None:
         check_power_of_two(self.sets, "sets")
         check_positive_int(self.ways, "ways")
-        check_power_of_two(self.block_bytes, "block_bytes")
+        # Validated and derived once: ``block_of`` runs on every
+        # simulated fetch.  Not a field, so equality, hashing and repr
+        # see only the three parameters (and ``__reduce__`` pickles
+        # only them).
+        object.__setattr__(self, "_offset_bits",
+                           ilog2(self.block_bytes, "block_bytes"))
+
+    def __reduce__(self):
+        return type(self), (self.sets, self.ways, self.block_bytes)
 
     @classmethod
     def from_size(cls, total_bytes: int, ways: int,
@@ -65,7 +73,7 @@ class CacheGeometry:
 
     @property
     def offset_bits(self) -> int:
-        return ilog2(self.block_bytes, "block_bytes")
+        return self._offset_bits
 
     @property
     def index_bits(self) -> int:
@@ -73,7 +81,7 @@ class CacheGeometry:
 
     def block_of(self, address: int) -> int:
         """Memory-block number containing ``address``."""
-        return address >> self.offset_bits
+        return address >> self._offset_bits
 
     def set_of(self, address: int) -> int:
         """Cache-set index of ``address``."""
@@ -89,7 +97,7 @@ class CacheGeometry:
 
     def block_base_address(self, block: int) -> int:
         """First byte address of a memory block."""
-        return block << self.offset_bits
+        return block << self._offset_bits
 
     def __str__(self) -> str:
         return (f"{self.total_bytes}B cache, {self.sets} sets x "

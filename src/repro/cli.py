@@ -136,10 +136,10 @@ def _command_estimate(arguments: argparse.Namespace) -> int:
 
 
 def _command_suite(arguments: argparse.Namespace) -> int:
-    from repro.experiments import fig4_rows, format_fig4
-    rows = fig4_rows(_config_from(arguments),
-                     target_probability=arguments.probability)
-    print(format_fig4(rows))
+    from repro.experiments import fig4_rows, format_fig4, run_suite
+    results = run_suite(_config_from(arguments),
+                        target_probability=arguments.probability)
+    print(format_fig4(fig4_rows(results)))
     return 0
 
 
@@ -161,12 +161,14 @@ def _command_fmm(arguments: argparse.Namespace) -> int:
 
 
 def _command_tradeoff(arguments: argparse.Namespace) -> int:
+    from repro.experiments import run_suite
     from repro.hwcost.tradeoff import format_tradeoff, tradeoff_points
     benchmarks = tuple(arguments.benchmark or ("fibcall", "ud", "adpcm"))
     _check_benchmarks(benchmarks)
-    points = tradeoff_points(benchmarks, _config_from(arguments),
-                             probability=arguments.probability)
-    print(format_tradeoff(points))
+    results = run_suite(_config_from(arguments),
+                        target_probability=arguments.probability,
+                        benchmarks=benchmarks)
+    print(format_tradeoff(tradeoff_points(results)))
     return 0
 
 

@@ -1,6 +1,8 @@
 """Experiment drivers regenerating the paper's figures and statistics.
 
-One module per evaluation artefact, plus the report that gathers them:
+One module per evaluation artefact, plus the report that gathers them
+(Figures 3 and 4 format results of
+:func:`~repro.experiments.runner.run_suite`):
 
 * :mod:`repro.experiments.fig1` — the FMM / convolution walkthrough;
 * :mod:`repro.experiments.fig3` — adpcm exceedance curves;
@@ -19,7 +21,6 @@ from repro._lazy import lazy_exports
 
 __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "BenchmarkResult": ".runner",
-    "run_benchmark": ".runner",
     "run_suite": ".runner",
     "exceedance_curves": ".fig3",
     "format_fig3": ".fig3",

@@ -19,10 +19,7 @@ import enum
 import statistics
 from dataclasses import dataclass
 
-from repro.experiments.runner import BenchmarkResult, run_suite
-from repro.pwcet import EstimatorConfig
-from repro.pwcet.estimator import TARGET_EXCEEDANCE
-from repro.suite import EVALUATED_BENCHMARKS
+from repro.experiments.runner import BenchmarkResult
 
 
 class Category(enum.IntEnum):
@@ -115,16 +112,9 @@ class GainSummary:
             f"RW avg 48%, min 26% on fft)")
 
 
-def fig4_rows(config: EstimatorConfig | None = None, *,
-              target_probability: float = TARGET_EXCEEDANCE,
-              benchmarks: tuple[str, ...] = EVALUATED_BENCHMARKS
-              ) -> list[Fig4Row]:
-    """Compute Figure 4's bars for the whole suite."""
-    rows = []
-    for result in run_suite(config, target_probability=target_probability,
-                            benchmarks=benchmarks):
-        rows.append(row_of(result))
-    return rows
+def fig4_rows(results: list[BenchmarkResult]) -> list[Fig4Row]:
+    """Figure 4's bars, one per suite result."""
+    return [row_of(result) for result in results]
 
 
 def row_of(result: BenchmarkResult) -> Fig4Row:

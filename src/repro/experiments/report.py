@@ -9,8 +9,9 @@ and by the documentation pipeline.
 from __future__ import annotations
 
 from repro.experiments.fig1 import compute_fig1, format_fig1
-from repro.experiments.fig3 import format_fig3
+from repro.experiments.fig3 import FIG3_BENCHMARK, format_fig3
 from repro.experiments.fig4 import fig4_rows, format_fig4
+from repro.experiments.runner import run_suite
 from repro.hwcost.tradeoff import format_tradeoff, tradeoff_points
 from repro.pwcet import EstimatorConfig, PWCETEstimator
 from repro.reliability.refined_srb import excluded_probability
@@ -59,9 +60,16 @@ def sweep_section(config: EstimatorConfig,
 
 
 def full_report(config: EstimatorConfig | None = None) -> str:
-    """Every artefact, as one markdown document (runs the whole suite)."""
+    """Every artefact, as one markdown document.
+
+    Figures 3 and 4 and the trade-off table format one
+    :func:`~repro.experiments.runner.run_suite` result over the whole
+    suite.
+    """
     if config is None:
         config = EstimatorConfig()
+    results = run_suite(config)
+    by_name = {result.name: result for result in results}
     sections = [
         "# Reproduction report — Hardy, Puaut & Sazeides, DATE 2016",
         "",
@@ -73,17 +81,18 @@ def full_report(config: EstimatorConfig | None = None) -> str:
         "```", format_fig1(compute_fig1(config.pfail)), "```",
         "",
         "## Figure 3 — adpcm exceedance curves",
-        "```", format_fig3(config=config), "```",
+        "```", format_fig3(by_name[FIG3_BENCHMARK]), "```",
         "",
         "## Figure 4 — 25-benchmark survey",
-        "```", format_fig4(fig4_rows(config)), "```",
+        "```", format_fig4(fig4_rows(results)), "```",
         "",
         "## Extension: refined SRB analysis (paper future work)",
         "```", refined_srb_section(config), "```",
         "",
         "## Extension: pWCET/cost trade-off (paper future work)",
         "```",
-        format_tradeoff(tradeoff_points(EXTENSION_SUBSET, config)),
+        format_tradeoff(tradeoff_points(
+            [by_name[name] for name in EXTENSION_SUBSET])),
         "```",
         "",
         "## Extension: multi-geometry design-space sweep",

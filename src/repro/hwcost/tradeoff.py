@@ -3,18 +3,17 @@
 "The two mechanisms differ by their hardware cost and impact on
 estimated pWCETs, to allow the hardware designer to find the best
 pWCET/cost tradeoff" — this module quantifies both axes per benchmark
-and mechanism.  The pWCETs are the suite runner's (Figure 4's
-memoised results, when the configuration matches).
+and mechanism.  The pWCETs come from a
+:func:`~repro.experiments.runner.run_suite` result, the same estimates
+Figure 4 reads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.experiments.runner import run_suite
+from repro.experiments.runner import BenchmarkResult
 from repro.hwcost.model import MechanismCostModel
-from repro.pwcet import EstimatorConfig
-from repro.pwcet.estimator import TARGET_EXCEEDANCE
 from repro.reliability import MECHANISMS
 
 
@@ -41,19 +40,20 @@ class TradeoffPoint:
         return self.gain / self.area_overhead
 
 
-def tradeoff_points(benchmarks: tuple[str, ...],
-                    config: EstimatorConfig | None = None, *,
-                    probability: float = TARGET_EXCEEDANCE
+def tradeoff_points(results: list[BenchmarkResult]
                     ) -> list[TradeoffPoint]:
-    """Gain-vs-cost points for every benchmark and mechanism."""
-    if config is None:
-        config = EstimatorConfig()
-    cost_model = MechanismCostModel(config.geometry)
-    baseline_leakage = cost_model.cost_of(MECHANISMS[0]).leakage_equivalents
+    """Gain-vs-cost points for every suite result and mechanism.
 
+    The cost model is that of the cache geometry the results were
+    estimated on; the pWCETs are read at each result's target
+    probability.
+    """
     points = []
-    for result in run_suite(config, target_probability=probability,
-                            benchmarks=benchmarks):
+    for result in results:
+        cost_model = MechanismCostModel(
+            result.estimates["none"].fault_model.geometry)
+        baseline_leakage = cost_model.cost_of(
+            MECHANISMS[0]).leakage_equivalents
         reference = result.pwcet("none")
         for mechanism in MECHANISMS:
             cost = cost_model.cost_of(mechanism)

@@ -71,9 +71,8 @@ class EstimatorConfig:
     relaxed: bool = False
     #: Process-pool width of the suite/sweep task DAG (1 = inline).
     #: Execution policy, not a hardware parameter: results are
-    #: identical for any width, so it is excluded from equality (and
-    #: hence from the experiment runner's memoisation key).  A lone
-    #: :class:`PWCETEstimator` always runs in-process.
+    #: identical for any width, so it is excluded from equality.  A
+    #: lone :class:`PWCETEstimator` always runs in-process.
     workers: int = field(default=1, compare=False)
     #: Persistent solve-cache selector: ``None`` defers to the
     #: ``REPRO_CACHE`` environment variable, ``"off"`` disables

@@ -4,9 +4,11 @@ Fans the estimation pipeline out over a (cache geometry × pfail) grid
 and reports Pareto fronts of pWCET gain versus hardware cost, turning
 the single-configuration reproduction into the pre-silicon
 exploration tool of the ROADMAP (Lee et al.-style design-space
-search).  Exploits the persistent solve store: grid cells sharing ILP
-objectives (every pfail column of one geometry, and any rerun of the
-sweep) are answered from disk instead of the backend.
+search).  The failure rate never changes an ILP objective, so the
+pfail axis costs no solves: one solve task per (benchmark, line size)
+serves every pfail in-process, and one cells task per (benchmark,
+geometry) batches the whole pfail axis.  A rerun of the sweep is
+served from the persistent stores.
 
 * :mod:`repro.sweep.grid` — geometry/pfail grid construction;
 * :mod:`repro.sweep.service` — cell execution and Pareto extraction;

@@ -66,13 +66,13 @@ def geometry_grid(sizes: tuple[int, ...] = DEFAULT_SIZES,
 def sweep_cells(geometries: tuple[CacheGeometry, ...],
                 pfails: tuple[float, ...] = DEFAULT_PFAILS
                 ) -> tuple[SweepCell, ...]:
-    """All (geometry, pfail) cells, geometry-major.
+    """All (geometry, pfail) cells, geometry-major (the report's order).
 
-    Geometry-major order maximises persistent-cache reuse: consecutive
-    cells that differ only in ``pfail`` share every ILP objective (the
+    Cells that differ only in ``pfail`` share every ILP objective (the
     failure rate touches only the probability weighting, never the
-    flow polytope), so all but the first pfail column are answered
-    from the solve store.
+    flow polytope): the sweep solves them once, in the solve task of
+    their (benchmark, line size), and one cells task per (benchmark,
+    geometry) batches their pfail axis.
     """
     return tuple(SweepCell(geometry=geometry, pfail=pfail)
                  for geometry in geometries for pfail in pfails)

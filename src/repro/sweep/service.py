@@ -196,7 +196,6 @@ def run_sweep(geometries=None, *,
               pfails: tuple[float, ...] = DEFAULT_PFAILS,
               benchmarks: tuple[str, ...] = EVALUATED_BENCHMARKS,
               config: EstimatorConfig | None = None,
-              workers: int | None = None,
               on_cell=None,
               only_cells=None,
               probability: float = TARGET_EXCEEDANCE,
@@ -204,12 +203,12 @@ def run_sweep(geometries=None, *,
     """Estimate the whole suite at every grid cell.
 
     ``config`` carries the non-swept parameters (timing model, solver
-    mode, cache selector, default worker width); its geometry and
-    pfail are overridden per cell.  ``workers`` (default:
-    ``config.workers``) is the width of the one process pool every
-    task of the grid shares.  ``on_cell`` is invoked as ``on_cell(cell,
-    points, completed, total)`` for every finished cell, in completion
-    order, so callers can stream the report.
+    mode, cache selector, worker width); its geometry and pfail are
+    overridden per cell.  ``config.workers`` is the width of the one
+    process pool every task of the grid shares.  ``on_cell`` is
+    invoked as ``on_cell(cell, points, completed, total)`` for every
+    finished cell, in completion order, so callers can stream the
+    report.
 
     ``only_cells`` (a sequence of ``(mechanism | None, pfail | None)``
     filters, ``None`` wildcarding an axis) restricts the sweep to the
@@ -228,15 +227,13 @@ def run_sweep(geometries=None, *,
         geometries = geometry_grid()
     if config is None:
         config = EstimatorConfig()
-    if workers is None:
-        workers = config.workers
     if pipeline_stats is None:
         pipeline_stats = PipelineStats()
     geometries = tuple(dict.fromkeys(geometries))
     benchmarks = tuple(dict.fromkeys(benchmarks))
     selection = _selection(only_cells, tuple(pfails))
     cells = sweep_cells(geometries, tuple(selection))
-    scheduler = PipelineScheduler(workers=workers)
+    scheduler = PipelineScheduler(workers=config.workers)
     dag = EstimationDag(
         scheduler, {name: load(name).cfg for name in benchmarks},
         geometries,

@@ -18,8 +18,7 @@ import numpy as np
 
 from repro.experiments.fig3 import FIG3_MECHANISMS, exceedance_curves, \
     format_fig3
-from repro.experiments.runner import (fresh_results, run_benchmark,
-                                      run_suite)
+from repro.experiments.runner import run_suite
 from repro.pipeline.cellstore import (CELL_SCHEMA_VERSION, cell_key,
                                       decode_cell, encode_cell)
 from repro.pipeline.scheduler import PipelineStats
@@ -42,8 +41,7 @@ class TestCellRows:
 
     def _cell_value(self):
         config = EstimatorConfig()
-        with fresh_results():
-            result = run_benchmark("fibcall", config)
+        (result,) = run_suite(config, benchmarks=("fibcall",))
         estimate = result.estimates["srb"]
         return config, estimate, encode_cell(estimate)
 
@@ -122,20 +120,19 @@ class TestWarmRows:
         pmf, its ccdf and the Figure 3 curves match a cold run's and
         the in-process estimator's bit for bit."""
         config = EstimatorConfig(cache=str(tmp_path))
-        with fresh_results():
-            cold_curves = exceedance_curves("adpcm", config)
-            cold_text = format_fig3(config=config)
-        with fresh_results():
-            stats = PipelineStats()
-            (warm,) = run_suite(config, benchmarks=("adpcm",),
-                                pipeline_stats=stats)
-            assert stats.counters["cells_from_store"] == 3
-            assert stats.counters["cells_computed"] == 0
-            # Serving the pWCETs built no distribution.
-            assert all(warm.estimates[mechanism].distribution is None
-                       for mechanism in MECHANISMS)
-            warm_curves = exceedance_curves("adpcm", config)
-            assert format_fig3(config=config) == cold_text
+        (cold,) = run_suite(config, benchmarks=("adpcm",))
+        cold_curves = exceedance_curves(cold)
+        cold_text = format_fig3(cold)
+        stats = PipelineStats()
+        (warm,) = run_suite(config, benchmarks=("adpcm",),
+                            pipeline_stats=stats)
+        assert stats.counters["cells_from_store"] == 3
+        assert stats.counters["cells_computed"] == 0
+        # Serving the pWCETs built no distribution.
+        assert all(warm.estimates[mechanism].distribution is None
+                   for mechanism in MECHANISMS)
+        warm_curves = exceedance_curves(warm)
+        assert format_fig3(warm) == cold_text
         estimator = PWCETEstimator(load("adpcm"),
                                    replace(config, cache="off"),
                                    name="adpcm")
@@ -158,16 +155,13 @@ class TestWarmRows:
         ``--relaxed`` run, an exact run on the same cache prints the
         ``--cache off`` rows, not the relaxed run's looser ones."""
         config = EstimatorConfig(cache=str(tmp_path))
-        with fresh_results():
-            (relaxed,) = run_suite(replace(config, relaxed=True),
-                                   benchmarks=("qurt",))
-        with fresh_results():
-            stats = PipelineStats()
-            (exact,) = run_suite(config, benchmarks=("qurt",),
-                                 pipeline_stats=stats)
-        with fresh_results():
-            (cold,) = run_suite(replace(config, cache="off"),
-                                benchmarks=("qurt",))
+        (relaxed,) = run_suite(replace(config, relaxed=True),
+                               benchmarks=("qurt",))
+        stats = PipelineStats()
+        (exact,) = run_suite(config, benchmarks=("qurt",),
+                             pipeline_stats=stats)
+        (cold,) = run_suite(replace(config, cache="off"),
+                            benchmarks=("qurt",))
         assert stats.counters["cells_from_store"] == 0
         assert any(relaxed.pwcet(mechanism) != cold.pwcet(mechanism)
                    for mechanism in MECHANISMS)
@@ -180,16 +174,14 @@ class TestWarmRows:
         same rows, its pWCETs recomputed from their FMMs."""
         config = EstimatorConfig(cache=str(tmp_path))
         probability = 1e-9
-        with fresh_results():
-            run_suite(config, benchmarks=SUBSET)
+        run_suite(config, benchmarks=SUBSET)
         cold_config = replace(config, cache="off")
-        with fresh_results():
-            stats = PipelineStats()
-            warm = run_suite(config, benchmarks=SUBSET,
-                             target_probability=probability,
-                             pipeline_stats=stats)
-            cold = run_suite(cold_config, benchmarks=SUBSET,
-                             target_probability=probability)
+        stats = PipelineStats()
+        warm = run_suite(config, benchmarks=SUBSET,
+                         target_probability=probability,
+                         pipeline_stats=stats)
+        cold = run_suite(cold_config, benchmarks=SUBSET,
+                         target_probability=probability)
         assert stats.counters["cells_from_store"] == 3 * len(SUBSET)
         assert stats.counters["cells_computed"] == 0
         pairs = [(warm_result.estimates[mechanism],
@@ -215,9 +207,8 @@ class TestWarmRows:
         read — even a row under a current address — and gc deletes
         it."""
         config = EstimatorConfig(cache=str(tmp_path))
-        with fresh_results():
-            (cold,) = run_suite(replace(config, cache="off"),
-                                benchmarks=("fibcall",))
+        (cold,) = run_suite(replace(config, cache="off"),
+                            benchmarks=("fibcall",))
         context = store_context(load("fibcall").cfg.digest(),
                                 config.geometry, config.timing)
         leftover = SqliteStore(tmp_path, "cells-v3")
@@ -229,10 +220,9 @@ class TestWarmRows:
                                            config.pfail, False),
                           encode_cell(poisoned))
         leftover.close()
-        with fresh_results():
-            stats = PipelineStats()
-            (warm,) = run_suite(config, benchmarks=("fibcall",),
-                                pipeline_stats=stats)
+        stats = PipelineStats()
+        (warm,) = run_suite(config, benchmarks=("fibcall",),
+                            pipeline_stats=stats)
         assert stats.counters["cells_from_store"] == 0
         assert all(warm.pwcet(mechanism) == cold.pwcet(mechanism)
                    for mechanism in MECHANISMS)

@@ -108,6 +108,14 @@ class TestOtherCommands:
         output = capsys.readouterr().out
         assert "gain/area" in output
 
+    def test_tradeoff_repeated_benchmark_runs_once(self, capsys):
+        assert main(["tradeoff", "fibcall", "--cache", "off"]) == 0
+        once = capsys.readouterr().out
+        assert main(["tradeoff", "fibcall", "fibcall",
+                     "--cache", "off"]) == 0
+        assert capsys.readouterr().out == once
+        assert once.count("fibcall") == 3
+
     def test_requires_command(self):
         with pytest.raises(SystemExit):
             main([])

@@ -17,8 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.cache import CacheGeometry
-from repro.experiments.runner import (fresh_results, run_benchmark,
-                                      run_suite)
+from repro.experiments.runner import run_suite
 from repro.faults import FaultProbabilityModel
 from repro.fmm import FaultMissMap
 from repro.pipeline.scheduler import PipelineStats
@@ -26,7 +25,6 @@ from repro.pwcet import EstimatorConfig
 from repro.pwcet.batch import (penalty_distribution_scalar,
                                penalty_distributions)
 from repro.reliability import mechanism_by_name
-from repro.suite import EVALUATED_BENCHMARKS
 from repro.sweep import run_sweep
 
 SUBSET = ("bs", "fibcall")
@@ -169,10 +167,9 @@ class TestPfailAxisPrefill:
         assert stats.counters["cells_computed"] == 2 * 3 * len(SUBSET)
         # The sibling pfail is served whole from the store...
         sibling = replace(config, pfail=sibling_pfail)
-        with fresh_results():
-            warm_stats = PipelineStats()
-            warm = run_suite(sibling, benchmarks=SUBSET,
-                             pipeline_stats=warm_stats)
+        warm_stats = PipelineStats()
+        warm = run_suite(sibling, benchmarks=SUBSET,
+                         pipeline_stats=warm_stats)
         assert warm_stats.counters["cells_from_store"] == 3 * len(SUBSET)
         assert warm_stats.counters["cells_computed"] == 0
         assert warm_stats.counters["dist_batched_rows"] == 0
@@ -180,8 +177,7 @@ class TestPfailAxisPrefill:
         # cold run computes.
         cold_config = EstimatorConfig(cache=str(tmp_path / "cold"),
                                       pfail=sibling_pfail)
-        with fresh_results():
-            cold = run_suite(cold_config, benchmarks=SUBSET)
+        cold = run_suite(cold_config, benchmarks=SUBSET)
         for warm_result, cold_result in zip(warm, cold):
             assert warm_result.name == cold_result.name
             for mechanism in MECHANISM_NAMES:
@@ -207,8 +203,7 @@ class TestPfailAxisPrefill:
         """Every suite benchmark's real FMMs, 3 mechanisms, a 3-pfail
         axis: each batched row is bit-equal to the scalar oracle."""
         pfails = (1e-5, 1e-4, 1e-3)
-        for name in EVALUATED_BENCHMARKS:
-            result = run_benchmark(name)
+        for result in run_suite():
             for mechanism_name in MECHANISM_NAMES:
                 fmm = result.estimates[mechanism_name].fmm
                 mechanism = mechanism_by_name(mechanism_name)
@@ -222,7 +217,7 @@ class TestPfailAxisPrefill:
                 for batch_row, scalar_row in zip(batched, scalar,
                                                  strict=True):
                     assert np.array_equal(batch_row.pmf, scalar_row.pmf), \
-                        (name, mechanism_name)
+                        (result.name, mechanism_name)
                     assert np.array_equal(batch_row.ccdf(),
                                           scalar_row.ccdf()), \
-                        (name, mechanism_name)
+                        (result.name, mechanism_name)

@@ -4,7 +4,7 @@ import pytest
 
 from repro.experiments import (classify_category, exceedance_curves,
                                fig4_rows, format_fig3, format_fig4,
-                               gain_summary, run_benchmark)
+                               gain_summary, run_suite)
 from repro.experiments.fig1 import compute_fig1, format_fig1
 from repro.experiments.fig4 import Category
 from repro.pwcet.estimator import TARGET_EXCEEDANCE
@@ -34,13 +34,8 @@ class TestCategoryClassification:
 
 
 class TestRunner:
-    def test_results_cached(self):
-        first = run_benchmark("fibcall")
-        second = run_benchmark("fibcall")
-        assert first is second
-
     def test_result_invariants(self):
-        result = run_benchmark("bs")
+        (result,) = run_suite(benchmarks=("bs",))
         assert result.wcet_fault_free <= result.pwcet("rw")
         assert result.pwcet("rw") <= result.pwcet("srb")
         assert result.pwcet("srb") <= result.pwcet("none")
@@ -51,7 +46,7 @@ class TestRunner:
 class TestFig4:
     @pytest.fixture(scope="class")
     def rows(self):
-        return fig4_rows(benchmarks=SUBSET)
+        return fig4_rows(run_suite(benchmarks=SUBSET))
 
     def test_rows_cover_subset(self, rows):
         assert {row.name for row in rows} == set(SUBSET)
@@ -80,15 +75,20 @@ class TestFig4:
 
 
 class TestFig3:
-    def test_curves_ordered(self):
-        curves = exceedance_curves("bs")
+    @pytest.fixture(scope="class")
+    def result(self):
+        (result,) = run_suite(benchmarks=("bs",))
+        return result
+
+    def test_curves_ordered(self, result):
+        curves = exceedance_curves(result)
         for probability in (1e-3, 1e-9, TARGET_EXCEEDANCE):
             assert (curves["rw"].pwcet(probability)
                     <= curves["srb"].pwcet(probability)
                     <= curves["none"].pwcet(probability))
 
-    def test_format(self):
-        text = format_fig3("bs")
+    def test_format(self, result):
+        text = format_fig3(result)
         assert "Figure 3" in text
         assert "bs" in text
         assert "1e-15" in text.replace("e-15", "e-15")

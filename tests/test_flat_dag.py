@@ -48,7 +48,7 @@ class TestAnalysesStayInTheirTask:
         monkeypatch.setattr(geometry_batch, "grouped_analysis", tracked)
         alive_at_sinks = []
         run_sweep(GRID, pfails=PFAILS, benchmarks=BENCHMARKS,
-                  config=EstimatorConfig(cache="off"), workers=1,
+                  config=EstimatorConfig(cache="off"),
                   on_cell=lambda *_: alive_at_sinks.append(
                       sum(ref() is not None for ref in made)))
         assert len(made) == len(BENCHMARKS) * len(GRID)
@@ -65,8 +65,9 @@ def sweeps(tmp_path_factory):
                      if cached else "off")
             stats = PipelineStats()
             result = run_sweep(GRID, pfails=PFAILS, benchmarks=BENCHMARKS,
-                               config=EstimatorConfig(cache=cache),
-                               workers=workers, pipeline_stats=stats)
+                               config=EstimatorConfig(cache=cache,
+                                                      workers=workers),
+                               pipeline_stats=stats)
             runs[(workers, cached)] = (result, stats, cache)
     return runs
 

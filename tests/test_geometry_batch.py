@@ -23,7 +23,7 @@ from repro.analysis.references import all_references
 from repro.cache import CacheGeometry
 from repro.errors import AnalysisError
 from repro.experiments.fig4 import format_fig4, row_of
-from repro.experiments.runner import fresh_results, run_suite
+from repro.experiments.runner import run_suite
 from repro.minic import compile_program
 from repro.pipeline import PipelineStats
 from repro.pipeline.stages import SUITE_MECHANISMS, line_groups
@@ -212,9 +212,8 @@ class TestSingleGeometryGroups:
 
     def test_suite_report_is_golden(self):
         stats = PipelineStats()
-        with fresh_results():
-            results = run_suite(EstimatorConfig(cache="off"),
-                                pipeline_stats=stats)
+        results = run_suite(EstimatorConfig(cache="off"),
+                            pipeline_stats=stats)
         assert format_fig4([row_of(result) for result in results]) \
             + "\n" == (GOLDEN / "suite_fig4.txt").read_text()
         totals = stats.counters

@@ -4,6 +4,7 @@ import pytest
 
 from repro.cache import CacheGeometry
 from repro.errors import ConfigurationError
+from repro.experiments import run_suite
 from repro.hwcost import CellTechnology, MechanismCostModel, tradeoff_points
 from repro.hwcost.model import CELL_TECHNOLOGIES
 from repro.hwcost.tradeoff import format_tradeoff
@@ -87,7 +88,7 @@ class TestCostModel:
 class TestTradeoff:
     @pytest.fixture(scope="class")
     def points(self):
-        return tradeoff_points(("fibcall", "ud"))
+        return tradeoff_points(run_suite(benchmarks=("fibcall", "ud")))
 
     def test_three_points_per_benchmark(self, points):
         assert len(points) == 6

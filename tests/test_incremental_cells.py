@@ -19,7 +19,7 @@ from collections import Counter
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.experiments.runner import fresh_results, run_benchmark, run_suite
+from repro.experiments.runner import run_suite
 from repro.pipeline import PipelineScheduler, PipelineStats
 from repro.pwcet import EstimatorConfig
 from repro.sweep import format_pareto_fronts, format_sweep_report, \
@@ -183,10 +183,9 @@ class TestScheduleIdentity:
     @pytest.mark.parametrize("workers", [1, 4])
     def test_suite_matches_reference_schedule(self, tmp_path, workers):
         stats = PipelineStats()
-        with fresh_results():
-            cellrun = run_suite(EstimatorConfig(cache=str(tmp_path)),
-                                benchmarks=SUBSET, workers=workers,
-                                pipeline_stats=stats)
+        cellrun = run_suite(EstimatorConfig(cache=str(tmp_path),
+                                            workers=workers),
+                            benchmarks=SUBSET, pipeline_stats=stats)
         work = Counter()
         for result in cellrun:
             # A cold store of its own: classification-store traffic
@@ -207,10 +206,10 @@ class TestScheduleIdentity:
         assert stats.counters == \
             work + Counter(cells_computed=3 * len(SUBSET))
 
-    @pytest.mark.parametrize("kwargs", [{}, {"workers": 4}],
+    @pytest.mark.parametrize("workers", [1, 4],
                              ids=["sequential", "parallel"])
     def test_sweep_report_matches_reference_schedule(self, tmp_path,
-                                                     kwargs):
+                                                     workers):
         """Every design point equals one assembled from per-cell
         estimator runs; the pfail axis ran batched."""
         from repro.sweep import SweepCell
@@ -222,8 +221,8 @@ class TestScheduleIdentity:
         benchmarks = ("bs", "fibcall")
         cellrun = run_sweep(geometries, pfails=pfails,
                             benchmarks=benchmarks,
-                            config=EstimatorConfig(cache=str(tmp_path)),
-                            **kwargs)
+                            config=EstimatorConfig(cache=str(tmp_path),
+                                                   workers=workers))
         reference = []
         for geometry in geometries:
             for pfail in pfails:
@@ -244,14 +243,12 @@ class TestScheduleIdentity:
 class TestIncrementalInvalidation:
     def test_warm_rerun_satisfies_every_cell(self, tmp_path):
         config = EstimatorConfig(cache=str(tmp_path / "store"))
-        with fresh_results():
-            cold = PipelineStats()
-            run_suite(config, benchmarks=SUBSET, pipeline_stats=cold)
+        cold = PipelineStats()
+        run_suite(config, benchmarks=SUBSET, pipeline_stats=cold)
         assert cold.counters["cells_computed"] == 3 * len(SUBSET)
         assert cold.counters["cells_from_store"] == 0
-        with fresh_results():
-            warm = PipelineStats()
-            run_suite(config, benchmarks=SUBSET, pipeline_stats=warm)
+        warm = PipelineStats()
+        run_suite(config, benchmarks=SUBSET, pipeline_stats=warm)
         assert warm.counters["cells_from_store"] == 3 * len(SUBSET)
         assert warm.counters["cells_computed"] == 0
         # Only the inline result sinks ran.
@@ -265,18 +262,16 @@ class TestIncrementalInvalidation:
         from repro.minic import compile_program
 
         config = EstimatorConfig(cache=str(tmp_path / "store"))
-        with fresh_results():
-            run_suite(config, benchmarks=SUBSET)
+        run_suite(config, benchmarks=SUBSET)
         # Simulate the edit: "bs" now compiles to a different CFG (a
         # stand-in structure borrowed from a benchmark outside the
         # subset, so its digest is genuinely new to this store).
         edited = compile_program(suite.build("cnt"))
         assert edited.cfg.digest() != suite.load("bs").cfg.digest()
         monkeypatch.setitem(suite._COMPILED_CACHE, "bs", edited)
-        with fresh_results():
-            stats = PipelineStats()
-            results = run_suite(config, benchmarks=SUBSET,
-                                pipeline_stats=stats)
+        stats = PipelineStats()
+        results = run_suite(config, benchmarks=SUBSET,
+                            pipeline_stats=stats)
         assert stats.counters["cells_computed"] == 3
         assert stats.counters["cells_from_store"] == 3 * (len(SUBSET) - 1)
         # The edited benchmark re-ran its solve stage; nobody else did.
@@ -317,13 +312,12 @@ class TestOnlyCells:
 
     def test_filtered_run_does_not_poison_the_result_memo(self, tmp_path):
         cache = str(tmp_path / "store")
-        with fresh_results():
-            self._sweep(cache, only_cells=(("srb", 1e-4),))
-            # A later full-estimate driver in the same process must
-            # not be handed a subset-mechanism result from the memo.
-            config = EstimatorConfig(
-                cache=cache, geometry=self.GEOMETRIES[0], pfail=1e-4)
-            result = run_benchmark("bs", config)
+        self._sweep(cache, only_cells=(("srb", 1e-4),))
+        # A later full-estimate driver on the same store must not be
+        # handed a subset-mechanism result.
+        config = EstimatorConfig(
+            cache=cache, geometry=self.GEOMETRIES[0], pfail=1e-4)
+        (result,) = run_suite(config, benchmarks=("bs",))
         assert set(result.estimates) == set(MECHANISMS)
 
     def test_unknown_mechanism_rejected(self, tmp_path):

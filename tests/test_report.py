@@ -1,27 +1,59 @@
 """The one-shot reproduction report and its CLI command."""
 
+import contextlib
+import io
 import pathlib
 
 import pytest
 
 from repro.cli import main
-from repro.experiments.report import full_report, refined_srb_section
+from repro.experiments import runner
+from repro.experiments.report import refined_srb_section
 from repro.pwcet import EstimatorConfig
+from repro.suite import EVALUATED_BENCHMARKS
 
 #: What ``repro report --cache off --output F`` writes to ``F``.
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "report.txt"
 
 
 @pytest.fixture(scope="module")
-def report_text():
-    # cache="off", not the session store: the sweep section's solver
-    # line counts store hits, which would depend on the tests run first.
-    return full_report(EstimatorConfig(cache="off"))
+def report_run(tmp_path_factory):
+    """One ``repro report --cache off --output F`` run: its stdout, the
+    file it wrote and the suite DAGs it ran (benchmark names per run).
+
+    ``--cache off``, not the session store: the sweep section's solver
+    line counts store hits, which would depend on the tests run first.
+    """
+    target = tmp_path_factory.mktemp("report") / "report.md"
+    suite_runs = []
+    suite_pipeline = runner.suite_pipeline
+
+    def counting(programs, *args, **kwargs):
+        suite_runs.append(tuple(programs))
+        return suite_pipeline(programs, *args, **kwargs)
+
+    stdout = io.StringIO()
+    with pytest.MonkeyPatch.context() as patch, \
+            contextlib.redirect_stdout(stdout):
+        patch.setattr(runner, "suite_pipeline", counting)
+        assert main(["report", "--cache", "off",
+                     "--output", str(target)]) == 0
+    return stdout.getvalue(), target.read_text(), suite_runs
+
+
+@pytest.fixture(scope="module")
+def report_text(report_run):
+    return report_run[1]
 
 
 class TestFullReport:
     def test_matches_golden(self, report_text):
-        assert report_text + "\n" == GOLDEN.read_text()
+        assert report_text == GOLDEN.read_text()
+
+    def test_runs_the_suite_once(self, report_run):
+        """Figures 3 and 4 and the trade-off table format one
+        ``run_suite`` result."""
+        assert report_run[2] == [EVALUATED_BENCHMARKS]
 
     def test_contains_every_section(self, report_text):
         for heading in ("Figure 1", "Figure 3", "Figure 4",
@@ -43,9 +75,6 @@ class TestFullReport:
 
 
 class TestReportCommand:
-    def test_writes_file(self, tmp_path, capsys):
-        target = tmp_path / "report.md"
-        assert main(["report", "--cache", "off",
-                     "--output", str(target)]) == 0
-        assert "report written" in capsys.readouterr().out
-        assert target.read_text() == GOLDEN.read_text()
+    def test_writes_file(self, report_run):
+        # The file's content is pinned by ``test_matches_golden``.
+        assert report_run[0].startswith("report written to ")

@@ -21,7 +21,7 @@ import pytest
 
 from repro.errors import SolverError
 from repro.experiments.fig4 import format_fig4, row_of
-from repro.experiments.runner import fresh_results, run_suite
+from repro.experiments.runner import run_suite
 from repro.pipeline import PipelineScheduler, PipelineStats
 from repro.pipeline.scheduler import MAX_POOL_REBUILDS, FailureReport
 from repro.pwcet import EstimatorConfig
@@ -83,10 +83,9 @@ class TestStageErrorsAbort:
 
     def test_run_suite_raises_the_solver_error(self, monkeypatch):
         monkeypatch.setenv(PLAN_ENV, "solve:fail@ipet:crc")
-        with fresh_results():
-            with pytest.raises(SolverError, match="injected"):
-                run_suite(EstimatorConfig(cache="off"),
-                          benchmarks=("crc", "fibcall"))
+        with pytest.raises(SolverError, match="injected"):
+            run_suite(EstimatorConfig(cache="off"),
+                      benchmarks=("crc", "fibcall"))
 
 
 class TestCleanRunsUnchanged:
@@ -143,24 +142,20 @@ class TestChaosByteIdentity:
         kills and a writer killed mid-transaction renders
         byte-identically to a sequential, undisturbed run, and leaves
         every store database intact."""
-        with fresh_results():
-            golden = run_suite(
-                EstimatorConfig(cache=str(tmp_path / "golden")),
-                benchmarks=SUBSET)
-            golden_text = format_fig4([row_of(r) for r in golden])
+        golden = run_suite(
+            EstimatorConfig(cache=str(tmp_path / "golden")),
+            benchmarks=SUBSET)
+        golden_text = format_fig4([row_of(r) for r in golden])
         monkeypatch.setenv(PLAN_ENV,
                            "worker:kill@solve_stage#1;"
                            "worker:kill@cell_stage#2;"
                            "store:kill@*#1")
         monkeypatch.setenv(STATE_ENV, str(tmp_path / "state"))
-        with fresh_results():
-            stats = PipelineStats()
-            chaos = run_suite(
-                EstimatorConfig(cache=str(tmp_path / "chaos"),
-                                workers=4),
-                benchmarks=SUBSET, workers=4,
-                pipeline_stats=stats)
-            chaos_text = format_fig4([row_of(r) for r in chaos])
+        stats = PipelineStats()
+        chaos = run_suite(
+            EstimatorConfig(cache=str(tmp_path / "chaos"), workers=4),
+            benchmarks=SUBSET, pipeline_stats=stats)
+        chaos_text = format_fig4([row_of(r) for r in chaos])
         assert chaos_text == golden_text
         # The faults actually fired: recovery did real work.
         assert stats.failure_report.retries > 0
@@ -174,9 +169,8 @@ class TestChaosByteIdentity:
             assert _integrity(path) == "ok"
         # A warm rerun over the recovered stores is byte-identical too.
         monkeypatch.delenv(PLAN_ENV)
-        with fresh_results():
-            warm = run_suite(EstimatorConfig(cache=str(tmp_path / "chaos")),
-                             benchmarks=SUBSET)
+        warm = run_suite(EstimatorConfig(cache=str(tmp_path / "chaos")),
+                         benchmarks=SUBSET)
         assert format_fig4([row_of(r) for r in warm]) == golden_text
 
 

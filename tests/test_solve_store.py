@@ -308,15 +308,13 @@ class TestWarmSuite:
     """Acceptance: the warm 25-benchmark suite solves zero backend ILPs
     and reproduces the cold numbers bit for bit."""
 
-    def test_full_suite_warm_rerun(self, tmp_path, monkeypatch):
+    def test_full_suite_warm_rerun(self, tmp_path):
         from repro.experiments import runner
 
         config = EstimatorConfig(cache=str(tmp_path / "store"))
-        monkeypatch.setattr(runner, "_CACHE", {})
         cold_stats = PipelineStats()
         cold = runner.run_suite(config, pipeline_stats=cold_stats)
         assert cold_stats.counters["ilp_solved"] > 0
-        monkeypatch.setattr(runner, "_CACHE", {})
         warm_stats = PipelineStats()
         warm = runner.run_suite(config, pipeline_stats=warm_stats)
         warm_totals = warm_stats.counters
@@ -343,7 +341,6 @@ class TestWarmSuite:
         from repro.pipeline.cellstore import CellStore
 
         config = EstimatorConfig(cache=str(tmp_path / "store"))
-        monkeypatch.setattr(runner, "_CACHE", {})
         runner.run_suite(config)
         store = CellStore.resolve(config.cache)
         with store.batch():
@@ -355,7 +352,6 @@ class TestWarmSuite:
         monkeypatch.setattr(CellStore, "get", lambda self, key: (
             looked_up.append(key), original(self, key))[1])
         hits = store.stats.hits
-        monkeypatch.setattr(runner, "_CACHE", {})
         stats = PipelineStats()
         runner.run_suite(config, pipeline_stats=stats)
         expected = 3 * len(EVALUATED_BENCHMARKS)

@@ -12,7 +12,7 @@ Figure-4 category).
 
 import pytest
 
-from repro.experiments import run_benchmark
+from repro.experiments import run_suite
 from repro.experiments.fig4 import classify_category
 from repro.suite import EVALUATED_BENCHMARKS
 
@@ -45,15 +45,21 @@ GOLDEN = {
 }
 
 
+@pytest.fixture(scope="module")
+def results():
+    """One default-configuration suite run, keyed by benchmark."""
+    return {result.name: result for result in run_suite()}
+
+
 def test_golden_covers_whole_suite():
     assert set(GOLDEN) == set(EVALUATED_BENCHMARKS)
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_pipeline_reproduces_golden_numbers(name):
+def test_pipeline_reproduces_golden_numbers(name, results):
     expected_ff, expected_none, expected_srb, expected_rw, category = \
         GOLDEN[name]
-    result = run_benchmark(name)
+    result = results[name]
     assert result.wcet_fault_free == expected_ff
     assert result.pwcet("none") == expected_none
     assert result.pwcet("srb") == expected_srb

@@ -148,16 +148,6 @@ class TestRunSweep:
         assert printed == f"{rate * 100:.1f}"
         assert printed != "100.0"
 
-    def test_run_sweep_preserves_outer_memo(self, tmp_path):
-        """The sweep scopes the runner memo instead of clearing it."""
-        from repro.experiments.runner import run_benchmark
-
-        outer = run_benchmark("fibcall")
-        run_sweep(geometry_grid(sizes=(512,), ways=(2,), lines=(16,)),
-                  benchmarks=("bs",),
-                  config=EstimatorConfig(cache=str(tmp_path / "store")))
-        assert run_benchmark("fibcall") is outer
-
     def test_fronts_never_mix_pfails(self, result):
         text = format_pareto_fronts(result)
         for section in text.split("\n\n"):
@@ -200,8 +190,8 @@ class TestParallelSweep:
             config=EstimatorConfig(cache=str(tmp_path / "seq")), **kwargs)
         parallel = run_sweep(
             geometries,
-            config=EstimatorConfig(cache=str(tmp_path / "par")),
-            workers=2, **kwargs)
+            config=EstimatorConfig(cache=str(tmp_path / "par"), workers=2),
+            **kwargs)
         assert parallel.points == sequential.points
         assert format_sweep_report(parallel) == \
             format_sweep_report(sequential)
@@ -213,8 +203,7 @@ class TestParallelSweep:
         result = run_sweep(geometries, pfails=(1e-4,),
                            benchmarks=("fibcall",),
                            config=EstimatorConfig(
-                               cache=str(tmp_path / "store")),
-                           workers=2,
+                               cache=str(tmp_path / "store"), workers=2),
                            on_cell=lambda cell, points, completed, total:
                            seen.append((cell, completed, total)))
         # Completion order is nondeterministic; coverage is not.
@@ -233,17 +222,18 @@ class TestParallelSweep:
         """
         geometries = geometry_grid(sizes=(512, 1024), ways=(2,),
                                    lines=(16, 32))
-        kwargs = dict(pfails=(1e-4,), benchmarks=("fibcall", "bs"),
-                      workers=workers)
+        kwargs = dict(pfails=(1e-4,), benchmarks=("fibcall", "bs"))
         stacked = run_sweep(
             geometries,
-            config=EstimatorConfig(cache=str(tmp_path / "stacked")),
+            config=EstimatorConfig(cache=str(tmp_path / "stacked"),
+                                   workers=workers),
             **kwargs)
         alone_fixpoints = 0
         for geometry in geometries:
             alone = run_sweep(
                 (geometry,),
-                config=EstimatorConfig(cache=str(tmp_path / "alone")),
+                config=EstimatorConfig(cache=str(tmp_path / "alone"),
+                                       workers=workers),
                 **kwargs)
             assert alone.points == tuple(
                 point for point in stacked.points
@@ -280,8 +270,8 @@ class TestParallelSweep:
         run_sweep(geometry_grid(sizes=(512, 1024), ways=(2,),
                                 lines=(16, 32)),
                   pfails=(1e-4,), benchmarks=("fibcall", "bs"),
-                  config=EstimatorConfig(cache=str(tmp_path / "store")),
-                  workers=2)
+                  config=EstimatorConfig(cache=str(tmp_path / "store"),
+                                         workers=2))
         assert widths == [2]
 
     def test_cli_sweep_workers_streams_progress(self, tmp_path, capsys):
