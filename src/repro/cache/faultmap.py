@@ -31,6 +31,11 @@ class FaultMap:
             self._check_frame(set_index, way)
             frames.add((set_index, way))
         self._frames = frozenset(frames)
+        profile = [0] * geometry.sets
+        for set_index, _way in frames:
+            profile[set_index] += 1
+        #: Faulty-way count per set, computed once: the map is immutable.
+        self._profile = tuple(profile)
 
     def _check_frame(self, set_index: int, way: int) -> None:
         geometry = self._geometry
@@ -58,7 +63,7 @@ class FaultMap:
         """Number of disabled frames in one set."""
         if not 0 <= set_index < self._geometry.sets:
             raise ConfigurationError(f"set index {set_index} out of range")
-        return sum(1 for (s, _w) in self._frames if s == set_index)
+        return self._profile[set_index]
 
     def working_ways_in_set(self, set_index: int) -> int:
         """Number of usable frames in one set."""
@@ -66,8 +71,7 @@ class FaultMap:
 
     def fault_profile(self) -> tuple[int, ...]:
         """Faulty-way count per set, indexable by set number."""
-        return tuple(self.faulty_ways_in_set(s)
-                     for s in range(self._geometry.sets))
+        return self._profile
 
     def with_faults(self, frames: Iterable[tuple[int, int]]) -> "FaultMap":
         """A new map with additional faulty frames."""

@@ -145,11 +145,6 @@ def _column_objective(flow_model: FlowModel, groups, degraded,
                       srb_classifier) -> dict[int, float]:
     """Objective of one (set, fault count) cell over the partition."""
     objective: dict[int, float] = {}
-
-    def add(coefficients: dict[int, float]) -> None:
-        for variable, weight in coefficients.items():
-            objective[variable] = objective.get(variable, 0.0) + weight
-
     for block_id, entries in groups:
         degraded_row = (degraded.of_block(block_id)
                         if degraded is not None else None)
@@ -173,8 +168,9 @@ def _column_objective(flow_model: FlowModel, groups, degraded,
             else:
                 full_count += 1
         if full_count:
-            add(flow_model.block_count_coefficients(block_id,
-                                                    float(full_count)))
+            weight = float(full_count)
+            for variable in flow_model.in_edge_vars(block_id):
+                objective[variable] = objective.get(variable, 0.0) + weight
         for scope, count in fm_groups.items():
             variable = flow_model.fm_group_var(block_id, scope)
             objective[variable] = objective.get(variable, 0.0) + float(count)

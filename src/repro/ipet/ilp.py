@@ -20,6 +20,7 @@ WCET/FMM bound remains sound (just possibly less tight) — this is
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -133,14 +134,25 @@ class LinearProgram:
         return self._backend
 
     # -- solving ---------------------------------------------------------
-    def maximize(self, objective: dict[int, float], *,
+    def maximize(self, objective: Mapping[int, float]
+                 | Iterable[tuple[int, float]], *,
                  relaxed: bool = False) -> Solution:
-        """Maximise a linear objective over the model."""
-        n = len(self._names)
-        for index in objective:
-            if not 0 <= index < n:
-                raise SolverError(f"unknown variable index {index}")
-        value, values = self.backend().solve(objective, relaxed)
+        """Maximise a linear objective over the model.
+
+        ``objective`` maps variable indices to weights, either as a
+        mapping or as ``(index, weight)`` pairs with distinct indices
+        (a :class:`~repro.solve.request.SolveRequest`'s canonical form).
+        """
+        pairs = tuple(objective.items() if isinstance(objective, Mapping)
+                      else objective)
+        indices = np.fromiter((index for index, _ in pairs), np.int64,
+                              len(pairs))
+        weights = np.fromiter((weight for _, weight in pairs), np.float64,
+                              len(pairs))
+        unknown = indices[(indices < 0) | (indices >= len(self._names))]
+        if unknown.size:
+            raise SolverError(f"unknown variable index {unknown[0]}")
+        value, values = self.backend().solve(indices, weights, relaxed)
         return Solution(objective=value, values=values, relaxed=relaxed)
 
     # -- pickling --------------------------------------------------------

@@ -37,6 +37,8 @@ class FlowModel:
         self._planner: SolvePlanner | None = None
 
         self._edge_vars: dict[tuple[int, int], int] = {}
+        #: Memoised :meth:`in_edge_vars` (the validated CFG is frozen).
+        self._in_edge_vars: dict[int, tuple[int, ...]] = {}
         for edge in cfg.edges():
             self._edge_vars[edge] = self.program.add_variable(
                 f"e_{edge[0]}_{edge[1]}")
@@ -68,12 +70,15 @@ class FlowModel:
         except KeyError as exc:
             raise SolverError(f"no variable for edge ({src}, {dst})") from exc
 
-    def in_edge_vars(self, block_id: int) -> list[int]:
+    def in_edge_vars(self, block_id: int) -> tuple[int, ...]:
         """Variables whose sum is the block's execution count."""
-        variables = [self._edge_vars[(pred, block_id)]
-                     for pred in self.cfg.predecessors(block_id)]
-        if block_id == self.cfg.entry_id:
-            variables.append(self.entry_var)
+        variables = self._in_edge_vars.get(block_id)
+        if variables is None:
+            variables = tuple(self._edge_vars[(pred, block_id)]
+                              for pred in self.cfg.predecessors(block_id))
+            if block_id == self.cfg.entry_id:
+                variables += (self.entry_var,)
+            self._in_edge_vars[block_id] = variables
         return variables
 
     def block_count_coefficients(self, block_id: int,

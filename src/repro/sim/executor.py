@@ -63,9 +63,12 @@ class TraceExecutor:
                     f"{sorted(blocked)[:4]}")
         self._geometry = geometry
         self._timing = timing
-        self._mechanism = mechanism
-        self._fault_map = fault_map
         self._cache = LRUCache(geometry, fault_map)
+        #: Sets whose fetches go to the SRB (none without the SRB).
+        self._srb_sets = frozenset(
+            set_index for set_index in range(geometry.sets)
+            if fault_map.working_ways_in_set(set_index) == 0
+        ) if mechanism.uses_srb else frozenset()
         self._srb_block: int | None = None
 
     @property
@@ -82,8 +85,7 @@ class TraceExecutor:
         geometry = self._geometry
         block = geometry.block_of(address)
         set_index = geometry.set_of_block(block)
-        if (self._mechanism.uses_srb
-                and self._fault_map.working_ways_in_set(set_index) == 0):
+        if set_index in self._srb_sets:
             hit = self._srb_block == block
             if not hit:
                 self._srb_block = block

@@ -13,11 +13,12 @@ solves from eager calls into *planned* work:
 ``backend``
     Frozen solver inputs.  :class:`ProgramSnapshot` captures a
     :class:`~repro.ipet.ilp.LinearProgram`'s constraint system once
-    (CSC matrix, bounds, row bounds), and
+    (CSC matrix built with numpy, bounds, row bounds), and
     :class:`~repro.solve.backend.HighsBackend`, the one backend, solves
     many objectives against it without rebuilding anything: a
-    persistent HiGHS model loaded through scipy's vendored ``highspy``
-    bindings, its cost vector swapped in place.
+    persistent HiGHS model, its cost vector swapped in place.  The
+    HiGHS bindings are scipy's vendored ``highspy`` extension, loaded
+    by file path so no ``scipy.optimize`` package import is paid.
 
 ``planner``
     :class:`SolvePlanner` — dedupes requests by canonical key,

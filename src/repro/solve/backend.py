@@ -7,27 +7,34 @@ For the FMM sweep — hundreds of objectives over one unchanging
 polytope — that per-call overhead dominates the actual solve time.
 
 :class:`ProgramSnapshot` freezes a program's constraint system once
-into plain numpy arrays.  :class:`HighsBackend` solves objectives
-against a snapshot: it keeps persistent HiGHS models (one ILP, one LP
-relaxation) loaded via scipy's vendored ``highspy`` bindings
-(``scipy.optimize._highspy``, a private but stable API) and swaps only
+into plain numpy arrays (CSC built with numpy alone).
+:class:`HighsBackend` solves objectives against a snapshot: it keeps
+persistent HiGHS models (one ILP, one LP relaxation) and swaps only
 the cost vector between solves — ~5x less per-solve overhead than
-``scipy.optimize.milp``.  It is the only backend: a scipy without the
-bindings fails at the first solve with the import error.  Its
-independent checks are the path enumerator
-(:func:`repro.ipet.paths.max_path_cost`) and the exact-arithmetic
-witness test, not a second solver.
+``scipy.optimize.milp``.  It is the only backend.  Its independent
+checks are the path enumerator (:func:`repro.ipet.paths.max_path_cost`)
+and the exact-arithmetic witness test, not a second solver.
 
-scipy is imported on first snapshot or backend build, not with this
-module: commands that never solve (``repro list``, warm runs served
-from the stores) skip its ~0.5 s import entirely.
+The HiGHS bindings are scipy's vendored ``highspy`` extension
+(``scipy/optimize/_highspy/_core``, a private but stable API).
+:func:`_highs_core` loads that one extension by file path on the
+first snapshot solve, without running ``scipy.optimize``'s package
+import (which pulls in ``scipy.linalg`` and ``scipy.sparse``: ~0.6 s
+and ~40 MB per process).  Loading the bindings takes ~0.02 s, and
+commands that never solve (``repro list``, warm runs served from the
+stores) skip even that.  There is no fallback import: a scipy without
+the file fails at the first solve with an :class:`ImportError` naming
+the directory searched.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
-from collections.abc import Mapping
+import sys
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -67,33 +74,63 @@ class ProgramSnapshot:
                   rows: list[dict[int, float]], row_lb: list[float],
                   row_ub: list[float]) -> "ProgramSnapshot":
         """Freeze the incremental row/bound lists of a program."""
-        from scipy import sparse
-
-        data: list[float] = []
-        row_idx: list[int] = []
-        col_idx: list[int] = []
-        for row, coefficients in enumerate(rows):
-            for col, value in coefficients.items():
-                data.append(value)
-                row_idx.append(row)
-                col_idx.append(col)
-        matrix = sparse.csc_matrix((data, (row_idx, col_idx)),
-                                   shape=(len(rows), len(lower)))
+        n = len(lower)
+        row_idx = np.fromiter((row for row, coefficients in enumerate(rows)
+                               for _ in coefficients), dtype=np.int64)
+        col_idx = np.fromiter((col for coefficients in rows
+                               for col in coefficients), dtype=np.int64)
+        data = np.fromiter((value for coefficients in rows
+                            for value in coefficients.values()),
+                           dtype=np.float64)
+        # Column-major order, rows ascending within a column: the
+        # canonical CSC layout (no duplicates: a row is a dict).
+        order = np.lexsort((row_idx, col_idx))
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(col_idx, minlength=n), out=indptr[1:])
         return cls(name=name,
                    col_lower=np.asarray(lower, dtype=np.float64),
                    col_upper=np.asarray(upper, dtype=np.float64),
                    row_lower=np.asarray(row_lb, dtype=np.float64),
                    row_upper=np.asarray(row_ub, dtype=np.float64),
-                   matrix_indptr=matrix.indptr.astype(np.int64),
-                   matrix_indices=matrix.indices.astype(np.int64),
-                   matrix_data=matrix.data.astype(np.float64))
+                   matrix_indptr=indptr,
+                   matrix_indices=row_idx[order],
+                   matrix_data=data[order])
 
-    def csc_matrix(self):
-        from scipy import sparse
 
-        return sparse.csc_matrix(
-            (self.matrix_data, self.matrix_indices, self.matrix_indptr),
-            shape=(self.num_constraints, self.num_variables))
+#: The module name scipy gives the bindings; loading them under it
+#: lets a later ``import scipy.optimize`` reuse the loaded module.
+_HIGHS_CORE = "scipy.optimize._highspy._core"
+
+
+def _highs_core(directory: Path | None = None):
+    """scipy's vendored HiGHS bindings, loaded by file path.
+
+    ``directory`` defaults to ``<scipy>/optimize/_highspy``, found
+    with :func:`importlib.util.find_spec` (which does not import
+    scipy); only the extension itself is loaded, once per process.
+    """
+    if directory is None:
+        loaded = sys.modules.get(_HIGHS_CORE)
+        if loaded is not None:
+            return loaded
+        spec = importlib.util.find_spec("scipy")
+        if spec is None or not spec.submodule_search_locations:
+            raise ImportError("the HiGHS bindings need scipy, which is "
+                              "not installed")
+        directory = Path(spec.submodule_search_locations[0], "optimize",
+                         "_highspy")
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = Path(directory, f"_core{suffix}")
+        if path.is_file():
+            break
+    else:
+        raise ImportError(f"no HiGHS bindings (_core extension) in "
+                          f"{directory}")
+    spec = importlib.util.spec_from_file_location(_HIGHS_CORE, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules[_HIGHS_CORE] = module
+    return module
 
 
 class HighsBackend:
@@ -106,8 +143,7 @@ class HighsBackend:
         self._indices = np.arange(snapshot.num_variables, dtype=np.int64)
 
     def _build(self, relaxed: bool):
-        from scipy.optimize._highspy import _core as core
-
+        core = _highs_core()
         snapshot = self.snapshot
         n = snapshot.num_variables
         lp = core.HighsLp()
@@ -141,21 +177,20 @@ class HighsBackend:
             self._solvers[relaxed] = self._build(relaxed)
         return self._solvers[relaxed]
 
-    def solve(self, objective: Mapping[int, float],
+    def solve(self, indices: np.ndarray, weights: np.ndarray,
               relaxed: bool) -> tuple[float, np.ndarray]:
-        """Maximise ``objective``; returns (value, x).
+        """Maximise ``sum(weights * x[indices])``; returns (value, x).
 
-        The chaos harness's ``solve`` site fires first (injected
+        ``indices`` must be distinct, in-range variable indices.  The
+        chaos harness's ``solve`` site fires first (injected
         per-program failures).
         """
         faultinject.solve_hook(self.snapshot.name)
-        from scipy.optimize._highspy import _core as core
-
+        core = _highs_core()
         solver = self._solver(relaxed)
         # HiGHS minimises: solve for the negated costs, negate back.
         cost = np.zeros(self.snapshot.num_variables)
-        for index, coefficient in objective.items():
-            cost[index] = -coefficient
+        cost[indices] = -weights
         solver.changeColsCost(self.snapshot.num_variables, self._indices,
                               cost)
         run_status = solver.run()
@@ -170,8 +205,7 @@ class HighsBackend:
 
     @staticmethod
     def _cause(model_status) -> str:
-        from scipy.optimize._highspy import _core as core
-
+        core = _highs_core()
         if model_status == core.HighsModelStatus.kInfeasible:
             return "infeasible"
         if model_status in (core.HighsModelStatus.kUnbounded,

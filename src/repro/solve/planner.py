@@ -160,7 +160,8 @@ class SolvePlanner:
                 self.stats.store_hits += 1
                 solution = self._solution_from_artefact(artefact, relaxed)
         if solution is None:
-            solution = self.program.maximize(objective, relaxed=relaxed)
+            solution = self.program.maximize(request.objective,
+                                             relaxed=relaxed)
             if relaxed:
                 self.stats.lp_solved += 1
             else:
@@ -198,7 +199,7 @@ class SolvePlanner:
                         values=values, relaxed=relaxed)
 
     def _solve_uncached(self, request: SolveRequest) -> int:
-        solution = self.program.maximize(request.objective_dict(),
+        solution = self.program.maximize(request.objective,
                                          relaxed=request.relaxed)
         if request.relaxed:
             from repro.solve.backend import ceil_bound

@@ -55,6 +55,3 @@ class SolveRequest:
     def key(self) -> tuple[ObjectiveKey, bool]:
         """Dedup cache key: same key implies the same optimum."""
         return (self.objective, self.relaxed)
-
-    def objective_dict(self) -> dict[int, float]:
-        return dict(self.objective)

@@ -92,3 +92,32 @@ class TestSampling:
             len(FaultMap.sample(GEOMETRY, 0.25, rng)) for _ in range(400))
         expected = 400 * GEOMETRY.sets * GEOMETRY.ways * 0.25
         assert abs(total - expected) < 0.15 * expected
+
+
+class TestProfile:
+    @given(seed=st.integers(0, 2 ** 31),
+           sets=st.sampled_from([1, 2, 8, 32]),
+           ways=st.integers(1, 8),
+           pbf=st.sampled_from([0.0, 0.1, 0.5, 0.9, 1.0]))
+    def test_profile_matches_a_count_over_the_frames(self, seed, sets,
+                                                     ways, pbf):
+        geometry = CacheGeometry(sets=sets, ways=ways, block_bytes=16)
+        fault_map = FaultMap.sample(geometry, pbf, random.Random(seed))
+        expected = tuple(
+            sum(1 for frame_set, _way in fault_map.faulty_frames
+                if frame_set == set_index)
+            for set_index in range(sets))
+        assert fault_map.fault_profile() == expected
+        for set_index in range(sets):
+            assert fault_map.faulty_ways_in_set(set_index) == \
+                expected[set_index]
+            assert fault_map.working_ways_in_set(set_index) == \
+                ways - expected[set_index]
+
+    @pytest.mark.parametrize("set_index", [-1, GEOMETRY.sets])
+    def test_out_of_range_set_rejected(self, set_index):
+        fault_map = FaultMap(GEOMETRY, [(0, 0)])
+        with pytest.raises(ConfigurationError):
+            fault_map.faulty_ways_in_set(set_index)
+        with pytest.raises(ConfigurationError):
+            fault_map.working_ways_in_set(set_index)

@@ -49,7 +49,17 @@ def _request(flow_model: FlowModel) -> SolveRequest:
 
 def _named(program, objective) -> dict[str, float]:
     return {program.variable_name(index): weight
-            for index, weight in objective.items()}
+            for index, weight in objective}
+
+
+def _csc_matrix(snapshot):
+    """The snapshot's constraint matrix as a scipy sparse matrix."""
+    from scipy import sparse
+
+    return sparse.csc_matrix(
+        (snapshot.matrix_data, snapshot.matrix_indices,
+         snapshot.matrix_indptr),
+        shape=(snapshot.num_constraints, snapshot.num_variables))
 
 
 class _RecordingPlanner(SolvePlanner):
@@ -76,7 +86,7 @@ def test_production_fmm_plans_this_request(line, set_index):
     compute_fault_miss_map(analysis, mechanism_by_name("none"),
                            flow_model=flow_model, planner=planner)
     request = planner.requests[(set_index, 1)]
-    assert _named(flow_model.program, request.objective_dict()) == OBJECTIVE
+    assert _named(flow_model.program, request.objective) == OBJECTIVE
 
 
 def test_witness_is_feasible_and_scores_200():
@@ -93,7 +103,7 @@ def test_witness_is_feasible_and_scores_200():
                                    snapshot.col_upper):
         assert lower <= value and (math.isinf(upper) or value <= upper)
     activity = [Fraction(0)] * snapshot.num_constraints
-    matrix = snapshot.csc_matrix().tocoo()
+    matrix = _csc_matrix(snapshot).tocoo()
     for row, column, weight in zip(matrix.row, matrix.col, matrix.data):
         assert float(weight).is_integer()
         activity[row] += Fraction(weight) * point[column]
@@ -102,7 +112,7 @@ def test_witness_is_feasible_and_scores_200():
         assert math.isinf(lower) or Fraction(lower) <= total
         assert math.isinf(upper) or total <= Fraction(upper)
     score = sum(Fraction(weight) * point[index]
-                for index, weight in request.objective_dict().items())
+                for index, weight in request.objective)
     assert score == CERTIFIED
 
 

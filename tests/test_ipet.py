@@ -59,6 +59,23 @@ class TestLinearProgram:
         with pytest.raises(SolverError):
             lp.add_le({5: 1.0}, 0.0)
 
+    @pytest.mark.parametrize("objective", [{5: 1.0}, {0: 1.0, -1: 2.0},
+                                           ((0, 1.0), (1, 1.0))])
+    def test_unknown_variable_in_objective(self, objective):
+        lp = LinearProgram()
+        x = lp.add_variable("x", upper=3)
+        lp.add_le({x: 1.0}, 3.0)
+        with pytest.raises(SolverError, match="unknown variable index"):
+            lp.maximize(objective)
+
+    def test_objective_as_index_weight_pairs(self):
+        lp = LinearProgram()
+        x = lp.add_variable("x", upper=5)
+        y = lp.add_variable("y", upper=7)
+        lp.add_le({x: 1.0, y: 1.0}, 10.0)
+        pairs = lp.maximize(((x, 2.0), (y, 3.0))).rounded_objective()
+        assert pairs == lp.maximize({x: 2.0, y: 3.0}).rounded_objective()
+
     def test_empty_constraint_rejected(self):
         lp = LinearProgram()
         with pytest.raises(SolverError):

@@ -9,6 +9,7 @@ an oracle that calls :meth:`LinearProgram.maximize` once per cell,
 plus unit-level behaviour of the planner and the backend.
 """
 
+import numpy as np
 import pytest
 
 from repro.analysis import CacheAnalysis
@@ -28,7 +29,7 @@ EQUIVALENCE_BENCHMARKS = ("ud", "crc", "adpcm")
 
 def _maximize(program: LinearProgram, request: SolveRequest) -> int:
     """One cell's bound straight from the program, no planner."""
-    solution = program.maximize(request.objective_dict(),
+    solution = program.maximize(dict(request.objective),
                                 relaxed=request.relaxed)
     if request.relaxed:
         return ceil_bound(solution.objective)
@@ -207,10 +208,12 @@ class TestBackends:
         persistent = HighsBackend(snapshot)
         seen = set()
         for objective in objectives + objectives[::-1]:
+            indices = np.fromiter(objective, dtype=np.int64)
+            weights = np.fromiter(objective.values(), dtype=np.float64)
             for relaxed in (False, True):
-                value, _ = persistent.solve(objective, relaxed)
-                expected, _ = HighsBackend(snapshot).solve(objective,
-                                                           relaxed)
+                value, _ = persistent.solve(indices, weights, relaxed)
+                expected, _ = HighsBackend(snapshot).solve(
+                    indices, weights, relaxed)
                 assert round(value, 6) == round(expected, 6)
                 seen.add(round(value, 6))
         assert len(seen) > 1  # the objectives really differ
