@@ -74,8 +74,8 @@ class LRUCache:
     """Whole-cache concrete simulator with optional fault map.
 
     Statistics (:attr:`hits`, :attr:`misses`) accumulate across
-    :meth:`access` calls; :meth:`reset_stats` clears them without
-    flushing cache contents.
+    :meth:`access` and :meth:`access_in_set` calls; :meth:`reset_stats`
+    clears them without flushing cache contents.
     """
 
     def __init__(self, geometry: CacheGeometry,
@@ -109,7 +109,10 @@ class LRUCache:
 
     def access(self, block: int) -> bool:
         """Fetch memory block ``block``; returns True on hit."""
-        set_index = self._geometry.set_of_block(block)
+        return self.access_in_set(self._geometry.set_of_block(block), block)
+
+    def access_in_set(self, set_index: int, block: int) -> bool:
+        """Fetch ``block``, whose set the caller already computed."""
         hit = self._sets[set_index].lookup(block)
         if hit:
             self.hits += 1

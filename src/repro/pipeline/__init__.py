@@ -10,8 +10,8 @@ task graph instead:
 ``scheduler``
     :class:`PipelineScheduler` — the dependency-DAG executor with one
     shared worker pool that interleaves solve and cells tasks across
-    benchmarks and geometries, steals queued pool tasks into the
-    parent when every worker is busy, and runs an
+    benchmarks and geometries, keeps two tasks in flight per worker
+    while the parent only dispatches, and runs an
     incremental-invalidation ``plan()`` pass that satisfies
     content-addressed stages from their persistent stores;
     :class:`PipelineStats` — per-run merged solver + analysis

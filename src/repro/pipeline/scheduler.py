@@ -28,16 +28,16 @@ Execution model
   runs and Python hash seeds.  The
   ``workers=1`` inline path is thereby a deterministic sequential
   program — the property the bit-identity guarantees lean on.
-* At most ``workers`` pool tasks are in flight; the scheduler keeps
-  the rest queued itself instead of handing them to the executor, so
-  a freshly unblocked low-order task is never stuck behind a wall of
-  queued high-order ones.  When every worker is busy and no inline
-  task is ready, the parent *steals* the next queued pool task and
-  runs it in-process — small cells of one benchmark backfill the
-  otherwise-idle parent while another benchmark's long ILP batch
-  occupies the pool.
+* Pool tasks run only in the ``workers`` pool processes; the parent
+  only dispatches.  At most two pool tasks per worker are in flight —
+  one running and one queued behind it, so a worker never idles while
+  the parent notices its result and submits the next task.  The
+  scheduler keeps the rest queued itself instead of handing them to
+  the executor, so a freshly unblocked low-order task is never stuck
+  behind a wall of queued high-order ones.
 * Inline tasks (closures over in-process state — the drivers' result
-  sinks) run in the parent while pool futures are outstanding.
+  sinks) run in the parent while pool futures are outstanding; with
+  nothing inline ready the parent waits for the next completion.
 * One failure rule.  Stages are pure functions of content-addressed
   inputs, so a stage that raised would raise again: any exception a
   stage raises, inline or on the pool, aborts the run at once.  The
@@ -370,7 +370,7 @@ class PipelineScheduler:
         try:
             while len(results) < len(tasks):
                 drain(block=False)
-                while ready_pool and len(in_flight) < self.workers:
+                while ready_pool and len(in_flight) < 2 * self.workers:
                     _, _, key = heapq.heappop(ready_pool)
                     task = tasks[key]
                     args = task.args + tuple(results[dep]
@@ -388,12 +388,6 @@ class PipelineScheduler:
                     in_flight[future] = key
                 if ready_inline:
                     _, _, key = heapq.heappop(ready_inline)
-                    run_inline(key)
-                elif ready_pool:
-                    # Every worker is busy and more pool tasks are
-                    # queued: steal the next one and run it here
-                    # instead of idling until a future resolves.
-                    _, _, key = heapq.heappop(ready_pool)
                     run_inline(key)
                 elif in_flight:
                     drain(block=True)

@@ -90,7 +90,7 @@ class TraceExecutor:
             if not hit:
                 self._srb_block = block
             return hit, True
-        return self._cache.access(block), False
+        return self._cache.access_in_set(set_index, block), False
 
     def run(self, addresses: Iterable[int], *,
             cold_start: bool = True) -> ExecutionOutcome:

@@ -256,6 +256,18 @@ def _close_all() -> None:
         store.close()
 
 
+def _close_at_exit() -> None:
+    """Close every connection, then open and close each resolved store
+    whose write-ahead log is still on disk (pool workers that exit
+    together can each leave it to the other), so the last close
+    checkpoints and removes it."""
+    _close_all()
+    for store in list(_RESOLVED.values()):
+        if os.path.exists(f"{store._db_path}-wal") \
+                and store._connect(create=False) is not None:
+            store.close()
+
+
 def _hook_exit() -> None:
     """Close connections at exit, once per process.  A
     :mod:`multiprocessing` finalizer runs both at interpreter exit and
@@ -264,7 +276,7 @@ def _hook_exit() -> None:
     if _HOOKED_PID == os.getpid():
         return
     _HOOKED_PID = os.getpid()
-    multiprocessing.util.Finalize(None, _close_all, exitpriority=0)
+    multiprocessing.util.Finalize(None, _close_at_exit, exitpriority=0)
 
 
 os.register_at_fork(before=_close_all)
@@ -314,6 +326,7 @@ class SqliteStore:
         store = _RESOLVED.get(key)
         if store is None:
             store = _RESOLVED[key] = cls(root)
+        _hook_exit()
         return store
 
     # -- connection lifecycle ------------------------------------------

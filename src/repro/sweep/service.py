@@ -5,7 +5,7 @@ aggregates pWCET gain and hardware cost per reliability mechanism, and
 extracts the Pareto-optimal design points.
 
 The whole grid is ONE flat DAG
-(:class:`~repro.pipeline.stages.EstimationDag`) on one work-stealing
+(:class:`~repro.pipeline.stages.EstimationDag`) on one worker
 pool: per benchmark and line size, one solve task runs the stacked
 Must/May kernel for every geometry of the line-size group, then
 solves every geometry's WCET and Fault Miss Maps against one shared

@@ -29,10 +29,10 @@ SUBSET = ("bs", "fibcall", "prime")
 MECHANISMS = ("none", "srb", "rw")
 
 
-def _slow_value(value):
-    """Picklable pool task body (work stealing needs real pool tasks)."""
+def _value_and_pid(value):
+    """Picklable pool task body: the value and the process that ran it."""
     time.sleep(0.05)
-    return value
+    return value, os.getpid()
 
 
 class TestPlanPass:
@@ -105,16 +105,18 @@ class TestPlanPass:
         assert ran == []
         assert results == {"sink": "done"}
 
-    def test_work_stealing_preserves_results(self):
+    def test_pool_tasks_run_only_in_workers(self):
         scheduler = PipelineScheduler(workers=2)
         for index in range(6):
-            scheduler.add(f"pool:{index}", _slow_value, args=(index,),
-                          pool=True, stage="steal")
+            scheduler.add(f"pool:{index}", _value_and_pid, args=(index,),
+                          pool=True, stage="pool")
         stats = PipelineStats()
         results = scheduler.run(stats=stats)
-        assert results == {f"pool:{index}": index for index in range(6)}
-        assert stats.tasks == {"steal": 6}
-        assert stats.stage_seconds["steal"] > 0
+        assert {key: value for key, (value, _) in results.items()} == {
+            f"pool:{index}": index for index in range(6)}
+        assert stats.tasks == {"pool": 6}
+        assert stats.stage_seconds["pool"] > 0
+        assert os.getpid() not in {pid for _, pid in results.values()}
 
 
 class TestDeterministicOrder:

@@ -3,8 +3,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.cache import CacheGeometry, FaultMap
+from repro.cache import CacheGeometry, FaultMap, LRUCache
 from repro.errors import SimulationError
 from repro.ipet import TimingModel
 from repro.reliability import (NoProtection, ReliableWay,
@@ -139,3 +141,45 @@ class TestRandomPathExecution:
         outcome = executor.run_random_path(loop_program.cfg, rng)
         assert outcome.fetches > 0
         assert outcome.cycles >= outcome.fetches
+
+
+def _replay(geometry, timing, mechanism, fault_map, addresses):
+    """Oracle: SRB sets by hand, every other fetch through
+    ``LRUCache.access``; returns (cycles, hits, misses, srb_hits)."""
+    cache = LRUCache(geometry, fault_map)
+    srb_block = None
+    cycles = hits = misses = srb_hits = 0
+    for address in addresses:
+        block = address // geometry.block_bytes
+        set_index = block % geometry.sets
+        if (mechanism.uses_srb
+                and fault_map.working_ways_in_set(set_index) == 0):
+            hit = srb_block == block
+            srb_block = block
+            srb_hits += int(hit)
+        else:
+            hit = cache.access(block)
+        hits += int(hit)
+        misses += int(not hit)
+        cycles += timing.hit_cycles if hit else timing.miss_cycles
+    return cycles, hits, misses, srb_hits
+
+
+class TestReplayOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           pbf=st.sampled_from((0.0, 0.3, 0.7, 1.0)),
+           mechanism=st.sampled_from((NoProtection(), ReliableWay(),
+                                      SharedReliableBuffer())),
+           addresses=st.lists(st.integers(0, 24 * GEOMETRY.block_bytes - 1),
+                              max_size=120))
+    def test_run_matches_lru_replay(self, seed, pbf, mechanism, addresses):
+        reliable = 1 if isinstance(mechanism, ReliableWay) else 0
+        fault_map = FaultMap.sample(GEOMETRY, pbf, random.Random(seed),
+                                    reliable_ways=reliable)
+        executor = TraceExecutor(GEOMETRY, TIMING, mechanism, fault_map)
+        outcome = executor.run(addresses)
+        assert outcome.fetches == len(addresses)
+        assert (outcome.cycles, outcome.hits, outcome.misses,
+                outcome.srb_hits) == _replay(GEOMETRY, TIMING, mechanism,
+                                             fault_map, addresses)

@@ -10,7 +10,10 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import pathlib
 import sqlite3
+import subprocess
+import sys
 
 import pytest
 
@@ -238,6 +241,32 @@ class TestForkSafety:
         db = _db(tmp_path)
         assert db.execute("PRAGMA integrity_check").fetchone() == ("ok",)
         db.close()
+
+
+class TestExitCheckpoint:
+    def test_exit_removes_a_log_other_processes_left(self, tmp_path):
+        """Pool workers that exit together can each leave the
+        write-ahead log to the other; a parent that only resolved the
+        store, and never connected, still checkpoints and removes it
+        when it exits."""
+        env = dict(os.environ, PYTHONPATH=str(
+            pathlib.Path(__file__).resolve().parents[1] / "src"))
+
+        def python(script):
+            subprocess.run([sys.executable, "-c", script], env=env,
+                           check=True, timeout=60)
+
+        log = tmp_path / f"v{SCHEMA_VERSION}" / f"{DB_NAME}-wal"
+        python("import os\n"
+               "from repro.solve.store import SolveStore\n"
+               f"store = SolveStore({str(tmp_path)!r})\n"
+               "store.put('key', 5)\n"
+               "os._exit(0)\n")  # dies holding its connection
+        assert log.exists()
+        python("from repro.solve.store import SolveStore\n"
+               f"SolveStore.resolve({str(tmp_path)!r})\n")
+        assert not log.exists()
+        assert SolveStore(tmp_path).get("key") == 5
 
 
 class TestResolution:

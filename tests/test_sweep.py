@@ -181,20 +181,24 @@ class TestParallelSweep:
     """`repro sweep --workers N`: whole-cell fan-out over a pool."""
 
     def test_parallel_report_is_byte_identical(self, tmp_path):
+        """Points, report text and work counters match at 1, 2 and 4
+        workers (two benchmarks, two line-size groups)."""
         geometries = geometry_grid(sizes=(512, 1024), ways=(2,),
-                                   lines=(16,))
-        kwargs = dict(pfails=(1e-4, 1e-3), benchmarks=("fibcall",),
+                                   lines=(16, 32))
+        kwargs = dict(pfails=(1e-4, 1e-3), benchmarks=("fibcall", "bs"),
                       probability=1e-15)
-        sequential = run_sweep(
-            geometries,
-            config=EstimatorConfig(cache=str(tmp_path / "seq")), **kwargs)
-        parallel = run_sweep(
-            geometries,
-            config=EstimatorConfig(cache=str(tmp_path / "par"), workers=2),
-            **kwargs)
-        assert parallel.points == sequential.points
-        assert format_sweep_report(parallel) == \
-            format_sweep_report(sequential)
+        sequential, *parallel = (
+            run_sweep(geometries,
+                      config=EstimatorConfig(
+                          cache=str(tmp_path / f"w{workers}"),
+                          workers=workers),
+                      **kwargs)
+            for workers in (1, 2, 4))
+        for result in parallel:
+            assert result.points == sequential.points
+            assert format_sweep_report(result) == \
+                format_sweep_report(sequential)
+            assert result.solver_totals == sequential.solver_totals
 
     def test_parallel_streaming_covers_every_cell(self, tmp_path):
         seen = []
@@ -250,19 +254,37 @@ class TestParallelSweep:
 
     def test_parallel_cap_never_oversubscribes(self, tmp_path,
                                                monkeypatch):
-        """A sweep opens exactly one pool of the requested width.
+        """A sweep opens exactly one pool of the requested width, and
+        keeps at most two tasks per worker outstanding on it: one
+        running and one queued behind it.
 
         The grid is one flat DAG: however many line-size groups,
         geometries or benchmarks it holds, no nested pool multiplies
         the ``workers`` budget."""
         import concurrent.futures
+        import threading
 
         widths = []
+        lock = threading.Lock()
+        outstanding = [0]
+        peak = [0]
+
+        def finished(_future):
+            with lock:
+                outstanding[0] -= 1
 
         class RecordingPool(concurrent.futures.ProcessPoolExecutor):
             def __init__(self, max_workers=None, **kwargs):
                 widths.append(max_workers)
                 super().__init__(max_workers=max_workers, **kwargs)
+
+            def submit(self, *args, **kwargs):
+                with lock:
+                    outstanding[0] += 1
+                    peak[0] = max(peak[0], outstanding[0])
+                future = super().submit(*args, **kwargs)
+                future.add_done_callback(finished)
+                return future
 
         # The scheduler imports the pool class when it builds a pool.
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
@@ -273,6 +295,8 @@ class TestParallelSweep:
                   config=EstimatorConfig(cache=str(tmp_path / "store"),
                                          workers=2))
         assert widths == [2]
+        # Four solve tasks are ready at once, so the window fills.
+        assert 2 < peak[0] <= 4
 
     def test_cli_sweep_workers_streams_progress(self, tmp_path, capsys):
         from repro.cli import main
