@@ -172,37 +172,6 @@ def _command_tradeoff(arguments: argparse.Namespace) -> int:
     return 0
 
 
-def _cell_filter(spec: str) -> tuple[str | None, float | None]:
-    """argparse ``type=`` for ``--only-cells mech=<name>,pfail=<p>``:
-    one ``(mechanism, pfail)`` filter, ``None`` wildcarding an omitted
-    key."""
-    mechanism = None
-    pfail = None
-    for part in spec.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        key, separator, value = part.partition("=")
-        if not separator:
-            raise argparse.ArgumentTypeError(
-                f"expected key=value, got {part!r} "
-                "(use mech=<name>,pfail=<p>)")
-        if key == "mech":
-            mechanism = value
-        elif key == "pfail":
-            try:
-                pfail = float(value)
-            except ValueError:
-                raise argparse.ArgumentTypeError(
-                    f"pfail must be a number, got {value!r}") from None
-        else:
-            raise argparse.ArgumentTypeError(
-                f"unknown key {key!r} (use mech=<name>,pfail=<p>)")
-    if mechanism is None and pfail is None:
-        raise argparse.ArgumentTypeError(f"empty filter {spec!r}")
-    return mechanism, pfail
-
-
 def _command_sweep(arguments: argparse.Namespace) -> int:
     from repro.sweep import format_sweep_report, geometry_grid, run_sweep
     benchmarks = tuple(arguments.benchmarks or EVALUATED_BENCHMARKS)
@@ -220,10 +189,9 @@ def _command_sweep(arguments: argparse.Namespace) -> int:
         # --workers); stdout stays byte-identical to the sequential
         # report, which is always assembled in grid order.
         best = max((point for point in points if point.mechanism != "none"),
-                   key=lambda point: point.mean_gain, default=None)
-        summary = (f"best gain {best.mean_gain:.1%} ({best.mechanism})"
-                   if best is not None else "no protected mechanism")
-        print(f"[{completed:>3d}/{total}] {cell.label}: {summary}",
+                   key=lambda point: point.mean_gain)
+        print(f"[{completed:>3d}/{total}] {cell.label}: best gain "
+              f"{best.mean_gain:.1%} ({best.mechanism})",
               file=sys.stderr, flush=True)
 
     # --workers sizes the one pool every task of the grid shares.
@@ -232,7 +200,6 @@ def _command_sweep(arguments: argparse.Namespace) -> int:
                        benchmarks=benchmarks,
                        config=_config_from(arguments),
                        on_cell=stream_cell,
-                       only_cells=arguments.only_cells,
                        probability=arguments.probability)
     text = format_sweep_report(result)
     if arguments.output:
@@ -343,12 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "default: the --pfail value)")
     sweep.add_argument("--benchmarks", nargs="+", default=None,
                        help="suite subset (default: all 25)")
-    sweep.add_argument("--only-cells", type=_cell_filter, action="append",
-                       default=None, metavar="mech=<name>,pfail=<p>",
-                       help="restrict the sweep to matching (mechanism, "
-                            "pfail) cells; either key may be omitted, "
-                            "the flag repeats, and selected sections "
-                            "stay byte-identical to the full run's")
     sweep.add_argument("--output", default=None,
                        help="write the report to a file")
     _add_config_arguments(sweep)

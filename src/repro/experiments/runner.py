@@ -22,8 +22,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.pipeline.scheduler import PipelineStats
-from repro.pipeline.stages import suite_pipeline
+from repro.pipeline.scheduler import PipelineScheduler, PipelineStats
+from repro.pipeline.stages import SUITE_MECHANISMS, EstimationDag
 from repro.pwcet import EstimatorConfig, PWCETEstimate
 from repro.pwcet.estimator import TARGET_EXCEEDANCE
 from repro.suite import EVALUATED_BENCHMARKS, load
@@ -77,7 +77,35 @@ def run_suite(config: EstimatorConfig | None = None, *,
     """
     if config is None:
         config = EstimatorConfig()
+    if pipeline_stats is None:
+        pipeline_stats = PipelineStats()
     programs = {name: load(name).cfg for name in benchmarks}
-    return list(suite_pipeline(programs, config, target_probability,
-                               workers=config.workers,
-                               stats=pipeline_stats).values())
+    scheduler = PipelineScheduler(workers=config.workers)
+    # The DAG's 1-geometry x 1-pfail case, plus one inline
+    # ``result:{bench}`` sink per benchmark.
+    dag = EstimationDag(scheduler, programs, (config.geometry,),
+                        (config.pfail,), config,
+                        probability=target_probability,
+                        stats=pipeline_stats)
+
+    def result(name, key, cells):
+        rows = dag.rows(key, cells)
+        estimates = {mechanism: rows[(mechanism, config.pfail)]
+                     for mechanism in SUITE_MECHANISMS}
+        return BenchmarkResult(
+            name=name,
+            wcet_fault_free=estimates["none"].wcet_fault_free,
+            estimates=estimates,
+            target_probability=target_probability)
+
+    result_keys = []
+    for name in programs:
+        key = dag.cells_key(name, config.geometry)
+        result_keys.append(scheduler.add(
+            f"result:{name}",
+            lambda cells, name=name, key=key: result(name, key, cells),
+            deps=(key,), stage="result"))
+    results = scheduler.run(
+        stats=pipeline_stats,
+        on_task=lambda key, value, *_: dag.record(key, value))
+    return [results[key] for key in result_keys]

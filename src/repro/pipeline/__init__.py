@@ -1,11 +1,8 @@
 """The unified estimation pipeline: one DAG scheduler and its stages.
 
-The paper's estimation flow (program → CFG → cache classification →
-FMM → ILP solve → pWCET distribution) used to be orchestrated three
-different ways — inside the estimator, again in the experiment runner,
-and a third time in the sweep service, each with its own worker pool.
-This package lays the suite and the sweep out as one flat, schedulable
-task graph instead:
+This package lays the paper's estimation flow (program → CFG → cache
+classification → FMM → ILP solve → pWCET distribution) for the suite
+and the sweep out as one flat, schedulable task graph:
 
 ``scheduler``
     :class:`PipelineScheduler` — the dependency-DAG executor with one
@@ -23,8 +20,8 @@ task graph instead:
 ``stages``
     Pool-safe stage task bodies and the one DAG builder
     (:class:`~repro.pipeline.stages.EstimationDag`) that lays a whole
-    (programs × geometries × pfails) grid out on one scheduler; the
-    suite (:func:`~repro.pipeline.stages.suite_pipeline`) is its
+    (programs × geometries × pfails) grid out on one scheduler, every
+    cell estimating the paper's three mechanisms; the suite is its
     1-geometry × 1-pfail case.
 
 ``cellstore``
@@ -49,5 +46,4 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "EstimationDag": ".stages",
     "cell_stage": ".stages",
     "solve_stage": ".stages",
-    "suite_pipeline": ".stages",
 })

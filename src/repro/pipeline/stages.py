@@ -1,14 +1,14 @@
 """Stage functions and the one DAG builder of the estimation pipeline.
 
-:class:`EstimationDag` lays a whole (programs × geometries × pfails ×
-mechanisms) grid out as one flat DAG on one
+:class:`EstimationDag` lays a whole (programs × geometries × pfails)
+grid, times the paper's three mechanisms, out as one flat DAG on one
 :class:`~repro.pipeline.scheduler.PipelineScheduler`; the suite is its
 1-geometry × 1-pfail case.  Stages take the program's CFG, never a
 suite name: the drivers load the suite's CFGs and pass them in, and
 any other program runs through the same DAG.  Per program:
 
 ``solve:{bench}:{line}`` — :func:`solve_stage`
-    First every classification table (and SRB hit set) the requested
+    First every classification table (and SRB hit set) the three
     mechanisms need for one CFG, at every geometry of one line-size
     group, from ONE stacked Must/May fixpoint pair plus one SRB
     fixpoint (:func:`~repro.analysis.geometry_batch.grouped_analysis`),
@@ -26,7 +26,7 @@ any other program runs through the same DAG.  Per program:
     :class:`~repro.solve.store.SolveStore`.
 
 ``cells:{bench}:{geometry}`` — :func:`cell_stage`
-    The mechanism and pfail axes of one geometry: one batched
+    The (mechanism × pfail) rows of one geometry: one batched
     penalty-convolution pass per mechanism
     (:func:`~repro.pwcet.batch.penalty_distributions`) over the rows
     the :class:`~repro.pipeline.cellstore.CellStore` does not hold yet;
@@ -38,9 +38,10 @@ row's content address before any task runs: stored rows are decoded
 in the parent, a task whose rows are all stored is satisfied (and its
 now-undemanded solve task is skipped), and a partially stored task
 computes only its missing rows.  Sinks — the
-suite's per-benchmark results, the sweep's design points — are added
-by the drivers and read each task's rows through
-:meth:`EstimationDag.rows`.
+suite's per-benchmark results
+(:func:`~repro.experiments.runner.run_suite`), the sweep's design
+points (:func:`~repro.sweep.service.run_sweep`) — are added by the
+drivers and read each task's rows through :meth:`EstimationDag.rows`.
 
 Counters travel on one channel: every solve and cells task's work
 counters are added to the run's
@@ -67,8 +68,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.ipet import FlowModel
     from repro.solve.store import SolveStore
 
-#: The paper's three configurations, in presentation order — the
-#: mechanism set of every suite/sweep estimation.
+#: The paper's three configurations, in presentation order: every
+#: suite and sweep cell estimates all three, since each gain is
+#: measured against the unprotected cache of the same cell.
 SUITE_MECHANISMS = ("none", "srb", "rw")
 
 
@@ -113,14 +115,14 @@ class SolveOutput:
     counters: dict[str, float] = field(repr=False)
 
 
-def solve_stage(cfg: CFG, geometries, mechanisms, config) -> SolveOutput:
+def solve_stage(cfg: CFG, geometries, config) -> SolveOutput:
     """Stage task: WCET + FMMs of one program at a group's geometries.
 
     ``geometries`` share one line size; the group (of one, for the
     suite) is classified by one Must/May fixpoint pair plus one SRB
     fixpoint, then one flow polytope and one planner serve every
     objective of the group, in a fixed order (per geometry: WCET, then
-    each mechanism's FMM), so in-process dedup — and with it every
+    the FMM of each of :data:`SUITE_MECHANISMS`), so in-process dedup — and with it every
     counter — is deterministic.  ``config`` supplies the timing model,
     the solver mode and the cache selector.
     """
@@ -130,7 +132,7 @@ def solve_stage(cfg: CFG, geometries, mechanisms, config) -> SolveOutput:
     from repro.ipet import compute_wcet
 
     with _batched(ClassificationStore.resolve(config.cache)):
-        analyses = grouped_analysis(cfg, geometries, mechanisms,
+        analyses = grouped_analysis(cfg, geometries, SUITE_MECHANISMS,
                                     cache=config.cache)
     lead = analyses[0]
     flow_model, store = solve_polytope(lead, config.cache)
@@ -143,7 +145,7 @@ def solve_stage(cfg: CFG, geometries, mechanisms, config) -> SolveOutput:
             fmms = {name: compute_fault_miss_map(
                         analysis, mechanism_by_name(name),
                         flow_model=flow_model, relaxed=config.relaxed)
-                    for name in mechanisms}
+                    for name in SUITE_MECHANISMS}
             outputs[analysis.geometry] = (wcet.cycles, fmms)
     return SolveOutput(geometries=outputs,
                        counters={**flow_model.planner.stats.as_dict(),
@@ -228,9 +230,9 @@ class EstimationDag:
     """One estimation grid laid out on a scheduler (see module doc).
 
     ``programs`` maps each program's name to its CFG, in presentation
-    order; any CFG will do, not only the suite's.  ``selection`` maps
-    each pfail to the mechanisms estimated at it (the unprotected
-    baseline included), in presentation order.
+    order; any CFG will do, not only the suite's.  Every (geometry,
+    pfail) cell estimates all of :data:`SUITE_MECHANISMS`, and
+    ``pfails`` lists the grid's pfail axis without repeats.
     Solve and cells tasks may run on the scheduler's process pool
     (inline at one worker); ``probability`` is the exceedance
     probability every row is reduced to (see :func:`cell_stage`;
@@ -240,7 +242,7 @@ class EstimationDag:
     """
 
     def __init__(self, scheduler: PipelineScheduler, programs,
-                 geometries, selection, config, *,
+                 geometries, pfails, config, *,
                  probability: float | None = None,
                  stats: PipelineStats | None = None) -> None:
         from repro.analysis.store import ClassificationStore
@@ -263,9 +265,6 @@ class EstimationDag:
                 # Reconnect if the database file was replaced since
                 # the handle last opened it.
                 store.refresh()
-        mechanisms = tuple(name for name in SUITE_MECHANISMS
-                           if any(name in chosen
-                                  for chosen in selection.values()))
         names = tuple(programs)
         # Heaviest programs dispatch first: their solve tasks are the
         # longest of the run.
@@ -280,18 +279,18 @@ class EstimationDag:
                 line = group[0].block_bytes
                 solve_key = scheduler.add(
                     f"solve:{name}:{line}", solve_stage,
-                    args=(cfg, group, mechanisms, config),
+                    args=(cfg, group, config),
                     stage="solve", pool=True,
                     order_key=f"0:{rank:04d}:{line:04d}")
                 for geometry in group:
                     self._add_cells(scheduler, name, digest, geometry,
                                     geometries.index(geometry),
-                                    selection, config, solve_key,
+                                    pfails, config, solve_key,
                                     cell_store, probability,
                                     names.index(name))
 
     def _add_cells(self, scheduler, name, digest, geometry, position,
-                   selection, config, solve_key, cell_store,
+                   pfails, config, solve_key, cell_store,
                    probability, bench_index) -> None:
         from repro.pipeline.cellstore import cell_key
         from repro.solve.store import store_context
@@ -299,8 +298,7 @@ class EstimationDag:
         context = store_context(digest, geometry, config.timing)
         keys = {(mechanism, pfail): cell_key(context, mechanism, pfail,
                                              config.relaxed)
-                for pfail, chosen in selection.items()
-                for mechanism in chosen}
+                for pfail in pfails for mechanism in SUITE_MECHANISMS}
         task_key = f"cells:{name}:{_geometry_label(geometry)}"
         #: The task's rows; the plan-pass probe fills it before any
         #: task runs (so a pool task pickles it filled).
@@ -333,7 +331,7 @@ class EstimationDag:
         pfail)`` to the decoded row reduced to ``probability`` (a row
         stored at another probability recomputes its pWCET from the
         FMM), ``axes`` maps each mechanism to its missing ``(pfail,
-        cell key)`` pairs in selection order.
+        cell key)`` pairs in pfail order.
         """
         from repro.pipeline.cellstore import decode_cell
 
@@ -366,47 +364,3 @@ class EstimationDag:
         if isinstance(value, (SolveOutput, CellsOutput)):
             self.stats.counters.update(value.counters)
 
-
-def suite_pipeline(programs, config, target_probability: float, *,
-                   workers: int = 1,
-                   stats: PipelineStats | None = None
-                   ) -> dict[str, object]:
-    """Run the suite DAG; returns BenchmarkResults keyed by name.
-
-    ``programs`` maps each name to its CFG, as for
-    :class:`EstimationDag`.  The 1-geometry × 1-pfail case of the DAG,
-    plus one inline ``result:{bench}`` sink per benchmark.  ``workers > 1``
-    runs solve and cells tasks on one shared process pool;
-    ``workers=1`` runs the same DAG inline.  Results are bit-identical
-    either way.
-    """
-    from repro.experiments.runner import BenchmarkResult
-
-    if stats is None:
-        stats = PipelineStats()
-    scheduler = PipelineScheduler(workers=workers)
-    dag = EstimationDag(scheduler, programs, (config.geometry,),
-                        {config.pfail: SUITE_MECHANISMS}, config,
-                        probability=target_probability,
-                        stats=stats)
-
-    def result(name, key, cells: CellsOutput):
-        rows = dag.rows(key, cells)
-        estimates = {mechanism: rows[(mechanism, config.pfail)]
-                     for mechanism in SUITE_MECHANISMS}
-        return BenchmarkResult(
-            name=name,
-            wcet_fault_free=estimates["none"].wcet_fault_free,
-            estimates=estimates,
-            target_probability=target_probability)
-
-    result_keys = {}
-    for name in programs:
-        key = dag.cells_key(name, config.geometry)
-        result_keys[name] = scheduler.add(
-            f"result:{name}",
-            lambda cells, name=name, key=key: result(name, key, cells),
-            deps=(key,), stage="result")
-    results = scheduler.run(
-        stats=stats, on_task=lambda key, value, *_: dag.record(key, value))
-    return {name: results[result_keys[name]] for name in programs}

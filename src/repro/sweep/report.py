@@ -51,11 +51,6 @@ def format_pareto_fronts(result: SweepResult) -> str:
             candidates = tuple(point
                                for point in result.of_mechanism(mechanism)
                                if point.pfail == pfail)
-            if not candidates:
-                # A filtered sweep (--only-cells) may have estimated
-                # this pfail for other mechanisms only; an empty front
-                # section would say nothing.
-                continue
             front = pareto_front(candidates)
             lines = [f"Pareto front — {mechanism} at pfail={pfail:g} "
                      f"(gain vs cell budget, {len(front)} of "
@@ -89,9 +84,8 @@ def format_sweep_report(result: SweepResult) -> str:
         f"served by the persistent cache")
     summary = solver + "\n" + analysis
     if totals["cells_from_store"] > 0:
-        # Only present when the incremental plan pass actually served
-        # finished cells, so cold-run reports stay byte-identical to
-        # the pre-cell-store format.
+        # Present only when the plan pass served finished cells from
+        # the store: a cold run's report has no cells line.
         summary += (f"\ncells: {totals['cells_from_store']:.0f} "
                     f"(mechanism, pfail) cells served by the persistent "
                     f"cell store")

@@ -1,8 +1,9 @@
 """The multi-geometry sweep service (design-stage exploration).
 
 Estimates the benchmark suite at every (geometry, pfail) grid cell,
-aggregates pWCET gain and hardware cost per reliability mechanism, and
-extracts the Pareto-optimal design points.
+each under the paper's three mechanisms, aggregates pWCET gain and
+hardware cost per reliability mechanism, and extracts the
+Pareto-optimal design points.
 
 The whole grid is ONE flat DAG
 (:class:`~repro.pipeline.stages.EstimationDag`) on one worker
@@ -23,20 +24,15 @@ import statistics
 from collections import Counter
 from dataclasses import dataclass
 
-from repro.errors import ConfigurationError
 from repro.hwcost.model import MechanismCostModel
 from repro.pipeline.scheduler import PipelineScheduler, PipelineStats
 from repro.pipeline.stages import SUITE_MECHANISMS, EstimationDag
 from repro.pwcet import EstimatorConfig
 from repro.pwcet.estimator import TARGET_EXCEEDANCE
-from repro.reliability import MECHANISMS
+from repro.reliability import mechanism_by_name
 from repro.suite import EVALUATED_BENCHMARKS, load
 from repro.sweep.grid import (DEFAULT_PFAILS, SweepCell, geometry_grid,
                               sweep_cells)
-
-#: Mechanisms compared by the sweep (paper's three configurations).
-SWEEP_MECHANISMS = tuple(mechanism.name for mechanism in MECHANISMS)
-
 
 @dataclass(frozen=True)
 class DesignPoint:
@@ -114,30 +110,25 @@ def pareto_front(points: tuple[DesignPoint, ...]
     return tuple(front)
 
 
-def _cell_points(cell: SweepCell, pwcets_by_benchmark,
-                 mechanisms: tuple[str, ...] = SWEEP_MECHANISMS
+def _cell_points(cell: SweepCell, pwcets_by_benchmark
                  ) -> tuple[DesignPoint, ...]:
     """The per-mechanism design points of one completed grid cell.
 
     ``pwcets_by_benchmark`` holds one ``{mechanism: pWCET}`` map per
-    benchmark, in suite order.  ``mechanisms`` restricts which
-    configurations emit a point (``--only-cells``); the paper's full
-    set by default.  A gain is the pWCET reduction versus the
-    unprotected cache, exactly as
+    benchmark, in suite order.  A gain is the pWCET reduction versus
+    the unprotected cache, exactly as
     :meth:`~repro.experiments.runner.BenchmarkResult.gain` computes it.
     """
     cost_model = MechanismCostModel(cell.geometry)
     points = []
-    for mechanism in MECHANISMS:
-        if mechanism.name not in mechanisms:
-            continue
-        cost = cost_model.cost_of(mechanism)
-        pwcets = [pwcet[mechanism.name] for pwcet in pwcets_by_benchmark]
-        gains = [1.0 - pwcet[mechanism.name] / pwcet["none"]
+    for name in SUITE_MECHANISMS:
+        cost = cost_model.cost_of(mechanism_by_name(name))
+        pwcets = [pwcet[name] for pwcet in pwcets_by_benchmark]
+        gains = [1.0 - pwcet[name] / pwcet["none"]
                  for pwcet in pwcets_by_benchmark]
         points.append(DesignPoint(
             cell=cell,
-            mechanism=mechanism.name,
+            mechanism=name,
             mean_pwcet=statistics.mean(pwcets),
             mean_gain=statistics.mean(gains),
             area_cells=cost.total_cell_equivalents,
@@ -146,58 +137,11 @@ def _cell_points(cell: SweepCell, pwcets_by_benchmark,
     return tuple(points)
 
 
-def _selection(only_cells, pfails):
-    """Normalise ``--only-cells`` filters into pfail → mechanism map.
-
-    Each filter is a ``(mechanism | None, pfail | None)`` pair —
-    ``None`` is a wildcard on that axis.  Returns the mechanisms (in
-    presentation order) selected at every surviving pfail; pfails no
-    filter matches are dropped from the grid entirely.  With no
-    filters the whole grid is selected.
-    """
-    if not only_cells:
-        return {pfail: SWEEP_MECHANISMS for pfail in pfails}
-    filters = []
-    for mechanism, pfail in only_cells:
-        if mechanism is not None and mechanism not in SWEEP_MECHANISMS:
-            raise ConfigurationError(
-                f"--only-cells: unknown mechanism {mechanism!r} "
-                f"(choose from {', '.join(SWEEP_MECHANISMS)})")
-        filters.append((mechanism, pfail))
-    selection = {}
-    for pfail in pfails:
-        mechanisms = tuple(
-            name for name in SWEEP_MECHANISMS
-            if any((want_mech is None or want_mech == name)
-                   and (want_pfail is None or want_pfail == pfail)
-                   for want_mech, want_pfail in filters))
-        if mechanisms:
-            selection[pfail] = mechanisms
-    if not selection:
-        raise ConfigurationError(
-            "--only-cells selected no cells: no filter matches any "
-            f"grid pfail ({', '.join(format(p, 'g') for p in pfails)})")
-    return selection
-
-
-def _estimation_mechanisms(point_mechanisms: tuple[str, ...]
-                           ) -> tuple[str, ...]:
-    """The mechanism set a filtered cell must actually estimate.
-
-    The unprotected baseline is always included (gain is defined
-    against it), in the suite's canonical order — so a filtered cell's
-    selected estimates are bit-identical to the full run's.
-    """
-    return tuple(name for name in SUITE_MECHANISMS
-                 if name == "none" or name in point_mechanisms)
-
-
 def run_sweep(geometries=None, *,
               pfails: tuple[float, ...] = DEFAULT_PFAILS,
               benchmarks: tuple[str, ...] = EVALUATED_BENCHMARKS,
               config: EstimatorConfig | None = None,
               on_cell=None,
-              only_cells=None,
               probability: float = TARGET_EXCEEDANCE,
               pipeline_stats: PipelineStats | None = None) -> SweepResult:
     """Estimate the whole suite at every grid cell.
@@ -208,14 +152,9 @@ def run_sweep(geometries=None, *,
     process pool every task of the grid shares.  ``on_cell`` is
     invoked as ``on_cell(cell, points, completed, total)`` for every
     finished cell, in completion order, so callers can stream the
-    report.
-
-    ``only_cells`` (a sequence of ``(mechanism | None, pfail | None)``
-    filters, ``None`` wildcarding an axis) restricts the sweep to the
-    matching (mechanism, pfail) cells: unmatched pfails leave the
-    grid, unmatched mechanisms of surviving cells are neither
-    estimated nor reported — but every selected point and Pareto front
-    section is bit-identical to the full run's.
+    report.  Repeated geometries, pfails and benchmarks count once,
+    in first-seen order; every cell yields one point per mechanism of
+    :data:`~repro.pipeline.stages.SUITE_MECHANISMS`.
 
     A stage error aborts the sweep and propagates; a dead pool worker
     is recovered by the scheduler.  ``pipeline_stats`` (a
@@ -230,27 +169,23 @@ def run_sweep(geometries=None, *,
     if pipeline_stats is None:
         pipeline_stats = PipelineStats()
     geometries = tuple(dict.fromkeys(geometries))
+    pfails = tuple(dict.fromkeys(pfails))
     benchmarks = tuple(dict.fromkeys(benchmarks))
-    selection = _selection(only_cells, tuple(pfails))
-    cells = sweep_cells(geometries, tuple(selection))
+    cells = sweep_cells(geometries, pfails)
     scheduler = PipelineScheduler(workers=config.workers)
     dag = EstimationDag(
         scheduler, {name: load(name).cfg for name in benchmarks},
-        geometries,
-        {pfail: _estimation_mechanisms(chosen)
-         for pfail, chosen in selection.items()},
-        config, probability=probability,
+        geometries, pfails, config, probability=probability,
         stats=pipeline_stats)
 
     def cell_points(cell, *outputs):
-        chosen = _estimation_mechanisms(selection[cell.pfail])
         pwcets = []
         for name, output in zip(benchmarks, outputs):
             rows = dag.rows(dag.cells_key(name, cell.geometry), output)
             pwcets.append({mechanism:
                            rows[(mechanism, cell.pfail)].pwcet(probability)
-                           for mechanism in chosen})
-        return _cell_points(cell, pwcets, selection[cell.pfail])
+                           for mechanism in SUITE_MECHANISMS})
+        return _cell_points(cell, pwcets)
 
     cell_of = {}
     for cell in cells:

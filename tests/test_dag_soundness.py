@@ -50,8 +50,7 @@ def dag_rows(cfg) -> dict:
     """Every (mechanism, pfail) row of every geometry, from the DAG."""
     config = EstimatorConfig(timing=TIMING, cache="off")
     scheduler = PipelineScheduler(workers=1)
-    dag = EstimationDag(scheduler, {NAME: cfg}, GROUP,
-                        {PFAIL: SUITE_MECHANISMS}, config)
+    dag = EstimationDag(scheduler, {NAME: cfg}, GROUP, (PFAIL,), config)
     outputs = scheduler.run(
         on_task=lambda key, value, *_: dag.record(key, value))
     return {geometry: dag.rows(dag.cells_key(NAME, geometry),

@@ -1,10 +1,10 @@
-"""The incremental cell-granular DAG (PR 6).
+"""The incremental cell-granular DAG.
 
 Covers the plan pass (content-address probes, satisfied-from-store
 completion, undemanded-task skipping), deterministic artifact-key
 dispatch order, bit-identity of the flat DAG against the
 per-benchmark estimator, one-program-edit invalidation, and the
-``--only-cells`` sweep filter.
+sweep's grid axes (a repeated pfail is one column).
 """
 
 from __future__ import annotations
@@ -18,12 +18,10 @@ from collections import Counter
 
 import pytest
 
-from repro.errors import ConfigurationError
 from repro.experiments.runner import run_suite
 from repro.pipeline import PipelineScheduler, PipelineStats
 from repro.pwcet import EstimatorConfig
-from repro.sweep import format_pareto_fronts, format_sweep_report, \
-    format_sweep_table, geometry_grid, run_sweep
+from repro.sweep import format_sweep_report, geometry_grid, run_sweep
 
 SUBSET = ("bs", "fibcall", "prime")
 MECHANISMS = ("none", "srb", "rw")
@@ -135,15 +133,14 @@ class TestDeterministicOrder:
         """The same DAG dispatches in the same order under any
         PYTHONHASHSEED — the regression satellite of ISSUE 6."""
         script = (
-            "from repro.pipeline import (SUITE_MECHANISMS, EstimationDag,\n"
-            "                            PipelineScheduler)\n"
+            "from repro.pipeline import EstimationDag, PipelineScheduler\n"
             "from repro.pwcet import EstimatorConfig\n"
             "from repro.suite import load\n"
             "config = EstimatorConfig(cache='off')\n"
             "scheduler = PipelineScheduler(workers=1)\n"
             "programs = {name: load(name).cfg for name in ('fibcall', 'bs')}\n"
             "EstimationDag(scheduler, programs, (config.geometry,),\n"
-            "              {config.pfail: SUITE_MECHANISMS}, config)\n"
+            "              (config.pfail,), config)\n"
             "scheduler.run(on_task=lambda key, *rest: print(key))\n")
         root = pathlib.Path(__file__).resolve().parent.parent
         env = dict(os.environ)
@@ -282,80 +279,19 @@ class TestIncrementalInvalidation:
         assert [result.name for result in results] == list(SUBSET)
 
 
-class TestOnlyCells:
-    GEOMETRIES = geometry_grid(sizes=(512, 1024), ways=(2,), lines=(16,))
+class TestGridAxes:
+    GEOMETRIES = geometry_grid(sizes=(512,), ways=(2,), lines=(16,))
 
-    def _sweep(self, cache, **kwargs):
-        return run_sweep(self.GEOMETRIES, pfails=(1e-4, 1e-3),
-                         benchmarks=("bs", "fibcall"),
-                         config=EstimatorConfig(cache=cache), **kwargs)
+    def test_repeated_pfail_is_one_column(self):
+        """A pfail given twice yields the same cells, points and report
+        as the pfail given once."""
+        def sweep(pfails):
+            return run_sweep(self.GEOMETRIES, pfails=pfails,
+                             benchmarks=("fibcall",),
+                             config=EstimatorConfig(cache="off"))
 
-    def test_selected_sections_byte_identical_to_full_run(self, tmp_path):
-        full = self._sweep(str(tmp_path / "full"))
-        only = self._sweep(str(tmp_path / "only"),
-                           only_cells=(("srb", 1e-4),))
-        selected = [point for point in full.points
-                    if point.mechanism == "srb" and point.pfail == 1e-4]
-        assert list(only.points) == selected
-        full_sections = format_pareto_fronts(full).split("\n\n")
-        only_sections = format_pareto_fronts(only).split("\n\n")
-        header = "Pareto front — srb at pfail=0.0001"
-        assert [s for s in only_sections if s.startswith(header)] == \
-            [s for s in full_sections if s.startswith(header)]
-        # The rw front (no candidates in the filtered run) is omitted
-        # rather than rendered empty.
-        assert len(only_sections) == 1
-
-    def test_wildcard_pfail_keeps_every_column(self, tmp_path):
-        only = self._sweep(str(tmp_path / "store"),
-                           only_cells=(("rw", None),))
-        assert {point.mechanism for point in only.points} == {"rw"}
-        assert {point.pfail for point in only.points} == {1e-4, 1e-3}
-
-    def test_filtered_run_does_not_poison_the_result_memo(self, tmp_path):
-        cache = str(tmp_path / "store")
-        self._sweep(cache, only_cells=(("srb", 1e-4),))
-        # A later full-estimate driver on the same store must not be
-        # handed a subset-mechanism result.
-        config = EstimatorConfig(
-            cache=cache, geometry=self.GEOMETRIES[0], pfail=1e-4)
-        (result,) = run_suite(config, benchmarks=("bs",))
-        assert set(result.estimates) == set(MECHANISMS)
-
-    def test_unknown_mechanism_rejected(self, tmp_path):
-        with pytest.raises(ConfigurationError, match="unknown mechanism"):
-            self._sweep(str(tmp_path / "store"),
-                        only_cells=(("bogus", None),))
-
-    def test_empty_selection_rejected(self, tmp_path):
-        with pytest.raises(ConfigurationError, match="no filter matches"):
-            self._sweep(str(tmp_path / "store"),
-                        only_cells=((None, 0.5),))
-
-    def test_cli_only_cells_filters_the_report(self, tmp_path, capsys):
-        from repro.cli import main
-        assert main(["sweep", "--sizes", "512", "--ways", "2",
-                     "--lines", "16", "--pfails", "1e-4",
-                     "--benchmarks", "fibcall",
-                     "--only-cells", "mech=srb",
-                     "--cache", str(tmp_path / "store")]) == 0
-        out = capsys.readouterr().out
-        assert "Pareto front — srb at pfail=0.0001" in out
-        assert "Pareto front — rw" not in out
-
-    def test_cli_only_cells_parsing(self):
-        import argparse
-
-        from repro.cli import _cell_filter, build_parser
-
-        def parse(*specs):
-            argv = ["sweep"] + [f"--only-cells={spec}" for spec in specs]
-            return build_parser().parse_args(argv).only_cells
-
-        assert parse() is None
-        assert parse("mech=srb,pfail=1e-4") == [("srb", 0.0001)]
-        assert parse("pfail=1e-3", "mech=rw") == \
-            [(None, 0.001), ("rw", None)]
-        for bad in ("bogus", "pfail=abc", "kind=x", ""):
-            with pytest.raises(argparse.ArgumentTypeError):
-                _cell_filter(bad)
+        once = sweep((1e-4,))
+        twice = sweep((1e-4, 1e-4))
+        assert len(twice.cells()) == 1
+        assert twice.points == once.points
+        assert format_sweep_report(twice) == format_sweep_report(once)

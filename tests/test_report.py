@@ -26,16 +26,16 @@ def report_run(tmp_path_factory):
     """
     target = tmp_path_factory.mktemp("report") / "report.md"
     suite_runs = []
-    suite_pipeline = runner.suite_pipeline
+    estimation_dag = runner.EstimationDag
 
-    def counting(programs, *args, **kwargs):
+    def counting(scheduler, programs, *args, **kwargs):
         suite_runs.append(tuple(programs))
-        return suite_pipeline(programs, *args, **kwargs)
+        return estimation_dag(scheduler, programs, *args, **kwargs)
 
     stdout = io.StringIO()
     with pytest.MonkeyPatch.context() as patch, \
             contextlib.redirect_stdout(stdout):
-        patch.setattr(runner, "suite_pipeline", counting)
+        patch.setattr(runner, "EstimationDag", counting)
         assert main(["report", "--cache", "off",
                      "--output", str(target)]) == 0
     return stdout.getvalue(), target.read_text(), suite_runs
