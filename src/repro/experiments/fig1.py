@@ -4,7 +4,8 @@ The paper's Figure 1 shows (a) a fault miss map for a 4-set cache and
 (b) how the per-set penalty distributions (three points each: 0, one
 faulty block, two faulty blocks) are combined by convolution.  This
 module reproduces the walkthrough on a real (small) program: it prints
-the FMM, the per-set distributions, and the running convolution.
+the FMM, the per-set distributions, and their convolution — the one
+the estimator computes (:func:`~repro.pwcet.batch.penalty_distributions`).
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from repro.faults import FaultProbabilityModel
 from repro.minic import CompiledProgram, Compute, Function, If, Loop, Program
 from repro.minic import compile_program
 from repro.pwcet import DiscreteDistribution
+from repro.pwcet.batch import penalty_distributions
 from repro.reliability import NoProtection
 
 
@@ -47,7 +49,8 @@ def compute_fig1(pfail: float = 1e-4) -> Fig1Data:
     geometry = CacheGeometry(sets=4, ways=2, block_bytes=16)
     compiled = example_program()
     analysis = CacheAnalysis(compiled.cfg, geometry)
-    fmm = compute_fault_miss_map(analysis, NoProtection())
+    mechanism = NoProtection()
+    fmm = compute_fault_miss_map(analysis, mechanism)
     model = FaultProbabilityModel(geometry=geometry, pfail=pfail)
 
     per_set = []
@@ -57,7 +60,8 @@ def compute_fig1(pfail: float = 1e-4) -> Fig1Data:
             penalty = fmm.misses(set_index, fault_count)
             points[penalty] = points.get(penalty, 0.0) + model.pwf(fault_count)
         per_set.append(DiscreteDistribution.from_points(points))
-    combined = DiscreteDistribution.convolve_all(per_set)
+    [combined] = penalty_distributions(fmm, mechanism, (model,),
+                                       geometry.sets)
     return Fig1Data(fmm=fmm, per_set=per_set, combined=combined, model=model)
 
 

@@ -174,7 +174,8 @@ def cell_stage(name: str, geometry, config, rows, probability,
     FMM's penalty points are pfail-independent, so each mechanism's
     whole pfail axis comes out of one
     :func:`~repro.pwcet.batch.penalty_distributions` pass, each row
-    bit-identical to an unbatched computation.  Every row is reduced
+    computed independently of its siblings, so bit-identical to an
+    unbatched computation.  Every row is reduced
     to its pWCET at ``probability`` and written through the cell store
     under its content address.
     """

@@ -3,15 +3,14 @@
 The per-set fault-penalty distributions of the paper have at most
 ``W + 1`` support points (one per possible number of faulty ways);
 the total penalty distribution is their convolution across sets
-(Figure 1.b).  We keep exact dense PMFs on an integer grid — penalties
-are measured in *misses*, so grids stay small — and convolve with
-shifted adds, which is exact (no FFT round-off in the 1e-15 tail the
-paper's quantiles live in).
+(Figure 1.b), computed by :mod:`repro.pwcet.batch`.  We keep dense
+PMFs on an integer grid — penalties are measured in *misses*, so
+grids stay small — and convolve by direct sums (no FFT round-off in
+the 1e-15 tail the paper's quantiles live in).
 """
 
 from __future__ import annotations
 
-import heapq
 from collections.abc import Iterable, Mapping
 
 import numpy as np
@@ -41,7 +40,7 @@ class DiscreteDistribution:
                     f"pmf mass {mass} deviates from 1 by more than "
                     f"{_MASS_TOLERANCE}")
         self._pmf = array
-        #: Lazily computed (or batch-seeded) tail cache; see ccdf().
+        #: Lazily computed tail cache; see ccdf().
         self._ccdf: np.ndarray | None = None
 
     # -- constructors ---------------------------------------------------
@@ -75,21 +74,6 @@ class DiscreteDistribution:
                               dtype=np.float64, count=len(items)))
         return cls(pmf, normalized=normalized)
 
-    @classmethod
-    def _trusted(cls, pmf: np.ndarray,
-                 ccdf: np.ndarray | None = None) -> "DiscreteDistribution":
-        """Wrap arrays that are valid by construction, skipping checks.
-
-        Reserved for the batched distribution kernel, whose outputs are
-        sums and products of already-validated PMFs (non-negative and
-        finite by closure) — re-validating every row would re-read the
-        whole block once per check.
-        """
-        self = cls.__new__(cls)
-        self._pmf = pmf
-        self._ccdf = ccdf
-        return self
-
     # -- basic accessors --------------------------------------------------
     @property
     def pmf(self) -> np.ndarray:
@@ -116,77 +100,11 @@ class DiscreteDistribution:
     def convolve(self, other: "DiscreteDistribution") -> "DiscreteDistribution":
         """Distribution of the sum of two independent variables.
 
-        Sparse-aware: when one operand has few non-zero points the
-        convolution is done with shifted adds (exact and fast for the
-        per-set penalty distributions); otherwise ``np.convolve``.
+        A direct sum (``np.convolve``), never an FFT, whose round-off
+        would reach the 1e-15 tail.
         """
-        left, right = self._pmf, other._pmf
-        # Use the sparser operand as the shift driver.
-        left_nz = np.flatnonzero(left)
-        right_nz = np.flatnonzero(right)
-        if len(right_nz) < len(left_nz):
-            left, right = right, left
-            left_nz, right_nz = right_nz, left_nz
-        if len(left_nz) <= 64:
-            result = np.zeros(len(left) + len(right) - 1)
-            for value in left_nz:
-                result[value:value + len(right)] += left[value] * right
-        else:
-            result = np.convolve(left, right)
-        return DiscreteDistribution(result, normalized=False)
-
-    @staticmethod
-    def convolve_all(distributions: Iterable["DiscreteDistribution"]
-                     ) -> "DiscreteDistribution":
-        """Convolution of many independent distributions.
-
-        Sets are independent (paper §II-C), so the total fault penalty
-        is the convolution of the per-set penalty distributions.
-
-        Reduces in size order (smallest support first, off a heap)
-        instead of left-folding in arrival order: folding the small
-        operands early keeps the accumulator short for as long as
-        possible, which cuts the total shifted-add work (each fold
-        costs ``nnz(operand) * len(accumulator)``) by 1.5-3x on the
-        suite's per-set penalty PMFs.
-
-        The accumulator is deliberately *not* pushed back into the
-        heap: a balanced pairwise reduction would eventually convolve
-        two large dense halves — O(n*m) without FFT, and FFT round-off
-        is excluded here because the paper's quantiles live in the
-        1e-15 tail — whereas size-ordered folding keeps one operand a
-        sparse per-set PMF on every step.
-        """
-        heap: list[tuple[int, int, DiscreteDistribution]] = []
-        for order, distribution in enumerate(distributions):
-            heap.append((len(distribution._pmf), order, distribution))
-        if not heap:
-            return DiscreteDistribution.point_mass(0)
-        heapq.heapify(heap)
-        _, _, result = heapq.heappop(heap)
-        while heap:
-            _, _, smallest = heapq.heappop(heap)
-            result = result.convolve(smallest)
-        return result
-
-    def scale_values(self, factor: int) -> "DiscreteDistribution":
-        """Distribution of ``factor * X`` (e.g. misses -> cycles)."""
-        if factor < 1:
-            raise DistributionError(f"factor must be >= 1, got {factor}")
-        if factor == 1:
-            return self
-        pmf = np.zeros(self.support_max * factor + 1)
-        pmf[::factor] = self._pmf
-        return DiscreteDistribution(pmf, normalized=False)
-
-    def shift(self, offset: int) -> "DiscreteDistribution":
-        """Distribution of ``X + offset``."""
-        if offset < 0:
-            raise DistributionError(f"offset must be >= 0, got {offset}")
-        if offset == 0:
-            return self
-        pmf = np.concatenate([np.zeros(offset), self._pmf])
-        return DiscreteDistribution(pmf, normalized=False)
+        return DiscreteDistribution(np.convolve(self._pmf, other._pmf),
+                                    normalized=False)
 
     # -- tail queries -------------------------------------------------------
     def ccdf(self) -> np.ndarray:
@@ -195,14 +113,12 @@ class DiscreteDistribution:
         Summing from the largest value (smallest probabilities in the
         fault setting) avoids float cancellation in the deep tail,
         where the paper's 1e-15 exceedance threshold lives.  Computed
-        once and cached (do not mutate the returned array); the
-        batched distribution kernel seeds the cache for a whole pfail
-        batch from one 2-D suffix-sum via :meth:`_trusted`.
+        once and cached (do not mutate the returned array).
         """
         if self._ccdf is None:
-            suffix = np.cumsum(self._pmf[::-1])[::-1]  # P(X >= v)
-            ccdf = np.empty_like(suffix)
-            ccdf[:-1] = suffix[1:]
+            ccdf = np.empty_like(self._pmf)
+            # Written in place, back to front: no full-width temporary.
+            np.cumsum(self._pmf[:0:-1], out=ccdf[-2::-1])
             ccdf[-1] = 0.0
             self._ccdf = ccdf
         return self._ccdf

@@ -1,38 +1,28 @@
 """Exact-rational cross-validation of the probabilistic chain.
 
 The float pipeline (binomial pmf -> per-set points -> convolution ->
-CCDF -> quantile) is re-implemented here with ``fractions.Fraction``
-arithmetic and compared point by point.  This guards the deep-tail
+CCDF -> quantile) is compared point by point with its
+``fractions.Fraction`` re-implementation in ``tests/oracles.py``.  This guards the deep-tail
 behaviour the paper's 1e-15 quantiles rely on: float round-off must
 never move a quantile.
 """
 
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.pwcet import DiscreteDistribution
+from tests.oracles import exact_convolve, exact_quantiles
 
 
-def exact_convolve(left: dict[int, Fraction],
-                   right: dict[int, Fraction]) -> dict[int, Fraction]:
-    result: dict[int, Fraction] = {}
-    for a, pa in left.items():
-        for b, pb in right.items():
-            result[a + b] = result.get(a + b, Fraction(0)) + pa * pb
-    return result
-
-
-def exact_quantile(points: dict[int, Fraction],
-                   probability: Fraction) -> int:
-    values = sorted(points)
-    # smallest v with P(X > v) <= probability
-    for v in values:
-        tail = sum(p for value, p in points.items() if value > v)
-        if tail <= probability:
-            return v
-    return values[-1]
+def float_convolution(parts) -> DiscreteDistribution:
+    """The float pipeline's fold of exact point sets."""
+    return reduce(DiscreteDistribution.convolve, [
+        DiscreteDistribution.from_points(
+            {value: float(p) for value, p in part.items()})
+        for part in parts])
 
 
 @st.composite
@@ -55,11 +45,7 @@ class TestAgainstExactArithmetic:
         exact: dict[int, Fraction] = {0: Fraction(1)}
         for part in parts:
             exact = exact_convolve(exact, part)
-        floats = DiscreteDistribution.convolve_all([
-            DiscreteDistribution.from_points(
-                {value: float(p) for value, p in part.items()})
-            for part in parts
-        ])
+        floats = float_convolution(parts)
         for value, probability in exact.items():
             assert floats.probability_of(value) == pytest.approx(
                 float(probability), rel=1e-9, abs=1e-12)
@@ -72,12 +58,8 @@ class TestAgainstExactArithmetic:
         exact: dict[int, Fraction] = {0: Fraction(1)}
         for part in parts:
             exact = exact_convolve(exact, part)
-        floats = DiscreteDistribution.convolve_all([
-            DiscreteDistribution.from_points(
-                {value: float(p) for value, p in part.items()})
-            for part in parts
-        ])
-        expected = exact_quantile(exact, probability)
+        floats = float_convolution(parts)
+        [expected] = exact_quantiles(exact, [probability])
         # Guard against knife-edge cases where the float CCDF equals
         # the probability exactly: only compare when the exact tail is
         # not razor-close to the target.
@@ -101,11 +83,9 @@ class TestAgainstExactArithmetic:
         exact: dict[int, Fraction] = {0: Fraction(1)}
         for _ in range(16):
             exact = exact_convolve(exact, per_set)
-        floats = DiscreteDistribution.convolve_all(
-            [DiscreteDistribution.from_points(
-                {value: float(p) for value, p in per_set.items()})
-             for _ in range(16)])
-        for probability in (Fraction(1, 10 ** 6), Fraction(1, 10 ** 10),
-                            Fraction(1, 10 ** 15)):
-            assert (floats.quantile_exceedance(float(probability))
-                    == exact_quantile(exact, probability))
+        floats = float_convolution([per_set] * 16)
+        levels = (Fraction(1, 10 ** 6), Fraction(1, 10 ** 10),
+                  Fraction(1, 10 ** 15))
+        assert [floats.quantile_exceedance(float(probability))
+                for probability in levels] \
+            == exact_quantiles(exact, levels)

@@ -86,10 +86,6 @@ class TestDistributionEdges:
         assert d.quantile_exceedance(1e-15) == 0
         assert d.ccdf()[0] == 0.0
 
-    def test_convolve_all_empty(self):
-        combined = DiscreteDistribution.convolve_all([])
-        assert combined.probability_of(0) == 1.0
-
     def test_pmf_not_mutable_through_property(self):
         d = DiscreteDistribution.point_mass(1)
         pmf = d.pmf

