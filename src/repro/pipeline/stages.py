@@ -158,8 +158,10 @@ class CellsOutput:
 
     ``rows`` maps ``(mechanism, pfail)`` to the finished
     :class:`~repro.pwcet.estimator.PWCETEstimate`, reduced to its
-    pWCET at the run's probability (its distribution is recomputed
-    from the FMM only if a consumer asks for it).
+    pWCET at the run's probability.  The distribution that pWCET was
+    read from was capped at that level, so it is never kept: a
+    consumer that asks for one gets the full distribution,
+    recomputed from the FMM.
     """
 
     rows: dict = field(repr=False)
@@ -174,10 +176,17 @@ def cell_stage(name: str, geometry, config, rows, probability,
     FMM's penalty points are pfail-independent, so each mechanism's
     whole pfail axis comes out of one
     :func:`~repro.pwcet.batch.penalty_distributions` pass, each row
-    computed independently of its siblings, so bit-identical to an
-    unbatched computation.  Every row is reduced
-    to its pWCET at ``probability`` and written through the cell store
-    under its content address.
+    computed independently of its siblings.  Each row is read at one
+    level, ``probability`` less the mechanism's excluded mass, so the
+    pass folds only up to the lowest of those levels (its
+    ``exceedance``); the kernel certifies the cap, and each pWCET
+    meets the exact-rational contract (``tests/exact_suite.py`` checks
+    the suite's).  When the lowest
+    level is not positive the pass folds in full, and
+    :meth:`~repro.pwcet.estimator.PWCETEstimate.pwcet` refuses the row
+    as it always did.  Every row is reduced to its pWCET at
+    ``probability`` and written through the cell store under its
+    content address.
     """
     from repro.faults import FaultProbabilityModel
     from repro.pipeline.cellstore import CellStore, encode_cell
@@ -193,8 +202,13 @@ def cell_stage(name: str, geometry, config, rows, probability,
         fmm = fmms[mechanism_name]
         models = [FaultProbabilityModel(geometry=geometry, pfail=pfail)
                   for pfail, _ in axis]
-        distributions = penalty_distributions(fmm, mechanism, models,
-                                              geometry.sets)
+        # The lowest level any row reads.
+        exceedance = probability - max(
+            mechanism.exceedance_correction(model, geometry.sets)
+            for model in models)
+        distributions = penalty_distributions(
+            fmm, mechanism, models, geometry.sets,
+            exceedance=exceedance if exceedance > 0.0 else None)
         batched += len(axis) - 1
         for (pfail, key), model, distribution in zip(axis, models,
                                                      distributions):

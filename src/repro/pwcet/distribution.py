@@ -20,6 +20,9 @@ from repro.errors import DistributionError
 #: Tolerance on total probability mass.
 _MASS_TOLERANCE = 1e-9
 
+#: Suffix sums per chunk of the top-down quantile scan.
+_SCAN_CHUNK = 65536
+
 
 class DiscreteDistribution:
     """An exact PMF over ``{0, 1, ..., n}`` (values are e.g. miss counts)."""
@@ -129,24 +132,31 @@ class DiscreteDistribution:
         This is the paper's pWCET reading: the value the random
         variable exceeds with probability at most ``p``.  The ccdf is
         exactly non-increasing (suffix sums of non-negative mass), so
-        the smallest qualifying value comes from one binary search on
-        the reversed tail instead of a full scan.
+        the answer sits just above the top-most value whose tail
+        exceeds ``p``.  The suffix sums are scanned from the top in
+        chunks of :data:`_SCAN_CHUNK`, stopping at the crossing, so no
+        full-width tail is built.  Each chunk carries the running sum
+        into its first element before its in-place ``np.cumsum``, so
+        every suffix sum is bitwise :meth:`ccdf`'s.
         """
         if not 0.0 < probability < 1.0:
             raise DistributionError(
                 f"exceedance probability must be in (0, 1), "
                 f"got {probability}")
-        ccdf = self.ccdf()
-        # Entries <= probability form a suffix of ccdf, i.e. a prefix
-        # of the reversed tail; side="right" counts all of them.
-        count = int(np.searchsorted(ccdf[::-1], probability,
-                                    side="right"))
-        if count == 0:
-            # Unreachable by construction (ccdf[support_max] == 0.0
-            # <= p); kept as the historical guard against a corrupted
-            # tail.
-            return self.support_max
-        return len(ccdf) - count
+        # tail[i] = pmf[n - 1 - i]; its running sum is ccdf[n - 2 - i].
+        tail = self._pmf[:0:-1]
+        sums = np.empty(min(len(tail), _SCAN_CHUNK))
+        running = 0.0
+        for start in range(0, len(tail), _SCAN_CHUNK):
+            chunk = sums[:min(len(tail) - start, _SCAN_CHUNK)]
+            np.copyto(chunk, tail[start:start + len(chunk)])
+            chunk[0] += running
+            np.cumsum(chunk, out=chunk)
+            below = int(np.searchsorted(chunk, probability, side="right"))
+            if below < len(chunk):
+                return len(tail) - start - below
+            running = chunk[-1]
+        return 0
 
     # -- dunder -----------------------------------------------------------
     def __eq__(self, other: object) -> bool:

@@ -96,9 +96,10 @@ def penalty_distribution(fmm: FaultMissMap,
     points weighted by the mechanism's fault pmf (eq. 2 / eq. 3),
     convolved across sets (Figure 1.b).  The pipeline's cells task
     (:func:`repro.pipeline.stages.cell_stage`) calls the same kernel
-    over a whole pfail axis; each row's arithmetic is independent of
-    the others, so it is bit-identical to this one-row batch, and its
-    quantiles are property-tested equal to exact-rational ones.
+    over a whole pfail axis, capped at the level it reads; each row's
+    arithmetic is independent of the others, so below its cap it is
+    bit-identical to this one-row batch, and its quantiles are
+    property-tested equal to exact-rational ones.
     """
     from repro.pwcet.batch import penalty_distributions
     return penalty_distributions(fmm, mechanism, (fault_model,), sets)[0]
@@ -113,8 +114,8 @@ class PWCETEstimate:
     does, while a stored cell row (see
     :mod:`repro.pipeline.cellstore`) carries only the pWCET its run
     asked for and recomputes the distribution from the FMM on first
-    use of :attr:`penalty_misses`: a one-row kernel call, bitwise the
-    row its batch computed.
+    use of :attr:`penalty_misses`: a one-row uncapped kernel call,
+    bitwise the row its batch computed below that row's cap.
     """
 
     program_name: str

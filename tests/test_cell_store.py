@@ -78,6 +78,21 @@ class TestCellRows:
         for probability in (1e-3, 1e-9, TARGET):
             assert decoded.pwcet(probability) == computed.pwcet(probability)
 
+    def test_pwcet_is_a_python_int(self, tmp_path):
+        """Computed and decoded rows carry a Python ``int`` pWCET:
+        ``statistics.mean`` returns the type of its data, so a numpy
+        integer would truncate the sweep's mean-pWCET column."""
+        config = EstimatorConfig(cache=str(tmp_path))
+        (computed,) = run_suite(config, benchmarks=("fibcall",))
+        stats = PipelineStats()
+        (decoded,) = run_suite(config, benchmarks=("fibcall",),
+                               pipeline_stats=stats)
+        assert stats.counters["cells_from_store"] == 3
+        for result in (computed, decoded):
+            for mechanism in MECHANISMS:
+                known = result.estimates[mechanism].known_pwcet
+                assert known[0] == TARGET and type(known[1]) is int
+
     def test_malformed_entries_degrade_to_none(self):
         config, estimate, value = self._cell_value()
         row = self._row(value)

@@ -4,13 +4,18 @@ Every row's quantiles must equal those of the same convolution in
 ``fractions.Fraction`` arithmetic (``tests/oracles.py``) on random
 FMM-shaped inputs and on the degenerate shapes (all-zero penalty
 sets, single-pfail batch, one-set cache, empty batch); an FMM too
-small for the mechanism or the set count is refused.  Also pins the
-cell-store content address and the pipeline's batched pfail axis.
+small for the mechanism or the set count is refused.  Rows capped at
+an exceedance level are exact at and above it, bitwise the uncapped
+rows below their cap, and refolded when the cap fails its
+certificate; the top-down quantile scan lands where a search of the
+full ccdf does.  Also pins the cell-store content address and the
+pipeline's batched pfail axis.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,7 +29,10 @@ from repro.faults import FaultProbabilityModel
 from repro.fmm import FaultMissMap
 from repro.pipeline.scheduler import PipelineStats
 from repro.pwcet import EstimatorConfig
+from repro.pwcet import batch
+from repro.pwcet import distribution as distribution_module
 from repro.pwcet.batch import penalty_distributions
+from repro.pwcet.distribution import DiscreteDistribution
 from repro.reliability import mechanism_by_name
 from repro.sweep import run_sweep
 from tests.oracles import exact_penalty_distribution, exact_quantiles
@@ -79,6 +87,106 @@ class TestExactRationalContract:
                                         pfail=pfail) for pfail in pfails]
         assert_exact(fmm, mechanism_by_name(mechanism_name), models,
                      fmm.geometry.sets)
+
+
+    @settings(max_examples=50, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(case=fmm_cases(), exponent=st.integers(3, 15))
+    def test_capped_rows_are_exact_at_and_above_their_level(self, case,
+                                                            exponent):
+        """A capped row is the law of ``min(X, cap)``: bitwise the
+        uncapped row below its cap, ``P(X >= cap)`` in its last bin,
+        and its quantiles at levels >= ``exceedance`` are exact."""
+        fmm, mechanism_name, pfails = case
+        mechanism = mechanism_by_name(mechanism_name)
+        models = [FaultProbabilityModel(geometry=fmm.geometry,
+                                        pfail=pfail) for pfail in pfails]
+        exceedance = 10.0 ** -exponent
+        sets = fmm.geometry.sets
+        capped = penalty_distributions(fmm, mechanism, models, sets,
+                                       exceedance=exceedance)
+        full = penalty_distributions(fmm, mechanism, models, sets)
+        levels = [level for level in LEVELS if level >= exceedance]
+        for row, uncapped, model in zip(capped, full, models):
+            cap = row.support_max
+            assert cap <= uncapped.support_max
+            assert row.pmf[:cap].tobytes() == uncapped.pmf[:cap].tobytes()
+            exact = exact_penalty_distribution(fmm, mechanism, model,
+                                               sets)
+            lumped = sum(mass for value, mass in exact.items()
+                         if value >= cap)
+            assert row.pmf[cap] == pytest.approx(float(lumped), rel=1e-9)
+            assert [row.quantile_exceedance(level) for level in levels] \
+                == exact_quantiles(exact, levels)
+
+    def test_a_cap_below_the_level_refolds_uncapped(self, monkeypatch):
+        """The cap is certified, never trusted: a bound that is too
+        small leaves more than ``exceedance`` in the last bin, and the
+        call is refolded at full width."""
+        geometry = CacheGeometry(sets=4, ways=2, block_bytes=16)
+        fmm = FaultMissMap(geometry=geometry,
+                           rows=((0, 3, 7), (0, 0, 2), (0, 1, 1),
+                                 (0, 5, 9)),
+                           mechanism_name="none")
+        mechanism = mechanism_by_name("none")
+        models = [FaultProbabilityModel(geometry=geometry, pfail=p)
+                  for p in (1e-4, 1e-3)]
+        folds = []
+        fold = batch._fold
+
+        def spy(penalties, weights, cap):
+            folds.append(cap)
+            return fold(penalties, weights, cap)
+
+        monkeypatch.setattr(batch, "_chernoff_cap", lambda *_: 5)
+        monkeypatch.setattr(batch, "_fold", spy)
+        rows = penalty_distributions(fmm, mechanism, models, 4,
+                                     exceedance=1e-15)
+        assert folds == [5, fmm.total_worst_misses()]
+        for row, model in zip(rows, models):
+            assert row.support_max == fmm.total_worst_misses()
+            exact = exact_penalty_distribution(fmm, mechanism, model, 4)
+            assert [row.quantile_exceedance(level) for level in LEVELS] \
+                == exact_quantiles(exact, LEVELS)
+
+
+@st.composite
+def sampled_pmfs(draw):
+    """A pmf with mass spread over many orders of magnitude, and the
+    levels to read it at: some of its own tail values, which only a
+    bitwise-equal suffix sum lands on, plus random ones."""
+    masses = draw(st.lists(
+        st.one_of(st.just(0.0), st.floats(1e-30, 1.0),
+                  st.integers(1, 40).map(lambda e: 10.0 ** -e)),
+        min_size=1, max_size=40))
+    distribution = DiscreteDistribution(masses, normalized=False)
+    tails = [float(tail) for tail in distribution.ccdf()
+             if 0.0 < tail < 1.0]
+    levels = draw(st.lists(st.sampled_from(tails), max_size=5)) \
+        if tails else []
+    levels += draw(st.lists(st.floats(1e-35, 0.999), min_size=1,
+                            max_size=5))
+    return masses, levels
+
+
+class TestQuantileScan:
+    @settings(max_examples=200, deadline=None)
+    @given(case=sampled_pmfs(), chunk=st.integers(1, 7))
+    def test_top_down_scan_equals_a_ccdf_search(self, case, chunk):
+        """The chunked scan stops where ``searchsorted`` on the full
+        ccdf lands, for any chunk size, also on a distribution whose
+        ccdf is cached."""
+        masses, levels = case
+        reference = DiscreteDistribution(masses, normalized=False)
+        ccdf = reference.ccdf()
+        with mock.patch.object(distribution_module, "_SCAN_CHUNK", chunk):
+            for level in levels:
+                expected = len(ccdf) - int(np.searchsorted(
+                    ccdf[::-1], level, side="right"))
+                scanned = DiscreteDistribution(masses, normalized=False)
+                answer = scanned.quantile_exceedance(level)
+                assert type(answer) is int and answer == expected
+                assert reference.quantile_exceedance(level) == expected
 
 
 class TestDegenerateShapes:
