@@ -34,7 +34,8 @@ from repro.solve.store import SqliteStore, json_bytes, json_value
 
 #: Bump on ANY change to the table encoding or the key derivation.
 #: v2: SQLite database instead of JSONL shards.
-CLASSIFY_SCHEMA_VERSION = 2
+#: v3: the shared store's binary keys and deflated values.
+CLASSIFY_SCHEMA_VERSION = 3
 
 #: Integer codes of the scope-less classifications (FIRST_MISS is
 #: encoded as the pair ``[1, scope]`` instead).

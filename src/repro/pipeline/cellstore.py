@@ -12,9 +12,10 @@ address before any worker starts.
 
 A row holds what its readers use: the fault-free WCET, the FMM rows,
 the exceedance correction and the pWCET at the probability the
-writing run asked for, as ~130 bytes of zlib'd JSON (small enough for
-SQLite to keep on the row's own page; a cold default sweep writes
-0.3 MB of cells).  No pmf is stored: it is a pure function of (FMM,
+writing run asked for, as canonical JSON that the shared store
+deflates like every other row (~120 bytes, small enough for SQLite to
+keep on the row's own page; a cold default sweep writes 0.25 MB of
+cells).  No pmf is stored: it is a pure function of (FMM,
 mechanism, fault model), and a decoded
 :class:`~repro.pwcet.estimator.PWCETEstimate` recomputes it from the
 FMM on first use, bit-identically — as it does the pWCET of a read at
@@ -32,7 +33,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import zlib
 
 from repro.errors import ConfigurationError
 from repro.faults import FaultProbabilityModel
@@ -47,7 +47,8 @@ from repro.solve.store import SqliteStore, json_bytes
 #: v3: compact binary cell encoding in the SQLite store.
 #: v4: no pmf — the FMM rows and the pWCET at the run's probability.
 #: v5: the solver mode (exact or ``--relaxed``) is part of the key.
-CELL_SCHEMA_VERSION = 5
+#: v6: plain JSON rows; the shared store deflates them.
+CELL_SCHEMA_VERSION = 6
 
 
 def cell_key(store_context: str, mechanism: str, pfail: float,
@@ -73,19 +74,19 @@ def encode_cell(estimate: PWCETEstimate) -> bytes:
     ``estimate`` must know its pWCET at the run's probability (see
     :meth:`~repro.pwcet.estimator.PWCETEstimate.reduced`).  The row is
     the canonical JSON of the mechanism, WCET, exceedance correction,
-    FMM rows and that (probability, pWCET) pair, zlib-compressed (FMM
-    columns repeat a handful of values); floats are written with
-    ``repr`` precision, so they round-trip exactly.
+    FMM rows and that (probability, pWCET) pair (the store deflates
+    it: FMM columns repeat a handful of values); floats are written
+    with ``repr`` precision, so they round-trip exactly.
     """
     probability, pwcet = estimate.known_pwcet
-    return zlib.compress(json_bytes({
+    return json_bytes({
         "mechanism": estimate.mechanism_name,
         "wcet": estimate.wcet_fault_free,
         "correction": float(estimate.exceedance_correction),
         "fmm": estimate.fmm.rows,
         "probability": float(probability),
         "pwcet": pwcet,
-    }))
+    })
 
 
 def decode_cell(value: object, *, name: str, mechanism: str,
@@ -101,7 +102,7 @@ def decode_cell(value: object, *, name: str, mechanism: str,
     the geometry.
     """
     try:
-        row = json.loads(zlib.decompress(value))
+        row = json.loads(value)
         if row["mechanism"] != mechanism:
             return None
         fmm = FaultMissMap(
@@ -121,7 +122,7 @@ def decode_cell(value: object, *, name: str, mechanism: str,
             known_pwcet=(float(row["probability"]),
                          _integer(row["pwcet"])))
     except (AttributeError, TypeError, ValueError, KeyError, IndexError,
-            zlib.error, ConfigurationError):
+            ConfigurationError):
         return None
 
 

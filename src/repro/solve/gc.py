@@ -78,13 +78,15 @@ class CompactionReport:
 
 
 def _corrupt_rows(connection: sqlite3.Connection) -> tuple[int, list]:
-    """Row count and the (kind, key) of every row failing its checksum."""
+    """Row count and the (kind, key) of every row failing its checksum
+    (taken, like the stores take it, over the hex key)."""
     rows = 0
     corrupt = []
     for kind, key, crc, value in connection.execute(
             "SELECT kind, key, crc, value FROM entries"):
         rows += 1
-        if not isinstance(value, bytes) or checksum(kind, key, value) != crc:
+        if not isinstance(key, bytes) or not isinstance(value, bytes) \
+                or checksum(kind, key.hex(), value) != crc:
             corrupt.append((kind, key))
     return rows, corrupt
 

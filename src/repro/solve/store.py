@@ -22,9 +22,12 @@ schema-versioned subdirectory of the cache root.  A read is one
 indexed ``SELECT`` — a warm run pays for the rows it reads, not for
 the size of the cache — and a write is one atomic upsert, so a killed
 writer never leaves a partial row and concurrent pool workers only
-ever wait on each other's (short) write transactions.  Every row
-carries a CRC-32 of its address and value: a mismatch is a miss, and
-the recomputation's write repairs the row.
+ever wait on each other's (short) write transactions.  A row is
+addressed by the 32 raw bytes of its SHA-256 key and holds its value
+raw-deflated (:func:`zlib.compress` at the default level, no header),
+plus a CRC-32 of its address and stored bytes: a mismatch, or bytes
+that do not inflate, read as a miss, and the recomputation's write
+repairs the row.
 
 Control knob: ``REPRO_CACHE`` —
 
@@ -60,7 +63,8 @@ from repro.testing import faultinject
 #: v2: keyed by the polytope (:func:`solve_context`) instead of the
 #: (CFG digest, geometry, timing) estimation context.
 #: v3: one SQLite database instead of JSONL shards.
-SCHEMA_VERSION = 3
+#: v4: 32-byte binary keys and raw-deflated values.
+SCHEMA_VERSION = 4
 
 #: Environment variable controlling the default store location.
 CACHE_ENV = "REPRO_CACHE"
@@ -78,8 +82,12 @@ _BUSY_TIMEOUT_S = 60.0
 #: lingering ``-wal`` file never holds a whole run's writes.
 _JOURNAL_SIZE_LIMIT = 4 << 20
 
+#: Window bits of the row codec: raw deflate, no zlib header or
+#: trailer (the row's own CRC already guards its bytes).
+_WBITS = -15
+
 _TABLE = ("CREATE TABLE IF NOT EXISTS entries ("
-          "kind TEXT NOT NULL, key TEXT NOT NULL, crc INTEGER NOT NULL, "
+          "kind TEXT NOT NULL, key BLOB NOT NULL, crc INTEGER NOT NULL, "
           "value BLOB NOT NULL, PRIMARY KEY (kind, key)) WITHOUT ROWID")
 
 #: Insert, or overwrite a row whose bytes differ (a corrupt row is
@@ -174,7 +182,8 @@ class StoreStats:
 
 
 def checksum(kind: str, key: str, value: bytes) -> int:
-    """CRC-32 of one row: binds the value to its (kind, key) address."""
+    """CRC-32 of one row: binds the stored (deflated) value to its
+    (kind, hex key) address."""
     return zlib.crc32(value, zlib.crc32(f"{kind}|{key}|".encode("utf-8")))
 
 
@@ -286,8 +295,11 @@ class SqliteStore:
     """One schema-versioned SQLite database of checksummed entries.
 
     The shared substrate of the three persistent stores: rows map
-    ``(kind, key)`` to ``(crc, value bytes)``.  :meth:`_get` is one
-    indexed lookup plus a checksum check (a mismatch is a miss);
+    ``(kind, key)`` to ``(crc, value bytes)``.  Callers speak hex keys
+    and raw values; on disk a key is its 32 raw bytes and a value is
+    raw-deflated, converted only in :meth:`_select` and
+    :meth:`_write`.  :meth:`_get` is one indexed lookup, a checksum
+    check and an inflate (a mismatch or a failed inflate is a miss);
     :meth:`_put` is one atomic upsert, or joins the open
     :meth:`batch` transaction.  The connection opens lazily, once per
     process; an unwritable or unreadable cache degrades to an
@@ -399,16 +411,20 @@ class SqliteStore:
             if faultinject.fire("store", self._shard_dir.name,
                                 actions=("read_error",)) is not None:
                 raise sqlite3.OperationalError("injected read error")
-            row = connection.execute(_SELECT, (kind, key)).fetchone()
+            row = connection.execute(
+                _SELECT, (kind, bytes.fromhex(key))).fetchone()
         except sqlite3.Error:
             return None
         if row is None:
             return None
-        crc, value = row
-        if not isinstance(value, bytes) or checksum(kind, key, value) != crc:
-            self.stats.corrupt_skipped += 1
-            return None
-        return value
+        crc, stored = row
+        if isinstance(stored, bytes) and checksum(kind, key, stored) == crc:
+            try:
+                return zlib.decompress(stored, wbits=_WBITS)
+            except zlib.error:
+                pass
+        self.stats.corrupt_skipped += 1
+        return None
 
     def _put(self, kind: str, key: str, value: bytes) -> None:
         if self._pending is not None:
@@ -437,9 +453,12 @@ class SqliteStore:
                 self._write(pending)
 
     def _write(self, values: dict[tuple[str, str], bytes]) -> None:
-        """Upsert ``values`` in one transaction."""
-        rows = [(kind, key, checksum(kind, key, value), value)
-                for (kind, key), value in values.items()]
+        """Deflate ``values`` and upsert them in one transaction."""
+        rows = []
+        for (kind, key), value in values.items():
+            stored = zlib.compress(value, wbits=_WBITS)
+            rows.append((kind, bytes.fromhex(key),
+                         checksum(kind, key, stored), stored))
         connection = self._connect(create=True)
         # A read-only, full or broken cache directory degrades to
         # in-process memoisation; never fail the estimation over

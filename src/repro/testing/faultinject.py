@@ -29,8 +29,8 @@ Sites and their actions:
 
 ``store``
     Fires inside :class:`~repro.solve.store.SqliteStore`; ``target``
-    is the schema directory name (``v3``, ``classify-v2``,
-    ``cells-v5``) or ``*``.  Actions: ``kill`` (a writing pool worker
+    is the schema directory name (``v4``, ``classify-v3``,
+    ``cells-v6``) or ``*``.  Actions: ``kill`` (a writing pool worker
     is SIGKILL'd inside its open write transaction, after the insert
     but before the commit — the rows must never appear; writes of the
     driving process never match), ``read_error`` (the lookup's
@@ -54,7 +54,7 @@ tests want (inject once, observe the resubmitted task succeed).
 
 Example::
 
-    worker:kill@cell_stage#2;store:kill@cells-v5#1;solve:fail@ipet:crc
+    worker:kill@cell_stage#2;store:kill@cells-v6#1;solve:fail@ipet:crc
 """
 
 from __future__ import annotations

@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import pathlib
 import sqlite3
 
 from repro.analysis.store import (CLASSIFY_SCHEMA_VERSION,
                                   ClassificationStore, classification_key)
 from repro.cache import CacheGeometry
 from repro.pwcet import EstimatorConfig, PWCETEstimator
-from repro.solve.gc import compact_store, gc_cache
-from repro.solve.store import DB_NAME, SCHEMA_VERSION, SolveStore, solve_key
+from repro.solve import store as store_module
+from repro.solve.gc import compact_store, gc_cache, store_dirs
+from repro.solve.store import (DB_NAME, SCHEMA_VERSION, SolveStore, checksum,
+                               solve_key)
 from repro.suite import load
 
 GEOMETRY = CacheGeometry.from_size(1024, 4, 16)
@@ -43,6 +46,28 @@ def _corrupt_rows(root, count: int) -> None:
     db.close()
 
 
+def _previous_layout(root) -> list:
+    """The previous release's three store directories (``key TEXT``
+    holding hex digests, values stored as given), one row each."""
+    directories = []
+    for name, kind in (("v3", "solve"), ("classify-v2", "classify"),
+                       ("cells-v5", "cell")):
+        directory = root / name
+        directory.mkdir()
+        db = sqlite3.connect(directory / DB_NAME)
+        db.execute("CREATE TABLE entries (kind TEXT NOT NULL, "
+                   "key TEXT NOT NULL, crc INTEGER NOT NULL, "
+                   "value BLOB NOT NULL, PRIMARY KEY (kind, key)) "
+                   "WITHOUT ROWID")
+        key, value = "0" * 64, b"5"
+        db.execute("INSERT INTO entries VALUES (?, ?, ?, ?)",
+                   (kind, key, checksum(kind, key, value), value))
+        db.commit()
+        db.close()
+        directories.append(directory)
+    return directories
+
+
 class TestCompaction:
     def test_vacuum_reclaims_deleted_pages(self, tmp_path):
         store = SolveStore(tmp_path)
@@ -69,7 +94,7 @@ class TestCompaction:
         store.close()
         db = _db(tmp_path)
         db.execute("UPDATE entries SET crc = crc + 1 WHERE key != ?",
-                   (key,))
+                   (bytes.fromhex(key),))
         db.close()
         report = compact_store(tmp_path / SOLVE_DIR)
         assert report.corrupt_dropped == 2
@@ -169,6 +194,39 @@ class TestCli:
         assert "saved" in out
         # Idempotent: a second gc vacuums the already-vacuumed stores.
         assert main(["cache", "gc", "--cache", str(tmp_path)]) == 0
+
+    def test_cache_gc_removes_the_previous_layout(self, tmp_path, capsys,
+                                                  monkeypatch):
+        """A cache root still holding the previous release's ``v3/``,
+        ``classify-v2/`` and ``cells-v5/`` loses all three under
+        ``repro cache gc``, and the next warm run opens only the
+        current stores."""
+        from repro.cli import main
+        from repro.experiments.runner import run_suite
+        from repro.pipeline import PipelineStats
+
+        config = EstimatorConfig(cache=str(tmp_path))
+        run_suite(config, benchmarks=("fibcall",))
+        old = _previous_layout(tmp_path)
+        assert main(["cache", "gc", "--cache", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        for directory in old:
+            assert f"{directory}: removed foreign schema directory" in out
+            assert not directory.exists()
+        # Fresh handles, so the warm run opens every database it reads.
+        store_module._close_all()
+        monkeypatch.setattr(store_module, "_RESOLVED", {})
+        opened = []
+        open_db = store_module.open_db
+        monkeypatch.setattr(store_module, "open_db", lambda path: (
+            opened.append(pathlib.Path(path)), open_db(path))[1])
+        stats = PipelineStats()
+        run_suite(config, benchmarks=("fibcall",), pipeline_stats=stats)
+        assert stats.counters["cells_from_store"] == 3
+        assert opened
+        assert {path.parent for path in opened} <= \
+            {tmp_path / name for name in store_dirs()}
+        assert not any(directory.exists() for directory in old)
 
     def test_cache_gc_on_missing_directory(self, tmp_path, capsys):
         from repro.cli import main

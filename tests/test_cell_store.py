@@ -1,4 +1,4 @@
-"""The cell store's rows (schema v5) and what warm runs read from them.
+"""The cell store's rows (schema v6) and what warm runs read from them.
 
 A row holds the fault-free WCET, the FMM rows, the exceedance
 correction and the pWCET at the writing run's probability — no pmf.
@@ -35,9 +35,10 @@ TARGET = 1e-15
 
 
 class TestCellRows:
-    """Since schema v4, a cell row is zlib'd canonical JSON of the
-    WCET, the FMM rows, the exceedance correction and the pWCET at the
-    writing run's probability — no pmf."""
+    """Since schema v4, a cell row is canonical JSON of the WCET, the
+    FMM rows, the exceedance correction and the pWCET at the writing
+    run's probability — no pmf.  Since schema v6 :func:`encode_cell`
+    returns the plain JSON and the shared store deflates it."""
 
     def _cell_value(self):
         config = EstimatorConfig()
@@ -47,12 +48,12 @@ class TestCellRows:
 
     @staticmethod
     def _row(value):
-        return json.loads(zlib.decompress(value))
+        return json.loads(value)
 
     @staticmethod
     def _blob(row):
         """A cell encoded from an explicit document (for corrupting)."""
-        return zlib.compress(json.dumps(row).encode())
+        return json.dumps(row).encode()
 
     def test_roundtrip_is_bitwise(self):
         config, estimate, value = self._cell_value()
@@ -119,6 +120,7 @@ class TestCellRows:
             self._blob([row]),
             v3_row,
             zlib.compress(v3_row),
+            zlib.compress(value),                            # v5 row
             value[:-5],                                      # torn
             b"not a cell",
             None,

@@ -9,6 +9,7 @@ recomputation, never to a wrong classification.
 from __future__ import annotations
 
 import sqlite3
+import zlib
 
 import pytest
 
@@ -31,6 +32,11 @@ def _db(root) -> sqlite3.Connection:
     return sqlite3.connect(
         root / f"classify-v{CLASSIFY_SCHEMA_VERSION}" / DB_NAME,
         isolation_level=None)
+
+
+def _deflate(value: bytes) -> bytes:
+    """A value as the stores keep it: raw deflate, no header."""
+    return zlib.compress(value, wbits=-15)
 
 
 class TestTableCodec:
@@ -110,7 +116,7 @@ class TestCorruptionRecovery:
         store.close()
         db = _db(tmp_path)  # a torn value: cut short, checksum kept
         db.execute("UPDATE entries SET value = substr(value, 1, 9) "
-                   "WHERE key = ?", (other,))
+                   "WHERE key = ?", (bytes.fromhex(other),))
         db.close()
         fresh = ClassificationStore(tmp_path)
         assert fresh.get(key) == encode_table({0: (ALWAYS_MISS,)})
@@ -121,7 +127,7 @@ class TestCorruptionRecovery:
         store, key = self._populated(tmp_path)
         db = _db(tmp_path)
         db.execute("INSERT INTO entries VALUES ('classify', ?, 7, ?)",
-                   ("0" * 64, b"\x00\xffgarbage\n{]"))
+                   (bytes(32), b"\x00\xffgarbage\n{]"))
         db.close()
         fresh = ClassificationStore(tmp_path)
         assert fresh.get(key) is not None
@@ -132,7 +138,8 @@ class TestCorruptionRecovery:
         store, key = self._populated(tmp_path)
         db = _db(tmp_path)  # tamper, keep the checksum
         db.execute("UPDATE entries SET value = ? WHERE key = ?",
-                   (json_bytes({"blocks": [[0, [0]]]}), key))
+                   (_deflate(json_bytes({"blocks": [[0, [0]]]})),
+                    bytes.fromhex(key)))
         db.close()
         fresh = ClassificationStore(tmp_path)
         assert fresh.get(key) is None
@@ -142,8 +149,9 @@ class TestCorruptionRecovery:
         """A solve entry in the classify database is never served."""
         store, key = self._populated(tmp_path)
         db = _db(tmp_path)
+        value = _deflate(b"5")
         db.execute("INSERT INTO entries VALUES ('solve', ?, ?, ?)",
-                   ("0" * 64, checksum("solve", "0" * 64, b"5"), b"5"))
+                   (bytes(32), checksum("solve", "0" * 64, value), value))
         db.close()
         fresh = ClassificationStore(tmp_path)
         assert fresh.get("0" * 64) is None
@@ -160,13 +168,13 @@ class TestCorruptionRecovery:
         cold.store.close()
         # Overwrite every entry with structurally valid garbage (the
         # row checksums, but the table payload is junk).
-        junk = json_bytes({"blocks": [[0, [99]]]})
+        junk = _deflate(json_bytes({"blocks": [[0, [99]]]}))
         db = _db(tmp_path)
         for kind, key in db.execute(
                 "SELECT kind, key FROM entries").fetchall():
             db.execute("UPDATE entries SET value = ?, crc = ? "
                        "WHERE kind = ? AND key = ?",
-                       (junk, checksum(kind, key, junk), kind, key))
+                       (junk, checksum(kind, key.hex(), junk), kind, key))
         db.close()
         fresh = CacheAnalysis(cfg, GEOMETRY, cache=cache)
         fresh._store = ClassificationStore(tmp_path)

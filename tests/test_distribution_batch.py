@@ -258,17 +258,18 @@ class TestDegenerateShapes:
 
 class TestCellKey:
     def test_cell_address_is_pinned(self):
-        """Cells stored by earlier releases stay addressable: the
-        digest of one fixed (context, mechanism, pfail, mode) never
-        moves."""
+        """Cells stored by earlier releases of this schema stay
+        addressable: the digest of one fixed (context, mechanism,
+        pfail, mode) moves only with ``CELL_SCHEMA_VERSION`` (v6
+        here)."""
         from repro.pipeline.cellstore import cell_key
         from repro.solve.store import store_context
 
         config = EstimatorConfig()
         context = store_context("0" * 64, config.geometry, config.timing)
         assert cell_key(context, "srb", 1e-4, False) == (
-            "6e2cba4df804cac77851528e281bb491"
-            "861c43d0d09b4d5df84f945ad5113200")
+            "19f89465ab1f64df4b6c6e86afe52e32"
+            "6f4ffcd3c3dfefaf4846735c8bf498b8")
 
 
 class TestPfailAxisPrefill:

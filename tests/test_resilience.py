@@ -25,13 +25,16 @@ from repro.experiments.runner import run_suite
 from repro.pipeline import PipelineScheduler, PipelineStats
 from repro.pipeline.scheduler import MAX_POOL_REBUILDS, FailureReport
 from repro.pwcet import EstimatorConfig
-from repro.solve.store import DB_NAME, SCHEMA_VERSION, SolveStore
+from repro.solve.store import DB_NAME, SCHEMA_VERSION, SolveStore, solve_key
 from repro.testing import faultinject
 from repro.testing.faultinject import PLAN_ENV, STATE_ENV
 
 SUBSET = ("fibcall", "bs", "prime")
 #: The solve store's schema directory under a cache root.
 SOLVE_DIR = f"v{SCHEMA_VERSION}"
+#: Solve-store keys of the crash-recovery tests.
+K, K0, K1, K2 = (solve_key("ctx", [("x", float(index))], False)
+                 for index in range(4))
 
 
 @pytest.fixture(autouse=True)
@@ -186,8 +189,8 @@ def _killed_writer(root: str) -> None:
     """A pool-worker-like child whose first write is SIGKILL'd."""
     store = SolveStore(root)
     with store.batch():
-        store.put("k1", 41)
-        store.put("k2", 42)
+        store.put(K1, 41)
+        store.put(K2, 42)
 
 
 class TestStoreCrashRecovery:
@@ -196,7 +199,7 @@ class TestStoreCrashRecovery:
         """A writer killed inside its open write transaction leaves no
         row and an intact database; the recomputed rows land whole."""
         writer = SolveStore(tmp_path)
-        writer.put("k0", 40)
+        writer.put(K0, 40)
         writer.close()
         monkeypatch.setenv(PLAN_ENV, f"store:kill@{SOLVE_DIR}#1")
         child = multiprocessing.get_context("fork").Process(
@@ -207,38 +210,38 @@ class TestStoreCrashRecovery:
         monkeypatch.delenv(PLAN_ENV)
         assert _integrity(tmp_path / SOLVE_DIR / DB_NAME) == "ok"
         reader = SolveStore(tmp_path)
-        assert reader.get("k0") == 40
+        assert reader.get(K0) == 40
         # Neither row of the killed transaction is visible ...
-        assert reader.get("k1") is None and reader.get("k2") is None
+        assert reader.get(K1) is None and reader.get(K2) is None
         assert reader.stats.corrupt_skipped == 0
         # ... and the recomputation writes them whole.
-        reader.put("k1", 41)
-        reader.put("k2", 42)
+        reader.put(K1, 41)
+        reader.put(K2, 42)
         fresh = SolveStore(tmp_path)
-        assert (fresh.get("k1"), fresh.get("k2")) == (41, 42)
+        assert (fresh.get(K1), fresh.get(K2)) == (41, 42)
 
     def test_read_error_is_a_miss(self, monkeypatch, tmp_path):
         writer = SolveStore(tmp_path)
-        writer.put("k", 7)
+        writer.put(K, 7)
         monkeypatch.setenv(PLAN_ENV, f"store:read_error@{SOLVE_DIR}#1")
         reader = SolveStore(tmp_path)
-        assert reader.get("k") is None  # the injected SELECT failure
-        assert reader.get("k") == 7
+        assert reader.get(K) is None  # the injected SELECT failure
+        assert reader.get(K) == 7
         assert reader.stats.corrupt_skipped == 0
 
     def test_the_driving_process_is_never_killed(self, monkeypatch,
                                                  tmp_path):
         monkeypatch.setenv(PLAN_ENV, "store:kill@*")
         store = SolveStore(tmp_path)
-        store.put("k", 7)  # the test process survives its own write
-        assert SolveStore(tmp_path).get("k") == 7
+        store.put(K, 7)  # the test process survives its own write
+        assert SolveStore(tmp_path).get(K) == 7
 
     def test_close_is_idempotent(self, tmp_path):
         store = SolveStore(tmp_path)
-        store.put("k", 7)
+        store.put(K, 7)
         store.close()
         store.close()  # second close is a no-op, not a double-close
-        assert SolveStore(tmp_path).get("k") == 7
+        assert SolveStore(tmp_path).get(K) == 7
 
     def test_del_survives_partial_initialisation(self):
         # __del__ may run on an instance whose __init__ never

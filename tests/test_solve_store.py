@@ -8,19 +8,27 @@ schema versions) must degrade to a re-solve, never to a wrong value.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import multiprocessing
 import os
 import pathlib
+import random
 import sqlite3
 import subprocess
 import sys
+import zlib
 
 import pytest
 
+from repro.analysis.store import ClassificationStore
 from repro.pipeline import PipelineStats
+from repro.pipeline.cellstore import CellStore
 from repro.pwcet import EstimatorConfig, PWCETEstimator
+from repro.solve.gc import compact_store, store_dirs
 from repro.solve.store import (CACHE_ENV, DB_NAME, SCHEMA_VERSION,
-                               SolveStore, solve_key, store_context)
+                               SolveStore, checksum, json_bytes, solve_key,
+                               store_context)
 from repro.suite import EVALUATED_BENCHMARKS, load
 
 MECHANISMS = ("none", "srb", "rw")
@@ -30,6 +38,16 @@ def _db(root) -> sqlite3.Connection:
     """A raw autocommit connection to the solve store under ``root``."""
     return sqlite3.connect(root / f"v{SCHEMA_VERSION}" / DB_NAME,
                            isolation_level=None)
+
+
+def _hex(label: str) -> str:
+    """A store key (a SHA-256 hex digest) named by ``label``."""
+    return hashlib.sha256(label.encode()).hexdigest()
+
+
+def _deflate(value: bytes) -> bytes:
+    """A value as the stores keep it: raw deflate, no header."""
+    return zlib.compress(value, wbits=-15)
 
 
 class TestRoundTrip:
@@ -118,7 +136,7 @@ class TestCorruptionRecovery:
         store.close()
         db = _db(tmp_path)  # a torn value: cut short, checksum kept
         db.execute("UPDATE entries SET value = substr(value, 1, 3) "
-                   "WHERE key = ?", (other,))
+                   "WHERE key = ?", (bytes.fromhex(other),))
         db.close()
         fresh = SolveStore(tmp_path)
         assert fresh.get(key) == 5
@@ -130,7 +148,7 @@ class TestCorruptionRecovery:
         other = solve_key("ctx", [("y", 1.0)], False)
         db = _db(tmp_path)
         db.execute("INSERT INTO entries VALUES ('solve', ?, 7, ?)",
-                   (other, b"\x00\xffgarbage\n[1, 2"))
+                   (bytes.fromhex(other), b"\x00\xffgarbage\n[1, 2"))
         db.close()
         fresh = SolveStore(tmp_path)
         assert fresh.get(key) == 5
@@ -143,10 +161,10 @@ class TestCorruptionRecovery:
         db = _db(tmp_path)
         # Flip the value, keep the checksum; add a row whose checksum
         # was never right.
-        db.execute("UPDATE entries SET value = X'36' WHERE key = ?",
-                   (key,))
+        db.execute("UPDATE entries SET value = ? WHERE key = ?",
+                   (_deflate(b"6"), bytes.fromhex(key)))
         db.execute("INSERT INTO entries VALUES ('solve', ?, 123456, ?)",
-                   (other, b"9"))
+                   (bytes.fromhex(other), _deflate(b"9")))
         db.close()
         fresh = SolveStore(tmp_path)
         assert fresh.get(key) is None  # a tampered row is a miss
@@ -157,9 +175,9 @@ class TestCorruptionRecovery:
         store, key = self._populated(tmp_path)
         db = _db(tmp_path)  # flip one byte of the stored blob
         (value,) = db.execute("SELECT value FROM entries WHERE key = ?",
-                              (key,)).fetchone()
+                              (bytes.fromhex(key),)).fetchone()
         db.execute("UPDATE entries SET value = ? WHERE key = ?",
-                   (bytes([value[0] ^ 1]) + value[1:], key))
+                   (bytes([value[0] ^ 1]) + value[1:], bytes.fromhex(key)))
         db.close()
         fresh = SolveStore(tmp_path)
         assert fresh.get(key) is None
@@ -182,6 +200,92 @@ class TestCorruptionRecovery:
             assert store.get(key) == 5  # still cached in memory
         finally:
             os.chmod(target, 0o755)
+
+
+#: Each row kind and the store class that writes it.
+KIND_STORES = (("solve", SolveStore), ("artefact", SolveStore),
+               ("classify", ClassificationStore), ("cell", CellStore))
+
+
+class TestRowCodec:
+    """On disk a row is addressed by the 32 raw bytes of its key and
+    holds its value raw-deflated; callers see hex keys and raw bytes."""
+
+    @pytest.mark.parametrize("kind, store_class", KIND_STORES)
+    @pytest.mark.parametrize("size", (1, 1 << 16))
+    def test_every_kind_round_trips(self, tmp_path, kind, store_class,
+                                    size):
+        value = random.Random(size).randbytes(size)
+        key = _hex(f"{kind}-{size}")
+        store = store_class(tmp_path)
+        store._put(kind, key, value)
+        store.close()
+        fresh = store_class(tmp_path)
+        assert fresh._get(kind, key) == value
+        assert (fresh.stats.hits, fresh.stats.corrupt_skipped) == (1, 0)
+
+    def test_rows_hold_binary_keys_and_deflated_json(self, tmp_path):
+        """After a cached run, every row of every store has a 32-byte
+        blob key and a value that inflates to its store's canonical
+        JSON."""
+        from repro.experiments.runner import run_suite
+
+        run_suite(EstimatorConfig(cache=str(tmp_path)),
+                  benchmarks=("fibcall",))
+        kinds = set()
+        for directory in store_dirs():
+            db = sqlite3.connect(tmp_path / directory / DB_NAME)
+            for kind, key_type, length, value in db.execute(
+                    "SELECT kind, typeof(key), length(key), value "
+                    "FROM entries"):
+                kinds.add(kind)
+                assert (key_type, length) == ("blob", 32)
+                document = zlib.decompress(value, wbits=-15)
+                assert json_bytes(json.loads(document)) == document
+            db.close()
+        assert kinds == {kind for kind, _ in KIND_STORES}
+
+    def test_valid_checksum_that_does_not_inflate_is_a_repaired_miss(
+            self, tmp_path):
+        store = SolveStore(tmp_path)
+        key = solve_key("ctx", [("x", 1.0)], False)
+        store.put(key, 5)
+        store.close()
+        junk = b"\xff not deflate"
+        db = _db(tmp_path)
+        db.execute("UPDATE entries SET crc = ?, value = ? WHERE key = ?",
+                   (checksum("solve", key, junk), junk, bytes.fromhex(key)))
+        db.close()
+        fresh = SolveStore(tmp_path)
+        assert fresh.get(key) is None
+        assert (fresh.stats.misses, fresh.stats.corrupt_skipped) == (1, 1)
+        fresh.put(key, 5)  # the re-solve repairs the row in place
+        assert fresh.stats.writes == 1
+        fresh.close()
+        repaired = SolveStore(tmp_path)
+        assert repaired.get(key) == 5
+        assert repaired.stats.corrupt_skipped == 0
+
+    def test_gc_drops_a_row_with_a_flipped_deflated_byte(self, tmp_path):
+        store = SolveStore(tmp_path)
+        keys = [solve_key("ctx", [("x", float(index))], False)
+                for index in range(3)]
+        for index, key in enumerate(keys):
+            store.put(key, 1000 + index)
+        store.close()
+        db = _db(tmp_path)
+        (value,) = db.execute("SELECT value FROM entries WHERE key = ?",
+                              (bytes.fromhex(keys[1]),)).fetchone()
+        middle = len(value) // 2
+        db.execute("UPDATE entries SET value = ? WHERE key = ?",
+                   (value[:middle] + bytes([value[middle] ^ 1])
+                    + value[middle + 1:], bytes.fromhex(keys[1])))
+        db.close()
+        report = compact_store(tmp_path / f"v{SCHEMA_VERSION}")
+        assert (report.corrupt_dropped, report.entries) == (1, 2)
+        fresh = SolveStore(tmp_path)
+        assert [fresh.get(key) for key in keys] == [1000, None, 1002]
+        assert fresh.stats.corrupt_skipped == 0 and len(fresh) == 2
 
 
 def _concurrent_writer(args) -> int:
@@ -224,20 +328,20 @@ class TestForkSafety:
         forked pool workers: each opens its own connection, and the
         database stays intact for everyone."""
         parent = SolveStore.resolve(str(tmp_path))
-        parent.put("parent", 1)
-        assert parent.get("parent") == 1  # connected before the fork
+        parent.put(_hex("parent"), 1)
+        assert parent.get(_hex("parent")) == 1  # connected before the fork
         context = multiprocessing.get_context("fork")
         with context.Pool(2) as pool:
             results = pool.map(_forked_put_get,
-                               [(str(tmp_path), f"child-{index}")
+                               [(str(tmp_path), _hex(f"child-{index}"))
                                 for index in range(6)])
         for value, writes, own in results:
             assert value == 77
             assert writes == 1  # persisted, not merely memoised
             assert own
-        assert [parent.get(f"child-{index}") for index in range(6)] == \
-            [77] * 6
-        assert parent.get("parent") == 1
+        assert [parent.get(_hex(f"child-{index}"))
+                for index in range(6)] == [77] * 6
+        assert parent.get(_hex("parent")) == 1
         db = _db(tmp_path)
         assert db.execute("PRAGMA integrity_check").fetchone() == ("ok",)
         db.close()
@@ -257,16 +361,17 @@ class TestExitCheckpoint:
                            check=True, timeout=60)
 
         log = tmp_path / f"v{SCHEMA_VERSION}" / f"{DB_NAME}-wal"
+        key = _hex("key")
         python("import os\n"
                "from repro.solve.store import SolveStore\n"
                f"store = SolveStore({str(tmp_path)!r})\n"
-               "store.put('key', 5)\n"
+               f"store.put({key!r}, 5)\n"
                "os._exit(0)\n")  # dies holding its connection
         assert log.exists()
         python("from repro.solve.store import SolveStore\n"
                f"SolveStore.resolve({str(tmp_path)!r})\n")
         assert not log.exists()
-        assert SolveStore(tmp_path).get("key") == 5
+        assert SolveStore(tmp_path).get(key) == 5
 
 
 class TestResolution:
@@ -374,7 +479,7 @@ class TestWarmSuite:
         store = CellStore.resolve(config.cache)
         with store.batch():
             for index in range(2000):
-                store.put(f"foreign-{index:05d}", bytes(8192))
+                store.put(_hex(f"foreign-{index:05d}"), bytes(8192))
         assert len(store) == 2000 + 75
         looked_up = []
         original = CellStore.get
