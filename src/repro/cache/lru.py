@@ -9,8 +9,6 @@ set is irrelevant — only their number matters (the LRU stack shrinks).
 
 from __future__ import annotations
 
-from collections.abc import Iterable
-
 from repro.cache.faultmap import FaultMap
 from repro.cache.geometry import CacheGeometry
 from repro.errors import SimulationError
@@ -119,16 +117,6 @@ class LRUCache:
         else:
             self.misses += 1
         return hit
-
-    def run_trace(self, blocks: Iterable[int]) -> tuple[int, int]:
-        """Access a block trace; return (hits, misses) for the trace."""
-        hits = misses = 0
-        for block in blocks:
-            if self.access(block):
-                hits += 1
-            else:
-                misses += 1
-        return hits, misses
 
     def contains_address(self, address: int) -> bool:
         block = self._geometry.block_of(address)

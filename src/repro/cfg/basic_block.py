@@ -58,10 +58,6 @@ class BasicBlock:
                      for instruction in self.instructions)
 
     @property
-    def start_address(self) -> int | None:
-        return self.instructions[0].address if self.instructions else None
-
-    @property
     def call_target(self) -> str | None:
         """Callee name if the block ends with a call, else ``None``."""
         if (self.instructions

@@ -74,11 +74,3 @@ class FaultProbabilityModel:
         """The whole per-set distribution as a tuple indexed by ``w``."""
         ways = self.geometry.ways - (1 if reliable_way else 0)
         return tuple(self.pwf(w, ways=ways) for w in range(ways + 1))
-
-    def probability_set_all_faulty(self) -> float:
-        """Probability that an unprotected set loses every way."""
-        return self.pwf(self.geometry.ways)
-
-    def expected_faulty_ways_per_set(self) -> float:
-        """Mean number of faulty ways in a set (binomial mean)."""
-        return self.geometry.ways * self.pbf

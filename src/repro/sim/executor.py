@@ -18,12 +18,10 @@ Mechanism semantics (paper §III-A):
 
 from __future__ import annotations
 
-import random
 from collections.abc import Iterable
 from dataclasses import dataclass
 
 from repro.cache import CacheGeometry, FaultMap, LRUCache
-from repro.cfg import CFG, PathWalker
 from repro.errors import SimulationError
 from repro.ipet import TimingModel
 from repro.reliability import ReliabilityMechanism
@@ -39,10 +37,6 @@ class ExecutionOutcome:
     hits: int
     misses: int
     srb_hits: int
-
-    @property
-    def miss_ratio(self) -> float:
-        return self.misses / self.fetches if self.fetches else 0.0
 
 
 class TraceExecutor:
@@ -111,13 +105,3 @@ class TraceExecutor:
                 cycles += timing.miss_cycles
         return ExecutionOutcome(cycles=cycles, fetches=fetches, hits=hits,
                                 misses=misses, srb_hits=srb_hits)
-
-    def run_random_path(self, cfg: CFG, rng: random.Random, *,
-                        walker: PathWalker | None = None,
-                        maximize_iterations: bool = False
-                        ) -> ExecutionOutcome:
-        """Sample a structurally feasible path of ``cfg`` and replay it."""
-        if walker is None:
-            walker = PathWalker(cfg)
-        walk = walker.walk(rng, maximize_iterations=maximize_iterations)
-        return self.run(walk.addresses)

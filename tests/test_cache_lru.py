@@ -86,11 +86,11 @@ class TestLRUCache:
         assert cache.access_address(0x10F)  # same 16-byte line
         assert not cache.access_address(0x110)  # next line
 
-    def test_run_trace_accumulates(self, geometry):
+    def test_access_accumulates_over_a_trace(self, geometry):
         cache = LRUCache(geometry)
-        hits, misses = cache.run_trace([0, 1, 0, 1, 2])
-        assert hits == 2
-        assert misses == 3
+        assert [cache.access(block) for block in [0, 1, 0, 1, 2]] == [
+            False, False, True, True, False]
+        assert (cache.hits, cache.misses) == (2, 3)
 
     def test_faulty_set_capacity_reduced(self, geometry):
         fault_map = FaultMap(geometry, [(0, 0)])

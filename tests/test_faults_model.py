@@ -66,15 +66,10 @@ class TestEquation2:
         assert m.pwf(4) == pytest.approx(pbf ** 4)
         assert m.pwf(1) == pytest.approx(4 * pbf * (1 - pbf) ** 3)
 
-    def test_all_faulty_probability_helper(self):
-        m = model(1e-4)
-        assert m.probability_set_all_faulty() == pytest.approx(m.pwf(4))
-
-    def test_expected_faulty_ways(self):
+    def test_mean_is_ways_times_pbf(self):
         m = model(1e-4)
         expectation = sum(w * m.pwf(w) for w in range(5))
-        assert m.expected_faulty_ways_per_set() == pytest.approx(
-            expectation, rel=1e-9)
+        assert expectation == pytest.approx(4 * m.pbf, rel=1e-9)
 
 
 class TestEquation3:

@@ -49,6 +49,12 @@ PROGRAMS = {
     "over_cache": Program([Function("main", [
         Loop(3, [Compute(160), If([Compute(90)])]),
     ])], name="over_cache"),
+    # conftest's ``loop_program``: one loop around a two-way branch.
+    "loop_program": Program([Function("main", [
+        Compute(6),
+        Loop(10, [Compute(4), If([Compute(3)], [Compute(2)])]),
+        Compute(2),
+    ])], name="loop_program"),
 }
 
 

@@ -42,11 +42,6 @@ class TestBasicExecution:
         outcome = executor.run(addresses_of_blocks(0), cold_start=False)
         assert outcome.hits == 1
 
-    def test_miss_ratio(self):
-        executor = TraceExecutor(GEOMETRY, TIMING, NoProtection())
-        outcome = executor.run(addresses_of_blocks(0, 0))
-        assert outcome.miss_ratio == pytest.approx(0.5)
-
 
 class TestFaultySets:
     def test_no_protection_fully_faulty_always_misses(self):
@@ -132,15 +127,6 @@ class TestRWSemantics:
                                  FaultMap(GEOMETRY, frames))
         outcome = executor.run(addresses_of_blocks(3, 3, 3))
         assert outcome.hits == 2
-
-
-class TestRandomPathExecution:
-    def test_run_random_path(self, loop_program, rng):
-        executor = TraceExecutor(
-            CacheGeometry.from_size(1024, 4, 16), TIMING, NoProtection())
-        outcome = executor.run_random_path(loop_program.cfg, rng)
-        assert outcome.fetches > 0
-        assert outcome.cycles >= outcome.fetches
 
 
 def _replay(geometry, timing, mechanism, fault_map, addresses):

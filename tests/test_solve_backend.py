@@ -3,15 +3,19 @@
 ``ProgramSnapshot.from_rows`` builds its CSC arrays with numpy alone;
 the layout must be exactly the one ``scipy.sparse`` builds from the
 same rows, which is what HiGHS was handed before.  The bindings are
-loaded by file path, with no fallback import.
+loaded by file path, with no fallback import, and no module of the
+package imports scipy.
 """
 
+import ast
+import pathlib
 import re
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import repro
 from repro.solve.backend import ProgramSnapshot, _highs_core
 
 
@@ -82,3 +86,22 @@ class TestHighsLoader:
         assert core.__name__ == "scipy.optimize._highspy._core"
         assert core is _highs_core()
         assert hasattr(core, "_Highs")
+
+    def test_no_module_imports_scipy(self):
+        """HiGHS is reached only through ``_highs_core``'s load by file
+        path; no ``import scipy…`` or ``from scipy… import`` anywhere."""
+        root = pathlib.Path(repro.__file__).parent
+        offenders = []
+        for path in sorted(root.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.Import):
+                    modules = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and not node.level:
+                    modules = [node.module]
+                else:
+                    continue
+                offenders += [
+                    f"{path.relative_to(root.parent)}:{node.lineno}"
+                    for module in modules
+                    if module == "scipy" or module.startswith("scipy.")]
+        assert not offenders, offenders
