@@ -75,15 +75,18 @@ class SrbHits:
     The SRB is a 1-set/1-way cache observing the whole stream (paper
     §III-B2): its Must analysis depends on the geometry only through
     the line size, so one fixpoint serves every geometry of a
-    line-size group.  The fixpoint is counted into ``stats`` on first
-    demand.
+    line-size group.  ``references`` is the reference map of any
+    geometry of that line size: the engine reads only its memory-block
+    stream, so no 1-set map is built.  The fixpoint is counted into
+    ``stats`` on first demand.
     """
 
-    def __init__(self, cfg: CFG, block_bytes: int,
-                 stats: AnalysisStats) -> None:
+    def __init__(self, cfg: CFG, block_bytes: int, stats: AnalysisStats,
+                 references: dict[int, tuple[Reference, ...]]) -> None:
         self._cfg = cfg
         self._block_bytes = block_bytes
         self._stats = stats
+        self._references = references
         self._hits: tuple[tuple[int, int], ...] | None = None
 
     def __call__(self) -> tuple[tuple[int, int], ...]:
@@ -91,12 +94,11 @@ class SrbHits:
             from repro.analysis.vectorized import AgeVectorEngine
             geometry = CacheGeometry(sets=1, ways=1,
                                      block_bytes=self._block_bytes)
-            references = all_references(self._cfg, geometry)
             engine = AgeVectorEngine(self._cfg, (geometry,),
-                                     references).geometry_slice(0)
+                                     self._references).geometry_slice(0)
             self._hits = tuple(
                 reference.key
-                for block_id, refs in references.items()
+                for block_id, refs in self._references.items()
                 for reference, hit in zip(
                     refs, engine.guaranteed_hits(block_id, 1))
                 if hit)
@@ -113,6 +115,10 @@ class ClassificationTable:
         self.assoc = assoc
         self._table = table
         self._references = references
+        #: The FMM's per-set partition of this table's references,
+        #: filled on first use by :mod:`repro.fmm.compute`; it lives
+        #: and dies with the table.
+        self.set_partition: list | None = None
 
     def of_block(self, block_id: int) -> tuple[Classification, ...]:
         return self._table[block_id]
@@ -149,17 +155,20 @@ class CacheAnalysis:
 
     :func:`~repro.analysis.geometry_batch.grouped_analysis` injects
     the sharing plumbing of a line-size group through the keyword-only
-    hooks: precomputed ``references``, a shared ``stats`` sink, a
-    ``vector_engine`` facade (one geometry's slice of the group's
-    engine) and an ``srb_supplier`` computing the group's single SRB
-    hit set.  Left at ``None``, every hook falls back to a group of
-    one.
+    hooks: precomputed ``references`` and the ``persistence`` analysis
+    over them (both shared by the group's geometries of one set
+    count), a shared ``stats`` sink, a ``vector_engine`` facade (one
+    geometry's slice of the group's engine) and an ``srb_supplier``
+    computing the group's single SRB hit set.  Left at ``None``, every
+    hook falls back to a group of one.  The analysis owns what it
+    builds; nothing outlives it in a module-level memo.
     """
 
     def __init__(self, cfg: CFG, geometry: CacheGeometry,
                  forest: LoopForest | None = None, *,
                  cache: str | None = None,
                  references: dict[int, tuple[Reference, ...]] | None = None,
+                 persistence: PersistenceAnalysis | None = None,
                  stats: AnalysisStats | None = None,
                  vector_engine=None,
                  srb_supplier=None) -> None:
@@ -169,14 +178,16 @@ class CacheAnalysis:
         self._forest = forest if forest is not None else find_loops(cfg)
         self._references = references if references is not None \
             else all_references(cfg, geometry)
-        #: Built lazily: a warm run decodes every table from the store
-        #: and never needs the conflict-counting precomputation.
-        self._persistence: PersistenceAnalysis | None = None
+        #: Counts conflicts on its first query only: a warm run decodes
+        #: every table from the store and never asks.
+        self._persistence = persistence if persistence is not None \
+            else PersistenceAnalysis(cfg, self._references, self._forest)
         self._tables: dict[int, ClassificationTable] = {}
         self.stats = stats if stats is not None else AnalysisStats()
         self._vector = vector_engine
         self._srb_supplier = srb_supplier if srb_supplier is not None \
-            else SrbHits(cfg, geometry.block_bytes, self.stats)
+            else SrbHits(cfg, geometry.block_bytes, self.stats,
+                         self._references)
         self._store = ClassificationStore.resolve(cache)
         self._digest: str | None = None
         self._srb_hits: frozenset[tuple[int, int]] | None = None
@@ -194,10 +205,12 @@ class CacheAnalysis:
         return self._forest
 
     @property
+    def references(self) -> dict[int, tuple[Reference, ...]]:
+        """Block id → references at this geometry (shared; immutable)."""
+        return self._references
+
+    @property
     def persistence(self) -> PersistenceAnalysis:
-        if self._persistence is None:
-            self._persistence = PersistenceAnalysis(
-                self._cfg, self._geometry, self._forest)
         return self._persistence
 
     @property

@@ -12,19 +12,21 @@ slicing).  The suite's single geometry is the group of one.
 builds one :class:`~repro.analysis.classify.CacheAnalysis` per
 geometry of the group — all sharing one
 :class:`~repro.analysis.classify.AnalysisStats`, one loop forest, one
-engine and one SRB hit set — computes every geometry's required
+engine and one SRB hit set, and per set count one reference map and
+one persistence analysis — computes every geometry's required
 tables, and writes them through the persistent
 :class:`~repro.analysis.store.ClassificationStore` under each
 geometry's own content address.  The pipeline's solve task then
-consumes all of them in the same process.
+consumes all of them in the same process, and everything the group
+shares dies with its analyses.
 """
 
 from __future__ import annotations
 
 from repro.analysis.classify import AnalysisStats, CacheAnalysis, SrbHits
-from repro.analysis.references import all_references
+from repro.analysis.persistence import PersistenceAnalysis
+from repro.analysis.references import all_references, block_streams
 from repro.analysis.vectorized import AgeVectorEngine
-from repro.cache import CacheGeometry
 from repro.cfg import CFG, find_loops
 from repro.reliability.mechanism import (ReliabilityMechanism,
                                          mechanism_by_name)
@@ -69,7 +71,9 @@ def grouped_analysis(cfg: CFG, geometries, mechanisms, *,
     under the geometry's own content addresses.  All analyses share
     one :class:`~repro.analysis.classify.AnalysisStats` (the work is
     attributed to the solve task), one loop forest, one fixpoint
-    pair and one SRB fixpoint.  A group of several geometries counts
+    pair and one SRB fixpoint; the block stream is walked once, and
+    geometries of one set count share one reference map and one
+    persistence analysis.  A group of several geometries counts
     as one stacked group (``geometry_groups``) with ``len - 1``
     batched siblings; a group of one counts as neither.
     """
@@ -80,13 +84,23 @@ def grouped_analysis(cfg: CFG, geometries, mechanisms, *,
     if len(geometries) > 1:
         stats.classify_batched_rows = len(geometries) - 1
         stats.geometry_groups = 1
-    references: dict[CacheGeometry, dict] = {
-        geometry: all_references(cfg, geometry) for geometry in geometries}
-    engine = AgeVectorEngine(cfg, geometries, references[geometries[0]])
-    srb_supplier = SrbHits(cfg, geometries[0].block_bytes, stats)
+    lead = geometries[0]
+    streams = block_streams(cfg, lead)
+    references: dict[int, dict] = {}
+    persistence: dict[int, PersistenceAnalysis] = {}
+    for geometry in geometries:
+        if geometry.sets not in references:
+            references[geometry.sets] = all_references(cfg, geometry,
+                                                       streams)
+            persistence[geometry.sets] = PersistenceAnalysis(
+                cfg, references[geometry.sets], forest)
+    lead_references = references[lead.sets]
+    engine = AgeVectorEngine(cfg, geometries, lead_references)
+    srb_supplier = SrbHits(cfg, lead.block_bytes, stats, lead_references)
     analyses = tuple(
         CacheAnalysis(cfg, geometry, forest, cache=cache,
-                      references=references[geometry], stats=stats,
+                      references=references[geometry.sets],
+                      persistence=persistence[geometry.sets], stats=stats,
                       vector_engine=engine.geometry_slice(position),
                       srb_supplier=srb_supplier)
         for position, geometry in enumerate(geometries))

@@ -14,40 +14,33 @@ A reference persistent in scope ``L`` is classified first-miss with at
 most one miss per entry into ``L``; we always report the *outermost*
 scope in which the reference is persistent (fewest entries, tightest
 bound).
+
+The conflict maps are a pure function of one reference map (a line
+size and a set count) and the loop forest, not of the way count.  A
+:class:`PersistenceAnalysis` is built over its analysis' reference map
+and counts conflicts on its first query (a warm run, which decodes
+every table from the store, never asks).  Nothing is memoised at module
+level: :func:`~repro.analysis.geometry_batch.grouped_analysis` hands
+the analyses of one set count a single instance, so they share one pair
+of conflict maps, and the maps die with the solve task's analyses.
 """
 
 from __future__ import annotations
 
-import weakref
+from functools import cached_property
 
 from repro.analysis.chmc import GLOBAL_SCOPE
-from repro.analysis.references import Reference, all_references
-from repro.cache import CacheGeometry
+from repro.analysis.references import Reference
 from repro.cfg import CFG, LoopForest, find_loops
 
-#: CFG → (line size, set count) → (global conflicts, loop conflicts).
-#: The conflict maps are pure functions of those three inputs (the
-#: loop forest is itself a pure function of the CFG), so geometries
-#: sharing a set mapping — and repeated analyses of one geometry —
-#: share one precomputation.  Keyed by CFG identity, entries die with
-#: their CFG (same discipline as the reference-map memo).
-_CONFLICTS: "weakref.WeakKeyDictionary[CFG, dict]" = \
-    weakref.WeakKeyDictionary()
 
-
-def _conflict_maps(cfg: CFG, geometry: CacheGeometry,
-                   forest: LoopForest) -> tuple[dict, dict]:
-    per_cfg = _CONFLICTS.get(cfg)
-    if per_cfg is None:
-        per_cfg = _CONFLICTS[cfg] = {}
-    key = (geometry.block_bytes, geometry.sets)
-    maps = per_cfg.get(key)
-    if maps is not None:
-        return maps
+def conflict_maps(cfg: CFG,
+                  references: dict[int, tuple[Reference, ...]],
+                  forest: LoopForest) -> tuple[dict, dict]:
+    """Distinct blocks per set: program-wide, and per loop header."""
     # Distinct (set, memory block) pairs per CFG block first: scope
     # aggregation then touches each distinct pair once per scope
     # instead of walking every instruction fetch again.
-    references = all_references(cfg, geometry)
     per_block = {
         block_id: {(reference.set_index, reference.memory_block)
                    for reference in refs}
@@ -70,22 +63,22 @@ def _conflict_maps(cfg: CFG, geometry: CacheGeometry,
                  in distinct_blocks(loop.body).items()}
         for header, loop in forest.loops.items()
     }
-    maps = per_cfg[key] = (global_conflicts, loop_conflicts)
-    return maps
+    return global_conflicts, loop_conflicts
 
 
 class PersistenceAnalysis:
-    """Pre-computes per-scope conflict counts; answers scope queries."""
+    """Per-scope conflict counts of one reference map; scope queries."""
 
-    def __init__(self, cfg: CFG, geometry: CacheGeometry,
+    def __init__(self, cfg: CFG,
+                 references: dict[int, tuple[Reference, ...]],
                  forest: LoopForest | None = None) -> None:
         self._cfg = cfg
-        self._geometry = geometry
+        self._references = references
         self._forest = forest if forest is not None else find_loops(cfg)
-        #: set index -> #distinct memory blocks over the whole program,
-        #: and loop header -> set index -> #distinct blocks in body.
-        self._global_conflicts, self._loop_conflicts = _conflict_maps(
-            cfg, geometry, self._forest)
+
+    @cached_property
+    def _conflicts(self) -> tuple[dict, dict]:
+        return conflict_maps(self._cfg, self._references, self._forest)
 
     @property
     def forest(self) -> LoopForest:
@@ -93,11 +86,11 @@ class PersistenceAnalysis:
 
     def global_conflicts(self, set_index: int) -> int:
         """Distinct blocks competing for ``set_index`` program-wide."""
-        return self._global_conflicts.get(set_index, 0)
+        return self._conflicts[0].get(set_index, 0)
 
     def loop_conflicts(self, header: int, set_index: int) -> int:
         """Distinct blocks competing for ``set_index`` inside a loop."""
-        return self._loop_conflicts[header].get(set_index, 0)
+        return self._conflicts[1][header].get(set_index, 0)
 
     def scope_of(self, reference: Reference, assoc: int) -> int | None:
         """Outermost persistence scope of ``reference`` at ``assoc``.
@@ -107,11 +100,12 @@ class PersistenceAnalysis:
         """
         if assoc <= 0:
             return None
-        if self._global_conflicts.get(reference.set_index, 0) <= assoc:
+        global_conflicts, loop_conflicts = self._conflicts
+        if global_conflicts.get(reference.set_index, 0) <= assoc:
             return GLOBAL_SCOPE
         chain = self._forest.loops_containing(reference.block_id)
         for loop in reversed(chain):  # outermost first
-            conflicts = self._loop_conflicts[loop.header].get(
+            conflicts = loop_conflicts[loop.header].get(
                 reference.set_index, 0)
             if conflicts <= assoc:
                 return loop.header

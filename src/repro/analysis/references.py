@@ -8,28 +8,30 @@ classifications.
 
 The (address → memory block) walk depends on the geometry only through
 the line size (``block_of`` shifts by the block offset bits), while
-the set mapping depends on the set count too.  The walk is therefore
-memoised per (CFG, line size): a geometry sweep extracting references
-for many geometries of one line-size group pays for the block stream
-once and recomputes only the per-geometry set mapping.  The built
-:func:`all_references` maps are memoised one level up, per (CFG, line
-size, set count) — a geometry sweep asks for the same reference map
-from several places (the classification engine, the persistence
-analysis, the SRB pre-analysis) and for several geometries that share
-a set mapping, and :class:`Reference` is frozen, so one shared map
-serves them all.  Callers must treat the returned dict as immutable.
-Both memos are keyed by CFG *identity* (a ``WeakKeyDictionary`` —
-entries die with their CFG), matching the analyses' contract that a
-CFG is frozen once analysis starts.
+the set mapping depends on the set count too.  :func:`block_streams`
+walks a CFG once per line size and :func:`all_references` lays one set
+mapping over such a stream, so a caller holding several geometries of
+one line size pays for the walk once.
+
+Nothing here is memoised: whoever builds a map owns it.  In the
+pipeline that is the solve task of one (program, line size):
+:func:`~repro.analysis.geometry_batch.grouped_analysis` builds one
+stream and one reference map per distinct set count of its group and
+hands each map to the analyses of that set count, so every map dies
+with the task's analyses even though the CFG itself lives for the
+whole run.  :class:`Reference` is frozen and a map may be shared by
+several analyses: callers must treat it as immutable.
 """
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 
 from repro.cache import CacheGeometry
 from repro.cfg import CFG
+
+#: Block id → ((address, memory block), ...) in fetch order.
+BlockStreams = dict[int, tuple[tuple[int, int], ...]]
 
 
 @dataclass(frozen=True)
@@ -48,66 +50,50 @@ class Reference:
         return (self.block_id, self.index)
 
 
-#: CFG → line size → block id → ((address, memory block), ...).
-_STREAMS: "weakref.WeakKeyDictionary[CFG, dict]" = \
-    weakref.WeakKeyDictionary()
+def _stream(cfg: CFG, block_id: int,
+            offset_bits: int) -> tuple[tuple[int, int], ...]:
+    return tuple((instruction.address, instruction.address >> offset_bits)
+                 for instruction in cfg.block(block_id).instructions)
 
 
-def _block_streams(cfg: CFG, geometry: CacheGeometry
-                   ) -> dict[int, tuple[tuple[int, int], ...]]:
-    """The memoised (address, memory block) stream of every block."""
-    per_cfg = _STREAMS.get(cfg)
-    if per_cfg is None:
-        per_cfg = _STREAMS[cfg] = {}
-    streams = per_cfg.get(geometry.block_bytes)
-    if streams is None:
-        offset_bits = geometry.offset_bits
-        streams = {
-            block_id: tuple(
-                (instruction.address, instruction.address >> offset_bits)
-                for instruction in cfg.block(block_id).instructions)
+def block_streams(cfg: CFG, geometry: CacheGeometry) -> BlockStreams:
+    """The (address, memory block) stream of every block.
+
+    Depends on ``geometry`` only through its line size, so one stream
+    serves every geometry of a line-size group.
+    """
+    offset_bits = geometry.offset_bits
+    return {block_id: _stream(cfg, block_id, offset_bits)
             for block_id in cfg.block_ids()}
-        per_cfg[geometry.block_bytes] = streams
-    return streams
+
+
+def _references(block_id: int, stream, set_mask: int
+                ) -> tuple[Reference, ...]:
+    return tuple(
+        Reference(block_id=block_id, index=index, address=address,
+                  memory_block=memory_block,
+                  set_index=memory_block & set_mask)
+        for index, (address, memory_block) in enumerate(stream))
 
 
 def block_references(cfg: CFG, geometry: CacheGeometry,
                      block_id: int) -> tuple[Reference, ...]:
     """The references issued by one basic block, in fetch order."""
-    set_mask = geometry.sets - 1
-    return tuple(
-        Reference(block_id=block_id, index=index, address=address,
-                  memory_block=memory_block,
-                  set_index=memory_block & set_mask)
-        for index, (address, memory_block)
-        in enumerate(_block_streams(cfg, geometry)[block_id]))
+    return _references(block_id,
+                       _stream(cfg, block_id, geometry.offset_bits),
+                       geometry.sets - 1)
 
 
-#: CFG → (line size, set count) → the built ``all_references`` map.
-_REFERENCES: "weakref.WeakKeyDictionary[CFG, dict]" = \
-    weakref.WeakKeyDictionary()
-
-
-def all_references(cfg: CFG,
-                   geometry: CacheGeometry) -> dict[int, tuple[Reference, ...]]:
+def all_references(cfg: CFG, geometry: CacheGeometry,
+                   streams: BlockStreams | None = None
+                   ) -> dict[int, tuple[Reference, ...]]:
     """References of every block, keyed by block id.
 
-    The returned map is shared between callers (memoised per
-    (CFG, line size, set count)) and must not be mutated.
+    ``streams`` is the CFG's :func:`block_streams` at the geometry's
+    line size; left at ``None`` it is walked here.
     """
-    per_cfg = _REFERENCES.get(cfg)
-    if per_cfg is None:
-        per_cfg = _REFERENCES[cfg] = {}
-    key = (geometry.block_bytes, geometry.sets)
-    references = per_cfg.get(key)
-    if references is None:
-        streams = _block_streams(cfg, geometry)
-        set_mask = geometry.sets - 1
-        references = per_cfg[key] = {
-            block_id: tuple(
-                Reference(block_id=block_id, index=index, address=address,
-                          memory_block=memory_block,
-                          set_index=memory_block & set_mask)
-                for index, (address, memory_block) in enumerate(stream))
+    if streams is None:
+        streams = block_streams(cfg, geometry)
+    set_mask = geometry.sets - 1
+    return {block_id: _references(block_id, stream, set_mask)
             for block_id, stream in streams.items()}
-    return references

@@ -71,9 +71,9 @@ class LRUSet:
 class LRUCache:
     """Whole-cache concrete simulator with optional fault map.
 
-    Statistics (:attr:`hits`, :attr:`misses`) accumulate across
-    :meth:`access` and :meth:`access_in_set` calls; :meth:`reset_stats`
-    clears them without flushing cache contents.
+    Every access returns whether it hit; callers that need hit and
+    miss counts (:class:`~repro.sim.executor.TraceExecutor`) count
+    those booleans themselves.
     """
 
     def __init__(self, geometry: CacheGeometry,
@@ -86,8 +86,6 @@ class LRUCache:
         self._fault_map = fault_map
         self._sets = [LRUSet(fault_map.working_ways_in_set(s))
                       for s in range(geometry.sets)]
-        self.hits = 0
-        self.misses = 0
 
     @property
     def geometry(self) -> CacheGeometry:
@@ -101,33 +99,15 @@ class LRUCache:
         """Direct access to one set (read-mostly, for tests)."""
         return self._sets[set_index]
 
-    def access_address(self, address: int) -> bool:
-        """Fetch the block containing byte ``address``."""
-        return self.access(self._geometry.block_of(address))
-
     def access(self, block: int) -> bool:
         """Fetch memory block ``block``; returns True on hit."""
         return self.access_in_set(self._geometry.set_of_block(block), block)
 
     def access_in_set(self, set_index: int, block: int) -> bool:
         """Fetch ``block``, whose set the caller already computed."""
-        hit = self._sets[set_index].lookup(block)
-        if hit:
-            self.hits += 1
-        else:
-            self.misses += 1
-        return hit
-
-    def contains_address(self, address: int) -> bool:
-        block = self._geometry.block_of(address)
-        return self._sets[self._geometry.set_of_block(block)].contains(block)
-
-    def reset_stats(self) -> None:
-        self.hits = 0
-        self.misses = 0
+        return self._sets[set_index].lookup(block)
 
     def flush(self) -> None:
-        """Invalidate all sets and clear statistics."""
+        """Invalidate all sets."""
         for cache_set in self._sets:
             cache_set.flush()
-        self.reset_stats()

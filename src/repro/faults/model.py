@@ -69,8 +69,3 @@ class FaultProbabilityModel:
         hitting the hardened way are masked.
         """
         return self.pwf(faulty_ways, ways=self.geometry.ways - 1)
-
-    def pwf_vector(self, *, reliable_way: bool = False) -> tuple[float, ...]:
-        """The whole per-set distribution as a tuple indexed by ``w``."""
-        ways = self.geometry.ways - (1 if reliable_way else 0)
-        return tuple(self.pwf(w, ways=ways) for w in range(ways + 1))

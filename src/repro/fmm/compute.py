@@ -36,8 +36,6 @@ direct per-cell sweep.
 
 from __future__ import annotations
 
-import weakref
-
 from repro.analysis import CacheAnalysis
 from repro.analysis.chmc import Chmc
 from repro.errors import AnalysisError
@@ -46,11 +44,6 @@ from repro.ipet.model import FlowModel
 from repro.reliability.mechanism import ReliabilityMechanism
 from repro.solve.planner import SolvePlanner
 from repro.solve.request import SolveRequest
-
-#: Per-set reference partitions, memoised on the baseline table (one
-#: per analysis) so repeated mechanisms reuse the single scan.
-_PARTITIONS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-
 
 def compute_fault_miss_map(analysis: CacheAnalysis,
                            mechanism: ReliabilityMechanism, *,
@@ -119,11 +112,13 @@ def _references_by_set(analysis: CacheAnalysis, baseline):
     misses in the fault-free table are dropped here — no fault can
     make them worse — so per-column objective construction only walks
     the set's own candidates instead of rescanning the whole program.
+    The partition is kept on the baseline table itself
+    (:attr:`~repro.analysis.classify.ClassificationTable.set_partition`):
+    every mechanism's FMM of the analysis reuses the one scan, and it
+    dies with the analysis that owns the table.
     """
-    try:
-        return _PARTITIONS[baseline]
-    except KeyError:
-        pass
+    if baseline.set_partition is not None:
+        return baseline.set_partition
     partition: list[list[tuple[int, list]]] = [
         [] for _ in range(analysis.geometry.sets)]
     for block_id in analysis.cfg.block_ids():
@@ -137,7 +132,7 @@ def _references_by_set(analysis: CacheAnalysis, baseline):
             if not groups or groups[-1][0] != block_id:
                 groups.append((block_id, []))
             groups[-1][1].append((position, before, reference))
-    _PARTITIONS[baseline] = partition
+    baseline.set_partition = partition
     return partition
 
 

@@ -38,8 +38,7 @@ from __future__ import annotations
 
 import math
 
-from repro.analysis.references import all_references
-from repro.cache import CacheGeometry
+from repro.analysis.references import Reference
 from repro.cfg import CFG
 from repro.faults import FaultProbabilityModel
 from repro.reliability.mechanism import (AllFaultyFilter,
@@ -50,17 +49,18 @@ _SrbState = int | None
 
 
 def refined_srb_always_hit_references(
-        cfg: CFG, geometry: CacheGeometry,
+        cfg: CFG, references: dict[int, tuple[Reference, ...]],
         set_index: int) -> frozenset[tuple[int, int]]:
     """References to ``set_index`` guaranteed to hit a *private* SRB.
 
     Must analysis of a 1-entry buffer observing only the fetches that
     map to ``set_index`` (sound under the at-most-one-faulty-set
-    condition documented in the module docstring).  Join of different
-    blocks (or unknown) is unknown; fetches of other sets leave the
-    state untouched.
+    condition documented in the module docstring).  ``references`` is
+    the CFG's reference map at the L1 geometry
+    (:func:`~repro.analysis.references.all_references`).  Join of
+    different blocks (or unknown) is unknown; fetches of other sets
+    leave the state untouched.
     """
-    references = all_references(cfg, geometry)
 
     def transfer(block_id: int, state: _SrbState) -> _SrbState:
         for reference in references[block_id]:
@@ -152,14 +152,14 @@ class RefinedSharedReliableBuffer(SharedReliableBuffer):
     def all_faulty_filter(self, analysis) -> AllFaultyFilter:
         from repro.analysis.chmc import (ALWAYS_HIT, ALWAYS_MISS, Chmc,
                                          Classification)
-        cfg, geometry = analysis.cfg, analysis.geometry
+        cfg, references = analysis.cfg, analysis.references
         persistence = analysis.persistence
         cache: dict[int, frozenset[tuple[int, int]]] = {}
 
         def per_set(set_index: int):
             if set_index not in cache:
                 cache[set_index] = refined_srb_always_hit_references(
-                    cfg, geometry, set_index)
+                    cfg, references, set_index)
             protected = cache[set_index]
 
             def classify(reference) -> Classification:

@@ -4,6 +4,7 @@ import pytest
 
 from repro.analysis import CacheAnalysis, Chmc, Classification, GLOBAL_SCOPE
 from repro.analysis.persistence import PersistenceAnalysis
+from repro.analysis.references import all_references
 from repro.cache import CacheGeometry
 from repro.errors import AnalysisError
 from repro.minic import Compute, Function, Loop, Program, compile_program
@@ -94,7 +95,8 @@ class TestClassificationDataclass:
 
 class TestPersistence:
     def test_global_scope_for_small_program(self, tiny_loop):
-        analysis = PersistenceAnalysis(tiny_loop.cfg, GEOMETRY)
+        analysis = PersistenceAnalysis(
+            tiny_loop.cfg, all_references(tiny_loop.cfg, GEOMETRY))
         for set_index in range(GEOMETRY.sets):
             assert analysis.global_conflicts(set_index) <= GEOMETRY.ways
 
@@ -119,7 +121,8 @@ class TestPersistence:
             Loop(4, [Compute(8)]),
         ])], name="grow")
         compiled = compile_program(program)
-        analysis = PersistenceAnalysis(compiled.cfg, GEOMETRY)
+        analysis = PersistenceAnalysis(
+            compiled.cfg, all_references(compiled.cfg, GEOMETRY))
         forest = analysis.forest
         [header] = forest.headers()
         for set_index in range(GEOMETRY.sets):
@@ -127,9 +130,8 @@ class TestPersistence:
                     <= analysis.global_conflicts(set_index))
 
     def test_zero_assoc_no_scope(self, tiny_loop):
-        analysis = PersistenceAnalysis(tiny_loop.cfg, GEOMETRY)
-        from repro.analysis.references import all_references
         references = all_references(tiny_loop.cfg, GEOMETRY)
+        analysis = PersistenceAnalysis(tiny_loop.cfg, references)
         any_reference = next(refs[0] for refs in references.values()
                              if refs)
         assert analysis.scope_of(any_reference, 0) is None

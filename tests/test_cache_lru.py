@@ -74,23 +74,15 @@ class TestLRUCache:
 
     def test_counts_hits_and_misses(self, geometry):
         cache = LRUCache(geometry)
-        cache.access(0)
-        cache.access(0)
-        cache.access(4)  # same set as 0 (4 % 4 == 0)
-        assert cache.hits == 1
-        assert cache.misses == 2
-
-    def test_access_address_maps_to_block(self, geometry):
-        cache = LRUCache(geometry)
-        assert not cache.access_address(0x100)
-        assert cache.access_address(0x10F)  # same 16-byte line
-        assert not cache.access_address(0x110)  # next line
+        # 4 maps to the same set as 0 (4 % 4 == 0).
+        hits = [cache.access(block) for block in (0, 0, 4)]
+        assert (hits.count(True), hits.count(False)) == (1, 2)
 
     def test_access_accumulates_over_a_trace(self, geometry):
         cache = LRUCache(geometry)
-        assert [cache.access(block) for block in [0, 1, 0, 1, 2]] == [
-            False, False, True, True, False]
-        assert (cache.hits, cache.misses) == (2, 3)
+        hits = [cache.access(block) for block in [0, 1, 0, 1, 2]]
+        assert hits == [False, False, True, True, False]
+        assert (hits.count(True), hits.count(False)) == (2, 3)
 
     def test_faulty_set_capacity_reduced(self, geometry):
         fault_map = FaultMap(geometry, [(0, 0)])
@@ -110,12 +102,14 @@ class TestLRUCache:
         with pytest.raises(SimulationError):
             LRUCache(geometry, FaultMap.fault_free(other))
 
-    def test_flush_resets_contents_and_stats(self, geometry):
+    def test_flush_empties_every_set(self, geometry):
         cache = LRUCache(geometry)
-        cache.access(0)
+        for block in range(2 * geometry.sets):
+            cache.access(block)
         cache.flush()
-        assert cache.misses == 0
-        assert not cache.contains_address(0)
+        assert all(cache.set_state(s).contents == ()
+                   for s in range(geometry.sets))
+        assert not cache.access(0)
 
     @settings(max_examples=50)
     @given(block_traces(max_block=30, max_length=120))

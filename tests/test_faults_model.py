@@ -92,9 +92,3 @@ class TestEquation3:
         """Masking one way makes 'no effective faults' more likely."""
         m = model(1e-3)
         assert m.pwf_reliable_way(0) > m.pwf(0)
-
-    def test_vector_shapes(self):
-        m = model(1e-4)
-        assert len(m.pwf_vector()) == 5
-        assert len(m.pwf_vector(reliable_way=True)) == 4
-        assert sum(m.pwf_vector()) == pytest.approx(1.0)

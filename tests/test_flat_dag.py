@@ -9,16 +9,21 @@ solve task that built them.
 
 from __future__ import annotations
 
+import gc
 import threading
 import weakref
 
 import pytest
 
 from repro.analysis import geometry_batch
+from repro.analysis.references import Reference
+from repro.cache import CacheGeometry
+from repro.minic import compile_program
 from repro.pipeline import PipelineScheduler, PipelineStats
 from repro.pipeline.scheduler import FailureReport
 from repro.pwcet import EstimatorConfig, PWCETEstimator
-from repro.suite import load
+from repro.pipeline.stages import solve_stage
+from repro.suite import build, load
 from repro.sweep import format_sweep_report, geometry_grid, run_sweep
 
 #: Two line sizes x two capacities: two stacked groups of two.
@@ -53,6 +58,27 @@ class TestAnalysesStayInTheirTask:
                       sum(ref() is not None for ref in made)))
         assert len(made) == len(BENCHMARKS) * len(GRID)
         assert alive_at_sinks == [0] * len(GRID) * len(PFAILS)
+
+
+    def test_solve_task_leaves_no_reference_alive(self, monkeypatch):
+        """A solve task owns its reference maps: once it returns, no
+        :class:`Reference` it made is alive, although its CFG is."""
+        made: list[weakref.ref] = []
+        init = Reference.__init__
+
+        def tracked(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            made.append(weakref.ref(self))
+
+        monkeypatch.setattr(Reference, "__init__", tracked)
+        cfg = compile_program(build("bs")).cfg
+        group = (CacheGeometry.from_size(512, 2, 16),
+                 CacheGeometry.from_size(1024, 2, 16))
+        output = solve_stage(cfg, group, EstimatorConfig(cache="off"))
+        gc.collect()
+        assert set(output.geometries) == set(group)
+        assert made
+        assert sum(ref() is not None for ref in made) == 0
 
 
 @pytest.fixture(scope="module")

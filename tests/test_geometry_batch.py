@@ -10,6 +10,7 @@ tables — on random CFGs and on the sweep grid.
 from __future__ import annotations
 
 import pathlib
+import sys
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -17,6 +18,7 @@ from hypothesis import HealthCheck, given, settings
 from repro.analysis import (AgeVectorEngine, CacheAnalysis, MayAnalysis,
                             MustAnalysis)
 from repro.analysis.classify import AnalysisStats, SrbHits
+from repro.analysis import persistence, references
 from repro.analysis.geometry_batch import (grouped_analysis,
                                            required_classifications)
 from repro.analysis.references import all_references
@@ -36,6 +38,22 @@ from tests.oracles import oracle_analysis
 from tests.strategies import programs
 
 _suppress = [HealthCheck.too_slow]
+
+
+def count_calls(monkeypatch, module, name: str) -> list[tuple]:
+    """Record every call of ``module.name``, wherever it was imported."""
+    original = getattr(module, name)
+    calls: list[tuple] = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for loaded in list(sys.modules.values()):
+        if (getattr(loaded, "__name__", "").startswith("repro.")
+                and getattr(loaded, name, None) is original):
+            monkeypatch.setattr(loaded, name, counted)
+    return calls
 
 #: Reports of the per-geometry classify path these groups replaced.
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -181,10 +199,36 @@ class TestGroupedAnalysis:
             assert warm.stats.classify_store_misses == 0
             assert warm.stats.classify_store_hits > 0
 
+    def test_group_builds_each_shared_map_once(self, monkeypatch):
+        """The block stream is walked once per group, and each set
+        count gets one reference map and one pair of conflict maps,
+        held by every analysis of that set count."""
+        group = (CacheGeometry.from_size(512, 2, 16),
+                 CacheGeometry.from_size(512, 4, 16),
+                 CacheGeometry.from_size(1024, 4, 16),
+                 CacheGeometry.from_size(256, 2, 16))
+        assert sorted({geometry.sets for geometry in group}) == [8, 16]
+        streams = count_calls(monkeypatch, references, "block_streams")
+        maps = count_calls(monkeypatch, references, "all_references")
+        conflicts = count_calls(monkeypatch, persistence, "conflict_maps")
+        analyses = grouped_analysis(load("crc").cfg, group,
+                                    SUITE_MECHANISMS, cache="off")
+        assert len(streams) == 1
+        assert sorted(args[1].sets for args in maps) == [8, 16]
+        assert len(conflicts) == 2
+        for analysis in analyses:
+            twin = next(other for other in analyses if other is not analysis
+                        and other.geometry.sets == analysis.geometry.sets)
+            assert analysis.references is twin.references
+            assert analysis.persistence is twin.persistence
+            assert (analysis.classification().references(0)
+                    is analysis.references[0])
+
     def test_group_srb_hits_match_per_geometry(self):
         cfg = load("crc").cfg
         stats = AnalysisStats()
-        shared = SrbHits(cfg, 16, stats)()
+        shared = SrbHits(cfg, 16, stats,
+                         all_references(cfg, SMALL_GROUP[0]))()
         for geometry in SMALL_GROUP:
             assert frozenset(shared) == \
                 srb_always_hit_references(cfg, geometry)

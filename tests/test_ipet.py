@@ -179,7 +179,8 @@ class TestComputeWCET:
             walk = walker.walk(rng, maximize_iterations=(index % 3 == 0))
             cache = LRUCache(GEOMETRY)
             cycles = sum(
-                timing.hit_cycles if cache.access_address(address)
+                timing.hit_cycles
+                if cache.access(GEOMETRY.block_of(address))
                 else timing.miss_cycles
                 for address in walk.addresses)
             assert cycles <= result.cycles

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from repro.analysis import CacheAnalysis
+from repro.analysis.references import all_references
 from repro.cache import CacheGeometry, FaultMap
 from repro.cfg import PathWalker
 from repro.errors import EstimationError
@@ -65,10 +66,11 @@ class TestPerSetMustAnalysis:
         """Unlike the shared SRB, the private view keeps a loop's only
         line per set alive across iterations."""
         cfg = single_block_loop.cfg
+        references = all_references(cfg, GEOMETRY)
         protected_any = False
         for set_index in range(GEOMETRY.sets):
-            protected = refined_srb_always_hit_references(cfg, GEOMETRY,
-                                                          set_index)
+            protected = refined_srb_always_hit_references(
+                cfg, references, set_index)
             from repro.reliability import srb_always_hit_references
             shared = srb_always_hit_references(cfg, GEOMETRY)
             shared_in_set = {
@@ -84,10 +86,11 @@ class TestPerSetMustAnalysis:
     def test_refined_superset_of_shared(self, call_program):
         from repro.reliability import srb_always_hit_references
         shared = srb_always_hit_references(call_program.cfg, GEOMETRY)
+        references = all_references(call_program.cfg, GEOMETRY)
         refined_union = set()
         for set_index in range(GEOMETRY.sets):
             refined_union |= refined_srb_always_hit_references(
-                call_program.cfg, GEOMETRY, set_index)
+                call_program.cfg, references, set_index)
         assert shared <= refined_union
 
 
