@@ -12,7 +12,7 @@ import random
 import sys
 
 from repro import EstimatorConfig, FaultMap, PWCETEstimator, TimingModel
-from repro.cfg import PathWalker
+from repro.cfg import PathWalker, find_loops
 from repro.reliability import MECHANISMS, ReliableWay
 from repro.sim import TraceExecutor
 from repro.suite import load
@@ -25,7 +25,7 @@ def main(benchmark: str = "crc", chips: int = 300) -> None:
     timing: TimingModel = config.timing
     geometry = config.geometry
     model = config.fault_model()
-    walker = PathWalker(compiled.cfg, estimator.analysis.forest)
+    walker = PathWalker(compiled.cfg, find_loops(compiled.cfg))
     wcet_ff = estimator.fault_free_wcet()
     print(f"benchmark {benchmark}: fault-free WCET {wcet_ff} cycles, "
           f"pbf = {model.pbf:.4f}")

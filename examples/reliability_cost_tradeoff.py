@@ -14,9 +14,8 @@ Run with:  python examples/reliability_cost_tradeoff.py
 
 from repro.experiments import run_suite
 from repro.hwcost.tradeoff import format_tradeoff, tradeoff_points
-from repro.pwcet import EstimatorConfig, PWCETEstimator
+from repro.pwcet import EstimatorConfig
 from repro.reliability.refined_srb import excluded_probability
-from repro.suite import load
 
 BENCHMARKS = ("fibcall", "bsort100", "ud", "adpcm")
 
@@ -31,12 +30,11 @@ def main() -> None:
     print(f"\nrefined SRB analysis at exceedance {probability:.0e} "
           "(same hardware as the SRB):\n")
     print(f"{'benchmark':12s} {'srb':>9s} {'srb+':>9s} {'rw':>9s}")
-    for name in BENCHMARKS:
-        estimator = PWCETEstimator(load(name), config, name=name)
-        srb = estimator.estimate("srb").pwcet(probability)
-        refined = estimator.estimate("srb+").pwcet(probability)
-        rw = estimator.estimate("rw").pwcet(probability)
-        print(f"{name:12s} {srb:9d} {refined:9d} {rw:9d}")
+    mechanisms = ("srb", "srb+", "rw")
+    for result in run_suite(config, target_probability=probability,
+                            benchmarks=BENCHMARKS, mechanisms=mechanisms):
+        srb, refined, rw = map(result.pwcet, mechanisms)
+        print(f"{result.name:12s} {srb:9d} {refined:9d} {rw:9d}")
     floor = excluded_probability(config.fault_model(), 16)
     print(f"\nrefinement floor P(>=2 sets entirely faulty) = {floor:.2e}:"
           f"\nthe refined analysis cannot certify the 1e-15 aerospace"

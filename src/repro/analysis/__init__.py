@@ -23,7 +23,6 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "Classification": ".chmc",
     "GLOBAL_SCOPE": ".chmc",
     "Reference": ".references",
-    "block_references": ".references",
     "MustAnalysis": ".must",
     "MayAnalysis": ".may",
     "PersistenceAnalysis": ".persistence",

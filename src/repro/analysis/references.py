@@ -76,14 +76,6 @@ def _references(block_id: int, stream, set_mask: int
         for index, (address, memory_block) in enumerate(stream))
 
 
-def block_references(cfg: CFG, geometry: CacheGeometry,
-                     block_id: int) -> tuple[Reference, ...]:
-    """The references issued by one basic block, in fetch order."""
-    return _references(block_id,
-                       _stream(cfg, block_id, geometry.offset_bits),
-                       geometry.sets - 1)
-
-
 def all_references(cfg: CFG, geometry: CacheGeometry,
                    streams: BlockStreams | None = None
                    ) -> dict[int, tuple[Reference, ...]]:

@@ -16,7 +16,10 @@ Commands
                for a statistics report only).
 ``list``       list the available benchmarks with size metadata.
 
-All estimation commands consult the persistent caches — the three
+Every estimation command runs the task DAG of
+:mod:`repro.pipeline.stages` (``estimate``, ``curve`` and ``fmm`` for
+one benchmark and exactly their ``--mechanisms``), so all of them
+consult the persistent caches — the three
 stores (solve, classification, cell) share one directory
 (``REPRO_CACHE=off|<path>``, ``--cache``): a warm re-run of any
 command performs zero backend ILP solves and zero
@@ -26,7 +29,7 @@ Bad input — an out-of-range probability, an unknown benchmark, a
 geometry grid with no feasible cache — is reported as one ``error:``
 line with exit code 2; argparse checks probabilities and counts before
 any work runs.  A stage error (say, a solver failure)
-aborts ``suite`` and ``sweep`` with a traceback and a non-zero exit; a
+aborts any estimation command with a traceback and a non-zero exit; a
 pool worker that dies is replaced and its work resubmitted.  See
 README "Pool recovery & chaos testing".
 """
@@ -39,9 +42,9 @@ import sys
 from collections.abc import Callable
 
 from repro.errors import ConfigurationError, EstimationError
-from repro.pwcet import EstimatorConfig, PWCETEstimator
+from repro.pwcet import EstimatorConfig
 from repro.pwcet.estimator import TARGET_EXCEEDANCE
-from repro.suite import EVALUATED_BENCHMARKS, info, load
+from repro.suite import EVALUATED_BENCHMARKS, info
 from repro.sweep.grid import DEFAULT_LINES, DEFAULT_SIZES, DEFAULT_WAYS
 from repro.util.validate import check_probability
 
@@ -112,18 +115,23 @@ def _config_from(arguments: argparse.Namespace) -> EstimatorConfig:
                            cache=arguments.cache)
 
 
-def _estimator_for(name: str,
-                   arguments: argparse.Namespace) -> PWCETEstimator:
-    _check_benchmarks((name,))
-    return PWCETEstimator(load(name), _config_from(arguments), name=name)
+def _run_benchmark(arguments: argparse.Namespace):
+    """The one-benchmark DAG over exactly the requested mechanisms."""
+    from repro.experiments import run_suite
+    _check_benchmarks((arguments.benchmark,))
+    (result,) = run_suite(_config_from(arguments),
+                          target_probability=arguments.probability,
+                          benchmarks=(arguments.benchmark,),
+                          mechanisms=tuple(arguments.mechanisms))
+    return result
 
 
 def _command_estimate(arguments: argparse.Namespace) -> int:
-    estimator = _estimator_for(arguments.benchmark, arguments)
+    result = _run_benchmark(arguments)
     print(f"benchmark {arguments.benchmark}: "
-          f"fault-free WCET {estimator.fault_free_wcet()} cycles")
+          f"fault-free WCET {result.wcet_fault_free} cycles")
     for mechanism in arguments.mechanisms:
-        estimate = estimator.estimate(mechanism)
+        estimate = result.estimates[mechanism]
         try:
             value = estimate.pwcet(arguments.probability)
         except EstimationError as error:
@@ -144,9 +152,10 @@ def _command_suite(arguments: argparse.Namespace) -> int:
 
 
 def _command_curve(arguments: argparse.Namespace) -> int:
-    estimator = _estimator_for(arguments.benchmark, arguments)
+    result = _run_benchmark(arguments)
     for mechanism in arguments.mechanisms:
-        curve = estimator.estimate(mechanism).exceedance_curve()
+        # Refolded in full from the row's FMM.
+        curve = result.estimates[mechanism].exceedance_curve()
         print(f"# {arguments.benchmark} / {mechanism}")
         for value, probability in curve.rows()[:arguments.max_points]:
             print(f"{value} {probability:.6e}")
@@ -154,9 +163,8 @@ def _command_curve(arguments: argparse.Namespace) -> int:
 
 
 def _command_fmm(arguments: argparse.Namespace) -> int:
-    estimator = _estimator_for(arguments.benchmark, arguments)
-    fmm = estimator.fault_miss_map(arguments.mechanisms[0])
-    print(fmm.format_table())
+    (estimate,) = _run_benchmark(arguments).estimates.values()
+    print(estimate.fmm.format_table())
     return 0
 
 

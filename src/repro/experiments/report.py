@@ -13,9 +13,8 @@ from repro.experiments.fig3 import FIG3_BENCHMARK, format_fig3
 from repro.experiments.fig4 import fig4_rows, format_fig4
 from repro.experiments.runner import run_suite
 from repro.hwcost.tradeoff import format_tradeoff, tradeoff_points
-from repro.pwcet import EstimatorConfig, PWCETEstimator
+from repro.pwcet import EstimatorConfig
 from repro.reliability.refined_srb import excluded_probability
-from repro.suite import load
 
 #: Benchmarks used for the extension sections (kept small for speed).
 EXTENSION_SUBSET = ("fibcall", "bsort100", "ud", "adpcm")
@@ -23,16 +22,16 @@ EXTENSION_SUBSET = ("fibcall", "bsort100", "ud", "adpcm")
 
 def refined_srb_section(config: EstimatorConfig,
                         probability: float = 1e-9) -> str:
-    """The refined-SRB comparison table (extension EXT-SRB+)."""
+    """The refined-SRB comparison table (extension EXT-SRB+): one
+    DAG over the extension subset at ``probability``."""
+    mechanisms = ("srb", "srb+", "rw")
     lines = [f"pWCET at exceedance {probability:.0e}:",
              f"{'benchmark':12s} {'srb':>10s} {'srb+':>10s} {'rw':>10s}"]
-    for name in EXTENSION_SUBSET:
-        estimator = PWCETEstimator(load(name), config, name=name)
-        lines.append(
-            f"{name:12s} "
-            f"{estimator.estimate('srb').pwcet(probability):10d} "
-            f"{estimator.estimate('srb+').pwcet(probability):10d} "
-            f"{estimator.estimate('rw').pwcet(probability):10d}")
+    for result in run_suite(config, target_probability=probability,
+                            benchmarks=EXTENSION_SUBSET,
+                            mechanisms=mechanisms):
+        lines.append(f"{result.name:12s} " + " ".join(
+            f"{result.pwcet(mechanism):10d}" for mechanism in mechanisms))
     floor = excluded_probability(config.fault_model(), config.geometry.sets)
     lines.append(f"(refinement floor: P(>=2 sets entirely faulty) "
                  f"= {floor:.2e})")

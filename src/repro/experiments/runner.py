@@ -57,11 +57,16 @@ class BenchmarkResult:
 def run_suite(config: EstimatorConfig | None = None, *,
               target_probability: float = TARGET_EXCEEDANCE,
               benchmarks: tuple[str, ...] = EVALUATED_BENCHMARKS,
+              mechanisms: tuple[str, ...] = SUITE_MECHANISMS,
+              programs: dict | None = None,
               pipeline_stats: PipelineStats | None = None
               ) -> list[BenchmarkResult]:
     """Run the suite DAG (Figure 4's input data), one result per name.
 
-    Repeated names run once, in first-seen order.  ``config.workers``
+    Repeated names run once, in first-seen order.  ``programs`` maps
+    names to CFGs to run instead of the suite's ``benchmarks`` (the
+    :class:`~repro.pwcet.PWCETEstimator` facade passes one), and every
+    result estimates each of ``mechanisms``.  ``config.workers``
     > 1 executes the DAG on a shared process pool: solve and cells
     stages of different benchmarks interleave freely (only each
     benchmark's own stage dependencies are enforced), so outputs match
@@ -79,22 +84,23 @@ def run_suite(config: EstimatorConfig | None = None, *,
         config = EstimatorConfig()
     if pipeline_stats is None:
         pipeline_stats = PipelineStats()
-    programs = {name: load(name).cfg for name in benchmarks}
+    if programs is None:
+        programs = {name: load(name).cfg for name in benchmarks}
     scheduler = PipelineScheduler(workers=config.workers)
     # The DAG's 1-geometry x 1-pfail case, plus one inline
     # ``result:{bench}`` sink per benchmark.
     dag = EstimationDag(scheduler, programs, (config.geometry,),
                         (config.pfail,), config,
                         probability=target_probability,
-                        stats=pipeline_stats)
+                        stats=pipeline_stats, mechanisms=mechanisms)
 
     def result(name, key, cells):
         rows = dag.rows(key, cells)
         estimates = {mechanism: rows[(mechanism, config.pfail)]
-                     for mechanism in SUITE_MECHANISMS}
+                     for mechanism in mechanisms}
         return BenchmarkResult(
             name=name,
-            wcet_fault_free=estimates["none"].wcet_fault_free,
+            wcet_fault_free=next(iter(estimates.values())).wcet_fault_free,
             estimates=estimates,
             target_probability=target_probability)
 

@@ -21,8 +21,8 @@ and the sweep out as one flat, schedulable task graph:
     Pool-safe stage task bodies and the one DAG builder
     (:class:`~repro.pipeline.stages.EstimationDag`) that lays a whole
     (programs × geometries × pfails) grid out on one scheduler, every
-    cell estimating the paper's three mechanisms; the suite is its
-    1-geometry × 1-pfail case.
+    cell estimating the paper's three mechanisms unless the caller
+    names others; the suite is its 1-geometry × 1-pfail case.
 
 ``cellstore``
     :class:`~repro.pipeline.cellstore.CellStore` — the persistent,
@@ -31,10 +31,10 @@ and the sweep out as one flat, schedulable task graph:
     :func:`~repro.pipeline.cellstore.cell_key`.
 
 The suite runner (:mod:`repro.experiments.runner`) and the sweep
-service (:mod:`repro.sweep.service`) execute through this scheduler;
-outputs are bit-identical at any worker count.  The single-benchmark
-estimator (:mod:`repro.pwcet.estimator`) calls the same kernels
-directly, in-process, with no scheduler.
+service (:mod:`repro.sweep.service`) execute through this scheduler,
+and so do the single-benchmark commands and the
+:class:`~repro.pwcet.PWCETEstimator` facade (one-program suite runs);
+outputs are bit-identical at any worker count.
 """
 
 from repro._lazy import lazy_exports

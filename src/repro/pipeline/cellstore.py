@@ -12,7 +12,8 @@ address before any worker starts.
 
 A row holds what its readers use: the fault-free WCET, the FMM rows,
 the exceedance correction and the pWCET at the probability the
-writing run asked for, as canonical JSON that the shared store
+writing run asked for (``null`` where the mechanism's analysis cannot
+certify that level), as canonical JSON that the shared store
 deflates like every other row (~120 bytes, small enough for SQLite to
 keep on the row's own page; a cold default sweep writes 0.25 MB of
 cells).  No pmf is stored: it is a pure function of (FMM,
@@ -71,20 +72,21 @@ def cell_key(store_context: str, mechanism: str, pfail: float,
 def encode_cell(estimate: PWCETEstimate) -> bytes:
     """The stored bytes of one finished estimation cell.
 
-    ``estimate`` must know its pWCET at the run's probability (see
+    ``estimate`` is reduced to the run's probability (see
     :meth:`~repro.pwcet.estimator.PWCETEstimate.reduced`).  The row is
     the canonical JSON of the mechanism, WCET, exceedance correction,
-    FMM rows and that (probability, pWCET) pair (the store deflates
-    it: FMM columns repeat a handful of values); floats are written
-    with ``repr`` precision, so they round-trip exactly.
+    FMM rows and the (probability, pWCET) pair it knows, both ``null``
+    when it knows none (the store deflates it: FMM columns repeat a
+    handful of values); floats are written with ``repr`` precision,
+    so they round-trip exactly.
     """
-    probability, pwcet = estimate.known_pwcet
+    probability, pwcet = estimate.known_pwcet or (None, None)
     return json_bytes({
         "mechanism": estimate.mechanism_name,
         "wcet": estimate.wcet_fault_free,
         "correction": float(estimate.exceedance_correction),
         "fmm": estimate.fmm.rows,
-        "probability": float(probability),
+        "probability": probability,
         "pwcet": pwcet,
     })
 
@@ -119,8 +121,8 @@ def decode_cell(value: object, *, name: str, mechanism: str,
             fault_model=FaultProbabilityModel(geometry=config.geometry,
                                               pfail=pfail),
             exceedance_correction=float(row["correction"]),
-            known_pwcet=(float(row["probability"]),
-                         _integer(row["pwcet"])))
+            known_pwcet=None if row["pwcet"] is None else
+            (float(row["probability"]), _integer(row["pwcet"])))
     except (AttributeError, TypeError, ValueError, KeyError, IndexError,
             ConfigurationError):
         return None

@@ -1,14 +1,17 @@
 """Stage functions and the one DAG builder of the estimation pipeline.
 
 :class:`EstimationDag` lays a whole (programs × geometries × pfails)
-grid, times the paper's three mechanisms, out as one flat DAG on one
+grid, times a mechanism tuple (the paper's three unless a caller asks
+for others), out as one flat DAG on one
 :class:`~repro.pipeline.scheduler.PipelineScheduler`; the suite is its
-1-geometry × 1-pfail case.  Stages take the program's CFG, never a
-suite name: the drivers load the suite's CFGs and pass them in, and
-any other program runs through the same DAG.  Per program:
+1-geometry × 1-pfail case, and a single-benchmark command or a
+:class:`~repro.pwcet.PWCETEstimator` its one-program case.  Stages
+take the program's CFG, never a suite name: the drivers load the
+suite's CFGs and pass them in, and any other program runs through the
+same DAG.  Per program:
 
 ``solve:{bench}:{line}`` — :func:`solve_stage`
-    First every classification table (and SRB hit set) the three
+    First every classification table (and SRB hit set) the
     mechanisms need for one CFG, at every geometry of one line-size
     group, from ONE stacked Must/May fixpoint pair plus one SRB
     fixpoint (:func:`~repro.analysis.geometry_batch.grouped_analysis`),
@@ -16,10 +19,8 @@ any other program runs through the same DAG.  Per program:
     :class:`~repro.analysis.store.ClassificationStore`; the tables
     never leave the task's process.  Then ONE flow polytope
     (:class:`~repro.ipet.FlowModel`) and one
-    :class:`~repro.solve.planner.SolvePlanner` for the program
-    (:func:`solve_polytope`, shared with the one-geometry
-    :class:`~repro.pwcet.PWCETEstimator`): the polytope is
-    geometry-independent, so the fault-free WCET and every
+    :class:`~repro.solve.planner.SolvePlanner` for the program: the
+    polytope is geometry-independent, so the fault-free WCET and every
     mechanism's Fault Miss Map at every geometry of the group are
     objectives over it, and duplicate objectives dedup in-process.
     Solves read and write through the
@@ -63,43 +64,18 @@ from repro.pipeline.scheduler import PipelineScheduler, PipelineStats
 from repro.reliability import mechanism_by_name
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.analysis import CacheAnalysis
     from repro.cfg import CFG
-    from repro.ipet import FlowModel
-    from repro.solve.store import SolveStore
 
 #: The paper's three configurations, in presentation order: every
 #: suite and sweep cell estimates all three, since each gain is
-#: measured against the unprotected cache of the same cell.
+#: measured against the unprotected cache of the same cell.  The
+#: default mechanism tuple of :class:`EstimationDag`.
 SUITE_MECHANISMS = ("none", "srb", "rw")
 
 
 def _batched(store):
     """One write transaction for a stage's store writes (if any)."""
     return store.batch() if store is not None else nullcontext()
-
-
-def solve_polytope(analysis: CacheAnalysis, cache
-                   ) -> tuple[FlowModel, SolveStore | None]:
-    """The flow polytope of an analysis' CFG, wired to the solve store.
-
-    One polytope serves every objective of the analysis' line size
-    (the fault-free WCET and each mechanism's FMM at every geometry
-    of the group), and its planner dedups them all.  The planner
-    reads and writes the :class:`~repro.solve.store.SolveStore`
-    selected by ``cache`` (returned too; ``None`` when persistence is
-    off) under the (CFG digest, line size) context.
-    """
-    from repro.ipet import FlowModel
-    from repro.solve.store import SolveStore, solve_context
-
-    cfg = analysis.cfg
-    flow_model = FlowModel(cfg, analysis.forest)
-    store = SolveStore.resolve(cache)
-    if store is not None:
-        flow_model.planner.attach_store(store, solve_context(
-            cfg.digest(), analysis.geometry.block_bytes))
-    return flow_model, store
 
 
 @dataclass(frozen=True)
@@ -115,27 +91,35 @@ class SolveOutput:
     counters: dict[str, float] = field(repr=False)
 
 
-def solve_stage(cfg: CFG, geometries, config) -> SolveOutput:
+def solve_stage(cfg: CFG, geometries, config,
+                mechanisms=SUITE_MECHANISMS) -> SolveOutput:
     """Stage task: WCET + FMMs of one program at a group's geometries.
 
     ``geometries`` share one line size; the group (of one, for the
     suite) is classified by one Must/May fixpoint pair plus one SRB
     fixpoint, then one flow polytope and one planner serve every
     objective of the group, in a fixed order (per geometry: WCET, then
-    the FMM of each of :data:`SUITE_MECHANISMS`), so in-process dedup — and with it every
-    counter — is deterministic.  ``config`` supplies the timing model,
-    the solver mode and the cache selector.
+    the FMM of each of ``mechanisms``), so in-process dedup — and with
+    it every counter — is deterministic.  The planner reads and writes
+    the :class:`~repro.solve.store.SolveStore` under the (CFG digest,
+    line size) context.  ``config`` supplies the timing model, the
+    solver mode and the cache selector.
     """
     from repro.analysis.geometry_batch import grouped_analysis
     from repro.analysis.store import ClassificationStore
     from repro.fmm import compute_fault_miss_map
-    from repro.ipet import compute_wcet
+    from repro.ipet import FlowModel, compute_wcet
+    from repro.solve.store import SolveStore, solve_context
 
     with _batched(ClassificationStore.resolve(config.cache)):
-        analyses = grouped_analysis(cfg, geometries, SUITE_MECHANISMS,
+        analyses = grouped_analysis(cfg, geometries, mechanisms,
                                     cache=config.cache)
     lead = analyses[0]
-    flow_model, store = solve_polytope(lead, config.cache)
+    flow_model = FlowModel(cfg, lead.forest)
+    store = SolveStore.resolve(config.cache)
+    if store is not None:
+        flow_model.planner.attach_store(store, solve_context(
+            cfg.digest(), lead.geometry.block_bytes))
     outputs = {}
     with _batched(store):
         for analysis in analyses:
@@ -145,7 +129,7 @@ def solve_stage(cfg: CFG, geometries, config) -> SolveOutput:
             fmms = {name: compute_fault_miss_map(
                         analysis, mechanism_by_name(name),
                         flow_model=flow_model, relaxed=config.relaxed)
-                    for name in SUITE_MECHANISMS}
+                    for name in mechanisms}
             outputs[analysis.geometry] = (wcet.cycles, fmms)
     return SolveOutput(geometries=outputs,
                        counters={**flow_model.planner.stats.as_dict(),
@@ -182,11 +166,12 @@ def cell_stage(name: str, geometry, config, rows, probability,
     ``exceedance``); the kernel certifies the cap, and each pWCET
     meets the exact-rational contract (``tests/exact_suite.py`` checks
     the suite's).  When the lowest
-    level is not positive the pass folds in full, and
-    :meth:`~repro.pwcet.estimator.PWCETEstimate.pwcet` refuses the row
-    as it always did.  Every row is reduced to its pWCET at
-    ``probability`` and written through the cell store under its
-    content address.
+    level is not positive the pass folds in full, and a row whose own
+    level is not positive holds no pWCET
+    (:meth:`~repro.pwcet.estimator.PWCETEstimate.certifies`): its
+    :meth:`~repro.pwcet.estimator.PWCETEstimate.pwcet` refuses the
+    level.  Every row is reduced to its pWCET at ``probability`` and
+    written through the cell store under its content address.
     """
     from repro.faults import FaultProbabilityModel
     from repro.pipeline.cellstore import CellStore, encode_cell
@@ -246,8 +231,10 @@ class EstimationDag:
 
     ``programs`` maps each program's name to its CFG, in presentation
     order; any CFG will do, not only the suite's.  Every (geometry,
-    pfail) cell estimates all of :data:`SUITE_MECHANISMS`, and
-    ``pfails`` lists the grid's pfail axis without repeats.
+    pfail) cell estimates each of ``mechanisms`` (default:
+    :data:`SUITE_MECHANISMS`; the cell key binds the mechanism, so
+    any tuple reads and writes the same rows), and ``pfails`` lists
+    the grid's pfail axis without repeats.
     Solve and cells tasks may run on the scheduler's process pool
     (inline at one worker); ``probability`` is the exceedance
     probability every row is reduced to (see :func:`cell_stage`;
@@ -259,7 +246,8 @@ class EstimationDag:
     def __init__(self, scheduler: PipelineScheduler, programs,
                  geometries, pfails, config, *,
                  probability: float | None = None,
-                 stats: PipelineStats | None = None) -> None:
+                 stats: PipelineStats | None = None,
+                 mechanisms=SUITE_MECHANISMS) -> None:
         from repro.analysis.store import ClassificationStore
         from repro.pipeline.cellstore import CellStore
         from repro.pwcet.estimator import TARGET_EXCEEDANCE
@@ -268,6 +256,7 @@ class EstimationDag:
         if probability is None:
             probability = TARGET_EXCEEDANCE
         self.stats = stats if stats is not None else PipelineStats()
+        self._mechanisms = tuple(dict.fromkeys(mechanisms))
         #: cells key -> rows the plan pass decoded from the cell store
         self._served: dict[str, dict] = {}
         #: (benchmark, geometry) -> cells key
@@ -294,7 +283,7 @@ class EstimationDag:
                 line = group[0].block_bytes
                 solve_key = scheduler.add(
                     f"solve:{name}:{line}", solve_stage,
-                    args=(cfg, group, config),
+                    args=(cfg, group, config, self._mechanisms),
                     stage="solve", pool=True,
                     order_key=f"0:{rank:04d}:{line:04d}")
                 for geometry in group:
@@ -313,7 +302,7 @@ class EstimationDag:
         context = store_context(digest, geometry, config.timing)
         keys = {(mechanism, pfail): cell_key(context, mechanism, pfail,
                                              config.relaxed)
-                for pfail in pfails for mechanism in SUITE_MECHANISMS}
+                for pfail in pfails for mechanism in self._mechanisms}
         task_key = f"cells:{name}:{_geometry_label(geometry)}"
         #: The task's rows; the plan-pass probe fills it before any
         #: task runs (so a pool task pickles it filled).
@@ -327,7 +316,7 @@ class EstimationDag:
                 self.stats.counters["cells_from_store"] += len(served)
             self._served[task_key] = served
             rows[:] = [(mechanism, tuple(axes[mechanism]))
-                       for mechanism in SUITE_MECHANISMS
+                       for mechanism in self._mechanisms
                        if mechanism in axes]
             return None if rows else CellsOutput(rows={})
 
@@ -345,8 +334,9 @@ class EstimationDag:
         Returns ``(served, axes)``: ``served`` maps ``(mechanism,
         pfail)`` to the decoded row reduced to ``probability`` (a row
         stored at another probability recomputes its pWCET from the
-        FMM), ``axes`` maps each mechanism to its missing ``(pfail,
-        cell key)`` pairs in pfail order.
+        FMM, and holds none at a level its analysis cannot certify),
+        ``axes`` maps each mechanism to its missing ``(pfail, cell
+        key)`` pairs in pfail order.
         """
         from repro.pipeline.cellstore import decode_cell
 

@@ -1,7 +1,6 @@
 """End-to-end probabilistic WCET estimation.
 
-:class:`PWCETEstimator` glues the whole pipeline together for one
-program and one hardware configuration:
+One estimate is the paper's pipeline for one program (§II, Figure 1):
 
 1. static cache analysis and fault-free IPET WCET (§II-B);
 2. fault miss map per reliability mechanism (§II-C, §III-B);
@@ -10,23 +9,11 @@ program and one hardware configuration:
 4. pWCET = fault-free WCET + memory latency * penalty quantile at the
    target exceedance probability (the paper uses 1e-15).
 
-All intermediate artefacts are memoised: the estimator runs the cache
-analysis once per associativity and builds a single flow polytope that
-every ILP (WCET and all FMM entries) reuses.  Solved objectives also
-persist across runs through the content-addressed
-:class:`~repro.solve.store.SolveStore` (``REPRO_CACHE``,
-``EstimatorConfig(cache=...)``): a warm rerun of the same estimation
-performs zero backend ILP solves.
-
-The estimator runs in-process, at one geometry, and sequences
-nothing itself: each accessor memoises one stage and demands its
-inputs, so the classification tables a WCET or FMM objective reads
-are computed on first use.  Its polytope wiring
-(:func:`~repro.pipeline.stages.solve_polytope`) and estimate
-constructor (:meth:`PWCETEstimate.of`) are the pipeline's own.
-Multi-program runs (the suite, the sweep) go through the flat task
-DAG of :mod:`repro.pipeline.stages` instead, which computes the same
-values with the same kernels.
+Every estimate comes out of the pipeline's one task DAG
+(:class:`~repro.pipeline.stages.EstimationDag`): :class:`PWCETEstimate`
+is one of its (mechanism, pfail) rows, and :class:`PWCETEstimator` is
+a facade that runs a one-program DAG per call, so it reads and writes
+the same persistent rows as ``repro suite``.
 """
 
 from __future__ import annotations
@@ -42,7 +29,6 @@ from repro.reliability import ReliabilityMechanism, mechanism_by_name
 from repro.util import check_probability
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.analysis import CacheAnalysis
     from repro.cfg import CFG
     from repro.fmm import FaultMissMap
     from repro.minic import CompiledProgram
@@ -69,10 +55,10 @@ class EstimatorConfig:
     pfail: float = 1e-4
     #: Solve LP relaxations instead of ILPs (sound, looser, faster).
     relaxed: bool = False
-    #: Process-pool width of the suite/sweep task DAG (1 = inline).
-    #: Execution policy, not a hardware parameter: results are
-    #: identical for any width, so it is excluded from equality.  A
-    #: lone :class:`PWCETEstimator` always runs in-process.
+    #: Process-pool width of the task DAG (1 = inline).  Execution
+    #: policy, not a hardware parameter: results are identical for
+    #: any width, so it is excluded from equality.  The
+    #: single-benchmark commands take no ``--workers`` and run inline.
     workers: int = field(default=1, compare=False)
     #: Persistent solve-cache selector: ``None`` defers to the
     #: ``REPRO_CACHE`` environment variable, ``"off"`` disables
@@ -84,25 +70,6 @@ class EstimatorConfig:
     def fault_model(self) -> FaultProbabilityModel:
         return FaultProbabilityModel(geometry=self.geometry,
                                      pfail=self.pfail)
-
-
-def penalty_distribution(fmm: FaultMissMap,
-                         mechanism: ReliabilityMechanism,
-                         fault_model: FaultProbabilityModel,
-                         sets: int) -> DiscreteDistribution:
-    """Whole-cache fault penalty distribution, in misses.
-
-    Pure function of (FMM, mechanism, fault model): per-set penalty
-    points weighted by the mechanism's fault pmf (eq. 2 / eq. 3),
-    convolved across sets (Figure 1.b).  The pipeline's cells task
-    (:func:`repro.pipeline.stages.cell_stage`) calls the same kernel
-    over a whole pfail axis, capped at the level it reads; each row's
-    arithmetic is independent of the others, so below its cap it is
-    bit-identical to this one-row batch, and its quantiles are
-    property-tested equal to exact-rational ones.
-    """
-    from repro.pwcet.batch import penalty_distributions
-    return penalty_distributions(fmm, mechanism, (fault_model,), sets)[0]
 
 
 @dataclass(frozen=True)
@@ -152,38 +119,51 @@ class PWCETEstimate:
 
     @property
     def penalty_misses(self) -> DiscreteDistribution:
-        """Fault-penalty distribution in *misses* (recomputed from the
-        FMM on first use when the estimate does not carry it)."""
+        """Fault-penalty distribution in *misses*: per-set penalty
+        points weighted by the mechanism's fault pmf (eq. 2 / eq. 3),
+        convolved across sets (Figure 1.b).  Recomputed from the FMM
+        on first use when the estimate does not carry it: a one-row
+        uncapped kernel call, bitwise the row a cells task folds below
+        that row's cap."""
         if self.distribution is None:
-            object.__setattr__(self, "distribution", penalty_distribution(
+            from repro.pwcet.batch import penalty_distributions
+            [distribution] = penalty_distributions(
                 self.fmm, mechanism_by_name(self.mechanism_name),
-                self.fault_model, self.fmm.geometry.sets))
+                (self.fault_model,), self.fmm.geometry.sets)
+            object.__setattr__(self, "distribution", distribution)
         return self.distribution
+
+    def certifies(self, probability: float) -> bool:
+        """Whether the analysis has a pWCET at ``probability``: the
+        level it reads, ``probability`` less the excluded mass, must
+        be positive."""
+        return probability - self.exceedance_correction > 0.0
 
     def pwcet(self, probability: float = TARGET_EXCEEDANCE) -> int:
         """pWCET in cycles at the given exceedance probability."""
         check_probability(probability, "probability", allow_zero=False,
                           allow_one=False)
-        if self.known_pwcet is not None \
-                and self.known_pwcet[0] == probability:
-            return self.known_pwcet[1]
-        effective = probability - self.exceedance_correction
-        if effective <= 0.0:
+        if not self.certifies(probability):
             raise EstimationError(
                 f"target probability {probability:g} is below the "
                 f"analysis' excluded mass "
                 f"{self.exceedance_correction:g}; the "
                 f"{self.mechanism_name!r} analysis cannot certify this "
                 "level — use the baseline 'srb' mechanism instead")
+        if self.known_pwcet is not None \
+                and self.known_pwcet[0] == probability:
+            return self.known_pwcet[1]
+        effective = probability - self.exceedance_correction
         quantile = self.penalty_misses.quantile_exceedance(effective)
         return self.wcet_fault_free + quantile * self.timing.memory_cycles
 
     def reduced(self, probability: float) -> "PWCETEstimate":
         """This estimate without its distribution, holding its pWCET
-        at ``probability``: what a cell row stores and a pool worker
-        ships."""
-        return replace(self, distribution=None,
-                       known_pwcet=(probability, self.pwcet(probability)))
+        at ``probability`` (none when the analysis cannot certify that
+        level): what a cell row stores and a pool worker ships."""
+        known = ((probability, self.pwcet(probability))
+                 if self.certifies(probability) else None)
+        return replace(self, distribution=None, known_pwcet=known)
 
     def exceedance_curve(self) -> ExceedanceCurve:
         """The Figure 3 curve for this estimate."""
@@ -203,116 +183,50 @@ class PWCETEstimate:
 
 
 class PWCETEstimator:
-    """Memoising pipeline driver for one program + configuration."""
+    """One program's estimates, each from a one-program task DAG
+    (:func:`~repro.experiments.runner.run_suite`); ``stats`` sums them."""
 
     def __init__(self, program: CompiledProgram | CFG,
                  config: EstimatorConfig | None = None,
                  name: str | None = None) -> None:
-        from repro.analysis import CacheAnalysis
-        from repro.minic import CompiledProgram
-        from repro.pipeline.stages import solve_polytope
-
-        if config is None:
-            config = EstimatorConfig()
-        cfg = program.cfg if isinstance(program, CompiledProgram) else program
-        self._cfg = cfg
-        self._config = config
-        self._name = name if name is not None else cfg.name
-        #: The cache selector is shared with the solve store: one knob
-        #: (``cache=`` / ``REPRO_CACHE``) controls both the
-        #: classification store and the ILP store.
-        self._analysis = CacheAnalysis(cfg, config.geometry,
-                                       cache=config.cache)
-        #: One polytope and planner per estimator: WCET and every
-        #: mechanism's FMM dedup against the same canonical-objective
-        #: cache, and already-solved objectives are answered from the
-        #: persistent store instead of the ILP backend.
-        self._flow_model, self._store = solve_polytope(self._analysis,
-                                                       config.cache)
-        self._planner = self._flow_model.planner
-        self._fault_model = config.fault_model()
-        self._wcet_fault_free: int | None = None
-        self._fmm_cache: dict[str, FaultMissMap] = {}
+        from repro.pipeline.scheduler import PipelineStats
+        self._cfg = getattr(program, "cfg", program)
+        self._config = config if config is not None else EstimatorConfig()
+        self._name = name if name is not None else self._cfg.name
         self._estimates: dict[str, PWCETEstimate] = {}
+        self.stats = PipelineStats()
 
-    @property
-    def config(self) -> EstimatorConfig:
-        return self._config
-
-    @property
-    def analysis(self) -> CacheAnalysis:
-        return self._analysis
-
-    @property
-    def fault_model(self) -> FaultProbabilityModel:
-        return self._fault_model
-
-    @property
-    def name(self) -> str:
-        return self._name
-
-    @property
-    def solver_stats(self):
-        """Planner counters (solved/pruned/deduped) for this estimator."""
-        return self._planner.stats
-
-    @property
-    def store(self):
-        """The persistent solve store in use (``None`` when disabled)."""
-        return self._store
-
-    # ------------------------------------------------------------------
     def fault_free_wcet(self) -> int:
         """The deterministic WCET on a fault-free cache (§II-B)."""
-        if self._wcet_fault_free is None:
-            from repro.ipet import compute_wcet
-            result = compute_wcet(
-                self._cfg, self._analysis.classification(),
-                self._config.timing, flow_model=self._flow_model,
-                relaxed=self._config.relaxed)
-            self._wcet_fault_free = result.cycles
-        return self._wcet_fault_free
+        known = next(iter(self._estimates.values()), None)
+        return (known or self.estimate_all()["none"]).wcet_fault_free
 
-    def fault_miss_map(self,
-                       mechanism: ReliabilityMechanism | str) -> FaultMissMap:
-        mechanism = self._resolve(mechanism)
-        if mechanism.name not in self._fmm_cache:
-            from repro.fmm import compute_fault_miss_map
-            self._fmm_cache[mechanism.name] = compute_fault_miss_map(
-                self._analysis, mechanism, flow_model=self._flow_model,
-                relaxed=self._config.relaxed)
-        return self._fmm_cache[mechanism.name]
+    def fault_miss_map(self, mechanism) -> FaultMissMap:
+        return self.estimate(mechanism).fmm
 
-    def penalty_distribution(self, mechanism: ReliabilityMechanism | str
-                             ) -> DiscreteDistribution:
-        """Whole-cache fault penalty distribution, in misses."""
-        mechanism = self._resolve(mechanism)
-        return penalty_distribution(self.fault_miss_map(mechanism),
-                                    mechanism, self._fault_model,
-                                    self._config.geometry.sets)
-
-    def estimate(self, mechanism: ReliabilityMechanism | str
-                 ) -> PWCETEstimate:
+    def estimate(self, mechanism) -> PWCETEstimate:
         """Full pWCET estimate for one mechanism (memoised)."""
-        mechanism = self._resolve(mechanism)
-        if mechanism.name not in self._estimates:
-            self._estimates[mechanism.name] = PWCETEstimate.of(
-                self._name, mechanism, self.fault_free_wcet(),
-                self.fault_miss_map(mechanism), self._fault_model,
-                self._config.timing, self.penalty_distribution(mechanism))
-        return self._estimates[mechanism.name]
+        return self._run((_mechanism_name(mechanism),))[0]
 
     def estimate_all(self) -> dict[str, PWCETEstimate]:
         """Estimates for the paper's three configurations."""
-        return {name: self.estimate(name) for name in ("none", "srb", "rw")}
+        return {e.mechanism_name: e for e in self._run(("none", "srb", "rw"))}
 
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _resolve(mechanism: ReliabilityMechanism | str
-                 ) -> ReliabilityMechanism:
-        if isinstance(mechanism, str):
-            return mechanism_by_name(mechanism)
-        if not isinstance(mechanism, ReliabilityMechanism):
-            raise EstimationError(
-                f"expected a mechanism or name, got {mechanism!r}")
-        return mechanism
+    def _run(self, names) -> list[PWCETEstimate]:
+        from repro.experiments.runner import run_suite
+        missing = tuple(name for name in names if name not in self._estimates)
+        if missing:
+            (result,) = run_suite(self._config, mechanisms=missing,
+                                  programs={self._name: self._cfg},
+                                  pipeline_stats=self.stats)
+            self._estimates.update(result.estimates)
+        return [self._estimates[name] for name in names]
+
+
+def _mechanism_name(mechanism: ReliabilityMechanism | str) -> str:
+    if isinstance(mechanism, str):
+        return mechanism_by_name(mechanism).name
+    if not isinstance(mechanism, ReliabilityMechanism):
+        raise EstimationError(
+            f"expected a mechanism or name, got {mechanism!r}")
+    return mechanism.name

@@ -1,7 +1,7 @@
 """Persistent, content-addressed solve cache shared across runs.
 
 The in-process :class:`~repro.solve.planner.SolvePlanner` dedups the
-ILP sweep of *one* estimator; this store extends the dedup across
+ILP sweep of *one* solve task; this store extends the dedup across
 processes, CLI invocations, test sessions and CI runs.  Entries are
 keyed by a SHA-256 digest of everything that determines a solve's
 outcome:

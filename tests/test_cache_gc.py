@@ -8,6 +8,7 @@ import sqlite3
 from repro.analysis.store import (CLASSIFY_SCHEMA_VERSION,
                                   ClassificationStore, classification_key)
 from repro.cache import CacheGeometry
+from repro.pipeline.stages import solve_stage
 from repro.pwcet import EstimatorConfig, PWCETEstimator
 from repro.solve import store as store_module
 from repro.solve.gc import compact_store, gc_cache, store_dirs
@@ -155,18 +156,15 @@ class TestGcCache:
     def test_warm_run_after_gc_is_still_fully_cached(self, tmp_path):
         _populate_both_stores(tmp_path)
         gc_cache(str(tmp_path))
-        estimator = PWCETEstimator(load("fibcall"),
-                                   EstimatorConfig(cache=str(tmp_path)),
-                                   name="fibcall")
-        # Fresh handles, so the vacuumed databases are what gets read.
-        estimator._analysis._store = ClassificationStore(tmp_path)
-        fresh_store = SolveStore(tmp_path)
-        estimator._planner.attach_store(
-            fresh_store, estimator._planner._store_context)
-        for mechanism in ("none", "srb", "rw"):
-            estimator.estimate(mechanism)
-        assert estimator.solver_stats.ilp_solved == 0
-        assert estimator.analysis.stats.fixpoints_run == 0
+        # Fresh connections, so the vacuumed databases are what gets
+        # read; the solve stage reads both stores (the cell rows the
+        # estimation also wrote would serve a whole DAG).
+        for store in (SolveStore, ClassificationStore):
+            store.resolve(str(tmp_path)).close()
+        counters = solve_stage(load("fibcall").cfg, (GEOMETRY,),
+                               EstimatorConfig(cache=str(tmp_path))).counters
+        assert counters["ilp_solved"] == 0
+        assert counters["fixpoints_run"] == 0
 
     def test_off_means_nothing_to_compact(self):
         assert gc_cache("off") == []
@@ -270,9 +268,8 @@ class TestCli:
         db.execute("UPDATE entries SET crc = crc + 1 WHERE key = ?",
                    (key,))
         db.close()
-        estimator = PWCETEstimator(load("fibcall"),
-                                   EstimatorConfig(cache=str(tmp_path)),
-                                   name="fibcall")
-        estimator.estimate("none")
-        assert estimator.store.stats.corrupt_skipped == 1
-        assert estimator.analysis.store.stats.corrupt_skipped == 0
+        solve_stage(load("fibcall").cfg, (GEOMETRY,),
+                    EstimatorConfig(cache=str(tmp_path)))
+        assert SolveStore.resolve(str(tmp_path)).stats.corrupt_skipped == 1
+        assert ClassificationStore.resolve(
+            str(tmp_path)).stats.corrupt_skipped == 0

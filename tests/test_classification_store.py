@@ -19,12 +19,12 @@ from repro.analysis.store import (CLASSIFY_SCHEMA_VERSION,
                                   ClassificationStore, classification_key,
                                   decode_table, encode_table)
 from repro.cache import CacheGeometry
-from repro.pwcet import EstimatorConfig, PWCETEstimator
+from repro.pipeline.stages import solve_stage
+from repro.pwcet import EstimatorConfig
 from repro.solve.store import DB_NAME, checksum, json_bytes
 from repro.suite import load
 
 GEOMETRY = CacheGeometry.from_size(1024, 4, 16)
-MECHANISMS = ("none", "srb", "rw")
 
 
 def _db(root) -> sqlite3.Connection:
@@ -254,20 +254,17 @@ class TestWarmAnalysis:
 
 
 class TestWarmEstimator:
-    """End to end: warm estimations run zero fixpoints *and* zero
-    backend ILPs, with identical pWCETs."""
+    """The solve stage end to end: a warm rerun runs zero fixpoints
+    *and* zero backend ILPs, with identical WCETs and FMMs.  (A whole
+    DAG would serve the rerun from its cell rows instead.)"""
 
     def test_estimator_warm_rerun(self, tmp_path):
-        cache = str(tmp_path / "store")
+        config = EstimatorConfig(cache=str(tmp_path / "store"))
 
         def estimate_all():
-            estimator = PWCETEstimator(load("crc"),
-                                       EstimatorConfig(cache=cache),
-                                       name="crc")
-            values = {mechanism: estimator.estimate(mechanism).pwcet()
-                      for mechanism in MECHANISMS}
-            return values, {**estimator.solver_stats.as_dict(),
-                            **estimator.analysis.stats.as_dict()}
+            output = solve_stage(load("crc").cfg, (config.geometry,),
+                                 config)
+            return output.geometries, output.counters
 
         cold_values, cold_stats = estimate_all()
         assert cold_stats["fixpoints_run"] > 0

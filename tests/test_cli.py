@@ -25,6 +25,31 @@ def test_single_benchmark_output_is_golden(golden, capsys):
     assert capsys.readouterr().out == (GOLDEN / golden).read_text()
 
 
+@pytest.fixture(scope="module")
+def suite_cache(tmp_path_factory):
+    """A cache that one cold ``suite`` filled."""
+    cache = str(tmp_path_factory.mktemp("suite-cache"))
+    assert main(["suite", "--cache", cache]) == 0
+    return cache
+
+
+@pytest.fixture
+def dag_runs(monkeypatch):
+    """The :class:`~repro.pipeline.PipelineStats` of every task DAG the
+    test runs, in run order."""
+    from repro.pipeline import PipelineScheduler
+
+    recorded = []
+    run = PipelineScheduler.run
+
+    def recording(scheduler, *, stats=None, on_task=None):
+        recorded.append(stats)
+        return run(scheduler, stats=stats, on_task=on_task)
+
+    monkeypatch.setattr(PipelineScheduler, "run", recording)
+    return recorded
+
+
 class TestEstimate:
     def test_basic(self, capsys):
         assert main(["estimate", "bs"]) == 0
@@ -244,6 +269,70 @@ class TestCacheEnvAlias:
                 pathlib.Path(tmp_path / "xdg" / "repro" / "solve")
 
 
+class TestOneDriver:
+    """``estimate`` runs the suite's task DAG: the two read and write
+    the same cell rows."""
+
+    def test_estimate_after_a_suite_does_no_work(self, suite_cache,
+                                                 dag_runs, monkeypatch,
+                                                 capsys):
+        from repro.pwcet import batch
+        from repro.solve.store import SolveStore
+
+        folds = []
+        fold = batch.penalty_distributions
+
+        def counting(*args, **kwargs):
+            folds.append(args)
+            return fold(*args, **kwargs)
+
+        monkeypatch.setattr(batch, "penalty_distributions", counting)
+        solve_store = SolveStore.resolve(suite_cache).stats
+        reads = solve_store.hits + solve_store.misses
+        assert main(["estimate", "crc", "--cache", suite_cache]) == 0
+        warm = capsys.readouterr().out
+        (stats,) = dag_runs
+        assert stats.counters["cells_from_store"] == 3
+        for counter in ("fixpoints_run", "ilp_solved", "requests",
+                        "store_hits", "cells_computed"):
+            assert stats.counters[counter] == 0, counter
+        assert stats.tasks["solve"] == stats.tasks["cell"] == 0
+        assert solve_store.hits + solve_store.misses == reads
+        assert folds == []
+        assert main(["estimate", "crc", "--cache", "off"]) == 0
+        assert capsys.readouterr().out == warm
+
+    def test_suite_after_estimate_reads_its_rows(self, tmp_path,
+                                                 dag_runs, capsys):
+        cache = str(tmp_path)
+        assert main(["estimate", "crc", "--cache", cache]) == 0
+        assert main(["suite", "--cache", cache]) == 0
+        capsys.readouterr()
+        estimate, suite = dag_runs
+        assert estimate.counters["cells_computed"] == 3
+        assert suite.counters["cells_from_store"] == 3
+
+    @pytest.mark.parametrize("first", ["1e-9", "1e-15"])
+    def test_a_stored_row_serves_the_other_level(self, tmp_path, first,
+                                                 dag_runs, capsys):
+        """An ``srb+`` row stored at either level serves the other: at
+        1e-15 the refusal line is the golden one, at 1e-9 the pWCET is
+        a storeless run's."""
+        command = ["estimate", "ud", "--mechanisms", "srb+",
+                   "--probability"]
+        golden = (GOLDEN / "cli_estimate_ud.txt").read_text().splitlines()
+        expected = {"1e-15": f"{golden[0]}\n{golden[-1]}\n"}
+        assert main(command + ["1e-9", "--cache", "off"]) == 0
+        expected["1e-9"] = capsys.readouterr().out
+        second = "1e-15" if first == "1e-9" else "1e-9"
+        for probability in (first, second):
+            assert main(command + [probability, "--cache",
+                                   str(tmp_path)]) == 0
+            assert capsys.readouterr().out == expected[probability]
+        assert [stats.counters["cells_from_store"]
+                for stats in dag_runs] == [0, 0, 1]
+
+
 class TestStartup:
     """Commands import only the layers they run."""
 
@@ -322,6 +411,20 @@ class TestStartup:
                                             "classification:"))]
 
         assert results(warm.stdout) == results(cold.stdout)
+
+    def test_warm_estimate_loads_no_numpy(self, suite_cache):
+        script = (
+            "import sys\n"
+            "import repro.cli\n"
+            "code = repro.cli.main(['estimate', 'crc', '--cache', "
+            f"{suite_cache!r}])\n"
+            "print(sorted({'numpy', 'scipy'} & set(sys.modules)), "
+            "file=sys.stderr)\n"
+            "sys.exit(code)\n")
+        run = self._python(script)
+        assert run.returncode == 0, run.stderr
+        assert "benchmark crc" in run.stdout
+        assert run.stderr.splitlines()[-1] == "[]"
 
     def test_every_export_resolves(self):
         import importlib

@@ -103,11 +103,10 @@ class TestExtremePfail:
         config = EstimatorConfig(pfail=1.0)
         program = Program([Function("main", [Loop(4, [Compute(6)])])])
         estimator = PWCETEstimator(compile_program(program), config)
-        model = estimator.fault_model
-        assert model.pbf == 1.0
+        estimate = estimator.estimate("none")
+        assert estimate.fault_model.pbf == 1.0
         # With certainty every set is fully faulty: the no-protection
         # pWCET equals the deterministic all-faulty bound at any p.
-        estimate = estimator.estimate("none")
         assert (estimate.pwcet(0.5) == estimate.pwcet(1e-12))
 
     def test_rw_immune_to_pfail_one(self):

@@ -152,7 +152,7 @@ class TestFlatSweep:
                     load(name), EstimatorConfig(geometry=geometry,
                                                 cache="off"), name=name)
                 estimator.estimate_all()
-                per_geometry += estimator.solver_stats.ilp_solved
+                per_geometry += estimator.stats.counters["ilp_solved"]
         assert stats.counters["ilp_solved"] < per_geometry
 
 

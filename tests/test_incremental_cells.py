@@ -2,8 +2,8 @@
 
 Covers the plan pass (content-address probes, satisfied-from-store
 completion, undemanded-task skipping), deterministic artifact-key
-dispatch order, bit-identity of the flat DAG against the
-per-benchmark estimator, one-program-edit invalidation, and the
+dispatch order, bit-identity of the flat DAG against one-program
+DAGs, one-program-edit invalidation, and the
 sweep's grid axes (a repeated pfail is one column).
 """
 
@@ -161,15 +161,16 @@ class TestDeterministicOrder:
 
 
 class TestScheduleIdentity:
-    """The flat DAG agrees with the one-geometry estimator in every
-    worker mode: the same values and the same work counters.
+    """The flat DAG agrees, in every worker mode, with one-program
+    DAGs run one benchmark and one cell at a time (the
+    :class:`~repro.pwcet.PWCETEstimator` facade): the same values and
+    the same work counters.
 
-    Not an independent path: the estimator shares the DAG's polytope
-    wiring and kernels, so this pins the two orchestrations to each
-    other.  The independent references are the direct FMM sweep
-    (``_direct_fmm`` in ``test_solve_planner.py``), the dict Must/May
-    oracles and the exact-rational penalty convolution
-    (``tests/oracles.py``).
+    Not an independent path: both run the same stages, so this pins
+    batching and scheduling only.  The independent references are
+    the direct FMM sweep (``_direct_fmm`` in
+    ``test_solve_planner.py``), the dict Must/May oracles and the
+    exact-rational penalty convolution (``tests/oracles.py``).
     """
 
     @staticmethod
@@ -194,17 +195,15 @@ class TestScheduleIdentity:
                 result.name,
                 EstimatorConfig(cache=str(tmp_path / "ref" / result.name)))
             assert result.wcet_fault_free == estimator.fault_free_wcet()
-            work.update(estimator.solver_stats.as_dict())
-            work.update(estimator.analysis.stats.as_dict())
+            work.update(estimator.stats.counters)
             for mechanism in MECHANISMS:
                 assert result.pwcet(mechanism) == \
                     estimates[mechanism].pwcet()
                 assert result.estimates[mechanism].fmm.rows == \
                     estimates[mechanism].fmm.rows
-        # One polytope, the same objectives: the same solver and
-        # analysis work, counter for counter, plus the cells rows.
-        assert stats.counters == \
-            work + Counter(cells_computed=3 * len(SUBSET))
+        # One polytope, the same objectives: the same solver,
+        # analysis and cells work, counter for counter.
+        assert stats.counters == work
 
     @pytest.mark.parametrize("workers", [1, 4],
                              ids=["sequential", "parallel"])

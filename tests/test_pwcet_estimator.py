@@ -76,7 +76,7 @@ class TestEstimates:
 
     def test_penalty_distribution_mass(self, estimator):
         for name in ("none", "srb", "rw"):
-            penalty = estimator.penalty_distribution(name)
+            penalty = estimator.estimate(name).penalty_misses
             assert penalty.total_mass == pytest.approx(1.0, abs=1e-9)
 
 

@@ -144,9 +144,9 @@ class TestEstimator:
             load("fibcall"), EstimatorConfig(cache=str(tmp_path)),
             name="fibcall")
         estimator.estimate("srb+")
-        stats = estimator.analysis.stats
-        assert stats.fixpoints_run == 2
-        assert stats.classify_store_writes == stats.tables_built
+        counters = estimator.stats.counters
+        assert counters["fixpoints_run"] == 2
+        assert counters["classify_store_writes"] == counters["tables_built"]
 
 
 class TestSoundnessUnderEventA:

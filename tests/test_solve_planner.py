@@ -14,8 +14,8 @@ import pytest
 
 from repro.analysis import CacheAnalysis
 from repro.fmm import compute_fault_miss_map
-from repro.ipet import FlowModel, LinearProgram
-from repro.pwcet import EstimatorConfig, PWCETEstimator
+from repro.ipet import FlowModel, LinearProgram, compute_wcet
+from repro.pwcet import EstimatorConfig, PWCETEstimate, PWCETEstimator
 from repro.reliability import mechanism_by_name
 from repro.solve import SolvePlanner, SolveRequest
 from repro.solve.backend import HighsBackend, ceil_bound
@@ -59,13 +59,28 @@ def _direct_fmm(name: str, mechanism: str):
         planner=_DirectPlanner(flow_model.program))
 
 
-def _direct_estimator(name: str, config: EstimatorConfig | None = None
-                      ) -> PWCETEstimator:
-    """An estimator whose FMM cells bypass the planner's shortcuts."""
-    estimator = PWCETEstimator(load(name), config, name=name)
-    flow_model = estimator._flow_model
+def _direct_pwcets(name: str, config: EstimatorConfig | None = None
+                   ) -> dict[str, int]:
+    """Each mechanism's pWCET from the kernels, with the WCET and every
+    FMM cell bypassing the planner's shortcuts."""
+    config = config if config is not None else EstimatorConfig()
+    cfg = load(name).cfg
+    analysis = CacheAnalysis(cfg, config.geometry, cache="off")
+    flow_model = FlowModel(cfg, analysis.forest)
     flow_model._planner = _DirectPlanner(flow_model.program)
-    return estimator
+    wcet = compute_wcet(cfg, analysis.classification(), config.timing,
+                        flow_model=flow_model,
+                        relaxed=config.relaxed).cycles
+    pwcets = {}
+    for mechanism in map(mechanism_by_name, MECHANISMS):
+        fmm = compute_fault_miss_map(analysis, mechanism,
+                                     flow_model=flow_model,
+                                     relaxed=config.relaxed)
+        pwcets[mechanism.name] = PWCETEstimate(
+            program_name=name, mechanism_name=mechanism.name,
+            wcet_fault_free=wcet, timing=config.timing, fmm=fmm,
+            fault_model=config.fault_model()).pwcet()
+    return pwcets
 
 
 class TestPipelineEquivalence:
@@ -73,30 +88,30 @@ class TestPipelineEquivalence:
 
     @pytest.mark.parametrize("name", EQUIVALENCE_BENCHMARKS)
     def test_fmm_identical_to_direct_path(self, name):
-        estimator = PWCETEstimator(load(name), name=name)
+        estimator = PWCETEstimator(load(name), EstimatorConfig(cache="off"),
+                                   name=name)
         for mechanism in MECHANISMS:
             planned = estimator.fault_miss_map(mechanism)
             direct = _direct_fmm(name, mechanism)
             assert planned.rows == direct.rows, (name, mechanism)
-        stats = estimator.solver_stats
-        assert stats.dedup_hits > 0  # the shortcuts actually engaged
-        assert stats.pruned_empty > 0
+        counters = estimator.stats.counters
+        assert counters["dedup_hits"] > 0  # the shortcuts engaged
+        assert counters["pruned_empty"] > 0
 
     @pytest.mark.parametrize("name", EQUIVALENCE_BENCHMARKS)
     def test_pwcet_identical_to_direct_path(self, name):
         planned = PWCETEstimator(load(name), name=name)
-        direct = _direct_estimator(name)
+        direct = _direct_pwcets(name)
         for mechanism in MECHANISMS:
             assert (planned.estimate(mechanism).pwcet()
-                    == direct.estimate(mechanism).pwcet()), (name, mechanism)
+                    == direct[mechanism]), (name, mechanism)
 
     def test_relaxed_mode_identical_to_direct_path(self):
         planned = PWCETEstimator(load("ud"), EstimatorConfig(relaxed=True),
                                  name="ud")
-        direct = _direct_estimator("ud", EstimatorConfig(relaxed=True))
+        direct = _direct_pwcets("ud", EstimatorConfig(relaxed=True))
         for mechanism in MECHANISMS:
-            assert (planned.estimate(mechanism).pwcet()
-                    == direct.estimate(mechanism).pwcet())
+            assert planned.estimate(mechanism).pwcet() == direct[mechanism]
 
 
 class TestSolveRequest:

@@ -24,6 +24,7 @@ import pytest
 from repro.analysis.store import ClassificationStore
 from repro.pipeline import PipelineStats
 from repro.pipeline.cellstore import CellStore
+from repro.pipeline.stages import solve_stage
 from repro.pwcet import EstimatorConfig, PWCETEstimator
 from repro.solve.gc import compact_store, store_dirs
 from repro.solve.store import (CACHE_ENV, DB_NAME, SCHEMA_VERSION,
@@ -401,39 +402,45 @@ class TestResolution:
 class TestWarmPipeline:
     """The tentpole property: a warm rerun performs zero backend solves."""
 
-    def _estimate_all(self, name: str, cache: str):
-        estimator = PWCETEstimator(load(name),
-                                   EstimatorConfig(cache=cache), name=name)
-        values = {mechanism: estimator.estimate(mechanism).pwcet()
-                  for mechanism in MECHANISMS}
-        return values, estimator.solver_stats
+    @staticmethod
+    def _solve(name: str, cache: str):
+        """One benchmark's solve stage: its WCET and FMMs, and its
+        counters.  The stage itself, because a whole DAG reads no
+        solve row once the cell rows are stored."""
+        config = EstimatorConfig(cache=cache)
+        output = solve_stage(load(name).cfg, (config.geometry,), config)
+        return output.geometries, output.counters
 
     @pytest.mark.parametrize("name", ("crc", "ud"))
     def test_warm_estimator_solves_nothing(self, tmp_path, name):
         cache = str(tmp_path / "store")
-        cold_values, cold_stats = self._estimate_all(name, cache)
-        assert cold_stats.ilp_solved > 0
-        warm_values, warm_stats = self._estimate_all(name, cache)
+        cold_values, cold_stats = self._solve(name, cache)
+        assert cold_stats["ilp_solved"] > 0
+        warm_values, warm_stats = self._solve(name, cache)
         assert warm_values == cold_values
-        assert warm_stats.ilp_solved == 0
-        assert warm_stats.lp_solved == 0
-        assert warm_stats.store_hits == cold_stats.ilp_solved
+        assert warm_stats["ilp_solved"] == 0
+        assert warm_stats["lp_solved"] == 0
+        assert warm_stats["store_hits"] == cold_stats["ilp_solved"]
 
     def test_cache_off_disables_persistence(self, tmp_path):
         cache = str(tmp_path / "store")
-        self._estimate_all("crc", cache)
-        _, stats = self._estimate_all("crc", "off")
-        assert stats.ilp_solved > 0
-        assert stats.store_hits == 0
+        self._solve("crc", cache)
+        _, stats = self._solve("crc", "off")
+        assert stats["ilp_solved"] > 0
+        assert stats["store_hits"] == 0
 
     def test_relaxed_mode_keys_apart(self, tmp_path):
         cache = str(tmp_path / "store")
-        exact, _ = self._estimate_all("ud", cache)
-        estimator = PWCETEstimator(load("ud"),
-                                   EstimatorConfig(cache=cache,
-                                                   relaxed=True), name="ud")
-        relaxed = {mechanism: estimator.estimate(mechanism).pwcet()
-                   for mechanism in MECHANISMS}
+
+        def pwcets(relaxed):
+            estimator = PWCETEstimator(
+                load("ud"), EstimatorConfig(cache=cache, relaxed=relaxed),
+                name="ud")
+            return {mechanism: estimator.estimate(mechanism).pwcet()
+                    for mechanism in MECHANISMS}
+
+        exact = pwcets(False)
+        relaxed = pwcets(True)
         for mechanism in MECHANISMS:
             assert relaxed[mechanism] >= exact[mechanism]
 
